@@ -260,7 +260,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_sampling(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--samples", type=int, default=10**6)
-    parser.add_argument("--budget", type=int, default=10**7)
+    parser.add_argument(
+        "--budget",
+        type=int,
+        default=10**7,
+        help="optimizer evaluations per class (used by search only)",
+    )
     parser.add_argument(
         "--workers",
         type=int,

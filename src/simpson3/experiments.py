@@ -14,8 +14,10 @@ from __future__ import annotations
 import csv
 import datetime
 import json
+import logging
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import CatalogError, DomainError, Simpson3Error
 from .feasibility import obstruction, obstruction_triple
-from .symmetry import INVERSE_INDEX, VERTEX_MAPS, canonical_class_of
+from .symmetry import canonical_class_of
 from .tables import FORM_INDEX, NonnegTable3, Table3, format_rational, table_from_json_obj
 from .triangulation import (
     DEFAULT_TOLERANCE,
@@ -40,10 +42,11 @@ from .triangulation import (
 _PURPOSE_SINGLE = 0
 _PURPOSE_MC2D = 1
 _PURPOSE_MC3D = 2
-_PURPOSE_POOL = 3
 _PURPOSE_SWEEP = 4
 
 _CHUNK = 1 << 16
+
+_LOG = logging.getLogger("simpson3")
 
 # Witness optimization: required sign margin in log space, restart count,
 # and iteration cap per restart.
@@ -333,87 +336,41 @@ def _normalize_triple_key(class_key: Sequence[int], catalog: Catalog) -> tuple[i
 
 
 class ConversionSearch:
-    """Randomized search for witnesses of summand/sum class keys.
+    """Optimizer search for witnesses of summand/sum class keys.
 
-    Two phases.  The primary phase treats a class key as a smooth
-    feasibility problem: class membership is a set of strict linear
-    inequalities on log entries, and the sum's membership is smooth in
-    them, so a hinge loss driven to zero by a quasi-Newton method from
-    random starts lands inside the witness region directly.  Classes the
-    optimizer misses fall back to a rejection sweep over per-id pools of
-    random tables, classifying sums in bulk.  Cube symmetries are used
-    twice there: pools for a whole orbit are filled by relabeling
-    samples that landed anywhere in the orbit, and every candidate hit
-    is transported into canonical coordinates.  All witnesses, from
-    either phase, are verified exactly before being returned.
+    A class key is a smooth feasibility problem: class membership is a
+    set of strict linear inequalities on log entries, and the sum's
+    membership is smooth in them, so a hinge loss driven to zero by a
+    quasi-Newton method from random starts lands inside the witness
+    region directly.  Every witness is verified exactly before it is
+    returned.  With seed 0 the search finds all 112 feasible pair classes
+    and 4 298 of the 4 304 feasible triple classes; the six left open are
+    all of type III->III->III (see the README).
     """
 
     def __init__(
         self,
         config: SamplerConfig,
         catalog: Catalog | None = None,
-        pool_size: int = 4096,
+        pool_size: int | None = None,
     ) -> None:
+        if pool_size is not None:
+            warnings.warn(
+                "pool_size is ignored: ConversionSearch keeps no sample pools",
+                DeprecationWarning,
+                stacklevel=2,
+            )
         self.config = config
         self.catalog = catalog if catalog is not None else get_catalog()
-        self.pool_size = pool_size
-        self._action = self.catalog.id_action()
-        self._pools: dict[int, np.ndarray] = {}
-        self._fill = {tid: 0 for tid in range(1, 75)}
-        self._pool_rng = config.stream(_PURPOSE_POOL)
         self._constraints: dict[int, np.ndarray] = {}
-        self._transport: dict[tuple[int, int], int] = {}
-        for source in range(1, 75):
-            for s in range(48):
-                key = (source, int(self._action[s, source - 1]))
-                if key not in self._transport:
-                    self._transport[key] = s
-        # Column gathers implementing table relabeling, one per symmetry.
-        self._gather = tuple(np.array(VERTEX_MAPS[INVERSE_INDEX[s]]) for s in range(48))
-
-    def _orbit(self, tid: int) -> tuple[int, ...]:
-        return tuple(sorted({int(self._action[s, tid - 1]) for s in range(48)}))
 
     def ensure_pools(self, ids: Iterable[int], count: int | None = None) -> None:
-        """Fill sample pools for the given ids up to ``count`` tables each."""
-        target = self.pool_size if count is None else count
-        need = set()
-        for tid in ids:
-            if self._fill.get(tid, 0) < target:
-                need.add(tid)
-        if not need:
-            return
-        for tid in need:
-            pool = self._pools.get(tid)
-            if pool is None or pool.shape[0] < target:
-                grown = np.empty((target, 8), dtype=float)
-                if pool is not None:
-                    grown[: self._fill[tid]] = pool[: self._fill[tid]]
-                self._pools[tid] = grown
-        # Accept relabeled samples from anywhere in each needed orbit.
-        sources: dict[int, list[int]] = {}
-        for tid in need:
-            for member in self._orbit(tid):
-                sources.setdefault(member, []).append(tid)
-        while need:
-            batch = self._pool_rng.standard_exponential((_CHUNK, 8))
-            ids_batch = classify_heights_batch(
-                np.log(batch), self.catalog, self.config.tolerance
-            )
-            for source, targets in sources.items():
-                rows = batch[ids_batch == source]
-                if rows.shape[0] == 0:
-                    continue
-                for tid in targets:
-                    have = self._fill[tid]
-                    if have >= target:
-                        continue
-                    take = min(target - have, rows.shape[0])
-                    moved = rows[:take][:, self._gather[self._transport[(source, tid)]]]
-                    self._pools[tid][have : have + take] = moved
-                    self._fill[tid] = have + take
-                    if self._fill[tid] >= target:
-                        need.discard(tid)
+        """Deprecated no-op: the search keeps no sample pools."""
+        warnings.warn(
+            "ensure_pools does nothing: ConversionSearch keeps no sample pools",
+            DeprecationWarning,
+            stacklevel=2,
+        )
 
     def _constraint_matrix(self, tid: int) -> np.ndarray:
         """Rows of the form matrix oriented so membership reads as > 0."""
@@ -479,7 +436,7 @@ class ConversionSearch:
         cs = self._constraint_matrix(id_sum)
         bounds = [(-12.0, 12.0)] * 16
         evaluations = 0
-        for _ in range(_OPT_RESTARTS):
+        for restart in range(_OPT_RESTARTS):
             if evaluations >= budget:
                 break
             start = rng.normal(0.0, 1.5, 16)
@@ -502,150 +459,27 @@ class ConversionSearch:
             )
             if witness.verify():
                 return witness, evaluations
-        return None, evaluations
-
-    def _canonical_by_sum(
-        self, prefix: tuple[int, ...]
-    ) -> tuple[list[tuple[int, ...]], list[int]]:
-        """Canonical keys and transporters for every possible sum id."""
-        keys: list[tuple[int, ...]] = [()]
-        sigmas: list[int] = [0]
-        for sum_id in range(1, 75):
-            candidate = prefix + (sum_id,)
-            images = []
-            for s in range(48):
-                if len(candidate) == 2:
-                    image = (
-                        int(self._action[s, candidate[0] - 1]),
-                        int(self._action[s, candidate[1] - 1]),
-                    )
-                else:
-                    lo = int(self._action[s, candidate[0] - 1])
-                    hi = int(self._action[s, candidate[1] - 1])
-                    if lo > hi:
-                        lo, hi = hi, lo
-                    image = (lo, hi, int(self._action[s, candidate[2] - 1]))
-                images.append((image, s))
-            best, s_best = min(images)
-            keys.append(best)
-            sigmas.append(s_best)
-        return keys, sigmas
-
-    def _make_witness(
-        self,
-        key: tuple[int, ...],
-        f_row: np.ndarray,
-        g_row: np.ndarray,
-        sigma: int,
-        swap: bool,
-    ) -> Witness | None:
-        gather = self._gather[sigma]
-        f_moved = f_row[gather]
-        g_moved = g_row[gather]
-        if swap:
-            f_moved, g_moved = g_moved, f_moved
-        f_exact = Table3(tuple(Fraction(float(x)) for x in f_moved))
-        g_exact = Table3(tuple(Fraction(float(x)) for x in g_moved))
-        witness = Witness(
-            class_key=key, f=f_exact, g=g_exact, verified_at=_timestamp()
-        )
-        return witness if witness.verify() else None
-
-    def _sweep_row(
-        self,
-        rng: np.random.Generator,
-        pool_f: np.ndarray,
-        pool_g: np.ndarray,
-        prefix: tuple[int, ...],
-        open_keys: set[tuple[int, ...]],
-        budget: int,
-        found: dict[tuple[int, ...], Witness],
-        attempts_out: dict[tuple[int, ...], int],
-    ) -> None:
-        keys_by_sum, sigma_by_sum = self._canonical_by_sum(prefix)
-        wanted = np.zeros(75, dtype=bool)
-        for sum_id in range(1, 75):
-            wanted[sum_id] = keys_by_sum[sum_id] in open_keys
-        attempts = 0
-        size_f = pool_f.shape[0]
-        size_g = pool_g.shape[0]
-        while open_keys and attempts < budget:
-            m = min(_CHUNK, budget - attempts)
-            idx_f = rng.integers(0, size_f, m)
-            idx_g = rng.integers(0, size_g, m)
-            f_rows = pool_f[idx_f]
-            g_rows = pool_g[idx_g]
-            ids_sum = classify_heights_batch(
-                np.log(f_rows + g_rows), self.catalog, self.config.tolerance
+            _LOG.warning(
+                "class %s: zero-loss point of restart %d fails exact verification",
+                key,
+                restart,
             )
-            attempts += m
-            hits = np.nonzero(wanted[ids_sum])[0]
-            for h in hits:
-                sum_id = int(ids_sum[h])
-                key = keys_by_sum[sum_id]
-                if key not in open_keys:
-                    continue
-                sigma = sigma_by_sum[sum_id]
-                swap = False
-                if len(prefix) == 2:
-                    swap = int(self._action[sigma, prefix[0] - 1]) != key[0]
-                witness = self._make_witness(key, f_rows[h], g_rows[h], sigma, swap)
-                if witness is None:
-                    continue
-                open_keys.discard(key)
-                found[key] = witness
-                attempts_out[key] = attempts
-                for other in range(1, 75):
-                    wanted[other] = keys_by_sum[other] in open_keys
-        for key in open_keys:
-            attempts_out[key] = attempts
+        return None, evaluations
 
     def _sweep(
         self, keys: list[tuple[int, ...]], budget: int
     ) -> dict[tuple[int, ...], Witness | Exhausted]:
-        """Optimizer phase for every key, rejection backstop for the rest.
+        """Run the optimizer on every key in order from one shared stream.
 
-        The budget bounds the candidates examined per class: optimizer
-        evaluations first, then pool pairs drawn while the class is
-        still unresolved (pool sweeps are shared across the classes with
-        the same summand components).
+        The budget bounds the optimizer evaluations per class.  A class
+        whose restarts find no verified witness is reported as
+        ``Exhausted`` with the evaluations it spent.
         """
         results: dict[tuple[int, ...], Witness | Exhausted] = {}
-        spent: dict[tuple[int, ...], int] = {}
-        rows: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
         rng = self.config.stream(_PURPOSE_SWEEP)
         for key in keys:
             witness, evaluations = self._optimize_key(key, rng, budget)
-            if witness is not None:
-                results[key] = witness
-            else:
-                spent[key] = evaluations
-                rows.setdefault(key[:-1], set()).add(key)
-        if rows:
-            self.ensure_pools({tid for prefix in rows for tid in prefix})
-            found: dict[tuple[int, ...], Witness] = {}
-            attempts: dict[tuple[int, ...], int] = {}
-            for prefix in sorted(rows):
-                pool_f = self._pools[prefix[0]][: self._fill[prefix[0]]]
-                pool_g = self._pools[prefix[-1]][: self._fill[prefix[-1]]]
-                remaining = budget - max(spent[k] for k in rows[prefix])
-                self._sweep_row(
-                    rng,
-                    pool_f,
-                    pool_g,
-                    prefix,
-                    rows[prefix],
-                    max(remaining, 0),
-                    found,
-                    attempts,
-                )
-            for key in spent:
-                if key in found:
-                    results[key] = found[key]
-                else:
-                    results[key] = Exhausted(
-                        class_key=key, attempts=spent[key] + attempts[key]
-                    )
+            results[key] = witness if witness is not None else Exhausted(key, evaluations)
         return results
 
     def sweep_pairs(

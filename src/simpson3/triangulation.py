@@ -443,18 +443,7 @@ class Catalog:
     def id_action(self) -> np.ndarray:
         """(48, 74) array: entry [s, i] is the id of GROUP[s] applied to id i+1."""
         if self._id_action is None:
-            rank = {e.encoding(): e.canonical_id for e in self.entries}
-            action = np.zeros((len(symmetry.GROUP), len(self.entries)), dtype=np.int64)
-            for s, vmap in enumerate(symmetry.VERTEX_MAPS):
-                for e in self.entries:
-                    image = tuple(
-                        sorted(tuple(sorted(vmap[v] for v in t.vertices)) for t in e.tetrahedra)
-                    )
-                    action[s, e.canonical_id - 1] = rank[image]
-            for s in range(action.shape[0]):
-                if len(set(action[s])) != len(self.entries):
-                    raise CatalogError("symmetry action is not a bijection on ids")
-            self._id_action = action
+            self._id_action = _id_action([e.encoding() for e in self.entries])
         return self._id_action
 
     def apply_symmetry(self, sigma: symmetry.CubeSymmetry, canonical_id: int) -> int:
@@ -504,21 +493,32 @@ class Catalog:
         return result
 
 
+def _id_action(encodings: Sequence[tuple[tuple[int, ...], ...]]) -> np.ndarray:
+    """(48, n) array: entry [s, i] is the id of GROUP[s] applied to id i+1.
+
+    ``encodings[i]`` is the sorted tetrahedron encoding of id i+1.  Raises
+    CatalogError unless every symmetry permutes the ids.
+    """
+    rank = {enc: i + 1 for i, enc in enumerate(encodings)}
+    action = np.zeros((len(symmetry.GROUP), len(encodings)), dtype=np.int64)
+    for s, vmap in enumerate(symmetry.VERTEX_MAPS):
+        for i, enc in enumerate(encodings):
+            image = tuple(sorted(tuple(sorted(vmap[v] for v in t)) for t in enc))
+            action[s, i] = rank.get(image, 0)
+    if not (np.sort(action, axis=1) == np.arange(1, len(encodings) + 1)).all():
+        raise CatalogError("symmetry action is not a bijection on ids")
+    return action
+
+
 def _build_catalog() -> Catalog:
     encodings = _enumerate_encodings()
     if len(encodings) != 74:
         raise CatalogError(f"enumeration produced {len(encodings)} covers, expected 74")
-    rank = {enc: i + 1 for i, enc in enumerate(encodings)}
-
-    action = np.zeros((len(symmetry.GROUP), len(encodings)), dtype=np.int64)
-    for s, vmap in enumerate(symmetry.VERTEX_MAPS):
-        for enc, cid in rank.items():
-            image = tuple(sorted(tuple(sorted(vmap[v] for v in t)) for t in enc))
-            action[s, cid - 1] = rank[image]
+    action = _id_action(encodings)
     orbit_rep = action.min(axis=0)
 
     entries = []
-    for enc, cid in sorted(rank.items(), key=lambda kv: kv[1]):
+    for cid, enc in enumerate(encodings, start=1):
         constraints = derive_constraints(enc)
         diagonals = _face_diagonals(enc)
         incidence = _vertex_incidence(diagonals)

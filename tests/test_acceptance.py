@@ -41,7 +41,7 @@ from simpson3.symmetry import GROUP
 
 PAIR_BUDGET = 10**7
 TRIPLE_BUDGET = 2 * 10**5
-TRIPLE_FLOOR = 4200
+TRIPLE_FLOOR = 4298
 
 
 def test_criterion_1_catalog(acceptance):

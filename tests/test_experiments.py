@@ -1,3 +1,4 @@
+import logging
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from simpson3 import (
     sample_tables,
     search_witness,
 )
+from simpson3 import experiments
 
 
 class TestSampler:
@@ -181,6 +183,53 @@ class TestSearch:
         results = search.sweep_pairs(keys, budget=10**6)
         assert set(results) == set(keys)
         assert all(isinstance(w, Witness) for w in results.values())
+
+
+    def test_hard_class_exhausts_on_optimizer_evaluations(self, monkeypatch):
+        import scipy.optimize
+
+        minimize = scipy.optimize.minimize
+        nfev = []
+
+        def counting(*args, **kwargs):
+            result = minimize(*args, **kwargs)
+            nfev.append(int(result.nfev))
+            return result
+
+        monkeypatch.setattr(scipy.optimize, "minimize", counting)
+        result = search_witness((3, 4, 55), SamplerConfig(seed=0), budget=2000)
+        assert isinstance(result, Exhausted)
+        assert result.class_key == (3, 4, 55)
+        assert nfev and result.attempts == sum(nfev)
+
+    def test_search_never_classifies_in_batch(self, monkeypatch, catalog):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("witness search classified a batch")
+
+        monkeypatch.setattr(experiments, "classify_heights_batch", forbidden)
+        assert isinstance(
+            search_witness((3, 4, 55), SamplerConfig(seed=0), budget=1000), Exhausted
+        )
+        search = ConversionSearch(SamplerConfig(seed=0), catalog)
+        results = search.sweep_triples([(1, 3, 5), (3, 4, 55)], budget=1000)
+        assert isinstance(results[(1, 3, 5)], Witness)
+        assert isinstance(results[(3, 4, 55)], Exhausted)
+
+    def test_pool_interface_is_deprecated(self, catalog):
+        with pytest.warns(DeprecationWarning):
+            search = ConversionSearch(SamplerConfig(seed=0), catalog, pool_size=16)
+        with pytest.warns(DeprecationWarning):
+            search.ensure_pools([1, 2])
+
+    def test_verification_failure_is_logged(self, monkeypatch, caplog):
+        monkeypatch.setattr(Witness, "verify", lambda self: False)
+        with caplog.at_level(logging.WARNING, logger="simpson3"):
+            result = search_witness((1, 2), SamplerConfig(seed=0), budget=300)
+        assert isinstance(result, Exhausted)
+        records = [r for r in caplog.records if r.name == "simpson3"]
+        assert records and all(r.levelno == logging.WARNING for r in records)
+        assert "(1, 2)" in records[0].getMessage()
+        assert "restart 0" in records[0].getMessage()
 
 
 class TestArchive:

@@ -19,7 +19,7 @@ from simpson3 import (
     features,
     get_catalog,
 )
-from simpson3.triangulation import tetrahedron_volume_sixths
+from simpson3.triangulation import _id_action, tetrahedron_volume_sixths
 
 EXAMPLE = Table3([Fraction(1, 4), 1, 1, 2, 4, 1, 2, 8])
 
@@ -214,6 +214,14 @@ class TestSerialization:
             a.constraints == b.constraints
             for a, b in zip(back.entries, catalog.entries)
         )
+
+    def test_round_trip_id_action(self, catalog):
+        back = catalog_from_json_obj(catalog_to_json_obj(catalog))
+        assert np.array_equal(back.id_action(), get_catalog().id_action())
+
+    def test_id_action_needs_a_symmetry_closed_set(self, catalog):
+        with pytest.raises(CatalogError):
+            _id_action([e.encoding() for e in catalog.entries[:-1]])
 
     def test_tampered_export_rejected(self, catalog):
         obj = catalog_to_json_obj(catalog)
