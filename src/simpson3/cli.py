@@ -22,8 +22,8 @@ from .experiments import (
     estimate_3d_conversion,
     search_witness,
 )
-from .feasibility import obstruction, obstruction_triple, write_feasibility_report
-from .symmetry import orbit_classes
+from .feasibility import obstruction_triple, write_feasibility_report
+from .symmetry import orbit_classes, pad_key
 from .tables import (
     NonnegTable3,
     Table2,
@@ -58,6 +58,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_workers() -> int:
+    """SIMPSON3_WORKERS, else 1: the worker count selects the random streams,
+    so the default must not depend on the machine."""
     env = os.environ.get(WORKERS_ENV)
     if env is not None:
         try:
@@ -67,7 +69,7 @@ def _default_workers() -> int:
         if value < 1:
             raise DomainError(f"{WORKERS_ENV} must be positive, got {value}")
         return value
-    return os.cpu_count() or 1
+    return 1
 
 
 def _sampler_config(args: argparse.Namespace) -> SamplerConfig:
@@ -163,11 +165,12 @@ def cmd_orbits(args: argparse.Namespace) -> int:
 
 def cmd_feasibility(args: argparse.Namespace) -> int:
     catalog = get_catalog()
-    if args.pair is not None:
-        a, b = args.pair
-        verdict = obstruction(catalog[a], catalog[b])
+    kind = "pair" if args.pair is not None else "triple"
+    key = args.pair if args.pair is not None else args.triple
+    if key is not None:
+        verdict = obstruction_triple(*(catalog[i] for i in pad_key(key)))
         payload = {
-            "pair": [a, b],
+            kind: list(key),
             "obstructed": verdict.obstructed,
             "obstructingVertex": verdict.witness_vertex,
         }
@@ -177,24 +180,10 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
             summary = "not obstructed"
         _emit(payload, args, summary)
         return EXIT_OK
-    if args.triple is not None:
-        a, b, c = args.triple
-        verdict = obstruction_triple(catalog[a], catalog[b], catalog[c])
-        payload = {
-            "triple": [a, b, c],
-            "obstructed": verdict.obstructed,
-            "obstructingVertex": verdict.witness_vertex,
-        }
-        if verdict.obstructed:
-            summary = f"obstructed at vertex {verdict.witness_vertex}"
-        else:
-            summary = "not obstructed"
-        _emit(payload, args, summary)
-        return EXIT_OK
-    pair_classes = orbit_classes(2, catalog) if args.arity in (None, 2) else ()
-    triple_classes = orbit_classes(3, catalog) if args.arity in (None, 3) else ()
     if args.out is None:
         raise DomainError("the feasibility report requires --out PATH")
+    pair_classes = orbit_classes(2, catalog) if args.arity in (None, 2) else ()
+    triple_classes = orbit_classes(3, catalog) if args.arity in (None, 3) else ()
     write_feasibility_report(args.out, catalog, pair_classes, triple_classes)
     return EXIT_OK
 
@@ -264,13 +253,16 @@ def _add_sampling(parser: argparse.ArgumentParser) -> None:
         "--budget",
         type=int,
         default=10**7,
-        help="optimizer evaluations per class (used by search only)",
+        help=(
+            "optimizer evaluations per class (used by search only); the search"
+            " also stops after 60 restarts, whichever comes first"
+        ),
     )
     parser.add_argument(
         "--workers",
         type=int,
         default=None,
-        help=f"worker count (default: {WORKERS_ENV} or available parallelism)",
+        help=f"worker count; it selects the random streams (default: {WORKERS_ENV} or 1)",
     )
     parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
 

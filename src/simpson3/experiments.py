@@ -26,8 +26,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CatalogError, DomainError, Simpson3Error
-from .feasibility import obstruction, obstruction_triple
-from .symmetry import canonical_class_of
+from .feasibility import obstruction_triple
+from .symmetry import canonical_class_of, pad_key
 from .tables import FORM_INDEX, NonnegTable3, Table3, format_rational, table_from_json_obj
 from .triangulation import (
     DEFAULT_TOLERANCE,
@@ -302,9 +302,7 @@ class Witness:
             ids = self.induced_ids()
         except Simpson3Error:
             return False
-        if self.arity == 2:
-            return ids == (self.class_key[0], self.class_key[0], self.class_key[1])
-        return ids == self.class_key
+        return ids == pad_key(self.class_key)
 
 
 @dataclass(frozen=True)
@@ -319,20 +317,18 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
 
-def _normalize_pair_key(class_key: Sequence[int], catalog: Catalog) -> tuple[int, int]:
-    a, b = class_key
-    if not (1 <= a <= 74 and 1 <= b <= 74):
-        raise DomainError(f"class key components must be ids in 1..74, got {class_key!r}")
-    return canonical_class_of((a, b), catalog)
+_KEY_KINDS = {2: "pair", 3: "triple"}
 
 
-def _normalize_triple_key(class_key: Sequence[int], catalog: Catalog) -> tuple[int, int, int]:
-    a, b, c = class_key
-    if not all(1 <= x <= 74 for x in (a, b, c)):
-        raise DomainError(f"class key components must be ids in 1..74, got {class_key!r}")
-    if a == b:
-        raise DomainError("triple class keys require two distinct summand triangulations")
-    return canonical_class_of((a, b, c), catalog)
+def _normalize_key(class_key: Sequence[int], arity: int, catalog: Catalog) -> tuple[int, ...]:
+    """Move a class key of the given arity to its class representative;
+    the canonicalization rejects unknown ids and equal triple summands."""
+    key = tuple(class_key)
+    if len(key) != arity:
+        raise DomainError(
+            f"{_KEY_KINDS[arity]} class keys have {arity} components, got {class_key!r}"
+        )
+    return canonical_class_of(key, catalog)
 
 
 class ConversionSearch:
@@ -426,11 +422,7 @@ class ConversionSearch:
         """Drive the hinge loss to zero from random starts; verify exactly."""
         from scipy.optimize import minimize
 
-        if len(key) == 2:
-            id_f = id_g = key[0]
-            id_sum = key[1]
-        else:
-            id_f, id_g, id_sum = key
+        id_f, id_g, id_sum = pad_key(key)
         cf = self._constraint_matrix(id_f)
         cg = self._constraint_matrix(id_g)
         cs = self._constraint_matrix(id_sum)
@@ -482,29 +474,27 @@ class ConversionSearch:
             results[key] = witness if witness is not None else Exhausted(key, evaluations)
         return results
 
+    def _checked_sweep(
+        self, class_keys: Iterable[Sequence[int]], arity: int, budget: int
+    ) -> dict[tuple[int, ...], Witness | Exhausted]:
+        """Normalize the keys, refuse parity-obstructed classes, then sweep."""
+        keys = sorted({_normalize_key(k, arity, self.catalog) for k in class_keys})
+        for key in keys:
+            if obstruction_triple(*(self.catalog[i] for i in pad_key(key))).obstructed:
+                raise DomainError(f"{_KEY_KINDS[arity]} class {key} is parity obstructed")
+        return self._sweep(keys, budget)
+
     def sweep_pairs(
         self, class_keys: Iterable[Sequence[int]], budget: int
     ) -> dict[tuple[int, int], Witness | Exhausted]:
         """Search witnesses for pair class keys."""
-        keys = sorted({_normalize_pair_key(k, self.catalog) for k in class_keys})
-        for key in keys:
-            verdict = obstruction(self.catalog[key[0]], self.catalog[key[1]])
-            if verdict.obstructed:
-                raise DomainError(f"pair class {key} is parity obstructed")
-        return self._sweep(keys, budget)
+        return self._checked_sweep(class_keys, 2, budget)
 
     def sweep_triples(
         self, class_keys: Iterable[Sequence[int]], budget: int
     ) -> dict[tuple[int, int, int], Witness | Exhausted]:
         """Search witnesses for triple class keys."""
-        keys = sorted({_normalize_triple_key(k, self.catalog) for k in class_keys})
-        for key in keys:
-            verdict = obstruction_triple(
-                self.catalog[key[0]], self.catalog[key[1]], self.catalog[key[2]]
-            )
-            if verdict.obstructed:
-                raise DomainError(f"triple class {key} is parity obstructed")
-        return self._sweep(keys, budget)
+        return self._checked_sweep(class_keys, 3, budget)
 
 
 def search_witness(
@@ -517,33 +507,27 @@ def search_witness(
 
     The key is first moved to its canonical class representative.  A
     returned ``Witness`` stores exact rational tables whose induced ids
-    equal the canonical key; ``Exhausted`` reports the budget spent.  A
-    fresh search with a different seed can be tried on exhaustion.
+    equal the canonical key; ``Exhausted`` reports the optimizer
+    evaluations spent.  The search stops at ``budget`` evaluations or
+    after its 60 restarts, whichever comes first, so a budget above about
+    12 000 evaluations buys no further search.  A fresh search with a
+    different seed can be tried on exhaustion.
     """
-    cfg = config if config is not None else SamplerConfig()
-    search = ConversionSearch(cfg, catalog)
     key = tuple(int(x) for x in class_key)
-    if len(key) == 2:
-        return search.sweep_pairs([key], budget)[_normalize_pair_key(key, search.catalog)]
-    if len(key) == 3:
-        return search.sweep_triples([key], budget)[
-            _normalize_triple_key(key, search.catalog)
-        ]
-    raise DomainError(f"class key must have 2 or 3 components, got {len(key)}")
+    if len(key) not in _KEY_KINDS:
+        raise DomainError(f"class key must have 2 or 3 components, got {len(key)}")
+    search = ConversionSearch(config if config is not None else SamplerConfig(), catalog)
+    (result,) = search._checked_sweep([key], len(key), budget).values()
+    return result
 
 
-_PAIR_COLUMNS = (
-    ["classA", "classB"]
-    + [f"F{v:03b}" for v in range(8)]
-    + [f"G{v:03b}" for v in range(8)]
-    + ["verifiedAt"]
-)
-_TRIPLE_COLUMNS = (
-    ["classA", "classB", "classC"]
-    + [f"F{v:03b}" for v in range(8)]
-    + [f"G{v:03b}" for v in range(8)]
-    + ["verifiedAt"]
-)
+def _archive_columns(arity: int) -> list[str]:
+    return (
+        ["classA", "classB", "classC"][:arity]
+        + [f"F{v:03b}" for v in range(8)]
+        + [f"G{v:03b}" for v in range(8)]
+        + ["verifiedAt"]
+    )
 
 
 class WitnessArchive:
@@ -554,7 +538,7 @@ class WitnessArchive:
             raise DomainError(f"witness archives hold arity 2 or 3, got {arity}")
         self.path = os.fspath(path)
         self.arity = arity
-        self.columns = _PAIR_COLUMNS if arity == 2 else _TRIPLE_COLUMNS
+        self.columns = _archive_columns(arity)
 
     def _witness_row(self, witness: Witness) -> list[str]:
         if witness.arity != self.arity:

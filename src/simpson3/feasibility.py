@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import DomainError
-from .symmetry import OrbitClass
+from .symmetry import OrbitClass, pad_key
 from .tables import Table2, Table3
 from .triangulation import Triangulation
 
@@ -31,19 +31,8 @@ class ObstructionVerdict:
     witness_vertex: Optional[int]
 
 
-def obstruction(a: Triangulation, b: Triangulation) -> ObstructionVerdict:
-    """Whether a conversion from a to b is impossible by parity: some vertex
-    with odd diagonal incidence in a whose incidence in b is the complement."""
-    for v in range(8):
-        inc = a.vertex_incidence[v]
-        if inc.bit_count() % 2 == 1 and b.vertex_incidence[v] == inc ^ 7:
-            return ObstructionVerdict(True, v)
-    return ObstructionVerdict(False, None)
-
-
-def obstruction_triple(a: Triangulation, b: Triangulation, c: Triangulation) -> ObstructionVerdict:
-    """Whether {a, b} -> c is impossible: both summands show the same odd
-    incidence pattern at some vertex and c shows the complement."""
+def _obstruction(a: Triangulation, b: Triangulation, c: Triangulation) -> ObstructionVerdict:
+    """The parity test on a (summand, summand, sum) triple."""
     for v in range(8):
         inc = a.vertex_incidence[v]
         if (
@@ -55,24 +44,33 @@ def obstruction_triple(a: Triangulation, b: Triangulation, c: Triangulation) -> 
     return ObstructionVerdict(False, None)
 
 
-def infeasible_pair_classes(catalog, classes: Sequence[OrbitClass]) -> list[OrbitClass]:
-    """The pair classes ruled out by the obstruction.  The predicate is orbit
-    invariant, so it is decided on representatives."""
-    out = []
+def obstruction(a: Triangulation, b: Triangulation) -> ObstructionVerdict:
+    """Whether a conversion from a to b is impossible by parity: some vertex
+    with odd diagonal incidence in a whose incidence in b is the complement."""
+    return _obstruction(a, a, b)
+
+
+def obstruction_triple(a: Triangulation, b: Triangulation, c: Triangulation) -> ObstructionVerdict:
+    """Whether {a, b} -> c is impossible: both summands show the same odd
+    incidence pattern at some vertex and c shows the complement."""
+    return _obstruction(a, b, c)
+
+
+def _verdicts(catalog, classes: Sequence[OrbitClass]):
+    """Each class with its verdict.  The predicate is orbit invariant, so it
+    is decided on the representative."""
     for cls in classes:
-        a, b = cls.representative
-        if obstruction(catalog[a], catalog[b]).obstructed:
-            out.append(cls)
-    return out
+        yield cls, _obstruction(*(catalog[i] for i in pad_key(cls.representative)))
+
+
+def infeasible_pair_classes(catalog, classes: Sequence[OrbitClass]) -> list[OrbitClass]:
+    """The pair classes ruled out by the obstruction."""
+    return [cls for cls, verdict in _verdicts(catalog, classes) if verdict.obstructed]
 
 
 def infeasible_triple_classes(catalog, classes: Sequence[OrbitClass]) -> list[OrbitClass]:
-    out = []
-    for cls in classes:
-        a, b, c = cls.representative
-        if obstruction_triple(catalog[a], catalog[b], catalog[c]).obstructed:
-            out.append(cls)
-    return out
+    """The triple classes ruled out by the obstruction."""
+    return [cls for cls, verdict in _verdicts(catalog, classes) if verdict.obstructed]
 
 
 def per_type_obstructed_counts(catalog, pair_classes: Sequence[OrbitClass]) -> dict[str, int]:
@@ -206,25 +204,13 @@ def write_feasibility_report(
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["classRep", "arity", "obstructed", "obstructingVertex"])
-        for cls in pair_classes:
-            a, b = cls.representative
-            verdict = obstruction(catalog[a], catalog[b])
-            writer.writerow(
-                [
-                    "-".join(map(str, cls.representative)),
-                    2,
-                    str(verdict.obstructed).lower(),
-                    "" if verdict.witness_vertex is None else verdict.witness_vertex,
-                ]
-            )
-        for cls in triple_classes:
-            a, b, c = cls.representative
-            verdict = obstruction_triple(catalog[a], catalog[b], catalog[c])
-            writer.writerow(
-                [
-                    "-".join(map(str, cls.representative)),
-                    3,
-                    str(verdict.obstructed).lower(),
-                    "" if verdict.witness_vertex is None else verdict.witness_vertex,
-                ]
-            )
+        for classes, arity in ((pair_classes, 2), (triple_classes, 3)):
+            for cls, verdict in _verdicts(catalog, classes):
+                writer.writerow(
+                    [
+                        "-".join(map(str, cls.representative)),
+                        arity,
+                        str(verdict.obstructed).lower(),
+                        "" if verdict.witness_vertex is None else verdict.witness_vertex,
+                    ]
+                )

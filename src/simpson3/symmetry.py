@@ -4,7 +4,8 @@ A symmetry permutes the three coordinate axes and then complements a subset
 of them.  It acts on vertices by relabeling, on tables by precomposition with
 the inverse relabeling, and on triangulations by relabeling every tetrahedron.
 Orbit enumeration for single triangulations, ordered pairs, and summand-
-unordered triples runs over catalog ids via the induced id permutations.
+unordered triples runs over catalog ids via the induced id permutations, as
+one canonicalization of (summand, summand, sum) id triples.
 """
 
 from __future__ import annotations
@@ -116,66 +117,67 @@ class OrbitClass:
     members: tuple[tuple[int, ...], ...]
 
 
-def _check_ids(ids: Sequence[int], count: int) -> None:
-    for i in ids:
-        if not 1 <= i <= count:
-            raise DomainError(f"unknown triangulation id {i}")
+# Every class key is a (summand, summand, sum) triple: a single id a is
+# (a, a, a), an ordered pair (A, B) is (A, A, B), and a triple is itself.
+# _PAD gives, per arity, the tuple position that fills each slot, and _UNPAD
+# the slots that give the tuple back.
+_PAD = {1: (0, 0, 0), 2: (0, 0, 1), 3: (0, 1, 2)}
+_UNPAD = {1: (0,), 2: (0, 2), 3: (0, 1, 2)}
+
+# Rows canonicalized per numpy pass, so that all 48 images of a chunk stay small.
+_CHUNK_ROWS = 2048
+
+
+def pad_key(ids: Sequence[int]) -> tuple[int, ...]:
+    """The (summand, summand, sum) triple of a class key of arity 1, 2 or 3."""
+    return tuple(ids[i] for i in _PAD[len(ids)])
+
+
+def _canonical_rows(rows: np.ndarray, ida: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical keys of (m, 3) 0-based (summand, summand, sum) rows, and the
+    first symmetry index reaching each.
+
+    An image is keyed by its raveled (lo, hi, sum) index, with the summands
+    sorted because they are unordered; the canonical key is the least over
+    the 48 images.
+    """
+    pa = ida.astype(np.int32) - 1
+    n = pa.shape[1]
+    keys = np.empty(len(rows), dtype=np.int64)
+    first = np.empty(len(rows), dtype=np.int64)
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        chunk = rows[start : start + _CHUNK_ROWS]
+        u, v, w = (pa[:, chunk[:, i]] for i in range(3))
+        images = (np.minimum(u, v) * n + np.maximum(u, v)) * n + w
+        best = images.argmin(axis=0)
+        keys[start : start + len(chunk)] = images[best, np.arange(len(chunk))]
+        first[start : start + len(chunk)] = best
+    return keys, first
 
 
 def orbit_classes(arity: int, catalog) -> list[OrbitClass]:
     """All orbit classes of single ids (arity 1), ordered pairs (arity 2), or
     summand-unordered triples with distinct summands (arity 3)."""
-    ida = catalog.id_action()
-    n = ida.shape[1]
-    if arity == 1:
-        keys = ida.min(axis=0)
-        groups: dict[int, list[tuple[int, ...]]] = {}
-        for a in range(1, n + 1):
-            groups.setdefault(int(keys[a - 1]), []).append((a,))
-    elif arity == 2:
-        pa = ida - 1
-        best = None
-        for s in range(len(GROUP)):
-            k = pa[s][:, None] * n + pa[s][None, :]
-            best = k if best is None else np.minimum(best, k)
-        groups = {}
-        for a in range(n):
-            for b in range(n):
-                key = int(best[a, b])
-                groups.setdefault(key, []).append((a + 1, b + 1))
-        groups = {k: v for k, v in groups.items()}
-        decode = {k: (k // n + 1, k % n + 1) for k in groups}
-        return _build_classes(groups, decode)
-    elif arity == 3:
-        pa = ida.astype(np.int64) - 1
-        ii, jj = np.triu_indices(n, k=1)
-        best = None
-        for s in range(len(GROUP)):
-            u, v = pa[s][ii], pa[s][jj]
-            lo, hi = np.minimum(u, v), np.maximum(u, v)
-            k = (lo[:, None] * n + hi[:, None]) * n + pa[s][None, :]
-            best = k if best is None else np.minimum(best, k)
-        groups = {}
-        for r in range(len(ii)):
-            a, b = int(ii[r]) + 1, int(jj[r]) + 1
-            for c in range(n):
-                key = int(best[r, c])
-                groups.setdefault(key, []).append((a, b, c + 1))
-        decode = {
-            k: (k // (n * n) + 1, (k // n) % n + 1, k % n + 1) for k in groups
-        }
-        return _build_classes(groups, decode)
-    else:
+    if arity not in _PAD:
         raise DomainError(f"unsupported arity {arity}")
-    decode = {k: (k,) for k in groups}
-    return _build_classes(groups, decode)
-
-
-def _build_classes(groups: dict, decode: dict) -> list[OrbitClass]:
+    ida = catalog.id_action()
+    tuples = np.indices((ida.shape[1],) * arity, dtype=np.int8).reshape(arity, -1).T
+    pad = _PAD[arity]
+    if pad[0] != pad[1]:
+        # separate summand slots hold an unordered pair of distinct ids
+        tuples = tuples[tuples[:, 0] < tuples[:, 1]]
+    keys, _ = _canonical_rows(tuples[:, list(pad)], ida)
+    order = np.argsort(keys, kind="stable")
+    columns = (tuples[order] + 1).T
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1)).tolist()
+    # Members are enumerated in sorted order, so each class lists them sorted
+    # and its first member is the representative.  The representatives are
+    # built apart from, and before, the members: callers often keep only the
+    # representatives, which would otherwise pin the members' memory.
+    reps = list(zip(*columns[:, starts].tolist()))
     classes = []
-    for key in sorted(groups):
-        members = tuple(sorted(groups[key]))
-        classes.append(OrbitClass(decode[key], len(members), members))
+    for rep, lo, hi in zip(reps, starts, starts[1:] + [len(order)]):
+        classes.append(OrbitClass(rep, hi - lo, tuple(zip(*columns[:, lo:hi].tolist()))))
     return classes
 
 
@@ -194,25 +196,13 @@ def canonical_transporter(ids: Sequence[int], catalog):
     """
     ida = catalog.id_action()
     n = ida.shape[1]
-    _check_ids(ids, n)
-    if len(ids) == 1:
-        (a,) = ids
-        images = [(int(ida[s, a - 1]),) for s in range(len(GROUP))]
-    elif len(ids) == 2:
-        a, b = ids
-        images = [
-            (int(ida[s, a - 1]), int(ida[s, b - 1])) for s in range(len(GROUP))
-        ]
-    elif len(ids) == 3:
-        a, b, c = ids
-        if a == b:
-            raise DomainError("triple classes require distinct summand ids")
-        images = []
-        for s in range(len(GROUP)):
-            u, v = int(ida[s, a - 1]), int(ida[s, b - 1])
-            lo, hi = (u, v) if u <= v else (v, u)
-            images.append((lo, hi, int(ida[s, c - 1])))
-    else:
+    for i in ids:
+        if not 1 <= i <= n:
+            raise DomainError(f"unknown triangulation id {i}")
+    if len(ids) not in _PAD:
         raise DomainError(f"unsupported arity {len(ids)}")
-    best = min(range(len(GROUP)), key=lambda s: images[s])
-    return images[best], best
+    if len(ids) == 3 and ids[0] == ids[1]:
+        raise DomainError("triple classes require distinct summand ids")
+    keys, first = _canonical_rows(np.array([pad_key(ids)]) - 1, ida)
+    padded = np.unravel_index(int(keys[0]), (n, n, n))
+    return tuple(int(padded[i]) + 1 for i in _UNPAD[len(ids)]), int(first[0])

@@ -19,7 +19,8 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -129,6 +130,8 @@ class Triangulation:
 
 @dataclass(frozen=True)
 class TriangulationFeatures:
+    """Deprecated copy of five ``Triangulation`` fields; see ``features``."""
+
     face_diagonals: tuple[tuple[int, int], ...]
     full_vertices: tuple[int, ...]
     empty_vertices: tuple[int, ...]
@@ -137,14 +140,14 @@ class TriangulationFeatures:
 
 
 def features(t: Triangulation) -> TriangulationFeatures:
-    """Structural features of a catalog entry."""
-    return TriangulationFeatures(
-        t.face_diagonals,
-        t.full_vertices,
-        t.empty_vertices,
-        t.has_hyperdiagonal,
-        t.type_class,
+    """Deprecated: read the same fields from the Triangulation itself."""
+    names = [field.name for field in fields(TriangulationFeatures)]
+    warnings.warn(
+        f"features() is deprecated: read {', '.join(names)} from the Triangulation",
+        DeprecationWarning,
+        stacklevel=2,
     )
+    return TriangulationFeatures(*(getattr(t, name) for name in names))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -202,11 +204,51 @@ class TestMonteCarlo:
         assert code == 0
         assert json.loads(out)["workerCount"] == 3
 
+    def test_default_ignores_cpu_count(self, capsys, monkeypatch):
+        monkeypatch.delenv("SIMPSON3_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        _, default_out, _ = run(capsys, "reversal", "--samples", "20000")
+        _, one_out, _ = run(capsys, "reversal", "--samples", "20000", "--workers", "1")
+        assert default_out == one_out
+
     def test_bad_env_value(self, capsys, monkeypatch):
         monkeypatch.setenv("SIMPSON3_WORKERS", "many")
         code, _, err = run(capsys, "reversal", "--samples", "1000")
         assert code == 1
         assert "SIMPSON3_WORKERS" in err
+
+
+# sha256 of the outputs of the earlier per-arity canonicalization: orbit
+# classes and obstruction reports must not change with the implementation.
+GOLDEN_ORBITS = {
+    "1": "d806207ac177453e7d7d24bd80686588d7a0c5de6ce02a30399250fa6207d605",
+    "2": "61d9a03b9410a51598132a70a9ac3521de7502859624a0129811826f3d490aca",
+    "3": "8a3fdea8371f5ae714288746e9be0a0e1fa5d1c13f5a6e06e301827ceb15c5aa",
+}
+GOLDEN_FEASIBILITY = {
+    None: "f7090da9e45719f4bc7b88642b16d2b8a16a024831a283f1f14691ab6089fa0d",
+    "2": "c18e8896c718a18a62fa3ae8952ffce2395c0bb05674b9a50071fb75adc1127d",
+    "3": "da236be8d306601e3f1675291816ac2a01a36f6cde68a98ad9a050c7d876eebe",
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("arity", sorted(GOLDEN_ORBITS))
+    def test_orbits(self, capsys, arity):
+        code, out, _ = run(capsys, "orbits", "--arity", arity)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ORBITS[arity]
+
+    @pytest.mark.parametrize("arity", list(GOLDEN_FEASIBILITY))
+    def test_feasibility_csv(self, capsys, tmp_path, arity):
+        target = tmp_path / "report.csv"
+        extra = [] if arity is None else ["--arity", arity]
+        code, _, _ = run(
+            capsys, "feasibility", "--format", "csv", "--out", str(target), *extra
+        )
+        assert code == 0
+        digest = hashlib.sha256(target.read_bytes()).hexdigest()
+        assert digest == GOLDEN_FEASIBILITY[arity]
 
 
 def test_usage_error_exit_code(capsys):

@@ -202,6 +202,22 @@ class TestSearch:
         assert result.class_key == (3, 4, 55)
         assert nfev and result.attempts == sum(nfev)
 
+    def test_restart_cap_binds_before_a_large_budget(self, monkeypatch):
+        import scipy.optimize
+
+        minimize = scipy.optimize.minimize
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", counting)
+        result = search_witness((3, 4, 55), SamplerConfig(seed=0), budget=10**7)
+        assert isinstance(result, Exhausted)
+        assert len(calls) == 60
+        assert result.attempts < 10**7
+
     def test_search_never_classifies_in_batch(self, monkeypatch, catalog):
         def forbidden(*args, **kwargs):
             raise AssertionError("witness search classified a batch")

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simpson3 import (
     ANTIPODAL_MAP,
@@ -114,6 +116,17 @@ class TestOrbits:
             for member in cls.members:
                 assert canonical_class_of(member, catalog) == cls.representative
 
+    def test_triple_members_partition_all_triples(self, catalog):
+        members = [m for cls in orbit_classes(3, catalog) for m in cls.members]
+        expected = {
+            (a, b, c)
+            for a in range(1, 75)
+            for b in range(a + 1, 75)
+            for c in range(1, 75)
+        }
+        assert len(members) == len(expected) == 199874
+        assert set(members) == expected
+
     def test_representative_is_orbit_minimum(self, catalog):
         ida = catalog.id_action()
         for cls in orbit_classes(2, catalog)[:10]:
@@ -161,3 +174,33 @@ class TestCanonical:
     def test_unknown_id_rejected(self, catalog):
         with pytest.raises(DomainError):
             canonical_class_of((0, 5), catalog)
+
+
+ids = st.integers(min_value=1, max_value=74)
+id_tuples = st.one_of(
+    st.tuples(ids),
+    st.tuples(ids, ids),
+    st.tuples(ids, ids, ids).filter(lambda t: t[0] != t[1]),
+)
+
+
+def _image(ida, s, ids):
+    return tuple(int(ida[s, i - 1]) for i in ids)
+
+
+class TestQuotientProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(ids=id_tuples, s=st.integers(min_value=0, max_value=47))
+    def test_class_is_invariant(self, catalog, ids, s):
+        moved = _image(catalog.id_action(), s, ids)
+        assert canonical_class_of(moved, catalog) == canonical_class_of(ids, catalog)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ids=id_tuples)
+    def test_transporter_reaches_representative(self, catalog, ids):
+        ida = catalog.id_action()
+        rep, t = canonical_transporter(ids, catalog)
+        image = _image(ida, t, ids)
+        if len(ids) == 3:
+            image = (*sorted(image[:2]), image[2])
+        assert image == rep

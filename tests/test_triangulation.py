@@ -112,7 +112,8 @@ class TestWorkedExample:
 
     def test_features(self, catalog):
         tri = classify_exact(EXAMPLE, catalog)
-        feats = features(tri)
+        with pytest.warns(DeprecationWarning, match="type_class"):
+            feats = features(tri)
         assert feats.full_vertices == (1, 2, 4, 7)
         assert feats.empty_vertices == (0, 3, 5, 6)
         assert feats.type_class == "II"
