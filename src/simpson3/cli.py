@@ -164,6 +164,8 @@ def cmd_orbits(args: argparse.Namespace) -> int:
 
 
 def cmd_feasibility(args: argparse.Namespace) -> int:
+    if args.pair is not None and args.triple is not None:
+        raise DomainError("feasibility takes at most one of --pair or --triple")
     catalog = get_catalog()
     kind = "pair" if args.pair is not None else "triple"
     key = args.pair if args.pair is not None else args.triple

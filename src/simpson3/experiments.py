@@ -28,7 +28,7 @@ import numpy as np
 from .errors import CatalogError, DomainError, Simpson3Error
 from .feasibility import obstruction_triple
 from .symmetry import canonical_class_of, pad_key
-from .tables import FORM_INDEX, NonnegTable3, Table3, format_rational, table_from_json_obj
+from .tables import NonnegTable3, Table3, format_rational, table_from_json_obj
 from .triangulation import (
     DEFAULT_TOLERANCE,
     FORM_MATRIX,
@@ -372,11 +372,11 @@ class ConversionSearch:
         """Rows of the form matrix oriented so membership reads as > 0."""
         cached = self._constraints.get(tid)
         if cached is None:
-            rows, signs = [], []
-            for letter, sign in sorted(self.catalog[tid].constraints):
-                rows.append(FORM_INDEX[letter])
-                signs.append(float(sign))
-            cached = FORM_MATRIX[rows] * np.array(signs)[:, None]
+            masks, vals = self.catalog._constraint_bits()
+            bits = 1 << np.arange(len(FORM_MATRIX))
+            rows = np.flatnonzero(masks[tid - 1] & bits)
+            signs = np.where(vals[tid - 1] & bits[rows], 1.0, -1.0)
+            cached = FORM_MATRIX[rows] * signs[:, None]
             self._constraints[tid] = cached
         return cached
 

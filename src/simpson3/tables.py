@@ -5,12 +5,14 @@ Vertices are encoded as integers 0-7 via the bit pattern xyz (x is the high
 bit), so vertex 6 is 110.  Every sign decision in this module is an exact
 comparison of two monomials in the table entries: the linear forms on the
 log-entries all have integer coefficients summing to zero, so their signs
-are decided by cross-multiplying, never by floating point.
+are decided by cross-multiplying integers once the denominators are
+cleared, never by floating point.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -111,17 +113,54 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def sign_of_form(coeffs: Sequence[int], entries: Sequence[Fraction]) -> int:
-    """Exact sign of a balanced linear form on the log-entries, computed as a
-    comparison of the two monomials with positive and negative exponents."""
-    pos = Fraction(1)
-    neg = Fraction(1)
-    for v, c in enumerate(coeffs):
-        if c > 0:
-            pos *= entries[v] ** c
-        elif c < 0:
-            neg *= entries[v] ** (-c)
-    return _sign(pos - neg)
+def _monomials(coeffs: Sequence[int]) -> tuple[int, ...]:
+    """The vertices of a form's positive then negative monomial, each listed
+    once per unit of its coefficient."""
+    pos = [v for v, c in enumerate(coeffs) for _ in range(c)]
+    neg = [v for v, c in enumerate(coeffs) for _ in range(-c)]
+    return tuple(pos + neg)
+
+
+# Forms a-l compare two degree-2 monomials, forms m-t two degree-3 ones.
+_FOUR_TERM = tuple((1 << i, *_monomials(c)) for i, c in enumerate(FORM_COEFFS[:12]))
+_FIVE_TERM = tuple((1 << i, *_monomials(c)) for i, c in enumerate(FORM_COEFFS[12:], 12))
+_FORM_POSITION = {c: i for i, c in enumerate(FORM_COEFFS)}
+
+
+def _form_sign_bits(entries: Sequence[Rational]) -> tuple[int, int]:
+    """Exact signs of the 20 forms as ``(pos_bits, neg_bits)``: bit i is set
+    in the first when form i is positive, in the second when it is negative.
+
+    Every form is homogeneous, so the entries are scaled once by the least
+    common multiple of their denominators and each sign is an integer
+    comparison of two monomials.
+    """
+    scale = math.lcm(*(e.denominator for e in entries))
+    n = [e.numerator * (scale // e.denominator) for e in entries]
+    pos = neg = 0
+    for bit, a, b, c, d in _FOUR_TERM:
+        diff = n[a] * n[b] - n[c] * n[d]
+        if diff > 0:
+            pos |= bit
+        elif diff < 0:
+            neg |= bit
+    for bit, a, b, c, d, e, f in _FIVE_TERM:
+        diff = n[a] * n[b] * n[c] - n[d] * n[e] * n[f]
+        if diff > 0:
+            pos |= bit
+        elif diff < 0:
+            neg |= bit
+    return pos, neg
+
+
+def sign_of_form(coeffs: Sequence[int], entries: Sequence[Rational]) -> int:
+    """Exact sign of one of the 20 balanced forms, given by its coefficient
+    vector, on the entries of a positive table."""
+    index = _FORM_POSITION.get(tuple(coeffs))
+    if index is None:
+        raise DomainError("coefficients are not one of the 20 balanced forms")
+    pos, neg = _form_sign_bits(entries)
+    return (pos >> index & 1) - (neg >> index & 1)
 
 
 def _to_fraction(value: Rational, where: str) -> Fraction:
@@ -245,7 +284,8 @@ class FormSigns:
 
 def eval_form_signs(table: Table3) -> FormSigns:
     """Exact signs of all 20 forms on a strictly positive table."""
-    return FormSigns(tuple(sign_of_form(c, table.entries) for c in FORM_COEFFS))
+    pos, neg = _form_sign_bits(table.entries)
+    return FormSigns(tuple((pos >> i & 1) - (neg >> i & 1) for i in range(len(FORM_COEFFS))))
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ Every strictly positive 2x2x2 table lifts the cube vertices to heights
 projects to a triangulation of the cube.  This module enumerates all
 triangulations combinatorially, derives for each one the set of strict sign
 conditions on the 20 balanced forms that characterizes the tables inducing
-it, and classifies tables either exactly (rational arithmetic) or in bulk
-(vectorized floating point with a degeneracy margin).
+it, and classifies tables either exactly (integer monomial comparisons) or
+in bulk (vectorized floating point with a degeneracy margin).
 
 All geometric predicates during enumeration are integer-exact: tetrahedron
 volumes, barycentric functionals, and pairwise intersection tests use only
@@ -33,7 +33,7 @@ from .tables import (
     FORM_LETTERS,
     Table3,
     VERTICES,
-    eval_form_signs,
+    _form_sign_bits,
     face_vertices,
     vertex_bits,
 )
@@ -44,6 +44,7 @@ VERTEX_COORDS = tuple(vertex_bits(v) for v in VERTICES)
 FORM_MATRIX = np.array(FORM_COEFFS, dtype=np.float64)          # (20, 8)
 FORM_NORMS = np.linalg.norm(FORM_MATRIX, axis=1)
 _POW2 = (1 << np.arange(20, dtype=np.int64))
+_ALL_FORMS = (1 << len(FORM_COEFFS)) - 1
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -404,7 +405,7 @@ class Catalog:
         self._id_action: np.ndarray | None = None
         self._masks: np.ndarray | None = None
         self._vals: np.ndarray | None = None
-        self._pattern_cache: dict[int, int] = {}
+        self._resolved: dict[tuple[int, int], int] = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -479,21 +480,34 @@ class Catalog:
             self._masks, self._vals = masks, vals
         return self._masks, self._vals
 
+    def resolve_signs(self, pos: int, neg: int) -> int:
+        """Catalog id whose constraint set a partial sign vector strictly
+        satisfies, or 0 if none does.
+
+        Bit i of ``pos`` (``neg``) is set when form i is positive
+        (negative); a form in neither is zero or undecided, which matters
+        only if the form is one of the id's constraints.
+        """
+        key = (pos, neg)
+        found = self._resolved.get(key)
+        if found is None:
+            masks, vals = self._constraint_bits()
+            hits = np.nonzero(((pos & masks) == vals) & ((neg & masks) == (masks & ~vals)))[0]
+            if len(hits) > 1:
+                raise CatalogError(
+                    f"sign pattern +{pos:020b} -{neg:020b} matches {len(hits)} constraint sets"
+                )
+            found = int(hits[0]) + 1 if len(hits) else 0
+            self._resolved[key] = found
+        return found
+
     def resolve_sign_pattern(self, code: int) -> int:
         """Catalog id for a fully nonzero sign pattern packed as 20 bits
         (bit i set iff form i positive)."""
-        cached = self._pattern_cache.get(code)
-        if cached is not None:
-            return cached
-        masks, vals = self._constraint_bits()
-        hits = np.nonzero((code & masks) == vals)[0]
-        if len(hits) != 1:
-            raise CatalogError(
-                f"sign pattern {code:020b} matches {len(hits)} constraint sets"
-            )
-        result = int(hits[0]) + 1
-        self._pattern_cache[code] = result
-        return result
+        found = self.resolve_signs(code, ~code & _ALL_FORMS)
+        if not found:
+            raise CatalogError(f"sign pattern {code:020b} matches 0 constraint sets")
+        return found
 
 
 def _id_action(encodings: Sequence[tuple[tuple[int, ...], ...]]) -> np.ndarray:
@@ -569,21 +583,13 @@ def classify_exact(table: Table3, catalog: Catalog | None = None) -> Triangulati
     prevents any constraint set from being strictly satisfied."""
     if catalog is None:
         catalog = get_catalog()
-    signs = eval_form_signs(table).signs
-    match = None
-    for entry in catalog.entries:
-        for letter, sign in entry.constraints:
-            if signs[FORM_INDEX[letter]] != sign:
-                break
-        else:
-            if match is not None:
-                raise CatalogError("table satisfies two constraint sets")
-            match = entry
-    if match is not None:
-        return match
-    if all(s == 0 for s in signs):
+    pos, neg = _form_sign_bits(table.entries)
+    found = catalog.resolve_signs(pos, neg)
+    if found:
+        return catalog.entries[found - 1]
+    if not pos | neg:
         raise DegenerateTable("all forms vanish")
-    if any(s == 0 for s in signs):
+    if pos | neg != _ALL_FORMS:
         raise DegenerateTable("a relevant form vanishes; no triangulation induced")
     raise CatalogError("nonzero sign vector matches no constraint set")
 
@@ -595,9 +601,12 @@ def classify_heights_batch(
 ) -> np.ndarray:
     """Vectorized classification of height vectors (rows of log-entries).
 
-    Returns 1-based catalog ids, with 0 marking rows discarded as degenerate:
-    some form evaluation fell within tolerance * ||coeffs|| * max(1, ||h||inf)
-    of zero, or the row was not finite.
+    Returns 1-based catalog ids.  A form is undecided on a row when its
+    evaluation falls within tolerance * ||coeffs|| * max(1, ||h||inf) of
+    zero; a row with undecided forms is resolved from the decided ones, so
+    it still gets its id when none of them is among that id's constraints.
+    0 marks a row that is not finite or has an undecided form among the
+    constraints of every id its decided forms allow.
     """
     if catalog is None:
         catalog = get_catalog()
@@ -617,9 +626,16 @@ def classify_heights_batch(
     if kept_codes.size:
         uniq, inverse = np.unique(kept_codes, return_inverse=True)
         resolved = np.array(
-            [catalog.resolve_sign_pattern(int(c)) for c in uniq], dtype=np.int64
+            [catalog.resolve_sign_pattern(c) for c in uniq.tolist()], dtype=np.int64
         )
         ids[keep] = resolved[inverse]
+    partial = np.nonzero(degenerate)[0]
+    partial = partial[np.isfinite(h[partial]).all(axis=1)]
+    if partial.size:
+        undecided = (np.abs(values[partial]) < margin[partial]).astype(np.int64) @ _POW2
+        pos = codes[partial] & ~undecided
+        neg = ~codes[partial] & ~undecided & _ALL_FORMS
+        ids[partial] = [catalog.resolve_signs(p, n) for p, n in zip(pos.tolist(), neg.tolist())]
     return ids
 
 

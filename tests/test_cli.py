@@ -129,6 +129,14 @@ class TestFeasibility:
         code, _, err = run(capsys, "feasibility", "--pair", "99", "1")
         assert code == 1
 
+    def test_pair_and_triple_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "feasibility", "--pair", "16", "1", "--triple", "1", "2", "3"
+        )
+        assert code == 1
+        assert out == ""
+        assert "at most one of --pair or --triple" in err
+
 
 class TestSearch:
     def test_pair_search_and_archive(self, capsys, tmp_path):

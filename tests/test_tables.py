@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simpson3 import (
     Diagonal2D,
@@ -123,6 +125,50 @@ class TestForms:
     def test_all_ones_all_zero_signs(self):
         signs = eval_form_signs(Table3([1] * 8))
         assert set(signs.signs) == {0}
+
+    def test_sign_of_form_needs_a_catalogued_form(self):
+        with pytest.raises(DomainError):
+            sign_of_form((1, -1, 0, 0, 0, 0, 0, 0), EXAMPLE.entries)
+
+
+def reference_signs(entries):
+    """Signs of the 20 forms by direct Fraction monomial comparison."""
+    signs = []
+    for coeffs in FORM_COEFFS:
+        pos = neg = Fraction(1)
+        for v, c in enumerate(coeffs):
+            if c > 0:
+                pos *= entries[v] ** c
+            elif c < 0:
+                neg *= entries[v] ** -c
+        signs.append((pos > neg) - (pos < neg))
+    return tuple(signs)
+
+
+def _eight(values):
+    return st.lists(values, min_size=8, max_size=8)
+
+
+positive_tables = st.one_of(
+    _eight(st.integers(1, 5)),
+    _eight(st.integers(1, 10**6)),
+    _eight(st.floats(1e-3, 1e3).map(Fraction)),
+).map(Table3)
+positive_rationals = st.builds(Fraction, st.integers(1, 10**9), st.integers(1, 10**9))
+
+
+class TestSignKernelProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(table=positive_tables, index=st.integers(0, 19))
+    def test_matches_fraction_reference(self, table, index):
+        expected = reference_signs(table.entries)
+        assert eval_form_signs(table).signs == expected
+        assert sign_of_form(FORM_COEFFS[index], table.entries) == expected[index]
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=positive_tables, factor=positive_rationals)
+    def test_scale_invariance(self, table, factor):
+        assert eval_form_signs(table.scaled(factor)) == eval_form_signs(table)
 
 
 class TestTables:

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simpson3 import (
     CatalogError,
@@ -19,6 +21,7 @@ from simpson3 import (
     features,
     get_catalog,
 )
+from simpson3.tables import _form_sign_bits
 from simpson3.triangulation import _id_action, tetrahedron_volume_sixths
 
 EXAMPLE = Table3([Fraction(1, 4), 1, 1, 2, 4, 1, 2, 8])
@@ -231,3 +234,40 @@ class TestSerialization:
         )
         with pytest.raises(CatalogError):
             catalog_from_json_obj(obj, verify=True)
+
+
+ALL_FORMS = (1 << 20) - 1
+
+# Sign codes of random wide tables hit the realizable patterns, which
+# arbitrary 20-bit codes almost never do.
+table_codes = st.lists(st.integers(1, 10**6), min_size=8, max_size=8).map(
+    lambda entries: _form_sign_bits(entries)[0]
+)
+
+
+class TestResolverProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(code=st.one_of(st.integers(0, ALL_FORMS), table_codes))
+    def test_full_pattern_wrapper(self, catalog, code):
+        def outcome(resolve, *args):
+            try:
+                return resolve(*args) or None
+            except CatalogError:
+                return None
+
+        assert outcome(catalog.resolve_sign_pattern, code) == outcome(
+            catalog.resolve_signs, code, ~code & ALL_FORMS
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_batch_equals_exact_on_small_counts(self, catalog, seed):
+        entries = np.random.default_rng(seed).integers(1, 6, (200, 8))
+        ids = classify_heights_batch(np.log(entries.astype(float)), catalog)
+        for row, cid in zip(entries, ids):
+            table = Table3([int(x) for x in row])
+            try:
+                expected = classify_exact(table, catalog).canonical_id
+            except DegenerateTable:
+                expected = 0
+            assert cid == expected
