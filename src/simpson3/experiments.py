@@ -157,14 +157,21 @@ def _finalize(
     )
 
 
+def _check_sample_count(sample_count: int) -> None:
+    if sample_count < 1:
+        raise DomainError(f"sample count must be at least 1, got {sample_count}")
+
+
 def estimate_2d_reversal(config: SamplerConfig, sample_count: int) -> FrequencyEstimate:
     """Estimate how often adding two random 2x2 tables reverses association.
 
     A pair (F, G) counts as a reversal when F and G share a strict
     association sign and the entrywise sum F + G carries the opposite
     strict sign.  Pairs where any of the three determinants vanishes to
-    working precision are discarded as degenerate.
+    working precision are discarded as degenerate.  Raises DomainError
+    unless ``sample_count`` is at least 1.
     """
+    _check_sample_count(sample_count)
     counts = {"reversal": 0, "reversalPosToNeg": 0, "reversalNegToPos": 0}
     discards = 0
     for worker, quota in enumerate(config.worker_quotas(sample_count)):
@@ -200,8 +207,10 @@ def estimate_3d_conversion(config: SamplerConfig, sample_count: int) -> Frequenc
     when F + G induces a different triangulation, and as
     ``sameNoConversion`` when the sum repeats the shared one.  Samples
     where any of the three classifications is degenerate at the working
-    tolerance are discarded.
+    tolerance are discarded.  Raises DomainError unless ``sample_count`` is
+    at least 1.
     """
+    _check_sample_count(sample_count)
     catalog = get_catalog()
     counts = {"sameTriangulation": 0, "conversion": 0, "sameNoConversion": 0}
     discards = 0

@@ -43,7 +43,8 @@ VERTEX_COORDS = tuple(vertex_bits(v) for v in VERTICES)
 
 FORM_MATRIX = np.array(FORM_COEFFS, dtype=np.float64)          # (20, 8)
 FORM_NORMS = np.linalg.norm(FORM_MATRIX, axis=1)
-_POW2 = (1 << np.arange(20, dtype=np.int64))
+_POW2F = np.ldexp(1.0, np.arange(20))     # sums of distinct ones are exact in float64
+_BLOCK = 2048    # rows per batch block: its (20, b) temporaries (320 KB) stay in cache
 _ALL_FORMS = (1 << len(FORM_COEFFS)) - 1
 
 DEFAULT_TOLERANCE = 1e-9
@@ -607,35 +608,45 @@ def classify_heights_batch(
     it still gets its id when none of them is among that id's constraints.
     0 marks a row that is not finite or has an undecided form among the
     constraints of every id its decided forms allow.
+
+    The forms are evaluated column-major, on cache-sized blocks of rows
+    transposed to (8, b), and each row's signs and undecided forms are
+    packed into two 20-bit words once; the margin rule above is the same
+    for every block, so a row's id never depends on its block.
     """
     if catalog is None:
         catalog = get_catalog()
-    h = np.ascontiguousarray(heights, dtype=np.float64)
+    h = np.asarray(heights, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != 8:
         raise DomainError("heights must be an (n, 8) array")
+    n = len(h)
+    codes = np.empty(n, dtype=np.int64)
+    undecided = np.empty(n, dtype=np.int64)
+    finite = np.empty(n, dtype=bool)
+    margin = (tolerance * FORM_NORMS)[:, None]
     with np.errstate(invalid="ignore"):
-        values = h @ FORM_MATRIX.T
-        scale = np.maximum(1.0, np.abs(h).max(axis=1))
-        margin = tolerance * FORM_NORMS[None, :] * scale[:, None]
-        degenerate = ~np.isfinite(h).all(axis=1)
-        degenerate |= (np.abs(values) < margin).any(axis=1)
-    codes = ((values > 0).astype(np.int64) @ _POW2)
-    ids = np.zeros(len(h), dtype=np.int64)
-    keep = ~degenerate
-    kept_codes = codes[keep]
-    if kept_codes.size:
-        uniq, inverse = np.unique(kept_codes, return_inverse=True)
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            hT = np.ascontiguousarray(h[lo:hi].T)
+            values = FORM_MATRIX @ hT
+            scale = np.maximum(1.0, np.abs(hT).max(axis=0))
+            codes[lo:hi] = _POW2F @ (values > 0)
+            undecided[lo:hi] = _POW2F @ (np.abs(values) < margin * scale)
+            finite[lo:hi] = np.isfinite(scale)
+    ids = np.zeros(n, dtype=np.int64)
+    clean = finite & (undecided == 0)
+    if clean.any():
+        uniq, inverse = np.unique(codes[clean], return_inverse=True)
         resolved = np.array(
             [catalog.resolve_sign_pattern(c) for c in uniq.tolist()], dtype=np.int64
         )
-        ids[keep] = resolved[inverse]
-    partial = np.nonzero(degenerate)[0]
-    partial = partial[np.isfinite(h[partial]).all(axis=1)]
+        ids[clean] = resolved[inverse]
+    partial = np.nonzero(finite & (undecided != 0))[0]
     if partial.size:
-        undecided = (np.abs(values[partial]) < margin[partial]).astype(np.int64) @ _POW2
-        pos = codes[partial] & ~undecided
-        neg = ~codes[partial] & ~undecided & _ALL_FORMS
-        ids[partial] = [catalog.resolve_signs(p, n) for p, n in zip(pos.tolist(), neg.tolist())]
+        open_forms = undecided[partial]
+        pos = codes[partial] & ~open_forms
+        neg = ~codes[partial] & ~open_forms & _ALL_FORMS
+        ids[partial] = [catalog.resolve_signs(p, q) for p, q in zip(pos.tolist(), neg.tolist())]
     return ids
 
 

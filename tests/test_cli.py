@@ -219,6 +219,21 @@ class TestMonteCarlo:
         _, one_out, _ = run(capsys, "reversal", "--samples", "20000", "--workers", "1")
         assert default_out == one_out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("montecarlo", "--dim", "3"),
+            ("montecarlo", "--dim", "2"),
+            ("reversal",),
+        ],
+    )
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_below_one_exit_code(self, capsys, argv, samples):
+        code, out, err = run(capsys, *argv, "--samples", samples)
+        assert code == 1
+        assert out == ""
+        assert "sample count must be at least 1" in err
+
     def test_bad_env_value(self, capsys, monkeypatch):
         monkeypatch.setenv("SIMPSON3_WORKERS", "many")
         code, _, err = run(capsys, "reversal", "--samples", "1000")

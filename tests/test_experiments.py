@@ -94,6 +94,12 @@ class TestEstimators:
         assert abs(est.estimates["sameTriangulation"] - 17 / 900) < 0.003
         assert est.targets["conversion"] == "2/900"
 
+    @pytest.mark.parametrize("estimate", [estimate_2d_reversal, estimate_3d_conversion])
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_needs_a_sample(self, estimate, count):
+        with pytest.raises(DomainError, match="sample count must be at least 1"):
+            estimate(SamplerConfig(seed=0), count)
+
     def test_json_payload(self):
         est = estimate_2d_reversal(SamplerConfig(seed=1), 1000)
         payload = est.to_json_obj()

@@ -22,7 +22,14 @@ from simpson3 import (
     get_catalog,
 )
 from simpson3.tables import _form_sign_bits
-from simpson3.triangulation import _id_action, tetrahedron_volume_sixths
+from simpson3.triangulation import (
+    _BLOCK,
+    DEFAULT_TOLERANCE,
+    FORM_MATRIX,
+    FORM_NORMS,
+    _id_action,
+    tetrahedron_volume_sixths,
+)
 
 EXAMPLE = Table3([Fraction(1, 4), 1, 1, 2, 4, 1, 2, 8])
 
@@ -271,3 +278,82 @@ class TestResolverProperties:
             except DegenerateTable:
                 expected = 0
             assert cid == expected
+
+
+def reference_batch_ids(catalog, heights, tolerance=DEFAULT_TOLERANCE):
+    """Row-by-row statement of the batch rule: a form is undecided within
+    tolerance * ||coeffs|| * max(1, ||h||inf) of zero; clean rows go through
+    ``resolve_sign_pattern``, rows with undecided forms through
+    ``resolve_signs`` on the decided ones, non-finite rows are 0."""
+    out = []
+    for row in np.asarray(heights, dtype=np.float64):
+        if not np.isfinite(row).all():
+            out.append(0)
+            continue
+        values = FORM_MATRIX @ row
+        margin = tolerance * FORM_NORMS * max(1.0, float(np.abs(row).max()))
+        code = sum(1 << i for i, v in enumerate(values) if v > 0)
+        undecided = sum(1 << i for i, (v, m) in enumerate(zip(values, margin)) if abs(v) < m)
+        if undecided:
+            out.append(
+                catalog.resolve_signs(code & ~undecided, ~code & ~undecided & ALL_FORMS)
+            )
+        else:
+            out.append(catalog.resolve_sign_pattern(code))
+    return np.array(out, dtype=np.int64)
+
+
+def mixed_heights(seed, size):
+    """Rows of log Exp(1) draws, of log integers in 1..5 (ties), of those
+    ties scaled by 10^3, and of log Exp(1) draws scaled by 10^-10..10^-7, so
+    that some forms sit near the margin; about one row in ten gets inf, -inf
+    or nan in a random column."""
+    rng = np.random.default_rng(seed)
+    kind = rng.integers(0, 4, size)
+    ties = np.log(rng.integers(1, 6, (size, 8)).astype(np.float64))
+    h = np.where((kind % 3 == 0)[:, None], np.log(rng.standard_exponential((size, 8))), ties)
+    h[kind == 2] *= 1e3
+    h[kind == 3] *= 10.0 ** rng.uniform(-10, -7, (np.count_nonzero(kind == 3), 1))
+    bad = np.nonzero(rng.random(size) < 0.1)[0]
+    h[bad, rng.integers(0, 8, bad.size)] = rng.choice([np.inf, -np.inf, np.nan], bad.size)
+    return h
+
+
+# Every block boundary of the column-major kernel is crossed.
+BLOCK_SIZES = (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
+seeds = st.integers(0, 2**32 - 1)
+
+
+class TestBatchKernelProperties:
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @settings(max_examples=4, deadline=None)
+    @given(seed=seeds)
+    def test_equals_row_reference(self, catalog, size, seed):
+        h = mixed_heights(seed, size)
+        ids = classify_heights_batch(h, catalog)
+        assert ids.dtype == np.int64 and ids.shape == (size,)
+        assert np.array_equal(ids, reference_batch_ids(catalog, h))
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @settings(max_examples=4, deadline=None)
+    @given(seed=seeds)
+    def test_layout_does_not_matter(self, catalog, size, seed):
+        h = mixed_heights(seed, size)
+        expected = classify_heights_batch(h, catalog)
+        interleaved = np.random.default_rng(seed).standard_exponential((size, 16))
+        interleaved[:, 0::2] = h
+        assert np.array_equal(classify_heights_batch(interleaved[:, 0::2], catalog), expected)
+        assert np.array_equal(classify_heights_batch(np.asfortranarray(h), catalog), expected)
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @settings(max_examples=2, deadline=None)
+    @given(seed=seeds)
+    def test_row_id_does_not_depend_on_its_block(self, catalog, size, seed):
+        h = mixed_heights(seed, size)
+        single = [int(classify_heights_batch(h[i : i + 1], catalog)[0]) for i in range(size)]
+        assert classify_heights_batch(h, catalog).tolist() == single
+
+    @pytest.mark.parametrize("shape", [(8,), (0,), (5, 7), (5, 9), (2, 4, 8)])
+    def test_needs_rows_of_eight(self, catalog, shape):
+        with pytest.raises(DomainError, match=r"\(n, 8\) array"):
+            classify_heights_batch(np.zeros(shape), catalog)
