@@ -256,8 +256,8 @@ def _add_sampling(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=10**7,
         help=(
-            "optimizer evaluations per class (used by search only); the search"
-            " also stops after 60 restarts, whichever comes first"
+            "loss-and-gradient evaluations of the witness descent per class (used by"
+            " search only); an exhausted search has spent all of them"
         ),
     )
     parser.add_argument(

@@ -1,8 +1,11 @@
 """Randomized experiments: frequency estimation and witness search.
 
 All randomness flows through purpose-coded PCG64 streams derived from a
-single user seed, so every estimate and every discovered witness is
-reproducible from ``(seed, worker_count)`` plus the stated budgets.
+single user seed.  Every estimate is reproducible from ``(seed,
+worker_count)`` and its sample count.  Witness search draws each class's
+starts from a stream of its own, so a search result depends only on
+``(seed, key, budget)``: a class gets the same outcome alone and in a
+sweep, whatever else the sweep holds.
 Tables are drawn with independent Exp(1) entries; because triangulation
 classification is invariant under rescaling a table by a positive
 constant, this induces the same distribution over classes as sampling
@@ -18,6 +21,7 @@ import logging
 import os
 import tempfile
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -48,11 +52,20 @@ _CHUNK = 1 << 16
 
 _LOG = logging.getLogger("simpson3")
 
-# Witness optimization: required sign margin in log space, restart count,
-# and iteration cap per restart.
+# Witness descent: required sign margin in log space, bound on every log
+# entry, Adam step size and moment decays, iterations per restart, restarts
+# in a class's first wave (each later wave doubles), and rows evaluated at
+# once (the block).
 _OPT_MARGIN = 0.05
-_OPT_RESTARTS = 60
-_OPT_MAXITER = 300
+_OPT_BOX = 12.0
+_OPT_LR = 0.6
+_OPT_BETA1 = 0.7
+_OPT_BETA2 = 0.999
+_OPT_MAXITER = 600
+_OPT_WAVE = 16
+_OPT_BLOCK = 512
+# Constraint rows per triangulation, padded: every catalog entry has 4 to 6.
+_OPT_ROWS = 6
 
 
 @dataclass(frozen=True)
@@ -135,16 +148,16 @@ def _finalize(
     targets: dict[str, str],
 ) -> FrequencyEstimate:
     effective = total - discards
+    if effective == 0:
+        raise DomainError(
+            f"all {total} samples were discarded as degenerate at tolerance {config.tolerance}"
+        )
     estimates: dict[str, float] = {}
     errors: dict[str, float] = {}
     for key, hits in counts.items():
-        if effective > 0:
-            p = hits / effective
-            estimates[key] = p
-            errors[key] = float(np.sqrt(p * (1.0 - p) / effective))
-        else:
-            estimates[key] = float("nan")
-            errors[key] = float("nan")
+        p = hits / effective
+        estimates[key] = p
+        errors[key] = float(np.sqrt(p * (1.0 - p) / effective))
     return FrequencyEstimate(
         sample_count=total,
         degenerate_discards=discards,
@@ -340,17 +353,246 @@ def _normalize_key(class_key: Sequence[int], arity: int, catalog: Catalog) -> tu
     return canonical_class_of(key, catalog)
 
 
+def _hinge_rows(
+    h: np.ndarray, cons: np.ndarray, need: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Squared hinge on the membership margins of F, G and F + G, and its
+    gradient, for many rows at once.
+
+    Column ``r`` of ``h`` (16, n) stacks the log entries of F and G.
+    ``cons`` (8, 6, 3, n) holds the row's constraint rows for F, G and the
+    sum, entry-major, and ``need`` (6, 3, n) the margin each must reach.
+    The sum's log entries are a smooth function of both halves, so the
+    loss is differentiable and vanishes exactly on the open witness region
+    with margin to spare.  The margins and the gradient are sums in a
+    fixed order over elementwise operations, so a row's descent never
+    depends on the other columns; the loss, a sum of squares, is exactly
+    zero in any order.
+    """
+    hf, hg = h[:8], h[8:]
+    # |hg - hf| <= 24 inside the box, so the ratio cannot overflow.
+    ratio = np.exp(hg - hf)
+    parts = np.stack([hf, hg, hf + np.log1p(ratio)], axis=1)
+    weight = 1.0 / (1.0 + ratio)
+    margins = cons[0] * parts[0]
+    for j in range(1, 8):
+        margins += cons[j] * parts[j]
+    gap = np.maximum(need - margins, 0.0)
+    loss = (gap * gap).sum(axis=(0, 1))
+    coeff = -2.0 * gap
+    grads = cons[:, 0] * coeff[0]
+    for k in range(1, _OPT_ROWS):
+        grads += cons[:, k] * coeff[k]
+    shared = grads[:, 2] * weight
+    return loss, np.concatenate([grads[:, 0] + shared, grads[:, 1] + grads[:, 2] - shared])
+
+
+# Adam's bias corrections by iteration: the step size over 1 - beta1^(t+1),
+# and 1 / (1 - beta2^(t+1)).
+_OPT_RATE = _OPT_LR / (1.0 - _OPT_BETA1 ** np.arange(1, _OPT_MAXITER + 1))
+_OPT_SCALE = 1.0 / (1.0 - _OPT_BETA2 ** np.arange(1, _OPT_MAXITER + 1))
+_NEVER = np.iinfo(np.int64).max // 2
+
+
+class _Descent:
+    """Projected Adam on the hinge loss over many (class, restart) rows.
+
+    Each class runs its restarts in waves of 16, 32, 64, ... rows of up to
+    ``_OPT_MAXITER`` iterations, drawn from its own start stream and cut
+    so that its evaluations (one per row-iteration) never pass the budget;
+    a wave starts only when the class's previous one ended without a
+    witness.  Rows wait in a queue and run as the columns of a pool of at
+    most ``_OPT_BLOCK``, each at its own iteration.  A row retires at zero
+    loss, where its point is verified exactly, or at its limit.  A class's
+    witness is the verified zero-loss point of lowest (iteration,
+    restart), and a row stops once it can no longer beat the best one
+    found so far.  So a class's outcome depends only on the seed, its key
+    and the budget, never on the pool size or on the other keys.
+    """
+
+    def __init__(
+        self,
+        table: np.ndarray,
+        need: np.ndarray,
+        keys: list[tuple[int, ...]],
+        budget: int,
+        seed: int,
+    ) -> None:
+        self.table = np.ascontiguousarray(table.transpose(2, 1, 0))
+        self.need = np.ascontiguousarray(need.T)
+        self.keys, self.budget = keys, budget
+        self.ids = np.array([pad_key(key) for key in keys], dtype=np.intp).reshape(-1, 3)
+        self.rngs = [
+            np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence([seed, _PURPOSE_SWEEP, *pad_key(k)]))
+            )
+            for k in keys
+        ]
+        count = len(keys)
+        self.wave = [_OPT_WAVE] * count
+        self.restarts = [0] * count
+        self.spent = np.zeros(count, dtype=np.int64)
+        self.pending = np.zeros(count, dtype=np.int64)
+        self.found_at = np.full(count, _NEVER)
+        self.witness: list[Witness | None] = [None] * count
+        # Planned waves as [class, next restart, rows left, last row's
+        # limit]; starts are drawn as rows enter the pool, so the queue
+        # stays small whatever the budget.
+        self.queue: deque[list[int]] = deque()
+        # The pool: every array has one column per row.
+        empty = np.zeros(0, dtype=np.int64)
+        self.cls, self.restart, self.limit, self.t = empty, empty, empty, empty
+        self.h = self.m = self.v = np.zeros((16, 0))
+        self.cons = np.zeros((8, _OPT_ROWS, 3, 0))
+        self.req = np.zeros((_OPT_ROWS, 3, 0))
+        self.live = np.zeros(0, dtype=bool)
+
+    def run(self) -> list[tuple[Witness | None, int]]:
+        for c in range(len(self.keys)):
+            self._plan(c)
+        while True:
+            self._refill()
+            if not self.live.any():
+                return list(zip(self.witness, self.spent.tolist()))
+            self._step()
+
+    def _plan(self, c: int) -> None:
+        """Queue the class's next wave, if it has no witness and budget left."""
+        left = self.budget - int(self.spent[c])
+        if self.witness[c] is not None or left <= 0:
+            return
+        count = min(self.wave[c], -(-left // _OPT_MAXITER))
+        last = min(_OPT_MAXITER, left - _OPT_MAXITER * (count - 1))
+        self.queue.append([c, self.restarts[c], count, last])
+        self.restarts[c] += count
+        self.wave[c] *= 2
+        self.pending[c] = count
+
+    def _refill(self) -> None:
+        """Drop retired columns and fill the pool from the queue, once a
+        quarter of the pool is retired or rows wait for room."""
+        live = int(np.count_nonzero(self.live))
+        dead = len(self.live) - live
+        if not (4 * dead >= len(self.live) > 0 or self.queue and 4 * live < 3 * _OPT_BLOCK):
+            return
+        keep = np.flatnonzero(self.live)
+        room = _OPT_BLOCK - live
+        # An empty chunk first, so that the concatenations below always
+        # have an operand.
+        new = [(self.cls[:0], self.cls[:0], self.cls[:0], self.h[:, :0])]
+        while self.queue and room > 0:
+            wave = self.queue[0]
+            c, first, count, last = wave
+            take = min(count, room)
+            limit = np.full(take, _OPT_MAXITER)
+            if take == count:
+                limit[-1] = last
+                self.queue.popleft()
+            else:
+                wave[1:3] = first + take, count - take
+            starts = self.rngs[c].normal(0.0, 1.5, (take, 16))
+            new.append((np.full(take, c), first + np.arange(take), limit, starts.T))
+            room -= take
+        cls, restart, limit, h = (np.concatenate(x, axis=-1) for x in zip(*new))
+        zeros = np.zeros_like(h)
+        for name, fresh in (
+            ("cls", cls),
+            ("restart", restart),
+            ("limit", limit),
+            ("t", np.zeros_like(cls)),
+            ("h", h),
+            ("m", zeros),
+            ("v", zeros),
+        ):
+            setattr(self, name, np.concatenate([getattr(self, name)[..., keep], fresh], axis=-1))
+        # The constraint columns are gathered whole, after the old ones are
+        # freed, so that only one copy is ever alive.
+        del self.cons, self.req
+        ids = self.ids[self.cls].T
+        self.cons = np.take(self.table, ids, axis=-1)
+        self.req = np.take(self.need, ids, axis=-1)
+        self.live = np.ones(len(self.cls), dtype=bool)
+        self._cap()
+
+    def _step(self) -> None:
+        """One evaluation and one Adam step on every pool column."""
+        loss, grad = _hinge_rows(self.h, self.cons, self.req)
+        cls, restart, t = self.cls, self.restart, self.t
+        zero = self.live & (loss == 0.0)
+        hits = np.flatnonzero(zero)
+        if len(hits):
+            # Columns stay in the order they were admitted, and a class's
+            # rows are admitted in restart order, so among equal iterations
+            # the lowest restart comes first.
+            for r in hits:
+                c = cls[r]
+                if t[r] >= self.found_at[c]:
+                    continue
+                witness = _verified(self.keys[c], self.h[:, r])
+                if witness is None:
+                    _LOG.warning(
+                        "class %s: zero-loss point of restart %d fails exact verification",
+                        self.keys[c],
+                        restart[r],
+                    )
+                    continue
+                self.witness[c] = witness
+                self.found_at[c] = t[r]
+            self._cap()
+        ended = self.live & (zero | (t >= self.limit - 1))
+        if ended.any():
+            gone = cls[ended]
+            np.add.at(self.spent, gone, t[ended] + 1)
+            np.subtract.at(self.pending, gone, 1)
+            for c in np.unique(gone):
+                if self.pending[c] == 0:
+                    self._plan(int(c))
+            self.live &= ~ended
+        self.m *= _OPT_BETA1
+        self.m += (1.0 - _OPT_BETA1) * grad
+        self.v *= _OPT_BETA2
+        self.v += (1.0 - _OPT_BETA2) * (grad * grad)
+        # Retired columns run on until the next refill; clip their index.
+        scale = _OPT_SCALE.take(t, mode="clip")
+        self.h -= _OPT_RATE.take(t, mode="clip") * self.m / (np.sqrt(self.v * scale) + 1e-8)
+        np.clip(self.h, -_OPT_BOX, _OPT_BOX, out=self.h)
+        self.t = t + 1
+
+    def _cap(self) -> None:
+        """Stop each row before the iteration at which its class found its
+        witness.  Only a zero at an earlier iteration can win: the rows at
+        that iteration started with the witness's row, and its lower
+        restarts came first in the same step."""
+        np.minimum(self.limit, self.found_at[self.cls], out=self.limit)
+
+
+def _verified(key: tuple[int, ...], x: np.ndarray) -> Witness | None:
+    """The exact witness at log point ``x``, if it verifies."""
+    # A contiguous copy: exp of a strided view may take another code path.
+    entries = np.exp(np.array(x))
+    witness = Witness(
+        class_key=key,
+        f=Table3(tuple(Fraction(float(e)) for e in entries[:8])),
+        g=Table3(tuple(Fraction(float(e)) for e in entries[8:])),
+        verified_at=_timestamp(),
+    )
+    return witness if witness.verify() else None
+
+
 class ConversionSearch:
     """Optimizer search for witnesses of summand/sum class keys.
 
     A class key is a smooth feasibility problem: class membership is a
     set of strict linear inequalities on log entries, and the sum's
-    membership is smooth in them, so a hinge loss driven to zero by a
-    quasi-Newton method from random starts lands inside the witness
-    region directly.  Every witness is verified exactly before it is
-    returned.  With seed 0 the search finds all 112 feasible pair classes
-    and 4 298 of the 4 304 feasible triple classes; the six left open are
-    all of type III->III->III (see the README).
+    membership is smooth in them, so a squared hinge loss driven to zero
+    from random starts lands inside the witness region directly.  One
+    vectorized projected Adam descent (Kingma & Ba 2015) runs every
+    (class, restart) row of a sweep at once, and the budget counts its
+    loss-and-gradient evaluations per class.  Every witness is verified
+    exactly before it is returned.  With seed 0 and a budget of 2·10⁵ the
+    search finds all 112 feasible pair classes and 4 298 of the 4 304
+    feasible triple classes; the six left open are all of type
+    III->III->III (see the README).
     """
 
     def __init__(
@@ -367,7 +609,7 @@ class ConversionSearch:
             )
         self.config = config
         self.catalog = catalog if catalog is not None else get_catalog()
-        self._constraints: dict[int, np.ndarray] = {}
+        self._table: tuple[np.ndarray, np.ndarray] | None = None
 
     def ensure_pools(self, ids: Iterable[int], count: int | None = None) -> None:
         """Deprecated no-op: the search keeps no sample pools."""
@@ -377,133 +619,73 @@ class ConversionSearch:
             stacklevel=2,
         )
 
-    def _constraint_matrix(self, tid: int) -> np.ndarray:
-        """Rows of the form matrix oriented so membership reads as > 0."""
-        cached = self._constraints.get(tid)
-        if cached is None:
+    def _constraint_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each id's constraint rows, oriented so membership reads as > 0,
+        in form order and padded to a (75, 6, 8) table; and the margin each
+        row must reach, ``-inf`` on padding and on the unused id 0, so that
+        a padded row is never active."""
+        if self._table is None:
             masks, vals = self.catalog._constraint_bits()
             bits = 1 << np.arange(len(FORM_MATRIX))
-            rows = np.flatnonzero(masks[tid - 1] & bits)
-            signs = np.where(vals[tid - 1] & bits[rows], 1.0, -1.0)
-            cached = FORM_MATRIX[rows] * signs[:, None]
-            self._constraints[tid] = cached
-        return cached
+            relevant = (masks[:, None] & bits) != 0
+            forms = np.argsort(~relevant, axis=1, kind="stable")[:, :_OPT_ROWS]
+            used = np.take_along_axis(relevant, forms, axis=1)
+            signs = np.where(vals[:, None] & bits[forms], 1.0, -1.0) * used
+            table = np.zeros((len(masks) + 1, _OPT_ROWS, 8))
+            table[1:] = FORM_MATRIX[forms] * signs[..., None]
+            need = np.full(table.shape[:2], -np.inf)
+            need[1:][used] = _OPT_MARGIN
+            self._table = (table, need)
+        return self._table
 
-    @staticmethod
-    def _hinge_loss(
-        h: np.ndarray, cf: np.ndarray, cg: np.ndarray, cs: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        """Squared hinge on the membership margins of F, G and F + G.
+    def _descend(
+        self, keys: list[tuple[int, ...]], budget: int
+    ) -> list[tuple[Witness | None, int]]:
+        """Each key's witness or None, and the evaluations it spent."""
+        table, need = self._constraint_table()
+        return _Descent(table, need, keys, budget, self.config.seed).run()
 
-        ``h`` stacks the log entries of F and G.  The sum's log entries
-        are a smooth function of both halves, so the loss is
-        differentiable and vanishes exactly on the open witness region
-        with margin to spare.
-        """
-        hf, hg = h[:8], h[8:]
-        peak = np.maximum(hf, hg)
-        hs = peak + np.log(np.exp(hf - peak) + np.exp(hg - peak))
-        weight = 1.0 / (1.0 + np.exp(hg - hf))
-        value = 0.0
-        grad_f = np.zeros(8)
-        grad_g = np.zeros(8)
-        for margins, rows, part in (
-            (cf @ hf, cf, "f"),
-            (cg @ hg, cg, "g"),
-            (cs @ hs, cs, "s"),
-        ):
-            gap = _OPT_MARGIN - margins
-            active = gap > 0.0
-            value += float(np.sum(gap[active] ** 2))
-            coeff = np.where(active, -2.0 * gap, 0.0)
-            if part == "f":
-                grad_f += coeff @ rows
-            elif part == "g":
-                grad_g += coeff @ rows
-            else:
-                grad_f += coeff @ (rows * weight)
-                grad_g += coeff @ (rows * (1.0 - weight))
-        return value, np.concatenate([grad_f, grad_g])
-
-    def _optimize_key(
-        self, key: tuple[int, ...], rng: np.random.Generator, budget: int
-    ) -> tuple[Witness | None, int]:
-        """Drive the hinge loss to zero from random starts; verify exactly."""
-        from scipy.optimize import minimize
-
-        id_f, id_g, id_sum = pad_key(key)
-        cf = self._constraint_matrix(id_f)
-        cg = self._constraint_matrix(id_g)
-        cs = self._constraint_matrix(id_sum)
-        bounds = [(-12.0, 12.0)] * 16
-        evaluations = 0
-        for restart in range(_OPT_RESTARTS):
-            if evaluations >= budget:
-                break
-            start = rng.normal(0.0, 1.5, 16)
-            result = minimize(
-                self._hinge_loss,
-                start,
-                args=(cf, cg, cs),
-                jac=True,
-                method="L-BFGS-B",
-                bounds=bounds,
-                options={"maxiter": _OPT_MAXITER},
-            )
-            evaluations += int(result.nfev)
-            if result.fun != 0.0:
-                continue
-            f_exact = Table3(tuple(Fraction(float(x)) for x in np.exp(result.x[:8])))
-            g_exact = Table3(tuple(Fraction(float(x)) for x in np.exp(result.x[8:])))
-            witness = Witness(
-                class_key=key, f=f_exact, g=g_exact, verified_at=_timestamp()
-            )
-            if witness.verify():
-                return witness, evaluations
-            _LOG.warning(
-                "class %s: zero-loss point of restart %d fails exact verification",
-                key,
-                restart,
-            )
-        return None, evaluations
+    def _optimize_key(self, key: tuple[int, ...], budget: int) -> tuple[Witness | None, int]:
+        """One class through the descent: its witness or None, and the
+        evaluations spent."""
+        return self._descend([key], budget)[0]
 
     def _sweep(
         self, keys: list[tuple[int, ...]], budget: int
     ) -> dict[tuple[int, ...], Witness | Exhausted]:
-        """Run the optimizer on every key in order from one shared stream.
+        """Run the descent on every key at once.
 
-        The budget bounds the optimizer evaluations per class.  A class
-        whose restarts find no verified witness is reported as
-        ``Exhausted`` with the evaluations it spent.
+        The budget bounds the evaluations per class.  A class with no
+        verified witness within it is reported as ``Exhausted`` with the
+        evaluations it spent.
         """
-        results: dict[tuple[int, ...], Witness | Exhausted] = {}
-        rng = self.config.stream(_PURPOSE_SWEEP)
-        for key in keys:
-            witness, evaluations = self._optimize_key(key, rng, budget)
-            results[key] = witness if witness is not None else Exhausted(key, evaluations)
-        return results
+        outcomes = self._descend(keys, budget)
+        return {
+            key: witness if witness is not None else Exhausted(key, spent)
+            for key, (witness, spent) in zip(keys, outcomes)
+        }
 
-    def _checked_sweep(
-        self, class_keys: Iterable[Sequence[int]], arity: int, budget: int
-    ) -> dict[tuple[int, ...], Witness | Exhausted]:
-        """Normalize the keys, refuse parity-obstructed classes, then sweep."""
+    def _checked_keys(
+        self, class_keys: Iterable[Sequence[int]], arity: int
+    ) -> list[tuple[int, ...]]:
+        """Normalize the keys and refuse parity-obstructed classes."""
         keys = sorted({_normalize_key(k, arity, self.catalog) for k in class_keys})
         for key in keys:
             if obstruction_triple(*(self.catalog[i] for i in pad_key(key))).obstructed:
                 raise DomainError(f"{_KEY_KINDS[arity]} class {key} is parity obstructed")
-        return self._sweep(keys, budget)
+        return keys
 
     def sweep_pairs(
         self, class_keys: Iterable[Sequence[int]], budget: int
     ) -> dict[tuple[int, int], Witness | Exhausted]:
         """Search witnesses for pair class keys."""
-        return self._checked_sweep(class_keys, 2, budget)
+        return self._sweep(self._checked_keys(class_keys, 2), budget)
 
     def sweep_triples(
         self, class_keys: Iterable[Sequence[int]], budget: int
     ) -> dict[tuple[int, int, int], Witness | Exhausted]:
         """Search witnesses for triple class keys."""
-        return self._checked_sweep(class_keys, 3, budget)
+        return self._sweep(self._checked_keys(class_keys, 3), budget)
 
 
 def search_witness(
@@ -516,18 +698,20 @@ def search_witness(
 
     The key is first moved to its canonical class representative.  A
     returned ``Witness`` stores exact rational tables whose induced ids
-    equal the canonical key; ``Exhausted`` reports the optimizer
-    evaluations spent.  The search stops at ``budget`` evaluations or
-    after its 60 restarts, whichever comes first, so a budget above about
-    12 000 evaluations buys no further search.  A fresh search with a
-    different seed can be tried on exhaustion.
+    equal the canonical key; ``Exhausted`` reports the evaluations spent.
+    The descent restarts in waves of 16, 32, 64, ... random starts until
+    it finds a witness or has spent ``budget`` loss-and-gradient
+    evaluations, so an exhausted search has spent the whole budget.  The
+    outcome depends only on the seed, the key and the budget; a search
+    with a different seed draws other starts.
     """
     key = tuple(int(x) for x in class_key)
     if len(key) not in _KEY_KINDS:
         raise DomainError(f"class key must have 2 or 3 components, got {len(key)}")
     search = ConversionSearch(config if config is not None else SamplerConfig(), catalog)
-    (result,) = search._checked_sweep([key], len(key), budget).values()
-    return result
+    (key,) = search._checked_keys([key], len(key))
+    witness, spent = search._optimize_key(key, budget)
+    return witness if witness is not None else Exhausted(key, spent)
 
 
 def _archive_columns(arity: int) -> list[str]:

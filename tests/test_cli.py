@@ -234,6 +234,16 @@ class TestMonteCarlo:
         assert out == ""
         assert "sample count must be at least 1" in err
 
+    @pytest.mark.parametrize("tolerance", ["100", "inf"])
+    def test_every_sample_discarded_exit_code(self, capsys, tolerance):
+        code, out, err = run(
+            capsys, "montecarlo", "--dim", "3", "--samples", "10", "--tolerance", tolerance
+        )
+        assert code == 1
+        assert "NaN" not in out
+        assert err.startswith("error:")
+        assert "all 10 samples were discarded" in err
+
     def test_bad_env_value(self, capsys, monkeypatch):
         monkeypatch.setenv("SIMPSON3_WORKERS", "many")
         code, _, err = run(capsys, "reversal", "--samples", "1000")

@@ -28,6 +28,7 @@ from simpson3 import (
     search_witness,
 )
 from simpson3 import experiments
+from simpson3.triangulation import FORM_INDEX, FORM_MATRIX
 
 
 class TestSampler:
@@ -192,37 +193,71 @@ class TestSearch:
 
 
     def test_hard_class_exhausts_on_optimizer_evaluations(self, monkeypatch):
-        import scipy.optimize
+        step = experiments._Descent._step
+        evaluations = []
 
-        minimize = scipy.optimize.minimize
-        nfev = []
+        def counting(descent):
+            evaluations.append(int(np.count_nonzero(descent.live)))
+            step(descent)
 
-        def counting(*args, **kwargs):
-            result = minimize(*args, **kwargs)
-            nfev.append(int(result.nfev))
-            return result
-
-        monkeypatch.setattr(scipy.optimize, "minimize", counting)
+        monkeypatch.setattr(experiments._Descent, "_step", counting)
         result = search_witness((3, 4, 55), SamplerConfig(seed=0), budget=2000)
         assert isinstance(result, Exhausted)
         assert result.class_key == (3, 4, 55)
-        assert nfev and result.attempts == sum(nfev)
+        assert evaluations and result.attempts == sum(evaluations) <= 2000
 
-    def test_restart_cap_binds_before_a_large_budget(self, monkeypatch):
+    def test_search_never_calls_scipy_optimize(self, monkeypatch):
         import scipy.optimize
 
-        minimize = scipy.optimize.minimize
-        calls = []
+        def forbidden(*args, **kwargs):
+            raise AssertionError("witness search called scipy.optimize")
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return minimize(*args, **kwargs)
+        monkeypatch.setattr(scipy.optimize, "minimize", forbidden)
+        assert isinstance(search_witness((1, 2), SamplerConfig(seed=0)), Witness)
+        assert isinstance(
+            search_witness((3, 4, 55), SamplerConfig(seed=0), budget=1000), Exhausted
+        )
 
-        monkeypatch.setattr(scipy.optimize, "minimize", counting)
-        result = search_witness((3, 4, 55), SamplerConfig(seed=0), budget=10**7)
-        assert isinstance(result, Exhausted)
-        assert len(calls) == 60
-        assert result.attempts < 10**7
+    def test_budget_binds(self):
+        attempts = []
+        for budget in (5000, 20000):
+            result = search_witness((3, 4, 55), SamplerConfig(seed=0), budget=budget)
+            assert isinstance(result, Exhausted)
+            # less than one restart's iterations are left unspent
+            assert budget - experiments._OPT_MAXITER < result.attempts <= budget
+            attempts.append(result.attempts)
+        assert attempts[1] > attempts[0]
+
+    def test_outcome_does_not_depend_on_batching(self, monkeypatch, catalog):
+        # one-wave witnesses, two classes whose seed-0 witness comes from
+        # the second wave, and an exhaustion
+        keys = [(1, 2), (3, 28), (1, 3, 5), (1, 40, 20), (2, 7, 66), (3, 4, 55)]
+        config = SamplerConfig(seed=0)
+        budget = 30000
+
+        def outcome(result):
+            if isinstance(result, Witness):
+                assert result.verify()
+                return (result.f, result.g)
+            assert result.attempts <= budget
+            return result.attempts
+
+        single = {}
+        for key in keys:
+            result = search_witness(key, config, budget=budget)
+            single[result.class_key] = outcome(result)
+        assert set(single) == set(keys)
+        pairs = [k for k in keys if len(k) == 2]
+        triples = [k for k in keys if len(k) == 3]
+        search = ConversionSearch(config, catalog)
+        mixed = search.sweep_pairs(pairs + [(1, 3), (5, 20)], budget)
+        mixed.update(search.sweep_triples(triples + [(1, 2, 3), (2, 7, 19)], budget))
+        monkeypatch.setattr(experiments, "_OPT_BLOCK", 5)
+        small = search.sweep_pairs(pairs, budget)
+        small.update(search.sweep_triples(triples, budget))
+        for key in keys:
+            assert outcome(mixed[key]) == single[key]
+            assert outcome(small[key]) == single[key]
 
     def test_search_never_classifies_in_batch(self, monkeypatch, catalog):
         def forbidden(*args, **kwargs):
@@ -252,6 +287,60 @@ class TestSearch:
         assert records and all(r.levelno == logging.WARNING for r in records)
         assert "(1, 2)" in records[0].getMessage()
         assert "restart 0" in records[0].getMessage()
+
+
+def reference_hinge(h, cf, cg, cs):
+    """Squared hinge and its gradient for one row: the loss the batched
+    descent evaluates column-wise."""
+    hf, hg = h[:8], h[8:]
+    peak = np.maximum(hf, hg)
+    hs = peak + np.log(np.exp(hf - peak) + np.exp(hg - peak))
+    weight = 1.0 / (1.0 + np.exp(hg - hf))
+    value = 0.0
+    grad_f = np.zeros(8)
+    grad_g = np.zeros(8)
+    for rows, x, df, dg in ((cf, hf, 1.0, 0.0), (cg, hg, 0.0, 1.0), (cs, hs, weight, 1 - weight)):
+        gap = experiments._OPT_MARGIN - rows @ x
+        gap = np.where(gap > 0.0, gap, 0.0)
+        value += float(np.sum(gap**2))
+        grad_f += (-2.0 * gap) @ (rows * df)
+        grad_g += (-2.0 * gap) @ (rows * dg)
+    return value, np.concatenate([grad_f, grad_g])
+
+
+class TestDescent:
+    def test_constraint_table(self, catalog):
+        table, need = ConversionSearch(SamplerConfig(), catalog)._constraint_table()
+        assert table.shape == (75, 6, 8) and need.shape == (75, 6)
+        assert np.isneginf(need[0]).all() and not table[0].any()
+        for tid in range(1, 75):
+            used = np.isfinite(need[tid])
+            assert (need[tid][used] == experiments._OPT_MARGIN).all()
+            assert not table[tid][~used].any()
+            expected = {
+                tuple(sign * FORM_MATRIX[FORM_INDEX[letter]])
+                for letter, sign in catalog[tid].constraints
+            }
+            assert {tuple(row) for row in table[tid][used]} == expected
+            assert used.sum() == len(expected)
+
+    def test_rows_match_the_reference(self, catalog):
+        table, need = ConversionSearch(SamplerConfig(), catalog)._constraint_table()
+        rng = np.random.default_rng(3)
+        ids = rng.integers(1, 75, (3, 50))
+        h = rng.normal(0.0, 3.0, (16, 50))
+        witness = search_witness((1, 3, 5), SamplerConfig(seed=0))
+        ids[:, 0] = (1, 3, 5)
+        h[:, 0] = np.log([float(x) for x in witness.f.entries + witness.g.entries])
+        cons = np.ascontiguousarray(table.transpose(2, 1, 0))[..., ids]
+        req = np.ascontiguousarray(need.T)[:, ids]
+        loss, grad = experiments._hinge_rows(h, cons, req)
+        assert loss[0] == 0.0 and not grad[:, 0].any()
+        for r in range(50):
+            rows = [table[i][np.isfinite(need[i])] for i in ids[:, r]]
+            value, expected = reference_hinge(h[:, r], *rows)
+            assert np.isclose(loss[r], value, rtol=1e-12, atol=1e-12)
+            assert np.allclose(grad[:, r], expected, rtol=1e-12, atol=1e-12)
 
 
 class TestArchive:
