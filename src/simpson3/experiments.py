@@ -77,6 +77,8 @@ class SamplerConfig:
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
         if self.worker_count < 1:
             raise DomainError("worker_count must be at least 1")
         if not (self.tolerance > 0.0):
@@ -642,6 +644,8 @@ class ConversionSearch:
         self, keys: list[tuple[int, ...]], budget: int
     ) -> list[tuple[Witness | None, int]]:
         """Each key's witness or None, and the evaluations it spent."""
+        if budget < 1:
+            raise DomainError(f"budget must be at least 1, got {budget}")
         table, need = self._constraint_table()
         return _Descent(table, need, keys, budget, self.config.seed).run()
 
@@ -694,7 +698,8 @@ def search_witness(
     budget: int = 10**7,
     catalog: Catalog | None = None,
 ) -> Witness | Exhausted:
-    """Search a witness for one class key; raise DomainError if obstructed.
+    """Search a witness for one class key; raise DomainError if obstructed
+    or if ``budget`` is below 1.
 
     The key is first moved to its canonical class representative.  A
     returned ``Witness`` stores exact rational tables whose induced ids

@@ -2,7 +2,8 @@
 
 A symmetry permutes the three coordinate axes and then complements a subset
 of them.  It acts on vertices by relabeling, on tables by precomposition with
-the inverse relabeling, and on triangulations by relabeling every tetrahedron.
+the inverse relabeling, and on triangulations through the catalog's id action,
+which relabels every tetrahedron once, when the catalog is built.
 Orbit enumeration for single triangulations, ordered pairs, and summand-
 unordered triples runs over catalog ids via the induced id permutations, as
 one canonicalization of (summand, summand, sum) id triples.
@@ -11,13 +12,15 @@ one canonicalization of (summand, summand, sum) id triples.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import triangulation  # imports this module too; each uses the other only in calls
 from .errors import DomainError
-from .tables import Table3, NonnegTable3, VERTICES, vertex_bits
+from .tables import NonnegTable3, Table3, VERTICES, _trusted, vertex_bits
 
 
 @dataclass(frozen=True)
@@ -76,12 +79,20 @@ def apply_vertex(sigma: CubeSymmetry, v: int) -> int:
     return VERTEX_MAPS[GROUP_INDEX[sigma]][v]
 
 
+# Per symmetry, the gather that relabels a table: image entry w is the old
+# entry at the preimage of w.
+_TABLE_GATHER = tuple(operator.itemgetter(*VERTEX_MAPS[s]) for s in INVERSE_INDEX)
+
+
 def apply_table(sigma: CubeSymmetry, table):
-    """Relabeled table: the image assigns to sigma(v) the old value at v."""
-    vmap = VERTEX_MAPS[GROUP_INDEX[sigma]]
-    out = [None] * len(VERTICES)
-    for v in VERTICES:
-        out[vmap[v]] = table.entries[v]
+    """Relabeled table: the image assigns to sigma(v) the old value at v.
+
+    A ``Table3`` or ``NonnegTable3`` was validated when it was built, and
+    relabeling keeps its entries, so the image is built on trust.
+    """
+    out = _TABLE_GATHER[GROUP_INDEX[sigma]](table.entries)
+    if isinstance(table, (Table3, NonnegTable3)):
+        return _trusted(type(table), out)
     return type(table)(out)
 
 
@@ -91,20 +102,20 @@ def apply_vertex_set(sigma: CubeSymmetry, vertices: Iterable[int]) -> frozenset[
 
 
 def apply(sigma: CubeSymmetry, x):
-    """Generic group action: vertices, tables, tetrahedra, triangulations."""
+    """Generic group action: vertices, tables, tetrahedra, triangulations.
+
+    A triangulation moves by its catalog id, through the catalog's id
+    action; a table through ``apply_table``, without validating it again.
+    """
     if isinstance(x, int):
         return apply_vertex(sigma, x)
     if isinstance(x, (Table3, NonnegTable3)):
         return apply_table(sigma, x)
     if isinstance(x, frozenset):
         return apply_vertex_set(sigma, x)
-    tets = getattr(x, "tetrahedra", None)
-    if tets is not None:
-        from .triangulation import get_catalog
-
-        catalog = get_catalog()
-        encoding = frozenset(apply_vertex_set(sigma, t.vertices) for t in tets)
-        return catalog.entry_by_tets(encoding)
+    if isinstance(x, triangulation.Triangulation):
+        catalog = triangulation.get_catalog()
+        return catalog[catalog.apply_symmetry(sigma, x.canonical_id)]
     raise DomainError(f"cannot apply a cube symmetry to {type(x).__name__}")
 
 

@@ -164,6 +164,12 @@ def sign_of_form(coeffs: Sequence[int], entries: Sequence[Rational]) -> int:
 
 
 def _to_fraction(value: Rational, where: str) -> Fraction:
+    # The exact types come first: a Fraction is immutable and passes as is.
+    kind = type(value)
+    if kind is Fraction:
+        return value
+    if kind is int:
+        return Fraction(value)
     if isinstance(value, bool):
         raise DomainError(f"{where}: boolean is not a table entry")
     if isinstance(value, (int, Fraction)):
@@ -171,9 +177,23 @@ def _to_fraction(value: Rational, where: str) -> Fraction:
     raise DomainError(f"{where}: entries must be exact rationals, got {type(value).__name__}")
 
 
+def _trusted(cls, entries: tuple[Fraction, ...]):
+    """A ``cls`` table on entries derived from a validated table: 8 Fractions
+    whose sign the derivation preserves.  Nothing is checked again."""
+    table = object.__new__(cls)
+    object.__setattr__(table, "entries", entries)
+    return table
+
+
 @dataclass(frozen=True)
 class Table3:
-    """A strictly positive 2x2x2 table, entries in vertex order 000..111."""
+    """A strictly positive 2x2x2 table, entries in vertex order 000..111.
+
+    The constructor validates its input once: every entry becomes a
+    ``Fraction`` and must be positive.  Tables derived from validated ones
+    (``+``, ``scaled``, ``NonnegTable3.smoothed``, ``symmetry.apply_table``)
+    are built on trust, without checking their entries again.
+    """
 
     entries: tuple[Fraction, ...]
 
@@ -181,21 +201,26 @@ class Table3:
         vals = tuple(_to_fraction(e, "Table3") for e in entries)
         if len(vals) != VERTEX_COUNT:
             raise DomainError(f"Table3 needs {VERTEX_COUNT} entries, got {len(vals)}")
-        if any(v <= 0 for v in vals):
-            raise DomainError("Table3 entries must be strictly positive")
+        for v in vals:
+            if v.numerator <= 0:
+                raise DomainError("Table3 entries must be strictly positive")
         object.__setattr__(self, "entries", vals)
 
     def __getitem__(self, v: int) -> Fraction:
         return self.entries[v]
 
     def __add__(self, other: "Table3") -> "Table3":
-        return Table3(a + b for a, b in zip(self.entries, other.entries))
+        pairs = zip(self.entries, other.entries)
+        if isinstance(other, (Table3, NonnegTable3)):
+            # positive plus nonnegative is positive
+            return _trusted(Table3, tuple(a + b for a, b in pairs))
+        return Table3(a + b for a, b in pairs)
 
     def scaled(self, factor: Rational) -> "Table3":
         factor = _to_fraction(factor, "Table3.scaled")
-        if factor <= 0:
+        if factor.numerator <= 0:
             raise DomainError("scale factor must be positive")
-        return Table3(factor * e for e in self.entries)
+        return _trusted(Table3, tuple(factor * e for e in self.entries))
 
     def layer(self, axis: int, value: int) -> "Table2":
         """The 2x2 slice with the given coordinate fixed, remaining axes in order."""
@@ -209,7 +234,8 @@ class Table3:
 class NonnegTable3:
     """A 2x2x2 table of nonnegative counts.  Zeros are allowed, so no
     triangulation is defined; use layers for determinant-sign work, or
-    smoothed() to obtain a strictly positive Table3."""
+    smoothed() to obtain a strictly positive Table3.  Validated once, as
+    ``Table3`` is."""
 
     entries: tuple[Fraction, ...]
 
@@ -217,8 +243,9 @@ class NonnegTable3:
         vals = tuple(_to_fraction(e, "NonnegTable3") for e in entries)
         if len(vals) != VERTEX_COUNT:
             raise DomainError(f"NonnegTable3 needs {VERTEX_COUNT} entries, got {len(vals)}")
-        if any(v < 0 for v in vals):
-            raise DomainError("NonnegTable3 entries must be nonnegative")
+        for v in vals:
+            if v.numerator < 0:
+                raise DomainError("NonnegTable3 entries must be nonnegative")
         object.__setattr__(self, "entries", vals)
 
     def __getitem__(self, v: int) -> Fraction:
@@ -232,9 +259,9 @@ class NonnegTable3:
         but is a modelling choice: the induced triangulation depends on epsilon
         and is not a property of the raw counts themselves."""
         eps = _to_fraction(epsilon, "NonnegTable3.smoothed")
-        if eps <= 0:
+        if eps.numerator <= 0:
             raise DomainError("smoothing epsilon must be positive")
-        return Table3(e + eps for e in self.entries)
+        return _trusted(Table3, tuple(e + eps for e in self.entries))
 
 
 @dataclass(frozen=True)

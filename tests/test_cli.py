@@ -158,6 +158,13 @@ class TestSearch:
         assert code == 1
         assert "obstructed" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_exit_code(self, capsys, budget):
+        code, out, err = run(capsys, "search", "--pair", "1", "2", "--budget", budget)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: budget must be at least 1, got {budget}\n"
+
     def test_requires_exactly_one_key(self, capsys):
         code, _, err = run(capsys, "search")
         assert code == 1
@@ -288,3 +295,18 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["orbits", "--arity", "9"])
     assert info.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "--pair", "1", "2"),
+        ("montecarlo", "--samples", "10"),
+        ("reversal", "--samples", "10"),
+    ],
+)
+def test_negative_seed_exit_code(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: seed must be nonnegative, got -1\n"

@@ -37,6 +37,8 @@ class TestSampler:
             SamplerConfig(worker_count=0)
         with pytest.raises(DomainError):
             SamplerConfig(tolerance=0.0)
+        with pytest.raises(DomainError, match="seed must be nonnegative, got -1"):
+            SamplerConfig(seed=-1)
 
     def test_streams_reproducible_and_distinct(self):
         config = SamplerConfig(seed=5)
@@ -217,6 +219,17 @@ class TestSearch:
         assert isinstance(
             search_witness((3, 4, 55), SamplerConfig(seed=0), budget=1000), Exhausted
         )
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_raises(self, catalog, budget):
+        search = ConversionSearch(SamplerConfig(seed=0), catalog)
+        for run in (
+            lambda: search_witness((1, 2), SamplerConfig(seed=0), budget=budget),
+            lambda: search.sweep_pairs([(1, 2)], budget),
+            lambda: search.sweep_triples([(3, 4, 55)], budget),
+        ):
+            with pytest.raises(DomainError, match="budget must be at least 1"):
+                run()
 
     def test_budget_binds(self):
         attempts = []

@@ -27,6 +27,14 @@ def random_table(rng):
     return Table3([int(x) for x in rng.integers(1, 1000, 8)])
 
 
+def relabel_reference(sigma, tri, catalog):
+    """The catalog entry whose tetrahedra are tri's, relabeled vertex by vertex."""
+    vmap = sigma.vertex_map()
+    image = frozenset(frozenset(vmap[v] for v in t.vertices) for t in tri.tetrahedra)
+    (found,) = [e for e in catalog if e.tet_sets() == image]
+    return found
+
+
 class TestGroup:
     def test_order(self):
         assert len(GROUP) == 48
@@ -86,6 +94,11 @@ class TestActions:
         assert image.canonical_id == catalog.apply_symmetry(sigma, 5)
         with pytest.raises(DomainError):
             apply(sigma, "vertex")
+
+    def test_triangulation_action_matches_relabeling(self, catalog):
+        for sigma in GROUP:
+            for tri in catalog:
+                assert apply(sigma, tri) is relabel_reference(sigma, tri, catalog)
 
     def test_equivariance_sample(self, catalog):
         rng = np.random.default_rng(3)

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simpson3 import (
+    GROUP,
     Diagonal2D,
     DomainError,
     NonnegTable3,
     Reversal2D,
     Table2,
     Table3,
+    apply_table,
     classify_2d,
     correlation_profile,
     detect_reversal_2d,
@@ -209,6 +211,129 @@ class TestTables:
         assert t[(1, 0)] == 3
         assert t[(1, 1)] == 4
         assert t.det() == 4 - 6
+
+
+# Exact entries of every kind a table accepts: ints, small p/q and binary
+# fractions read off floats.
+exact_entries = st.one_of(
+    st.integers(1, 10**6),
+    st.builds(Fraction, st.integers(1, 50), st.integers(1, 50)),
+    st.floats(1e-3, 1e3).map(Fraction),
+)
+nonneg_entries = st.one_of(st.just(0), exact_entries)
+
+
+def _assert_exact(table, cls):
+    assert type(table) is cls
+    assert all(type(e) is Fraction for e in table.entries)
+
+
+class TestDerivedTables:
+    """Tables derived from validated ones skip validation; each must equal
+    the validating constructor on the same entries."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=_eight(exact_entries),
+        b=_eight(exact_entries),
+        z=_eight(nonneg_entries),
+        factor=st.one_of(st.integers(1, 10**6), positive_rationals),
+        eps=st.one_of(st.integers(1, 3), positive_rationals),
+        s=st.integers(0, 47),
+    )
+    def test_derived_equal_validated(self, a, b, z, factor, eps, s):
+        t, u, n = Table3(a), Table3(b), NonnegTable3(z)
+        _assert_exact(t, Table3)
+        _assert_exact(n, NonnegTable3)
+        sigma = GROUP[s]
+        vmap = sigma.vertex_map()
+        moved = [None] * 8
+        moved_n = [None] * 8
+        for v in range(8):
+            moved[vmap[v]] = t.entries[v]
+            moved_n[vmap[v]] = n.entries[v]
+        cases = [
+            (t + u, Table3([x + y for x, y in zip(a, b)])),
+            (t + n, Table3([x + y for x, y in zip(a, z)])),
+            (apply_table(sigma, t), Table3(moved)),
+            (apply_table(sigma, n), NonnegTable3(moved_n)),
+            (t.scaled(factor), Table3([factor * x for x in a])),
+            (n.smoothed(eps), Table3([x + eps for x in z])),
+        ]
+        for derived, validated in cases:
+            assert derived == validated
+            _assert_exact(derived, type(validated))
+
+    @pytest.mark.parametrize(
+        "cls, entries, message",
+        [
+            (Table3, [True] + [1] * 7, "Table3: boolean is not a table entry"),
+            (Table3, [1.5] + [1] * 7, "Table3: entries must be exact rationals, got float"),
+            (
+                Table3,
+                [np.int64(1)] + [1] * 7,
+                "Table3: entries must be exact rationals, got int64",
+            ),
+            (Table3, [0] + [1] * 7, "Table3 entries must be strictly positive"),
+            (Table3, [-1] + [1] * 7, "Table3 entries must be strictly positive"),
+            (Table3, [Fraction(-1, 2)] + [1] * 7, "Table3 entries must be strictly positive"),
+            (Table3, [1] * 7, "Table3 needs 8 entries, got 7"),
+            # every entry is converted before the count is checked
+            (Table3, [1.5] * 7, "Table3: entries must be exact rationals, got float"),
+            (NonnegTable3, [True] + [1] * 7, "NonnegTable3: boolean is not a table entry"),
+            (
+                NonnegTable3,
+                [1.5] + [1] * 7,
+                "NonnegTable3: entries must be exact rationals, got float",
+            ),
+            (
+                NonnegTable3,
+                [np.int64(1)] + [1] * 7,
+                "NonnegTable3: entries must be exact rationals, got int64",
+            ),
+            (NonnegTable3, [-1] + [1] * 7, "NonnegTable3 entries must be nonnegative"),
+            (
+                NonnegTable3,
+                [Fraction(-1, 2)] + [1] * 7,
+                "NonnegTable3 entries must be nonnegative",
+            ),
+            (NonnegTable3, [1] * 7, "NonnegTable3 needs 8 entries, got 7"),
+        ],
+    )
+    def test_rejections(self, cls, entries, message):
+        with pytest.raises(DomainError) as info:
+            cls(entries)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (0, "{what} must be positive"),
+            (-1, "{what} must be positive"),
+            (Fraction(-1, 2), "{what} must be positive"),
+            (True, "{where}: boolean is not a table entry"),
+            (1.5, "{where}: entries must be exact rationals, got float"),
+            (np.int64(2), "{where}: entries must be exact rationals, got int64"),
+        ],
+    )
+    def test_factor_rejections(self, bad, message):
+        with pytest.raises(DomainError) as info:
+            Table3([1] * 8).scaled(bad)
+        assert str(info.value) == message.format(what="scale factor", where="Table3.scaled")
+        with pytest.raises(DomainError) as info:
+            NonnegTable3([0] * 8).smoothed(bad)
+        assert str(info.value) == message.format(
+            what="smoothing epsilon", where="NonnegTable3.smoothed"
+        )
+
+    def test_mixed_sums(self):
+        t, n = Table3([1] * 8), NonnegTable3([0, 1] * 4)
+        _assert_exact(t + n, Table3)
+        assert (t + n).entries == (1, 2) * 4
+        with pytest.raises(TypeError):
+            n + t
+        with pytest.raises(DomainError, match="Table3 needs 8 entries, got 4"):
+            t + Table2([1] * 4)
 
 
 class TestCorrelationProfile:
