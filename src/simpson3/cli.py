@@ -25,7 +25,6 @@ from .experiments import (
 from .feasibility import obstruction_triple, write_feasibility_report
 from .symmetry import orbit_classes, pad_key
 from .tables import (
-    NonnegTable3,
     Table2,
     Table3,
     classify_2d,
@@ -117,9 +116,12 @@ def _classification_report(table: Table3) -> dict:
 def cmd_classify(args: argparse.Namespace) -> int:
     table = load_table(args.table, allow_zero=args.smoothing is not None)
     report: dict = {"input": args.table}
-    if isinstance(table, NonnegTable3):
+    if args.smoothing is not None:
         eps = parse_rational(args.smoothing)
-        table = table.smoothed(eps)
+        if eps <= 0:
+            raise DomainError("smoothing epsilon must be positive")
+        shape = Table2 if isinstance(table, Table2) else Table3
+        table = shape(e + eps for e in table.entries)
         report["smoothing"] = format_rational(eps)
     if isinstance(table, Table2):
         verdict = classify_2d(table)

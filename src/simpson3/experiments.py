@@ -597,18 +597,7 @@ class ConversionSearch:
     III->III->III (see the README).
     """
 
-    def __init__(
-        self,
-        config: SamplerConfig,
-        catalog: Catalog | None = None,
-        pool_size: int | None = None,
-    ) -> None:
-        if pool_size is not None:
-            warnings.warn(
-                "pool_size is ignored: ConversionSearch keeps no sample pools",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+    def __init__(self, config: SamplerConfig, catalog: Catalog | None = None) -> None:
         self.config = config
         self.catalog = catalog if catalog is not None else get_catalog()
         self._table: tuple[np.ndarray, np.ndarray] | None = None

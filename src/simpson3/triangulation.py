@@ -8,9 +8,10 @@ conditions on the 20 balanced forms that characterizes the tables inducing
 it, and classifies tables either exactly (integer monomial comparisons) or
 in bulk (vectorized floating point with a degeneracy margin).
 
-All geometric predicates during enumeration are integer-exact: tetrahedron
-volumes, barycentric functionals, and pairwise intersection tests use only
-integer determinants on the 0/1 vertex coordinates.
+All geometric predicates during enumeration are exact and combinatorial:
+tetrahedron volumes are integer determinants on the 0/1 vertex coordinates,
+and intersection tests and wall conditions read the cube's circuits, which
+are the supports of the 20 forms.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
-import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,15 +55,6 @@ def _det3(r0, r1, r2) -> int:
         - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
         + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0])
     )
-
-
-def _det4(rows) -> int:
-    total = 0
-    for j in range(4):
-        sub = [[row[c] for c in range(4) if c != j] for row in rows[1:]]
-        term = rows[0][j] * _det3(sub[0], sub[1], sub[2])
-        total += term if j % 2 == 0 else -term
-    return total
 
 
 def tetrahedron_volume_sixths(vertices: Sequence[int]) -> int:
@@ -130,49 +120,16 @@ class Triangulation:
         return frozenset(frozenset(t.vertices) for t in self.tetrahedra)
 
 
-@dataclass(frozen=True)
-class TriangulationFeatures:
-    """Deprecated copy of five ``Triangulation`` fields; see ``features``."""
-
-    face_diagonals: tuple[tuple[int, int], ...]
-    full_vertices: tuple[int, ...]
-    empty_vertices: tuple[int, ...]
-    has_hyperdiagonal: bool
-    type_class: str
-
-
-def features(t: Triangulation) -> TriangulationFeatures:
-    """Deprecated: read the same fields from the Triangulation itself."""
-    names = [field.name for field in fields(TriangulationFeatures)]
-    warnings.warn(
-        f"features() is deprecated: read {', '.join(names)} from the Triangulation",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return TriangulationFeatures(*(getattr(t, name) for name in names))
-
-
 # ---------------------------------------------------------------------------
-# Integer geometry for enumeration
+# Circuits and enumeration
 
 
-def _barycentric_functionals(tet: Sequence[int]):
-    """Integer affine functionals, one per vertex of the tetrahedron, positive
-    inside, vanishing on the opposite facet, as coefficients on (1, x, y, z)."""
-    m = [(1,) + VERTEX_COORDS[v] for v in tet]
-    d = _det4(m)
-    s = 1 if d > 0 else -1
-    funs = []
-    for i in range(4):
-        coeffs = []
-        for j in range(4):
-            sub = [
-                [m[r][c] for c in range(4) if c != j] for r in range(4) if r != i
-            ]
-            minor = _det3(sub[0], sub[1], sub[2])
-            coeffs.append(s * minor if (i + j) % 2 == 0 else -s * minor)
-        funs.append(tuple(coeffs))
-    return tuple(funs)
+# The 20 forms are the circuits of the cube's vertex set (its minimal affinely
+# dependent subsets), each split into its positive and its negative part.
+_CIRCUITS = tuple(
+    (frozenset(v for v in VERTICES if c[v] > 0), frozenset(v for v in VERTICES if c[v] < 0))
+    for c in FORM_COEFFS
+)
 
 
 def _nondegenerate_tets() -> list[tuple[int, ...]]:
@@ -183,52 +140,28 @@ def _nondegenerate_tets() -> list[tuple[int, ...]]:
     ]
 
 
-def _intersect_properly(tet_a, tet_b, funs_a, funs_b) -> bool:
+def _intersect_properly(tet_a, tet_b) -> bool:
     """Whether the two tetrahedra meet in a common face (possibly empty).
 
-    The intersection polytope is cut out by the eight barycentric functionals.
-    Its extreme points are enumerated exactly over all functional triples; the
-    intersection is a common face iff every extreme point is a shared vertex.
+    Two simplices of a point set intersect properly iff no circuit has its
+    positive part in one and its negative part in the other (De Loera,
+    Rambau & Santos, *Triangulations*, 2010); both signs of each form are
+    tried.
     """
-    shared = set(tet_a) & set(tet_b)
-    funs = funs_a + funs_b
-    for ia, ib, ic in itertools.combinations(range(8), 3):
-        fa, fb, fc = funs[ia], funs[ib], funs[ic]
-        d = _det3(fa[1:], fb[1:], fc[1:])
-        if d == 0:
-            continue
-        b = (-fa[0], -fb[0], -fc[0])
-        nx = _det3((b[0], fa[2], fa[3]), (b[1], fb[2], fb[3]), (b[2], fc[2], fc[3]))
-        ny = _det3((fa[1], b[0], fa[3]), (fb[1], b[1], fb[3]), (fc[1], b[2], fc[3]))
-        nz = _det3((fa[1], fa[2], b[0]), (fb[1], fb[2], b[1]), (fc[1], fc[2], b[2]))
-        sd = 1 if d > 0 else -1
-        feasible = True
-        for f in funs:
-            val = f[0] * d + f[1] * nx + f[2] * ny + f[3] * nz
-            if val * sd < 0:
-                feasible = False
-                break
-        if not feasible:
-            continue
-        if nx not in (0, d) or ny not in (0, d) or nz not in (0, d):
-            return False
-        vertex = ((nx == d) << 2) | ((ny == d) << 1) | (nz == d)
-        if vertex not in shared:
-            return False
-    return True
+    a, b = set(tet_a), set(tet_b)
+    return not any(pos <= a and neg <= b or neg <= a and pos <= b for pos, neg in _CIRCUITS)
 
 
 def _enumerate_encodings() -> list[tuple[tuple[int, ...], ...]]:
     """All interior-disjoint tetrahedron covers of the cube, as sorted tuples
     of sorted vertex tuples."""
     tets = _nondegenerate_tets()
-    funs = [_barycentric_functionals(t) for t in tets]
     vols = [tetrahedron_volume_sixths(t) for t in tets]
     n = len(tets)
     compat_mask = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
-            if _intersect_properly(tets[i], tets[j], funs[i], funs[j]):
+            if _intersect_properly(tets[i], tets[j]):
                 compat_mask[i] |= 1 << j
                 compat_mask[j] |= 1 << i
 
@@ -261,64 +194,33 @@ def _enumerate_encodings() -> list[tuple[tuple[int, ...], ...]]:
 # Constraint derivation
 
 
-def _affine_dependence(points: Sequence[int]) -> list[int]:
-    """The unique (up to scale) integer affine dependence among 5 vertices."""
-    m = [(1,) + VERTEX_COORDS[v] for v in points]
-    lam = []
-    for i in range(5):
-        sub = [m[r] for r in range(5) if r != i]
-        val = _det4(sub)
-        lam.append(val if i % 2 == 0 else -val)
-    g = 0
-    for x in lam:
-        g = math.gcd(g, abs(x))
-    return [x // g for x in lam]
-
-
 def derive_constraints(tetrahedra) -> frozenset[tuple[str, int]]:
     """The strict sign conditions characterizing the tables that induce the
     given triangulation.
 
-    For each interior wall (a triangle shared by two tetrahedra) the unique
-    affine dependence on the five involved vertices, normalized positive on
-    the two apexes, must be negative on the height vector for the lifted
-    surface to be locally concave across that wall.  Each such dependence is
-    plus or minus one of the 20 forms, giving one (letter, sign) condition.
+    An interior wall (a triangle shared by two tetrahedra) and its two apexes
+    span five vertices that support exactly one circuit, one of the 20 forms.
+    The lifted surface is locally concave across the wall iff that form,
+    signed positive on the apexes, is negative on the height vector; so each
+    wall gives one (letter, sign) condition, the sign opposite to the apex
+    coefficient.
     """
-    tet_tuples = []
-    for t in tetrahedra:
-        tet_tuples.append(tuple(t.vertices) if isinstance(t, Tetrahedron) else tuple(sorted(t)))
+    sets = [set(t.vertices if isinstance(t, Tetrahedron) else t) for t in tetrahedra]
     out = set()
-    sets = [set(t) for t in tet_tuples]
-    for a in range(len(sets)):
-        for b in range(a + 1, len(sets)):
-            wall = sets[a] & sets[b]
-            if len(wall) != 3:
-                continue
-            apex_a = (sets[a] - wall).pop()
-            apex_b = (sets[b] - wall).pop()
-            points = sorted(wall) + [apex_a, apex_b]
-            lam = _affine_dependence(points)
-            if lam[3] == 0 or lam[4] == 0:
-                raise CatalogError(f"wall dependence misses an apex: {points}")
-            if lam[3] < 0:
-                lam = [-x for x in lam]
-            if lam[4] < 0:
-                raise CatalogError(f"apex coefficients disagree in sign: {points}")
-            vec = [0] * 8
-            for coeff, v in zip(lam, points):
-                vec[v] += coeff
-            vec_t = tuple(vec)
-            neg_t = tuple(-x for x in vec)
-            for idx, coeffs in enumerate(FORM_COEFFS):
-                if vec_t == coeffs:
-                    out.add((FORM_LETTERS[idx], -1))
-                    break
-                if neg_t == coeffs:
-                    out.add((FORM_LETTERS[idx], +1))
-                    break
-            else:
-                raise CatalogError(f"wall dependence {vec_t} matches no form")
+    for a, b in itertools.combinations(sets, 2):
+        wall = a & b
+        if len(wall) != 3:
+            continue
+        (apex_a,) = a - wall
+        (apex_b,) = b - wall
+        span = a | b
+        index = next((i for i, (pos, neg) in enumerate(_CIRCUITS) if pos | neg <= span), None)
+        if index is None:
+            raise CatalogError(f"no form spans the wall and apexes {sorted(span)}")
+        coeff_a, coeff_b = FORM_COEFFS[index][apex_a], FORM_COEFFS[index][apex_b]
+        if coeff_a * coeff_b <= 0:
+            raise CatalogError(f"apex coefficients are zero or disagree in sign: {sorted(span)}")
+        out.add((FORM_LETTERS[index], -1 if coeff_a > 0 else 1))
     return frozenset(out)
 
 
@@ -528,16 +430,17 @@ def _id_action(encodings: Sequence[tuple[tuple[int, ...], ...]]) -> np.ndarray:
     return action
 
 
-def _build_catalog() -> Catalog:
-    encodings = _enumerate_encodings()
-    if len(encodings) != 74:
-        raise CatalogError(f"enumeration produced {len(encodings)} covers, expected 74")
+def _catalog_from_encodings(encodings: Sequence[tuple[tuple[int, ...], ...]]) -> Catalog:
+    """The catalog on the given sorted tetrahedron encodings, which must be
+    in canonical order; the id action, the orbit representatives and every
+    derived attribute are computed from them."""
+    if list(encodings) != sorted(set(encodings)):
+        raise CatalogError("entries out of canonical order")
     action = _id_action(encodings)
     orbit_rep = action.min(axis=0)
 
     entries = []
     for cid, enc in enumerate(encodings, start=1):
-        constraints = derive_constraints(enc)
         diagonals = _face_diagonals(enc)
         incidence = _vertex_incidence(diagonals)
         full = tuple(v for v in VERTICES if incidence[v] == 7)
@@ -547,7 +450,7 @@ def _build_catalog() -> Catalog:
             Triangulation(
                 canonical_id=cid,
                 tetrahedra=tets,
-                constraints=constraints,
+                constraints=derive_constraints(enc),
                 face_diagonals=diagonals,
                 vertex_incidence=incidence,
                 full_vertices=full,
@@ -563,8 +466,12 @@ def _build_catalog() -> Catalog:
     return catalog
 
 
+def _build_catalog() -> Catalog:
+    return _catalog_from_encodings(_enumerate_encodings())
+
+
 def enumerate_triangulations() -> Catalog:
-    """Build the full catalog from scratch (a few seconds of integer geometry)."""
+    """Build the full catalog from scratch."""
     return _build_catalog()
 
 
@@ -713,35 +620,22 @@ def catalog_to_json_obj(catalog: Catalog) -> dict:
 
 
 def catalog_from_json_obj(obj: dict, verify: bool = True) -> Catalog:
-    """Rebuild a catalog from its JSON export.  With verify on, every derived
-    attribute is recomputed from the tetrahedra and compared."""
-    entries = []
-    for rec in obj["entries"]:
-        tets = tuple(Tetrahedron(t) for t in rec["tetrahedra"])
-        entry = Triangulation(
-            canonical_id=rec["canonicalId"],
-            tetrahedra=tets,
-            constraints=frozenset(
-                (c["form"], 1 if c["sign"] == "+" else -1) for c in rec["constraints"]
-            ),
-            face_diagonals=tuple(tuple(d) for d in rec["faceDiagonals"]),
-            vertex_incidence=tuple(rec["vertexIncidence"]),
-            full_vertices=tuple(rec["fullVertices"]),
-            empty_vertices=tuple(rec["emptyVertices"]),
-            has_hyperdiagonal=rec["hasHyperdiagonal"],
-            anti_aligned_axes=rec["antiAlignedAxes"],
-            type_class=rec["typeClass"],
-            orbit_rep=rec["orbitRep"],
-        )
-        entries.append(entry)
-    catalog = Catalog(entries)
+    """Rebuild a catalog from the tetrahedra of its JSON export, each checked
+    as a ``Tetrahedron``; every other attribute is derived again.  With
+    verify on, every stored key of each record is compared with the rebuilt
+    record, and a missing, extra or differing key raises CatalogError."""
+    records = obj["entries"]
+    catalog = _catalog_from_encodings(
+        [tuple(sorted(Tetrahedron(t).vertices for t in rec["tetrahedra"])) for rec in records]
+    )
     if verify:
-        for e in catalog.entries:
-            if derive_constraints(e.encoding()) != e.constraints:
-                raise CatalogError(f"entry {e.canonical_id}: stored constraints differ")
-            diagonals = _face_diagonals(e.encoding())
-            if diagonals != e.face_diagonals:
-                raise CatalogError(f"entry {e.canonical_id}: stored diagonals differ")
+        rebuilt = catalog_to_json_obj(catalog)
+        for cid, (rec, new) in enumerate(zip(records, rebuilt["entries"]), start=1):
+            for key in sorted(rec.keys() | new.keys()):
+                if rec.get(key) != new.get(key):
+                    raise CatalogError(f"entry {cid}: stored {key} differs from the rebuilt one")
+        if obj != rebuilt:
+            raise CatalogError("stored catalog differs from the rebuilt one")
     return catalog
 
 

@@ -61,6 +61,38 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["smoothing"] == "1/2"
 
+    def test_2d_table_smoothing(self, capsys, tmp_path):
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps({"entries": ["0", "1", "2", "3"]}))
+        code, out, _ = run(capsys, "classify", str(zero), "--smoothing", "1")
+        assert code == 0
+        assert json.loads(out) == {
+            "input": str(zero),
+            "smoothing": "1",
+            "kind": "2x2",
+            "diagonal": "Diag01_10",
+        }
+        # 1*8 < 3*3, but (1 + 1/2)(8 + 1/2) > (3 + 1/2)^2
+        square = tmp_path / "square.json"
+        square.write_text(json.dumps({"entries": ["1", "3", "3", "8"]}))
+        code, out, _ = run(capsys, "classify", str(square), "--smoothing", "1/2")
+        assert code == 0
+        report = json.loads(out)
+        assert report["smoothing"] == "1/2"
+        assert report["diagonal"] == "Diag00_11"
+
+    @pytest.mark.parametrize("eps", ["0", "-1/2"])
+    @pytest.mark.parametrize(
+        "entries", [["1", "3", "3", "8"], ["1", "2", "3", "4", "5", "6", "7", "9"]]
+    )
+    def test_nonpositive_smoothing_exit_code(self, capsys, tmp_path, eps, entries):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"entries": entries}))
+        code, out, err = run(capsys, "classify", str(path), f"--smoothing={eps}")
+        assert code == 1
+        assert out == ""
+        assert err == "error: smoothing epsilon must be positive\n"
+
     def test_2d_table(self, capsys, tmp_path):
         path = tmp_path / "sq.json"
         path.write_text(json.dumps({"entries": ["2", "1", "1", "2"]}))
@@ -271,8 +303,17 @@ GOLDEN_FEASIBILITY = {
     "3": "da236be8d306601e3f1675291816ac2a01a36f6cde68a98ad9a050c7d876eebe",
 }
 
+# sha256 of `simpson3 catalog` (JSON) from the earlier determinant-based
+# enumeration: the catalog must not change with how its geometry is decided.
+GOLDEN_CATALOG = "89661514c6201202cd2c8f6f9723e54b60cf7aa96eaeca4b4803764ed43bec05"
+
 
 class TestGoldenOutput:
+    def test_catalog(self, capsys):
+        code, out, _ = run(capsys, "catalog")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CATALOG
+
     @pytest.mark.parametrize("arity", sorted(GOLDEN_ORBITS))
     def test_orbits(self, capsys, arity):
         code, out, _ = run(capsys, "orbits", "--arity", arity)

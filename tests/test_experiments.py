@@ -286,8 +286,7 @@ class TestSearch:
         assert isinstance(results[(3, 4, 55)], Exhausted)
 
     def test_pool_interface_is_deprecated(self, catalog):
-        with pytest.warns(DeprecationWarning):
-            search = ConversionSearch(SamplerConfig(seed=0), catalog, pool_size=16)
+        search = ConversionSearch(SamplerConfig(seed=0), catalog)
         with pytest.warns(DeprecationWarning):
             search.ensure_pools([1, 2])
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -18,10 +19,9 @@ from simpson3 import (
     classify_heights_batch,
     derive_constraints,
     enumerate_triangulations,
-    features,
     get_catalog,
 )
-from simpson3.tables import _form_sign_bits
+from simpson3.tables import FORM_COEFFS, VERTICES, _form_sign_bits, vertex_bits
 from simpson3.triangulation import (
     _BLOCK,
     DEFAULT_TOLERANCE,
@@ -122,14 +122,12 @@ class TestWorkedExample:
 
     def test_features(self, catalog):
         tri = classify_exact(EXAMPLE, catalog)
-        with pytest.warns(DeprecationWarning, match="type_class"):
-            feats = features(tri)
-        assert feats.full_vertices == (1, 2, 4, 7)
-        assert feats.empty_vertices == (0, 3, 5, 6)
-        assert feats.type_class == "II"
+        assert tri.full_vertices == (1, 2, 4, 7)
+        assert tri.empty_vertices == (0, 3, 5, 6)
+        assert tri.type_class == "II"
         # three of the tetrahedra share the interior diagonal between the
         # antipodal pair 3 and 4
-        assert feats.has_hyperdiagonal
+        assert tri.has_hyperdiagonal
 
     def test_scale_invariance(self, catalog):
         doubled = EXAMPLE.scaled(2)
@@ -155,6 +153,43 @@ class TestConstraints:
             for (a, b) in e.face_diagonals:
                 assert a < b
                 assert (a ^ b).bit_count() == 2
+
+
+def affinely_dependent(vertices) -> bool:
+    """Whether the cube vertices are affinely dependent: exact Gaussian
+    elimination of their rows (1, x, y, z) over the rationals."""
+    rows = [[Fraction(c) for c in (1, *vertex_bits(v))] for v in vertices]
+    rank = 0
+    for col in range(4):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank < len(rows)
+
+
+class TestCircuits:
+    def test_form_supports_are_the_circuits(self):
+        circuits = {
+            frozenset(subset)
+            for k in range(1, len(VERTICES) + 1)
+            for subset in itertools.combinations(VERTICES, k)
+            if affinely_dependent(subset)
+            and not any(affinely_dependent(rest) for rest in itertools.combinations(subset, k - 1))
+        }
+        supports = {frozenset(v for v in VERTICES if c[v]) for c in FORM_COEFFS}
+        assert len(supports) == 20
+        assert circuits == supports
+
+    def test_forms_are_affine_dependences(self):
+        for c in FORM_COEFFS:
+            assert sum(c) == 0
+            for axis in range(3):
+                assert sum(c[v] * vertex_bits(v)[axis] for v in VERTICES) == 0
 
 
 class TestClassification:
@@ -213,6 +248,22 @@ class TestClassification:
             classify_float_oracle(np.array([np.nan] * 8), catalog)
 
 
+STORED_KEYS = [
+    "canonicalId",
+    "tetrahedra",
+    "constraints",
+    "faceDiagonals",
+    "vertexIncidence",
+    "fullVertices",
+    "emptyVertices",
+    "hasHyperdiagonal",
+    "antiAlignedAxes",
+    "typeClass",
+    "orbitRep",
+    "orbitMembers",
+]
+
+
 class TestSerialization:
     def test_round_trip_verified(self, catalog):
         obj = catalog_to_json_obj(catalog)
@@ -221,10 +272,7 @@ class TestSerialization:
         assert [e.encoding() for e in back.entries] == [
             e.encoding() for e in catalog.entries
         ]
-        assert all(
-            a.constraints == b.constraints
-            for a, b in zip(back.entries, catalog.entries)
-        )
+        assert back.entries == catalog.entries
 
     def test_round_trip_id_action(self, catalog):
         back = catalog_from_json_obj(catalog_to_json_obj(catalog))
@@ -234,12 +282,28 @@ class TestSerialization:
         with pytest.raises(CatalogError):
             _id_action([e.encoding() for e in catalog.entries[:-1]])
 
-    def test_tampered_export_rejected(self, catalog):
+    def test_stored_keys(self, catalog):
+        for rec in catalog_to_json_obj(catalog)["entries"]:
+            assert list(rec) == STORED_KEYS
+
+    @pytest.mark.parametrize("key", STORED_KEYS)
+    def test_tampered_export_rejected(self, catalog, key):
         obj = catalog_to_json_obj(catalog)
-        obj["entries"][3]["constraints"][0]["sign"] = (
-            "-" if obj["entries"][3]["constraints"][0]["sign"] == "+" else "+"
-        )
-        with pytest.raises(CatalogError):
+        first = obj["entries"][0]
+        # the value another entry stores under the same key
+        first[key] = next(rec[key] for rec in obj["entries"] if rec[key] != first[key])
+        # entry 2's tetrahedra in entry 1 repeat a cover, so the rebuild itself fails
+        message = "canonical order" if key == "tetrahedra" else f"entry 1: stored {key} differs"
+        with pytest.raises(CatalogError, match=message):
+            catalog_from_json_obj(obj, verify=True)
+        if key != "tetrahedra":
+            # unverified, the stored value is ignored rather than trusted
+            assert catalog_from_json_obj(obj, verify=False)[1] == catalog[1]
+
+    def test_tampered_header_rejected(self, catalog):
+        obj = catalog_to_json_obj(catalog)
+        obj["triangulationCount"] = 73
+        with pytest.raises(CatalogError, match="stored catalog differs"):
             catalog_from_json_obj(obj, verify=True)
 
 
