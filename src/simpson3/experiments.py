@@ -32,7 +32,8 @@ import numpy as np
 from .errors import CatalogError, DomainError, Simpson3Error
 from .feasibility import obstruction_triple
 from .symmetry import canonical_class_of, pad_key
-from .tables import NonnegTable3, Table3, format_rational, table_from_json_obj
+from .tables import NonnegTable3, Table3, _form_sign_bits, _trusted, format_rational
+from .tables import table_from_json_obj
 from .triangulation import (
     DEFAULT_TOLERANCE,
     FORM_MATRIX,
@@ -64,8 +65,6 @@ _OPT_BETA2 = 0.999
 _OPT_MAXITER = 600
 _OPT_WAVE = 16
 _OPT_BLOCK = 512
-# Constraint rows per triangulation, padded: every catalog entry has 4 to 6.
-_OPT_ROWS = 6
 
 
 @dataclass(frozen=True)
@@ -356,38 +355,40 @@ def _normalize_key(class_key: Sequence[int], arity: int, catalog: Catalog) -> tu
 
 
 def _hinge_rows(
-    h: np.ndarray, cons: np.ndarray, need: np.ndarray
+    h: np.ndarray, sign: np.ndarray, need: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Squared hinge on the membership margins of F, G and F + G, and its
-    gradient, for many rows at once.
+    """Which rows have zero squared hinge on the membership margins of F, G
+    and F + G, and the hinge's gradient, for many rows at once.
 
     Column ``r`` of ``h`` (16, n) stacks the log entries of F and G.
-    ``cons`` (8, 6, 3, n) holds the row's constraint rows for F, G and the
-    sum, entry-major, and ``need`` (6, 3, n) the margin each must reach.
-    The sum's log entries are a smooth function of both halves, so the
-    loss is differentiable and vanishes exactly on the open witness region
-    with margin to spare.  The margins and the gradient are sums in a
-    fixed order over elementwise operations, so a row's descent never
-    depends on the other columns; the loss, a sum of squares, is exactly
-    zero in any order.
+    ``sign`` (20, 3, n) orients each form for the row's constraints on F, G
+    and the sum (0 on other forms); ``need`` (20, 3, n) is the margin each
+    must reach (``-inf`` on other forms).  The loss is smooth and vanishes
+    exactly on the open witness region with margin to spare.  The form
+    values are one product by ``FORM_MATRIX``, the gradient one by
+    ``-2 FORM_MATRIX.T``: with coefficients in {0, ±1, ±2} every term is
+    exact and every sum runs in ascending order, so a row's result never
+    depends on the other columns.  A nonzero gap is at least an ulp of the
+    margin, so the loss is zero exactly when no gap is nonzero.
     """
     hf, hg = h[:8], h[8:]
     # |hg - hf| <= 24 inside the box, so the ratio cannot overflow.
     ratio = np.exp(hg - hf)
-    parts = np.stack([hf, hg, hf + np.log1p(ratio)], axis=1)
-    weight = 1.0 / (1.0 + ratio)
-    margins = cons[0] * parts[0]
-    for j in range(1, 8):
-        margins += cons[j] * parts[j]
-    gap = np.maximum(need - margins, 0.0)
-    loss = (gap * gap).sum(axis=(0, 1))
-    coeff = -2.0 * gap
-    grads = cons[:, 0] * coeff[0]
-    for k in range(1, _OPT_ROWS):
-        grads += cons[:, k] * coeff[k]
-    shared = grads[:, 2] * weight
-    return loss, np.concatenate([grads[:, 0] + shared, grads[:, 1] + grads[:, 2] - shared])
+    parts = np.empty((8, 3, h.shape[1]))
+    parts[:, 0], parts[:, 1] = hf, hg
+    np.add(hf, np.log1p(ratio), out=parts[:, 2])
+    # The gaps max(need - sign * value, 0), in place, then signed again.
+    gap = np.matmul(FORM_MATRIX, parts.reshape(8, -1)).reshape(20, 3, -1)
+    gap *= sign
+    np.maximum(np.subtract(need, gap, out=gap), 0.0, out=gap)
+    zero = ~gap.reshape(60, -1).any(axis=0)
+    gap *= sign
+    grads = np.matmul(_FORM_GRAD, gap.reshape(20, -1)).reshape(8, 3, -1)
+    shared = grads[:, 2] * (1.0 / (1.0 + ratio))
+    return zero, np.concatenate([grads[:, 0] + shared, grads[:, 1] + grads[:, 2] - shared])
 
+
+_FORM_GRAD = np.ascontiguousarray(-2.0 * FORM_MATRIX.T)
 
 # Adam's bias corrections by iteration: the step size over 1 - beta1^(t+1),
 # and 1 / (1 - beta2^(t+1)).
@@ -404,24 +405,26 @@ class _Descent:
     so that its evaluations (one per row-iteration) never pass the budget;
     a wave starts only when the class's previous one ended without a
     witness.  Rows wait in a queue and run as the columns of a pool of at
-    most ``_OPT_BLOCK``, each at its own iteration.  A row retires at zero
-    loss, where its point is verified exactly, or at its limit.  A class's
-    witness is the verified zero-loss point of lowest (iteration,
-    restart), and a row stops once it can no longer beat the best one
-    found so far.  So a class's outcome depends only on the seed, its key
-    and the budget, never on the pool size or on the other keys.
+    most ``_OPT_BLOCK``, each at its own iteration.  A column's sign and
+    margin on each of the 20 forms, for F, G and the sum, are gathered as
+    it enters the pool, so a step is one ``_hinge_rows`` call on the pool.
+    A row retires at zero loss, where its point is verified exactly, or at
+    its limit.  A class's witness is the verified zero-loss point of lowest
+    (iteration, restart), and a row stops once it can no longer beat the
+    best one found so far.  So a class's outcome depends only on the seed,
+    its key and the budget, never on the pool size or on the other keys.
     """
 
     def __init__(
         self,
-        table: np.ndarray,
+        sign: np.ndarray,
         need: np.ndarray,
         keys: list[tuple[int, ...]],
         budget: int,
         seed: int,
     ) -> None:
-        self.table = np.ascontiguousarray(table.transpose(2, 1, 0))
-        self.need = np.ascontiguousarray(need.T)
+        self.sign_table = np.ascontiguousarray(sign.T)
+        self.need_table = np.ascontiguousarray(need.T)
         self.keys, self.budget = keys, budget
         self.ids = np.array([pad_key(key) for key in keys], dtype=np.intp).reshape(-1, 3)
         self.rngs = [
@@ -445,8 +448,7 @@ class _Descent:
         empty = np.zeros(0, dtype=np.int64)
         self.cls, self.restart, self.limit, self.t = empty, empty, empty, empty
         self.h = self.m = self.v = np.zeros((16, 0))
-        self.cons = np.zeros((8, _OPT_ROWS, 3, 0))
-        self.req = np.zeros((_OPT_ROWS, 3, 0))
+        self.sign = self.need = np.zeros((20, 3, 0))
         self.live = np.zeros(0, dtype=bool)
 
     def run(self) -> list[tuple[Witness | None, int]]:
@@ -507,20 +509,17 @@ class _Descent:
             ("v", zeros),
         ):
             setattr(self, name, np.concatenate([getattr(self, name)[..., keep], fresh], axis=-1))
-        # The constraint columns are gathered whole, after the old ones are
-        # freed, so that only one copy is ever alive.
-        del self.cons, self.req
         ids = self.ids[self.cls].T
-        self.cons = np.take(self.table, ids, axis=-1)
-        self.req = np.take(self.need, ids, axis=-1)
+        self.sign = np.take(self.sign_table, ids, axis=-1)
+        self.need = np.take(self.need_table, ids, axis=-1)
         self.live = np.ones(len(self.cls), dtype=bool)
         self._cap()
 
     def _step(self) -> None:
         """One evaluation and one Adam step on every pool column."""
-        loss, grad = _hinge_rows(self.h, self.cons, self.req)
+        zero, grad = _hinge_rows(self.h, self.sign, self.need)
         cls, restart, t = self.cls, self.restart, self.t
-        zero = self.live & (loss == 0.0)
+        zero &= self.live
         hits = np.flatnonzero(zero)
         if len(hits):
             # Columns stay in the order they were admitted, and a class's
@@ -569,16 +568,20 @@ class _Descent:
 
 
 def _verified(key: tuple[int, ...], x: np.ndarray) -> Witness | None:
-    """The exact witness at log point ``x``, if it verifies."""
+    """The exact witness at log point ``x``, if it verifies: the ids that
+    ``Witness.verify`` finds, decided on the entries as integers over their
+    largest power-of-two denominator (the forms are homogeneous)."""
     # A contiguous copy: exp of a strided view may take another code path.
-    entries = np.exp(np.array(x))
-    witness = Witness(
-        class_key=key,
-        f=Table3(tuple(Fraction(float(e)) for e in entries[:8])),
-        g=Table3(tuple(Fraction(float(e)) for e in entries[8:])),
-        verified_at=_timestamp(),
-    )
-    return witness if witness.verify() else None
+    ratios = [e.as_integer_ratio() for e in np.exp(np.array(x)).tolist()]
+    scale = max(d for _, d in ratios)
+    ints = [p * (scale // d) for p, d in ratios]
+    f, g = ints[:8], ints[8:]
+    catalog = get_catalog()
+    signs = (_form_sign_bits(t) for t in (f, g, [a + b for a, b in zip(f, g)]))
+    if tuple(catalog.resolve_signs(*bits) for bits in signs) != pad_key(key):
+        return None
+    entries = tuple(Fraction(p, d) for p, d in ratios)
+    return Witness(key, _trusted(Table3, entries[:8]), _trusted(Table3, entries[8:]), _timestamp())
 
 
 class ConversionSearch:
@@ -611,22 +614,19 @@ class ConversionSearch:
         )
 
     def _constraint_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each id's constraint rows, oriented so membership reads as > 0,
-        in form order and padded to a (75, 6, 8) table; and the margin each
-        row must reach, ``-inf`` on padding and on the unused id 0, so that
-        a padded row is never active."""
+        """Two (75, 20) tables over the forms: each id's constraint signs,
+        ±1 so that membership reads as > 0 and 0 on the other forms; and
+        the margin each form must reach, ``-inf`` off the constraints and
+        on the unused id 0, so that such a form is never active."""
         if self._table is None:
             masks, vals = self.catalog._constraint_bits()
             bits = 1 << np.arange(len(FORM_MATRIX))
-            relevant = (masks[:, None] & bits) != 0
-            forms = np.argsort(~relevant, axis=1, kind="stable")[:, :_OPT_ROWS]
-            used = np.take_along_axis(relevant, forms, axis=1)
-            signs = np.where(vals[:, None] & bits[forms], 1.0, -1.0) * used
-            table = np.zeros((len(masks) + 1, _OPT_ROWS, 8))
-            table[1:] = FORM_MATRIX[forms] * signs[..., None]
-            need = np.full(table.shape[:2], -np.inf)
+            used = (masks[:, None] & bits) != 0
+            sign = np.zeros((len(masks) + 1, len(bits)))
+            sign[1:] = np.where(vals[:, None] & bits, 1.0, -1.0) * used
+            need = np.full(sign.shape, -np.inf)
             need[1:][used] = _OPT_MARGIN
-            self._table = (table, need)
+            self._table = (sign, need)
         return self._table
 
     def _descend(
@@ -635,8 +635,8 @@ class ConversionSearch:
         """Each key's witness or None, and the evaluations it spent."""
         if budget < 1:
             raise DomainError(f"budget must be at least 1, got {budget}")
-        table, need = self._constraint_table()
-        return _Descent(table, need, keys, budget, self.config.seed).run()
+        sign, need = self._constraint_table()
+        return _Descent(sign, need, keys, budget, self.config.seed).run()
 
     def _optimize_key(self, key: tuple[int, ...], budget: int) -> tuple[Witness | None, int]:
         """One class through the descent: its witness or None, and the
@@ -776,13 +776,15 @@ class WitnessArchive:
             for line in reader:
                 if not line:
                     continue
-                key = tuple(int(x) for x in line[: self.arity])
                 offset = self.arity
-                f = Table3(tuple(Fraction(x) for x in line[offset : offset + 8]))
-                g = Table3(tuple(Fraction(x) for x in line[offset + 8 : offset + 16]))
-                witness = Witness(
-                    class_key=key, f=f, g=g, verified_at=line[offset + 16]
-                )
+                try:
+                    key = tuple(int(x) for x in line[:offset])
+                    cells = [Fraction(x) for x in line[offset : offset + 16]]
+                    witness = Witness(key, Table3(cells[:8]), Table3(cells[8:]), line[offset + 16])
+                except (ValueError, ZeroDivisionError, IndexError, DomainError) as exc:
+                    raise CatalogError(
+                        f"{self.path}, line {reader.line_num}: malformed witness row: {exc}"
+                    ) from exc
                 if verify and not witness.verify():
                     raise CatalogError(
                         f"archived witness for {key} fails re-verification"

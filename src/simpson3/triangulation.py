@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -623,11 +622,14 @@ def catalog_from_json_obj(obj: dict, verify: bool = True) -> Catalog:
     """Rebuild a catalog from the tetrahedra of its JSON export, each checked
     as a ``Tetrahedron``; every other attribute is derived again.  With
     verify on, every stored key of each record is compared with the rebuilt
-    record, and a missing, extra or differing key raises CatalogError."""
-    records = obj["entries"]
-    catalog = _catalog_from_encodings(
-        [tuple(sorted(Tetrahedron(t).vertices for t in rec["tetrahedra"])) for rec in records]
-    )
+    record; a missing, extra or differing key raises CatalogError, as does
+    an export without an entry list or an entry without tetrahedra."""
+    try:
+        records = list(obj["entries"])
+        tets = [[Tetrahedron(t).vertices for t in rec["tetrahedra"]] for rec in records]
+    except (KeyError, TypeError) as exc:
+        raise CatalogError(f"malformed catalog export: {exc!r}") from exc
+    catalog = _catalog_from_encodings([tuple(sorted(vertices)) for vertices in tets])
     if verify:
         rebuilt = catalog_to_json_obj(catalog)
         for cid, (rec, new) in enumerate(zip(records, rebuilt["entries"]), start=1):
@@ -637,7 +639,3 @@ def catalog_from_json_obj(obj: dict, verify: bool = True) -> Catalog:
         if obj != rebuilt:
             raise CatalogError("stored catalog differs from the rebuilt one")
     return catalog
-
-
-def catalog_to_json(catalog: Catalog) -> str:
-    return json.dumps(catalog_to_json_obj(catalog), indent=2)

@@ -307,12 +307,32 @@ GOLDEN_FEASIBILITY = {
 # enumeration: the catalog must not change with how its geometry is decided.
 GOLDEN_CATALOG = "89661514c6201202cd2c8f6f9723e54b60cf7aa96eaeca4b4803764ed43bec05"
 
+# sha256 of `simpson3 search --seed 0` (JSON, without "verifiedAt") from the
+# descent that gathered each column's constraint rows: a change of the
+# kernel must not move any witness entry or attempt count.
+GOLDEN_SEARCH = {
+    ("--pair", "1", "2"): "7fc8ca719b746dfbf5a9b73af5663beff0fb45f1194a7d244ac63df4697e6887",
+    ("--triple", "1", "3", "5"): "83be1935948aa4c315db0190436b95e36e9b120a87f9687b4c6c821996cf7de2",
+    ("--triple", "3", "4", "55", "--budget", "2000"): (
+        "967c048e34e091b723d2cd05ec21648c88a34aef05c2f9ee650d13b9a84b07f3"
+    ),
+}
+
 
 class TestGoldenOutput:
     def test_catalog(self, capsys):
         code, out, _ = run(capsys, "catalog")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CATALOG
+
+    @pytest.mark.parametrize("argv", list(GOLDEN_SEARCH))
+    def test_search(self, capsys, argv):
+        code, out, _ = run(capsys, "search", *argv, "--seed", "0")
+        assert code == 0
+        payload = json.loads(out)
+        payload.pop("verifiedAt", None)
+        digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+        assert digest == GOLDEN_SEARCH[argv]
 
     @pytest.mark.parametrize("arity", sorted(GOLDEN_ORBITS))
     def test_orbits(self, capsys, arity):

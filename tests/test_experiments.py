@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simpson3 import (
     CatalogError,
@@ -10,6 +12,7 @@ from simpson3 import (
     DomainError,
     Exhausted,
     SamplerConfig,
+    Simpson3Error,
     Table3,
     Witness,
     WitnessArchive,
@@ -28,6 +31,7 @@ from simpson3 import (
     search_witness,
 )
 from simpson3 import experiments
+from simpson3.symmetry import pad_key
 from simpson3.triangulation import FORM_INDEX, FORM_MATRIX
 
 
@@ -291,7 +295,7 @@ class TestSearch:
             search.ensure_pools([1, 2])
 
     def test_verification_failure_is_logged(self, monkeypatch, caplog):
-        monkeypatch.setattr(Witness, "verify", lambda self: False)
+        monkeypatch.setattr(experiments, "_verified", lambda key, x: None)
         with caplog.at_level(logging.WARNING, logger="simpson3"):
             result = search_witness((1, 2), SamplerConfig(seed=0), budget=300)
         assert isinstance(result, Exhausted)
@@ -320,39 +324,198 @@ def reference_hinge(h, cf, cg, cs):
     return value, np.concatenate([grad_f, grad_g])
 
 
+# Constraint rows per id in the descent's earlier layout, padded: every
+# catalog entry has 4 to 6.
+ROWS = 6
+
+
+def padded_table(sign, need):
+    """The (75, 6, 8) signed constraint rows and (75, 6) margins that the
+    descent gathered per column before it worked over the 20 forms: each
+    id's constraint forms in form order, then zero rows with margin -inf."""
+    table = np.zeros((75, ROWS, 8))
+    margins = np.full((75, ROWS), -np.inf)
+    for tid in range(75):
+        forms = np.flatnonzero(sign[tid])
+        table[tid, : len(forms)] = FORM_MATRIX[forms] * sign[tid, forms, None]
+        margins[tid, : len(forms)] = need[tid, forms]
+    return table, margins
+
+
+def gathered_hinge(h, cons, need):
+    """The descent's earlier kernel: ``cons`` (8, 6, 3, n) holds each
+    column's constraint rows for F, G and the sum, entry-major, and
+    ``need`` (6, 3, n) their margins.  Returns the loss and gradient."""
+    hf, hg = h[:8], h[8:]
+    ratio = np.exp(hg - hf)
+    parts = np.stack([hf, hg, hf + np.log1p(ratio)], axis=1)
+    weight = 1.0 / (1.0 + ratio)
+    margins = cons[0] * parts[0]
+    for j in range(1, 8):
+        margins += cons[j] * parts[j]
+    gap = np.maximum(need - margins, 0.0)
+    loss = (gap * gap).sum(axis=(0, 1))
+    coeff = -2.0 * gap
+    grads = cons[:, 0] * coeff[0]
+    for k in range(1, ROWS):
+        grads += cons[:, k] * coeff[k]
+    shared = grads[:, 2] * weight
+    return loss, np.concatenate([grads[:, 0] + shared, grads[:, 1] + grads[:, 2] - shared])
+
+
+def kernel_inputs(sign, need, ids):
+    """The per-column sign and margin arrays the descent gathers for ids (3, n)."""
+    return np.take(sign.T, ids, axis=-1), np.take(need.T, ids, axis=-1)
+
+
+def witness_row(key):
+    """A witness's canonical key (padded to 3 ids) and its log entries."""
+    witness = search_witness(key, SamplerConfig(seed=0))
+    h = np.log([float(x) for x in witness.f.entries + witness.g.entries])
+    return pad_key(witness.class_key), h
+
+
+def near_margin_rows(sign, need, ids, h, rng):
+    """Move one coordinate of each column so that one of its constraints
+    sits within a few ulps of the required margin."""
+    h = h.copy()
+    for r in range(h.shape[1]):
+        part = rng.integers(0, 2)
+        forms = np.flatnonzero(sign[ids[part, r]])
+        i = rng.choice(forms)
+        s = sign[ids[part, r], i]
+        x = h[8 * part : 8 * part + 8, r]
+        j = rng.choice(np.flatnonzero(FORM_MATRIX[i]))
+        x[j] += (need[ids[part, r], i] - s * FORM_MATRIX[i] @ x) / (s * FORM_MATRIX[i, j])
+        x[j] += rng.integers(-3, 4) * np.spacing(x[j])
+    return h
+
+
 class TestDescent:
     def test_constraint_table(self, catalog):
-        table, need = ConversionSearch(SamplerConfig(), catalog)._constraint_table()
-        assert table.shape == (75, 6, 8) and need.shape == (75, 6)
-        assert np.isneginf(need[0]).all() and not table[0].any()
+        sign, need = ConversionSearch(SamplerConfig(), catalog)._constraint_table()
+        assert sign.shape == need.shape == (75, 20)
+        assert not sign[0].any() and np.isneginf(need[0]).all()
         for tid in range(1, 75):
-            used = np.isfinite(need[tid])
+            expected = np.zeros(20)
+            for letter, s in catalog[tid].constraints:
+                expected[FORM_INDEX[letter]] = s
+            assert np.array_equal(sign[tid], expected)
+            used = expected != 0
             assert (need[tid][used] == experiments._OPT_MARGIN).all()
-            assert not table[tid][~used].any()
-            expected = {
-                tuple(sign * FORM_MATRIX[FORM_INDEX[letter]])
-                for letter, sign in catalog[tid].constraints
-            }
-            assert {tuple(row) for row in table[tid][used]} == expected
-            assert used.sum() == len(expected)
+            assert np.isneginf(need[tid][~used]).all()
 
     def test_rows_match_the_reference(self, catalog):
-        table, need = ConversionSearch(SamplerConfig(), catalog)._constraint_table()
+        sign, need = ConversionSearch(SamplerConfig(), catalog)._constraint_table()
         rng = np.random.default_rng(3)
         ids = rng.integers(1, 75, (3, 50))
         h = rng.normal(0.0, 3.0, (16, 50))
-        witness = search_witness((1, 3, 5), SamplerConfig(seed=0))
-        ids[:, 0] = (1, 3, 5)
-        h[:, 0] = np.log([float(x) for x in witness.f.entries + witness.g.entries])
-        cons = np.ascontiguousarray(table.transpose(2, 1, 0))[..., ids]
-        req = np.ascontiguousarray(need.T)[:, ids]
-        loss, grad = experiments._hinge_rows(h, cons, req)
-        assert loss[0] == 0.0 and not grad[:, 0].any()
+        ids[:, 0], h[:, 0] = witness_row((1, 3, 5))
+        zero, grad = experiments._hinge_rows(h, *kernel_inputs(sign, need, ids))
+        assert zero[0] and not grad[:, 0].any()
         for r in range(50):
-            rows = [table[i][np.isfinite(need[i])] for i in ids[:, r]]
+            rows = [(FORM_MATRIX * sign[i, :, None])[sign[i] != 0] for i in ids[:, r]]
             value, expected = reference_hinge(h[:, r], *rows)
-            assert np.isclose(loss[r], value, rtol=1e-12, atol=1e-12)
+            assert zero[r] == (value == 0.0)
             assert np.allclose(grad[:, r], expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", ["random", "witness", "near margin"])
+    def test_gradient_equals_the_gathered_kernel(self, catalog, rows):
+        sign, need = ConversionSearch(SamplerConfig(), catalog)._constraint_table()
+        rng = np.random.default_rng(11)
+        n = 200
+        ids = rng.integers(1, 75, (3, n))
+        h = rng.normal(0.0, 3.0, (16, n))
+        if rows == "witness":
+            for r, key in enumerate([(1, 3, 5), (2, 7, 40), (1, 2)]):
+                ids[:, r], h[:, r] = witness_row(key)
+        elif rows == "near margin":
+            h = near_margin_rows(sign, need, ids, h, rng)
+        table, margins = padded_table(sign, need)
+        cons = np.ascontiguousarray(table.transpose(2, 1, 0))[..., ids]
+        req = np.ascontiguousarray(margins.T)[:, ids]
+        loss, expected = gathered_hinge(h, cons, req)
+        zero, grad = experiments._hinge_rows(h, *kernel_inputs(sign, need, ids))
+        assert np.array_equal(zero, loss == 0.0)
+        assert np.array_equal(grad, expected)
+        if rows == "witness":
+            assert zero[:3].all()
+
+
+def fraction_tables(x):
+    """F and G at log point ``x`` through ``Fraction(float)``, as the search
+    built them before it verified on integers."""
+    entries = np.exp(np.array(x))
+    return (
+        Table3(Fraction(float(e)) for e in entries[:8]),
+        Table3(Fraction(float(e)) for e in entries[8:]),
+    )
+
+
+def candidate_keys(f, g):
+    """The ids the tables induce as a triple and, when F and G agree, as a
+    pair; and keys they do not induce."""
+    keys = [(1, 3, 5), (2, 7, 40), (1, 2)]
+    try:
+        report = detect_conversion(f, g)
+    except Simpson3Error:
+        return keys
+    ids = (report.id_f, report.id_g, report.id_sum)
+    keys += [ids, ids[::-1], (ids[0], ids[2]), (ids[1], ids[2])]
+    return keys + [(ids[0], ids[1], ids[2] % 74 + 1)]
+
+
+log_entry = st.floats(-experiments._OPT_BOX, experiments._OPT_BOX)
+random_points = st.lists(log_entry, min_size=16, max_size=16)
+# Entries drawn from a few values repeat exactly, so forms tie.
+tied_points = st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=16, max_size=16)
+# F and G close together: often one class, so pair keys hold.
+close_points = st.lists(log_entry, min_size=8, max_size=8).flatmap(
+    lambda f: st.lists(st.floats(-1e-3, 1e-3), min_size=8, max_size=8).map(
+        lambda d: f + [a + b for a, b in zip(f, d)]
+    )
+)
+
+
+@st.composite
+def near_wall_points(draw):
+    """A point with one form of F, G or the sum within a few ulps of zero."""
+    x = np.array(draw(random_points))
+    part = draw(st.integers(0, 2))
+    i = draw(st.integers(0, 19))
+    j = draw(st.sampled_from(list(np.flatnonzero(FORM_MATRIX[i]))))
+    if part == 2:
+        # the sum's form vanishes where G's does and F = G
+        x[:8] = x[8:]
+        part = 1
+    block = x[8 * part : 8 * part + 8]
+    block[j] -= FORM_MATRIX[i] @ block / FORM_MATRIX[i, j]
+    block[j] += draw(st.integers(-3, 3)) * np.spacing(block[j])
+    return [float(v) for v in x]
+
+
+class TestVerified:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        x=st.one_of(random_points, tied_points, close_points, near_wall_points()),
+    )
+    def test_accepts_what_the_fraction_path_accepts(self, catalog, x):
+        f, g = fraction_tables(x)
+        for key in candidate_keys(f, g):
+            expected = Witness(class_key=key, f=f, g=g, verified_at="").verify()
+            witness = experiments._verified(key, np.array(x))
+            assert (witness is not None) == expected
+            if witness is not None:
+                assert witness.class_key == key
+                assert witness.f.entries == f.entries and witness.g.entries == g.entries
+                assert all(type(e) is Fraction for e in witness.f.entries + witness.g.entries)
+
+    def test_accepts_search_witnesses(self, catalog):
+        for key in [(1, 2), (3, 28), (1, 3, 5), (2, 7, 40)]:
+            found = search_witness(key, SamplerConfig(seed=0))
+            x = np.log([float(e) for e in found.f.entries + found.g.entries])
+            witness = experiments._verified(found.class_key, x)
+            assert witness is not None and witness.verify()
 
 
 class TestArchive:
@@ -388,6 +551,20 @@ class TestArchive:
         with pytest.raises(CatalogError):
             archive.load()
         assert len(archive.load(verify=False)) == 1
+
+    def test_corrupt_cell_names_the_line(self, tmp_path):
+        path = tmp_path / "pairs.csv"
+        archive = WitnessArchive(path, 2)
+        w = search_witness((1, 2), SamplerConfig(seed=0))
+        archive.append([w, w])
+        lines = path.read_text().splitlines()
+        parts = lines[2].split(",")
+        parts[4] = "abc"
+        lines[2] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        for verify in (True, False):
+            with pytest.raises(CatalogError, match=r"line 3: malformed witness row"):
+                archive.load(verify=verify)
 
     def test_missing_file_loads_empty(self, tmp_path):
         assert WitnessArchive(tmp_path / "none.csv", 2).load() == []

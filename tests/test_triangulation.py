@@ -306,6 +306,20 @@ class TestSerialization:
         with pytest.raises(CatalogError, match="stored catalog differs"):
             catalog_from_json_obj(obj, verify=True)
 
+    def test_export_without_entries_rejected(self):
+        with pytest.raises(CatalogError, match="malformed catalog export"):
+            catalog_from_json_obj({})
+
+    def test_entries_not_a_list_rejected(self):
+        with pytest.raises(CatalogError, match="malformed catalog export"):
+            catalog_from_json_obj({"entries": 5})
+
+    def test_entry_without_tetrahedra_rejected(self, catalog):
+        obj = catalog_to_json_obj(catalog)
+        del obj["entries"][3]["tetrahedra"]
+        with pytest.raises(CatalogError, match="malformed catalog export"):
+            catalog_from_json_obj(obj)
+
 
 ALL_FORMS = (1 << 20) - 1
 
