@@ -285,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="EPS",
         help="allow zero entries and add this rational to every cell first",
     )
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     _add_common(p)
     p.set_defaults(func=cmd_classify)
 

@@ -38,6 +38,7 @@ from .triangulation import (
     DEFAULT_TOLERANCE,
     FORM_MATRIX,
     Catalog,
+    _check_tolerance,
     classify_exact,
     classify_heights_batch,
     get_catalog,
@@ -80,8 +81,7 @@ class SamplerConfig:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
         if self.worker_count < 1:
             raise DomainError("worker_count must be at least 1")
-        if not (self.tolerance > 0.0):
-            raise DomainError("tolerance must be positive")
+        _check_tolerance(self.tolerance)
 
     def stream(self, purpose: int, worker: int = 0) -> np.random.Generator:
         """Return the PCG64 generator for one purpose-coded worker stream."""
@@ -238,7 +238,9 @@ def estimate_3d_conversion(config: SamplerConfig, sample_count: int) -> Frequenc
             g = entries[:, 1::2]
             ids_f = classify_heights_batch(np.log(f), catalog, config.tolerance)
             ids_g = classify_heights_batch(np.log(g), catalog, config.tolerance)
-            ids_s = classify_heights_batch(np.log(f + g), catalog, config.tolerance)
+            s = f + g
+            np.log(s, out=s)
+            ids_s = classify_heights_batch(s, catalog, config.tolerance)
             degenerate = (ids_f == 0) | (ids_g == 0) | (ids_s == 0)
             discards += int(np.count_nonzero(degenerate))
             same = ~degenerate & (ids_f == ids_g)
@@ -619,7 +621,7 @@ class ConversionSearch:
         the margin each form must reach, ``-inf`` off the constraints and
         on the unused id 0, so that such a form is never active."""
         if self._table is None:
-            masks, vals = self.catalog._constraint_bits()
+            masks, vals = self.catalog.constraint_masks, self.catalog.constraint_vals
             bits = 1 << np.arange(len(FORM_MATRIX))
             used = (masks[:, None] & bits) != 0
             sign = np.zeros((len(masks) + 1, len(bits)))

@@ -305,9 +305,20 @@ class Catalog:
         self.entries = tuple(entries)
         self._by_tets = {e.tet_sets(): e for e in self.entries}
         self._id_action: np.ndarray | None = None
-        self._masks: np.ndarray | None = None
-        self._vals: np.ndarray | None = None
+        # Bit i of constraint_masks[k] is set when form i is a constraint of
+        # id k+1, and the same bit of constraint_vals[k] when its sign is +.
+        self.constraint_masks = np.zeros(len(self.entries), dtype=np.int64)
+        self.constraint_vals = np.zeros(len(self.entries), dtype=np.int64)
+        for k, e in enumerate(self.entries):
+            for letter, sign in e.constraints:
+                bit = 1 << FORM_INDEX[letter]
+                self.constraint_masks[k] |= bit
+                if sign > 0:
+                    self.constraint_vals[k] |= bit
         self._resolved: dict[tuple[int, int], int] = {}
+        # Id of each full 20-bit sign code, 0 until resolved: 1 MB of zero
+        # pages, of which the batch classifier touches only the codes it meets.
+        self._pattern_ids = np.zeros(1 << len(FORM_COEFFS), dtype=np.int8)
         self._validate()
 
     def _validate(self) -> None:
@@ -369,19 +380,6 @@ class Catalog:
         rep = self[canonical_id].orbit_rep
         return tuple(e.canonical_id for e in self.entries if e.orbit_rep == rep)
 
-    def _constraint_bits(self):
-        if self._masks is None:
-            masks = np.zeros(len(self.entries), dtype=np.int64)
-            vals = np.zeros(len(self.entries), dtype=np.int64)
-            for k, e in enumerate(self.entries):
-                for letter, sign in e.constraints:
-                    bit = 1 << FORM_INDEX[letter]
-                    masks[k] |= bit
-                    if sign > 0:
-                        vals[k] |= bit
-            self._masks, self._vals = masks, vals
-        return self._masks, self._vals
-
     def resolve_signs(self, pos: int, neg: int) -> int:
         """Catalog id whose constraint set a partial sign vector strictly
         satisfies, or 0 if none does.
@@ -393,7 +391,7 @@ class Catalog:
         key = (pos, neg)
         found = self._resolved.get(key)
         if found is None:
-            masks, vals = self._constraint_bits()
+            masks, vals = self.constraint_masks, self.constraint_vals
             hits = np.nonzero(((pos & masks) == vals) & ((neg & masks) == (masks & ~vals)))[0]
             if len(hits) > 1:
                 raise CatalogError(
@@ -501,6 +499,11 @@ def classify_exact(table: Table3, catalog: Catalog | None = None) -> Triangulati
     raise CatalogError("nonzero sign vector matches no constraint set")
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not tolerance > 0.0:
+        raise DomainError("tolerance must be positive")
+
+
 def classify_heights_batch(
     heights: np.ndarray,
     catalog: Catalog | None = None,
@@ -513,23 +516,32 @@ def classify_heights_batch(
     zero; a row with undecided forms is resolved from the decided ones, so
     it still gets its id when none of them is among that id's constraints.
     0 marks a row that is not finite or has an undecided form among the
-    constraints of every id its decided forms allow.
+    constraints of every id its decided forms allow.  Raises DomainError
+    unless tolerance is positive.
 
     The forms are evaluated column-major, on cache-sized blocks of rows
-    transposed to (8, b), and each row's signs and undecided forms are
-    packed into two 20-bit words once; the margin rule above is the same
-    for every block, so a row's id never depends on its block.
+    transposed to (8, b), and each row's signs are packed into a 20-bit
+    code once.  Rounding is monotone, so a row whose smallest |value|
+    reaches the largest margin times its scale has no undecided form; only
+    the other (near) rows are tested form by form, on the same floats.  A
+    clean row reads its id from the catalog's memo of full sign codes,
+    which resolves each code the first time it is met.  The margin rule is
+    the same for every block, so a row's id does not depend on its block,
+    except within a few ulps of a margin, where the BLAS product may sum a
+    block's forms in a different order from a single row's.
     """
     if catalog is None:
         catalog = get_catalog()
+    _check_tolerance(tolerance)
     h = np.asarray(heights, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != 8:
         raise DomainError("heights must be an (n, 8) array")
     n = len(h)
     codes = np.empty(n, dtype=np.int64)
-    undecided = np.empty(n, dtype=np.int64)
+    undecided = np.zeros(n, dtype=np.int64)
     finite = np.empty(n, dtype=bool)
     margin = (tolerance * FORM_NORMS)[:, None]
+    widest = margin.max()
     with np.errstate(invalid="ignore"):
         for lo in range(0, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
@@ -537,16 +549,21 @@ def classify_heights_batch(
             values = FORM_MATRIX @ hT
             scale = np.maximum(1.0, np.abs(hT).max(axis=0))
             codes[lo:hi] = _POW2F @ (values > 0)
-            undecided[lo:hi] = _POW2F @ (np.abs(values) < margin * scale)
+            np.abs(values, out=values)
+            # NaN fails the comparison, so non-finite rows count as near
+            near = np.nonzero(~(values.min(axis=0) >= widest * scale))[0]
+            if near.size:
+                undecided[lo + near] = _POW2F @ (values[:, near] < margin * scale[near])
             finite[lo:hi] = np.isfinite(scale)
-    ids = np.zeros(n, dtype=np.int64)
     clean = finite & (undecided == 0)
-    if clean.any():
-        uniq, inverse = np.unique(codes[clean], return_inverse=True)
-        resolved = np.array(
-            [catalog.resolve_sign_pattern(c) for c in uniq.tolist()], dtype=np.int64
-        )
-        ids[clean] = resolved[inverse]
+    memo = catalog._pattern_ids
+    ids = memo[codes]
+    unseen = clean & (ids == 0)
+    if unseen.any():
+        for code in set(codes[unseen].tolist()):
+            memo[code] = catalog.resolve_sign_pattern(code)
+        ids = memo[codes]
+    ids = np.where(clean, ids, 0).astype(np.int64)
     partial = np.nonzero(finite & (undecided != 0))[0]
     if partial.size:
         open_forms = undecided[partial]
@@ -570,6 +587,7 @@ def classify_float_oracle(
 
     if catalog is None:
         catalog = get_catalog()
+    _check_tolerance(tolerance)
     h = np.asarray(heights, dtype=np.float64)
     if h.shape != (8,):
         raise DomainError("oracle needs exactly 8 heights")

@@ -187,8 +187,10 @@ def test_criterion_6_monte_carlo_3d(acceptance):
         "conversion": 2 / 900,
         "sameNoConversion": 15 / 900,
     }
+    # the seed-0 counts themselves: a classifier change must not move one row
+    exact_counts = {"sameTriangulation": 95024, "conversion": 11319, "sameNoConversion": 83705}
     deviations = []
-    ok = elapsed < 600
+    ok = elapsed < 600 and estimate.counts == exact_counts and estimate.degenerate_discards == 0
     for key, target in reference.items():
         value = estimate.estimates[key]
         se = estimate.standard_errors[key]
@@ -201,6 +203,8 @@ def test_criterion_6_monte_carlo_3d(acceptance):
         ok,
         "3d frequencies within 3se of reference and conjectured values: "
         + ", ".join(deviations)
+        + f"; counts {estimate.counts} (expected {exact_counts}),"
+        + f" {estimate.degenerate_discards} discards (expected 0)"
         + f" in {elapsed:.0f}s (limit 600s)",
     )
 

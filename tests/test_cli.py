@@ -107,6 +107,14 @@ class TestClassify:
         assert out == ""
         assert json.loads(target.read_text())["canonicalId"] == 5
 
+    @pytest.mark.parametrize("tolerance", ["0", "-1", "1e-9"])
+    def test_tolerance_is_not_an_option(self, capsys, example_file, tolerance):
+        # exact classification has no margin, so the option was never read
+        with pytest.raises(SystemExit) as info:
+            main(["classify", example_file, "--tolerance", tolerance])
+        assert info.value.code == 1
+        assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+
 
 class TestCatalogOrbits:
     def test_catalog_json(self, capsys):
@@ -319,6 +327,18 @@ GOLDEN_SEARCH = {
 }
 
 
+# sha256 of `simpson3 montecarlo --dim 3` and `simpson3 reversal` (JSON) at
+# --samples 200000 --seed 0 from the batch classifier that resolved its sign
+# codes through np.unique and tested every form against its margin: the
+# estimates must not move with how the classifier decides a row.
+GOLDEN_MONTECARLO = {
+    ("montecarlo", "--dim", "3"): (
+        "63c8598f39ffb058c937d909029ab4ea056f834975c2e4fc554d04bf650c6cec"
+    ),
+    ("reversal",): "ac046c6d626c5ca2cd0e24f87bd2cfd6d1cff77474ff31b115bf6b0df089115f",
+}
+
+
 class TestGoldenOutput:
     def test_catalog(self, capsys):
         code, out, _ = run(capsys, "catalog")
@@ -333,6 +353,12 @@ class TestGoldenOutput:
         payload.pop("verifiedAt", None)
         digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
         assert digest == GOLDEN_SEARCH[argv]
+
+    @pytest.mark.parametrize("argv", list(GOLDEN_MONTECARLO))
+    def test_montecarlo(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--samples", "200000", "--seed", "0")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_MONTECARLO[argv]
 
     @pytest.mark.parametrize("arity", sorted(GOLDEN_ORBITS))
     def test_orbits(self, capsys, arity):

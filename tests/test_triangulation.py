@@ -27,6 +27,7 @@ from simpson3.triangulation import (
     DEFAULT_TOLERANCE,
     FORM_MATRIX,
     FORM_NORMS,
+    _POW2F,
     _id_action,
     tetrahedron_volume_sixths,
 )
@@ -247,6 +248,15 @@ class TestClassification:
         with pytest.raises(DomainError):
             classify_float_oracle(np.array([np.nan] * 8), catalog)
 
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-9, np.nan])
+    def test_tolerance_must_be_positive(self, catalog, tolerance):
+        # the all-ones table: with no margin its vanishing forms would count
+        # as negative and match three constraint sets
+        with pytest.raises(DomainError, match="tolerance must be positive"):
+            classify_heights_batch(np.zeros((1, 8)), catalog, tolerance)
+        with pytest.raises(DomainError, match="tolerance must be positive"):
+            classify_float_oracle(np.zeros(8), catalog, tolerance)
+
 
 STORED_KEYS = [
     "canonicalId",
@@ -435,3 +445,85 @@ class TestBatchKernelProperties:
     def test_needs_rows_of_eight(self, catalog, shape):
         with pytest.raises(DomainError, match=r"\(n, 8\) array"):
             classify_heights_batch(np.zeros(shape), catalog)
+
+
+def near_margin_heights(seed, size, tolerance):
+    """Rows of log Exp(1) draws scaled so that their smallest form value
+    lies within a few ulps of its own margin or of the largest one, on
+    either side, so both the near-row filter and the per-form test sit on
+    their boundaries."""
+    rng = np.random.default_rng(seed)
+    h = np.log(rng.standard_exponential((size, 8)))
+    values = np.abs(h @ FORM_MATRIX.T)
+    smallest = values.argmin(axis=1)
+    margin = tolerance * FORM_NORMS
+    target = np.where(rng.random(size) < 0.5, margin[smallest], margin.max())
+    ulps = 1.0 + rng.integers(-4, 5, size) * np.finfo(float).eps
+    return h * (target / values[np.arange(size), smallest] * ulps)[:, None]
+
+
+def full_margin_ids(catalog, heights, tolerance):
+    """The batch kernel before the near-row filter: every form of every row
+    gets the margin test, on the same blocks and so on the same floats."""
+    h = np.asarray(heights, dtype=np.float64)
+    codes, undecided, finite = [], [], []
+    margin = (tolerance * FORM_NORMS)[:, None]
+    with np.errstate(invalid="ignore"):
+        for lo in range(0, len(h), _BLOCK):
+            hT = np.ascontiguousarray(h[lo : lo + _BLOCK].T)
+            values = FORM_MATRIX @ hT
+            scale = np.maximum(1.0, np.abs(hT).max(axis=0))
+            codes += [int(c) for c in _POW2F @ (values > 0)]
+            undecided += [int(u) for u in _POW2F @ (np.abs(values) < margin * scale)]
+            finite += np.isfinite(scale).tolist()
+    out = []
+    for code, open_forms, ok in zip(codes, undecided, finite):
+        if not ok:
+            out.append(0)
+        elif open_forms:
+            out.append(
+                catalog.resolve_signs(code & ~open_forms, ~code & ~open_forms & ALL_FORMS)
+            )
+        else:
+            out.append(catalog.resolve_sign_pattern(code))
+    return np.array(out, dtype=np.int64)
+
+
+class TestBatchMemo:
+    @pytest.mark.parametrize("tolerance", [1e-3, DEFAULT_TOLERANCE, 1e-12])
+    @settings(max_examples=4, deadline=None)
+    @given(seed=seeds)
+    def test_equals_row_reference_at_each_tolerance(self, catalog, tolerance, seed):
+        h = mixed_heights(seed, 1000)
+        ids = classify_heights_batch(h, catalog, tolerance)
+        assert np.array_equal(ids, reference_batch_ids(catalog, h, tolerance))
+
+    @pytest.mark.parametrize("tolerance", [1e-3, DEFAULT_TOLERANCE, 1e-12])
+    @settings(max_examples=4, deadline=None)
+    @given(seed=seeds)
+    def test_equals_full_margin_kernel_near_the_margin(self, catalog, tolerance, seed):
+        # within a few ulps of a margin, the row reference's matrix-vector
+        # product may round differently from the kernel's blocked product
+        near = near_margin_heights(seed, _BLOCK + 300, tolerance)
+        h = np.vstack([near, mixed_heights(seed, 300)])
+        ids = classify_heights_batch(h, catalog, tolerance)
+        assert np.array_equal(ids, full_margin_ids(catalog, h, tolerance))
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=seeds)
+    def test_memo_holds_resolved_clean_codes(self, seed):
+        fresh = enumerate_triangulations()
+        h = mixed_heights(seed, 3 * _BLOCK)
+        classify_heights_batch(h, fresh)
+        filled = np.nonzero(fresh._pattern_ids)[0]
+        assert filled.size
+        for code in filled.tolist():
+            assert fresh._pattern_ids[code] == fresh.resolve_sign_pattern(code)
+        # exactly the codes of the rows that had no undecided form
+        clean = set()
+        for row in h[np.isfinite(h).all(axis=1)]:
+            values = FORM_MATRIX @ row
+            margin = DEFAULT_TOLERANCE * FORM_NORMS * max(1.0, float(np.abs(row).max()))
+            if (np.abs(values) >= margin).all():
+                clean.add(sum(1 << i for i, v in enumerate(values) if v > 0))
+        assert set(filled.tolist()) == clean
