@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import CatalogError, DegenerateTable, DomainError
@@ -34,18 +33,11 @@ from .tables import (
     load_table,
     parse_rational,
 )
-from .triangulation import (
-    DEFAULT_TOLERANCE,
-    catalog_to_json_obj,
-    classify_exact,
-    get_catalog,
-)
+from .triangulation import catalog_to_json_obj, classify_exact, get_catalog
 
 EXIT_OK = 0
 EXIT_USER_ERROR = 1
 EXIT_DEGENERATE = 2
-
-WORKERS_ENV = "SIMPSON3_WORKERS"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,26 +46,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
         self.exit(EXIT_USER_ERROR, f"{self.prog}: error: {message}\n")
-
-
-def _default_workers() -> int:
-    """SIMPSON3_WORKERS, else 1: the worker count selects the random streams,
-    so the default must not depend on the machine."""
-    env = os.environ.get(WORKERS_ENV)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise DomainError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-        if value < 1:
-            raise DomainError(f"{WORKERS_ENV} must be positive, got {value}")
-        return value
-    return 1
-
-
-def _sampler_config(args: argparse.Namespace) -> SamplerConfig:
-    workers = args.workers if args.workers is not None else _default_workers()
-    return SamplerConfig(seed=args.seed, worker_count=workers, tolerance=args.tolerance)
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -196,8 +168,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     if (args.pair is None) == (args.triple is None):
         raise DomainError("search requires exactly one of --pair or --triple")
     key = tuple(args.pair) if args.pair is not None else tuple(args.triple)
-    config = _sampler_config(args)
-    result = search_witness(key, config, budget=args.budget)
+    result = search_witness(key, SamplerConfig(seed=args.seed), budget=args.budget)
     if isinstance(result, Witness):
         if args.out is not None:
             WitnessArchive(args.out, result.arity).append([result])
@@ -224,7 +195,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
-    config = _sampler_config(args)
+    config = SamplerConfig(seed=args.seed, worker_count=args.workers)
     if args.dim == 2:
         estimate = estimate_2d_reversal(config, args.samples)
     else:
@@ -245,8 +216,10 @@ def cmd_reversal(args: argparse.Namespace) -> int:
     return cmd_montecarlo(args)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
+def _add_common(
+    parser: argparse.ArgumentParser, formats: tuple[str, ...] = ("json", "text")
+) -> None:
+    parser.add_argument("--format", choices=formats, default="json")
     parser.add_argument("--out", default=None, help="write output to this path")
 
 
@@ -254,21 +227,12 @@ def _add_sampling(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--samples", type=int, default=10**6)
     parser.add_argument(
-        "--budget",
-        type=int,
-        default=10**7,
-        help=(
-            "loss-and-gradient evaluations of the witness descent per class (used by"
-            " search only); an exhausted search has spent all of them"
-        ),
-    )
-    parser.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help=f"worker count; it selects the random streams (default: {WORKERS_ENV} or 1)",
+        default=1,
+        help="worker count; it selects the random streams and is recorded as workerCount",
     )
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    _add_common(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,13 +265,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", nargs=2, type=int, metavar=("A", "B"))
     p.add_argument("--triple", nargs=3, type=int, metavar=("A", "B", "C"))
     p.add_argument("--arity", type=int, choices=(2, 3), default=None)
-    _add_common(p)
+    _add_common(p, ("json", "csv", "text"))
     p.set_defaults(func=cmd_feasibility)
 
     p = sub.add_parser("search", help="search an exact witness for a class key")
     p.add_argument("--pair", nargs=2, type=int, metavar=("A", "B"))
     p.add_argument("--triple", nargs=3, type=int, metavar=("A", "B", "C"))
-    _add_sampling(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="not read: each class draws its starts from a stream of its own",
+    )
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=10**7,
+        help=(
+            "loss-and-gradient evaluations of the witness descent per class; an"
+            " exhausted search has spent all of them"
+        ),
+    )
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", default=None, help="append the witness to this CSV archive")
     p.set_defaults(func=cmd_search)
@@ -315,12 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("montecarlo", help="frequency estimates from random tables")
     p.add_argument("--dim", type=int, choices=(2, 3), default=3)
     _add_sampling(p)
-    _add_common(p)
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("reversal", help="2x2 association reversal frequency")
     _add_sampling(p)
-    _add_common(p)
     p.set_defaults(func=cmd_reversal)
 
     return parser
@@ -334,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     except DegenerateTable as exc:
         sys.stderr.write(f"degenerate: {exc}\n")
         return EXIT_DEGENERATE
-    except (DomainError, CatalogError) as exc:
+    except (DomainError, CatalogError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USER_ERROR
 

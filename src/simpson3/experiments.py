@@ -35,10 +35,8 @@ from .symmetry import canonical_class_of, pad_key
 from .tables import NonnegTable3, Table3, _form_sign_bits, _trusted, format_rational
 from .tables import table_from_json_obj
 from .triangulation import (
-    DEFAULT_TOLERANCE,
     FORM_MATRIX,
     Catalog,
-    _check_tolerance,
     classify_exact,
     classify_heights_batch,
     get_catalog,
@@ -70,18 +68,16 @@ _OPT_BLOCK = 512
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Seeding and precision parameters shared by all experiments."""
+    """Seeding parameters shared by all experiments."""
 
     seed: int = 0
     worker_count: int = 1
-    tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
         if self.worker_count < 1:
             raise DomainError("worker_count must be at least 1")
-        _check_tolerance(self.tolerance)
 
     def stream(self, purpose: int, worker: int = 0) -> np.random.Generator:
         """Return the PCG64 generator for one purpose-coded worker stream."""
@@ -150,9 +146,7 @@ def _finalize(
 ) -> FrequencyEstimate:
     effective = total - discards
     if effective == 0:
-        raise DomainError(
-            f"all {total} samples were discarded as degenerate at tolerance {config.tolerance}"
-        )
+        raise DomainError(f"all {total} samples were discarded as degenerate")
     estimates: dict[str, float] = {}
     errors: dict[str, float] = {}
     for key, hits in counts.items():
@@ -220,9 +214,9 @@ def estimate_3d_conversion(config: SamplerConfig, sample_count: int) -> Frequenc
     triangulation of the cube; it additionally counts as ``conversion``
     when F + G induces a different triangulation, and as
     ``sameNoConversion`` when the sum repeats the shared one.  Samples
-    where any of the three classifications is degenerate at the working
-    tolerance are discarded.  Raises DomainError unless ``sample_count`` is
-    at least 1.
+    where any of the three classifications is degenerate at the batch
+    classifier's default margin are discarded.  Raises DomainError unless
+    ``sample_count`` is at least 1.
     """
     _check_sample_count(sample_count)
     catalog = get_catalog()
@@ -236,11 +230,11 @@ def estimate_3d_conversion(config: SamplerConfig, sample_count: int) -> Frequenc
             entries = rng.standard_exponential((m, 16))
             f = entries[:, 0::2]
             g = entries[:, 1::2]
-            ids_f = classify_heights_batch(np.log(f), catalog, config.tolerance)
-            ids_g = classify_heights_batch(np.log(g), catalog, config.tolerance)
+            ids_f = classify_heights_batch(np.log(f), catalog)
+            ids_g = classify_heights_batch(np.log(g), catalog)
             s = f + g
             np.log(s, out=s)
-            ids_s = classify_heights_batch(s, catalog, config.tolerance)
+            ids_s = classify_heights_batch(s, catalog)
             degenerate = (ids_f == 0) | (ids_g == 0) | (ids_s == 0)
             discards += int(np.count_nonzero(degenerate))
             same = ~degenerate & (ids_f == ids_g)
@@ -780,10 +774,12 @@ class WitnessArchive:
                     continue
                 offset = self.arity
                 try:
+                    if len(line) != len(self.columns):
+                        raise ValueError(f"{len(line)} cells, header has {len(self.columns)}")
                     key = tuple(int(x) for x in line[:offset])
                     cells = [Fraction(x) for x in line[offset : offset + 16]]
                     witness = Witness(key, Table3(cells[:8]), Table3(cells[8:]), line[offset + 16])
-                except (ValueError, ZeroDivisionError, IndexError, DomainError) as exc:
+                except (ValueError, ZeroDivisionError, DomainError) as exc:
                     raise CatalogError(
                         f"{self.path}, line {reader.line_num}: malformed witness row: {exc}"
                     ) from exc

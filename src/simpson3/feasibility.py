@@ -64,13 +64,11 @@ def _verdicts(catalog, classes: Sequence[OrbitClass]):
 
 
 def infeasible_pair_classes(catalog, classes: Sequence[OrbitClass]) -> list[OrbitClass]:
-    """The pair classes ruled out by the obstruction."""
+    """The pair or triple classes ruled out by the obstruction."""
     return [cls for cls, verdict in _verdicts(catalog, classes) if verdict.obstructed]
 
 
-def infeasible_triple_classes(catalog, classes: Sequence[OrbitClass]) -> list[OrbitClass]:
-    """The triple classes ruled out by the obstruction."""
-    return [cls for cls, verdict in _verdicts(catalog, classes) if verdict.obstructed]
+infeasible_triple_classes = infeasible_pair_classes
 
 
 def per_type_obstructed_counts(catalog, pair_classes: Sequence[OrbitClass]) -> dict[str, int]:

@@ -455,6 +455,6 @@ def load_table(path, allow_zero: bool = False) -> Union[Table3, NonnegTable3, Ta
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DomainError(f"cannot read table {path}: {exc}") from None
     return table_from_json_obj(obj, allow_zero=allow_zero)

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from simpson3 import experiments
 from simpson3.cli import main
 
 
@@ -107,6 +108,13 @@ class TestClassify:
         assert out == ""
         assert json.loads(target.read_text())["canonicalId"] == 5
 
+    def test_unwritable_out_path_exit_code(self, capsys, example_file, tmp_path):
+        target = str(tmp_path / "missing" / "report.json")
+        code, out, err = run(capsys, "classify", example_file, "--out", target)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and target in err
+
     @pytest.mark.parametrize("tolerance", ["0", "-1", "1e-9"])
     def test_tolerance_is_not_an_option(self, capsys, example_file, tolerance):
         # exact classification has no margin, so the option was never read
@@ -114,6 +122,14 @@ class TestClassify:
             main(["classify", example_file, "--tolerance", tolerance])
         assert info.value.code == 1
         assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+
+    def test_non_utf8_input_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\x7fELF\xff\xfe\x00\x01")
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot read table")
 
 
 class TestCatalogOrbits:
@@ -247,20 +263,19 @@ class TestMonteCarlo:
         payload = json.loads(out)
         assert payload["conjecturedTargets"]["sameTriangulation"] == "17/900"
 
-    def test_workers_env_default(self, capsys, monkeypatch):
+    def test_workers_env_is_ignored(self, capsys, monkeypatch):
+        # the stream count is always declared on the command line
         monkeypatch.setenv("SIMPSON3_WORKERS", "2")
         code, out, _ = run(capsys, "reversal", "--samples", "20000")
         assert code == 0
-        assert json.loads(out)["workerCount"] == 2
+        assert json.loads(out)["workerCount"] == 1
 
-    def test_workers_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SIMPSON3_WORKERS", "2")
+    def test_workers_flag_beats_env(self, capsys):
         code, out, _ = run(capsys, "reversal", "--samples", "20000", "--workers", "3")
         assert code == 0
         assert json.loads(out)["workerCount"] == 3
 
     def test_default_ignores_cpu_count(self, capsys, monkeypatch):
-        monkeypatch.delenv("SIMPSON3_WORKERS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         _, default_out, _ = run(capsys, "reversal", "--samples", "20000")
         _, one_out, _ = run(capsys, "reversal", "--samples", "20000", "--workers", "1")
@@ -282,20 +297,20 @@ class TestMonteCarlo:
         assert "sample count must be at least 1" in err
 
     @pytest.mark.parametrize("tolerance", ["100", "inf"])
-    def test_every_sample_discarded_exit_code(self, capsys, tolerance):
-        code, out, err = run(
-            capsys, "montecarlo", "--dim", "3", "--samples", "10", "--tolerance", tolerance
+    def test_every_sample_discarded_exit_code(self, capsys, monkeypatch, tolerance):
+        # no option sets the margin, so widen it in the library: the real
+        # classifier then finds every sample within it and discards it
+        classify = experiments.classify_heights_batch
+        monkeypatch.setattr(
+            experiments,
+            "classify_heights_batch",
+            lambda h, catalog: classify(h, catalog, float(tolerance)),
         )
+        code, out, err = run(capsys, "montecarlo", "--dim", "3", "--samples", "10")
         assert code == 1
         assert "NaN" not in out
         assert err.startswith("error:")
         assert "all 10 samples were discarded" in err
-
-    def test_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("SIMPSON3_WORKERS", "many")
-        code, _, err = run(capsys, "reversal", "--samples", "1000")
-        assert code == 1
-        assert "SIMPSON3_WORKERS" in err
 
 
 # sha256 of the outputs of the earlier per-arity canonicalization: orbit
@@ -397,3 +412,53 @@ def test_negative_seed_exit_code(capsys, argv):
     assert code == 1
     assert out == ""
     assert err == "error: seed must be nonnegative, got -1\n"
+
+
+# Options that no code of their subcommand reads: argparse rejects each
+# before any table is read or sampled.
+REMOVED_OPTIONS = [
+    (("search", "--pair", "1", "2", "--samples", "10"), "unrecognized arguments: --samples"),
+    (("search", "--pair", "1", "2", "--tolerance", "1"), "unrecognized arguments: --tolerance"),
+    (("montecarlo", "--budget", "10"), "unrecognized arguments: --budget"),
+    (("montecarlo", "--tolerance", "100"), "unrecognized arguments: --tolerance"),
+    (("reversal", "--budget", "10"), "unrecognized arguments: --budget"),
+    (("reversal", "--tolerance", "100"), "unrecognized arguments: --tolerance"),
+    (("classify", "table.json", "--format", "csv"), "invalid choice: 'csv'"),
+    (("catalog", "--format", "csv"), "invalid choice: 'csv'"),
+    (("orbits", "--arity", "1", "--format", "csv"), "invalid choice: 'csv'"),
+    (("montecarlo", "--format", "csv"), "invalid choice: 'csv'"),
+    (("reversal", "--format", "csv"), "invalid choice: 'csv'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", REMOVED_OPTIONS, ids=[argv[0] + argv[-2] for argv, _ in REMOVED_OPTIONS]
+)
+def test_removed_option_is_rejected(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("catalog",),
+        ("orbits", "--arity", "1"),
+        ("feasibility", "--arity", "2"),
+        ("montecarlo", "--samples", "100"),
+        ("reversal", "--samples", "100"),
+        ("search", "--pair", "1", "2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_path_exit_code(capsys, tmp_path, argv):
+    missing = str(tmp_path / "missing")
+    code, out, err = run(capsys, *argv, "--out", os.path.join(missing, "out.txt"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert missing in err

@@ -39,8 +39,6 @@ class TestSampler:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             SamplerConfig(worker_count=0)
-        with pytest.raises(DomainError):
-            SamplerConfig(tolerance=0.0)
         with pytest.raises(DomainError, match="seed must be nonnegative, got -1"):
             SamplerConfig(seed=-1)
 
@@ -106,6 +104,13 @@ class TestEstimators:
     def test_needs_a_sample(self, estimate, count):
         with pytest.raises(DomainError, match="sample count must be at least 1"):
             estimate(SamplerConfig(seed=0), count)
+
+    def test_every_sample_discarded(self, monkeypatch):
+        monkeypatch.setattr(
+            experiments, "classify_heights_batch", lambda h, catalog: np.zeros(len(h), int)
+        )
+        with pytest.raises(DomainError, match="all 10 samples were discarded as degenerate$"):
+            estimate_3d_conversion(SamplerConfig(seed=0), 10)
 
     def test_json_payload(self):
         est = estimate_2d_reversal(SamplerConfig(seed=1), 1000)
@@ -552,15 +557,18 @@ class TestArchive:
             archive.load()
         assert len(archive.load(verify=False)) == 1
 
-    def test_corrupt_cell_names_the_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda parts: parts[:4] + ["abc"] + parts[5:], lambda parts: parts + ["1", "2"]],
+        ids=["bad-cell", "extra-cells"],
+    )
+    def test_corrupt_cell_names_the_line(self, tmp_path, corrupt):
         path = tmp_path / "pairs.csv"
         archive = WitnessArchive(path, 2)
         w = search_witness((1, 2), SamplerConfig(seed=0))
         archive.append([w, w])
         lines = path.read_text().splitlines()
-        parts = lines[2].split(",")
-        parts[4] = "abc"
-        lines[2] = ",".join(parts)
+        lines[2] = ",".join(corrupt(lines[2].split(",")))
         path.write_text("\n".join(lines) + "\n")
         for verify in (True, False):
             with pytest.raises(CatalogError, match=r"line 3: malformed witness row"):
