@@ -144,6 +144,7 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
     kind = "pair" if args.pair is not None else "triple"
     key = args.pair if args.pair is not None else args.triple
     if key is not None:
+        args.format = args.format or "json"
         verdict = obstruction_triple(*(catalog[i] for i in pad_key(key)))
         payload = {
             kind: list(key),
@@ -156,6 +157,8 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
             summary = "not obstructed"
         _emit(payload, args, summary)
         return EXIT_OK
+    if args.format not in (None, "csv"):
+        raise DomainError(f"the feasibility report is CSV; --format {args.format} does not apply")
     if args.out is None:
         raise DomainError("the feasibility report requires --out PATH")
     pair_classes = orbit_classes(2, catalog) if args.arity in (None, 2) else ()
@@ -168,10 +171,14 @@ def cmd_search(args: argparse.Namespace) -> int:
     if (args.pair is None) == (args.triple is None):
         raise DomainError("search requires exactly one of --pair or --triple")
     key = tuple(args.pair) if args.pair is not None else tuple(args.triple)
+    archive = None
+    if args.out is not None:
+        archive = WitnessArchive(args.out, len(key))
+        archive.check_directory()
     result = search_witness(key, SamplerConfig(seed=args.seed), budget=args.budget)
     if isinstance(result, Witness):
-        if args.out is not None:
-            WitnessArchive(args.out, result.arity).append([result])
+        if archive is not None:
+            archive.append([result])
         payload = {
             "status": "witness",
             "classKey": list(result.class_key),
@@ -266,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triple", nargs=3, type=int, metavar=("A", "B", "C"))
     p.add_argument("--arity", type=int, choices=(2, 3), default=None)
     _add_common(p, ("json", "csv", "text"))
-    p.set_defaults(func=cmd_feasibility)
+    # No default format: a verdict defaults to json, the report is always CSV.
+    p.set_defaults(func=cmd_feasibility, format=None)
 
     p = sub.add_parser("search", help="search an exact witness for a class key")
     p.add_argument("--pair", nargs=2, type=int, metavar=("A", "B"))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import errno
 import json
 import logging
 import os
@@ -32,12 +33,12 @@ import numpy as np
 from .errors import CatalogError, DomainError, Simpson3Error
 from .feasibility import obstruction_triple
 from .symmetry import canonical_class_of, pad_key
-from .tables import NonnegTable3, Table3, _form_sign_bits, _trusted, format_rational
+from .tables import NonnegTable3, Table3, _pair_sign_bits, _trusted, format_rational
 from .tables import table_from_json_obj
 from .triangulation import (
     FORM_MATRIX,
     Catalog,
-    classify_exact,
+    _classified,
     classify_heights_batch,
     get_catalog,
 )
@@ -284,12 +285,14 @@ class ConversionReport:
 
 
 def detect_conversion(f: Table3, g: Table3) -> ConversionReport:
-    """Classify F, G and F + G exactly and report the induced verdict."""
-    return ConversionReport(
-        id_f=classify_exact(f).canonical_id,
-        id_g=classify_exact(g).canonical_id,
-        id_sum=classify_exact(f + g).canonical_id,
-    )
+    """Classify F, G and F + G exactly and report the induced verdict.
+
+    The three are decided on one integer scale, without building F + G,
+    and raise as ``classify_exact`` would: on F, then G, then the sum.
+    """
+    catalog = get_catalog()
+    bits = _pair_sign_bits(f.entries, g.entries)
+    return ConversionReport(*(_classified(catalog, *b).canonical_id for b in bits))
 
 
 @dataclass(frozen=True)
@@ -350,16 +353,14 @@ def _normalize_key(class_key: Sequence[int], arity: int, catalog: Catalog) -> tu
     return canonical_class_of(key, catalog)
 
 
-def _hinge_rows(
-    h: np.ndarray, sign: np.ndarray, need: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _hinge_rows(h: np.ndarray, sign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Which rows have zero squared hinge on the membership margins of F, G
     and F + G, and the hinge's gradient, for many rows at once.
 
     Column ``r`` of ``h`` (16, n) stacks the log entries of F and G.
     ``sign`` (20, 3, n) orients each form for the row's constraints on F, G
-    and the sum (0 on other forms); ``need`` (20, 3, n) is the margin each
-    must reach (``-inf`` on other forms).  The loss is smooth and vanishes
+    and the sum, which must reach ``_OPT_MARGIN``; it is 0 on other forms,
+    so their gaps vanish.  The loss is smooth and vanishes
     exactly on the open witness region with margin to spare.  The form
     values are one product by ``FORM_MATRIX``, the gradient one by
     ``-2 FORM_MATRIX.T``: with coefficients in {0, ±1, ±2} every term is
@@ -373,12 +374,12 @@ def _hinge_rows(
     parts = np.empty((8, 3, h.shape[1]))
     parts[:, 0], parts[:, 1] = hf, hg
     np.add(hf, np.log1p(ratio), out=parts[:, 2])
-    # The gaps max(need - sign * value, 0), in place, then signed again.
+    # The signed gaps max(margin - sign * value, 0) * sign, in place.
     gap = np.matmul(FORM_MATRIX, parts.reshape(8, -1)).reshape(20, 3, -1)
     gap *= sign
-    np.maximum(np.subtract(need, gap, out=gap), 0.0, out=gap)
-    zero = ~gap.reshape(60, -1).any(axis=0)
+    np.maximum(np.subtract(_OPT_MARGIN, gap, out=gap), 0.0, out=gap)
     gap *= sign
+    zero = ~gap.reshape(60, -1).any(axis=0)
     grads = np.matmul(_FORM_GRAD, gap.reshape(20, -1)).reshape(8, 3, -1)
     shared = grads[:, 2] * (1.0 / (1.0 + ratio))
     return zero, np.concatenate([grads[:, 0] + shared, grads[:, 1] + grads[:, 2] - shared])
@@ -401,9 +402,9 @@ class _Descent:
     so that its evaluations (one per row-iteration) never pass the budget;
     a wave starts only when the class's previous one ended without a
     witness.  Rows wait in a queue and run as the columns of a pool of at
-    most ``_OPT_BLOCK``, each at its own iteration.  A column's sign and
-    margin on each of the 20 forms, for F, G and the sum, are gathered as
-    it enters the pool, so a step is one ``_hinge_rows`` call on the pool.
+    most ``_OPT_BLOCK``, each at its own iteration.  A column's sign on
+    each of the 20 forms, for F, G and the sum, is gathered as it enters
+    the pool, so a step is one ``_hinge_rows`` call on the pool.
     A row retires at zero loss, where its point is verified exactly, or at
     its limit.  A class's witness is the verified zero-loss point of lowest
     (iteration, restart), and a row stops once it can no longer beat the
@@ -414,13 +415,11 @@ class _Descent:
     def __init__(
         self,
         sign: np.ndarray,
-        need: np.ndarray,
         keys: list[tuple[int, ...]],
         budget: int,
         seed: int,
     ) -> None:
         self.sign_table = np.ascontiguousarray(sign.T)
-        self.need_table = np.ascontiguousarray(need.T)
         self.keys, self.budget = keys, budget
         self.ids = np.array([pad_key(key) for key in keys], dtype=np.intp).reshape(-1, 3)
         self.rngs = [
@@ -444,7 +443,7 @@ class _Descent:
         empty = np.zeros(0, dtype=np.int64)
         self.cls, self.restart, self.limit, self.t = empty, empty, empty, empty
         self.h = self.m = self.v = np.zeros((16, 0))
-        self.sign = self.need = np.zeros((20, 3, 0))
+        self.sign = np.zeros((20, 3, 0))
         self.live = np.zeros(0, dtype=bool)
 
     def run(self) -> list[tuple[Witness | None, int]]:
@@ -505,15 +504,13 @@ class _Descent:
             ("v", zeros),
         ):
             setattr(self, name, np.concatenate([getattr(self, name)[..., keep], fresh], axis=-1))
-        ids = self.ids[self.cls].T
-        self.sign = np.take(self.sign_table, ids, axis=-1)
-        self.need = np.take(self.need_table, ids, axis=-1)
+        self.sign = np.take(self.sign_table, self.ids[self.cls].T, axis=-1)
         self.live = np.ones(len(self.cls), dtype=bool)
         self._cap()
 
     def _step(self) -> None:
         """One evaluation and one Adam step on every pool column."""
-        zero, grad = _hinge_rows(self.h, self.sign, self.need)
+        zero, grad = _hinge_rows(self.h, self.sign)
         cls, restart, t = self.cls, self.restart, self.t
         zero &= self.live
         hits = np.flatnonzero(zero)
@@ -565,15 +562,15 @@ class _Descent:
 
 def _verified(key: tuple[int, ...], x: np.ndarray) -> Witness | None:
     """The exact witness at log point ``x``, if it verifies: the ids that
-    ``Witness.verify`` finds, decided on the entries as integers over their
-    largest power-of-two denominator (the forms are homogeneous)."""
+    ``Witness.verify`` finds, through the same pair path, on the entries as
+    integers over their largest power-of-two denominator (the forms are
+    homogeneous), so no ``Fraction`` is built for a point that fails."""
     # A contiguous copy: exp of a strided view may take another code path.
     ratios = [e.as_integer_ratio() for e in np.exp(np.array(x)).tolist()]
     scale = max(d for _, d in ratios)
     ints = [p * (scale // d) for p, d in ratios]
-    f, g = ints[:8], ints[8:]
     catalog = get_catalog()
-    signs = (_form_sign_bits(t) for t in (f, g, [a + b for a, b in zip(f, g)]))
+    signs = _pair_sign_bits(ints[:8], ints[8:])
     if tuple(catalog.resolve_signs(*bits) for bits in signs) != pad_key(key):
         return None
     entries = tuple(Fraction(p, d) for p, d in ratios)
@@ -599,7 +596,7 @@ class ConversionSearch:
     def __init__(self, config: SamplerConfig, catalog: Catalog | None = None) -> None:
         self.config = config
         self.catalog = catalog if catalog is not None else get_catalog()
-        self._table: tuple[np.ndarray, np.ndarray] | None = None
+        self._table: np.ndarray | None = None
 
     def ensure_pools(self, ids: Iterable[int], count: int | None = None) -> None:
         """Deprecated no-op: the search keeps no sample pools."""
@@ -609,20 +606,16 @@ class ConversionSearch:
             stacklevel=2,
         )
 
-    def _constraint_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Two (75, 20) tables over the forms: each id's constraint signs,
-        ±1 so that membership reads as > 0 and 0 on the other forms; and
-        the margin each form must reach, ``-inf`` off the constraints and
+    def _constraint_table(self) -> np.ndarray:
+        """The (75, 20) table of each id's constraint signs over the forms:
+        ±1 so that membership reads as > 0, and 0 on the other forms and
         on the unused id 0, so that such a form is never active."""
         if self._table is None:
             masks, vals = self.catalog.constraint_masks, self.catalog.constraint_vals
             bits = 1 << np.arange(len(FORM_MATRIX))
             used = (masks[:, None] & bits) != 0
-            sign = np.zeros((len(masks) + 1, len(bits)))
-            sign[1:] = np.where(vals[:, None] & bits, 1.0, -1.0) * used
-            need = np.full(sign.shape, -np.inf)
-            need[1:][used] = _OPT_MARGIN
-            self._table = (sign, need)
+            self._table = np.zeros((len(masks) + 1, len(bits)))
+            self._table[1:] = np.where(vals[:, None] & bits, 1.0, -1.0) * used
         return self._table
 
     def _descend(
@@ -631,8 +624,7 @@ class ConversionSearch:
         """Each key's witness or None, and the evaluations it spent."""
         if budget < 1:
             raise DomainError(f"budget must be at least 1, got {budget}")
-        sign, need = self._constraint_table()
-        return _Descent(sign, need, keys, budget, self.config.seed).run()
+        return _Descent(self._constraint_table(), keys, budget, self.config.seed).run()
 
     def _optimize_key(self, key: tuple[int, ...], budget: int) -> tuple[Witness | None, int]:
         """One class through the descent: its witness or None, and the
@@ -722,6 +714,7 @@ class WitnessArchive:
         self.path = os.fspath(path)
         self.arity = arity
         self.columns = _archive_columns(arity)
+        self.directory = os.path.dirname(os.path.abspath(self.path)) or "."
 
     def _witness_row(self, witness: Witness) -> list[str]:
         if witness.arity != self.arity:
@@ -734,6 +727,15 @@ class WitnessArchive:
         row.append(witness.verified_at)
         return row
 
+    def check_directory(self) -> None:
+        """Raise OSError unless the archive's directory exists, so that a
+        missing one is found before a search runs rather than after."""
+        if not os.path.isdir(self.directory):
+            raise OSError(
+                errno.ENOENT,
+                f"cannot write witness archive {self.path}: no directory {self.directory}",
+            )
+
     def append(self, witnesses: Iterable[Witness]) -> None:
         """Atomically rewrite the archive with the new witnesses added."""
         rows = [self._witness_row(w) for w in witnesses]
@@ -745,8 +747,12 @@ class WitnessArchive:
                 if header is not None and header != self.columns:
                     raise DomainError(f"unexpected archive header in {self.path}")
                 existing = [line for line in reader if line]
-        directory = os.path.dirname(os.path.abspath(self.path)) or "."
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            fd, tmp_path = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        except OSError as exc:
+            raise OSError(
+                exc.errno, f"cannot write witness archive {self.path}: {exc.strerror}"
+            ) from None
         try:
             with os.fdopen(fd, "w", newline="") as handle:
                 writer = csv.writer(handle)

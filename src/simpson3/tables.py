@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import DomainError
 
@@ -127,30 +128,81 @@ _FIVE_TERM = tuple((1 << i, *_monomials(c)) for i, c in enumerate(FORM_COEFFS[12
 _FORM_POSITION = {c: i for i, c in enumerate(FORM_COEFFS)}
 
 
+def _compile_sign_kernel() -> Callable[..., tuple[int, int]]:
+    """The 20 monomial comparisons as one straight-line function of the 8
+    integer entries ``n0..n7``, returning ``(pos_bits, neg_bits)``.
+
+    The source is generated from ``_FOUR_TERM`` and ``_FIVE_TERM``, so
+    ``FORM_COEFFS`` stays the only statement of the forms.  Each form
+    compares its two monomials directly; a monomial that several forms
+    share is multiplied out once, a degree-3 one from its degree-2 prefix.
+    """
+    lines = ["pos = neg = 0"]
+    names: dict[tuple[int, ...], str] = {}
+
+    def monomial(vertices: Sequence[int]) -> str:
+        key = tuple(sorted(vertices))
+        if len(key) == 1:
+            return f"n{key[0]}"
+        if key not in names:
+            prefix = monomial(key[:-1])
+            names[key] = "m" + "".join(map(str, key))
+            lines.append(f"{names[key]} = {prefix} * n{key[-1]}")
+        return names[key]
+
+    for bit, *vertices in _FOUR_TERM + _FIVE_TERM:
+        half = len(vertices) // 2
+        x, y = monomial(vertices[:half]), monomial(vertices[half:])
+        lines += [f"if {x} > {y}:", f"    pos |= {bit}", f"elif {x} < {y}:", f"    neg |= {bit}"]
+    lines.append("return pos, neg")
+    args = ", ".join(f"n{v}" for v in VERTICES)
+    source = f"def _int_sign_bits({args}):\n" + "".join(f"    {line}\n" for line in lines)
+    namespace: dict = {}
+    exec(compile(source, "<simpson3.tables sign kernel>", "exec"), namespace)
+    return namespace["_int_sign_bits"]
+
+
+_int_sign_bits = _compile_sign_kernel()
+
+
+def _integers(entries: Sequence[Rational]) -> list[int]:
+    """The entries times the least common multiple of their denominators.
+
+    Every form is homogeneous, so its signs on these integers are its signs
+    on the entries.
+    """
+    nums = [e.numerator for e in entries]
+    dens = [e.denominator for e in entries]
+    if dens.count(1) == len(dens):
+        return nums
+    scale = math.lcm(*dens)
+    return [n * (scale // d) for n, d in zip(nums, dens)]
+
+
 def _form_sign_bits(entries: Sequence[Rational]) -> tuple[int, int]:
     """Exact signs of the 20 forms as ``(pos_bits, neg_bits)``: bit i is set
     in the first when form i is positive, in the second when it is negative.
+    Each sign is an integer comparison of two monomials in the entries over
+    their common denominator."""
+    return _int_sign_bits(*_integers(entries))
 
-    Every form is homogeneous, so the entries are scaled once by the least
-    common multiple of their denominators and each sign is an integer
-    comparison of two monomials.
+
+def _pair_sign_bits(
+    f: Sequence[Rational], g: Sequence[Rational]
+) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
+    """``_form_sign_bits`` of F, G and F + G, from one integer scale.
+
+    The entries of both tables are cleared over one common denominator L;
+    the forms are homogeneous, so (F + G)·L = F·L + G·L decides the sum
+    without building it.
     """
-    scale = math.lcm(*(e.denominator for e in entries))
-    n = [e.numerator * (scale // e.denominator) for e in entries]
-    pos = neg = 0
-    for bit, a, b, c, d in _FOUR_TERM:
-        diff = n[a] * n[b] - n[c] * n[d]
-        if diff > 0:
-            pos |= bit
-        elif diff < 0:
-            neg |= bit
-    for bit, a, b, c, d, e, f in _FIVE_TERM:
-        diff = n[a] * n[b] * n[c] - n[d] * n[e] * n[f]
-        if diff > 0:
-            pos |= bit
-        elif diff < 0:
-            neg |= bit
-    return pos, neg
+    ints = _integers([*f, *g])
+    nf, ng = ints[:VERTEX_COUNT], ints[VERTEX_COUNT:]
+    return (
+        _int_sign_bits(*nf),
+        _int_sign_bits(*ng),
+        _int_sign_bits(*map(operator.add, nf, ng)),
+    )
 
 
 def sign_of_form(coeffs: Sequence[int], entries: Sequence[Rational]) -> int:
@@ -198,7 +250,12 @@ class Table3:
     entries: tuple[Fraction, ...]
 
     def __init__(self, entries: Iterable[Rational]):
-        vals = tuple(_to_fraction(e, "Table3") for e in entries)
+        vals = tuple(entries)
+        if len(vals) == VERTEX_COUNT and all(type(e) is int and e > 0 for e in vals):
+            # Counts, the common input: valid as they stand.
+            object.__setattr__(self, "entries", tuple(map(Fraction, vals)))
+            return
+        vals = tuple(_to_fraction(e, "Table3") for e in vals)
         if len(vals) != VERTEX_COUNT:
             raise DomainError(f"Table3 needs {VERTEX_COUNT} entries, got {len(vals)}")
         for v in vals:

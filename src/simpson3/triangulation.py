@@ -482,13 +482,10 @@ def get_catalog() -> Catalog:
 # Classification
 
 
-def classify_exact(table: Table3, catalog: Catalog | None = None) -> Triangulation:
-    """The triangulation induced by a strictly positive table, decided by the
-    exact signs of the 20 forms.  Raises DegenerateTable when a vanishing sign
-    prevents any constraint set from being strictly satisfied."""
-    if catalog is None:
-        catalog = get_catalog()
-    pos, neg = _form_sign_bits(table.entries)
+def _classified(catalog: Catalog, pos: int, neg: int) -> Triangulation:
+    """The entry whose constraint set the exact sign bits strictly satisfy.
+    Raises DegenerateTable when a vanishing sign prevents any constraint
+    set from being strictly satisfied."""
     found = catalog.resolve_signs(pos, neg)
     if found:
         return catalog.entries[found - 1]
@@ -497,6 +494,15 @@ def classify_exact(table: Table3, catalog: Catalog | None = None) -> Triangulati
     if pos | neg != _ALL_FORMS:
         raise DegenerateTable("a relevant form vanishes; no triangulation induced")
     raise CatalogError("nonzero sign vector matches no constraint set")
+
+
+def classify_exact(table: Table3, catalog: Catalog | None = None) -> Triangulation:
+    """The triangulation induced by a strictly positive table, decided by the
+    exact signs of the 20 forms.  Raises DegenerateTable when a vanishing sign
+    prevents any constraint set from being strictly satisfied."""
+    if catalog is None:
+        catalog = get_catalog()
+    return _classified(catalog, *_form_sign_bits(table.entries))
 
 
 def _check_tolerance(tolerance: float) -> None:

@@ -238,29 +238,36 @@ def test_criterion_7_oracle_agreement(acceptance, catalog):
     )
 
 
+def _gathered(tables, home):
+    """Each table's rows read from their home vertex, one row of the result
+    per vertex offset: ``out[d, r]`` is the entry of row ``r`` at vertex
+    ``home[r] ^ d``, so flipping coordinates is an xor of the offset."""
+    width = tables[0].shape[1]
+    index = (home ^ np.arange(width)[:, None]) + width * np.arange(len(home))
+    return [np.take(t, index) for t in tables]
+
+
 def _lemma1_batch(rng, batch):
     f = rng.integers(1, 1000, (batch, 4)).astype(np.int64)
     g = rng.integers(1, 1000, (batch, 4)).astype(np.int64)
     s = f + g
     x = rng.integers(0, 2, batch)
     y = rng.integers(0, 2, batch)
-    rows = np.arange(batch)
-    i_xy = 2 * x + y
-    i_ay = 2 * (1 - x) + y
-    i_xb = 2 * x + (1 - y)
-    i_ab = 2 * (1 - x) + (1 - y)
+    home = 2 * x + y
+    # offsets: 0 the home cell xy, 1 the cell x(1-y), 2 (1-x)y, 3 (1-x)(1-y)
+    f0, g0, s0 = _gathered((f, g, s), home)
 
     def diag(t):
-        return t[rows, i_ay] * t[rows, i_xb], t[rows, i_xy] * t[rows, i_ab]
+        return t[2] * t[1], t[0] * t[3]
 
-    fa, fm = diag(f)
-    ga, gm = diag(g)
-    sa, sm = diag(s)
+    fa, fm = diag(f0)
+    ga, gm = diag(g0)
+    sa, sm = diag(s0)
     hyp = (fa < fm) & (ga < gm) & (sa > sm)
-    p = f[rows, i_ay] * g[rows, i_xy] - f[rows, i_xy] * g[rows, i_ay]
-    q = f[rows, i_xb] * g[rows, i_xy] - f[rows, i_xy] * g[rows, i_xb]
+    p = f0[2] * g0[0] - f0[0] * g0[2]
+    q = f0[1] * g0[0] - f0[0] * g0[1]
     conclusion = ((p > 0) & (q < 0)) != ((p < 0) & (q > 0))
-    sample = (f, g, 2 * x + y)
+    sample = (f, g, home)
     return hyp, hyp & ~conclusion, sample
 
 
@@ -271,23 +278,17 @@ def _lemma_3d_batch(rng, batch, lemma):
     x = rng.integers(0, 2, batch)
     y = rng.integers(0, 2, batch)
     z = rng.integers(0, 2, batch)
-    rows = np.arange(batch)
-
-    def idx(dx, dy, dz):
-        return 4 * (x ^ dx) + 2 * (y ^ dy) + (z ^ dz)
+    home = 4 * x + 2 * y + z
 
     def facets(t):
         # facet order: z fixed, y fixed, x fixed; (anti, main) products
-        home = t[rows, idx(0, 0, 0)]
         return (
-            (t[rows, idx(1, 0, 0)] * t[rows, idx(0, 1, 0)], home * t[rows, idx(1, 1, 0)]),
-            (t[rows, idx(1, 0, 0)] * t[rows, idx(0, 0, 1)], home * t[rows, idx(1, 0, 1)]),
-            (t[rows, idx(0, 1, 0)] * t[rows, idx(0, 0, 1)], home * t[rows, idx(0, 1, 1)]),
+            (t[4] * t[2], t[0] * t[6]),
+            (t[4] * t[1], t[0] * t[5]),
+            (t[2] * t[1], t[0] * t[3]),
         )
 
-    ff = facets(f)
-    gg = facets(g)
-    ss = facets(s)
+    ff, gg, ss = (facets(t) for t in _gathered((f, g, s), home))
     if lemma == 2:
         hyp = np.ones(batch, dtype=bool)
         for anti, main in ff + gg:
@@ -303,7 +304,7 @@ def _lemma_3d_batch(rng, batch, lemma):
         for (anti, main), w in zip(gg, want):
             hyp &= (anti < main) == w
         forbidden = (ss[0][0] > ss[0][1]) & (ss[1][0] < ss[1][1]) & (ss[2][0] < ss[2][1])
-    sample = (f, g, 4 * x + 2 * y + z)
+    sample = (f, g, home)
     return hyp, hyp & forbidden, sample
 
 

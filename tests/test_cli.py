@@ -176,6 +176,17 @@ class TestFeasibility:
         assert len(rows) == 167
         assert sum(1 for r in rows if r["obstructed"] == "true") == 55
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_report_rejects_a_non_csv_format(self, capsys, tmp_path, fmt):
+        target = tmp_path / "r.json"
+        code, out, err = run(
+            capsys, "feasibility", "--arity", "2", "--format", fmt, "--out", str(target)
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: the feasibility report is CSV; --format {fmt} does not apply\n"
+        assert not target.exists()
+
     def test_report_requires_out(self, capsys):
         code, _, err = run(capsys, "feasibility", "--arity", "2")
         assert code == 1
@@ -208,6 +219,18 @@ class TestSearch:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert rows[0]["classA"] == "1"
+
+    def test_out_directory_checked_before_the_search(self, capsys, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr("simpson3.cli.search_witness", never)
+        target = os.path.join(str(tmp_path / "missing"), "w.csv")
+        code, out, err = run(capsys, "search", "--pair", "1", "2", "--out", target)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert f"cannot write witness archive {target}:" in err
 
     def test_obstructed_exit_code(self, capsys):
         code, _, err = run(capsys, "search", "--pair", "16", "1")

@@ -368,9 +368,15 @@ def gathered_hinge(h, cons, need):
     return loss, np.concatenate([grads[:, 0] + shared, grads[:, 1] + grads[:, 2] - shared])
 
 
-def kernel_inputs(sign, need, ids):
-    """The per-column sign and margin arrays the descent gathers for ids (3, n)."""
-    return np.take(sign.T, ids, axis=-1), np.take(need.T, ids, axis=-1)
+def required_margins(sign):
+    """The margin each id's form must reach: ``_OPT_MARGIN`` on its
+    constraints, ``-inf`` elsewhere, so that such a form is never active."""
+    return np.where(sign != 0, experiments._OPT_MARGIN, -np.inf)
+
+
+def kernel_signs(sign, ids):
+    """The per-column sign array the descent gathers for ids (3, n)."""
+    return np.take(sign.T, ids, axis=-1)
 
 
 def witness_row(key):
@@ -398,25 +404,22 @@ def near_margin_rows(sign, need, ids, h, rng):
 
 class TestDescent:
     def test_constraint_table(self, catalog):
-        sign, need = ConversionSearch(SamplerConfig(), catalog)._constraint_table()
-        assert sign.shape == need.shape == (75, 20)
-        assert not sign[0].any() and np.isneginf(need[0]).all()
+        sign = ConversionSearch(SamplerConfig(), catalog)._constraint_table()
+        assert sign.shape == (75, 20)
+        assert not sign[0].any()
         for tid in range(1, 75):
             expected = np.zeros(20)
             for letter, s in catalog[tid].constraints:
                 expected[FORM_INDEX[letter]] = s
             assert np.array_equal(sign[tid], expected)
-            used = expected != 0
-            assert (need[tid][used] == experiments._OPT_MARGIN).all()
-            assert np.isneginf(need[tid][~used]).all()
 
     def test_rows_match_the_reference(self, catalog):
-        sign, need = ConversionSearch(SamplerConfig(), catalog)._constraint_table()
+        sign = ConversionSearch(SamplerConfig(), catalog)._constraint_table()
         rng = np.random.default_rng(3)
         ids = rng.integers(1, 75, (3, 50))
         h = rng.normal(0.0, 3.0, (16, 50))
         ids[:, 0], h[:, 0] = witness_row((1, 3, 5))
-        zero, grad = experiments._hinge_rows(h, *kernel_inputs(sign, need, ids))
+        zero, grad = experiments._hinge_rows(h, kernel_signs(sign, ids))
         assert zero[0] and not grad[:, 0].any()
         for r in range(50):
             rows = [(FORM_MATRIX * sign[i, :, None])[sign[i] != 0] for i in ids[:, r]]
@@ -426,7 +429,8 @@ class TestDescent:
 
     @pytest.mark.parametrize("rows", ["random", "witness", "near margin"])
     def test_gradient_equals_the_gathered_kernel(self, catalog, rows):
-        sign, need = ConversionSearch(SamplerConfig(), catalog)._constraint_table()
+        sign = ConversionSearch(SamplerConfig(), catalog)._constraint_table()
+        need = required_margins(sign)
         rng = np.random.default_rng(11)
         n = 200
         ids = rng.integers(1, 75, (3, n))
@@ -440,7 +444,7 @@ class TestDescent:
         cons = np.ascontiguousarray(table.transpose(2, 1, 0))[..., ids]
         req = np.ascontiguousarray(margins.T)[:, ids]
         loss, expected = gathered_hinge(h, cons, req)
-        zero, grad = experiments._hinge_rows(h, *kernel_inputs(sign, need, ids))
+        zero, grad = experiments._hinge_rows(h, kernel_signs(sign, ids))
         assert np.array_equal(zero, loss == 0.0)
         assert np.array_equal(grad, expected)
         if rows == "witness":
@@ -573,6 +577,17 @@ class TestArchive:
         for verify in (True, False):
             with pytest.raises(CatalogError, match=r"line 3: malformed witness row"):
                 archive.load(verify=verify)
+
+    def test_unwritable_directory_names_the_archive(self, tmp_path):
+        path = str(tmp_path / "missing" / "w.csv")
+        archive = WitnessArchive(path, 2)
+        with pytest.raises(OSError, match=f"cannot write witness archive {path}:"):
+            archive.check_directory()
+        witness = Witness((1, 2), Table3([1] * 8), Table3([1] * 8), "")
+        with pytest.raises(OSError) as info:
+            archive.append([witness])
+        assert f"cannot write witness archive {path}:" in str(info.value)
+        assert ".tmp" not in str(info.value)
 
     def test_missing_file_loads_empty(self, tmp_path):
         assert WitnessArchive(tmp_path / "none.csv", 2).load() == []

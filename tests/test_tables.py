@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,12 @@ from simpson3.tables import (
     FORM_COEFFS,
     FORM_INDEX,
     FORM_LETTERS,
+    _FIVE_TERM,
+    _FOUR_TERM,
+    _form_sign_bits,
+    _int_sign_bits,
+    _pair_sign_bits,
+    VERTICES,
     antipode,
     face_diagonal_pair,
     face_vertices,
@@ -173,6 +180,77 @@ class TestSignKernelProperties:
         assert eval_form_signs(table.scaled(factor)) == eval_form_signs(table)
 
 
+def loop_sign_bits(entries):
+    """The sign kernel as a loop over the monomial tuples: each sign is the
+    sign of the difference of two monomials in the cleared entries."""
+    scale = math.lcm(*(e.denominator for e in entries))
+    n = [e.numerator * (scale // e.denominator) for e in entries]
+    pos = neg = 0
+    for bit, a, b, c, d in _FOUR_TERM:
+        diff = n[a] * n[b] - n[c] * n[d]
+        if diff > 0:
+            pos |= bit
+        elif diff < 0:
+            neg |= bit
+    for bit, a, b, c, d, e, f in _FIVE_TERM:
+        diff = n[a] * n[b] * n[c] - n[d] * n[e] * n[f]
+        if diff > 0:
+            pos |= bit
+        elif diff < 0:
+            neg |= bit
+    return pos, neg
+
+
+# Entries that stress the compiled kernel: wide counts, ties, integers past
+# 64 bits, mixed denominators, and tables scaled by 10^300 or 10^-300.
+kernel_entries = st.one_of(
+    _eight(st.integers(1, 10**6)),
+    _eight(st.integers(1, 5)),
+    _eight(st.integers(2**64, 2**64 + 5)),
+    _eight(st.integers(1, 2**200)),
+    _eight(st.one_of(st.integers(1, 9), st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)))),
+    _eight(positive_rationals),
+)
+huge_scales = st.sampled_from([Fraction(10) ** 300, Fraction(1, 10**300), Fraction(3, 10**300)])
+
+
+class TestCompiledKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(entries=kernel_entries)
+    def test_equals_the_loop_reference(self, entries):
+        table = Table3(entries)
+        expected = loop_sign_bits(table.entries)
+        assert _form_sign_bits(table.entries) == expected
+        assert _form_sign_bits(entries) == expected
+        assert expected == loop_sign_bits([Fraction(e) for e in entries])
+
+    @settings(max_examples=200, deadline=None)
+    @given(entries=kernel_entries, factor=huge_scales)
+    def test_equals_the_loop_reference_at_huge_scales(self, entries, factor):
+        table = Table3(entries)
+        scaled = table.scaled(factor)
+        expected = loop_sign_bits(scaled.entries)
+        assert _form_sign_bits(scaled.entries) == expected == loop_sign_bits(table.entries)
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=kernel_entries, g=kernel_entries)
+    def test_pair_bits_equal_three_kernel_calls(self, f, g):
+        f, g = Table3(f), Table3(g)
+        expected = tuple(loop_sign_bits(t.entries) for t in (f, g, f + g))
+        assert _pair_sign_bits(f.entries, g.entries) == expected
+
+    def test_every_form_compares_its_own_monomials(self):
+        # Raising one entry by a factor moves exactly the forms in which
+        # that vertex has a nonzero coefficient, in the coefficient's
+        # direction, from a tie.
+        for v in VERTICES:
+            entries = [1] * 8
+            entries[v] = 2
+            pos, neg = _int_sign_bits(*entries)
+            for i, coeffs in enumerate(FORM_COEFFS):
+                assert (pos >> i & 1) - (neg >> i & 1) == (coeffs[v] > 0) - (coeffs[v] < 0)
+
+
 class TestTables:
     def test_positivity_enforced(self):
         with pytest.raises(DomainError):
@@ -304,6 +382,42 @@ class TestDerivedTables:
         with pytest.raises(DomainError) as info:
             cls(entries)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([1] * 7 + [True], "Table3: boolean is not a table entry"),
+            ([True] * 8, "Table3: boolean is not a table entry"),
+            ([1] * 7 + [np.int64(1)], "Table3: entries must be exact rationals, got int64"),
+            ([1] * 7 + [1.0], "Table3: entries must be exact rationals, got float"),
+            ([1] * 7 + [0], "Table3 entries must be strictly positive"),
+            ([1] * 7 + [-1], "Table3 entries must be strictly positive"),
+            # the count is checked before positivity
+            ([-1] * 7, "Table3 needs 8 entries, got 7"),
+            ([0] * 9, "Table3 needs 8 entries, got 9"),
+            ([1] * 9, "Table3 needs 8 entries, got 9"),
+        ],
+    )
+    def test_int_inputs_off_the_count_path(self, entries, message):
+        # Eight positive ints take the constructor's short path; every
+        # other input is checked entry by entry, in the same order as ever.
+        with pytest.raises(DomainError) as info:
+            Table3(entries)
+        assert str(info.value) == message
+        with pytest.raises(DomainError) as info:
+            Table3(iter(entries))
+        assert str(info.value) == message
+
+    def test_counts_become_fractions(self):
+        class Count(int):
+            pass
+
+        for entries in ([3, 1, 4, 1, 5, 9, 2, 6], [2**70] * 8, [Count(7)] * 8):
+            for source in (entries, iter(entries), tuple(entries)):
+                table = Table3(source)
+                _assert_exact(table, Table3)
+                assert table.entries == tuple(Fraction(e) for e in entries)
+                assert table == Table3([Fraction(e) for e in entries])
 
     @pytest.mark.parametrize(
         "bad, message",

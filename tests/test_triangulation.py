@@ -12,12 +12,14 @@ from simpson3 import (
     DomainError,
     Table3,
     Tetrahedron,
+    Triangulation,
     catalog_from_json_obj,
     catalog_to_json_obj,
     classify_exact,
     classify_float_oracle,
     classify_heights_batch,
     derive_constraints,
+    detect_conversion,
     enumerate_triangulations,
     get_catalog,
 )
@@ -272,6 +274,70 @@ STORED_KEYS = [
     "orbitRep",
     "orbitMembers",
 ]
+
+
+def _outcome(classify):
+    """What a classification returns, or the type and message it raises."""
+    try:
+        return classify()
+    except (DegenerateTable, CatalogError) as exc:
+        return type(exc), str(exc)
+
+
+_summand = st.one_of(
+    st.lists(st.integers(1, 10**6), min_size=8, max_size=8),
+    st.lists(st.integers(1, 5), min_size=8, max_size=8),
+    st.lists(
+        st.one_of(st.integers(1, 9), st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))),
+        min_size=8,
+        max_size=8,
+    ),
+)
+
+
+@st.composite
+def _table_pairs(draw):
+    """F and G, drawn apart or so that F + G = 101 T for a tied table T
+    (entries 1..5), whose forms partly or wholly vanish."""
+    if draw(st.booleans()):
+        return Table3(draw(_summand)), Table3(draw(_summand))
+    f = draw(st.lists(st.integers(1, 100), min_size=8, max_size=8))
+    tied = draw(st.lists(st.integers(1, 5), min_size=8, max_size=8))
+    return Table3(f), Table3([101 * t - x for t, x in zip(tied, f)])
+
+
+class TestPairPath:
+    @settings(max_examples=400, deadline=None)
+    @given(pair=_table_pairs())
+    def test_equals_classify_exact_on_f_g_and_the_sum(self, catalog, pair):
+        f, g = pair
+        expected = []
+        for table in (f, g, f + g):
+            found = _outcome(lambda: classify_exact(table, catalog))
+            if not isinstance(found, Triangulation):
+                expected = found
+                break
+            expected.append(found)
+        else:
+            expected = tuple(t.canonical_id for t in expected)
+        report = _outcome(lambda: detect_conversion(f, g))
+        if isinstance(report, tuple):
+            assert report == expected
+        else:
+            assert (report.id_f, report.id_g, report.id_sum) == expected
+
+    @pytest.mark.parametrize(
+        "f, g, message",
+        [
+            ([1] * 8, [1, 2, 3, 4, 5, 6, 7, 9], "all forms vanish"),
+            ([1, 2, 3, 4, 5, 6, 7, 9], [1, 1, 1, 1, 1, 1, 1, 2], "a relevant form vanishes"),
+            ([3, 1, 4, 1, 5, 9, 2, 6], [98, 100, 97, 100, 96, 92, 99, 95], "all forms vanish"),
+        ],
+        ids=["f", "g", "sum"],
+    )
+    def test_degenerate_part_raises_as_classify_exact(self, catalog, f, g, message):
+        with pytest.raises(DegenerateTable, match=message):
+            detect_conversion(Table3(f), Table3(g))
 
 
 class TestSerialization:
