@@ -33,7 +33,7 @@ import numpy as np
 from .errors import CatalogError, DomainError, Simpson3Error
 from .feasibility import obstruction_triple
 from .symmetry import canonical_class_of, pad_key
-from .tables import NonnegTable3, Table3, _pair_sign_bits, _trusted, format_rational
+from .tables import NonnegTable3, Table3, _pair_sign_bits, _table3, format_rational
 from .tables import table_from_json_obj
 from .triangulation import (
     FORM_MATRIX,
@@ -291,7 +291,7 @@ def detect_conversion(f: Table3, g: Table3) -> ConversionReport:
     and raise as ``classify_exact`` would: on F, then G, then the sum.
     """
     catalog = get_catalog()
-    bits = _pair_sign_bits(f.entries, g.entries)
+    bits = _pair_sign_bits(f, g)
     return ConversionReport(*(_classified(catalog, *b).canonical_id for b in bits))
 
 
@@ -562,19 +562,19 @@ class _Descent:
 
 def _verified(key: tuple[int, ...], x: np.ndarray) -> Witness | None:
     """The exact witness at log point ``x``, if it verifies: the ids that
-    ``Witness.verify`` finds, through the same pair path, on the entries as
-    integers over their largest power-of-two denominator (the forms are
-    homogeneous), so no ``Fraction`` is built for a point that fails."""
+    ``Witness.verify`` finds, through the same pair path.  The tables are
+    the entries as integers over their largest power-of-two denominator,
+    reduced to lowest terms, so no ``Fraction`` is built."""
     # A contiguous copy: exp of a strided view may take another code path.
     ratios = [e.as_integer_ratio() for e in np.exp(np.array(x)).tolist()]
     scale = max(d for _, d in ratios)
     ints = [p * (scale // d) for p, d in ratios]
+    f, g = _table3(ints[:8], scale), _table3(ints[8:], scale)
     catalog = get_catalog()
-    signs = _pair_sign_bits(ints[:8], ints[8:])
+    signs = _pair_sign_bits(f, g)
     if tuple(catalog.resolve_signs(*bits) for bits in signs) != pad_key(key):
         return None
-    entries = tuple(Fraction(p, d) for p, d in ratios)
-    return Witness(key, _trusted(Table3, entries[:8]), _trusted(Table3, entries[8:]), _timestamp())
+    return Witness(key, f, g, _timestamp())
 
 
 class ConversionSearch:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import triangulation  # imports this module too; each uses the other only in calls
 from .errors import DomainError
-from .tables import NonnegTable3, Table3, VERTICES, _trusted, vertex_bits
+from .tables import NonnegTable3, Table3, VERTICES, _table3, vertex_bits
 
 
 @dataclass(frozen=True)
@@ -87,13 +87,16 @@ _TABLE_GATHER = tuple(operator.itemgetter(*VERTEX_MAPS[s]) for s in INVERSE_INDE
 def apply_table(sigma: CubeSymmetry, table):
     """Relabeled table: the image assigns to sigma(v) the old value at v.
 
-    A ``Table3`` or ``NonnegTable3`` was validated when it was built, and
-    relabeling keeps its entries, so the image is built on trust.
+    A ``Table3`` was validated when it was built, and relabeling keeps its
+    entries, so its image permutes the integers under the same denominator,
+    on trust.
     """
-    out = _TABLE_GATHER[GROUP_INDEX[sigma]](table.entries)
-    if isinstance(table, (Table3, NonnegTable3)):
-        return _trusted(type(table), out)
-    return type(table)(out)
+    gather = _TABLE_GATHER[GROUP_INDEX[sigma]]
+    if isinstance(table, Table3):
+        return _table3(gather(table.integers), table.denominator)
+    if isinstance(table, NonnegTable3):
+        return NonnegTable3(gather(table.entries))
+    raise DomainError(f"cannot apply a cube symmetry to {type(table).__name__}")
 
 
 def apply_vertex_set(sigma: CubeSymmetry, vertices: Iterable[int]) -> frozenset[int]:
@@ -105,7 +108,7 @@ def apply(sigma: CubeSymmetry, x):
     """Generic group action: vertices, tables, tetrahedra, triangulations.
 
     A triangulation moves by its catalog id, through the catalog's id
-    action; a table through ``apply_table``, without validating it again.
+    action; a table through ``apply_table``.
     """
     if isinstance(x, int):
         return apply_vertex(sigma, x)

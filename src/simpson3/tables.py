@@ -11,6 +11,7 @@ cleared, never by floating point.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -165,39 +166,27 @@ def _compile_sign_kernel() -> Callable[..., tuple[int, int]]:
 _int_sign_bits = _compile_sign_kernel()
 
 
-def _integers(entries: Sequence[Rational]) -> list[int]:
-    """The entries times the least common multiple of their denominators.
-
-    Every form is homogeneous, so its signs on these integers are its signs
-    on the entries.
-    """
-    nums = [e.numerator for e in entries]
-    dens = [e.denominator for e in entries]
-    if dens.count(1) == len(dens):
-        return nums
-    scale = math.lcm(*dens)
-    return [n * (scale // d) for n, d in zip(nums, dens)]
-
-
-def _form_sign_bits(entries: Sequence[Rational]) -> tuple[int, int]:
-    """Exact signs of the 20 forms as ``(pos_bits, neg_bits)``: bit i is set
-    in the first when form i is positive, in the second when it is negative.
-    Each sign is an integer comparison of two monomials in the entries over
-    their common denominator."""
-    return _int_sign_bits(*_integers(entries))
+def _on_one_scale(
+    na: Sequence[int], da: int, nb: Sequence[int], db: int
+) -> tuple[Sequence[int], Sequence[int], int]:
+    """Two integer tables over their least common denominator, rescaled only
+    when their denominators differ."""
+    if da == db:
+        return na, nb, da
+    common = math.lcm(da, db)
+    ka, kb = common // da, common // db
+    return [n * ka for n in na], [n * kb for n in nb], common
 
 
 def _pair_sign_bits(
-    f: Sequence[Rational], g: Sequence[Rational]
+    f: "Table3", g: "Table3"
 ) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
-    """``_form_sign_bits`` of F, G and F + G, from one integer scale.
+    """The kernel's sign bits of F, G and F + G, from one integer scale.
 
-    The entries of both tables are cleared over one common denominator L;
-    the forms are homogeneous, so (F + G)·L = F·L + G·L decides the sum
-    without building it.
+    The forms are homogeneous, so on a common denominator L the sum is
+    decided by F·L + G·L without building it.
     """
-    ints = _integers([*f, *g])
-    nf, ng = ints[:VERTEX_COUNT], ints[VERTEX_COUNT:]
+    nf, ng, _ = _on_one_scale(f.integers, f.denominator, g.integers, g.denominator)
     return (
         _int_sign_bits(*nf),
         _int_sign_bits(*ng),
@@ -205,13 +194,14 @@ def _pair_sign_bits(
     )
 
 
-def sign_of_form(coeffs: Sequence[int], entries: Sequence[Rational]) -> int:
+def sign_of_form(coeffs: Sequence[int], entries: Iterable[Rational]) -> int:
     """Exact sign of one of the 20 balanced forms, given by its coefficient
-    vector, on the entries of a positive table."""
+    vector, on the entries of a positive table.  The entries are checked as
+    ``Table3`` checks them."""
     index = _FORM_POSITION.get(tuple(coeffs))
     if index is None:
         raise DomainError("coefficients are not one of the 20 balanced forms")
-    pos, neg = _form_sign_bits(entries)
+    pos, neg = _int_sign_bits(*Table3(entries).integers)
     return (pos >> index & 1) - (neg >> index & 1)
 
 
@@ -229,62 +219,102 @@ def _to_fraction(value: Rational, where: str) -> Fraction:
     raise DomainError(f"{where}: entries must be exact rationals, got {type(value).__name__}")
 
 
-def _trusted(cls, entries: tuple[Fraction, ...]):
-    """A ``cls`` table on entries derived from a validated table: 8 Fractions
-    whose sign the derivation preserves.  Nothing is checked again."""
-    table = object.__new__(cls)
-    object.__setattr__(table, "entries", entries)
+# Frozen dataclass fields are set through object.__setattr__; bound once,
+# since a Table3 is built for every table classified.
+_setattr = object.__setattr__
+
+
+def _table3(integers: Iterable[int], denominator: int) -> "Table3":
+    """A ``Table3`` on positive integers over a positive denominator,
+    derived from validated tables, divided by their common factor.  Nothing
+    else is checked again."""
+    integers = tuple(integers)
+    if denominator != 1:
+        common = math.gcd(denominator, *integers)
+        if common != 1:
+            integers = tuple(n // common for n in integers)
+            denominator //= common
+    table = object.__new__(Table3)
+    _setattr(table, "integers", integers)
+    _setattr(table, "denominator", denominator)
     return table
+
+
+def _cleared(fractions: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """The values of ``fractions`` as integers over their least common
+    denominator.  Each ``Fraction`` is in lowest terms, so the pair is too."""
+    denominator = math.lcm(*(e.denominator for e in fractions))
+    return tuple(e.numerator * (denominator // e.denominator) for e in fractions), denominator
 
 
 @dataclass(frozen=True)
 class Table3:
     """A strictly positive 2x2x2 table, entries in vertex order 000..111.
 
-    The constructor validates its input once: every entry becomes a
-    ``Fraction`` and must be positive.  Tables derived from validated ones
-    (``+``, ``scaled``, ``NonnegTable3.smoothed``, ``symmetry.apply_table``)
-    are built on trust, without checking their entries again.
+    The table is stored as 8 positive ``integers`` over one positive
+    ``denominator``, in lowest terms: ``gcd(denominator, *integers) == 1``,
+    so two tables are equal exactly when their entries are.  ``entries``
+    reads the values off as ``Fraction``s the first time it is asked for.
+
+    The constructor validates its input once: 8 positive ints (counts) are
+    stored as they stand; any other input becomes ``Fraction``s that must
+    be positive, and their denominators are cleared once.  Tables derived
+    from validated ones (``+``, ``scaled``, ``NonnegTable3.smoothed``,
+    ``symmetry.apply_table``) are built as integer pairs on trust.
     """
 
-    entries: tuple[Fraction, ...]
+    integers: tuple[int, ...]
+    denominator: int
 
     def __init__(self, entries: Iterable[Rational]):
         vals = tuple(entries)
         if len(vals) == VERTEX_COUNT and all(type(e) is int and e > 0 for e in vals):
             # Counts, the common input: valid as they stand.
-            object.__setattr__(self, "entries", tuple(map(Fraction, vals)))
-            return
-        vals = tuple(_to_fraction(e, "Table3") for e in vals)
-        if len(vals) != VERTEX_COUNT:
-            raise DomainError(f"Table3 needs {VERTEX_COUNT} entries, got {len(vals)}")
-        for v in vals:
-            if v.numerator <= 0:
-                raise DomainError("Table3 entries must be strictly positive")
-        object.__setattr__(self, "entries", vals)
+            integers, denominator = vals, 1
+        else:
+            vals = tuple(_to_fraction(e, "Table3") for e in vals)
+            if len(vals) != VERTEX_COUNT:
+                raise DomainError(f"Table3 needs {VERTEX_COUNT} entries, got {len(vals)}")
+            for v in vals:
+                if v.numerator <= 0:
+                    raise DomainError("Table3 entries must be strictly positive")
+            integers, denominator = _cleared(vals)
+        _setattr(self, "integers", integers)
+        _setattr(self, "denominator", denominator)
+
+    @functools.cached_property
+    def entries(self) -> tuple[Fraction, ...]:
+        """The values as ``Fraction``s, built on the first read."""
+        d = self.denominator
+        return tuple(Fraction(n, d) for n in self.integers)
 
     def __getitem__(self, v: int) -> Fraction:
         return self.entries[v]
 
     def __add__(self, other: "Table3") -> "Table3":
-        pairs = zip(self.entries, other.entries)
-        if isinstance(other, (Table3, NonnegTable3)):
+        if isinstance(other, Table3):
+            nb, db = other.integers, other.denominator
+        elif isinstance(other, NonnegTable3):
             # positive plus nonnegative is positive
-            return _trusted(Table3, tuple(a + b for a, b in pairs))
-        return Table3(a + b for a, b in pairs)
+            nb, db = _cleared(other.entries)
+        else:
+            return Table3(a + b for a, b in zip(self.entries, other.entries))
+        na, nb, d = _on_one_scale(self.integers, self.denominator, nb, db)
+        return _table3(map(operator.add, na, nb), d)
 
     def scaled(self, factor: Rational) -> "Table3":
         factor = _to_fraction(factor, "Table3.scaled")
         if factor.numerator <= 0:
             raise DomainError("scale factor must be positive")
-        return _trusted(Table3, tuple(factor * e for e in self.entries))
+        p = factor.numerator
+        return _table3((p * n for n in self.integers), self.denominator * factor.denominator)
 
     def layer(self, axis: int, value: int) -> "Table2":
         """The 2x2 slice with the given coordinate fixed, remaining axes in order."""
         return Table2(self.entries[v] for v in face_vertices(axis, value))
 
     def total(self) -> Fraction:
-        return sum(self.entries, Fraction(0))
+        return Fraction(sum(self.integers), self.denominator)
 
 
 @dataclass(frozen=True)
@@ -318,7 +348,7 @@ class NonnegTable3:
         eps = _to_fraction(epsilon, "NonnegTable3.smoothed")
         if eps.numerator <= 0:
             raise DomainError("smoothing epsilon must be positive")
-        return _trusted(Table3, tuple(e + eps for e in self.entries))
+        return _table3(*_cleared(tuple(e + eps for e in self.entries)))
 
 
 @dataclass(frozen=True)
@@ -368,7 +398,7 @@ class FormSigns:
 
 def eval_form_signs(table: Table3) -> FormSigns:
     """Exact signs of all 20 forms on a strictly positive table."""
-    pos, neg = _form_sign_bits(table.entries)
+    pos, neg = _int_sign_bits(*table.integers)
     return FormSigns(tuple((pos >> i & 1) - (neg >> i & 1) for i in range(len(FORM_COEFFS))))
 
 

@@ -31,7 +31,7 @@ from .tables import (
     FORM_LETTERS,
     Table3,
     VERTICES,
-    _form_sign_bits,
+    _int_sign_bits,
     face_vertices,
     vertex_bits,
 )
@@ -502,7 +502,7 @@ def classify_exact(table: Table3, catalog: Catalog | None = None) -> Triangulati
     prevents any constraint set from being strictly satisfied."""
     if catalog is None:
         catalog = get_catalog()
-    return _classified(catalog, *_form_sign_bits(table.entries))
+    return _classified(catalog, *_int_sign_bits(*table.integers))
 
 
 def _check_tolerance(tolerance: float) -> None:

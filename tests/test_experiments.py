@@ -1,4 +1,5 @@
 import logging
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -451,6 +452,12 @@ class TestDescent:
             assert zero[:3].all()
 
 
+def in_lowest_terms(table):
+    """Whether a table's integers and denominator have no common factor."""
+    ints = table.integers
+    return len(ints) == 8 and min(ints) > 0 and math.gcd(table.denominator, *ints) == 1
+
+
 def fraction_tables(x):
     """F and G at log point ``x`` through ``Fraction(float)``, as the search
     built them before it verified on integers."""
@@ -518,6 +525,7 @@ class TestVerified:
                 assert witness.class_key == key
                 assert witness.f.entries == f.entries and witness.g.entries == g.entries
                 assert all(type(e) is Fraction for e in witness.f.entries + witness.g.entries)
+                assert in_lowest_terms(witness.f) and in_lowest_terms(witness.g)
 
     def test_accepts_search_witnesses(self, catalog):
         for key in [(1, 2), (3, 28), (1, 3, 5), (2, 7, 40)]:
@@ -539,6 +547,8 @@ class TestArchive:
         assert [w.class_key for w in loaded] == [(1, 2), (3, 28)]
         assert all(w.verify() for w in loaded)
         assert loaded[0].f.entries == w1.f.entries
+        assert [(w.f, w.g) for w in loaded] == [(w1.f, w1.g), (w2.f, w2.g)]
+        assert all(in_lowest_terms(t) for w in loaded for t in (w.f, w.g))
 
     def test_arity_mismatch(self, tmp_path):
         archive = WitnessArchive(tmp_path / "t.csv", 3)

@@ -10,6 +10,7 @@ from simpson3 import (
     GROUP,
     CubeSymmetry,
     DomainError,
+    Table2,
     Table3,
     apply,
     apply_table,
@@ -81,6 +82,14 @@ class TestActions:
             image = apply_table(sigma, t)
             for v in range(8):
                 assert image.entries[apply_vertex(sigma, v)] == t.entries[v]
+
+    def test_table_action_rejects_a_2x2_table(self):
+        with pytest.raises(DomainError) as info:
+            apply_table(GROUP[5], Table2([1, 2, 3, 4]))
+        assert str(info.value) == "cannot apply a cube symmetry to Table2"
+        with pytest.raises(DomainError) as info:
+            apply(GROUP[5], Table2([1, 2, 3, 4]))
+        assert str(info.value) == "cannot apply a cube symmetry to Table2"
 
     def test_vertex_set_action(self):
         sigma = ANTIPODAL_MAP

@@ -13,11 +13,14 @@ from simpson3 import (
     DomainError,
     NonnegTable3,
     Reversal2D,
+    Simpson3Error,
     Table2,
     Table3,
     apply_table,
     classify_2d,
+    classify_exact,
     correlation_profile,
+    detect_conversion,
     detect_reversal_2d,
     eval_form_signs,
     load_table,
@@ -33,7 +36,6 @@ from simpson3.tables import (
     FORM_LETTERS,
     _FIVE_TERM,
     _FOUR_TERM,
-    _form_sign_bits,
     _int_sign_bits,
     _pair_sign_bits,
     VERTICES,
@@ -45,6 +47,7 @@ from simpson3.tables import (
     vertex_name,
     vertex_of_bits,
 )
+from simpson3.triangulation import _classified
 
 EXAMPLE = Table3([Fraction(1, 4), 1, 1, 2, 4, 1, 2, 8])
 
@@ -139,6 +142,22 @@ class TestForms:
         with pytest.raises(DomainError):
             sign_of_form((1, -1, 0, 0, 0, 0, 0, 0), EXAMPLE.entries)
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([1.0] * 8, "Table3: entries must be exact rationals, got float"),
+            (["1"] * 8, "Table3: entries must be exact rationals, got str"),
+            ([1] * 7, "Table3 needs 8 entries, got 7"),
+            ([0] + [1] * 7, "Table3 entries must be strictly positive"),
+            ([-1, 2, 3, 4, 5, 6, 7, 8], "Table3 entries must be strictly positive"),
+        ],
+        ids=["float", "str", "seven entries", "zero", "negative"],
+    )
+    def test_sign_of_form_checks_its_table(self, entries, message):
+        with pytest.raises(DomainError) as info:
+            sign_of_form(FORM_COEFFS[0], entries)
+        assert str(info.value) == message
+
 
 def reference_signs(entries):
     """Signs of the 20 forms by direct Fraction monomial comparison."""
@@ -220,8 +239,7 @@ class TestCompiledKernel:
     def test_equals_the_loop_reference(self, entries):
         table = Table3(entries)
         expected = loop_sign_bits(table.entries)
-        assert _form_sign_bits(table.entries) == expected
-        assert _form_sign_bits(entries) == expected
+        assert _int_sign_bits(*table.integers) == expected
         assert expected == loop_sign_bits([Fraction(e) for e in entries])
 
     @settings(max_examples=200, deadline=None)
@@ -230,14 +248,14 @@ class TestCompiledKernel:
         table = Table3(entries)
         scaled = table.scaled(factor)
         expected = loop_sign_bits(scaled.entries)
-        assert _form_sign_bits(scaled.entries) == expected == loop_sign_bits(table.entries)
+        assert _int_sign_bits(*scaled.integers) == expected == loop_sign_bits(table.entries)
 
     @settings(max_examples=200, deadline=None)
     @given(f=kernel_entries, g=kernel_entries)
     def test_pair_bits_equal_three_kernel_calls(self, f, g):
         f, g = Table3(f), Table3(g)
         expected = tuple(loop_sign_bits(t.entries) for t in (f, g, f + g))
-        assert _pair_sign_bits(f.entries, g.entries) == expected
+        assert _pair_sign_bits(f, g) == expected
 
     def test_every_form_compares_its_own_monomials(self):
         # Raising one entry by a factor moves exactly the forms in which
@@ -306,12 +324,28 @@ def _assert_exact(table, cls):
     assert all(type(e) is Fraction for e in table.entries)
 
 
+def lowest_terms(table):
+    """Whether a table holds 8 positive ints over a positive int denominator
+    with no common factor."""
+    ints, den = table.integers, table.denominator
+    return (
+        type(ints) is tuple
+        and len(ints) == 8
+        and all(type(n) is int and n > 0 for n in ints)
+        and type(den) is int
+        and den > 0
+        and math.gcd(den, *ints) == 1
+    )
+
+
 class TestDerivedTables:
     """Tables derived from validated ones skip validation; each must equal
-    the validating constructor on the same entries."""
+    the validating constructor on the same entries, hold the entries
+    computed Fraction by Fraction, and a Table3 must be in lowest terms."""
 
     @settings(max_examples=300, deadline=None)
     @given(
+        counts=_eight(st.integers(1, 10**6)),
         a=_eight(exact_entries),
         b=_eight(exact_entries),
         z=_eight(nonneg_entries),
@@ -319,28 +353,37 @@ class TestDerivedTables:
         eps=st.one_of(st.integers(1, 3), positive_rationals),
         s=st.integers(0, 47),
     )
-    def test_derived_equal_validated(self, a, b, z, factor, eps, s):
+    def test_derived_equal_validated(self, counts, a, b, z, factor, eps, s):
         t, u, n = Table3(a), Table3(b), NonnegTable3(z)
         _assert_exact(t, Table3)
         _assert_exact(n, NonnegTable3)
+        fc, fa, fb, fz = ([Fraction(x) for x in xs] for xs in (counts, a, b, z))
         sigma = GROUP[s]
         vmap = sigma.vertex_map()
         moved = [None] * 8
         moved_n = [None] * 8
         for v in range(8):
-            moved[vmap[v]] = t.entries[v]
-            moved_n[vmap[v]] = n.entries[v]
+            moved[vmap[v]] = fa[v]
+            moved_n[vmap[v]] = fz[v]
+        ab, az = [x + y for x, y in zip(fa, fb)], [x + y for x, y in zip(fa, fz)]
+        scaled, smoothed = [Fraction(factor) * x for x in fa], [x + Fraction(eps) for x in fz]
         cases = [
-            (t + u, Table3([x + y for x, y in zip(a, b)])),
-            (t + n, Table3([x + y for x, y in zip(a, z)])),
-            (apply_table(sigma, t), Table3(moved)),
-            (apply_table(sigma, n), NonnegTable3(moved_n)),
-            (t.scaled(factor), Table3([factor * x for x in a])),
-            (n.smoothed(eps), Table3([x + eps for x in z])),
+            (Table3(counts), Table3(fc), fc),
+            (t, Table3(fa), fa),
+            (t + u, Table3([x + y for x, y in zip(a, b)]), ab),
+            (t + n, Table3([x + y for x, y in zip(a, z)]), az),
+            (apply_table(sigma, t), Table3(moved), moved),
+            (apply_table(sigma, n), NonnegTable3(moved_n), moved_n),
+            (t.scaled(factor), Table3([factor * x for x in a]), scaled),
+            (n.smoothed(eps), Table3([x + eps for x in z]), smoothed),
         ]
-        for derived, validated in cases:
+        for derived, validated, entries in cases:
             assert derived == validated
+            assert derived.entries == tuple(entries)
             _assert_exact(derived, type(validated))
+            if type(derived) is Table3:
+                assert lowest_terms(derived)
+                assert derived.total() == sum(entries)
 
     @pytest.mark.parametrize(
         "cls, entries, message",
@@ -448,6 +491,85 @@ class TestDerivedTables:
             n + t
         with pytest.raises(DomainError, match="Table3 needs 8 entries, got 4"):
             t + Table2([1] * 4)
+
+
+def outcome(decide, *args):
+    """What ``decide`` returns, or the type and message of what it raises."""
+    try:
+        return decide(*args)
+    except Simpson3Error as exc:
+        return type(exc), str(exc)
+
+
+def reference_ids(catalog, *tables):
+    """Canonical ids of the tables from the loop reference's sign bits,
+    raising on the first that induces none."""
+    return tuple(_classified(catalog, *loop_sign_bits(t)).canonical_id for t in tables)
+
+
+# Two ways of writing a few values, so that equal tables arise often.
+pooled_values = st.sampled_from([1, 2, 3, Fraction(1, 2), Fraction(3, 2), Fraction(2, 3)])
+
+
+class TestIntegerRepresentation:
+    """A Table3 is 8 positive integers over one denominator in lowest terms;
+    its entries, equality and classification are those of the Fractions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_eight(pooled_values), b=_eight(pooled_values), k=st.integers(1, 12))
+    def test_equality_and_hash_follow_the_entries(self, a, b, k):
+        t, u = Table3(a), Table3(b)
+        # the same values through a detour of scales and Fractions
+        w = Table3(Fraction(2 * x, 2) for x in a).scaled(k).scaled(Fraction(1, k))
+        for x, y in ((t, u), (t, w), (u, w)):
+            assert (x == y) == (x.entries == y.entries)
+            if x == y:
+                assert hash(x) == hash(y)
+        assert t == w and hash(t) == hash(w)
+        assert t != t.scaled(2) and t.scaled(2) == t + t
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=kernel_entries, g=kernel_entries, factor=st.one_of(st.just(Fraction(1)), huge_scales))
+    def test_classification_equals_the_loop_reference(self, catalog, f, g, factor):
+        ff = [Fraction(x) * factor for x in f]
+        gg = [Fraction(x) for x in g]
+        tf, tg = Table3(f).scaled(factor), Table3(g)
+        assert outcome(lambda: (classify_exact(tf, catalog).canonical_id,)) == outcome(
+            reference_ids, catalog, ff
+        )
+        sums = [x + y for x, y in zip(ff, gg)]
+        expected = outcome(reference_ids, catalog, ff, gg, sums)
+
+        def pair_ids():
+            report = detect_conversion(tf, tg)
+            return report.id_f, report.id_g, report.id_sum
+
+        assert outcome(pair_ids) == expected
+
+    def test_classifying_counts_builds_no_fraction(self, catalog, monkeypatch):
+        # Every Fraction built anywhere, by a constructor call or by
+        # arithmetic, goes through Fraction.__new__.
+        built = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        f, g = Table3([3, 1, 4, 1, 5, 9, 2, 6]), Table3([27, 18, 28, 45, 90, 45, 23, 53])
+        assert classify_exact(f, catalog).canonical_id == 19
+        eval_form_signs(g)
+        sign_of_form(FORM_COEFFS[12], [5, 3, 9, 7, 1, 2, 4, 8])
+        assert detect_conversion(f, g).id_sum == 40
+        for sigma in GROUP:
+            classify_exact(apply_table(sigma, f), catalog)
+        f + g
+        assert built == []
+        # the count does see Fractions: reading the entries builds them
+        entries = f.entries
+        assert len(built) == 8
+        assert entries == tuple(Fraction(x) for x in [3, 1, 4, 1, 5, 9, 2, 6])
 
 
 class TestCorrelationProfile:

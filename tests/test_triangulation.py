@@ -23,7 +23,7 @@ from simpson3 import (
     enumerate_triangulations,
     get_catalog,
 )
-from simpson3.tables import FORM_COEFFS, VERTICES, _form_sign_bits, vertex_bits
+from simpson3.tables import FORM_COEFFS, VERTICES, _int_sign_bits, vertex_bits
 from simpson3.triangulation import (
     _BLOCK,
     DEFAULT_TOLERANCE,
@@ -402,7 +402,7 @@ ALL_FORMS = (1 << 20) - 1
 # Sign codes of random wide tables hit the realizable patterns, which
 # arbitrary 20-bit codes almost never do.
 table_codes = st.lists(st.integers(1, 10**6), min_size=8, max_size=8).map(
-    lambda entries: _form_sign_bits(entries)[0]
+    lambda entries: _int_sign_bits(*entries)[0]
 )
 
 
