@@ -218,11 +218,6 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_reversal(args: argparse.Namespace) -> int:
-    args.dim = 2
-    return cmd_montecarlo(args)
-
-
 def _add_common(
     parser: argparse.ArgumentParser, formats: tuple[str, ...] = ("json", "text")
 ) -> None:
@@ -242,13 +237,7 @@ def _add_sampling(parser: argparse.ArgumentParser) -> None:
     _add_common(parser)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="simpson3", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "classify", parents=[], help="classify a table file by its induced triangulation"
-    )
+def _classify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("table", help="path to a table JSON file")
     p.add_argument(
         "--smoothing",
@@ -259,16 +248,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("catalog", help="emit the 74-entry triangulation catalog")
+
+def _catalog_arguments(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.set_defaults(func=cmd_catalog)
 
-    p = sub.add_parser("orbits", help="orbit classes of ids, pairs or triples")
+
+def _orbits_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--arity", type=int, choices=(1, 2, 3), required=True)
     _add_common(p)
     p.set_defaults(func=cmd_orbits)
 
-    p = sub.add_parser("feasibility", help="parity obstruction verdicts and reports")
+
+def _feasibility_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pair", nargs=2, type=int, metavar=("A", "B"))
     p.add_argument("--triple", nargs=3, type=int, metavar=("A", "B", "C"))
     p.add_argument("--arity", type=int, choices=(2, 3), default=None)
@@ -276,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     # No default format: a verdict defaults to json, the report is always CSV.
     p.set_defaults(func=cmd_feasibility, format=None)
 
-    p = sub.add_parser("search", help="search an exact witness for a class key")
+
+def _search_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pair", nargs=2, type=int, metavar=("A", "B"))
     p.add_argument("--triple", nargs=3, type=int, metavar=("A", "B", "C"))
     p.add_argument("--seed", type=int, default=0)
@@ -299,21 +292,54 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="append the witness to this CSV archive")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("montecarlo", help="frequency estimates from random tables")
+
+def _montecarlo_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dim", type=int, choices=(2, 3), default=3)
     _add_sampling(p)
     p.set_defaults(func=cmd_montecarlo)
 
-    p = sub.add_parser("reversal", help="2x2 association reversal frequency")
-    _add_sampling(p)
-    p.set_defaults(func=cmd_reversal)
 
+def _reversal_arguments(p: argparse.ArgumentParser) -> None:
+    _add_sampling(p)
+    p.set_defaults(func=cmd_montecarlo, dim=2)
+
+
+# Each subcommand's help line and the function adding its arguments and command.
+SUBCOMMANDS = {
+    "classify": ("classify a table file by its induced triangulation", _classify_arguments),
+    "catalog": ("emit the 74-entry triangulation catalog", _catalog_arguments),
+    "orbits": ("orbit classes of ids, pairs or triples", _orbits_arguments),
+    "feasibility": ("parity obstruction verdicts and reports", _feasibility_arguments),
+    "search": ("search an exact witness for a class key", _search_arguments),
+    "montecarlo": ("frequency estimates from random tables", _montecarlo_arguments),
+    "reversal": ("2x2 association reversal frequency", _reversal_arguments),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="simpson3", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in SUBCOMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the named
+    subcommand's parser when it consumes every argument.  Anything else goes
+    through the full parser, so help, usage and error text stay the same."""
+    if argv and argv[0] in SUBCOMMANDS:
+        parser = _Parser(prog=f"simpson3 {argv[0]}")
+        SUBCOMMANDS[argv[0]][1](parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except DegenerateTable as exc:

@@ -32,7 +32,7 @@ from .tables import (
     Table3,
     VERTICES,
     _int_sign_bits,
-    face_vertices,
+    face_diagonal_pair,
     vertex_bits,
 )
 from . import symmetry
@@ -77,13 +77,14 @@ class Tetrahedron:
             raise DomainError("a tetrahedron needs 4 distinct vertices")
         if any(not 0 <= v <= 7 for v in verts):
             raise DomainError("vertex indices must be 0..7")
-        if tetrahedron_volume_sixths(verts) == 0:
-            raise DomainError(f"vertices {verts} are coplanar")
         object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "_volume", tetrahedron_volume_sixths(verts))
+        if self._volume == 0:
+            raise DomainError(f"vertices {verts} are coplanar")
 
     @property
     def volume_sixths(self) -> int:
-        return tetrahedron_volume_sixths(self.vertices)
+        return self._volume
 
     def has_hyperdiagonal(self) -> bool:
         return any(v ^ 7 in self.vertices for v in self.vertices)
@@ -131,38 +132,38 @@ _CIRCUITS = tuple(
 )
 
 
-def _nondegenerate_tets() -> list[tuple[int, ...]]:
-    return [
-        comb
+@functools.cache
+def _tetrahedra() -> tuple[Tetrahedron, ...]:
+    """The 58 nondegenerate tetrahedra, in lexicographic order, shared by all entries."""
+    return tuple(
+        Tetrahedron(comb)
         for comb in itertools.combinations(VERTICES, 4)
         if tetrahedron_volume_sixths(comb) != 0
-    ]
+    )
 
 
-def _intersect_properly(tet_a, tet_b) -> bool:
-    """Whether the two tetrahedra meet in a common face (possibly empty).
-
-    Two simplices of a point set intersect properly iff no circuit has its
-    positive part in one and its negative part in the other (De Loera,
-    Rambau & Santos, *Triangulations*, 2010); both signs of each form are
-    tried.
-    """
-    a, b = set(tet_a), set(tet_b)
-    return not any(pos <= a and neg <= b or neg <= a and pos <= b for pos, neg in _CIRCUITS)
+def _properly_intersecting(vertices: np.ndarray) -> np.ndarray:
+    """(n, n) bool: whether the tetrahedra on these (n, 4) vertices meet in a
+    common face (possibly empty).  Two simplices of a point set do iff no
+    circuit has its positive part in one and its negative part in the other
+    (De Loera, Rambau & Santos, *Triangulations*, 2010); both signs of each
+    form are tried, as subset tests on 8-bit vertex masks."""
+    bits = 1 << np.arange(8)
+    masks = bits[vertices].sum(axis=1)[:, None]
+    pos, neg = (FORM_MATRIX > 0) @ bits, (FORM_MATRIX < 0) @ bits
+    crossing = ((masks & pos) == pos) @ ((masks & neg) == neg).T
+    return ~(crossing | crossing.T)
 
 
 def _enumerate_encodings() -> list[tuple[tuple[int, ...], ...]]:
     """All interior-disjoint tetrahedron covers of the cube, as sorted tuples
     of sorted vertex tuples."""
-    tets = _nondegenerate_tets()
-    vols = [tetrahedron_volume_sixths(t) for t in tets]
+    tets = [t.vertices for t in _tetrahedra()]
+    vols = [t.volume_sixths for t in _tetrahedra()]
     n = len(tets)
-    compat_mask = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _intersect_properly(tets[i], tets[j]):
-                compat_mask[i] |= 1 << j
-                compat_mask[j] |= 1 << i
+    compatible = _properly_intersecting(np.array(tets))
+    np.fill_diagonal(compatible, False)
+    compat_mask = (compatible @ (np.uint64(1) << np.arange(n, dtype=np.uint64))).tolist()
 
     found: list[tuple[tuple[int, ...], ...]] = []
 
@@ -228,51 +229,37 @@ def derive_constraints(tetrahedra) -> frozenset[tuple[str, int]]:
 
 
 def _edge_set(encoding) -> set[tuple[int, int]]:
-    edges = set()
-    for tet in encoding:
-        for a, b in itertools.combinations(tet, 2):
-            edges.add((a, b))
-    return edges
+    return {edge for tet in encoding for edge in itertools.combinations(tet, 2)}
+
+
+# Per facet, in FACES order: its two diagonals, the first through its least vertex.
+_FACE_DIAGONAL_PAIRS = tuple(face_diagonal_pair(axis, value) for axis, value in FACES)
 
 
 def _face_diagonals(encoding) -> tuple[tuple[int, int], ...]:
-    from .tables import face_diagonal_pair
-
     edges = _edge_set(encoding)
     out = []
-    for axis, value in FACES:
-        first, second = face_diagonal_pair(axis, value)
+    for face, (first, second) in zip(FACES, _FACE_DIAGONAL_PAIRS):
         in_first, in_second = first in edges, second in edges
         if in_first == in_second:
-            raise CatalogError(f"face {(axis, value)} has {in_first + in_second} diagonals")
+            raise CatalogError(f"face {face} has {in_first + in_second} diagonals")
         out.append(first if in_first else second)
     return tuple(out)
 
 
 def _vertex_incidence(diagonals) -> tuple[int, ...]:
     by_face = dict(zip(FACES, diagonals))
-    incidence = []
-    for v in VERTICES:
-        bits = 0
-        for axis in range(3):
-            diag = by_face[(axis, vertex_bits(v)[axis])]
-            if v in diag:
-                bits |= 1 << (2 - axis)
-        incidence.append(bits)
-    return tuple(incidence)
+    return tuple(
+        sum(1 << (2 - axis) for axis, bit in enumerate(vertex_bits(v)) if v in by_face[axis, bit])
+        for v in VERTICES
+    )
 
 
 def _anti_aligned_axes(diagonals) -> int:
-    by_face = dict(zip(FACES, diagonals))
-    count = 0
-    for axis in range(3):
-        kinds = []
-        for value in (0, 1):
-            verts = face_vertices(axis, value)
-            kinds.append(min(verts) in by_face[(axis, value)])
-        if kinds[0] != kinds[1]:
-            count += 1
-    return count
+    through_least = {
+        face: diag == pair[0] for face, diag, pair in zip(FACES, diagonals, _FACE_DIAGONAL_PAIRS)
+    }
+    return sum(through_least[(axis, 0)] != through_least[(axis, 1)] for axis in range(3))
 
 
 def _type_label(tet_count: int, n_full: int, n_empty: int) -> str:
@@ -413,15 +400,26 @@ class Catalog:
 def _id_action(encodings: Sequence[tuple[tuple[int, ...], ...]]) -> np.ndarray:
     """(48, n) array: entry [s, i] is the id of GROUP[s] applied to id i+1.
 
-    ``encodings[i]`` is the sorted tetrahedron encoding of id i+1.  Raises
-    CatalogError unless every symmetry permutes the ids.
+    ``encodings[i]`` is the sorted tetrahedron encoding of id i+1, keyed by
+    the 58-bit set of its tetrahedra.  Each symmetry relabels the 58
+    tetrahedra once, by their vertex masks, and each image key is looked up
+    among the sorted keys.  Raises CatalogError unless every symmetry
+    permutes the ids.
     """
-    rank = {enc: i + 1 for i, enc in enumerate(encodings)}
-    action = np.zeros((len(symmetry.GROUP), len(encodings)), dtype=np.int64)
-    for s, vmap in enumerate(symmetry.VERTEX_MAPS):
-        for i, enc in enumerate(encodings):
-            image = tuple(sorted(tuple(sorted(vmap[v] for v in t)) for t in enc))
-            action[s, i] = rank.get(image, 0)
+    index = {t.vertices: i for i, t in enumerate(_tetrahedra())}
+    vertices = np.array(list(index))
+    member = np.zeros((len(encodings), len(vertices)), dtype=bool)
+    for i, enc in enumerate(encodings):
+        member[i, [index[t] for t in enc]] = True
+    masks = (1 << vertices).sum(axis=1)
+    bit_of_mask = np.zeros(256, dtype=np.uint64)
+    bit_of_mask[masks] = np.uint64(1) << np.arange(len(vertices), dtype=np.uint64)
+    image_masks = (1 << np.array(symmetry.VERTEX_MAPS)[:, vertices]).sum(axis=2)
+    keys = bit_of_mask[masks] @ member.T
+    image_keys = bit_of_mask[image_masks] @ member.T
+    order = np.argsort(keys)
+    at = np.searchsorted(keys[order], image_keys).clip(max=max(len(keys) - 1, 0))
+    action = np.where(keys[order][at] == image_keys, order[at] + 1, 0)
     if not (np.sort(action, axis=1) == np.arange(1, len(encodings) + 1)).all():
         raise CatalogError("symmetry action is not a bijection on ids")
     return action
@@ -435,6 +433,7 @@ def _catalog_from_encodings(encodings: Sequence[tuple[tuple[int, ...], ...]]) ->
         raise CatalogError("entries out of canonical order")
     action = _id_action(encodings)
     orbit_rep = action.min(axis=0)
+    by_vertices = {t.vertices: t for t in _tetrahedra()}
 
     entries = []
     for cid, enc in enumerate(encodings, start=1):
@@ -442,7 +441,7 @@ def _catalog_from_encodings(encodings: Sequence[tuple[tuple[int, ...], ...]]) ->
         incidence = _vertex_incidence(diagonals)
         full = tuple(v for v in VERTICES if incidence[v] == 7)
         empty = tuple(v for v in VERTICES if incidence[v] == 0)
-        tets = tuple(Tetrahedron(t) for t in enc)
+        tets = tuple(by_vertices[t] for t in enc)
         entries.append(
             Triangulation(
                 canonical_id=cid,

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from simpson3 import experiments
-from simpson3.cli import main
+from simpson3.cli import SUBCOMMANDS, build_parser, main, parse_args
 
 
 @pytest.fixture()
@@ -485,3 +485,47 @@ def test_unwritable_out_path_exit_code(capsys, tmp_path, argv):
     assert out == ""
     assert err.startswith("error:")
     assert missing in err
+
+
+def _exit(capsys, parse, argv):
+    try:
+        code = parse(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# main builds one subcommand's parser; help, usage errors and leftovers must
+# read exactly as from the full parser.
+@pytest.mark.parametrize(
+    "extra", [("--help",), ("--no-such-option",), ("--format", "yaml")], ids=lambda e: e[0]
+)
+@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+def test_subcommand_parser_exits_as_the_full_parser(capsys, name, extra):
+    argv = (name, *extra)
+    expected = _exit(capsys, build_parser().parse_args, argv)
+    assert expected[0] in (0, 1)
+    assert _exit(capsys, main, argv) == expected
+
+
+@pytest.mark.parametrize("argv", [(), ("-h",), ("no-such-command",), ("-h", "catalog")])
+def test_top_level_exits_as_the_full_parser(capsys, argv):
+    assert _exit(capsys, main, argv) == _exit(capsys, build_parser().parse_args, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "table.json", "--smoothing", "1/2"),
+        ("catalog", "--format", "text"),
+        ("orbits", "--arity", "2"),
+        ("feasibility", "--pair", "1", "2"),
+        ("search", "--triple", "3", "4", "55", "--budget", "10"),
+        ("montecarlo", "--dim", "2", "--samples", "5"),
+        ("reversal", "--seed", "3"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_parse_args_equals_the_full_parser(argv):
+    assert parse_args(list(argv)) == build_parser().parse_args(list(argv))

@@ -24,13 +24,18 @@ from simpson3 import (
     get_catalog,
 )
 from simpson3.tables import FORM_COEFFS, VERTICES, _int_sign_bits, vertex_bits
+from simpson3 import symmetry
 from simpson3.triangulation import (
     _BLOCK,
+    _CIRCUITS,
     DEFAULT_TOLERANCE,
     FORM_MATRIX,
     FORM_NORMS,
     _POW2F,
+    _enumerate_encodings,
     _id_action,
+    _properly_intersecting,
+    _tetrahedra,
     tetrahedron_volume_sixths,
 )
 
@@ -175,7 +180,72 @@ def affinely_dependent(vertices) -> bool:
     return rank < len(rows)
 
 
+def reference_id_action(encodings):
+    """The id action computed directly, the reference for ``_id_action``:
+    every tetrahedron of every (symmetry, id) image is relabeled and
+    re-sorted, and the image encoding is looked up."""
+    rank = {enc: i + 1 for i, enc in enumerate(encodings)}
+    action = np.zeros((len(symmetry.GROUP), len(encodings)), dtype=np.int64)
+    for s, vmap in enumerate(symmetry.VERTEX_MAPS):
+        for i, enc in enumerate(encodings):
+            image = tuple(sorted(tuple(sorted(vmap[v] for v in t)) for t in enc))
+            action[s, i] = rank.get(image, 0)
+    if not (np.sort(action, axis=1) == np.arange(1, len(encodings) + 1)).all():
+        raise CatalogError("symmetry action is not a bijection on ids")
+    return action
+
+
+def reference_intersect_properly(tet_a, tet_b) -> bool:
+    """Whether no circuit has one part in each tetrahedron, pair by pair."""
+    a, b = set(tet_a), set(tet_b)
+    return not any(pos <= a and neg <= b or neg <= a and pos <= b for pos, neg in _CIRCUITS)
+
+
+def _orbit_encodings(catalog, orbits):
+    reps = catalog.orbit_representatives()
+    return [e.encoding() for e in catalog.entries if reps.index(e.orbit_rep) in orbits]
+
+
+class TestIdAction:
+    def test_full_catalog(self, catalog):
+        encodings = [e.encoding() for e in catalog.entries]
+        expected = reference_id_action(encodings)
+        assert np.array_equal(_id_action(encodings), expected)
+        assert np.array_equal(catalog.id_action(), expected)
+        assert catalog.id_action().dtype == expected.dtype
+
+    @pytest.mark.parametrize("orbit", range(6))
+    def test_each_orbit(self, catalog, orbit):
+        encodings = _orbit_encodings(catalog, {orbit})
+        assert np.array_equal(_id_action(encodings), reference_id_action(encodings))
+
+    @settings(max_examples=40, deadline=None)
+    @given(orbits=st.sets(st.integers(0, 5), min_size=1))
+    def test_unions_of_orbits(self, catalog, orbits):
+        encodings = _orbit_encodings(catalog, orbits)
+        assert np.array_equal(_id_action(encodings), reference_id_action(encodings))
+
+
 class TestCircuits:
+    def test_array_intersection_test_equals_the_reference(self):
+        tets = [t.vertices for t in _tetrahedra()]
+        assert len(tets) == 58
+        found = _properly_intersecting(np.array(tets))
+        pairs = list(itertools.combinations(range(len(tets)), 2))
+        assert len(pairs) == 1653
+        for i, j in pairs:
+            assert found[i, j] == found[j, i] == reference_intersect_properly(tets[i], tets[j])
+
+    def test_enumeration_in_canonical_order(self, catalog):
+        encodings = _enumerate_encodings()
+        assert len(encodings) == 74
+        assert encodings == sorted(set(encodings))
+        assert encodings == [e.encoding() for e in catalog.entries]
+
+    def test_entries_share_the_58_tetrahedra(self, catalog):
+        shared = {id(t) for t in _tetrahedra()}
+        assert all(id(t) in shared for e in catalog.entries for t in e.tetrahedra)
+
     def test_form_supports_are_the_circuits(self):
         circuits = {
             frozenset(subset)
