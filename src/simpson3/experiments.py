@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CatalogError, DomainError, Simpson3Error
+from .errors import CatalogError, DegenerateTable, DomainError
 from .feasibility import obstruction_triple
 from .symmetry import canonical_class_of, pad_key
 from .tables import NonnegTable3, Table3, _pair_sign_bits, _table3, format_rational
@@ -44,7 +44,6 @@ from .triangulation import (
 )
 
 # Purpose codes keep the independent random streams from ever colliding.
-_PURPOSE_SINGLE = 0
 _PURPOSE_MC2D = 1
 _PURPOSE_MC3D = 2
 _PURPOSE_SWEEP = 4
@@ -91,21 +90,13 @@ class SamplerConfig:
         return [base + (1 if w < extra else 0) for w in range(self.worker_count)]
 
 
-def sample_tables(config: SamplerConfig, dimension: int, count: int) -> np.ndarray:
-    """Draw ``count`` tables with i.i.d. Exp(1) entries as float rows."""
-    if dimension == 2:
-        width = 4
-    elif dimension == 3:
-        width = 8
-    else:
-        raise DomainError(f"dimension must be 2 or 3, got {dimension}")
-    rng = config.stream(_PURPOSE_SINGLE)
-    return rng.standard_exponential((count, width))
-
-
-def sample_table(config: SamplerConfig, dimension: int) -> np.ndarray:
-    """Draw a single table with i.i.d. Exp(1) entries."""
-    return sample_tables(config, dimension, 1)[0]
+def _stream_chunks(config: SamplerConfig, purpose: int, total: int):
+    """Yield ``(rng, rows)``: each worker stream of the purpose with its
+    quota of ``total`` rows, in chunks of at most ``_CHUNK``, to draw."""
+    for worker, quota in enumerate(config.worker_quotas(total)):
+        rng = config.stream(purpose, worker)
+        for done in range(0, quota, _CHUNK):
+            yield rng, min(_CHUNK, quota - done)
 
 
 @dataclass(frozen=True)
@@ -183,25 +174,19 @@ def estimate_2d_reversal(config: SamplerConfig, sample_count: int) -> FrequencyE
     _check_sample_count(sample_count)
     counts = {"reversal": 0, "reversalPosToNeg": 0, "reversalNegToPos": 0}
     discards = 0
-    for worker, quota in enumerate(config.worker_quotas(sample_count)):
-        rng = config.stream(_PURPOSE_MC2D, worker)
-        done = 0
-        while done < quota:
-            m = min(_CHUNK, quota - done)
-            f = rng.standard_exponential((m, 4))
-            g = rng.standard_exponential((m, 4))
-            s = f + g
-            df = f[:, 0] * f[:, 3] - f[:, 1] * f[:, 2]
-            dg = g[:, 0] * g[:, 3] - g[:, 1] * g[:, 2]
-            ds = s[:, 0] * s[:, 3] - s[:, 1] * s[:, 2]
-            degenerate = (df == 0.0) | (dg == 0.0) | (ds == 0.0)
-            discards += int(np.count_nonzero(degenerate))
-            ok = ~degenerate
-            pos_to_neg = ok & (df > 0.0) & (dg > 0.0) & (ds < 0.0)
-            neg_to_pos = ok & (df < 0.0) & (dg < 0.0) & (ds > 0.0)
-            counts["reversalPosToNeg"] += int(np.count_nonzero(pos_to_neg))
-            counts["reversalNegToPos"] += int(np.count_nonzero(neg_to_pos))
-            done += m
+    for rng, m in _stream_chunks(config, _PURPOSE_MC2D, sample_count):
+        f, g = rng.standard_exponential((2, m, 4))
+        s = f + g
+        df = f[:, 0] * f[:, 3] - f[:, 1] * f[:, 2]
+        dg = g[:, 0] * g[:, 3] - g[:, 1] * g[:, 2]
+        ds = s[:, 0] * s[:, 3] - s[:, 1] * s[:, 2]
+        degenerate = (df == 0.0) | (dg == 0.0) | (ds == 0.0)
+        discards += int(np.count_nonzero(degenerate))
+        ok = ~degenerate
+        pos_to_neg = ok & (df > 0.0) & (dg > 0.0) & (ds < 0.0)
+        neg_to_pos = ok & (df < 0.0) & (dg < 0.0) & (ds > 0.0)
+        counts["reversalPosToNeg"] += int(np.count_nonzero(pos_to_neg))
+        counts["reversalNegToPos"] += int(np.count_nonzero(neg_to_pos))
     counts["reversal"] = counts["reversalPosToNeg"] + counts["reversalNegToPos"]
     targets = {"reversal": "1/60", "reversalPosToNeg": "1/120", "reversalNegToPos": "1/120"}
     return _finalize(config, sample_count, discards, counts, targets)
@@ -223,26 +208,21 @@ def estimate_3d_conversion(config: SamplerConfig, sample_count: int) -> Frequenc
     catalog = get_catalog()
     counts = {"sameTriangulation": 0, "conversion": 0, "sameNoConversion": 0}
     discards = 0
-    for worker, quota in enumerate(config.worker_quotas(sample_count)):
-        rng = config.stream(_PURPOSE_MC3D, worker)
-        done = 0
-        while done < quota:
-            m = min(_CHUNK, quota - done)
-            entries = rng.standard_exponential((m, 16))
-            f = entries[:, 0::2]
-            g = entries[:, 1::2]
-            ids_f = classify_heights_batch(np.log(f), catalog)
-            ids_g = classify_heights_batch(np.log(g), catalog)
-            s = f + g
-            np.log(s, out=s)
-            ids_s = classify_heights_batch(s, catalog)
-            degenerate = (ids_f == 0) | (ids_g == 0) | (ids_s == 0)
-            discards += int(np.count_nonzero(degenerate))
-            same = ~degenerate & (ids_f == ids_g)
-            counts["sameTriangulation"] += int(np.count_nonzero(same))
-            counts["conversion"] += int(np.count_nonzero(same & (ids_s != ids_f)))
-            counts["sameNoConversion"] += int(np.count_nonzero(same & (ids_s == ids_f)))
-            done += m
+    for rng, m in _stream_chunks(config, _PURPOSE_MC3D, sample_count):
+        entries = rng.standard_exponential((m, 16))
+        f = entries[:, 0::2]
+        g = entries[:, 1::2]
+        ids_f = classify_heights_batch(np.log(f), catalog)
+        ids_g = classify_heights_batch(np.log(g), catalog)
+        s = f + g
+        np.log(s, out=s)
+        ids_s = classify_heights_batch(s, catalog)
+        degenerate = (ids_f == 0) | (ids_g == 0) | (ids_s == 0)
+        discards += int(np.count_nonzero(degenerate))
+        same = ~degenerate & (ids_f == ids_g)
+        counts["sameTriangulation"] += int(np.count_nonzero(same))
+        counts["conversion"] += int(np.count_nonzero(same & (ids_s != ids_f)))
+        counts["sameNoConversion"] += int(np.count_nonzero(same & (ids_s == ids_f)))
     targets = {
         "sameTriangulation": "17/900",
         "conversion": "2/900",
@@ -320,9 +300,10 @@ class Witness:
         return (report.id_f, report.id_g, report.id_sum)
 
     def verify(self) -> bool:
+        """Whether the tables induce the key's ids; an internal fault raises."""
         try:
             ids = self.induced_ids()
-        except Simpson3Error:
+        except DegenerateTable:
             return False
         return ids == pad_key(self.class_key)
 
@@ -561,20 +542,15 @@ class _Descent:
 
 
 def _verified(key: tuple[int, ...], x: np.ndarray) -> Witness | None:
-    """The exact witness at log point ``x``, if it verifies: the ids that
-    ``Witness.verify`` finds, through the same pair path.  The tables are
-    the entries as integers over their largest power-of-two denominator,
-    reduced to lowest terms, so no ``Fraction`` is built."""
+    """The witness at log point ``x``, if ``Witness.verify`` passes.  The
+    tables are the entries as integers over their largest power-of-two
+    denominator, reduced to lowest terms, so no ``Fraction`` is built."""
     # A contiguous copy: exp of a strided view may take another code path.
     ratios = [e.as_integer_ratio() for e in np.exp(np.array(x)).tolist()]
     scale = max(d for _, d in ratios)
     ints = [p * (scale // d) for p, d in ratios]
-    f, g = _table3(ints[:8], scale), _table3(ints[8:], scale)
-    catalog = get_catalog()
-    signs = _pair_sign_bits(f, g)
-    if tuple(catalog.resolve_signs(*bits) for bits in signs) != pad_key(key):
-        return None
-    return Witness(key, f, g, _timestamp())
+    witness = Witness(key, _table3(ints[:8], scale), _table3(ints[8:], scale), _timestamp())
+    return witness if witness.verify() else None
 
 
 class ConversionSearch:

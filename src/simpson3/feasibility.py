@@ -10,19 +10,21 @@ share an odd incidence pattern at a vertex and C complements it.
 The lemma checkers evaluate, exactly, the inequality systems behind the
 obstruction: the full-vertex version (all three diagonals flip) and the
 single-diagonal version, plus the two-dimensional reversal relations they
-build on.
+build on.  The two 2x2x2 lemmas are the parity rule at one vertex, read off
+the sign kernel's facet forms of F, G and F + G.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import DomainError
 from .symmetry import OrbitClass, pad_key
-from .tables import Table2, Table3
-from .triangulation import Triangulation
+from .tables import FACE_FORM, FACES, FORM_INDEX, Table2, Table3, _pair_sign_bits
+from .triangulation import _FACE_DIAGONAL_PAIRS, Triangulation, _vertex_incidence
 
 
 @dataclass(frozen=True)
@@ -83,26 +85,28 @@ def per_type_obstructed_counts(catalog, pair_classes: Sequence[OrbitClass]) -> d
 # ---------------------------------------------------------------------------
 # Lemma inequality systems, evaluated exactly on rational tables.
 
-
-def _entry3(table: Table3, x: int, y: int, z: int):
-    return table.entries[(x << 2) | (y << 1) | z]
-
-
-def _require_positive_2d(table: Table2, name: str) -> None:
-    if not table.strictly_positive():
-        raise DomainError(f"{name} must be strictly positive")
+# The incidence pattern at the vertex that both summands of lemma 2 (all
+# three facet diagonals through it) and lemma 3 (only the z-facet's) show.
+_LEMMA_PATTERN = {2: 7, 3: 1}
 
 
-def _corner_bits(vertex: int) -> tuple[int, int]:
-    if not 0 <= vertex <= 3:
-        raise DomainError("2x2 corners are indexed 0..3")
-    return (vertex >> 1) & 1, vertex & 1
-
-
-def _vertex_bits3(vertex: int) -> tuple[int, int, int]:
-    if not 0 <= vertex <= 7:
-        raise DomainError("cube vertices are indexed 0..7")
-    return (vertex >> 2) & 1, (vertex >> 1) & 1, vertex & 1
+def _check_instance(lemma: int, f, g, vertex: int) -> None:
+    """Raise DomainError unless (f, g, vertex) is an instance of the lemma."""
+    if lemma == 1:
+        if not isinstance(f, Table2) or not isinstance(g, Table2):
+            raise DomainError("lemma 1 applies to 2x2 tables")
+        for table, name in ((f, "f"), (g, "g")):
+            if not table.strictly_positive():
+                raise DomainError(f"{name} must be strictly positive")
+        if not 0 <= vertex <= 3:
+            raise DomainError("2x2 corners are indexed 0..3")
+    elif lemma in _LEMMA_PATTERN:
+        if not isinstance(f, Table3) or not isinstance(g, Table3):
+            raise DomainError(f"lemma {lemma} applies to 2x2x2 tables")
+        if not 0 <= vertex <= 7:
+            raise DomainError("cube vertices are indexed 0..7")
+    else:
+        raise DomainError(f"unknown lemma {lemma}")
 
 
 def _diag_products_2d(f: Table2, x: int, y: int):
@@ -111,18 +115,23 @@ def _diag_products_2d(f: Table2, x: int, y: int):
     return anti, main
 
 
-def _face_products_3d(t: Table3, x: int, y: int, z: int):
-    """For each of the three facets through (x, y, z): the product over the
-    diagonal avoiding the vertex, and the product over the diagonal through
-    it.  Facet order: z fixed, y fixed, x fixed."""
-    return (
-        (_entry3(t, 1 - x, y, z) * _entry3(t, x, 1 - y, z),
-         _entry3(t, x, y, z) * _entry3(t, 1 - x, 1 - y, z)),
-        (_entry3(t, 1 - x, y, z) * _entry3(t, x, y, 1 - z),
-         _entry3(t, x, y, z) * _entry3(t, 1 - x, y, 1 - z)),
-        (_entry3(t, x, 1 - y, z) * _entry3(t, x, y, 1 - z),
-         _entry3(t, x, y, z) * _entry3(t, x, 1 - y, 1 - z)),
-    )
+# The sign bits of the facet forms a-f.  The callers mask the kernel's bits
+# to them, so at most 3^6 facet sign states are cached.
+_FACETS = sum(1 << FORM_INDEX[letter] for letter in FACE_FORM.values())
+
+
+@functools.cache
+def _incidences(pos: int, neg: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per vertex, the incidence patterns of the facet diagonals shown
+    through it and avoiding it by a table whose facet forms have the sign
+    bits ``pos`` and ``neg``.  A vanishing facet form shows neither."""
+    shown, hidden = [], []
+    for face, pair in zip(FACES, _FACE_DIAGONAL_PAIRS):
+        bit = 1 << FORM_INDEX[FACE_FORM[face]]
+        first, second = pair if pos & bit else pair[::-1] if neg & bit else ((), ())
+        shown.append(first)
+        hidden.append(second)
+    return _vertex_incidence(shown), _vertex_incidence(hidden)
 
 
 def lemma_hypothesis_check(lemma: int, f, g, vertex: int) -> bool:
@@ -130,61 +139,43 @@ def lemma_hypothesis_check(lemma: int, f, g, vertex: int) -> bool:
 
     Lemma 1 takes 2x2 tables and a corner: both tables carry the diagonal
     through the corner while their sum does not.  Lemmas 2 and 3 take 2x2x2
-    tables and a cube vertex: both tables show all three diagonals through
-    the vertex (lemma 2) or exactly the one on the z-fixed facet (lemma 3).
+    tables and a cube vertex, and are the parity rule at that vertex: of
+    the three facet diagonals, both tables show strictly through the vertex
+    exactly all three (lemma 2) or exactly the z-facet's (lemma 3).
     """
+    _check_instance(lemma, f, g, vertex)
     if lemma == 1:
-        if not isinstance(f, Table2) or not isinstance(g, Table2):
-            raise DomainError("lemma 1 applies to 2x2 tables")
-        _require_positive_2d(f, "f")
-        _require_positive_2d(g, "g")
-        x, y = _corner_bits(vertex)
+        x, y = (vertex >> 1) & 1, vertex & 1
         fa, fm = _diag_products_2d(f, x, y)
         ga, gm = _diag_products_2d(g, x, y)
         sa, sm = _diag_products_2d(f + g, x, y)
         return fa < fm and ga < gm and sa > sm
-    if lemma in (2, 3):
-        if not isinstance(f, Table3) or not isinstance(g, Table3):
-            raise DomainError(f"lemma {lemma} applies to 2x2x2 tables")
-        x, y, z = _vertex_bits3(vertex)
-        fp = _face_products_3d(f, x, y, z)
-        gp = _face_products_3d(g, x, y, z)
-        if lemma == 2:
-            return all(anti < main for anti, main in fp) and all(
-                anti < main for anti, main in gp
-            )
-        want = (True, False, False)  # diagonal through the vertex only on the z facet
-        return all(
-            (anti < main) == w for (anti, main), w in zip(fp, want)
-        ) and all((anti < main) == w for (anti, main), w in zip(gp, want))
-    raise DomainError(f"unknown lemma {lemma}")
+    (through_f, _), (through_g, _) = (
+        _incidences(pos & _FACETS, neg & _FACETS) for pos, neg in _pair_sign_bits(f, g)[:2]
+    )
+    return through_f[vertex] == through_g[vertex] == _LEMMA_PATTERN[lemma]
 
 
 def lemma_conclusion_check(lemma: int, f, g, vertex: int) -> bool:
     """Whether the lemma's asserted conclusion holds for the instance.
 
     Lemma 1 asserts that exactly one of its two cross-product conjunctions
-    holds.  Lemmas 2 and 3 assert that their three sum inequalities cannot
-    hold simultaneously, so the check is that the forbidden system fails.
+    holds.  Lemmas 2 and 3 assert that the sum does not strictly show the
+    complementary pattern: the diagonals through the vertex on exactly the
+    other facets, and avoiding it on these.
     """
+    _check_instance(lemma, f, g, vertex)
     if lemma == 1:
-        x, y = _corner_bits(vertex)
+        x, y = (vertex >> 1) & 1, vertex & 1
         p = f[(1 - x, y)] * g[(x, y)] - f[(x, y)] * g[(1 - x, y)]
         q = f[(x, 1 - y)] * g[(x, y)] - f[(x, y)] * g[(x, 1 - y)]
         first = p > 0 and q < 0
         second = p < 0 and q > 0
         return first != second
-    if lemma in (2, 3):
-        x, y, z = _vertex_bits3(vertex)
-        sp = _face_products_3d(f + g, x, y, z)
-        if lemma == 2:
-            forbidden = all(anti > main for anti, main in sp)
-        else:
-            forbidden = (
-                sp[0][0] > sp[0][1] and sp[1][0] < sp[1][1] and sp[2][0] < sp[2][1]
-            )
-        return not forbidden
-    raise DomainError(f"unknown lemma {lemma}")
+    pos, neg = _pair_sign_bits(f, g)[2]
+    through, avoid = _incidences(pos & _FACETS, neg & _FACETS)
+    pattern = _LEMMA_PATTERN[lemma]
+    return (through[vertex], avoid[vertex]) != (pattern ^ 7, pattern)
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,6 @@ def _monomials(coeffs: Sequence[int]) -> tuple[int, ...]:
 # Forms a-l compare two degree-2 monomials, forms m-t two degree-3 ones.
 _FOUR_TERM = tuple((1 << i, *_monomials(c)) for i, c in enumerate(FORM_COEFFS[:12]))
 _FIVE_TERM = tuple((1 << i, *_monomials(c)) for i, c in enumerate(FORM_COEFFS[12:], 12))
-_FORM_POSITION = {c: i for i, c in enumerate(FORM_COEFFS)}
 
 
 def _compile_sign_kernel() -> Callable[..., tuple[int, int]]:
@@ -192,17 +191,6 @@ def _pair_sign_bits(
         _int_sign_bits(*ng),
         _int_sign_bits(*map(operator.add, nf, ng)),
     )
-
-
-def sign_of_form(coeffs: Sequence[int], entries: Iterable[Rational]) -> int:
-    """Exact sign of one of the 20 balanced forms, given by its coefficient
-    vector, on the entries of a positive table.  The entries are checked as
-    ``Table3`` checks them."""
-    index = _FORM_POSITION.get(tuple(coeffs))
-    if index is None:
-        raise DomainError("coefficients are not one of the 20 balanced forms")
-    pos, neg = _int_sign_bits(*Table3(entries).integers)
-    return (pos >> index & 1) - (neg >> index & 1)
 
 
 def _to_fraction(value: Rational, where: str) -> Fraction:
@@ -431,34 +419,31 @@ class CorrelationProfile:
 
 
 def correlation_profile(table: Table3) -> CorrelationProfile:
-    """All 17 dependence signs, each decided by exact rational arithmetic.
+    """All 17 dependence signs, each decided exactly.
 
-    The conditional signs are layer determinants and agree with forms a-f.
+    The conditional signs are layer determinants, read from forms a-f.
     The mutual signs compare the joint cell against the product of the three
     marginal probabilities; they are degree-3 comparisons on totals and are
     not the same monomial comparisons as the five-term forms m-t, which are
-    circuit dependences of the cube.  Both families are exposed.
+    circuit dependences of the cube.  Both families are exposed.  Every
+    comparison is homogeneous in the entries, so it is made on the table's
+    integers and the denominator cancels.
     """
-    e = table.entries
-    grand = table.total()
-    # axis_totals[a][v] = total of entries whose coordinate a equals coordinate a of v
-    axis_totals = []
-    for a in range(3):
-        per_value = [sum((e[v] for v in face_vertices(a, val)), Fraction(0)) for val in (0, 1)]
-        axis_totals.append(per_value)
+    n = table.integers
+    grand = sum(n)
+    # totals[a][b]: the total of the entries whose coordinate a is b
+    totals = [[sum(n[v] for v in face_vertices(a, b)) for b in (0, 1)] for a in range(3)]
     mutual = []
     for v in VERTICES:
         x, y, z = vertex_bits(v)
-        prod = axis_totals[0][x] * axis_totals[1][y] * axis_totals[2][z]
-        mutual.append(_sign(grand * grand * e[v] - prod))
+        mutual.append(_sign(grand * grand * n[v] - totals[0][x] * totals[1][y] * totals[2][z]))
     marginal = []
     for a in range(3):
-        collapsed = Table2(
-            table.layer(a, 0).entries[i] + table.layer(a, 1).entries[i] for i in range(4)
-        )
-        marginal.append(_sign(collapsed.det()))
-    conditional = [_sign(table.layer(axis, value).det()) for axis, value in FACES]
-    return CorrelationProfile(tuple(mutual), tuple(marginal), tuple(conditional))
+        c = [n[u] + n[w] for u, w in zip(face_vertices(a, 0), face_vertices(a, 1))]
+        marginal.append(_sign(c[0] * c[3] - c[1] * c[2]))
+    signs = eval_form_signs(table)
+    conditional = tuple(signs[FACE_FORM[face]] for face in FACES)
+    return CorrelationProfile(tuple(mutual), tuple(marginal), conditional)
 
 
 class Reversal2D(Enum):

@@ -194,6 +194,16 @@ def _enumerate_encodings() -> list[tuple[tuple[int, ...], ...]]:
 # Constraint derivation
 
 
+# The form of the one circuit in each 5-vertex set of the cube: a 5-vertex
+# circuit's support, or a 4-vertex one's plus any fifth vertex.
+_FORM_OF_SPAN = {
+    pos | neg | {v}: i
+    for i, (pos, neg) in enumerate(_CIRCUITS)
+    for v in VERTICES
+    if len(pos | neg | {v}) == 5
+}
+
+
 def derive_constraints(tetrahedra) -> frozenset[tuple[str, int]]:
     """The strict sign conditions characterizing the tables that induce the
     given triangulation.
@@ -205,7 +215,7 @@ def derive_constraints(tetrahedra) -> frozenset[tuple[str, int]]:
     wall gives one (letter, sign) condition, the sign opposite to the apex
     coefficient.
     """
-    sets = [set(t.vertices if isinstance(t, Tetrahedron) else t) for t in tetrahedra]
+    sets = [frozenset(t.vertices if isinstance(t, Tetrahedron) else t) for t in tetrahedra]
     out = set()
     for a, b in itertools.combinations(sets, 2):
         wall = a & b
@@ -214,7 +224,7 @@ def derive_constraints(tetrahedra) -> frozenset[tuple[str, int]]:
         (apex_a,) = a - wall
         (apex_b,) = b - wall
         span = a | b
-        index = next((i for i, (pos, neg) in enumerate(_CIRCUITS) if pos | neg <= span), None)
+        index = _FORM_OF_SPAN.get(span)
         if index is None:
             raise CatalogError(f"no form spans the wall and apexes {sorted(span)}")
         coeff_a, coeff_b = FORM_COEFFS[index][apex_a], FORM_COEFFS[index][apex_b]

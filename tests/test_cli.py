@@ -377,7 +377,45 @@ GOLDEN_MONTECARLO = {
 }
 
 
+# sha256 of `simpson3 classify` (JSON, without "input") from the Fraction
+# layer-determinant correlation profile: counts, mixed rationals, a table
+# with vanishing mutual and marginal signs, and zero counts smoothed.
+GOLDEN_CLASSIFY = {
+    "counts": (
+        [3, 1, 4, 1, 5, 9, 2, 6],
+        (),
+        "d881b7ba91f07c7ab00f345520260424b906126a8c8db33a51170fefd40d7ce7",
+    ),
+    "mixed": (
+        ["3/2", "1/3", 4, "7/5", 5, 9, "2/7", 6],
+        (),
+        "151aed7c19959f9f905469239b69b1e3c8548bad2d9b46fc8f180b6459e7ce46",
+    ),
+    "ties": (
+        [3, 2, 4, 1, 2, 3, 3, 2],
+        (),
+        "b7bb45e169f124202e4125fb06eb672495923845e2b997305465177eb397baf0",
+    ),
+    "smoothing": (
+        [0, 1, 2, 0, 3, 4, 0, 5],
+        ("--smoothing", "1/2"),
+        "659488440b578560aa101e93ff954fbef914ad1dfadecef4f5d7788e6193f854",
+    ),
+}
+
+
 class TestGoldenOutput:
+    @pytest.mark.parametrize("name", list(GOLDEN_CLASSIFY))
+    def test_classify(self, capsys, tmp_path, name):
+        entries, extra, golden = GOLDEN_CLASSIFY[name]
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"entries": entries}))
+        code, out, _ = run(capsys, "classify", str(path), *extra)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload.pop("input") == str(path)
+        assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == golden
+
     def test_catalog(self, capsys):
         code, out, _ = run(capsys, "catalog")
         assert code == 0

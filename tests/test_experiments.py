@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simpson3 import (
+    Catalog,
     CatalogError,
     ConversionSearch,
     DomainError,
@@ -27,8 +28,6 @@ from simpson3 import (
     infeasible_triple_classes,
     load_civil_rights,
     orbit_classes,
-    sample_table,
-    sample_tables,
     search_witness,
 )
 from simpson3 import experiments
@@ -59,18 +58,23 @@ class TestSampler:
         assert sum(config.worker_quotas(10**6)) == 10**6
 
     def test_sample_shapes(self):
-        config = SamplerConfig(seed=1)
-        assert sample_table(config, 2).shape == (4,)
-        assert sample_table(config, 3).shape == (8,)
-        batch = sample_tables(config, 3, 100)
-        assert batch.shape == (100, 8)
-        assert (batch > 0).all()
-        with pytest.raises(DomainError):
-            sample_table(config, 4)
+        # each worker's stream serves its quota in chunks of at most _CHUNK rows
+        config = SamplerConfig(seed=1, worker_count=3)
+        total = 2 * experiments._CHUNK + 5
+        chunks = list(experiments._stream_chunks(config, 1, total))
+        assert all(0 < m <= experiments._CHUNK for _, m in chunks)
+        rngs = list({id(rng): rng for rng, _ in chunks}.values())
+        rows = [sum(m for r, m in chunks if r is rng) for rng in rngs]
+        assert rows == config.worker_quotas(total)
+        for worker, rng in enumerate(rngs):
+            expected = config.stream(1, worker).standard_exponential(4)
+            assert np.array_equal(rng.standard_exponential(4), expected)
 
     def test_exponential_mean(self):
         config = SamplerConfig(seed=2)
-        batch = sample_tables(config, 3, 200000)
+        chunks = experiments._stream_chunks(config, 2, 200000)
+        batch = np.concatenate([rng.standard_exponential((m, 8)) for rng, m in chunks])
+        assert batch.shape == (200000, 8) and (batch > 0).all()
         assert np.allclose(batch.mean(axis=0), 1.0, atol=0.01)
 
 
@@ -526,6 +530,19 @@ class TestVerified:
                 assert witness.f.entries == f.entries and witness.g.entries == g.entries
                 assert all(type(e) is Fraction for e in witness.f.entries + witness.g.entries)
                 assert in_lowest_terms(witness.f) and in_lowest_terms(witness.g)
+
+    def test_internal_faults_propagate(self, monkeypatch):
+        witness = search_witness((1, 2), SamplerConfig(seed=0))
+        assert not Witness((1, 2), Table3([1] * 8), Table3([1] * 8), "").verify()
+
+        def broken(self, pos, neg):
+            raise CatalogError("sign pattern matches 2 constraint sets")
+
+        monkeypatch.setattr(Catalog, "resolve_signs", broken)
+        with pytest.raises(CatalogError, match="matches 2 constraint sets"):
+            witness.verify()
+        with pytest.raises(CatalogError, match="matches 2 constraint sets"):
+            search_witness((3, 28), SamplerConfig(seed=0))
 
     def test_accepts_search_witnesses(self, catalog):
         for key in [(1, 2), (3, 28), (1, 3, 5), (2, 7, 40)]:

@@ -1,7 +1,10 @@
 import csv
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simpson3 import (
     DomainError,
@@ -132,6 +135,98 @@ class TestLemmaChecks:
         f = Table2([1, 2, 3, 4])
         with pytest.raises(DomainError):
             lemma_hypothesis_check(1, f, f, 4)
+
+    @pytest.mark.parametrize("check", [lemma_hypothesis_check, lemma_conclusion_check])
+    @pytest.mark.parametrize(
+        "lemma, f, g, vertex, message",
+        [
+            (1, Table3([1] * 8), Table3([1] * 8), 0, "lemma 1 applies to 2x2 tables"),
+            (1, Table2([1] * 4), Table3([1] * 8), 0, "lemma 1 applies to 2x2 tables"),
+            (1, Table2([0, 1, 1, 1]), Table2([1] * 4), 0, "f must be strictly positive"),
+            (1, Table2([1] * 4), Table2([1, 1, 0, 1]), 0, "g must be strictly positive"),
+            (1, Table2([1] * 4), Table2([1] * 4), 4, "2x2 corners are indexed 0..3"),
+            (1, Table2([1] * 4), Table2([1] * 4), -1, "2x2 corners are indexed 0..3"),
+            (2, Table2([1] * 4), Table2([1] * 4), 1, "lemma 2 applies to 2x2x2 tables"),
+            (3, Table3([1] * 8), Table2([1] * 4), 1, "lemma 3 applies to 2x2x2 tables"),
+            (2, Table3([1] * 8), Table3([1] * 8), 8, "cube vertices are indexed 0..7"),
+            (3, Table3([1] * 8), Table3([1] * 8), -1, "cube vertices are indexed 0..7"),
+            (4, Table3([1] * 8), Table3([1] * 8), 0, "unknown lemma 4"),
+            (0, Table2([1] * 4), Table2([1] * 4), 0, "unknown lemma 0"),
+        ],
+    )
+    def test_both_checks_validate_the_instance(self, check, lemma, f, g, vertex, message):
+        with pytest.raises(DomainError) as info:
+            check(lemma, f, g, vertex)
+        assert str(info.value) == message
+
+
+def _facet_products(t, vertex):
+    """For each facet through the vertex (z, y, x fixed, in that order): the
+    product over the diagonal avoiding the vertex, and over the one through
+    it."""
+    x, y, z = (vertex >> 2) & 1, (vertex >> 1) & 1, vertex & 1
+
+    def e(a, b, c):
+        return t.entries[(a << 2) | (b << 1) | c]
+
+    return (
+        (e(1 - x, y, z) * e(x, 1 - y, z), e(x, y, z) * e(1 - x, 1 - y, z)),
+        (e(1 - x, y, z) * e(x, y, 1 - z), e(x, y, z) * e(1 - x, y, 1 - z)),
+        (e(x, 1 - y, z) * e(x, y, 1 - z), e(x, y, z) * e(x, 1 - y, 1 - z)),
+    )
+
+
+def reference_hypothesis(lemma, f, g, vertex):
+    """Lemmas 2 and 3 by Fraction facet products: both tables show the
+    diagonal through the vertex on all three facets (lemma 2) or on the
+    z-facet only (lemma 3)."""
+    want = (True, True, True) if lemma == 2 else (True, False, False)
+    return all(
+        (anti < main) == w
+        for t in (f, g)
+        for (anti, main), w in zip(_facet_products(t, vertex), want)
+    )
+
+
+def reference_conclusion(lemma, f, g, vertex):
+    """The sum does not show the complementary diagonals strictly."""
+    (a0, m0), (a1, m1), (a2, m2) = _facet_products(f + g, vertex)
+    if lemma == 2:
+        return not (a0 > m0 and a1 > m1 and a2 > m2)
+    return not (a0 > m0 and a1 < m1 and a2 < m2)
+
+
+def _eight(values):
+    return st.lists(values, min_size=8, max_size=8).map(Table3)
+
+
+# Tie-heavy, wide and rational tables.
+lemma_tables = st.one_of(
+    _eight(st.integers(1, 3)),
+    _eight(st.integers(1, 10**6)),
+    _eight(st.one_of(st.integers(1, 4), st.builds(Fraction, st.integers(1, 4), st.integers(2, 4)))),
+    _eight(st.builds(Fraction, st.integers(1, 10**9), st.integers(1, 10**9))),
+)
+
+
+class TestLemmaKernel:
+    """Lemmas 2 and 3 read off the sign kernel equal their Fraction
+    inequality systems on every instance, ties included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(f=lemma_tables, g=lemma_tables, lemma=st.sampled_from([2, 3]))
+    def test_matches_the_fraction_reference(self, f, g, lemma):
+        for v in range(8):
+            assert lemma_hypothesis_check(lemma, f, g, v) == reference_hypothesis(lemma, f, g, v)
+            assert lemma_conclusion_check(lemma, f, g, v) == reference_conclusion(lemma, f, g, v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=lemma_tables, lemma=st.sampled_from([2, 3]))
+    def test_matches_the_fraction_reference_on_equal_summands(self, f, lemma):
+        # F = G makes both hypotheses hold together, and the sum repeats F.
+        for v in range(8):
+            assert lemma_hypothesis_check(lemma, f, f, v) == reference_hypothesis(lemma, f, f, v)
+            assert lemma_conclusion_check(lemma, f, f, v) == reference_conclusion(lemma, f, f, v)
 
 
 class TestReport:

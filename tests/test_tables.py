@@ -23,8 +23,9 @@ from simpson3 import (
     detect_conversion,
     detect_reversal_2d,
     eval_form_signs,
+    lemma_conclusion_check,
+    lemma_hypothesis_check,
     load_table,
-    sign_of_form,
     table_from_json_obj,
     table_to_json_obj,
 )
@@ -38,6 +39,7 @@ from simpson3.tables import (
     _FOUR_TERM,
     _int_sign_bits,
     _pair_sign_bits,
+    _sign,
     VERTICES,
     antipode,
     face_diagonal_pair,
@@ -105,8 +107,7 @@ class TestForms:
         for _ in range(200):
             t = random_int_table3(rng)
             h = np.log([float(e) for e in t.entries])
-            for coeffs in FORM_COEFFS:
-                exact = sign_of_form(coeffs, t.entries)
+            for coeffs, exact in zip(FORM_COEFFS, eval_form_signs(t).signs):
                 approx = float(np.dot(coeffs, h))
                 if abs(approx) > 1e-8:
                     assert exact == (1 if approx > 0 else -1)
@@ -138,26 +139,6 @@ class TestForms:
         signs = eval_form_signs(Table3([1] * 8))
         assert set(signs.signs) == {0}
 
-    def test_sign_of_form_needs_a_catalogued_form(self):
-        with pytest.raises(DomainError):
-            sign_of_form((1, -1, 0, 0, 0, 0, 0, 0), EXAMPLE.entries)
-
-    @pytest.mark.parametrize(
-        "entries, message",
-        [
-            ([1.0] * 8, "Table3: entries must be exact rationals, got float"),
-            (["1"] * 8, "Table3: entries must be exact rationals, got str"),
-            ([1] * 7, "Table3 needs 8 entries, got 7"),
-            ([0] + [1] * 7, "Table3 entries must be strictly positive"),
-            ([-1, 2, 3, 4, 5, 6, 7, 8], "Table3 entries must be strictly positive"),
-        ],
-        ids=["float", "str", "seven entries", "zero", "negative"],
-    )
-    def test_sign_of_form_checks_its_table(self, entries, message):
-        with pytest.raises(DomainError) as info:
-            sign_of_form(FORM_COEFFS[0], entries)
-        assert str(info.value) == message
-
 
 def reference_signs(entries):
     """Signs of the 20 forms by direct Fraction monomial comparison."""
@@ -187,11 +168,9 @@ positive_rationals = st.builds(Fraction, st.integers(1, 10**9), st.integers(1, 1
 
 class TestSignKernelProperties:
     @settings(max_examples=400, deadline=None)
-    @given(table=positive_tables, index=st.integers(0, 19))
-    def test_matches_fraction_reference(self, table, index):
-        expected = reference_signs(table.entries)
-        assert eval_form_signs(table).signs == expected
-        assert sign_of_form(FORM_COEFFS[index], table.entries) == expected[index]
+    @given(table=positive_tables)
+    def test_matches_fraction_reference(self, table):
+        assert eval_form_signs(table).signs == reference_signs(table.entries)
 
     @settings(max_examples=200, deadline=None)
     @given(table=positive_tables, factor=positive_rationals)
@@ -279,6 +258,22 @@ class TestTables:
     def test_float_entries_rejected(self):
         with pytest.raises(DomainError):
             Table3([1.5] + [1] * 7)
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([1.0] * 8, "Table3: entries must be exact rationals, got float"),
+            (["1"] * 8, "Table3: entries must be exact rationals, got str"),
+            ([1] * 7, "Table3 needs 8 entries, got 7"),
+            ([0] + [1] * 7, "Table3 entries must be strictly positive"),
+            ([-1, 2, 3, 4, 5, 6, 7, 8], "Table3 entries must be strictly positive"),
+        ],
+        ids=["float", "str", "seven entries", "zero", "negative"],
+    )
+    def test_table3_checks_its_entries(self, entries, message):
+        with pytest.raises(DomainError) as info:
+            Table3(entries)
+        assert str(info.value) == message
 
     def test_add_and_layer(self):
         t = EXAMPLE + EXAMPLE
@@ -560,8 +555,12 @@ class TestIntegerRepresentation:
         f, g = Table3([3, 1, 4, 1, 5, 9, 2, 6]), Table3([27, 18, 28, 45, 90, 45, 23, 53])
         assert classify_exact(f, catalog).canonical_id == 19
         eval_form_signs(g)
-        sign_of_form(FORM_COEFFS[12], [5, 3, 9, 7, 1, 2, 4, 8])
         assert detect_conversion(f, g).id_sum == 40
+        assert correlation_profile(f).marginal == (-1, 1, -1)
+        for lemma in (2, 3):
+            for v in VERTICES:
+                lemma_hypothesis_check(lemma, f, g, v)
+                lemma_conclusion_check(lemma, f, g, v)
         for sigma in GROUP:
             classify_exact(apply_table(sigma, f), catalog)
         f + g
@@ -572,7 +571,42 @@ class TestIntegerRepresentation:
         assert entries == tuple(Fraction(x) for x in [3, 1, 4, 1, 5, 9, 2, 6])
 
 
+def reference_profile(table):
+    """The 17 dependence signs by Fraction totals and layer determinants."""
+    e = table.entries
+    grand = table.total()
+    totals = [
+        [sum((e[v] for v in face_vertices(a, val)), Fraction(0)) for val in (0, 1)]
+        for a in range(3)
+    ]
+    mutual = []
+    for v in VERTICES:
+        x, y, z = vertex_bits(v)
+        mutual.append(_sign(grand * grand * e[v] - totals[0][x] * totals[1][y] * totals[2][z]))
+    marginal = []
+    for a in range(3):
+        lo, hi = table.layer(a, 0).entries, table.layer(a, 1).entries
+        marginal.append(_sign(Table2(lo[i] + hi[i] for i in range(4)).det()))
+    conditional = [_sign(table.layer(axis, value).det()) for axis, value in FACES]
+    return tuple(mutual), tuple(marginal), tuple(conditional)
+
+
+# Tie-heavy, wide and rational tables: ties make profile signs vanish.
+profile_tables = st.one_of(
+    _eight(st.integers(1, 3)),
+    _eight(st.integers(1, 10**6)),
+    _eight(st.one_of(st.integers(1, 4), st.builds(Fraction, st.integers(1, 4), st.integers(2, 4)))),
+    _eight(positive_rationals),
+).map(Table3)
+
+
 class TestCorrelationProfile:
+    @settings(max_examples=400, deadline=None)
+    @given(table=profile_tables, factor=st.one_of(st.just(Fraction(1)), huge_scales))
+    def test_matches_fraction_reference(self, table, factor):
+        profile = correlation_profile(table.scaled(factor))
+        assert (profile.mutual, profile.marginal, profile.conditional) == reference_profile(table)
+
     def test_conditional_agrees_with_forms(self):
         rng = np.random.default_rng(4)
         for _ in range(100):

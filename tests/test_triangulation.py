@@ -28,6 +28,7 @@ from simpson3 import symmetry
 from simpson3.triangulation import (
     _BLOCK,
     _CIRCUITS,
+    _FORM_OF_SPAN,
     DEFAULT_TOLERANCE,
     FORM_MATRIX,
     FORM_NORMS,
@@ -663,3 +664,11 @@ class TestBatchMemo:
             if (np.abs(values) >= margin).all():
                 clean.add(sum(1 << i for i, v in enumerate(values) if v > 0))
         assert set(filled.tolist()) == clean
+
+
+def test_every_five_vertex_set_holds_one_circuit():
+    # derive_constraints reads a wall's form off its 5-vertex span
+    for span in itertools.combinations(VERTICES, 5):
+        held = [i for i, (pos, neg) in enumerate(_CIRCUITS) if pos | neg <= set(span)]
+        assert len(held) == 1
+        assert _FORM_OF_SPAN[frozenset(span)] == held[0]
