@@ -24,7 +24,6 @@ import tempfile
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Sequence
 
@@ -34,7 +33,7 @@ from .errors import CatalogError, DegenerateTable, DomainError
 from .feasibility import obstruction_triple
 from .symmetry import canonical_class_of, pad_key
 from .tables import NonnegTable3, Table3, _pair_sign_bits, _table3, format_rational
-from .tables import table_from_json_obj
+from .tables import parse_rational, table_from_json_obj
 from .triangulation import (
     FORM_MATRIX,
     Catalog,
@@ -111,10 +110,6 @@ class FrequencyEstimate:
     targets: dict[str, str]
     seed: int
     worker_count: int
-
-    @property
-    def effective_count(self) -> int:
-        return self.sample_count - self.degenerate_discards
 
     def to_json_obj(self) -> dict:
         return {
@@ -759,7 +754,7 @@ class WitnessArchive:
                     if len(line) != len(self.columns):
                         raise ValueError(f"{len(line)} cells, header has {len(self.columns)}")
                     key = tuple(int(x) for x in line[:offset])
-                    cells = [Fraction(x) for x in line[offset : offset + 16]]
+                    cells = [parse_rational(x) for x in line[offset : offset + 16]]
                     witness = Witness(key, Table3(cells[:8]), Table3(cells[8:]), line[offset + 16])
                 except (ValueError, ZeroDivisionError, DomainError) as exc:
                     raise CatalogError(

@@ -23,7 +23,8 @@ from typing import Optional, Sequence
 
 from .errors import DomainError
 from .symmetry import OrbitClass, pad_key
-from .tables import FACE_FORM, FACES, FORM_INDEX, Table2, Table3, _pair_sign_bits
+from .tables import FACE_FORM, FACES, FORM_INDEX, Table2, Table3, _cross, _on_one_scale
+from .tables import _pair_sign_bits
 from .triangulation import _FACE_DIAGONAL_PAIRS, Triangulation, _vertex_incidence
 
 
@@ -109,12 +110,6 @@ def _check_instance(lemma: int, f, g, vertex: int) -> None:
         raise DomainError(f"unknown lemma {lemma}")
 
 
-def _diag_products_2d(f: Table2, x: int, y: int):
-    main = f[(x, y)] * f[(1 - x, 1 - y)]
-    anti = f[(1 - x, y)] * f[(x, 1 - y)]
-    return anti, main
-
-
 # The sign bits of the facet forms a-f.  The callers mask the kernel's bits
 # to them, so at most 3^6 facet sign states are cached.
 _FACETS = sum(1 << FORM_INDEX[letter] for letter in FACE_FORM.values())
@@ -145,11 +140,12 @@ def lemma_hypothesis_check(lemma: int, f, g, vertex: int) -> bool:
     """
     _check_instance(lemma, f, g, vertex)
     if lemma == 1:
-        x, y = (vertex >> 1) & 1, vertex & 1
-        fa, fm = _diag_products_2d(f, x, y)
-        ga, gm = _diag_products_2d(g, x, y)
-        sa, sm = _diag_products_2d(f + g, x, y)
-        return fa < fm and ga < gm and sa > sm
+        nf, ng, _ = _on_one_scale(f, g)
+        ns = [a + b for a, b in zip(nf, ng)]
+        # The determinant with the corner moved to 00 is positive exactly
+        # when the diagonal through the corner is shown.
+        df, dg, ds = (_cross(n[vertex ^ i] for i in range(4)) for n in (nf, ng, ns))
+        return df > 0 and dg > 0 and ds < 0
     (through_f, _), (through_g, _) = (
         _incidences(pos & _FACETS, neg & _FACETS) for pos, neg in _pair_sign_bits(f, g)[:2]
     )
@@ -166,12 +162,12 @@ def lemma_conclusion_check(lemma: int, f, g, vertex: int) -> bool:
     """
     _check_instance(lemma, f, g, vertex)
     if lemma == 1:
-        x, y = (vertex >> 1) & 1, vertex & 1
-        p = f[(1 - x, y)] * g[(x, y)] - f[(x, y)] * g[(1 - x, y)]
-        q = f[(x, 1 - y)] * g[(x, y)] - f[(x, y)] * g[(x, 1 - y)]
-        first = p > 0 and q < 0
-        second = p < 0 and q > 0
-        return first != second
+        # Each term of p and q is one entry of f times one of g, so the
+        # tables' own integers decide their signs.
+        nf, ng, c = f.integers, g.integers, vertex
+        p = nf[c ^ 2] * ng[c] - nf[c] * ng[c ^ 2]
+        q = nf[c ^ 1] * ng[c] - nf[c] * ng[c ^ 1]
+        return (p > 0 and q < 0) != (p < 0 and q > 0)
     pos, neg = _pair_sign_bits(f, g)[2]
     through, avoid = _incidences(pos & _FACETS, neg & _FACETS)
     pattern = _LEMMA_PATTERN[lemma]

@@ -87,15 +87,13 @@ _TABLE_GATHER = tuple(operator.itemgetter(*VERTEX_MAPS[s]) for s in INVERSE_INDE
 def apply_table(sigma: CubeSymmetry, table):
     """Relabeled table: the image assigns to sigma(v) the old value at v.
 
-    A ``Table3`` was validated when it was built, and relabeling keeps its
+    The table was validated when it was built, and relabeling keeps its
     entries, so its image permutes the integers under the same denominator,
     on trust.
     """
-    gather = _TABLE_GATHER[GROUP_INDEX[sigma]]
-    if isinstance(table, Table3):
-        return _table3(gather(table.integers), table.denominator)
-    if isinstance(table, NonnegTable3):
-        return NonnegTable3(gather(table.entries))
+    if isinstance(table, (Table3, NonnegTable3)):
+        gather = _TABLE_GATHER[GROUP_INDEX[sigma]]
+        return _table3(gather(table.integers), table.denominator, type(table))
     raise DomainError(f"cannot apply a cube symmetry to {type(table).__name__}")
 
 

@@ -165,16 +165,15 @@ def _compile_sign_kernel() -> Callable[..., tuple[int, int]]:
 _int_sign_bits = _compile_sign_kernel()
 
 
-def _on_one_scale(
-    na: Sequence[int], da: int, nb: Sequence[int], db: int
-) -> tuple[Sequence[int], Sequence[int], int]:
-    """Two integer tables over their least common denominator, rescaled only
-    when their denominators differ."""
+def _on_one_scale(a, b) -> tuple[Sequence[int], Sequence[int], int]:
+    """The integers of two tables over their least common denominator,
+    rescaled only when their denominators differ."""
+    da, db = a.denominator, b.denominator
     if da == db:
-        return na, nb, da
+        return a.integers, b.integers, da
     common = math.lcm(da, db)
     ka, kb = common // da, common // db
-    return [n * ka for n in na], [n * kb for n in nb], common
+    return [n * ka for n in a.integers], [n * kb for n in b.integers], common
 
 
 def _pair_sign_bits(
@@ -185,7 +184,7 @@ def _pair_sign_bits(
     The forms are homogeneous, so on a common denominator L the sum is
     decided by F·L + G·L without building it.
     """
-    nf, ng, _ = _on_one_scale(f.integers, f.denominator, g.integers, g.denominator)
+    nf, ng, _ = _on_one_scale(f, g)
     return (
         _int_sign_bits(*nf),
         _int_sign_bits(*ng),
@@ -193,18 +192,35 @@ def _pair_sign_bits(
     )
 
 
-def _to_fraction(value: Rational, where: str) -> Fraction:
-    # The exact types come first: a Fraction is immutable and passes as is.
-    kind = type(value)
-    if kind is Fraction:
-        return value
-    if kind is int:
-        return Fraction(value)
+def _ratio(value: Rational, where: str) -> tuple[int, int]:
+    """An exact entry as its numerator and positive denominator, in lowest
+    terms, without building a ``Fraction``."""
     if isinstance(value, bool):
         raise DomainError(f"{where}: boolean is not a table entry")
     if isinstance(value, (int, Fraction)):
-        return Fraction(value)
+        return value.numerator, value.denominator
     raise DomainError(f"{where}: entries must be exact rationals, got {type(value).__name__}")
+
+
+def _validated(kind: type, entries: Iterable[Rational]) -> tuple[tuple[int, ...], int]:
+    """The entries of a new ``kind`` table as integers over their least
+    common denominator, in lowest terms.  Every entry is converted first,
+    then the count is checked, then the sign."""
+    name = kind.__name__
+    ratios = [_ratio(e, name) for e in entries]
+    if len(ratios) != kind._size:
+        raise DomainError(f"{name} needs {kind._size} entries, got {len(ratios)}")
+    if any(p < kind._least for p, _ in ratios):
+        rule = "strictly positive" if kind._least else "nonnegative"
+        raise DomainError(f"{name} entries must be {rule}")
+    denominator = math.lcm(*(q for _, q in ratios))
+    return tuple(p * (denominator // q) for p, q in ratios), denominator
+
+
+def _cross(n: Iterable[int]) -> int:
+    """The determinant n00·n11 − n01·n10 of a 2x2 table's integers."""
+    n00, n01, n10, n11 = n
+    return n00 * n11 - n01 * n10
 
 
 # Frozen dataclass fields are set through object.__setattr__; bound once,
@@ -212,61 +228,26 @@ def _to_fraction(value: Rational, where: str) -> Fraction:
 _setattr = object.__setattr__
 
 
-def _table3(integers: Iterable[int], denominator: int) -> "Table3":
-    """A ``Table3`` on positive integers over a positive denominator,
-    derived from validated tables, divided by their common factor.  Nothing
-    else is checked again."""
-    integers = tuple(integers)
-    if denominator != 1:
-        common = math.gcd(denominator, *integers)
-        if common != 1:
-            integers = tuple(n // common for n in integers)
-            denominator //= common
-    table = object.__new__(Table3)
-    _setattr(table, "integers", integers)
-    _setattr(table, "denominator", denominator)
-    return table
-
-
-def _cleared(fractions: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    """The values of ``fractions`` as integers over their least common
-    denominator.  Each ``Fraction`` is in lowest terms, so the pair is too."""
-    denominator = math.lcm(*(e.denominator for e in fractions))
-    return tuple(e.numerator * (denominator // e.denominator) for e in fractions), denominator
-
-
 @dataclass(frozen=True)
-class Table3:
-    """A strictly positive 2x2x2 table, entries in vertex order 000..111.
+class _ExactTable:
+    """A table stored as ``integers`` over one positive ``denominator``, in
+    lowest terms: ``gcd(denominator, *integers) == 1``, so two tables of one
+    kind are equal exactly when their entries are.  ``entries`` reads the
+    values off as ``Fraction``s the first time it is asked for.
 
-    The table is stored as 8 positive ``integers`` over one positive
-    ``denominator``, in lowest terms: ``gcd(denominator, *integers) == 1``,
-    so two tables are equal exactly when their entries are.  ``entries``
-    reads the values off as ``Fraction``s the first time it is asked for.
-
-    The constructor validates its input once: 8 positive ints (counts) are
-    stored as they stand; any other input becomes ``Fraction``s that must
-    be positive, and their denominators are cleared once.  Tables derived
-    from validated ones (``+``, ``scaled``, ``NonnegTable3.smoothed``,
-    ``symmetry.apply_table``) are built as integer pairs on trust.
+    The constructor checks its input once (``_validated``); tables derived
+    from validated ones are built by ``_table3`` on trust.
     """
 
     integers: tuple[int, ...]
     denominator: int
 
+    # The entry count, and the least numerator an entry may have.
+    _size = VERTEX_COUNT
+    _least = 0
+
     def __init__(self, entries: Iterable[Rational]):
-        vals = tuple(entries)
-        if len(vals) == VERTEX_COUNT and all(type(e) is int and e > 0 for e in vals):
-            # Counts, the common input: valid as they stand.
-            integers, denominator = vals, 1
-        else:
-            vals = tuple(_to_fraction(e, "Table3") for e in vals)
-            if len(vals) != VERTEX_COUNT:
-                raise DomainError(f"Table3 needs {VERTEX_COUNT} entries, got {len(vals)}")
-            for v in vals:
-                if v.numerator <= 0:
-                    raise DomainError("Table3 entries must be strictly positive")
-            integers, denominator = _cleared(vals)
+        integers, denominator = _validated(type(self), entries)
         _setattr(self, "integers", integers)
         _setattr(self, "denominator", denominator)
 
@@ -279,93 +260,110 @@ class Table3:
     def __getitem__(self, v: int) -> Fraction:
         return self.entries[v]
 
-    def __add__(self, other: "Table3") -> "Table3":
-        if isinstance(other, Table3):
-            nb, db = other.integers, other.denominator
-        elif isinstance(other, NonnegTable3):
-            # positive plus nonnegative is positive
-            nb, db = _cleared(other.entries)
+    def _add(self, other: "_ExactTable"):
+        """The entrywise sum, a table of this kind: positive plus
+        nonnegative is positive."""
+        if not isinstance(other, _ExactTable):
+            return NotImplemented
+        size, got = len(self.integers), len(other.integers)
+        if got != size:
+            raise DomainError(f"{type(self).__name__} needs {size} entries, got {got}")
+        na, nb, d = _on_one_scale(self, other)
+        return _table3(map(operator.add, na, nb), d, type(self))
+
+
+@dataclass(frozen=True, init=False)
+class Table3(_ExactTable):
+    """A strictly positive 2x2x2 table, entries in vertex order 000..111,
+    stored as 8 positive ``integers`` over one ``denominator``.
+
+    8 positive ints (counts) are stored as they stand; any other input goes
+    through the validator.  Tables derived from validated ones (``+``,
+    ``scaled``, ``NonnegTable3.smoothed``, ``symmetry.apply_table``) are
+    built as integer pairs on trust.
+    """
+
+    _least = 1
+
+    def __init__(self, entries: Iterable[Rational]):
+        vals = tuple(entries)
+        if len(vals) == VERTEX_COUNT and all(type(e) is int and e > 0 for e in vals):
+            # Counts, the common input: valid as they stand.
+            _setattr(self, "integers", vals)
+            _setattr(self, "denominator", 1)
         else:
-            return Table3(a + b for a, b in zip(self.entries, other.entries))
-        na, nb, d = _on_one_scale(self.integers, self.denominator, nb, db)
-        return _table3(map(operator.add, na, nb), d)
+            super().__init__(vals)
+
+    __add__ = _ExactTable._add
 
     def scaled(self, factor: Rational) -> "Table3":
-        factor = _to_fraction(factor, "Table3.scaled")
-        if factor.numerator <= 0:
+        p, q = _ratio(factor, "Table3.scaled")
+        if p <= 0:
             raise DomainError("scale factor must be positive")
-        p = factor.numerator
-        return _table3((p * n for n in self.integers), self.denominator * factor.denominator)
+        return _table3((p * n for n in self.integers), self.denominator * q)
 
     def layer(self, axis: int, value: int) -> "Table2":
         """The 2x2 slice with the given coordinate fixed, remaining axes in order."""
-        return Table2(self.entries[v] for v in face_vertices(axis, value))
+        n = self.integers
+        return _table3((n[v] for v in face_vertices(axis, value)), self.denominator, Table2)
 
     def total(self) -> Fraction:
         return Fraction(sum(self.integers), self.denominator)
 
 
-@dataclass(frozen=True)
-class NonnegTable3:
+@dataclass(frozen=True, init=False)
+class NonnegTable3(_ExactTable):
     """A 2x2x2 table of nonnegative counts.  Zeros are allowed, so no
     triangulation is defined; use layers for determinant-sign work, or
-    smoothed() to obtain a strictly positive Table3.  Validated once, as
-    ``Table3`` is."""
+    smoothed() to obtain a strictly positive Table3."""
 
-    entries: tuple[Fraction, ...]
-
-    def __init__(self, entries: Iterable[Rational]):
-        vals = tuple(_to_fraction(e, "NonnegTable3") for e in entries)
-        if len(vals) != VERTEX_COUNT:
-            raise DomainError(f"NonnegTable3 needs {VERTEX_COUNT} entries, got {len(vals)}")
-        for v in vals:
-            if v.numerator < 0:
-                raise DomainError("NonnegTable3 entries must be nonnegative")
-        object.__setattr__(self, "entries", vals)
-
-    def __getitem__(self, v: int) -> Fraction:
-        return self.entries[v]
-
-    def layer(self, axis: int, value: int) -> "Table2":
-        return Table2(self.entries[v] for v in face_vertices(axis, value))
+    layer = Table3.layer
 
     def smoothed(self, epsilon: Rational) -> Table3:
         """Add epsilon to every entry.  This makes zero-count data classifiable
         but is a modelling choice: the induced triangulation depends on epsilon
         and is not a property of the raw counts themselves."""
-        eps = _to_fraction(epsilon, "NonnegTable3.smoothed")
-        if eps.numerator <= 0:
+        p, q = _ratio(epsilon, "NonnegTable3.smoothed")
+        if p <= 0:
             raise DomainError("smoothing epsilon must be positive")
-        return _table3(*_cleared(tuple(e + eps for e in self.entries)))
+        d = self.denominator
+        # n/d + p/q = (n·q + p·d) / (d·q)
+        return _table3((n * q + p * d for n in self.integers), d * q)
 
 
-@dataclass(frozen=True)
-class Table2:
+@dataclass(frozen=True, init=False)
+class Table2(_ExactTable):
     """A nonnegative 2x2 table, entries in index order 00, 01, 10, 11."""
 
-    entries: tuple[Fraction, ...]
+    _size = 4
 
-    def __init__(self, entries: Iterable[Rational]):
-        vals = tuple(_to_fraction(e, "Table2") for e in entries)
-        if len(vals) != 4:
-            raise DomainError(f"Table2 needs 4 entries, got {len(vals)}")
-        if any(v < 0 for v in vals):
-            raise DomainError("Table2 entries must be nonnegative")
-        object.__setattr__(self, "entries", vals)
+    __add__ = _ExactTable._add
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         x, y = key
         return self.entries[(x << 1) | y]
 
-    def __add__(self, other: "Table2") -> "Table2":
-        return Table2(a + b for a, b in zip(self.entries, other.entries))
-
     def det(self) -> Fraction:
-        e = self.entries
-        return e[0] * e[3] - e[1] * e[2]
+        return Fraction(_cross(self.integers), self.denominator**2)
 
     def strictly_positive(self) -> bool:
-        return all(v > 0 for v in self.entries)
+        return all(n > 0 for n in self.integers)
+
+
+def _table3(integers: Iterable[int], denominator: int, kind: type = Table3):
+    """A table of ``kind`` on integers over a positive denominator, derived
+    from validated tables, divided by their common factor.  Nothing else is
+    checked again."""
+    integers = tuple(integers)
+    if denominator != 1:
+        common = math.gcd(denominator, *integers)
+        if common != 1:
+            integers = tuple(n // common for n in integers)
+            denominator //= common
+    table = object.__new__(kind)
+    _setattr(table, "integers", integers)
+    _setattr(table, "denominator", denominator)
+    return table
 
 
 @dataclass(frozen=True)
@@ -462,11 +460,14 @@ class Diagonal2D(Enum):
 def detect_reversal_2d(f: Table2, g: Table2) -> Reversal2D:
     """Simpson reversal test: both determinant signs agree and the sign of the
     entrywise sum's determinant is opposite.  Degenerate if any determinant
-    vanishes."""
-    df, dg, ds = f.det(), g.det(), (f + g).det()
+    vanishes.  The signs are those of integer cross products; the sum's are
+    taken on one integer scale."""
+    nf, ng, _ = _on_one_scale(f, g)
+    df, dg = _sign(_cross(f.integers)), _sign(_cross(g.integers))
+    ds = _sign(_cross(map(operator.add, nf, ng)))
     if df == 0 or dg == 0 or ds == 0:
         return Reversal2D.DEGENERATE
-    if _sign(df) == _sign(dg) == -_sign(ds):
+    if df == dg == -ds:
         return Reversal2D.POS_TO_NEG if df > 0 else Reversal2D.NEG_TO_POS
     return Reversal2D.NO_REVERSAL
 
@@ -476,7 +477,7 @@ def classify_2d(f: Table2) -> Diagonal2D:
     {00, 11} iff F00*F11 > F01*F10."""
     if not f.strictly_positive():
         raise DomainError("classify_2d requires strictly positive entries")
-    d = f.det()
+    d = _cross(f.integers)
     if d > 0:
         return Diagonal2D.DIAG_00_11
     if d < 0:

@@ -378,8 +378,9 @@ GOLDEN_MONTECARLO = {
 
 
 # sha256 of `simpson3 classify` (JSON, without "input") from the Fraction
-# layer-determinant correlation profile: counts, mixed rationals, a table
-# with vanishing mutual and marginal signs, and zero counts smoothed.
+# layer-determinant correlation profile and the Fraction 2x2 determinant:
+# counts, mixed rationals, a table with vanishing mutual and marginal signs,
+# and zero counts smoothed, for 2x2x2 and 2x2 tables.
 GOLDEN_CLASSIFY = {
     "counts": (
         [3, 1, 4, 1, 5, 9, 2, 6],
@@ -400,6 +401,21 @@ GOLDEN_CLASSIFY = {
         [0, 1, 2, 0, 3, 4, 0, 5],
         ("--smoothing", "1/2"),
         "659488440b578560aa101e93ff954fbef914ad1dfadecef4f5d7788e6193f854",
+    ),
+    "2x2 counts": (
+        [5, 6, 3, 4],
+        (),
+        "e566228a65e520721ba8ae934a5291850afe06ca1a4a9be4808497f46655e0d2",
+    ),
+    "2x2 mixed": (
+        ["3/2", "1/3", "7/5", "2/7"],
+        (),
+        "dea2b88dd5d295e87ae7a4060207a3b0f77d65d664fff40641288af798de3682",
+    ),
+    "2x2 smoothing": (
+        [0, 3, 2, 1],
+        ("--smoothing", "1/2"),
+        "9c97f7e2d594f2e669d1499ac3745d038dbb0eee10db07e5d63258da20e8fd60",
     ),
 }
 

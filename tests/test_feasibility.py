@@ -200,13 +200,14 @@ def _eight(values):
     return st.lists(values, min_size=8, max_size=8).map(Table3)
 
 
-# Tie-heavy, wide and rational tables.
-lemma_tables = st.one_of(
-    _eight(st.integers(1, 3)),
-    _eight(st.integers(1, 10**6)),
-    _eight(st.one_of(st.integers(1, 4), st.builds(Fraction, st.integers(1, 4), st.integers(2, 4)))),
-    _eight(st.builds(Fraction, st.integers(1, 10**9), st.integers(1, 10**9))),
+# Tie-heavy, wide and rational entries.
+tie_wide_rational = (
+    st.integers(1, 3),
+    st.integers(1, 10**6),
+    st.one_of(st.integers(1, 4), st.builds(Fraction, st.integers(1, 4), st.integers(2, 4))),
+    st.builds(Fraction, st.integers(1, 10**9), st.integers(1, 10**9)),
 )
+lemma_tables = st.one_of(*map(_eight, tie_wide_rational))
 
 
 class TestLemmaKernel:
@@ -227,6 +228,42 @@ class TestLemmaKernel:
         for v in range(8):
             assert lemma_hypothesis_check(lemma, f, f, v) == reference_hypothesis(lemma, f, f, v)
             assert lemma_conclusion_check(lemma, f, f, v) == reference_conclusion(lemma, f, f, v)
+
+
+def reference_lemma1(f, g, corner):
+    """Lemma 1's hypothesis and conclusion by Fraction diagonal and cross
+    products, on the entries of 2x2 tables f and g."""
+    x, y = (corner >> 1) & 1, corner & 1
+
+    def at(e, a, b):
+        return e[(a << 1) | b]
+
+    def products(e):
+        return at(e, 1 - x, y) * at(e, x, 1 - y), at(e, x, y) * at(e, 1 - x, 1 - y)
+
+    (fa, fm), (ga, gm), (sa, sm) = (products(e) for e in (f, g, [a + b for a, b in zip(f, g)]))
+    p = at(f, 1 - x, y) * at(g, x, y) - at(f, x, y) * at(g, 1 - x, y)
+    q = at(f, x, 1 - y) * at(g, x, y) - at(f, x, y) * at(g, x, 1 - y)
+    return fa < fm and ga < gm and sa > sm, (p > 0 and q < 0) != (p < 0 and q > 0)
+
+
+lemma1_entries = st.one_of(*(st.lists(v, min_size=4, max_size=4) for v in tie_wide_rational))
+unit_or_huge = st.sampled_from([Fraction(1), Fraction(10) ** 300, Fraction(3, 10**300)])
+
+
+class TestLemma1Integers:
+    """Lemma 1 on the tables' integers equals its Fraction inequality
+    system on every instance, ties and huge scales included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(f=lemma1_entries, g=lemma1_entries, factor=unit_or_huge)
+    def test_matches_the_fraction_reference(self, f, g, factor):
+        ff = [Fraction(x) * factor for x in f]
+        tf, tg = Table2(ff), Table2(g)
+        for v in range(4):
+            hypothesis, conclusion = reference_lemma1(ff, [Fraction(x) for x in g], v)
+            assert lemma_hypothesis_check(1, tf, tg, v) == hypothesis
+            assert lemma_conclusion_check(1, tf, tg, v) == conclusion
 
 
 class TestReport:

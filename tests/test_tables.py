@@ -320,13 +320,15 @@ def _assert_exact(table, cls):
 
 
 def lowest_terms(table):
-    """Whether a table holds 8 positive ints over a positive int denominator
-    with no common factor."""
+    """Whether a table holds its kind's count of ints over a positive int
+    denominator with no common factor.  A Table3's ints are positive, the
+    other kinds' nonnegative."""
     ints, den = table.integers, table.denominator
+    least = 1 if type(table) is Table3 else 0
     return (
         type(ints) is tuple
-        and len(ints) == 8
-        and all(type(n) is int and n > 0 for n in ints)
+        and len(ints) == (4 if type(table) is Table2 else 8)
+        and all(type(n) is int and n >= least for n in ints)
         and type(den) is int
         and den > 0
         and math.gcd(den, *ints) == 1
@@ -336,7 +338,7 @@ def lowest_terms(table):
 class TestDerivedTables:
     """Tables derived from validated ones skip validation; each must equal
     the validating constructor on the same entries, hold the entries
-    computed Fraction by Fraction, and a Table3 must be in lowest terms."""
+    computed Fraction by Fraction, and be in lowest terms."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -362,6 +364,9 @@ class TestDerivedTables:
             moved_n[vmap[v]] = fz[v]
         ab, az = [x + y for x, y in zip(fa, fb)], [x + y for x, y in zip(fa, fz)]
         scaled, smoothed = [Fraction(factor) * x for x in fa], [x + Fraction(eps) for x in fz]
+        face = FACES[s % 6]
+        layer_a, layer_z = reference_layer(fa, *face), reference_layer(fz, *face)
+        layer_sum = [x + y for x, y in zip(layer_a, layer_z)]
         cases = [
             (Table3(counts), Table3(fc), fc),
             (t, Table3(fa), fa),
@@ -371,13 +376,16 @@ class TestDerivedTables:
             (apply_table(sigma, n), NonnegTable3(moved_n), moved_n),
             (t.scaled(factor), Table3([factor * x for x in a]), scaled),
             (n.smoothed(eps), Table3([x + eps for x in z]), smoothed),
+            (t.layer(*face), Table2(layer_a), layer_a),
+            (n.layer(*face), Table2(layer_z), layer_z),
+            (t.layer(*face) + n.layer(*face), Table2(layer_sum), layer_sum),
         ]
         for derived, validated, entries in cases:
             assert derived == validated
             assert derived.entries == tuple(entries)
             _assert_exact(derived, type(validated))
+            assert lowest_terms(derived) and lowest_terms(validated)
             if type(derived) is Table3:
-                assert lowest_terms(derived)
                 assert derived.total() == sum(entries)
 
     @pytest.mark.parametrize(
@@ -484,8 +492,20 @@ class TestDerivedTables:
         assert (t + n).entries == (1, 2) * 4
         with pytest.raises(TypeError):
             n + t
-        with pytest.raises(DomainError, match="Table3 needs 8 entries, got 4"):
-            t + Table2([1] * 4)
+
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            (Table3([1] * 8), Table2([1] * 4), "Table3 needs 8 entries, got 4"),
+            (Table2([1] * 4), Table3([1] * 8), "Table2 needs 4 entries, got 8"),
+            (Table2([1] * 4), NonnegTable3([0] * 8), "Table2 needs 4 entries, got 8"),
+        ],
+        ids=["Table3+Table2", "Table2+Table3", "Table2+NonnegTable3"],
+    )
+    def test_sums_of_mismatched_kinds_raise(self, a, b, message):
+        with pytest.raises(DomainError) as info:
+            a + b
+        assert str(info.value) == message
 
 
 def outcome(decide, *args):
@@ -551,8 +571,10 @@ class TestIntegerRepresentation:
             built.append(args)
             return new(cls, *args, **kwargs)
 
-        monkeypatch.setattr(Fraction, "__new__", counting_new)
         f, g = Table3([3, 1, 4, 1, 5, 9, 2, 6]), Table3([27, 18, 28, 45, 90, 45, 23, 53])
+        f2, g2 = Table2([5, 6, 3, 4]), Table2([Fraction(6, 7), 6, Fraction(1, 7), Fraction(8, 7)])
+        zeros, half = NonnegTable3([0, 1, 2, 0, 3, 4, 0, 5]), Fraction(1, 2)
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
         assert classify_exact(f, catalog).canonical_id == 19
         eval_form_signs(g)
         assert detect_conversion(f, g).id_sum == 40
@@ -563,7 +585,21 @@ class TestIntegerRepresentation:
                 lemma_conclusion_check(lemma, f, g, v)
         for sigma in GROUP:
             classify_exact(apply_table(sigma, f), catalog)
+            apply_table(sigma, zeros)
         f + g
+        # the 2x2 paths: lemma 1, reversal, diagonal, layers, sums, smoothing
+        for v in range(4):
+            lemma_hypothesis_check(1, f2, g2, v)
+            lemma_conclusion_check(1, f2, g2, v)
+        assert detect_reversal_2d(f2, g2) is Reversal2D.POS_TO_NEG
+        assert classify_2d(f2) is Diagonal2D.DIAG_00_11
+        for face in FACES:
+            f.layer(*face)
+            zeros.layer(*face)
+        f2 + g2
+        f + zeros
+        zeros.smoothed(half)
+        zeros.smoothed(2)
         assert built == []
         # the count does see Fractions: reading the entries builds them
         entries = f.entries
@@ -571,10 +607,20 @@ class TestIntegerRepresentation:
         assert entries == tuple(Fraction(x) for x in [3, 1, 4, 1, 5, 9, 2, 6])
 
 
+def fraction_det(e):
+    """The determinant of a 2x2 table's Fraction entries."""
+    return e[0] * e[3] - e[1] * e[2]
+
+
+def reference_layer(entries, axis, value):
+    """``layer`` by Fractions: the entries of the face, in order."""
+    return [entries[v] for v in face_vertices(axis, value)]
+
+
 def reference_profile(table):
     """The 17 dependence signs by Fraction totals and layer determinants."""
     e = table.entries
-    grand = table.total()
+    grand = sum(e, Fraction(0))
     totals = [
         [sum((e[v] for v in face_vertices(a, val)), Fraction(0)) for val in (0, 1)]
         for a in range(3)
@@ -585,24 +631,33 @@ def reference_profile(table):
         mutual.append(_sign(grand * grand * e[v] - totals[0][x] * totals[1][y] * totals[2][z]))
     marginal = []
     for a in range(3):
-        lo, hi = table.layer(a, 0).entries, table.layer(a, 1).entries
-        marginal.append(_sign(Table2(lo[i] + hi[i] for i in range(4)).det()))
-    conditional = [_sign(table.layer(axis, value).det()) for axis, value in FACES]
+        collapsed = [x + y for x, y in zip(reference_layer(e, a, 0), reference_layer(e, a, 1))]
+        marginal.append(_sign(fraction_det(collapsed)))
+    conditional = [_sign(fraction_det(reference_layer(e, *face))) for face in FACES]
     return tuple(mutual), tuple(marginal), tuple(conditional)
 
 
-# Tie-heavy, wide and rational tables: ties make profile signs vanish.
-profile_tables = st.one_of(
-    _eight(st.integers(1, 3)),
-    _eight(st.integers(1, 10**6)),
-    _eight(st.one_of(st.integers(1, 4), st.builds(Fraction, st.integers(1, 4), st.integers(2, 4)))),
-    _eight(positive_rationals),
-).map(Table3)
+def _four(values):
+    return st.lists(values, min_size=4, max_size=4)
+
+
+# Tie-heavy, wide and rational entries: ties make profile signs and 2x2
+# determinants vanish.
+tie_wide_rational = (
+    st.integers(1, 3),
+    st.integers(1, 10**6),
+    st.one_of(st.integers(1, 4), st.builds(Fraction, st.integers(1, 4), st.integers(2, 4))),
+    positive_rationals,
+)
+table2_entries = st.one_of(*map(_four, tie_wide_rational))
+table3_entries = st.one_of(*map(_eight, tie_wide_rational))
+profile_tables = table3_entries.map(Table3)
+unit_or_huge = st.one_of(st.just(Fraction(1)), huge_scales)
 
 
 class TestCorrelationProfile:
     @settings(max_examples=400, deadline=None)
-    @given(table=profile_tables, factor=st.one_of(st.just(Fraction(1)), huge_scales))
+    @given(table=profile_tables, factor=unit_or_huge)
     def test_matches_fraction_reference(self, table, factor):
         profile = correlation_profile(table.scaled(factor))
         assert (profile.mutual, profile.marginal, profile.conditional) == reference_profile(table)
@@ -647,6 +702,69 @@ class TestCorrelationProfile:
         assert set(d) == {"mutual", "marginal", "conditional"}
         assert set(d["mutual"]) == {vertex_name(v) for v in range(8)}
         assert len(d["conditional"]) == 6
+
+
+def reference_smoothed(entries, eps):
+    """``smoothed`` by Fractions: eps added to every entry."""
+    return [e + Fraction(eps) for e in entries]
+
+
+def reference_reversal_2d(f, g):
+    """``detect_reversal_2d`` by Fraction determinants of f, g and f + g."""
+    df, dg = fraction_det(f), fraction_det(g)
+    ds = fraction_det([a + b for a, b in zip(f, g)])
+    if df == 0 or dg == 0 or ds == 0:
+        return Reversal2D.DEGENERATE
+    if _sign(df) == _sign(dg) == -_sign(ds):
+        return Reversal2D.POS_TO_NEG if df > 0 else Reversal2D.NEG_TO_POS
+    return Reversal2D.NO_REVERSAL
+
+
+def reference_classify_2d(f):
+    """``classify_2d`` by the Fraction determinant."""
+    if not all(e > 0 for e in f):
+        raise DomainError("classify_2d requires strictly positive entries")
+    d = fraction_det(f)
+    if d > 0:
+        return Diagonal2D.DIAG_00_11
+    return Diagonal2D.DIAG_01_10 if d < 0 else Diagonal2D.DEGENERATE
+
+
+class TestTwoByTwoReferences:
+    """The 2x2 paths on integers equal their Fraction versions, ties and
+    huge scales included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(f=table2_entries, g=table2_entries, factor=unit_or_huge)
+    def test_reversal_and_diagonal(self, f, g, factor):
+        ff = [Fraction(x) * factor for x in f]
+        gg = [Fraction(x) for x in g]
+        tf, tg = Table2(ff), Table2(gg)
+        assert lowest_terms(tf) and lowest_terms(tg)
+        assert tf.det() == fraction_det(ff)
+        assert detect_reversal_2d(tf, tg) is reference_reversal_2d(ff, gg)
+        assert detect_reversal_2d(tg, tf) is reference_reversal_2d(gg, ff)
+        assert classify_2d(tf) is reference_classify_2d(ff)
+        assert (tf + tg).entries == tuple(a + b for a, b in zip(ff, gg))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=table3_entries,
+        zeros=_eight(st.one_of(st.just(0), *tie_wide_rational)),
+        factor=unit_or_huge,
+        eps=st.one_of(st.integers(1, 3), positive_rationals, huge_scales),
+    )
+    def test_layer_and_smoothed(self, entries, zeros, factor, eps):
+        te, ze = ([Fraction(x) * factor for x in xs] for xs in (entries, zeros))
+        t, n = Table3(entries).scaled(factor), NonnegTable3(ze)
+        for face in FACES:
+            for table, values in ((t, te), (n, ze)):
+                layer = table.layer(*face)
+                assert layer.entries == tuple(reference_layer(values, *face))
+                assert lowest_terms(layer)
+        smooth = n.smoothed(eps)
+        assert smooth.entries == tuple(reference_smoothed(ze, eps))
+        assert lowest_terms(smooth)
 
 
 class TestReversal2D:
