@@ -90,10 +90,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     report: dict = {"input": args.table}
     if args.smoothing is not None:
         eps = parse_rational(args.smoothing)
-        if eps <= 0:
-            raise DomainError("smoothing epsilon must be positive")
-        shape = Table2 if isinstance(table, Table2) else Table3
-        table = shape(e + eps for e in table.entries)
+        table = table.smoothed(eps)
         report["smoothing"] = format_rational(eps)
     if isinstance(table, Table2):
         verdict = classify_2d(table)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .errors import DomainError
 from .symmetry import OrbitClass, pad_key
-from .tables import FACE_FORM, FACES, FORM_INDEX, Table2, Table3, _cross, _on_one_scale
+from .tables import FACE_FORM, FACES, FORM_INDEX, Reversal2D, Table2, Table3, detect_reversal_2d
 from .tables import _pair_sign_bits
 from .triangulation import _FACE_DIAGONAL_PAIRS, Triangulation, _vertex_incidence
 
@@ -140,12 +140,8 @@ def lemma_hypothesis_check(lemma: int, f, g, vertex: int) -> bool:
     """
     _check_instance(lemma, f, g, vertex)
     if lemma == 1:
-        nf, ng, _ = _on_one_scale(f, g)
-        ns = [a + b for a, b in zip(nf, ng)]
-        # The determinant with the corner moved to 00 is positive exactly
-        # when the diagonal through the corner is shown.
-        df, dg, ds = (_cross(n[vertex ^ i] for i in range(4)) for n in (nf, ng, ns))
-        return df > 0 and dg > 0 and ds < 0
+        shown = Reversal2D.POS_TO_NEG if vertex in (0, 3) else Reversal2D.NEG_TO_POS
+        return detect_reversal_2d(f, g) is shown
     (through_f, _), (through_g, _) = (
         _incidences(pos & _FACETS, neg & _FACETS) for pos, neg in _pair_sign_bits(f, g)[:2]
     )

@@ -260,6 +260,19 @@ class _ExactTable:
     def __getitem__(self, v: int) -> Fraction:
         return self.entries[v]
 
+    def smoothed(self, epsilon: Rational):
+        """Add epsilon to every entry: a ``Table3`` from 8 entries, a
+        ``Table2`` from 4.  This makes zero-count data classifiable but is a
+        modelling choice: the induced triangulation depends on epsilon and
+        is not a property of the raw counts themselves."""
+        p, q = _ratio(epsilon, f"{type(self).__name__}.smoothed")
+        if p <= 0:
+            raise DomainError("smoothing epsilon must be positive")
+        d = self.denominator
+        kind = Table3 if self._size == VERTEX_COUNT else Table2
+        # n/d + p/q = (n·q + p·d) / (d·q)
+        return _table3((n * q + p * d for n in self.integers), d * q, kind)
+
     def _add(self, other: "_ExactTable"):
         """The entrywise sum, a table of this kind: positive plus
         nonnegative is positive."""
@@ -279,7 +292,7 @@ class Table3(_ExactTable):
 
     8 positive ints (counts) are stored as they stand; any other input goes
     through the validator.  Tables derived from validated ones (``+``,
-    ``scaled``, ``NonnegTable3.smoothed``, ``symmetry.apply_table``) are
+    ``scaled``, ``smoothed``, ``symmetry.apply_table``) are
     built as integer pairs on trust.
     """
 
@@ -318,17 +331,6 @@ class NonnegTable3(_ExactTable):
     smoothed() to obtain a strictly positive Table3."""
 
     layer = Table3.layer
-
-    def smoothed(self, epsilon: Rational) -> Table3:
-        """Add epsilon to every entry.  This makes zero-count data classifiable
-        but is a modelling choice: the induced triangulation depends on epsilon
-        and is not a property of the raw counts themselves."""
-        p, q = _ratio(epsilon, "NonnegTable3.smoothed")
-        if p <= 0:
-            raise DomainError("smoothing epsilon must be positive")
-        d = self.denominator
-        # n/d + p/q = (n·q + p·d) / (d·q)
-        return _table3((n * q + p * d for n in self.integers), d * q)
 
 
 @dataclass(frozen=True, init=False)

@@ -571,10 +571,11 @@ class TestIntegerRepresentation:
             built.append(args)
             return new(cls, *args, **kwargs)
 
-        f, g = Table3([3, 1, 4, 1, 5, 9, 2, 6]), Table3([27, 18, 28, 45, 90, 45, 23, 53])
-        f2, g2 = Table2([5, 6, 3, 4]), Table2([Fraction(6, 7), 6, Fraction(1, 7), Fraction(8, 7)])
-        zeros, half = NonnegTable3([0, 1, 2, 0, 3, 4, 0, 5]), Fraction(1, 2)
+        g2 = Table2([Fraction(6, 7), 6, Fraction(1, 7), Fraction(8, 7)])
+        half = Fraction(1, 2)
         monkeypatch.setattr(Fraction, "__new__", counting_new)
+        f, g = Table3([3, 1, 4, 1, 5, 9, 2, 6]), Table3([27, 18, 28, 45, 90, 45, 23, 53])
+        f2, zeros = Table2([5, 6, 3, 4]), NonnegTable3([0, 1, 2, 0, 3, 4, 0, 5])
         assert classify_exact(f, catalog).canonical_id == 19
         eval_form_signs(g)
         assert detect_conversion(f, g).id_sum == 40
@@ -600,6 +601,7 @@ class TestIntegerRepresentation:
         f + zeros
         zeros.smoothed(half)
         zeros.smoothed(2)
+        f2.smoothed(half)
         assert built == []
         # the count does see Fractions: reading the entries builds them
         entries = f.entries
@@ -765,6 +767,10 @@ class TestTwoByTwoReferences:
         smooth = n.smoothed(eps)
         assert smooth.entries == tuple(reference_smoothed(ze, eps))
         assert lowest_terms(smooth)
+        smooth2 = n.layer(*FACES[0]).smoothed(eps)
+        assert type(smooth2) is Table2
+        assert smooth2.entries == tuple(reference_smoothed(reference_layer(ze, *FACES[0]), eps))
+        assert lowest_terms(smooth2)
 
 
 class TestReversal2D:
