@@ -459,11 +459,18 @@ class Diagonal2D(Enum):
     DEGENERATE = "Degenerate"
 
 
+def _check_table2(*tables) -> None:
+    for t in tables:
+        if not isinstance(t, Table2):
+            raise DomainError(f"expected a Table2, got {type(t).__name__}")
+
+
 def detect_reversal_2d(f: Table2, g: Table2) -> Reversal2D:
     """Simpson reversal test: both determinant signs agree and the sign of the
     entrywise sum's determinant is opposite.  Degenerate if any determinant
     vanishes.  The signs are those of integer cross products; the sum's are
     taken on one integer scale."""
+    _check_table2(f, g)
     nf, ng, _ = _on_one_scale(f, g)
     df, dg = _sign(_cross(f.integers)), _sign(_cross(g.integers))
     ds = _sign(_cross(map(operator.add, nf, ng)))
@@ -477,6 +484,7 @@ def detect_reversal_2d(f: Table2, g: Table2) -> Reversal2D:
 def classify_2d(f: Table2) -> Diagonal2D:
     """Which diagonal of the square the lifted table induces: the main diagonal
     {00, 11} iff F00*F11 > F01*F10."""
+    _check_table2(f)
     if not f.strictly_positive():
         raise DomainError("classify_2d requires strictly positive entries")
     d = _cross(f.integers)

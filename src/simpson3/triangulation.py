@@ -588,18 +588,51 @@ def classify_heights_batch(
     return ids
 
 
+@functools.cache
+def _lifting_residuals() -> tuple[np.ndarray, np.ndarray]:
+    """The (58·8, 8) matrix whose row (t, w) takes heights h to h_w − L_t(w),
+    L_t being the affine interpolant of h on tetrahedron t, and the (58, 8)
+    mask of the vertices of each tetrahedron, whose rows are zero.
+
+    The barycentric coordinates of a cube vertex on t have the denominator
+    det [p 1] = ±6·volume, which is ±1 or ±2, so every entry is a multiple
+    of 1/2: the solved coordinates are rounded to halves, checked, and are
+    exact as floats.
+    """
+    tets = np.array([t.vertices for t in _tetrahedra()])
+    n = len(tets)
+    lifted = np.column_stack([np.array(VERTEX_COORDS), np.ones(8)])    # rows [p 1]
+    bary = np.linalg.solve(lifted[tets].transpose(0, 2, 1), np.broadcast_to(lifted.T, (n, 4, 8)))
+    halves = np.rint(2 * bary)
+    if np.abs(2 * bary - halves).max() > 1e-9:
+        raise CatalogError("barycentric coordinates on a tetrahedron are not halves")
+    residuals = np.tile(np.eye(8), (n, 1, 1))
+    residuals[np.arange(n)[:, None, None], np.arange(8), tets[:, :, None]] -= halves / 2
+    inside = np.zeros((n, 8), dtype=bool)
+    inside[np.arange(n)[:, None], tets] = True
+    residuals = residuals.reshape(n * 8, 8)
+    for shared in (residuals, inside):
+        shared.setflags(write=False)
+    return residuals, inside
+
+
 def classify_float_oracle(
     heights: Sequence[float],
     catalog: Catalog | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> Triangulation:
-    """Independent classifier: computes the upper envelope of the 4-dimensional
-    lift with a convex hull and reads the triangulation off the upper facets.
+    """Independent classifier by the lifting test over the 58 tetrahedra: a
+    tetrahedron is a cell of the upper envelope of the lifted vertices iff
+    every vertex outside it lies strictly below the hyperplane through its
+    own four lifted vertices (the regular-subdivision definition; De Loera,
+    Rambau & Santos, *Triangulations*, 2010).  The triangulation is read off
+    the set of such cells.
 
+    It reads no constraint set and no sign code.  Raises DegenerateTable
+    when a form evaluation is within tolerance * ||coeffs|| * max(1, ||h||inf)
+    of zero, and CatalogError when the cells are not a catalog entry.
     Development and test oracle only; the exact path never calls this.
     """
-    from scipy.spatial import ConvexHull
-
     if catalog is None:
         catalog = get_catalog()
     _check_tolerance(tolerance)
@@ -612,14 +645,13 @@ def classify_float_oracle(
     margin = tolerance * FORM_NORMS * max(1.0, float(np.abs(h).max()))
     if (np.abs(values) < margin).any():
         raise DegenerateTable("a form evaluation is within tolerance of zero")
-    points = np.column_stack([np.array(VERTEX_COORDS, dtype=np.float64), h])
-    hull = ConvexHull(points)
-    upper = hull.equations[:, 3] > 1e-10
-    tets = {tuple(sorted(simplex)) for simplex in hull.simplices[upper]}
+    residuals, inside = _lifting_residuals()
+    below = ((residuals @ h).reshape(inside.shape) < 0) | inside
+    tets = [_tetrahedra()[i].vertices for i in np.flatnonzero(below.all(axis=1))]
     try:
         return catalog.entry_by_tets(tets)
     except DomainError:
-        raise CatalogError(f"upper facets {sorted(tets)} are not a catalog entry") from None
+        raise CatalogError(f"upper cells {tets} are not a catalog entry") from None
 
 
 # ---------------------------------------------------------------------------

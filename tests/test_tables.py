@@ -801,6 +801,17 @@ class TestReversal2D:
         with pytest.raises(DomainError):
             classify_2d(Table2([0, 1, 1, 1]))
 
+    @pytest.mark.parametrize(
+        "other", [Table3([1, 2, 3, 4, 5, 6, 7, 8]), NonnegTable3([0, 1, 2, 3, 4, 5, 6, 7])]
+    )
+    def test_not_a_table2(self, other):
+        f = Table2([2, 1, 1, 2])
+        with pytest.raises(DomainError, match="expected a Table2"):
+            classify_2d(other)
+        for args in ((other, other), (f, other), (other, f)):
+            with pytest.raises(DomainError, match="expected a Table2"):
+                detect_reversal_2d(*args)
+
 
 class TestJson:
     def test_parse_rational(self):

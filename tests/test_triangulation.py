@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,9 +36,12 @@ from simpson3.triangulation import (
     DEFAULT_TOLERANCE,
     FORM_MATRIX,
     FORM_NORMS,
+    VERTEX_COORDS,
     _POW2F,
+    _check_tolerance,
     _enumerate_encodings,
     _id_action,
+    _lifting_residuals,
     _properly_intersecting,
     _tetrahedra,
     tetrahedron_volume_sixths,
@@ -329,6 +336,182 @@ class TestClassification:
             classify_heights_batch(np.zeros((1, 8)), catalog, tolerance)
         with pytest.raises(DomainError, match="tolerance must be positive"):
             classify_float_oracle(np.zeros(8), catalog, tolerance)
+
+
+def reference_hull_oracle(heights, catalog=None, tolerance=DEFAULT_TOLERANCE):
+    """``classify_float_oracle`` by a 4-dimensional convex hull: the upper
+    facets of the lifted vertices, read off qhull's facet normals."""
+    from scipy.spatial import ConvexHull
+
+    if catalog is None:
+        catalog = get_catalog()
+    _check_tolerance(tolerance)
+    h = np.asarray(heights, dtype=np.float64)
+    if h.shape != (8,):
+        raise DomainError("oracle needs exactly 8 heights")
+    if not np.isfinite(h).all():
+        raise DomainError("heights must be finite")
+    values = FORM_MATRIX @ h
+    margin = tolerance * FORM_NORMS * max(1.0, float(np.abs(h).max()))
+    if (np.abs(values) < margin).any():
+        raise DegenerateTable("a form evaluation is within tolerance of zero")
+    points = np.column_stack([np.array(VERTEX_COORDS, dtype=np.float64), h])
+    hull = ConvexHull(points)
+    upper = hull.equations[:, 3] > 1e-10
+    tets = {tuple(sorted(simplex)) for simplex in hull.simplices[upper]}
+    try:
+        return catalog.entry_by_tets(tets)
+    except DomainError:
+        raise CatalogError(f"upper facets {sorted(tets)} are not a catalog entry") from None
+
+
+def _oracle_id(classify, heights, catalog):
+    """The id an oracle returns, or 0 when it raises DegenerateTable."""
+    try:
+        return classify(heights, catalog).canonical_id
+    except DegenerateTable:
+        return 0
+
+
+def oracle_rows(seed, size):
+    """Rows of log Exp(1) draws and of the logs of integers in 1..5, 1..30
+    and 1..10^6, in equal shares."""
+    rng = np.random.default_rng(seed)
+    kind = rng.integers(0, 4, size)[:, None]
+    h = np.log(rng.standard_exponential((size, 8)))
+    for k, top in ((1, 5), (2, 30), (3, 10**6)):
+        h = np.where(kind == k, np.log(rng.integers(1, top + 1, (size, 8)).astype(float)), h)
+    return h
+
+
+_integer_tables = st.one_of(
+    st.lists(st.integers(1, 5), min_size=8, max_size=8),
+    st.lists(st.integers(1, 10**6), min_size=8, max_size=8),
+)
+
+
+def _heights(table):
+    return np.log(np.array(table.integers, dtype=np.float64) / table.denominator)
+
+
+class TestHullOracle:
+    def test_residuals_are_exact_halves(self):
+        residuals, inside = _lifting_residuals()
+        assert residuals.shape == (58 * 8, 8) and inside.shape == (58, 8)
+        assert (inside.sum(axis=1) == 4).all()
+        assert np.array_equal(2 * residuals, np.rint(2 * residuals))
+        rows = residuals.reshape(58, 8, 8)
+        assert not rows[inside].any()
+        # every row is a circuit: zero on affine functions of the vertices
+        affine = np.column_stack([np.array(VERTEX_COORDS), np.ones(8)])
+        assert not (residuals @ affine).any()
+        # the coefficient of the outside vertex itself is 1
+        assert (rows[:, np.arange(8), np.arange(8)][~inside] == 1).all()
+
+    def test_agrees_with_qhull_reference(self, catalog):
+        """Same entry, or DegenerateTable on exactly the same rows, on 24 000
+        rows.  qhull reads heights near 10^300 as a flat point set and
+        fails, so those rows are compared with the reference on the row
+        scaled to unit max-norm: a positive scaling keeps the upper envelope
+        and, above max-norm 1, the margin relative to the heights."""
+        base = oracle_rows(17, 20_000)
+        for h in base:
+            assert _oracle_id(classify_float_oracle, h, catalog) == _oracle_id(
+                reference_hull_oracle, h, catalog
+            )
+        from scipy.spatial import QhullError
+
+        decided = next(h for h in base if _oracle_id(classify_float_oracle, h, catalog))
+        with pytest.raises(QhullError):
+            reference_hull_oracle(decided * 1e300, catalog)
+        for h in base[:2000]:
+            h_up = h * 1e300
+            unit = h / (np.abs(h).max() or 1.0)
+            assert _oracle_id(classify_float_oracle, h_up, catalog) == _oracle_id(
+                reference_hull_oracle, unit, catalog
+            )
+        for h in base[2000:4000] * 1e-300:
+            assert _oracle_id(classify_float_oracle, h, catalog) == _oracle_id(
+                reference_hull_oracle, h, catalog
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(entries=_integer_tables)
+    def test_agrees_with_exact_and_is_equivariant(self, catalog, entries):
+        table = Table3(entries)
+        try:
+            expected = classify_exact(table, catalog)
+        except DegenerateTable:
+            expected = None
+        try:
+            found = classify_float_oracle(_heights(table), catalog)
+        except DegenerateTable:
+            found = None
+        if expected is None:
+            assert found is None
+        elif found is not None:
+            assert found is expected
+        for sigma in symmetry.GROUP:
+            moved = _heights(symmetry.apply_table(sigma, table))
+            if found is None:
+                with pytest.raises(DegenerateTable):
+                    classify_float_oracle(moved, catalog)
+            else:
+                assert classify_float_oracle(moved, catalog) is symmetry.apply(sigma, found)
+
+    def test_bad_cells_raise_catalog_error(self, catalog, monkeypatch):
+        residuals, inside = _lifting_residuals()
+        monkeypatch.setattr(
+            "simpson3.triangulation._lifting_residuals", lambda: (-np.abs(residuals), inside)
+        )
+        with pytest.raises(CatalogError, match="not a catalog entry"):
+            classify_float_oracle(np.log([1, 2, 3, 4, 5, 6, 7, 9]), catalog)
+
+
+_REFUSE_SCIPY = """
+import importlib.abc
+import json
+import sys
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is refused")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+
+import numpy as np
+import simpson3
+from simpson3 import Table3, classify_exact, classify_float_oracle, get_catalog
+from simpson3.cli import main
+
+assert len(get_catalog()) == 74
+entries = [3, 1, 4, 1, 5, 9, 2, 6]
+exact = classify_exact(Table3(entries))
+assert classify_float_oracle(np.log(entries)) is exact
+with open(sys.argv[1], "w") as fh:
+    json.dump({"entries": entries}, fh)
+assert main(["classify", sys.argv[1], "--format", "text"]) == 0
+assert "scipy" not in sys.modules
+"""
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    """The package, the catalog, both classifiers and the CLI run in a
+    process where every scipy import fails."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", _REFUSE_SCIPY, str(tmp_path / "table.json")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "triangulation 19 (type V, 6 tetrahedra)"
 
 
 STORED_KEYS = [
