@@ -9,6 +9,7 @@ error, 2 degenerate input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -22,7 +23,7 @@ from .experiments import (
     search_witness,
 )
 from .feasibility import obstruction_triple, write_feasibility_report
-from .symmetry import orbit_classes, pad_key
+from .symmetry import canonical_class_of, orbit_classes, pad_key
 from .tables import (
     Table2,
     Table3,
@@ -141,6 +142,10 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
     kind = "pair" if args.pair is not None else "triple"
     key = args.pair if args.pair is not None else args.triple
     if key is not None:
+        if args.arity is not None:
+            raise DomainError("--arity applies only to the report, not to a --pair or --triple")
+        # The search's check: known ids, and distinct summands in a triple.
+        canonical_class_of(key, catalog)
         args.format = args.format or "json"
         verdict = obstruction_triple(*(catalog[i] for i in pad_key(key)))
         payload = {
@@ -313,7 +318,10 @@ SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser, built once per process: a parse reads it and
+    returns a fresh namespace, so one parser serves every call."""
     parser = _Parser(prog="simpson3", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments) in SUBCOMMANDS.items():
@@ -321,22 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, building only the named
-    subcommand's parser when it consumes every argument.  Anything else goes
-    through the full parser, so help, usage and error text stay the same."""
-    if argv and argv[0] in SUBCOMMANDS:
-        parser = _Parser(prog=f"simpson3 {argv[0]}")
-        SUBCOMMANDS[argv[0]][1](parser)
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return build_parser().parse_args(argv)
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else list(argv))
+    args = build_parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except DegenerateTable as exc:

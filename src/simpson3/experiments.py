@@ -78,9 +78,10 @@ class SamplerConfig:
         if self.worker_count < 1:
             raise DomainError("worker_count must be at least 1")
 
-    def stream(self, purpose: int, worker: int = 0) -> np.random.Generator:
-        """Return the PCG64 generator for one purpose-coded worker stream."""
-        seq = np.random.SeedSequence([self.seed, purpose, worker])
+    def stream(self, purpose: int, *key: int) -> np.random.Generator:
+        """Return the PCG64 generator for one purpose-coded stream, keyed by
+        a worker index or by a class's padded ids."""
+        seq = np.random.SeedSequence([self.seed, purpose, *key])
         return np.random.Generator(np.random.PCG64(seq))
 
     def worker_quotas(self, total: int) -> list[int]:
@@ -390,20 +391,15 @@ class _Descent:
 
     def __init__(
         self,
-        sign: np.ndarray,
+        catalog: Catalog,
         keys: list[tuple[int, ...]],
         budget: int,
-        seed: int,
+        config: SamplerConfig,
     ) -> None:
-        self.sign_table = np.ascontiguousarray(sign.T)
+        self.sign_table = np.ascontiguousarray(catalog.constraint_signs.T)
         self.keys, self.budget = keys, budget
         self.ids = np.array([pad_key(key) for key in keys], dtype=np.intp).reshape(-1, 3)
-        self.rngs = [
-            np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence([seed, _PURPOSE_SWEEP, *pad_key(k)]))
-            )
-            for k in keys
-        ]
+        self.rngs = [config.stream(_PURPOSE_SWEEP, *pad_key(k)) for k in keys]
         count = len(keys)
         self.wave = [_OPT_WAVE] * count
         self.restarts = [0] * count
@@ -567,7 +563,6 @@ class ConversionSearch:
     def __init__(self, config: SamplerConfig, catalog: Catalog | None = None) -> None:
         self.config = config
         self.catalog = catalog if catalog is not None else get_catalog()
-        self._table: np.ndarray | None = None
 
     def ensure_pools(self, ids: Iterable[int], count: int | None = None) -> None:
         """Deprecated no-op: the search keeps no sample pools."""
@@ -577,25 +572,13 @@ class ConversionSearch:
             stacklevel=2,
         )
 
-    def _constraint_table(self) -> np.ndarray:
-        """The (75, 20) table of each id's constraint signs over the forms:
-        ±1 so that membership reads as > 0, and 0 on the other forms and
-        on the unused id 0, so that such a form is never active."""
-        if self._table is None:
-            masks, vals = self.catalog.constraint_masks, self.catalog.constraint_vals
-            bits = 1 << np.arange(len(FORM_MATRIX))
-            used = (masks[:, None] & bits) != 0
-            self._table = np.zeros((len(masks) + 1, len(bits)))
-            self._table[1:] = np.where(vals[:, None] & bits, 1.0, -1.0) * used
-        return self._table
-
     def _descend(
         self, keys: list[tuple[int, ...]], budget: int
     ) -> list[tuple[Witness | None, int]]:
         """Each key's witness or None, and the evaluations it spent."""
         if budget < 1:
             raise DomainError(f"budget must be at least 1, got {budget}")
-        return _Descent(self._constraint_table(), keys, budget, self.config.seed).run()
+        return _Descent(self.catalog, keys, budget, self.config).run()
 
     def _optimize_key(self, key: tuple[int, ...], budget: int) -> tuple[Witness | None, int]:
         """One class through the descent: its witness or None, and the

@@ -116,9 +116,6 @@ class Triangulation:
     def encoding(self) -> tuple[tuple[int, ...], ...]:
         return tuple(t.vertices for t in self.tetrahedra)
 
-    def tet_sets(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset(t.vertices) for t in self.tetrahedra)
-
 
 # ---------------------------------------------------------------------------
 # Circuits and enumeration
@@ -140,6 +137,23 @@ def _tetrahedra() -> tuple[Tetrahedron, ...]:
         for comb in itertools.combinations(VERTICES, 4)
         if tetrahedron_volume_sixths(comb) != 0
     )
+
+
+@functools.cache
+def _tetrahedron_index() -> dict[tuple[int, ...], int]:
+    """Position of each tetrahedron in ``_tetrahedra()``, by its sorted vertices."""
+    return {t.vertices: i for i, t in enumerate(_tetrahedra())}
+
+
+def _cover_key(tets: Iterable[Iterable[int]]) -> int:
+    """The 58-bit key of a set of tetrahedra, given by their vertices in any
+    order: bit i stands for ``_tetrahedra()[i]``.  Raises KeyError when a
+    vertex set is not one of the 58 tetrahedra."""
+    index = _tetrahedron_index()
+    key = 0
+    for t in tets:
+        key |= 1 << index[tuple(sorted(set(t)))]
+    return key
 
 
 def _properly_intersecting(vertices: np.ndarray) -> np.ndarray:
@@ -296,22 +310,38 @@ def _type_label(tet_count: int, n_full: int, n_empty: int) -> str:
 
 
 class Catalog:
-    """The immutable list of all 74 triangulations with lookup structures."""
+    """The immutable list of all 74 triangulations with lookup structures.
 
-    def __init__(self, entries: Sequence[Triangulation]):
-        self.entries = tuple(entries)
-        self._by_tets = {e.tet_sets(): e for e in self.entries}
-        self._id_action: np.ndarray | None = None
+    Built from the covers' sorted tetrahedron encodings in canonical order:
+    the id action, the orbit representatives and every attribute of each
+    entry are derived from them, and the result is validated.  Row k of
+    ``constraint_signs`` holds id k's sign on each of its constraint forms
+    and 0 on the other forms; row 0 is zero.
+    """
+
+    def __init__(self, encodings: Sequence[tuple[tuple[int, ...], ...]]):
+        encodings = list(encodings)
+        if encodings != sorted(set(encodings)):
+            raise CatalogError("entries out of canonical order")
+        keys = [_cover_key(enc) for enc in encodings]
+        self._id_action = _id_action(keys)
+        orbit_reps = self._id_action.min(axis=0).tolist()
+        self.entries = tuple(
+            _triangulation(cid, enc, rep)
+            for cid, (enc, rep) in enumerate(zip(encodings, orbit_reps), start=1)
+        )
+        self._by_key = dict(zip(keys, self.entries))
+        signs = np.zeros((len(self.entries) + 1, len(FORM_COEFFS)))
+        for e in self.entries:
+            for letter, sign in e.constraints:
+                signs[e.canonical_id, FORM_INDEX[letter]] = sign
+        signs.setflags(write=False)
+        self.constraint_signs = signs
         # Bit i of constraint_masks[k] is set when form i is a constraint of
         # id k+1, and the same bit of constraint_vals[k] when its sign is +.
-        self.constraint_masks = np.zeros(len(self.entries), dtype=np.int64)
-        self.constraint_vals = np.zeros(len(self.entries), dtype=np.int64)
-        for k, e in enumerate(self.entries):
-            for letter, sign in e.constraints:
-                bit = 1 << FORM_INDEX[letter]
-                self.constraint_masks[k] |= bit
-                if sign > 0:
-                    self.constraint_vals[k] |= bit
+        bits = 1 << np.arange(len(FORM_COEFFS))
+        self.constraint_masks = (signs[1:] != 0) @ bits
+        self.constraint_vals = (signs[1:] > 0) @ bits
         self._resolved: dict[tuple[int, int], int] = {}
         # Id of each full 20-bit sign code, 0 until resolved: 1 MB of zero
         # pages, of which the batch classifier touches only the codes it meets.
@@ -324,9 +354,7 @@ class Catalog:
         five = sum(1 for e in self.entries if len(e.tetrahedra) == 5)
         if five != 2:
             raise CatalogError(f"expected 2 five-tetrahedron covers, got {five}")
-        for k, e in enumerate(self.entries):
-            if e.canonical_id != k + 1:
-                raise CatalogError("entries out of canonical order")
+        for e in self.entries:
             if sum(t.volume_sixths for t in e.tetrahedra) != 6:
                 raise CatalogError(f"entry {e.canonical_id} volumes do not fill the cube")
         reps = {e.orbit_rep for e in self.entries}
@@ -348,16 +376,13 @@ class Catalog:
         return self.entries[canonical_id - 1]
 
     def entry_by_tets(self, tets) -> Triangulation:
-        key = frozenset(frozenset(t) for t in tets)
-        entry = self._by_tets.get(key)
-        if entry is None:
-            raise DomainError("tetrahedron set is not a triangulation of the cube")
-        return entry
+        try:
+            return self._by_key[_cover_key(tets)]
+        except KeyError:
+            raise DomainError("tetrahedron set is not a triangulation of the cube") from None
 
     def id_action(self) -> np.ndarray:
         """(48, 74) array: entry [s, i] is the id of GROUP[s] applied to id i+1."""
-        if self._id_action is None:
-            self._id_action = _id_action([e.encoding() for e in self.entries])
         return self._id_action
 
     def apply_symmetry(self, sigma: symmetry.CubeSymmetry, canonical_id: int) -> int:
@@ -398,82 +423,59 @@ class Catalog:
             self._resolved[key] = found
         return found
 
-    def resolve_sign_pattern(self, code: int) -> int:
-        """Catalog id for a fully nonzero sign pattern packed as 20 bits
-        (bit i set iff form i positive)."""
-        found = self.resolve_signs(code, ~code & _ALL_FORMS)
-        if not found:
-            raise CatalogError(f"sign pattern {code:020b} matches 0 constraint sets")
-        return found
 
+def _id_action(keys: Sequence[int]) -> np.ndarray:
+    """(48, n) array: entry [s, i] is the id of GROUP[s] applied to id i+1,
+    the cover whose 58-bit key is ``keys[i]``.
 
-def _id_action(encodings: Sequence[tuple[tuple[int, ...], ...]]) -> np.ndarray:
-    """(48, n) array: entry [s, i] is the id of GROUP[s] applied to id i+1.
-
-    ``encodings[i]`` is the sorted tetrahedron encoding of id i+1, keyed by
-    the 58-bit set of its tetrahedra.  Each symmetry relabels the 58
-    tetrahedra once, by their vertex masks, and each image key is looked up
-    among the sorted keys.  Raises CatalogError unless every symmetry
-    permutes the ids.
+    Each symmetry relabels the 58 tetrahedra once, by their vertex masks,
+    and each image key is looked up among the sorted keys.  Raises
+    CatalogError unless every symmetry permutes the ids.
     """
-    index = {t.vertices: i for i, t in enumerate(_tetrahedra())}
-    vertices = np.array(list(index))
-    member = np.zeros((len(encodings), len(vertices)), dtype=bool)
-    for i, enc in enumerate(encodings):
-        member[i, [index[t] for t in enc]] = True
-    masks = (1 << vertices).sum(axis=1)
+    vertices = np.array([t.vertices for t in _tetrahedra()])
+    bits = np.uint64(1) << np.arange(len(vertices), dtype=np.uint64)
+    keys = np.array(keys, dtype=np.uint64)
+    member = (keys[:, None] & bits) != 0
     bit_of_mask = np.zeros(256, dtype=np.uint64)
-    bit_of_mask[masks] = np.uint64(1) << np.arange(len(vertices), dtype=np.uint64)
+    bit_of_mask[(1 << vertices).sum(axis=1)] = bits
     image_masks = (1 << np.array(symmetry.VERTEX_MAPS)[:, vertices]).sum(axis=2)
-    keys = bit_of_mask[masks] @ member.T
     image_keys = bit_of_mask[image_masks] @ member.T
     order = np.argsort(keys)
     at = np.searchsorted(keys[order], image_keys).clip(max=max(len(keys) - 1, 0))
     action = np.where(keys[order][at] == image_keys, order[at] + 1, 0)
-    if not (np.sort(action, axis=1) == np.arange(1, len(encodings) + 1)).all():
+    if not (np.sort(action, axis=1) == np.arange(1, len(keys) + 1)).all():
         raise CatalogError("symmetry action is not a bijection on ids")
     return action
 
 
-def _catalog_from_encodings(encodings: Sequence[tuple[tuple[int, ...], ...]]) -> Catalog:
-    """The catalog on the given sorted tetrahedron encodings, which must be
-    in canonical order; the id action, the orbit representatives and every
-    derived attribute are computed from them."""
-    if list(encodings) != sorted(set(encodings)):
-        raise CatalogError("entries out of canonical order")
-    action = _id_action(encodings)
-    orbit_rep = action.min(axis=0)
-    by_vertices = {t.vertices: t for t in _tetrahedra()}
-
-    entries = []
-    for cid, enc in enumerate(encodings, start=1):
-        diagonals = _face_diagonals(enc)
-        incidence = _vertex_incidence(diagonals)
-        full = tuple(v for v in VERTICES if incidence[v] == 7)
-        empty = tuple(v for v in VERTICES if incidence[v] == 0)
-        tets = tuple(by_vertices[t] for t in enc)
-        entries.append(
-            Triangulation(
-                canonical_id=cid,
-                tetrahedra=tets,
-                constraints=derive_constraints(enc),
-                face_diagonals=diagonals,
-                vertex_incidence=incidence,
-                full_vertices=full,
-                empty_vertices=empty,
-                has_hyperdiagonal=any(t.has_hyperdiagonal() for t in tets),
-                anti_aligned_axes=_anti_aligned_axes(diagonals),
-                type_class=_type_label(len(tets), len(full), len(empty)),
-                orbit_rep=int(orbit_rep[cid - 1]),
-            )
-        )
-    catalog = Catalog(entries)
-    catalog._id_action = action
-    return catalog
+def _triangulation(
+    cid: int, encoding: tuple[tuple[int, ...], ...], orbit_rep: int
+) -> Triangulation:
+    """Catalog entry ``cid`` on a sorted tetrahedron encoding, with every
+    attribute derived from it."""
+    diagonals = _face_diagonals(encoding)
+    incidence = _vertex_incidence(diagonals)
+    full = tuple(v for v in VERTICES if incidence[v] == 7)
+    empty = tuple(v for v in VERTICES if incidence[v] == 0)
+    index = _tetrahedron_index()
+    tets = tuple(_tetrahedra()[index[t]] for t in encoding)
+    return Triangulation(
+        canonical_id=cid,
+        tetrahedra=tets,
+        constraints=derive_constraints(encoding),
+        face_diagonals=diagonals,
+        vertex_incidence=incidence,
+        full_vertices=full,
+        empty_vertices=empty,
+        has_hyperdiagonal=any(t.has_hyperdiagonal() for t in tets),
+        anti_aligned_axes=_anti_aligned_axes(diagonals),
+        type_class=_type_label(len(tets), len(full), len(empty)),
+        orbit_rep=orbit_rep,
+    )
 
 
 def _build_catalog() -> Catalog:
-    return _catalog_from_encodings(_enumerate_encodings())
+    return Catalog(_enumerate_encodings())
 
 
 def enumerate_triangulations() -> Catalog:
@@ -576,7 +578,7 @@ def classify_heights_batch(
     unseen = clean & (ids == 0)
     if unseen.any():
         for code in set(codes[unseen].tolist()):
-            memo[code] = catalog.resolve_sign_pattern(code)
+            memo[code] = _classified(catalog, code, ~code & _ALL_FORMS).canonical_id
         ids = memo[codes]
     ids = np.where(clean, ids, 0).astype(np.int64)
     partial = np.nonzero(finite & (undecided != 0))[0]
@@ -647,11 +649,12 @@ def classify_float_oracle(
         raise DegenerateTable("a form evaluation is within tolerance of zero")
     residuals, inside = _lifting_residuals()
     below = ((residuals @ h).reshape(inside.shape) < 0) | inside
-    tets = [_tetrahedra()[i].vertices for i in np.flatnonzero(below.all(axis=1))]
-    try:
-        return catalog.entry_by_tets(tets)
-    except DomainError:
-        raise CatalogError(f"upper cells {tets} are not a catalog entry") from None
+    cells = np.flatnonzero(below.all(axis=1)).tolist()
+    entry = catalog._by_key.get(sum(1 << i for i in cells))
+    if entry is None:
+        tets = [_tetrahedra()[i].vertices for i in cells]
+        raise CatalogError(f"upper cells {tets} are not a catalog entry")
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +697,7 @@ def catalog_from_json_obj(obj: dict, verify: bool = True) -> Catalog:
         tets = [[Tetrahedron(t).vertices for t in rec["tetrahedra"]] for rec in records]
     except (KeyError, TypeError) as exc:
         raise CatalogError(f"malformed catalog export: {exc!r}") from exc
-    catalog = _catalog_from_encodings([tuple(sorted(vertices)) for vertices in tets])
+    catalog = Catalog([tuple(sorted(vertices)) for vertices in tets])
     if verify:
         rebuilt = catalog_to_json_obj(catalog)
         for cid, (rec, new) in enumerate(zip(records, rebuilt["entries"]), start=1):

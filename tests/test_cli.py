@@ -4,9 +4,11 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simpson3 import experiments
-from simpson3.cli import SUBCOMMANDS, build_parser, main, parse_args
+from simpson3.cli import SUBCOMMANDS, build_parser, main
 
 
 @pytest.fixture()
@@ -203,6 +205,21 @@ class TestFeasibility:
         assert code == 1
         assert out == ""
         assert "at most one of --pair or --triple" in err
+
+    @pytest.mark.parametrize("triple", [("1", "1", "2"), ("5", "5", "5")])
+    def test_triple_needs_distinct_summands(self, capsys, triple):
+        # the same check as the search's: no class has equal summand ids
+        code, out, err = run(capsys, "feasibility", "--triple", *triple)
+        assert code == 1
+        assert out == ""
+        assert err == "error: triple classes require distinct summand ids\n"
+
+    @pytest.mark.parametrize("key", [("--pair", "1", "2"), ("--triple", "1", "2", "3")])
+    def test_arity_applies_only_to_the_report(self, capsys, key):
+        code, out, err = run(capsys, "feasibility", *key, "--arity", "2")
+        assert code == 1
+        assert out == ""
+        assert "--arity applies only to the report" in err
 
 
 class TestSearch:
@@ -550,8 +567,8 @@ def _exit(capsys, parse, argv):
     return code, captured.out, captured.err
 
 
-# main builds one subcommand's parser; help, usage errors and leftovers must
-# read exactly as from the full parser.
+# main's help, usage errors and leftovers must read exactly as from the full
+# parser.
 @pytest.mark.parametrize(
     "extra", [("--help",), ("--no-such-option",), ("--format", "yaml")], ids=lambda e: e[0]
 )
@@ -568,18 +585,33 @@ def test_top_level_exits_as_the_full_parser(capsys, argv):
     assert _exit(capsys, main, argv) == _exit(capsys, build_parser().parse_args, argv)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("classify", "table.json", "--smoothing", "1/2"),
-        ("catalog", "--format", "text"),
-        ("orbits", "--arity", "2"),
-        ("feasibility", "--pair", "1", "2"),
-        ("search", "--triple", "3", "4", "55", "--budget", "10"),
-        ("montecarlo", "--dim", "2", "--samples", "5"),
-        ("reversal", "--seed", "3"),
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_parse_args_equals_the_full_parser(argv):
-    assert parse_args(list(argv)) == build_parser().parse_args(list(argv))
+PARSE_CASES = [
+    ("classify", "table.json", "--smoothing", "1/2"),
+    ("catalog", "--format", "text"),
+    ("orbits", "--arity", "2"),
+    ("feasibility", "--pair", "1", "2"),
+    ("search", "--triple", "3", "4", "55", "--budget", "10"),
+    ("montecarlo", "--dim", "2", "--samples", "5"),
+    ("reversal", "--seed", "3"),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(first=st.sampled_from(PARSE_CASES), second=st.sampled_from(PARSE_CASES))
+def test_reused_parser_is_stateless(first, second):
+    parser = build_parser()
+    assert build_parser() is parser
+    namespace = parser.parse_args(list(first))
+    assert namespace == build_parser.__wrapped__().parse_args(list(first))
+    parser.parse_args(list(second))
+    assert parser.parse_args(list(first)) == namespace
+
+
+def test_repeated_commands_read_no_earlier_state(capsys, tmp_path):
+    # the verdict sets args.format on its namespace; the report after it
+    # still sees no format
+    verdict = run(capsys, "feasibility", "--pair", "16", "1")
+    assert verdict[0] == 0 and json.loads(verdict[1])["obstructed"]
+    assert run(capsys, "feasibility", "--pair", "16", "1") == verdict
+    target = tmp_path / "pairs.csv"
+    assert run(capsys, "feasibility", "--arity", "2", "--out", str(target)) == (0, "", "")

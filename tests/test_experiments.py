@@ -409,8 +409,9 @@ def near_margin_rows(sign, need, ids, h, rng):
 
 class TestDescent:
     def test_constraint_table(self, catalog):
-        sign = ConversionSearch(SamplerConfig(), catalog)._constraint_table()
+        sign = catalog.constraint_signs
         assert sign.shape == (75, 20)
+        assert not sign.flags.writeable
         assert not sign[0].any()
         for tid in range(1, 75):
             expected = np.zeros(20)
@@ -419,7 +420,7 @@ class TestDescent:
             assert np.array_equal(sign[tid], expected)
 
     def test_rows_match_the_reference(self, catalog):
-        sign = ConversionSearch(SamplerConfig(), catalog)._constraint_table()
+        sign = catalog.constraint_signs
         rng = np.random.default_rng(3)
         ids = rng.integers(1, 75, (3, 50))
         h = rng.normal(0.0, 3.0, (16, 50))
@@ -434,7 +435,7 @@ class TestDescent:
 
     @pytest.mark.parametrize("rows", ["random", "witness", "near margin"])
     def test_gradient_equals_the_gathered_kernel(self, catalog, rows):
-        sign = ConversionSearch(SamplerConfig(), catalog)._constraint_table()
+        sign = catalog.constraint_signs
         need = required_margins(sign)
         rng = np.random.default_rng(11)
         n = 200
@@ -552,7 +553,35 @@ class TestVerified:
             assert witness is not None and witness.verify()
 
 
+@pytest.fixture(scope="module")
+def known_witness():
+    return search_witness((1, 3, 5), SamplerConfig(seed=0))
+
+
 class TestArchive:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        factors=st.lists(
+            st.one_of(
+                st.builds(Fraction, st.integers(1, 10**12), st.integers(1, 10**12)),
+                st.sampled_from([Fraction(10) ** 300, Fraction(3, 10**300)]),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_round_trip_of_scaled_witnesses(self, tmp_path_factory, known_witness, factors):
+        # Scaling F and G by one positive factor keeps the ids of F, G and F + G.
+        w = known_witness
+        written = [
+            Witness(w.class_key, w.f.scaled(k), w.g.scaled(k), w.verified_at) for k in factors
+        ]
+        archive = WitnessArchive(tmp_path_factory.mktemp("archive") / "triples.csv", 3)
+        archive.append(written)
+        loaded = archive.load()
+        assert loaded == written
+        assert all(x.verify() for x in loaded)
+
     def test_round_trip(self, catalog, tmp_path):
         path = tmp_path / "pairs.csv"
         archive = WitnessArchive(path, 2)

@@ -32,7 +32,9 @@ def relabel_reference(sigma, tri, catalog):
     """The catalog entry whose tetrahedra are tri's, relabeled vertex by vertex."""
     vmap = sigma.vertex_map()
     image = frozenset(frozenset(vmap[v] for v in t.vertices) for t in tri.tetrahedra)
-    (found,) = [e for e in catalog if e.tet_sets() == image]
+    (found,) = [
+        e for e in catalog if frozenset(frozenset(t.vertices) for t in e.tetrahedra) == image
+    ]
     return found
 
 

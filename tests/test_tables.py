@@ -813,7 +813,31 @@ class TestReversal2D:
                 detect_reversal_2d(*args)
 
 
+# Mixed denominators, with zeros where the kind allows them.
+round_trip_values = st.one_of(st.integers(1, 10**6), positive_rationals)
+nonneg_round_trip_values = st.one_of(st.just(0), round_trip_values)
+
+
 class TestJson:
+    @pytest.mark.parametrize(
+        ("kind", "values"),
+        [
+            (Table3, round_trip_values),
+            (NonnegTable3, nonneg_round_trip_values),
+            (Table2, nonneg_round_trip_values),
+        ],
+        ids=["Table3", "NonnegTable3", "Table2"],
+    )
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), factor=unit_or_huge)
+    def test_round_trip_property(self, kind, values, data, factor):
+        size = 4 if kind is Table2 else 8
+        entries = data.draw(st.lists(values, min_size=size, max_size=size))
+        table = kind([Fraction(e) * factor for e in entries])
+        back = table_from_json_obj(table_to_json_obj(table), allow_zero=kind is NonnegTable3)
+        assert type(back) is kind
+        assert back == table
+
     def test_parse_rational(self):
         assert parse_rational("1/4") == Fraction(1, 4)
         assert parse_rational("3") == 3

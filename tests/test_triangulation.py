@@ -39,6 +39,8 @@ from simpson3.triangulation import (
     VERTEX_COORDS,
     _POW2F,
     _check_tolerance,
+    _classified,
+    _cover_key,
     _enumerate_encodings,
     _id_action,
     _lifting_residuals,
@@ -134,7 +136,7 @@ class TestWorkedExample:
             frozenset({2, 3, 4, 7}),
             frozenset({2, 4, 6, 7}),
         }
-        assert tri.tet_sets() == frozenset(expected)
+        assert frozenset(frozenset(t.vertices) for t in tri.tetrahedra) == frozenset(expected)
 
     def test_features(self, catalog):
         tri = classify_exact(EXAMPLE, catalog)
@@ -209,6 +211,11 @@ def reference_intersect_properly(tet_a, tet_b) -> bool:
     return not any(pos <= a and neg <= b or neg <= a and pos <= b for pos, neg in _CIRCUITS)
 
 
+def action_of(encodings):
+    """``_id_action`` on the covers of the given encodings."""
+    return _id_action([_cover_key(enc) for enc in encodings])
+
+
 def _orbit_encodings(catalog, orbits):
     reps = catalog.orbit_representatives()
     return [e.encoding() for e in catalog.entries if reps.index(e.orbit_rep) in orbits]
@@ -218,20 +225,20 @@ class TestIdAction:
     def test_full_catalog(self, catalog):
         encodings = [e.encoding() for e in catalog.entries]
         expected = reference_id_action(encodings)
-        assert np.array_equal(_id_action(encodings), expected)
+        assert np.array_equal(action_of(encodings), expected)
         assert np.array_equal(catalog.id_action(), expected)
         assert catalog.id_action().dtype == expected.dtype
 
     @pytest.mark.parametrize("orbit", range(6))
     def test_each_orbit(self, catalog, orbit):
         encodings = _orbit_encodings(catalog, {orbit})
-        assert np.array_equal(_id_action(encodings), reference_id_action(encodings))
+        assert np.array_equal(action_of(encodings), reference_id_action(encodings))
 
     @settings(max_examples=40, deadline=None)
     @given(orbits=st.sets(st.integers(0, 5), min_size=1))
     def test_unions_of_orbits(self, catalog, orbits):
         encodings = _orbit_encodings(catalog, orbits)
-        assert np.array_equal(_id_action(encodings), reference_id_action(encodings))
+        assert np.array_equal(action_of(encodings), reference_id_action(encodings))
 
 
 class TestCircuits:
@@ -610,7 +617,7 @@ class TestSerialization:
 
     def test_id_action_needs_a_symmetry_closed_set(self, catalog):
         with pytest.raises(CatalogError):
-            _id_action([e.encoding() for e in catalog.entries[:-1]])
+            action_of([e.encoding() for e in catalog.entries[:-1]])
 
     def test_stored_keys(self, catalog):
         for rec in catalog_to_json_obj(catalog)["entries"]:
@@ -653,6 +660,12 @@ class TestSerialization:
 
 ALL_FORMS = (1 << 20) - 1
 
+
+def full_code_id(catalog, code):
+    """The id of a fully nonzero sign code through the exact path's resolver."""
+    return _classified(catalog, code, ~code & ALL_FORMS).canonical_id
+
+
 # Sign codes of random wide tables hit the realizable patterns, which
 # arbitrary 20-bit codes almost never do.
 table_codes = st.lists(st.integers(1, 10**6), min_size=8, max_size=8).map(
@@ -670,7 +683,7 @@ class TestResolverProperties:
             except CatalogError:
                 return None
 
-        assert outcome(catalog.resolve_sign_pattern, code) == outcome(
+        assert outcome(full_code_id, catalog, code) == outcome(
             catalog.resolve_signs, code, ~code & ALL_FORMS
         )
 
@@ -691,7 +704,7 @@ class TestResolverProperties:
 def reference_batch_ids(catalog, heights, tolerance=DEFAULT_TOLERANCE):
     """Row-by-row statement of the batch rule: a form is undecided within
     tolerance * ||coeffs|| * max(1, ||h||inf) of zero; clean rows go through
-    ``resolve_sign_pattern``, rows with undecided forms through
+    ``_classified``, rows with undecided forms through
     ``resolve_signs`` on the decided ones, non-finite rows are 0."""
     out = []
     for row in np.asarray(heights, dtype=np.float64):
@@ -707,7 +720,7 @@ def reference_batch_ids(catalog, heights, tolerance=DEFAULT_TOLERANCE):
                 catalog.resolve_signs(code & ~undecided, ~code & ~undecided & ALL_FORMS)
             )
         else:
-            out.append(catalog.resolve_sign_pattern(code))
+            out.append(full_code_id(catalog, code))
     return np.array(out, dtype=np.int64)
 
 
@@ -805,7 +818,7 @@ def full_margin_ids(catalog, heights, tolerance):
                 catalog.resolve_signs(code & ~open_forms, ~code & ~open_forms & ALL_FORMS)
             )
         else:
-            out.append(catalog.resolve_sign_pattern(code))
+            out.append(full_code_id(catalog, code))
     return np.array(out, dtype=np.int64)
 
 
@@ -838,7 +851,7 @@ class TestBatchMemo:
         filled = np.nonzero(fresh._pattern_ids)[0]
         assert filled.size
         for code in filled.tolist():
-            assert fresh._pattern_ids[code] == fresh.resolve_sign_pattern(code)
+            assert fresh._pattern_ids[code] == full_code_id(fresh, code)
         # exactly the codes of the rows that had no undecided form
         clean = set()
         for row in h[np.isfinite(h).all(axis=1)]:
