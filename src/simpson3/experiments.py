@@ -36,7 +36,6 @@ from .tables import NonnegTable3, Table3, _pair_sign_bits, _table3, format_ratio
 from .tables import parse_rational, table_from_json_obj
 from .triangulation import (
     FORM_MATRIX,
-    Catalog,
     _classified,
     classify_heights_batch,
     get_catalog,
@@ -319,17 +318,6 @@ def _timestamp() -> str:
 _KEY_KINDS = {2: "pair", 3: "triple"}
 
 
-def _normalize_key(class_key: Sequence[int], arity: int, catalog: Catalog) -> tuple[int, ...]:
-    """Move a class key of the given arity to its class representative;
-    the canonicalization rejects unknown ids and equal triple summands."""
-    key = tuple(class_key)
-    if len(key) != arity:
-        raise DomainError(
-            f"{_KEY_KINDS[arity]} class keys have {arity} components, got {class_key!r}"
-        )
-    return canonical_class_of(key, catalog)
-
-
 def _hinge_rows(h: np.ndarray, sign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Which rows have zero squared hinge on the membership margins of F, G
     and F + G, and the hinge's gradient, for many rows at once.
@@ -389,14 +377,8 @@ class _Descent:
     its key and the budget, never on the pool size or on the other keys.
     """
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        keys: list[tuple[int, ...]],
-        budget: int,
-        config: SamplerConfig,
-    ) -> None:
-        self.sign_table = np.ascontiguousarray(catalog.constraint_signs.T)
+    def __init__(self, keys: list[tuple[int, ...]], budget: int, config: SamplerConfig) -> None:
+        self.sign_table = np.ascontiguousarray(get_catalog().constraint_signs.T)
         self.keys, self.budget = keys, budget
         self.ids = np.array([pad_key(key) for key in keys], dtype=np.intp).reshape(-1, 3)
         self.rngs = [config.stream(_PURPOSE_SWEEP, *pad_key(k)) for k in keys]
@@ -560,9 +542,8 @@ class ConversionSearch:
     III->III->III (see the README).
     """
 
-    def __init__(self, config: SamplerConfig, catalog: Catalog | None = None) -> None:
+    def __init__(self, config: SamplerConfig) -> None:
         self.config = config
-        self.catalog = catalog if catalog is not None else get_catalog()
 
     def ensure_pools(self, ids: Iterable[int], count: int | None = None) -> None:
         """Deprecated no-op: the search keeps no sample pools."""
@@ -578,7 +559,7 @@ class ConversionSearch:
         """Each key's witness or None, and the evaluations it spent."""
         if budget < 1:
             raise DomainError(f"budget must be at least 1, got {budget}")
-        return _Descent(self.catalog, keys, budget, self.config).run()
+        return _Descent(keys, budget, self.config).run()
 
     def _optimize_key(self, key: tuple[int, ...], budget: int) -> tuple[Witness | None, int]:
         """One class through the descent: its witness or None, and the
@@ -603,10 +584,21 @@ class ConversionSearch:
     def _checked_keys(
         self, class_keys: Iterable[Sequence[int]], arity: int
     ) -> list[tuple[int, ...]]:
-        """Normalize the keys and refuse parity-obstructed classes."""
-        keys = sorted({_normalize_key(k, arity, self.catalog) for k in class_keys})
+        """Move the keys to their class representatives, which rejects
+        unknown ids and equal triple summands, and refuse parity-obstructed
+        classes."""
+        catalog = get_catalog()
+        found = set()
+        for class_key in class_keys:
+            key = tuple(class_key)
+            if len(key) != arity:
+                raise DomainError(
+                    f"{_KEY_KINDS[arity]} class keys have {arity} components, got {class_key!r}"
+                )
+            found.add(canonical_class_of(key, catalog))
+        keys = sorted(found)
         for key in keys:
-            if obstruction_triple(*(self.catalog[i] for i in pad_key(key))).obstructed:
+            if obstruction_triple(*(catalog[i] for i in pad_key(key))).obstructed:
                 raise DomainError(f"{_KEY_KINDS[arity]} class {key} is parity obstructed")
         return keys
 
@@ -627,7 +619,6 @@ def search_witness(
     class_key: Sequence[int],
     config: SamplerConfig | None = None,
     budget: int = 10**7,
-    catalog: Catalog | None = None,
 ) -> Witness | Exhausted:
     """Search a witness for one class key; raise DomainError if obstructed
     or if ``budget`` is below 1.
@@ -644,7 +635,7 @@ def search_witness(
     key = tuple(int(x) for x in class_key)
     if len(key) not in _KEY_KINDS:
         raise DomainError(f"class key must have 2 or 3 components, got {len(key)}")
-    search = ConversionSearch(config if config is not None else SamplerConfig(), catalog)
+    search = ConversionSearch(config if config is not None else SamplerConfig())
     (key,) = search._checked_keys([key], len(key))
     witness, spent = search._optimize_key(key, budget)
     return witness if witness is not None else Exhausted(key, spent)
@@ -719,8 +710,8 @@ class WitnessArchive:
                 os.unlink(tmp_path)
             raise
 
-    def load(self, verify: bool = True) -> list[Witness]:
-        """Read witnesses back, re-verifying the induced ids by default."""
+    def load(self) -> list[Witness]:
+        """Read witnesses back, re-verifying the induced ids of each."""
         if not os.path.exists(self.path):
             return []
         witnesses: list[Witness] = []
@@ -743,7 +734,7 @@ class WitnessArchive:
                     raise CatalogError(
                         f"{self.path}, line {reader.line_num}: malformed witness row: {exc}"
                     ) from exc
-                if verify and not witness.verify():
+                if not witness.verify():
                     raise CatalogError(
                         f"archived witness for {key} fails re-verification"
                     )

@@ -377,9 +377,6 @@ class FormSigns:
     def __getitem__(self, letter: str) -> int:
         return self.signs[FORM_INDEX[letter]]
 
-    def nonzero(self) -> bool:
-        return all(s != 0 for s in self.signs)
-
     def as_dict(self) -> dict[str, int]:
         return dict(zip(FORM_LETTERS, self.signs))
 

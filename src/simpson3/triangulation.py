@@ -45,7 +45,12 @@ _POW2F = np.ldexp(1.0, np.arange(20))     # sums of distinct ones are exact in f
 _BLOCK = 2048    # rows per batch block: its (20, b) temporaries (320 KB) stay in cache
 _ALL_FORMS = (1 << len(FORM_COEFFS)) - 1
 
+# The fixed margin of the float classifiers: a form is undecided on heights
+# h when its value is within DEFAULT_TOLERANCE * ||coeffs|| * max(1, ||h||inf)
+# of zero.  _MARGIN holds each form's margin at unit scale.
 DEFAULT_TOLERANCE = 1e-9
+_MARGIN = DEFAULT_TOLERANCE * FORM_NORMS
+_WIDEST_MARGIN = _MARGIN.max()
 
 
 def _det3(r0, r1, r2) -> int:
@@ -323,7 +328,11 @@ class Catalog:
         encodings = list(encodings)
         if encodings != sorted(set(encodings)):
             raise CatalogError("entries out of canonical order")
-        keys = [_cover_key(enc) for enc in encodings]
+        try:
+            keys = [_cover_key(enc) for enc in encodings]
+        except KeyError as exc:
+            (vertices,) = exc.args
+            raise CatalogError(f"vertices {vertices} are not one of the 58 tetrahedra") from None
         self._id_action = _id_action(keys)
         orbit_reps = self._id_action.min(axis=0).tolist()
         self.entries = tuple(
@@ -516,25 +525,16 @@ def classify_exact(table: Table3, catalog: Catalog | None = None) -> Triangulati
     return _classified(catalog, *_int_sign_bits(*table.integers))
 
 
-def _check_tolerance(tolerance: float) -> None:
-    if not tolerance > 0.0:
-        raise DomainError("tolerance must be positive")
-
-
-def classify_heights_batch(
-    heights: np.ndarray,
-    catalog: Catalog | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> np.ndarray:
+def classify_heights_batch(heights: np.ndarray, catalog: Catalog | None = None) -> np.ndarray:
     """Vectorized classification of height vectors (rows of log-entries).
 
     Returns 1-based catalog ids.  A form is undecided on a row when its
-    evaluation falls within tolerance * ||coeffs|| * max(1, ||h||inf) of
-    zero; a row with undecided forms is resolved from the decided ones, so
-    it still gets its id when none of them is among that id's constraints.
-    0 marks a row that is not finite or has an undecided form among the
-    constraints of every id its decided forms allow.  Raises DomainError
-    unless tolerance is positive.
+    evaluation falls within the margin DEFAULT_TOLERANCE * ||coeffs|| *
+    max(1, ||h||inf) of zero; a row with undecided forms is resolved from
+    the decided ones, so it still gets its id when none of them is among
+    that id's constraints.  0 marks a row that is not finite or has an
+    undecided form among the constraints of every id its decided forms
+    allow.
 
     The forms are evaluated column-major, on cache-sized blocks of rows
     transposed to (8, b), and each row's signs are packed into a 20-bit
@@ -549,7 +549,6 @@ def classify_heights_batch(
     """
     if catalog is None:
         catalog = get_catalog()
-    _check_tolerance(tolerance)
     h = np.asarray(heights, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != 8:
         raise DomainError("heights must be an (n, 8) array")
@@ -557,8 +556,7 @@ def classify_heights_batch(
     codes = np.empty(n, dtype=np.int64)
     undecided = np.zeros(n, dtype=np.int64)
     finite = np.empty(n, dtype=bool)
-    margin = (tolerance * FORM_NORMS)[:, None]
-    widest = margin.max()
+    margin = _MARGIN[:, None]
     with np.errstate(invalid="ignore"):
         for lo in range(0, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
@@ -568,7 +566,7 @@ def classify_heights_batch(
             codes[lo:hi] = _POW2F @ (values > 0)
             np.abs(values, out=values)
             # NaN fails the comparison, so non-finite rows count as near
-            near = np.nonzero(~(values.min(axis=0) >= widest * scale))[0]
+            near = np.nonzero(~(values.min(axis=0) >= _WIDEST_MARGIN * scale))[0]
             if near.size:
                 undecided[lo + near] = _POW2F @ (values[:, near] < margin * scale[near])
             finite[lo:hi] = np.isfinite(scale)
@@ -619,9 +617,7 @@ def _lifting_residuals() -> tuple[np.ndarray, np.ndarray]:
 
 
 def classify_float_oracle(
-    heights: Sequence[float],
-    catalog: Catalog | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
+    heights: Sequence[float], catalog: Catalog | None = None
 ) -> Triangulation:
     """Independent classifier by the lifting test over the 58 tetrahedra: a
     tetrahedron is a cell of the upper envelope of the lifted vertices iff
@@ -631,21 +627,19 @@ def classify_float_oracle(
     the set of such cells.
 
     It reads no constraint set and no sign code.  Raises DegenerateTable
-    when a form evaluation is within tolerance * ||coeffs|| * max(1, ||h||inf)
-    of zero, and CatalogError when the cells are not a catalog entry.
+    when a form evaluation is within the batch path's margin of zero, and
+    CatalogError when the cells are not a catalog entry.
     Development and test oracle only; the exact path never calls this.
     """
     if catalog is None:
         catalog = get_catalog()
-    _check_tolerance(tolerance)
     h = np.asarray(heights, dtype=np.float64)
     if h.shape != (8,):
         raise DomainError("oracle needs exactly 8 heights")
     if not np.isfinite(h).all():
         raise DomainError("heights must be finite")
     values = FORM_MATRIX @ h
-    margin = tolerance * FORM_NORMS * max(1.0, float(np.abs(h).max()))
-    if (np.abs(values) < margin).any():
+    if (np.abs(values) < _MARGIN * max(1.0, float(np.abs(h).max()))).any():
         raise DegenerateTable("a form evaluation is within tolerance of zero")
     residuals, inside = _lifting_residuals()
     below = ((residuals @ h).reshape(inside.shape) < 0) | inside
@@ -686,24 +680,24 @@ def catalog_to_json_obj(catalog: Catalog) -> dict:
     return {"triangulationCount": len(catalog), "entries": entries}
 
 
-def catalog_from_json_obj(obj: dict, verify: bool = True) -> Catalog:
+def catalog_from_json_obj(obj: dict) -> Catalog:
     """Rebuild a catalog from the tetrahedra of its JSON export, each checked
-    as a ``Tetrahedron``; every other attribute is derived again.  With
-    verify on, every stored key of each record is compared with the rebuilt
-    record; a missing, extra or differing key raises CatalogError, as does
-    an export without an entry list or an entry without tetrahedra."""
+    as a ``Tetrahedron``; every other attribute is derived again, and every
+    stored key of each record is compared with the rebuilt record.  A
+    missing, extra or differing key raises CatalogError, as does an export
+    without an entry list, an entry without tetrahedra or a tetrahedron
+    that is not one."""
     try:
         records = list(obj["entries"])
         tets = [[Tetrahedron(t).vertices for t in rec["tetrahedra"]] for rec in records]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, DomainError) as exc:
         raise CatalogError(f"malformed catalog export: {exc!r}") from exc
     catalog = Catalog([tuple(sorted(vertices)) for vertices in tets])
-    if verify:
-        rebuilt = catalog_to_json_obj(catalog)
-        for cid, (rec, new) in enumerate(zip(records, rebuilt["entries"]), start=1):
-            for key in sorted(rec.keys() | new.keys()):
-                if rec.get(key) != new.get(key):
-                    raise CatalogError(f"entry {cid}: stored {key} differs from the rebuilt one")
-        if obj != rebuilt:
-            raise CatalogError("stored catalog differs from the rebuilt one")
+    rebuilt = catalog_to_json_obj(catalog)
+    for cid, (rec, new) in enumerate(zip(records, rebuilt["entries"]), start=1):
+        for key in sorted(rec.keys() | new.keys()):
+            if rec.get(key) != new.get(key):
+                raise CatalogError(f"entry {cid}: stored {key} differs from the rebuilt one")
+    if obj != rebuilt:
+        raise CatalogError("stored catalog differs from the rebuilt one")
     return catalog

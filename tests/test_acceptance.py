@@ -111,7 +111,7 @@ def test_criterion_3_obstruction_counts(acceptance, catalog):
 def test_criterion_4_witnesses(acceptance, catalog):
     start = time.monotonic()
     config = SamplerConfig(seed=0)
-    search = ConversionSearch(config, catalog)
+    search = ConversionSearch(config)
 
     pair_classes = orbit_classes(2, catalog)
     obstructed_pairs = {

@@ -202,7 +202,7 @@ class TestSearch:
 
     def test_sweep_shares_work(self, catalog):
         keys = [(1, 1), (1, 2), (1, 3)]
-        search = ConversionSearch(SamplerConfig(seed=0), catalog)
+        search = ConversionSearch(SamplerConfig(seed=0))
         results = search.sweep_pairs(keys, budget=10**6)
         assert set(results) == set(keys)
         assert all(isinstance(w, Witness) for w in results.values())
@@ -236,7 +236,7 @@ class TestSearch:
 
     @pytest.mark.parametrize("budget", [0, -5])
     def test_budget_below_one_raises(self, catalog, budget):
-        search = ConversionSearch(SamplerConfig(seed=0), catalog)
+        search = ConversionSearch(SamplerConfig(seed=0))
         for run in (
             lambda: search_witness((1, 2), SamplerConfig(seed=0), budget=budget),
             lambda: search.sweep_pairs([(1, 2)], budget),
@@ -276,7 +276,7 @@ class TestSearch:
         assert set(single) == set(keys)
         pairs = [k for k in keys if len(k) == 2]
         triples = [k for k in keys if len(k) == 3]
-        search = ConversionSearch(config, catalog)
+        search = ConversionSearch(config)
         mixed = search.sweep_pairs(pairs + [(1, 3), (5, 20)], budget)
         mixed.update(search.sweep_triples(triples + [(1, 2, 3), (2, 7, 19)], budget))
         monkeypatch.setattr(experiments, "_OPT_BLOCK", 5)
@@ -294,13 +294,13 @@ class TestSearch:
         assert isinstance(
             search_witness((3, 4, 55), SamplerConfig(seed=0), budget=1000), Exhausted
         )
-        search = ConversionSearch(SamplerConfig(seed=0), catalog)
+        search = ConversionSearch(SamplerConfig(seed=0))
         results = search.sweep_triples([(1, 3, 5), (3, 4, 55)], budget=1000)
         assert isinstance(results[(1, 3, 5)], Witness)
         assert isinstance(results[(3, 4, 55)], Exhausted)
 
     def test_pool_interface_is_deprecated(self, catalog):
-        search = ConversionSearch(SamplerConfig(seed=0), catalog)
+        search = ConversionSearch(SamplerConfig(seed=0))
         with pytest.warns(DeprecationWarning):
             search.ensure_pools([1, 2])
 
@@ -615,7 +615,6 @@ class TestArchive:
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(CatalogError):
             archive.load()
-        assert len(archive.load(verify=False)) == 1
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -630,9 +629,8 @@ class TestArchive:
         lines = path.read_text().splitlines()
         lines[2] = ",".join(corrupt(lines[2].split(",")))
         path.write_text("\n".join(lines) + "\n")
-        for verify in (True, False):
-            with pytest.raises(CatalogError, match=r"line 3: malformed witness row"):
-                archive.load(verify=verify)
+        with pytest.raises(CatalogError, match=r"line 3: malformed witness row"):
+            archive.load()
 
     def test_unwritable_directory_names_the_archive(self, tmp_path):
         path = str(tmp_path / "missing" / "w.csv")

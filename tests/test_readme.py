@@ -1,0 +1,69 @@
+"""The README's Python examples run as written and print what they say.
+
+Each ```python block runs in a fresh namespace.  A ``print(...)`` line
+with a trailing ``# ...`` comment must print exactly that comment.
+"""
+
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+TEXT = README.read_text(encoding="utf-8")
+
+# (first line number, source) of each ```python block.
+BLOCKS = [
+    (TEXT[: m.start(1)].count("\n") + 1, m.group(1))
+    for m in re.finditer(r"^```python\n(.*?)^```$", TEXT, re.M | re.S)
+]
+
+# Calls the README documents; a changed signature must change the README too.
+DOCUMENTED_CALLS = [
+    "classify_exact(table)",
+    "detect_conversion(table, table.scaled(3))",
+    "search_witness((1, 2), SamplerConfig(seed=0))",
+    "witness.induced_ids()",
+    "witness.verify()",
+]
+
+
+def printed_comments(source):
+    """Line number (1-based, in the block) -> the comment of each print line."""
+    out = {}
+    for lineno, line in enumerate(source.splitlines(), start=1):
+        m = re.match(r"print\(.*\)\s+#\s?(.*)$", line)
+        if m:
+            out[lineno] = m.group(1).rstrip()
+    return out
+
+
+def run_block(source):
+    """Run a block; return the text printed by each line, by line number."""
+    printed = {}
+
+    def record(*args, sep=" ", end="\n", **_):
+        lineno = sys._getframe(1).f_lineno
+        printed[lineno] = printed.get(lineno, "") + sep.join(map(str, args)) + end
+
+    exec(compile(source, str(README), "exec"), {"print": record, "__name__": "readme"})
+    return {lineno: text.rstrip("\n") for lineno, text in printed.items()}
+
+
+def test_readme_has_python_examples():
+    assert len(BLOCKS) >= 2
+    assert sum(len(printed_comments(src)) for _, src in BLOCKS) >= 4
+
+
+@pytest.mark.parametrize("start, source", BLOCKS, ids=[f"line{start}" for start, _ in BLOCKS])
+def test_block_prints_its_comments(start, source):
+    expected = printed_comments(source)
+    printed = run_block(source)
+    for lineno, comment in expected.items():
+        assert printed.get(lineno) == comment, f"README.md line {start + lineno - 1}"
+
+
+@pytest.mark.parametrize("call", DOCUMENTED_CALLS)
+def test_documented_call_is_an_example(call):
+    assert any(call in source for _, source in BLOCKS)

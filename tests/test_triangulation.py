@@ -38,7 +38,7 @@ from simpson3.triangulation import (
     FORM_NORMS,
     VERTEX_COORDS,
     _POW2F,
-    _check_tolerance,
+    Catalog,
     _classified,
     _cover_key,
     _enumerate_encodings,
@@ -335,31 +335,21 @@ class TestClassification:
         with pytest.raises(DomainError):
             classify_float_oracle(np.array([np.nan] * 8), catalog)
 
-    @pytest.mark.parametrize("tolerance", [0.0, -1e-9, np.nan])
-    def test_tolerance_must_be_positive(self, catalog, tolerance):
-        # the all-ones table: with no margin its vanishing forms would count
-        # as negative and match three constraint sets
-        with pytest.raises(DomainError, match="tolerance must be positive"):
-            classify_heights_batch(np.zeros((1, 8)), catalog, tolerance)
-        with pytest.raises(DomainError, match="tolerance must be positive"):
-            classify_float_oracle(np.zeros(8), catalog, tolerance)
 
-
-def reference_hull_oracle(heights, catalog=None, tolerance=DEFAULT_TOLERANCE):
+def reference_hull_oracle(heights, catalog=None):
     """``classify_float_oracle`` by a 4-dimensional convex hull: the upper
     facets of the lifted vertices, read off qhull's facet normals."""
     from scipy.spatial import ConvexHull
 
     if catalog is None:
         catalog = get_catalog()
-    _check_tolerance(tolerance)
     h = np.asarray(heights, dtype=np.float64)
     if h.shape != (8,):
         raise DomainError("oracle needs exactly 8 heights")
     if not np.isfinite(h).all():
         raise DomainError("heights must be finite")
     values = FORM_MATRIX @ h
-    margin = tolerance * FORM_NORMS * max(1.0, float(np.abs(h).max()))
+    margin = DEFAULT_TOLERANCE * FORM_NORMS * max(1.0, float(np.abs(h).max()))
     if (np.abs(values) < margin).any():
         raise DegenerateTable("a form evaluation is within tolerance of zero")
     points = np.column_stack([np.array(VERTEX_COORDS, dtype=np.float64), h])
@@ -605,7 +595,7 @@ class TestSerialization:
     def test_round_trip_verified(self, catalog):
         obj = catalog_to_json_obj(catalog)
         assert len(obj["entries"]) == 74
-        back = catalog_from_json_obj(obj, verify=True)
+        back = catalog_from_json_obj(obj)
         assert [e.encoding() for e in back.entries] == [
             e.encoding() for e in catalog.entries
         ]
@@ -632,16 +622,13 @@ class TestSerialization:
         # entry 2's tetrahedra in entry 1 repeat a cover, so the rebuild itself fails
         message = "canonical order" if key == "tetrahedra" else f"entry 1: stored {key} differs"
         with pytest.raises(CatalogError, match=message):
-            catalog_from_json_obj(obj, verify=True)
-        if key != "tetrahedra":
-            # unverified, the stored value is ignored rather than trusted
-            assert catalog_from_json_obj(obj, verify=False)[1] == catalog[1]
+            catalog_from_json_obj(obj)
 
     def test_tampered_header_rejected(self, catalog):
         obj = catalog_to_json_obj(catalog)
         obj["triangulationCount"] = 73
         with pytest.raises(CatalogError, match="stored catalog differs"):
-            catalog_from_json_obj(obj, verify=True)
+            catalog_from_json_obj(obj)
 
     def test_export_without_entries_rejected(self):
         with pytest.raises(CatalogError, match="malformed catalog export"):
@@ -656,6 +643,19 @@ class TestSerialization:
         del obj["entries"][3]["tetrahedra"]
         with pytest.raises(CatalogError, match="malformed catalog export"):
             catalog_from_json_obj(obj)
+
+    def test_coplanar_tetrahedron_in_export_rejected(self, catalog):
+        obj = catalog_to_json_obj(catalog)
+        obj["entries"][0]["tetrahedra"][0] = [0, 1, 2, 3]
+        with pytest.raises(CatalogError, match="malformed catalog export.*coplanar"):
+            catalog_from_json_obj(obj)
+
+    def test_cover_outside_the_58_tetrahedra_rejected(self, catalog):
+        with pytest.raises(CatalogError, match=r"vertices \(0, 1, 2, 3\) are not one of the 58"):
+            Catalog([((0, 1, 2, 3),)])
+        # a lookup by tetrahedra still reports a domain error
+        with pytest.raises(DomainError, match="not a triangulation of the cube"):
+            catalog.entry_by_tets([(0, 1, 2, 3)])
 
 
 ALL_FORMS = (1 << 20) - 1
@@ -701,9 +701,9 @@ class TestResolverProperties:
             assert cid == expected
 
 
-def reference_batch_ids(catalog, heights, tolerance=DEFAULT_TOLERANCE):
+def reference_batch_ids(catalog, heights):
     """Row-by-row statement of the batch rule: a form is undecided within
-    tolerance * ||coeffs|| * max(1, ||h||inf) of zero; clean rows go through
+    DEFAULT_TOLERANCE * ||coeffs|| * max(1, ||h||inf) of zero; clean rows go through
     ``_classified``, rows with undecided forms through
     ``resolve_signs`` on the decided ones, non-finite rows are 0."""
     out = []
@@ -712,7 +712,7 @@ def reference_batch_ids(catalog, heights, tolerance=DEFAULT_TOLERANCE):
             out.append(0)
             continue
         values = FORM_MATRIX @ row
-        margin = tolerance * FORM_NORMS * max(1.0, float(np.abs(row).max()))
+        margin = DEFAULT_TOLERANCE * FORM_NORMS * max(1.0, float(np.abs(row).max()))
         code = sum(1 << i for i, v in enumerate(values) if v > 0)
         undecided = sum(1 << i for i, (v, m) in enumerate(zip(values, margin)) if abs(v) < m)
         if undecided:
@@ -780,7 +780,7 @@ class TestBatchKernelProperties:
             classify_heights_batch(np.zeros(shape), catalog)
 
 
-def near_margin_heights(seed, size, tolerance):
+def near_margin_heights(seed, size):
     """Rows of log Exp(1) draws scaled so that their smallest form value
     lies within a few ulps of its own margin or of the largest one, on
     either side, so both the near-row filter and the per-form test sit on
@@ -789,18 +789,18 @@ def near_margin_heights(seed, size, tolerance):
     h = np.log(rng.standard_exponential((size, 8)))
     values = np.abs(h @ FORM_MATRIX.T)
     smallest = values.argmin(axis=1)
-    margin = tolerance * FORM_NORMS
+    margin = DEFAULT_TOLERANCE * FORM_NORMS
     target = np.where(rng.random(size) < 0.5, margin[smallest], margin.max())
     ulps = 1.0 + rng.integers(-4, 5, size) * np.finfo(float).eps
     return h * (target / values[np.arange(size), smallest] * ulps)[:, None]
 
 
-def full_margin_ids(catalog, heights, tolerance):
+def full_margin_ids(catalog, heights):
     """The batch kernel before the near-row filter: every form of every row
     gets the margin test, on the same blocks and so on the same floats."""
     h = np.asarray(heights, dtype=np.float64)
     codes, undecided, finite = [], [], []
-    margin = (tolerance * FORM_NORMS)[:, None]
+    margin = (DEFAULT_TOLERANCE * FORM_NORMS)[:, None]
     with np.errstate(invalid="ignore"):
         for lo in range(0, len(h), _BLOCK):
             hT = np.ascontiguousarray(h[lo : lo + _BLOCK].T)
@@ -823,24 +823,22 @@ def full_margin_ids(catalog, heights, tolerance):
 
 
 class TestBatchMemo:
-    @pytest.mark.parametrize("tolerance", [1e-3, DEFAULT_TOLERANCE, 1e-12])
     @settings(max_examples=4, deadline=None)
     @given(seed=seeds)
-    def test_equals_row_reference_at_each_tolerance(self, catalog, tolerance, seed):
+    def test_equals_row_reference_at_the_margin(self, catalog, seed):
         h = mixed_heights(seed, 1000)
-        ids = classify_heights_batch(h, catalog, tolerance)
-        assert np.array_equal(ids, reference_batch_ids(catalog, h, tolerance))
+        ids = classify_heights_batch(h, catalog)
+        assert np.array_equal(ids, reference_batch_ids(catalog, h))
 
-    @pytest.mark.parametrize("tolerance", [1e-3, DEFAULT_TOLERANCE, 1e-12])
     @settings(max_examples=4, deadline=None)
     @given(seed=seeds)
-    def test_equals_full_margin_kernel_near_the_margin(self, catalog, tolerance, seed):
+    def test_equals_full_margin_kernel_near_the_margin(self, catalog, seed):
         # within a few ulps of a margin, the row reference's matrix-vector
         # product may round differently from the kernel's blocked product
-        near = near_margin_heights(seed, _BLOCK + 300, tolerance)
+        near = near_margin_heights(seed, _BLOCK + 300)
         h = np.vstack([near, mixed_heights(seed, 300)])
-        ids = classify_heights_batch(h, catalog, tolerance)
-        assert np.array_equal(ids, full_margin_ids(catalog, h, tolerance))
+        ids = classify_heights_batch(h, catalog)
+        assert np.array_equal(ids, full_margin_ids(catalog, h))
 
     @settings(max_examples=4, deadline=None)
     @given(seed=seeds)
