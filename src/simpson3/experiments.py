@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import CatalogError, DegenerateTable, DomainError
 from .feasibility import obstruction_triple
-from .symmetry import canonical_class_of, pad_key
+from .symmetry import canonical_classes, pad_key
 from .tables import NonnegTable3, Table3, _pair_sign_bits, _table3, format_rational
 from .tables import parse_rational, table_from_json_obj
 from .triangulation import (
@@ -588,15 +588,15 @@ class ConversionSearch:
         unknown ids and equal triple summands, and refuse parity-obstructed
         classes."""
         catalog = get_catalog()
-        found = set()
+        given = []
         for class_key in class_keys:
             key = tuple(class_key)
             if len(key) != arity:
                 raise DomainError(
                     f"{_KEY_KINDS[arity]} class keys have {arity} components, got {class_key!r}"
                 )
-            found.add(canonical_class_of(key, catalog))
-        keys = sorted(found)
+            given.append(key)
+        keys = sorted(set(canonical_classes(given, catalog)))
         for key in keys:
             if obstruction_triple(*(catalog[i] for i in pad_key(key))).obstructed:
                 raise DomainError(f"{_KEY_KINDS[arity]} class {key} is parity obstructed")

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -122,11 +123,23 @@ def apply(sigma: CubeSymmetry, x):
 
 @dataclass(frozen=True)
 class OrbitClass:
-    """One equivalence class of id tuples under the simultaneous group action."""
+    """One equivalence class of id tuples under the simultaneous group action.
+
+    Two classes are equal when their representatives and sizes are; the id
+    action only serves ``members``.
+    """
 
     representative: tuple[int, ...]
     size: int
-    members: tuple[tuple[int, ...], ...]
+    id_action: np.ndarray = field(compare=False, repr=False)
+
+    @cached_property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        """Every id tuple of the class, sorted; built on first read."""
+        images = self.id_action[:, [i - 1 for i in self.representative]]
+        if len(self.representative) == 3:
+            images[:, :2].sort(axis=1)
+        return tuple(sorted(set(map(tuple, images.tolist()))))
 
 
 # Every class key is a (summand, summand, sum) triple: a single id a is
@@ -145,6 +158,14 @@ def pad_key(ids: Sequence[int]) -> tuple[int, ...]:
     return tuple(ids[i] for i in _PAD[len(ids)])
 
 
+def _image_keys(rows: np.ndarray, pa: np.ndarray) -> np.ndarray:
+    """(48, m) raveled (lo, hi, sum) keys of the images of (m, 3) 0-based
+    rows under the 0-based id action pa."""
+    n = pa.shape[1]
+    u, v, w = (pa[:, rows[:, i]] for i in range(3))
+    return (np.minimum(u, v) * n + np.maximum(u, v)) * n + w
+
+
 def _canonical_rows(rows: np.ndarray, ida: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical keys of (m, 3) 0-based (summand, summand, sum) rows, and the
     first symmetry index reaching each.
@@ -154,13 +175,11 @@ def _canonical_rows(rows: np.ndarray, ida: np.ndarray) -> tuple[np.ndarray, np.n
     the 48 images.
     """
     pa = ida.astype(np.int32) - 1
-    n = pa.shape[1]
     keys = np.empty(len(rows), dtype=np.int64)
     first = np.empty(len(rows), dtype=np.int64)
     for start in range(0, len(rows), _CHUNK_ROWS):
         chunk = rows[start : start + _CHUNK_ROWS]
-        u, v, w = (pa[:, chunk[:, i]] for i in range(3))
-        images = (np.minimum(u, v) * n + np.maximum(u, v)) * n + w
+        images = _image_keys(chunk, pa)
         best = images.argmin(axis=0)
         keys[start : start + len(chunk)] = images[best, np.arange(len(chunk))]
         first[start : start + len(chunk)] = best
@@ -169,34 +188,45 @@ def _canonical_rows(rows: np.ndarray, ida: np.ndarray) -> tuple[np.ndarray, np.n
 
 def orbit_classes(arity: int, catalog) -> list[OrbitClass]:
     """All orbit classes of single ids (arity 1), ordered pairs (arity 2), or
-    summand-unordered triples with distinct summands (arity 3)."""
+    summand-unordered triples with distinct summands (arity 3), in the order
+    of their representatives."""
     if arity not in _PAD:
         raise DomainError(f"unsupported arity {arity}")
     ida = catalog.id_action()
-    tuples = np.indices((ida.shape[1],) * arity, dtype=np.int8).reshape(arity, -1).T
+    n = ida.shape[1]
+    # A symmetry that moves a tuple's sum onto its orbit representative keeps
+    # the tuple in its class, so the tuples whose sum (the last id) is an
+    # orbit representative meet every class.
+    sums = np.array(catalog.orbit_representatives()) - 1
+    tuples = np.indices((n,) * (arity - 1) + (len(sums),)).reshape(arity, -1).T
+    tuples[:, -1] = sums[tuples[:, -1]]
     pad = _PAD[arity]
     if pad[0] != pad[1]:
         # separate summand slots hold an unordered pair of distinct ids
         tuples = tuples[tuples[:, 0] < tuples[:, 1]]
     keys, _ = _canonical_rows(tuples[:, list(pad)], ida)
-    order = np.argsort(keys, kind="stable")
-    columns = (tuples[order] + 1).T
-    starts = np.flatnonzero(np.diff(keys[order], prepend=-1)).tolist()
-    # Members are enumerated in sorted order, so each class lists them sorted
-    # and its first member is the representative.  The representatives are
-    # built apart from, and before, the members: callers often keep only the
-    # representatives, which would otherwise pin the members' memory.
-    reps = list(zip(*columns[:, starts].tolist()))
-    classes = []
-    for rep, lo, hi in zip(reps, starts, starts[1:] + [len(order)]):
-        classes.append(OrbitClass(rep, hi - lo, tuple(zip(*columns[:, lo:hi].tolist()))))
-    return classes
+    # The least raveled key of a class is its least member, so the unique
+    # keys come in the order of the representatives.
+    unique = np.unique(keys)
+    padded = np.unravel_index(unique, (n, n, n))
+    # Orbit-stabilizer: a class has 48 / |stabilizer| members, and a symmetry
+    # stabilizes the representative when its image key is the key itself.
+    images = _image_keys(np.column_stack(padded), ida.astype(np.int32) - 1)
+    sizes = (len(GROUP) // (images == unique).sum(axis=0)).tolist()
+    reps = zip(*((padded[i] + 1).tolist() for i in _UNPAD[arity]))
+    return [OrbitClass(rep, size, ida) for rep, size in zip(reps, sizes)]
 
 
 def canonical_class_of(ids: Sequence[int], catalog) -> tuple[int, ...]:
     """Representative of the orbit class containing the given id tuple."""
-    rep, _ = canonical_transporter(ids, catalog)
-    return rep
+    return canonical_classes([ids], catalog)[0]
+
+
+def canonical_classes(keys: Sequence[Sequence[int]], catalog) -> list[tuple[int, ...]]:
+    """Representatives of the orbit classes of the given id tuples, in input
+    order; the first invalid tuple raises ``DomainError``."""
+    reps, _ = _canonicalize(keys, catalog)
+    return reps
 
 
 def canonical_transporter(ids: Sequence[int], catalog):
@@ -206,15 +236,25 @@ def canonical_transporter(ids: Sequence[int], catalog):
     tuple onto the representative (for arity 3 up to swapping the two summand
     coordinates, which are unordered by convention).
     """
+    reps, first = _canonicalize([ids], catalog)
+    return reps[0], int(first[0])
+
+
+def _canonicalize(keys: Sequence[Sequence[int]], catalog):
+    """Checked keys' representatives, and the first symmetry index reaching
+    each, through one ``_canonical_rows`` call."""
     ida = catalog.id_action()
     n = ida.shape[1]
-    for i in ids:
-        if not 1 <= i <= n:
-            raise DomainError(f"unknown triangulation id {i}")
-    if len(ids) not in _PAD:
-        raise DomainError(f"unsupported arity {len(ids)}")
-    if len(ids) == 3 and ids[0] == ids[1]:
-        raise DomainError("triple classes require distinct summand ids")
-    keys, first = _canonical_rows(np.array([pad_key(ids)]) - 1, ida)
-    padded = np.unravel_index(int(keys[0]), (n, n, n))
-    return tuple(int(padded[i]) + 1 for i in _UNPAD[len(ids)]), int(first[0])
+    for ids in keys:
+        for i in ids:
+            if not 1 <= i <= n:
+                raise DomainError(f"unknown triangulation id {i}")
+        if len(ids) not in _PAD:
+            raise DomainError(f"unsupported arity {len(ids)}")
+        if len(ids) == 3 and ids[0] == ids[1]:
+            raise DomainError("triple classes require distinct summand ids")
+    rows = np.array([pad_key(ids) for ids in keys], dtype=np.int64).reshape(-1, 3) - 1
+    canonical, first = _canonical_rows(rows, ida)
+    padded = zip(*(a.tolist() for a in np.unravel_index(canonical, (n, n, n))))
+    reps = [tuple(row[i] + 1 for i in _UNPAD[len(ids)]) for ids, row in zip(keys, padded)]
+    return reps, first

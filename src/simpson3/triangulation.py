@@ -324,8 +324,8 @@ class Catalog:
     and 0 on the other forms; row 0 is zero.
     """
 
-    def __init__(self, encodings: Sequence[tuple[tuple[int, ...], ...]]):
-        encodings = list(encodings)
+    def __init__(self, encodings: Sequence[Sequence[Sequence[int]]]):
+        encodings = [tuple(map(tuple, cover)) for cover in encodings]
         if encodings != sorted(set(encodings)):
             raise CatalogError("entries out of canonical order")
         try:

@@ -21,7 +21,14 @@ from simpson3 import (
     classify_exact,
     orbit_classes,
 )
-from simpson3.symmetry import GROUP_INDEX, INVERSE_INDEX, VERTEX_MAPS
+from simpson3.symmetry import (
+    _PAD,
+    GROUP_INDEX,
+    INVERSE_INDEX,
+    VERTEX_MAPS,
+    _canonical_rows,
+    canonical_classes,
+)
 
 
 def random_table(rng):
@@ -36,6 +43,26 @@ def relabel_reference(sigma, tri, catalog):
         e for e in catalog if frozenset(frozenset(t.vertices) for t in e.tetrahedra) == image
     ]
     return found
+
+
+def reference_orbit_classes(arity, catalog):
+    """(representative, size, members) per class, from the 48 images of every
+    id tuple of the arity."""
+    ida = catalog.id_action()
+    tuples = np.indices((ida.shape[1],) * arity, dtype=np.int8).reshape(arity, -1).T
+    pad = _PAD[arity]
+    if pad[0] != pad[1]:
+        # separate summand slots hold an unordered pair of distinct ids
+        tuples = tuples[tuples[:, 0] < tuples[:, 1]]
+    keys, _ = _canonical_rows(tuples[:, list(pad)], ida)
+    order = np.argsort(keys, kind="stable")
+    columns = (tuples[order] + 1).T
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1)).tolist()
+    reps = list(zip(*columns[:, starts].tolist()))
+    classes = []
+    for rep, lo, hi in zip(reps, starts, starts[1:] + [len(order)]):
+        classes.append((rep, hi - lo, tuple(zip(*columns[:, lo:hi].tolist()))))
+    return classes
 
 
 class TestGroup:
@@ -170,6 +197,23 @@ class TestOrbits:
         with pytest.raises(DomainError):
             orbit_classes(4, catalog)
 
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_equals_all_rows_reference(self, catalog, arity):
+        found = [(c.representative, c.size, c.members) for c in orbit_classes(arity, catalog)]
+        assert found == reference_orbit_classes(arity, catalog)
+
+    def test_enumeration_builds_no_members(self, catalog):
+        for cls in orbit_classes(3, catalog):
+            assert "members" not in vars(cls)
+
+    def test_equality_ignores_built_members(self, catalog):
+        read, unread = orbit_classes(2, catalog)[40], orbit_classes(2, catalog)[40]
+        assert read.members
+        assert "members" in vars(read) and "members" not in vars(unread)
+        assert read == unread
+        assert hash(read) == hash(unread)
+        assert read != orbit_classes(2, catalog)[41]
+
 
 class TestCanonical:
     def test_transporter_moves_tuple(self, catalog):
@@ -198,6 +242,30 @@ class TestCanonical:
     def test_unknown_id_rejected(self, catalog):
         with pytest.raises(DomainError):
             canonical_class_of((0, 5), catalog)
+
+    def test_classes_equal_per_key_canonicalization(self, catalog):
+        pairs = [m for cls in orbit_classes(2, catalog) for m in cls.members]
+        rng = np.random.default_rng(6)
+        triples = []
+        while len(triples) < 2000:
+            a, b, c = (int(x) for x in rng.integers(1, 75, 3))
+            if a != b:
+                triples.append((a, b, c))
+        for keys in (pairs, triples, pairs[:5] + triples[:5] + [(9,)]):
+            assert canonical_classes(keys, catalog) == [
+                canonical_class_of(k, catalog) for k in keys
+            ]
+        assert canonical_classes([], catalog) == []
+
+    @pytest.mark.parametrize("bad", [(0, 5), (2, 75, 3), (1, 2, 3, 4), (), (3, 3, 5)])
+    def test_classes_reject_the_first_bad_key(self, catalog, bad):
+        with pytest.raises(DomainError) as single:
+            canonical_class_of(bad, catalog)
+        good = [(1, 2), (4, 7, 9), (5,)]
+        for keys in ([bad] + good, good[:2] + [bad] + good[2:]):
+            with pytest.raises(DomainError) as info:
+                canonical_classes(keys, catalog)
+            assert str(info.value) == str(single.value)
 
 
 ids = st.integers(min_value=1, max_value=74)

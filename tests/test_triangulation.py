@@ -650,6 +650,14 @@ class TestSerialization:
         with pytest.raises(CatalogError, match="malformed catalog export.*coplanar"):
             catalog_from_json_obj(obj)
 
+    def test_covers_given_as_lists(self, catalog):
+        encodings = _enumerate_encodings()
+        back = Catalog([[list(t) for t in cover] for cover in encodings])
+        assert np.array_equal(back.id_action(), Catalog(encodings).id_action())
+        assert back.entries == catalog.entries
+        with pytest.raises(CatalogError):
+            Catalog([[[0, 1, 2, 4]]])
+
     def test_cover_outside_the_58_tetrahedra_rejected(self, catalog):
         with pytest.raises(CatalogError, match=r"vertices \(0, 1, 2, 3\) are not one of the 58"):
             Catalog([((0, 1, 2, 3),)])
