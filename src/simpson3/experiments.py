@@ -318,39 +318,64 @@ def _timestamp() -> str:
 _KEY_KINDS = {2: "pair", 3: "triple"}
 
 
-def _hinge_rows(h: np.ndarray, sign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _hinge_rows(
+    h: np.ndarray, sign: np.ndarray, forms: np.ndarray, form_grad: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Which rows have zero squared hinge on the membership margins of F, G
     and F + G, and the hinge's gradient, for many rows at once.
 
-    Column ``r`` of ``h`` (16, n) stacks the log entries of F and G.
-    ``sign`` (20, 3, n) orients each form for the row's constraints on F, G
-    and the sum, which must reach ``_OPT_MARGIN``; it is 0 on other forms,
-    so their gaps vanish.  The loss is smooth and vanishes
-    exactly on the open witness region with margin to spare.  The form
-    values are one product by ``FORM_MATRIX``, the gradient one by
-    ``-2 FORM_MATRIX.T``: with coefficients in {0, ±1, ±2} every term is
-    exact and every sum runs in ascending order, so a row's result never
-    depends on the other columns.  A nonzero gap is at least an ulp of the
-    margin, so the loss is zero exactly when no gap is nonzero.
+    Column ``r`` of ``h`` (16, n) stacks the log entries of F and G; the
+    other arguments come from ``_active_rows``.  Each constrained form
+    must reach ``_OPT_MARGIN``, and a sign of 0 keeps a row's gap at 0.
+    The loss is smooth and vanishes exactly on the open witness region
+    with margin to spare.  The k form values are one (k, 24) product and
+    the gradient one (24, k) product, both on w columns: with coefficients
+    in {0, ±1, ±2} every term is exact, every sum runs in ascending order
+    and the rows left out would add only exact zeros, so a row's result
+    never depends on the other columns.  A nonzero gap is at least an ulp
+    of the margin, so the loss is zero exactly when no gap is nonzero.
     """
+    n = h.shape[1]
     hf, hg = h[:8], h[8:]
     # |hg - hf| <= 24 inside the box, so the ratio cannot overflow.
     ratio = np.exp(hg - hf)
-    parts = np.empty((8, 3, h.shape[1]))
-    parts[:, 0], parts[:, 1] = hf, hg
-    np.add(hf, np.log1p(ratio), out=parts[:, 2])
+    # The log entries of F, G and the sum; the padding columns are zero,
+    # and so are their gaps.
+    parts = np.empty((3, 8, sign.shape[1]))
+    parts[..., n:] = 0.0
+    parts[:2, :, :n] = h.reshape(2, 8, n)
+    np.add(hf, np.log1p(ratio), out=parts[2, :, :n])
     # The signed gaps max(margin - sign * value, 0) * sign, in place.
-    gap = np.matmul(FORM_MATRIX, parts.reshape(8, -1)).reshape(20, 3, -1)
+    gap = np.matmul(forms, parts.reshape(24, -1))
     gap *= sign
     np.maximum(np.subtract(_OPT_MARGIN, gap, out=gap), 0.0, out=gap)
     gap *= sign
-    zero = ~gap.reshape(60, -1).any(axis=0)
-    grads = np.matmul(_FORM_GRAD, gap.reshape(20, -1)).reshape(8, 3, -1)
-    shared = grads[:, 2] * (1.0 / (1.0 + ratio))
-    return zero, np.concatenate([grads[:, 0] + shared, grads[:, 1] + grads[:, 2] - shared])
+    zero = ~gap[:, :n].any(axis=0)
+    grad_f, grad_g, grad_s = np.matmul(form_grad, gap).reshape(3, 8, -1)[..., :n]
+    shared = grad_s * (1.0 / (1.0 + ratio))
+    return zero, np.concatenate([grad_f + shared, grad_g + grad_s - shared])
 
 
-_FORM_GRAD = np.ascontiguousarray(-2.0 * FORM_MATRIX.T)
+# The 20 forms of F, G and F + G as one (60, 24) block: row 3f + s is form
+# f of summand s (F, G, the sum) over columns 8s to 8s + 7, the summand's
+# entries in the stacked (3, 8) parts; and the block's gradient map.
+_SUMMAND_FORMS = np.einsum("fj,st->fstj", FORM_MATRIX, np.eye(3)).reshape(60, 24)
+_SUMMAND_GRAD = np.ascontiguousarray(-2.0 * _SUMMAND_FORMS.T)
+
+
+def _active_rows(sign: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (form, summand) rows that some column of ``sign`` (20, 3, n)
+    constrains, as ``_hinge_rows`` takes them: their (k, w) signs and the
+    (k, 24) and (24, k) blocks for them.  OpenBLAS sums the last n % 8
+    columns of a product in another order (one column goes to gemv), so w
+    rounds n up to a multiple of 8 and the extra columns' signs are 0."""
+    n = sign.shape[-1]
+    sign = sign.reshape(60, n)
+    rows = np.flatnonzero(sign.any(axis=1))
+    padded = np.zeros((len(rows), -(-n // 8) * 8))
+    padded[:, :n] = sign[rows]
+    return padded, _SUMMAND_FORMS[rows], _SUMMAND_GRAD.take(rows, axis=1)
+
 
 # Adam's bias corrections by iteration: the step size over 1 - beta1^(t+1),
 # and 1 / (1 - beta2^(t+1)).
@@ -367,9 +392,11 @@ class _Descent:
     so that its evaluations (one per row-iteration) never pass the budget;
     a wave starts only when the class's previous one ended without a
     witness.  Rows wait in a queue and run as the columns of a pool of at
-    most ``_OPT_BLOCK``, each at its own iteration.  A column's sign on
-    each of the 20 forms, for F, G and the sum, is gathered as it enters
-    the pool, so a step is one ``_hinge_rows`` call on the pool.
+    most ``_OPT_BLOCK``, each at its own iteration.  Each time the pool
+    is refilled, its columns' signs on the 20 forms of F, G and the sum
+    are gathered and cut to the (form, summand) rows that some column
+    constrains, with the form blocks for those rows, so a step is one
+    ``_hinge_rows`` call on the pool's active rows.
     A row retires at zero loss, where its point is verified exactly, or at
     its limit.  A class's witness is the verified zero-loss point of lowest
     (iteration, restart), and a row stops once it can no longer beat the
@@ -397,7 +424,7 @@ class _Descent:
         empty = np.zeros(0, dtype=np.int64)
         self.cls, self.restart, self.limit, self.t = empty, empty, empty, empty
         self.h = self.m = self.v = np.zeros((16, 0))
-        self.sign = np.zeros((20, 3, 0))
+        self.sign, self.forms, self.form_grad = _active_rows(np.zeros((20, 3, 0)))
         self.live = np.zeros(0, dtype=bool)
 
     def run(self) -> list[tuple[Witness | None, int]]:
@@ -458,13 +485,14 @@ class _Descent:
             ("v", zeros),
         ):
             setattr(self, name, np.concatenate([getattr(self, name)[..., keep], fresh], axis=-1))
-        self.sign = np.take(self.sign_table, self.ids[self.cls].T, axis=-1)
+        sign = np.take(self.sign_table, self.ids[self.cls].T, axis=-1)
+        self.sign, self.forms, self.form_grad = _active_rows(sign)
         self.live = np.ones(len(self.cls), dtype=bool)
         self._cap()
 
     def _step(self) -> None:
         """One evaluation and one Adam step on every pool column."""
-        zero, grad = _hinge_rows(self.h, self.sign)
+        zero, grad = _hinge_rows(self.h, self.sign, self.forms, self.form_grad)
         cls, restart, t = self.cls, self.restart, self.t
         zero &= self.live
         hits = np.flatnonzero(zero)

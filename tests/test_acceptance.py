@@ -5,6 +5,7 @@ terminal summary section), and then asserts, so a red criterion is
 visible both as a failed test and as a FAIL line.
 """
 
+import hashlib
 import time
 from fractions import Fraction
 
@@ -42,6 +43,23 @@ from simpson3.symmetry import GROUP
 PAIR_BUDGET = 10**7
 TRIPLE_BUDGET = 2 * 10**5
 TRIPLE_FLOOR = 4298
+# sha256 of the seed-0 criterion 4 outcomes (see ``outcome_digest``) from the
+# descent that took all 20 forms of F, G and the sum in every step: a change
+# of the kernel must not move any witness entry or attempt count.
+CRITERION_4_DIGEST = "c9a5c64888039fc73065f2c30d1980d5d5f58dda742fb75d40ed425842db6b87"
+
+
+def outcome_digest(results):
+    """sha256 over every class key in order with its witness's F and G
+    integers and denominators, or its exhausted attempts."""
+    lines = []
+    for key, result in sorted(results.items()):
+        if isinstance(result, Witness):
+            f, g = result.f, result.g
+            lines.append(f"{key} {f.integers} {f.denominator} {g.integers} {g.denominator}")
+        else:
+            lines.append(f"{key} exhausted {result.attempts}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def test_criterion_1_catalog(acceptance):
@@ -142,6 +160,7 @@ def test_criterion_4_witnesses(acceptance, catalog):
     unresolved = sorted(
         key for key, w in triple_results.items() if not isinstance(w, Witness)
     )
+    digest = outcome_digest({**pair_results, **triple_results})
     elapsed = time.monotonic() - start
     ok = (
         len(feasible_pairs) == 112
@@ -149,13 +168,15 @@ def test_criterion_4_witnesses(acceptance, catalog):
         and pair_verified == 112
         and len(feasible_triples) == 4304
         and triple_found >= TRIPLE_FLOOR
+        and digest == CRITERION_4_DIGEST
     )
     assert acceptance(
         4,
         ok,
         f"pair witnesses {pair_found}/112 (budget {PAIR_BUDGET:.0e}), triple "
         f"witnesses {triple_found}/4304 (floor {TRIPLE_FLOOR}, budget "
-        f"{TRIPLE_BUDGET:.0e}, {len(unresolved)} unresolved) in {elapsed:.0f}s",
+        f"{TRIPLE_BUDGET:.0e}, {len(unresolved)} unresolved), outcome digest "
+        f"{digest[:12]} (pinned {CRITERION_4_DIGEST[:12]}) in {elapsed:.0f}s",
     )
 
 

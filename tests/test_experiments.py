@@ -147,6 +147,39 @@ class TestDetectConversion:
         assert report.to_json_obj()["triangulationSum"] == 5
 
 
+def assert_batching_keeps_outcomes(monkeypatch, budget):
+    """Each class's outcome alone equals its outcome in a sweep with other
+    classes and in a sweep whose pool holds five rows."""
+    # one-wave witnesses, two classes whose seed-0 witness comes from
+    # the second wave, and an exhaustion
+    keys = [(1, 2), (3, 28), (1, 3, 5), (1, 40, 20), (2, 7, 66), (3, 4, 55)]
+    config = SamplerConfig(seed=0)
+
+    def outcome(result):
+        if isinstance(result, Witness):
+            assert result.verify()
+            return (result.f, result.g)
+        assert result.attempts <= budget
+        return result.attempts
+
+    single = {}
+    for key in keys:
+        result = search_witness(key, config, budget=budget)
+        single[result.class_key] = outcome(result)
+    assert set(single) == set(keys)
+    pairs = [k for k in keys if len(k) == 2]
+    triples = [k for k in keys if len(k) == 3]
+    search = ConversionSearch(config)
+    mixed = search.sweep_pairs(pairs + [(1, 3), (5, 20)], budget)
+    mixed.update(search.sweep_triples(triples + [(1, 2, 3), (2, 7, 19)], budget))
+    monkeypatch.setattr(experiments, "_OPT_BLOCK", 5)
+    small = search.sweep_pairs(pairs, budget)
+    small.update(search.sweep_triples(triples, budget))
+    for key in keys:
+        assert outcome(mixed[key]) == single[key]
+        assert outcome(small[key]) == single[key]
+
+
 class TestSearch:
     def test_pair_witness_exact(self, catalog):
         result = search_witness((3, 28), SamplerConfig(seed=0))
@@ -256,35 +289,13 @@ class TestSearch:
         assert attempts[1] > attempts[0]
 
     def test_outcome_does_not_depend_on_batching(self, monkeypatch, catalog):
-        # one-wave witnesses, two classes whose seed-0 witness comes from
-        # the second wave, and an exhaustion
-        keys = [(1, 2), (3, 28), (1, 3, 5), (1, 40, 20), (2, 7, 66), (3, 4, 55)]
-        config = SamplerConfig(seed=0)
-        budget = 30000
+        assert_batching_keeps_outcomes(monkeypatch, 30000)
 
-        def outcome(result):
-            if isinstance(result, Witness):
-                assert result.verify()
-                return (result.f, result.g)
-            assert result.attempts <= budget
-            return result.attempts
-
-        single = {}
-        for key in keys:
-            result = search_witness(key, config, budget=budget)
-            single[result.class_key] = outcome(result)
-        assert set(single) == set(keys)
-        pairs = [k for k in keys if len(k) == 2]
-        triples = [k for k in keys if len(k) == 3]
-        search = ConversionSearch(config)
-        mixed = search.sweep_pairs(pairs + [(1, 3), (5, 20)], budget)
-        mixed.update(search.sweep_triples(triples + [(1, 2, 3), (2, 7, 19)], budget))
-        monkeypatch.setattr(experiments, "_OPT_BLOCK", 5)
-        small = search.sweep_pairs(pairs, budget)
-        small.update(search.sweep_triples(triples, budget))
-        for key in keys:
-            assert outcome(mixed[key]) == single[key]
-            assert outcome(small[key]) == single[key]
+    # Small budgets leave pools of a few columns, where every product
+    # column must still sum in the same order as in a full pool.
+    @pytest.mark.parametrize("budget", [600, 2000])
+    def test_small_budget_outcome_does_not_depend_on_batching(self, monkeypatch, catalog, budget):
+        assert_batching_keeps_outcomes(monkeypatch, budget)
 
     def test_search_never_classifies_in_batch(self, monkeypatch, catalog):
         def forbidden(*args, **kwargs):
@@ -373,6 +384,27 @@ def gathered_hinge(h, cons, need):
     return loss, np.concatenate([grads[:, 0] + shared, grads[:, 1] + grads[:, 2] - shared])
 
 
+def full_form_hinge(h, sign):
+    """The descent's kernel before it kept only the pool's active rows:
+    ``sign`` (20, 3, n) orients every form of F, G and the sum, and each
+    step takes all 60 (form, summand) rows.  Returns the zero mask and
+    the gradient."""
+    hf, hg = h[:8], h[8:]
+    ratio = np.exp(hg - hf)
+    parts = np.empty((8, 3, h.shape[1]))
+    parts[:, 0], parts[:, 1] = hf, hg
+    np.add(hf, np.log1p(ratio), out=parts[:, 2])
+    gap = np.matmul(FORM_MATRIX, parts.reshape(8, -1)).reshape(20, 3, -1)
+    gap *= sign
+    np.maximum(np.subtract(experiments._OPT_MARGIN, gap, out=gap), 0.0, out=gap)
+    gap *= sign
+    zero = ~gap.reshape(60, -1).any(axis=0)
+    form_grad = np.ascontiguousarray(-2.0 * FORM_MATRIX.T)
+    grads = np.matmul(form_grad, gap.reshape(20, -1)).reshape(8, 3, -1)
+    shared = grads[:, 2] * (1.0 / (1.0 + ratio))
+    return zero, np.concatenate([grads[:, 0] + shared, grads[:, 1] + grads[:, 2] - shared])
+
+
 def required_margins(sign):
     """The margin each id's form must reach: ``_OPT_MARGIN`` on its
     constraints, ``-inf`` elsewhere, so that such a form is never active."""
@@ -382,6 +414,31 @@ def required_margins(sign):
 def kernel_signs(sign, ids):
     """The per-column sign array the descent gathers for ids (3, n)."""
     return np.take(sign.T, ids, axis=-1)
+
+
+def active_hinge(sign, ids, h):
+    """The descent's kernel on a pool of ids (3, n) and log points h."""
+    return experiments._hinge_rows(h, *experiments._active_rows(kernel_signs(sign, ids)))
+
+
+# The six III->III->III classes the search leaves open.
+OPEN_CLASSES = [(3, 4, 55), (3, 4, 58), (3, 11, 55), (3, 11, 58), (3, 14, 53), (3, 14, 60)]
+
+# Pool compositions and how many of the 60 (form, summand) rows they
+# constrain: one class, the six open classes, and 40 classes.
+POOLS = {"one class": (12, 18), "six open classes": (25, 25), "40 classes": (60, 60)}
+
+
+def pool_ids(pool, n):
+    """ids (3, n) of a pool whose classes take the columns in turn."""
+    if pool == "one class":
+        keys = [(1, 3, 5)]
+    elif pool == "six open classes":
+        keys = OPEN_CLASSES
+    else:
+        draw = np.random.default_rng(43).integers(1, 75, (38, 3))
+        keys = [(1, 3, 5), (2, 7, 40)] + [tuple(k) for k in draw]
+    return np.array([pad_key(keys[r % len(keys)]) for r in range(n)]).T
 
 
 def witness_row(key):
@@ -425,7 +482,7 @@ class TestDescent:
         ids = rng.integers(1, 75, (3, 50))
         h = rng.normal(0.0, 3.0, (16, 50))
         ids[:, 0], h[:, 0] = witness_row((1, 3, 5))
-        zero, grad = experiments._hinge_rows(h, kernel_signs(sign, ids))
+        zero, grad = active_hinge(sign, ids, h)
         assert zero[0] and not grad[:, 0].any()
         for r in range(50):
             rows = [(FORM_MATRIX * sign[i, :, None])[sign[i] != 0] for i in ids[:, r]]
@@ -433,7 +490,7 @@ class TestDescent:
             assert zero[r] == (value == 0.0)
             assert np.allclose(grad[:, r], expected, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("rows", ["random", "witness", "near margin"])
+    @pytest.mark.parametrize("rows", ["random", "witness", "near margin", *POOLS])
     def test_gradient_equals_the_gathered_kernel(self, catalog, rows):
         sign = catalog.constraint_signs
         need = required_margins(sign)
@@ -446,15 +503,51 @@ class TestDescent:
                 ids[:, r], h[:, r] = witness_row(key)
         elif rows == "near margin":
             h = near_margin_rows(sign, need, ids, h, rng)
+        elif rows in POOLS:
+            ids = pool_ids(rows, n)
+            h = near_margin_rows(sign, need, ids, h, rng)
+            if rows != "six open classes":
+                ids[:, 0], h[:, 0] = witness_row((1, 3, 5))
         table, margins = padded_table(sign, need)
         cons = np.ascontiguousarray(table.transpose(2, 1, 0))[..., ids]
         req = np.ascontiguousarray(margins.T)[:, ids]
         loss, expected = gathered_hinge(h, cons, req)
-        zero, grad = experiments._hinge_rows(h, kernel_signs(sign, ids))
+        active, _, _ = experiments._active_rows(kernel_signs(sign, ids))
+        zero, grad = active_hinge(sign, ids, h)
+        full_zero, full_grad = full_form_hinge(h, kernel_signs(sign, ids))
         assert np.array_equal(zero, loss == 0.0)
         assert np.array_equal(grad, expected)
+        assert np.array_equal(zero, full_zero)
+        assert np.array_equal(grad, full_grad)
         if rows == "witness":
             assert zero[:3].all()
+        if rows in POOLS:
+            low, high = POOLS[rows]
+            assert low <= len(active) <= high
+            assert zero[0] == (rows != "six open classes")
+
+    def test_a_column_does_not_depend_on_its_pool(self, catalog):
+        sign = catalog.constraint_signs
+        rng = np.random.default_rng(5)
+        ids = pool_ids("40 classes", 200)
+        h = near_margin_rows(sign, required_margins(sign), ids, rng.normal(0.0, 3.0, (16, 200)), rng)
+        ids[:, 0], h[:, 0] = witness_row((1, 3, 5))
+        zero, grad = active_hinge(sign, ids, h)
+        assert zero[0]
+        for r in range(40):
+            own = np.flatnonzero((ids == ids[:, r, None]).all(axis=0))
+            assert len(own) == 5
+            one_zero, one_grad = active_hinge(sign, ids[:, own], h[:, own])
+            assert np.array_equal(one_zero, zero[own])
+            assert np.array_equal(one_grad, grad[:, own])
+            alone_zero, alone_grad = active_hinge(sign, ids[:, [r]], h[:, [r]])
+            assert np.array_equal(alone_zero, zero[[r]])
+            assert np.array_equal(alone_grad, grad[:, [r]])
+        # Pools of every size up to 24 columns, as a class's last rows leave.
+        for n in range(1, 25):
+            small_zero, small_grad = active_hinge(sign, ids[:, :n], h[:, :n])
+            assert np.array_equal(small_zero, zero[:n])
+            assert np.array_equal(small_grad, grad[:, :n])
 
 
 def in_lowest_terms(table):
