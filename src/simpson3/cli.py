@@ -22,8 +22,8 @@ from .experiments import (
     estimate_3d_conversion,
     search_witness,
 )
-from .feasibility import obstruction_triple, write_feasibility_report
-from .symmetry import canonical_class_of, orbit_classes, pad_key
+from .feasibility import obstructing_vertices, write_feasibility_report
+from .symmetry import canonical_class_of, orbit_classes
 from .tables import (
     Table2,
     Table3,
@@ -147,17 +147,11 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
         # The search's check: known ids, and distinct summands in a triple.
         canonical_class_of(key, catalog)
         args.format = args.format or "json"
-        verdict = obstruction_triple(*(catalog[i] for i in pad_key(key)))
-        payload = {
-            kind: list(key),
-            "obstructed": verdict.obstructed,
-            "obstructingVertex": verdict.witness_vertex,
-        }
-        if verdict.obstructed:
-            summary = f"obstructed at vertex {verdict.witness_vertex}"
-        else:
-            summary = "not obstructed"
-        _emit(payload, args, summary)
+        (vertex,) = obstructing_vertices(catalog, [key]).tolist()
+        obstructed = vertex >= 0
+        witness_vertex = vertex if obstructed else None
+        payload = {kind: list(key), "obstructed": obstructed, "obstructingVertex": witness_vertex}
+        _emit(payload, args, f"obstructed at vertex {vertex}" if obstructed else "not obstructed")
         return EXIT_OK
     if args.format not in (None, "csv"):
         raise DomainError(f"the feasibility report is CSV; --format {args.format} does not apply")

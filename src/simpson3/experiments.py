@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CatalogError, DegenerateTable, DomainError
-from .feasibility import obstruction_triple
+from .feasibility import obstructing_vertices
 from .symmetry import canonical_classes, pad_key
 from .tables import NonnegTable3, Table3, _pair_sign_bits, _table3, format_rational
 from .tables import parse_rational, table_from_json_obj
@@ -625,8 +625,8 @@ class ConversionSearch:
                 )
             given.append(key)
         keys = sorted(set(canonical_classes(given, catalog)))
-        for key in keys:
-            if obstruction_triple(*(catalog[i] for i in pad_key(key))).obstructed:
+        for key, vertex in zip(keys, obstructing_vertices(catalog, keys).tolist()):
+            if vertex >= 0:
                 raise DomainError(f"{_KEY_KINDS[arity]} class {key} is parity obstructed")
         return keys
 

@@ -19,13 +19,15 @@ from __future__ import annotations
 import csv
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import DomainError
 from .symmetry import OrbitClass, pad_key
 from .tables import FACE_FORM, FACES, FORM_INDEX, Reversal2D, Table2, Table3, detect_reversal_2d
 from .tables import _pair_sign_bits
-from .triangulation import _FACE_DIAGONAL_PAIRS, Triangulation, _vertex_incidence
+from .triangulation import _FACE_DIAGONAL_PAIRS, Triangulation, _vertex_incidence, get_catalog
 
 
 @dataclass(frozen=True)
@@ -34,41 +36,43 @@ class ObstructionVerdict:
     witness_vertex: Optional[int]
 
 
-def _obstruction(a: Triangulation, b: Triangulation, c: Triangulation) -> ObstructionVerdict:
-    """The parity test on a (summand, summand, sum) triple."""
-    for v in range(8):
-        inc = a.vertex_incidence[v]
-        if (
-            inc == b.vertex_incidence[v]
-            and inc.bit_count() % 2 == 1
-            and c.vertex_incidence[v] == inc ^ 7
-        ):
-            return ObstructionVerdict(True, v)
-    return ObstructionVerdict(False, None)
+# Whether a vertex incidence pattern has an odd number of diagonals.
+_ODD = np.array([pattern.bit_count() % 2 for pattern in range(8)], dtype=bool)
+
+
+def obstructing_vertices(catalog, class_keys: Iterable[Sequence[int]]) -> np.ndarray:
+    """The parity rule, in one pass over class keys of any arity padded to
+    (summand, summand, sum) rows of vertex incidences: per key, the first
+    vertex where both summands show one odd pattern and the sum its
+    complement, or -1.  The rule is invariant under the 48 cube symmetries
+    and under swapping the summands."""
+    rows = np.array([pad_key(key) for key in class_keys], dtype=np.intp).reshape(-1, 3)
+    a, b, c = catalog.vertex_incidences[rows.T]
+    hit = (a == b) & _ODD[a] & (c == a ^ 7)
+    return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+
+
+def _verdict(*key: int) -> ObstructionVerdict:
+    (vertex,) = obstructing_vertices(get_catalog(), [key]).tolist()
+    return ObstructionVerdict(vertex >= 0, vertex if vertex >= 0 else None)
 
 
 def obstruction(a: Triangulation, b: Triangulation) -> ObstructionVerdict:
     """Whether a conversion from a to b is impossible by parity: some vertex
     with odd diagonal incidence in a whose incidence in b is the complement."""
-    return _obstruction(a, a, b)
+    return _verdict(a.canonical_id, b.canonical_id)
 
 
 def obstruction_triple(a: Triangulation, b: Triangulation, c: Triangulation) -> ObstructionVerdict:
     """Whether {a, b} -> c is impossible: both summands show the same odd
     incidence pattern at some vertex and c shows the complement."""
-    return _obstruction(a, b, c)
-
-
-def _verdicts(catalog, classes: Sequence[OrbitClass]):
-    """Each class with its verdict.  The predicate is orbit invariant, so it
-    is decided on the representative."""
-    for cls in classes:
-        yield cls, _obstruction(*(catalog[i] for i in pad_key(cls.representative)))
+    return _verdict(a.canonical_id, b.canonical_id, c.canonical_id)
 
 
 def infeasible_pair_classes(catalog, classes: Sequence[OrbitClass]) -> list[OrbitClass]:
     """The pair or triple classes ruled out by the obstruction."""
-    return [cls for cls, verdict in _verdicts(catalog, classes) if verdict.obstructed]
+    vertices = obstructing_vertices(catalog, [cls.representative for cls in classes])
+    return [cls for cls, vertex in zip(classes, vertices.tolist()) if vertex >= 0]
 
 
 infeasible_triple_classes = infeasible_pair_classes
@@ -186,12 +190,8 @@ def write_feasibility_report(
         writer = csv.writer(fh)
         writer.writerow(["classRep", "arity", "obstructed", "obstructingVertex"])
         for classes, arity in ((pair_classes, 2), (triple_classes, 3)):
-            for cls, verdict in _verdicts(catalog, classes):
-                writer.writerow(
-                    [
-                        "-".join(map(str, cls.representative)),
-                        arity,
-                        str(verdict.obstructed).lower(),
-                        "" if verdict.witness_vertex is None else verdict.witness_vertex,
-                    ]
-                )
+            vertices = obstructing_vertices(catalog, [cls.representative for cls in classes])
+            for cls, vertex in zip(classes, vertices.tolist()):
+                obstructed = vertex >= 0
+                row = ["-".join(map(str, cls.representative)), arity, str(obstructed).lower()]
+                writer.writerow(row + [vertex if obstructed else ""])

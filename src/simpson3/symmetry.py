@@ -148,6 +148,7 @@ class OrbitClass:
 # the slots that give the tuple back.
 _PAD = {1: (0, 0, 0), 2: (0, 0, 1), 3: (0, 1, 2)}
 _UNPAD = {1: (0,), 2: (0, 2), 3: (0, 1, 2)}
+_PAD_GETTERS = {arity: operator.itemgetter(*pad) for arity, pad in _PAD.items()}
 
 # Rows canonicalized per numpy pass, so that all 48 images of a chunk stay small.
 _CHUNK_ROWS = 2048
@@ -155,7 +156,7 @@ _CHUNK_ROWS = 2048
 
 def pad_key(ids: Sequence[int]) -> tuple[int, ...]:
     """The (summand, summand, sum) triple of a class key of arity 1, 2 or 3."""
-    return tuple(ids[i] for i in _PAD[len(ids)])
+    return _PAD_GETTERS[len(ids)](ids)
 
 
 def _image_keys(rows: np.ndarray, pa: np.ndarray) -> np.ndarray:

@@ -321,7 +321,8 @@ class Catalog:
     the id action, the orbit representatives and every attribute of each
     entry are derived from them, and the result is validated.  Row k of
     ``constraint_signs`` holds id k's sign on each of its constraint forms
-    and 0 on the other forms; row 0 is zero.
+    and 0 on the other forms, and row k of ``vertex_incidences`` holds id
+    k's ``vertex_incidence``; row 0 of both is zero.
     """
 
     def __init__(self, encodings: Sequence[Sequence[Sequence[int]]]):
@@ -344,8 +345,10 @@ class Catalog:
         for e in self.entries:
             for letter, sign in e.constraints:
                 signs[e.canonical_id, FORM_INDEX[letter]] = sign
-        signs.setflags(write=False)
-        self.constraint_signs = signs
+        incidences = np.array([(0,) * len(VERTICES)] + [e.vertex_incidence for e in self.entries])
+        for table in (signs, incidences):
+            table.setflags(write=False)
+        self.constraint_signs, self.vertex_incidences = signs, incidences
         # Bit i of constraint_masks[k] is set when form i is a constraint of
         # id k+1, and the same bit of constraint_vals[k] when its sign is +.
         bits = 1 << np.arange(len(FORM_COEFFS))

@@ -156,12 +156,25 @@ class TestCatalogOrbits:
 
 
 class TestFeasibility:
-    def test_pair_obstructed_text(self, capsys):
-        code, out, _ = run(
-            capsys, "feasibility", "--pair", "16", "1", "--format", "text"
-        )
+    @pytest.mark.parametrize(
+        "key, vertex",
+        [
+            (("--pair", "16", "1"), 7),
+            (("--triple", "2", "3", "20"), 5),
+            (("--triple", "16", "18", "56"), 2),
+        ],
+    )
+    def test_pair_obstructed_text(self, capsys, key, vertex):
+        # the first obstructing vertex, pinned in both formats
+        code, out, _ = run(capsys, "feasibility", *key, "--format", "text")
         assert code == 0
-        assert "obstructed at vertex" in out
+        assert out == f"obstructed at vertex {vertex}\n"
+        code, out, _ = run(capsys, "feasibility", *key)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["obstructed"] is True
+        assert type(payload["obstructingVertex"]) is int
+        assert payload["obstructingVertex"] == vertex
 
     def test_pair_json(self, capsys):
         code, out, _ = run(capsys, "feasibility", "--pair", "1", "2")

@@ -214,8 +214,14 @@ class TestSearch:
 
     def test_obstructed_triple_raises(self, catalog):
         rep = infeasible_triple_classes(catalog, orbit_classes(3, catalog))[0]
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="is parity obstructed"):
             search_witness(rep.representative, SamplerConfig(seed=0))
+
+    def test_sweep_names_the_first_obstructed_key(self):
+        # both keys are obstructed; the refusal names the first in sorted order
+        search = ConversionSearch(SamplerConfig(seed=0))
+        with pytest.raises(DomainError, match=r"^triple class \(2, 3, 20\) is parity obstructed$"):
+            search.sweep_triples([(16, 18, 56), (2, 3, 20)], budget=10)
 
     def test_bad_keys(self):
         config = SamplerConfig(seed=0)

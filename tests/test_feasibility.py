@@ -20,7 +20,22 @@ from simpson3 import (
     per_type_obstructed_counts,
     write_feasibility_report,
 )
+from simpson3.feasibility import obstructing_vertices
 from simpson3.symmetry import GROUP
+
+
+def reference_vertex(a, b, c):
+    """The parity rule as a per-vertex loop on a (summand, summand, sum)
+    triple of triangulations: the first obstructing vertex, or -1."""
+    for v in range(8):
+        inc = a.vertex_incidence[v]
+        if (
+            inc == b.vertex_incidence[v]
+            and inc.bit_count() % 2 == 1
+            and c.vertex_incidence[v] == inc ^ 7
+        ):
+            return v
+    return -1
 
 
 class TestObstruction:
@@ -65,6 +80,49 @@ class TestObstruction:
                 catalog[catalog.apply_symmetry(sigma, b)],
             ).obstructed
             assert base == moved
+        # Seeded raw triple rows, through the batch entry, under all 48
+        # symmetries and under swapping the summands.
+        rows = rng.integers(1, 75, size=(5000, 3))
+        base = obstructing_vertices(catalog, rows.tolist()) >= 0
+        assert 0 < base.sum() < len(rows)
+        images = catalog.id_action()[:, rows - 1].reshape(-1, 3)
+        moved = obstructing_vertices(catalog, images.tolist()) >= 0
+        assert np.array_equal(moved.reshape(48, -1), np.broadcast_to(base, (48, len(rows))))
+        swapped = obstructing_vertices(catalog, rows[:, [1, 0, 2]].tolist()) >= 0
+        assert np.array_equal(swapped, base)
+
+    def test_batch_equals_the_loop_on_every_raw_row(self, catalog):
+        # all 74^3 rows: every padded pair row and every class representative
+        # of both arities is one of them
+        ids = np.arange(1, len(catalog) + 1)
+        rows = np.stack(np.meshgrid(ids, ids, ids, indexing="ij"), axis=-1).reshape(-1, 3)
+        got = obstructing_vertices(catalog, rows.tolist())
+        entries = [None, *catalog]
+        want = [reference_vertex(entries[a], entries[b], entries[c]) for a, b, c in rows.tolist()]
+        assert got.dtype.kind == "i"
+        assert got.tolist() == want
+        pair_rows = rows[:, 0] == rows[:, 1]
+        pairs = obstructing_vertices(catalog, rows[pair_rows][:, 1:].tolist())
+        assert np.array_equal(pairs, got[pair_rows])
+
+    def test_one_row_cases_equal_the_loop(self, catalog):
+        rng = np.random.default_rng(5)
+        for a, b, c in rng.integers(1, 75, size=(300, 3)).tolist():
+            triple = obstruction_triple(catalog[a], catalog[b], catalog[c])
+            pair = obstruction(catalog[a], catalog[c])
+            for verdict, want in (
+                (triple, reference_vertex(catalog[a], catalog[b], catalog[c])),
+                (pair, reference_vertex(catalog[a], catalog[a], catalog[c])),
+            ):
+                assert verdict.obstructed == (want >= 0)
+                assert verdict.witness_vertex == (want if want >= 0 else None)
+                assert verdict.witness_vertex is None or type(verdict.witness_vertex) is int
+
+    @pytest.mark.parametrize("keys", [[], ()])
+    def test_empty_input_gives_empty_output(self, catalog, keys):
+        got = obstructing_vertices(catalog, keys)
+        assert got.shape == (0,)
+        assert got.dtype.kind == "i"
 
     def test_triple_needs_matching_summands(self, catalog):
         # obstruction only fires when both summands share the odd pattern
