@@ -7,18 +7,18 @@ induced triangulations exactly, classifies tables, quotients by the 48
 cube symmetries, decides the parity obstruction for summand/sum class
 patterns, searches exact rational witnesses for the feasible ones, and
 estimates the associated event frequencies by Monte Carlo.
+
+The package root exports the documented entry points; every other name is
+imported from its module.
 """
 
 from .errors import CatalogError, DegenerateTable, DomainError, Simpson3Error
 from .experiments import (
-    ConversionReport,
     ConversionSearch,
     Exhausted,
-    FrequencyEstimate,
     SamplerConfig,
     Witness,
     WitnessArchive,
-    civil_rights_axes,
     detect_conversion,
     estimate_2d_reversal,
     estimate_3d_conversion,
@@ -26,124 +26,65 @@ from .experiments import (
     search_witness,
 )
 from .feasibility import (
-    ObstructionVerdict,
-    infeasible_pair_classes,
-    infeasible_triple_classes,
     lemma_conclusion_check,
     lemma_hypothesis_check,
     obstruction,
     obstruction_triple,
-    per_type_obstructed_counts,
     write_feasibility_report,
 )
-from .symmetry import (
-    ANTIPODAL_MAP,
-    GROUP,
-    CubeSymmetry,
-    OrbitClass,
-    apply,
-    apply_table,
-    apply_vertex,
-    apply_vertex_set,
-    canonical_class_of,
-    canonical_transporter,
-    orbit_classes,
-)
+from .symmetry import GROUP, apply_table, orbit_classes
 from .tables import (
-    FORM_LETTERS,
-    CorrelationProfile,
-    Diagonal2D,
-    FormSigns,
     NonnegTable3,
-    Reversal2D,
     Table2,
     Table3,
     classify_2d,
     correlation_profile,
     detect_reversal_2d,
-    eval_form_signs,
-    load_table,
-    table_from_json_obj,
-    table_to_json_obj,
 )
 from .triangulation import (
     Catalog,
-    Tetrahedron,
-    Triangulation,
     catalog_from_json_obj,
-    catalog_to_json_obj,
     classify_exact,
     classify_float_oracle,
     classify_heights_batch,
-    derive_constraints,
-    enumerate_triangulations,
     get_catalog,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ANTIPODAL_MAP",
     "Catalog",
     "CatalogError",
-    "ConversionReport",
     "ConversionSearch",
-    "CorrelationProfile",
-    "CubeSymmetry",
     "DegenerateTable",
-    "Diagonal2D",
     "DomainError",
     "Exhausted",
-    "FORM_LETTERS",
-    "FormSigns",
-    "FrequencyEstimate",
     "GROUP",
     "NonnegTable3",
-    "ObstructionVerdict",
-    "OrbitClass",
-    "Reversal2D",
     "SamplerConfig",
     "Simpson3Error",
     "Table2",
     "Table3",
-    "Tetrahedron",
-    "Triangulation",
     "Witness",
     "WitnessArchive",
-    "apply",
     "apply_table",
-    "apply_vertex",
-    "apply_vertex_set",
-    "canonical_class_of",
-    "canonical_transporter",
     "catalog_from_json_obj",
-    "catalog_to_json_obj",
-    "civil_rights_axes",
     "classify_2d",
     "classify_exact",
     "classify_float_oracle",
     "classify_heights_batch",
     "correlation_profile",
-    "derive_constraints",
     "detect_conversion",
     "detect_reversal_2d",
-    "enumerate_triangulations",
     "estimate_2d_reversal",
     "estimate_3d_conversion",
-    "eval_form_signs",
     "get_catalog",
-    "infeasible_pair_classes",
-    "infeasible_triple_classes",
     "lemma_conclusion_check",
     "lemma_hypothesis_check",
     "load_civil_rights",
-    "load_table",
     "obstruction",
     "obstruction_triple",
     "orbit_classes",
-    "per_type_obstructed_counts",
     "search_witness",
-    "table_from_json_obj",
-    "table_to_json_obj",
     "write_feasibility_report",
 ]

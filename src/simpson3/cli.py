@@ -25,12 +25,12 @@ from .experiments import (
 from .feasibility import obstructing_vertices, write_feasibility_report
 from .symmetry import canonical_class_of, orbit_classes
 from .tables import (
+    Diagonal2D,
     Table2,
     Table3,
     classify_2d,
     correlation_profile,
     eval_form_signs,
-    format_rational,
     load_table,
     parse_rational,
 )
@@ -92,9 +92,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if args.smoothing is not None:
         eps = parse_rational(args.smoothing)
         table = table.smoothed(eps)
-        report["smoothing"] = format_rational(eps)
+        report["smoothing"] = str(eps)
     if isinstance(table, Table2):
         verdict = classify_2d(table)
+        if verdict is Diagonal2D.DEGENERATE:
+            raise DegenerateTable("the 2x2 table's diagonal products are equal")
         report["kind"] = "2x2"
         report["diagonal"] = verdict.value
         summary = f"2x2 table: {verdict.value}"
@@ -178,8 +180,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         payload = {
             "status": "witness",
             "classKey": list(result.class_key),
-            "f": [format_rational(x) for x in result.f.entries],
-            "g": [format_rational(x) for x in result.g.entries],
+            "f": [str(x) for x in result.f.entries],
+            "g": [str(x) for x in result.g.entries],
             "verifiedAt": result.verified_at,
         }
         summary = f"witness found for class {result.class_key}"

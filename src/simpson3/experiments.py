@@ -32,7 +32,7 @@ import numpy as np
 from .errors import CatalogError, DegenerateTable, DomainError
 from .feasibility import obstructing_vertices
 from .symmetry import canonical_classes, pad_key
-from .tables import NonnegTable3, Table3, _pair_sign_bits, _table3, format_rational
+from .tables import NonnegTable3, Table3, _pair_sign_bits, _table3
 from .tables import parse_rational, table_from_json_obj
 from .triangulation import (
     FORM_MATRIX,
@@ -249,14 +249,6 @@ class ConversionReport:
         if self.conversion:
             return "conversion"
         return "sameNoConversion"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "triangulationF": self.id_f,
-            "triangulationG": self.id_g,
-            "triangulationSum": self.id_sum,
-            "verdict": self.verdict,
-        }
 
 
 def detect_conversion(f: Table3, g: Table3) -> ConversionReport:
@@ -660,7 +652,7 @@ def search_witness(
     outcome depends only on the seed, the key and the budget; a search
     with a different seed draws other starts.
     """
-    key = tuple(int(x) for x in class_key)
+    key = tuple(class_key)
     if len(key) not in _KEY_KINDS:
         raise DomainError(f"class key must have 2 or 3 components, got {len(key)}")
     search = ConversionSearch(config if config is not None else SamplerConfig())
@@ -695,8 +687,8 @@ class WitnessArchive:
                 f"archive holds arity {self.arity}, witness has arity {witness.arity}"
             )
         row = [str(c) for c in witness.class_key]
-        row += [format_rational(x) for x in witness.f.entries]
-        row += [format_rational(x) for x in witness.g.entries]
+        row += [str(x) for x in witness.f.entries]
+        row += [str(x) for x in witness.g.entries]
         row.append(witness.verified_at)
         return row
 
@@ -768,14 +760,6 @@ class WitnessArchive:
                     )
                 witnesses.append(witness)
         return witnesses
-
-
-_CIVIL_RIGHTS_AXES = ("chamber", "party", "vote")
-
-
-def civil_rights_axes() -> tuple[str, str, str]:
-    """Axis names for the bundled 1964 Civil Rights Act vote tables."""
-    return _CIVIL_RIGHTS_AXES
 
 
 def load_civil_rights() -> dict[str, NonnegTable3]:

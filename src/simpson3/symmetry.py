@@ -15,7 +15,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,22 +43,12 @@ class CubeSymmetry:
             out.append((w[0] << 2) | (w[1] << 1) | w[2])
         return tuple(out)
 
-    def compose(self, other: "CubeSymmetry") -> "CubeSymmetry":
-        """The symmetry acting as self after other."""
-        perm = tuple(other.perm[self.perm[i]] for i in range(3))
-        flips = tuple(other.flips[self.perm[i]] ^ self.flips[i] for i in range(3))
-        return CubeSymmetry(perm, flips)  # type: ignore[arg-type]
-
     def inverse(self) -> "CubeSymmetry":
         pinv = [0, 0, 0]
         for i in range(3):
             pinv[self.perm[i]] = i
         flips = tuple(self.flips[pinv[j]] for j in range(3))
         return CubeSymmetry(tuple(pinv), flips)  # type: ignore[arg-type]
-
-    @staticmethod
-    def identity() -> "CubeSymmetry":
-        return CubeSymmetry((0, 1, 2), (0, 0, 0))
 
 
 GROUP: tuple[CubeSymmetry, ...] = tuple(
@@ -72,8 +62,6 @@ GROUP_INDEX = {sigma: i for i, sigma in enumerate(GROUP)}
 VERTEX_MAPS: tuple[tuple[int, ...], ...] = tuple(sigma.vertex_map() for sigma in GROUP)
 
 INVERSE_INDEX: tuple[int, ...] = tuple(GROUP_INDEX[sigma.inverse()] for sigma in GROUP)
-
-ANTIPODAL_MAP = CubeSymmetry((0, 1, 2), (1, 1, 1))
 
 
 def apply_vertex(sigma: CubeSymmetry, v: int) -> int:
@@ -98,13 +86,8 @@ def apply_table(sigma: CubeSymmetry, table):
     raise DomainError(f"cannot apply a cube symmetry to {type(table).__name__}")
 
 
-def apply_vertex_set(sigma: CubeSymmetry, vertices: Iterable[int]) -> frozenset[int]:
-    vmap = VERTEX_MAPS[GROUP_INDEX[sigma]]
-    return frozenset(vmap[v] for v in vertices)
-
-
 def apply(sigma: CubeSymmetry, x):
-    """Generic group action: vertices, tables, tetrahedra, triangulations.
+    """Generic group action: vertices, tables, triangulations.
 
     A triangulation moves by its catalog id, through the catalog's id
     action; a table through ``apply_table``.
@@ -113,8 +96,6 @@ def apply(sigma: CubeSymmetry, x):
         return apply_vertex(sigma, x)
     if isinstance(x, (Table3, NonnegTable3)):
         return apply_table(sigma, x)
-    if isinstance(x, frozenset):
-        return apply_vertex_set(sigma, x)
     if isinstance(x, triangulation.Triangulation):
         catalog = triangulation.get_catalog()
         return catalog[catalog.apply_symmetry(sigma, x.canonical_id)]
@@ -167,9 +148,8 @@ def _image_keys(rows: np.ndarray, pa: np.ndarray) -> np.ndarray:
     return (np.minimum(u, v) * n + np.maximum(u, v)) * n + w
 
 
-def _canonical_rows(rows: np.ndarray, ida: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical keys of (m, 3) 0-based (summand, summand, sum) rows, and the
-    first symmetry index reaching each.
+def _canonical_rows(rows: np.ndarray, ida: np.ndarray) -> np.ndarray:
+    """Canonical keys of (m, 3) 0-based (summand, summand, sum) rows.
 
     An image is keyed by its raveled (lo, hi, sum) index, with the summands
     sorted because they are unordered; the canonical key is the least over
@@ -177,14 +157,10 @@ def _canonical_rows(rows: np.ndarray, ida: np.ndarray) -> tuple[np.ndarray, np.n
     """
     pa = ida.astype(np.int32) - 1
     keys = np.empty(len(rows), dtype=np.int64)
-    first = np.empty(len(rows), dtype=np.int64)
     for start in range(0, len(rows), _CHUNK_ROWS):
         chunk = rows[start : start + _CHUNK_ROWS]
-        images = _image_keys(chunk, pa)
-        best = images.argmin(axis=0)
-        keys[start : start + len(chunk)] = images[best, np.arange(len(chunk))]
-        first[start : start + len(chunk)] = best
-    return keys, first
+        keys[start : start + len(chunk)] = _image_keys(chunk, pa).min(axis=0)
+    return keys
 
 
 def orbit_classes(arity: int, catalog) -> list[OrbitClass]:
@@ -205,7 +181,7 @@ def orbit_classes(arity: int, catalog) -> list[OrbitClass]:
     if pad[0] != pad[1]:
         # separate summand slots hold an unordered pair of distinct ids
         tuples = tuples[tuples[:, 0] < tuples[:, 1]]
-    keys, _ = _canonical_rows(tuples[:, list(pad)], ida)
+    keys = _canonical_rows(tuples[:, list(pad)], ida)
     # The least raveled key of a class is its least member, so the unique
     # keys come in the order of the representatives.
     unique = np.unique(keys)
@@ -225,29 +201,14 @@ def canonical_class_of(ids: Sequence[int], catalog) -> tuple[int, ...]:
 
 def canonical_classes(keys: Sequence[Sequence[int]], catalog) -> list[tuple[int, ...]]:
     """Representatives of the orbit classes of the given id tuples, in input
-    order; the first invalid tuple raises ``DomainError``."""
-    reps, _ = _canonicalize(keys, catalog)
-    return reps
-
-
-def canonical_transporter(ids: Sequence[int], catalog):
-    """Canonical representative together with a symmetry index realizing it.
-
-    Returns (representative, s) such that applying GROUP[s] maps the input
-    tuple onto the representative (for arity 3 up to swapping the two summand
-    coordinates, which are unordered by convention).
-    """
-    reps, first = _canonicalize([ids], catalog)
-    return reps[0], int(first[0])
-
-
-def _canonicalize(keys: Sequence[Sequence[int]], catalog):
-    """Checked keys' representatives, and the first symmetry index reaching
-    each, through one ``_canonical_rows`` call."""
+    order, through one ``_canonical_rows`` call; the first invalid tuple
+    raises ``DomainError``."""
     ida = catalog.id_action()
     n = ida.shape[1]
     for ids in keys:
         for i in ids:
+            if not isinstance(i, (int, np.integer)):
+                raise DomainError(f"triangulation id {i!r} is not an integer")
             if not 1 <= i <= n:
                 raise DomainError(f"unknown triangulation id {i}")
         if len(ids) not in _PAD:
@@ -255,7 +216,6 @@ def _canonicalize(keys: Sequence[Sequence[int]], catalog):
         if len(ids) == 3 and ids[0] == ids[1]:
             raise DomainError("triple classes require distinct summand ids")
     rows = np.array([pad_key(ids) for ids in keys], dtype=np.int64).reshape(-1, 3) - 1
-    canonical, first = _canonical_rows(rows, ida)
+    canonical = _canonical_rows(rows, ida)
     padded = zip(*(a.tolist() for a in np.unravel_index(canonical, (n, n, n))))
-    reps = [tuple(row[i] + 1 for i in _UNPAD[len(ids)]) for ids, row in zip(keys, padded)]
-    return reps, first
+    return [tuple(row[i] + 1 for i in _UNPAD[len(ids)]) for ids, row in zip(keys, padded)]

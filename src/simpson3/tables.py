@@ -33,15 +33,6 @@ def vertex_bits(v: int) -> tuple[int, int, int]:
     return (v >> 2) & 1, (v >> 1) & 1, v & 1
 
 
-def vertex_of_bits(x: int, y: int, z: int) -> int:
-    return (x << 2) | (y << 1) | z
-
-
-def antipode(v: int) -> int:
-    """The opposite vertex of the cube (all coordinates complemented)."""
-    return v ^ 7
-
-
 def vertex_name(v: int) -> str:
     """Bit-string label, e.g. vertex 6 -> '110'."""
     return format(v, "03b")
@@ -320,9 +311,6 @@ class Table3(_ExactTable):
         n = self.integers
         return _table3((n[v] for v in face_vertices(axis, value)), self.denominator, Table2)
 
-    def total(self) -> Fraction:
-        return Fraction(sum(self.integers), self.denominator)
-
 
 @dataclass(frozen=True, init=False)
 class NonnegTable3(_ExactTable):
@@ -509,10 +497,6 @@ def parse_rational(text) -> Fraction:
     raise DomainError(f"bad rational of type {type(text).__name__} (floats are not exact)")
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 def table_from_json_obj(obj, allow_zero: bool = False) -> Union[Table3, NonnegTable3, Table2]:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise DomainError('table JSON must be an object with an "entries" array')
@@ -528,7 +512,7 @@ def table_from_json_obj(obj, allow_zero: bool = False) -> Union[Table3, NonnegTa
 
 
 def table_to_json_obj(table: Union[Table3, NonnegTable3, Table2]) -> dict:
-    return {"entries": [format_rational(e) for e in table.entries]}
+    return {"entries": [str(e) for e in table.entries]}
 
 
 def load_table(path, allow_zero: bool = False) -> Union[Table3, NonnegTable3, Table2]:

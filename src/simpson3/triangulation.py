@@ -490,11 +490,6 @@ def _build_catalog() -> Catalog:
     return Catalog(_enumerate_encodings())
 
 
-def enumerate_triangulations() -> Catalog:
-    """Build the full catalog from scratch."""
-    return _build_catalog()
-
-
 @functools.lru_cache(maxsize=1)
 def get_catalog() -> Catalog:
     """The shared catalog instance, built once per process."""

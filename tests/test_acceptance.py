@@ -19,26 +19,27 @@ from simpson3 import (
     Table2,
     Table3,
     Witness,
-    apply,
     apply_table,
     classify_exact,
     classify_float_oracle,
     classify_heights_batch,
     correlation_profile,
     detect_reversal_2d,
-    enumerate_triangulations,
     estimate_2d_reversal,
     estimate_3d_conversion,
-    infeasible_pair_classes,
-    infeasible_triple_classes,
     lemma_conclusion_check,
     lemma_hypothesis_check,
     load_civil_rights,
     obstruction,
     orbit_classes,
+)
+from simpson3.feasibility import (
+    infeasible_pair_classes,
+    infeasible_triple_classes,
     per_type_obstructed_counts,
 )
-from simpson3.symmetry import GROUP
+from simpson3.symmetry import GROUP, apply
+from simpson3.triangulation import _build_catalog
 
 PAIR_BUDGET = 10**7
 TRIPLE_BUDGET = 2 * 10**5
@@ -64,7 +65,7 @@ def outcome_digest(results):
 
 def test_criterion_1_catalog(acceptance):
     start = time.monotonic()
-    catalog = enumerate_triangulations()
+    catalog = _build_catalog()
     count = len(catalog.entries)
     five = sum(1 for e in catalog.entries if len(e.tetrahedra) == 5)
     orbits = len(catalog.orbit_representatives())

@@ -49,6 +49,15 @@ class TestClassify:
         assert code == 2
         assert "degenerate: all forms vanish" in err
 
+    @pytest.mark.parametrize("extra", [(), ("--format", "text")])
+    def test_degenerate_2x2_exit_code(self, capsys, tmp_path, extra):
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps({"entries": [1, 2, 2, 4]}))
+        code, out, err = run(capsys, "classify", str(path), *extra)
+        assert code == 2
+        assert out == ""
+        assert err == "degenerate: the 2x2 table's diagonal products are equal\n"
+
     def test_malformed_input_exit_code(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

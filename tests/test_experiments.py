@@ -18,19 +18,17 @@ from simpson3 import (
     Table3,
     Witness,
     WitnessArchive,
-    civil_rights_axes,
     classify_exact,
     detect_conversion,
     detect_reversal_2d,
     estimate_2d_reversal,
     estimate_3d_conversion,
-    infeasible_pair_classes,
-    infeasible_triple_classes,
     load_civil_rights,
     orbit_classes,
     search_witness,
 )
 from simpson3 import experiments
+from simpson3.feasibility import infeasible_pair_classes, infeasible_triple_classes
 from simpson3.symmetry import pad_key
 from simpson3.triangulation import FORM_INDEX, FORM_MATRIX
 
@@ -144,7 +142,7 @@ class TestDetectConversion:
         assert isinstance(result, Witness)
         report = detect_conversion(result.f, result.g)
         assert report.verdict == "differentTriangulations"
-        assert report.to_json_obj()["triangulationSum"] == 5
+        assert report.id_sum == 5
 
 
 def assert_batching_keeps_outcomes(monkeypatch, budget):
@@ -231,6 +229,9 @@ class TestSearch:
             search_witness((3, 3, 5), config)
         with pytest.raises(DomainError):
             search_witness((1, 2, 3, 4), config)
+        # a fractional id is refused, not truncated to the class (1, 2)
+        with pytest.raises(DomainError, match=r"^triangulation id 2\.7 is not an integer$"):
+            search_witness((1, 2.7), config)
 
     def test_deterministic(self, catalog):
         a = search_witness((5, 20), SamplerConfig(seed=9))
@@ -753,9 +754,6 @@ class TestArchive:
 
 
 class TestCivilRights:
-    def test_axes(self):
-        assert civil_rights_axes() == ("chamber", "party", "vote")
-
     def test_totals(self):
         tables = load_civil_rights()
         assert set(tables) == {"north", "south", "all"}

@@ -10,17 +10,19 @@ from simpson3 import (
     DomainError,
     Table2,
     Table3,
-    infeasible_pair_classes,
-    infeasible_triple_classes,
     lemma_conclusion_check,
     lemma_hypothesis_check,
     obstruction,
     obstruction_triple,
     orbit_classes,
-    per_type_obstructed_counts,
     write_feasibility_report,
 )
-from simpson3.feasibility import obstructing_vertices
+from simpson3.feasibility import (
+    infeasible_pair_classes,
+    infeasible_triple_classes,
+    obstructing_vertices,
+    per_type_obstructed_counts,
+)
 from simpson3.symmetry import GROUP
 
 

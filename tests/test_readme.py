@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import simpson3
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 TEXT = README.read_text(encoding="utf-8")
 
@@ -67,3 +69,18 @@ def test_block_prints_its_comments(start, source):
 @pytest.mark.parametrize("call", DOCUMENTED_CALLS)
 def test_documented_call_is_an_example(call):
     assert any(call in source for _, source in BLOCKS)
+
+
+def documented_entry_points():
+    """The backticked names of the README's "Library entry points" list."""
+    section = TEXT.split("## Library entry points\n", 1)[1].split("\n## ", 1)[0]
+    items = re.findall(r"^- .*?(?=^- |\Z)", section, re.M | re.S)
+    return [name for item in items for name in re.findall(r"`(\w+)`", item)]
+
+
+def test_root_exports_the_documented_api():
+    names = documented_entry_points()
+    assert len(names) == len(set(names)) == 34
+    assert len(simpson3.__all__) == len(set(simpson3.__all__))
+    assert set(names) == set(simpson3.__all__)
+    assert all(hasattr(simpson3, name) for name in names)

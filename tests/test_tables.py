@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from simpson3 import (
     GROUP,
-    Diagonal2D,
     DomainError,
     NonnegTable3,
-    Reversal2D,
     Simpson3Error,
     Table2,
     Table3,
@@ -22,12 +20,8 @@ from simpson3 import (
     correlation_profile,
     detect_conversion,
     detect_reversal_2d,
-    eval_form_signs,
     lemma_conclusion_check,
     lemma_hypothesis_check,
-    load_table,
-    table_from_json_obj,
-    table_to_json_obj,
 )
 from simpson3.tables import (
     FACE_FORM,
@@ -41,13 +35,17 @@ from simpson3.tables import (
     _pair_sign_bits,
     _sign,
     VERTICES,
-    antipode,
+    Diagonal2D,
+    Reversal2D,
+    eval_form_signs,
     face_diagonal_pair,
     face_vertices,
+    load_table,
     parse_rational,
+    table_from_json_obj,
+    table_to_json_obj,
     vertex_bits,
     vertex_name,
-    vertex_of_bits,
 )
 from simpson3.triangulation import _classified
 
@@ -63,19 +61,9 @@ def random_int_table2(rng):
 
 
 class TestVertexHelpers:
-    def test_bits_round_trip(self):
-        for v in range(8):
-            assert vertex_of_bits(*vertex_bits(v)) == v
-
     def test_vertex_names(self):
         assert vertex_name(0) == "000"
         assert vertex_name(6) == "110"
-
-    def test_antipode(self):
-        assert antipode(0) == 7
-        assert antipode(3) == 4
-        for v in range(8):
-            assert antipode(antipode(v)) == v
 
     def test_face_vertices(self):
         assert face_vertices(0, 0) == (0, 1, 2, 3)
@@ -283,9 +271,6 @@ class TestTables:
         layer = EXAMPLE.layer(2, 0)
         assert layer.entries == (Fraction(1, 4), 1, 4, 2)
 
-    def test_total(self):
-        assert Table3([1] * 8).total() == 8
-
     def test_nonneg_smoothing(self):
         raw = NonnegTable3([0, 1, 2, 0, 3, 4, 0, 5])
         with pytest.raises(DomainError):
@@ -385,8 +370,6 @@ class TestDerivedTables:
             assert derived.entries == tuple(entries)
             _assert_exact(derived, type(validated))
             assert lowest_terms(derived) and lowest_terms(validated)
-            if type(derived) is Table3:
-                assert derived.total() == sum(entries)
 
     @pytest.mark.parametrize(
         "cls, entries, message",

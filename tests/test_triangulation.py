@@ -15,16 +15,11 @@ from simpson3 import (
     DegenerateTable,
     DomainError,
     Table3,
-    Tetrahedron,
-    Triangulation,
     catalog_from_json_obj,
-    catalog_to_json_obj,
     classify_exact,
     classify_float_oracle,
     classify_heights_batch,
-    derive_constraints,
     detect_conversion,
-    enumerate_triangulations,
     get_catalog,
 )
 from simpson3.tables import FORM_COEFFS, VERTICES, _int_sign_bits, vertex_bits
@@ -39,6 +34,9 @@ from simpson3.triangulation import (
     VERTEX_COORDS,
     _POW2F,
     Catalog,
+    Tetrahedron,
+    Triangulation,
+    _build_catalog,
     _classified,
     _cover_key,
     _enumerate_encodings,
@@ -46,6 +44,8 @@ from simpson3.triangulation import (
     _lifting_residuals,
     _properly_intersecting,
     _tetrahedra,
+    catalog_to_json_obj,
+    derive_constraints,
     tetrahedron_volume_sixths,
 )
 
@@ -116,7 +116,7 @@ class TestCatalog:
             catalog[75]
 
     def test_enumeration_matches_cached(self, catalog):
-        fresh = enumerate_triangulations()
+        fresh = _build_catalog()
         assert [e.encoding() for e in fresh.entries] == [
             e.encoding() for e in catalog.entries
         ]
@@ -851,7 +851,7 @@ class TestBatchMemo:
     @settings(max_examples=4, deadline=None)
     @given(seed=seeds)
     def test_memo_holds_resolved_clean_codes(self, seed):
-        fresh = enumerate_triangulations()
+        fresh = _build_catalog()
         h = mixed_heights(seed, 3 * _BLOCK)
         classify_heights_batch(h, fresh)
         filled = np.nonzero(fresh._pattern_ids)[0]
