@@ -16,8 +16,10 @@ from simpson3 import (
 )
 from simpson3.symmetry import (
     _PAD,
+    GROUP_INDEX,
     INVERSE_INDEX,
     VERTEX_MAPS,
+    CubeSymmetry,
     _canonical_rows,
     apply,
     apply_vertex,
@@ -65,7 +67,13 @@ class TestGroup:
         assert len(GROUP) == 48
         assert len(set(GROUP)) == 48
 
-    def test_vertex_maps_are_closed_with_inverses(self):
+    def test_identity(self):
+        e = CubeSymmetry((0, 1, 2), (0, 0, 0))
+        assert e in GROUP_INDEX
+        assert e.vertex_map() == tuple(range(8))
+        assert e.inverse() == e
+
+    def test_closure_and_inverse(self):
         maps = set(VERTEX_MAPS)
         assert tuple(range(8)) in maps
         for a in VERTEX_MAPS:
@@ -74,6 +82,23 @@ class TestGroup:
         for s, a in enumerate(VERTEX_MAPS):
             inverse = VERTEX_MAPS[INVERSE_INDEX[s]]
             assert tuple(a[inverse[v]] for v in range(8)) == tuple(range(8))
+
+    def test_compose_is_left_action(self):
+        rng = np.random.default_rng(1)
+        t = random_table(rng)
+        for _ in range(100):
+            a = GROUP[rng.integers(0, 48)]
+            b = GROUP[rng.integers(0, 48)]
+            ab = GROUP[VERTEX_MAPS.index(tuple(a.vertex_map()[w] for w in b.vertex_map()))]
+            v = int(rng.integers(0, 8))
+            assert apply_vertex(ab, v) == apply_vertex(a, apply_vertex(b, v))
+            assert apply_table(ab, t) == apply_table(a, apply_table(b, t))
+
+    def test_antipodal_map(self):
+        sigma = CubeSymmetry((0, 1, 2), (1, 1, 1))
+        assert sigma in GROUP_INDEX
+        assert sigma.vertex_map() == tuple(v ^ 7 for v in range(8))
+        assert sigma.inverse() == sigma
 
     def test_inverse_index(self):
         for s, sigma in enumerate(GROUP):
@@ -193,6 +218,29 @@ class TestOrbits:
 
 
 class TestCanonical:
+    def test_transporter_moves_tuple(self, catalog):
+        # some symmetry carries the pair onto its representative
+        ida = catalog.id_action()
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            a = int(rng.integers(1, 75))
+            b = int(rng.integers(1, 75))
+            rep = canonical_class_of((a, b), catalog)
+            assert any(_image(ida, s, (a, b)) == rep for s in range(len(GROUP)))
+
+    def test_triple_transporter_sorts_summands(self, catalog):
+        # some symmetry carries the triple onto its representative once the
+        # two unordered summands are sorted
+        ida = catalog.id_action()
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            a, b = (int(x) for x in rng.choice(np.arange(1, 75), 2, replace=False))
+            c = int(rng.integers(1, 75))
+            rep = canonical_class_of((a, b, c), catalog)
+            assert rep[0] < rep[1]
+            images = [_image(ida, s, (a, b, c)) for s in range(len(GROUP))]
+            assert any((min(u, v), max(u, v), w) == rep for u, v, w in images)
+
     def test_same_summand_triple_rejected(self, catalog):
         with pytest.raises(DomainError):
             canonical_class_of((3, 3, 5), catalog)

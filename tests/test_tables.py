@@ -61,6 +61,12 @@ def random_int_table2(rng):
 
 
 class TestVertexHelpers:
+    def test_bits_round_trip(self):
+        for v in range(8):
+            x, y, z = vertex_bits(v)
+            assert (x << 2) | (y << 1) | z == v
+            assert vertex_name(v) == f"{x}{y}{z}"
+
     def test_vertex_names(self):
         assert vertex_name(0) == "000"
         assert vertex_name(6) == "110"
