@@ -9,8 +9,10 @@ error, 2 degenerate input.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import sys
 
 from .errors import CatalogError, DegenerateTable, DomainError
@@ -49,21 +51,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USER_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _write_output(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-
-
-def _emit(payload: dict | list, args: argparse.Namespace, summary: str | None = None) -> None:
-    if args.format == "text" and summary is not None:
-        _write_output(summary, args.out)
-    elif args.format == "json":
-        _write_output(json.dumps(payload, indent=2), args.out)
-    else:
-        raise DomainError(f"format {args.format!r} is not supported by this command")
+# A command's JSON payload and text summary for main to write, or None.
+Result = tuple[dict | list, str] | None
 
 
 def _classification_report(table: Table3) -> dict:
@@ -86,7 +75,7 @@ def _classification_report(table: Table3) -> dict:
     }
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace) -> Result:
     table = load_table(args.table, allow_zero=args.smoothing is not None)
     report: dict = {"input": args.table}
     if args.smoothing is not None:
@@ -100,7 +89,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         report["kind"] = "2x2"
         report["diagonal"] = verdict.value
         summary = f"2x2 table: {verdict.value}"
-    elif isinstance(table, Table3):
+    else:
         report["kind"] = "2x2x2"
         report.update(_classification_report(table))
         summary = (
@@ -108,21 +97,15 @@ def cmd_classify(args: argparse.Namespace) -> int:
             f" (type {report['features']['typeClass']},"
             f" {len(report['tetrahedra'])} tetrahedra)"
         )
-    else:
-        raise DomainError("unsupported table shape")
-    _emit(report, args, summary)
-    return EXIT_OK
+    return report, summary
 
 
-def cmd_catalog(args: argparse.Namespace) -> int:
+def cmd_catalog(args: argparse.Namespace) -> Result:
     catalog = get_catalog()
-    payload = catalog_to_json_obj(catalog)
-    summary = f"{len(catalog.entries)} triangulations"
-    _emit(payload, args, summary)
-    return EXIT_OK
+    return catalog_to_json_obj(catalog), f"{len(catalog.entries)} triangulations"
 
 
-def cmd_orbits(args: argparse.Namespace) -> int:
+def cmd_orbits(args: argparse.Namespace) -> Result:
     catalog = get_catalog()
     classes = orbit_classes(args.arity, catalog)
     payload = [
@@ -133,11 +116,10 @@ def cmd_orbits(args: argparse.Namespace) -> int:
         }
         for cls in classes
     ]
-    _emit(payload, args, f"{len(classes)} classes")
-    return EXIT_OK
+    return payload, f"{len(classes)} classes"
 
 
-def cmd_feasibility(args: argparse.Namespace) -> int:
+def cmd_feasibility(args: argparse.Namespace) -> Result:
     if args.pair is not None and args.triple is not None:
         raise DomainError("feasibility takes at most one of --pair or --triple")
     catalog = get_catalog()
@@ -148,13 +130,10 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
             raise DomainError("--arity applies only to the report, not to a --pair or --triple")
         # The search's check: known ids, and distinct summands in a triple.
         canonical_class_of(key, catalog)
-        args.format = args.format or "json"
         (vertex,) = obstructing_vertices(catalog, [key]).tolist()
-        obstructed = vertex >= 0
-        witness_vertex = vertex if obstructed else None
-        payload = {kind: list(key), "obstructed": obstructed, "obstructingVertex": witness_vertex}
-        _emit(payload, args, f"obstructed at vertex {vertex}" if obstructed else "not obstructed")
-        return EXIT_OK
+        witness = vertex if vertex >= 0 else None
+        payload = {kind: list(key), "obstructed": witness is not None, "obstructingVertex": witness}
+        return payload, "not obstructed" if witness is None else f"obstructed at vertex {vertex}"
     if args.format not in (None, "csv"):
         raise DomainError(f"the feasibility report is CSV; --format {args.format} does not apply")
     if args.out is None:
@@ -162,58 +141,45 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
     pair_classes = orbit_classes(2, catalog) if args.arity in (None, 2) else ()
     triple_classes = orbit_classes(3, catalog) if args.arity in (None, 3) else ()
     write_feasibility_report(args.out, catalog, pair_classes, triple_classes)
-    return EXIT_OK
+    return None
 
 
-def cmd_search(args: argparse.Namespace) -> int:
+def cmd_search(args: argparse.Namespace) -> Result:
     if (args.pair is None) == (args.triple is None):
         raise DomainError("search requires exactly one of --pair or --triple")
     key = tuple(args.pair) if args.pair is not None else tuple(args.triple)
     archive = None
-    if args.out is not None:
-        archive = WitnessArchive(args.out, len(key))
+    if args.archive is not None:
+        archive = WitnessArchive(args.archive, len(key))
         archive.check_directory()
     result = search_witness(key, SamplerConfig(seed=args.seed), budget=args.budget)
+    class_key = list(result.class_key)
     if isinstance(result, Witness):
         if archive is not None:
             archive.append([result])
         payload = {
             "status": "witness",
-            "classKey": list(result.class_key),
+            "classKey": class_key,
             "f": [str(x) for x in result.f.entries],
             "g": [str(x) for x in result.g.entries],
             "verifiedAt": result.verified_at,
         }
-        summary = f"witness found for class {result.class_key}"
-    else:
-        payload = {
-            "status": "exhausted",
-            "classKey": list(result.class_key),
-            "attempts": result.attempts,
-        }
-        summary = f"budget exhausted for class {result.class_key} after {result.attempts} attempts"
-    if args.format == "text":
-        sys.stdout.write(summary + "\n")
-    else:
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    return EXIT_OK
+        return payload, f"witness found for class {result.class_key}"
+    payload = {"status": "exhausted", "classKey": class_key, "attempts": result.attempts}
+    summary = f"budget exhausted for class {result.class_key} after {result.attempts} attempts"
+    return payload, summary
 
 
-def cmd_montecarlo(args: argparse.Namespace) -> int:
-    config = SamplerConfig(seed=args.seed, worker_count=args.workers)
-    if args.dim == 2:
-        estimate = estimate_2d_reversal(config, args.samples)
-    else:
-        estimate = estimate_3d_conversion(config, args.samples)
-    payload = estimate.to_json_obj()
+def cmd_montecarlo(args: argparse.Namespace) -> Result:
+    estimator = estimate_2d_reversal if args.dim == 2 else estimate_3d_conversion
+    estimate = estimator(SamplerConfig(seed=args.seed, worker_count=args.workers), args.samples)
     lines = [
         f"{key}: {estimate.estimates[key]:.6f} (se {estimate.standard_errors[key]:.6f},"
         f" target {estimate.targets[key]})"
         for key in sorted(estimate.counts)
     ]
     lines.append(f"discarded {estimate.degenerate_discards} of {estimate.sample_count}")
-    _emit(payload, args, "\n".join(lines))
-    return EXIT_OK
+    return estimate.to_json_obj(), "\n".join(lines)
 
 
 def _add_common(
@@ -287,7 +253,9 @@ def _search_arguments(p: argparse.ArgumentParser) -> None:
         ),
     )
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--out", default=None, help="append the witness to this CSV archive")
+    p.add_argument(
+        "--out", dest="archive", metavar="OUT", help="append the witness to this CSV archive"
+    )
     p.set_defaults(func=cmd_search)
 
 
@@ -326,9 +294,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and write its JSON or text result to stdout or ``--out``."""
     args = build_parser().parse_args(sys.argv[1:] if argv is None else list(argv))
+    out = getattr(args, "out", None)
     try:
-        return args.func(args)
+        # A missing directory is found before the command runs, not after.
+        if out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+            raise OSError(errno.ENOENT, f"cannot write {out}: its directory does not exist")
+        result = args.func(args)
+        if result is not None:
+            payload, summary = result
+            if args.format not in (None, "json", "text"):
+                raise DomainError(f"format {args.format!r} is not supported by this command")
+            text = summary if args.format == "text" else json.dumps(payload, indent=2)
+            if out is None:
+                sys.stdout.write(text + "\n")
+            else:
+                with open(out, "w", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+        return EXIT_OK
     except DegenerateTable as exc:
         sys.stderr.write(f"degenerate: {exc}\n")
         return EXIT_DEGENERATE

@@ -397,6 +397,8 @@ class _Descent:
     """
 
     def __init__(self, keys: list[tuple[int, ...]], budget: int, config: SamplerConfig) -> None:
+        if budget < 1:
+            raise DomainError(f"budget must be at least 1, got {budget}")
         self.sign_table = np.ascontiguousarray(get_catalog().constraint_signs.T)
         self.keys, self.budget = keys, budget
         self.ids = np.array([pad_key(key) for key in keys], dtype=np.intp).reshape(-1, 3)
@@ -573,18 +575,10 @@ class ConversionSearch:
             stacklevel=2,
         )
 
-    def _descend(
-        self, keys: list[tuple[int, ...]], budget: int
-    ) -> list[tuple[Witness | None, int]]:
-        """Each key's witness or None, and the evaluations it spent."""
-        if budget < 1:
-            raise DomainError(f"budget must be at least 1, got {budget}")
-        return _Descent(keys, budget, self.config).run()
-
     def _optimize_key(self, key: tuple[int, ...], budget: int) -> tuple[Witness | None, int]:
         """One class through the descent: its witness or None, and the
         evaluations spent."""
-        return self._descend([key], budget)[0]
+        return _Descent([key], budget, self.config).run()[0]
 
     def _sweep(
         self, keys: list[tuple[int, ...]], budget: int
@@ -595,7 +589,7 @@ class ConversionSearch:
         verified witness within it is reported as ``Exhausted`` with the
         evaluations it spent.
         """
-        outcomes = self._descend(keys, budget)
+        outcomes = _Descent(keys, budget, self.config).run()
         return {
             key: witness if witness is not None else Exhausted(key, spent)
             for key, (witness, spent) in zip(keys, outcomes)

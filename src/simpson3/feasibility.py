@@ -45,9 +45,14 @@ def obstructing_vertices(catalog, class_keys: Iterable[Sequence[int]]) -> np.nda
     (summand, summand, sum) rows of vertex incidences: per key, the first
     vertex where both summands show one odd pattern and the sum its
     complement, or -1.  The rule is invariant under the 48 cube symmetries
-    and under swapping the summands."""
-    rows = np.array([pad_key(key) for key in class_keys], dtype=np.intp).reshape(-1, 3)
-    a, b, c = catalog.vertex_incidences[rows.T]
+    and under swapping the summands.  Ids must be integers in 1..len(catalog)."""
+    rows = np.array([pad_key(key) for key in class_keys]).reshape(-1, 3)
+    if rows.size and rows.dtype.kind not in "iu":
+        raise DomainError(f"class keys must hold integer triangulation ids, not {rows.dtype}")
+    unknown = (rows < 1) | (rows > len(catalog))
+    if unknown.any():
+        raise DomainError(f"unknown triangulation id {rows[unknown][0]}")
+    a, b, c = catalog.vertex_incidences[rows.T.astype(np.intp, copy=False)]
     hit = (a == b) & _ODD[a] & (c == a ^ 7)
     return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
 

@@ -207,7 +207,7 @@ def canonical_classes(keys: Sequence[Sequence[int]], catalog) -> list[tuple[int,
     n = ida.shape[1]
     for ids in keys:
         for i in ids:
-            if not isinstance(i, (int, np.integer)):
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
                 raise DomainError(f"triangulation id {i!r} is not an integer")
             if not 1 <= i <= n:
                 raise DomainError(f"unknown triangulation id {i}")

@@ -212,6 +212,12 @@ class TestFeasibility:
         assert err == f"error: the feasibility report is CSV; --format {fmt} does not apply\n"
         assert not target.exists()
 
+    def test_verdict_rejects_csv(self, capsys):
+        code, out, err = run(capsys, "feasibility", "--pair", "16", "1", "--format", "csv")
+        assert code == 1
+        assert out == ""
+        assert err == "error: format 'csv' is not supported by this command\n"
+
     def test_report_requires_out(self, capsys):
         code, _, err = run(capsys, "feasibility", "--arity", "2")
         assert code == 1
@@ -271,6 +277,20 @@ class TestSearch:
         assert out == ""
         assert err.startswith("error:")
         assert f"cannot write witness archive {target}:" in err
+
+    @pytest.mark.parametrize(
+        "key, line",
+        [
+            (("--pair", "1", "2"), "witness found for class (1, 2)\n"),
+            (
+                ("--triple", "3", "4", "55", "--budget", "10"),
+                "budget exhausted for class (3, 4, 55) after 10 attempts\n",
+            ),
+        ],
+        ids=["witness", "exhausted"],
+    )
+    def test_text_summary(self, capsys, key, line):
+        assert run(capsys, "search", *key, "--format", "text") == (0, line, "")
 
     def test_obstructed_exit_code(self, capsys):
         code, _, err = run(capsys, "search", "--pair", "16", "1")
@@ -579,6 +599,17 @@ def test_unwritable_out_path_exit_code(capsys, tmp_path, argv):
     assert missing in err
 
 
+def test_out_directory_checked_before_the_command(capsys, tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the estimate ran")
+
+    monkeypatch.setattr("simpson3.cli.estimate_3d_conversion", never)
+    target = os.path.join(str(tmp_path / "missing"), "x.json")
+    code, out, err = run(capsys, "montecarlo", "--samples", "100000000", "--out", target)
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 2] cannot write {target}: its directory does not exist\n"
+
+
 def _exit(capsys, parse, argv):
     try:
         code = parse(list(argv))
@@ -629,8 +660,8 @@ def test_reused_parser_is_stateless(first, second):
 
 
 def test_repeated_commands_read_no_earlier_state(capsys, tmp_path):
-    # the verdict sets args.format on its namespace; the report after it
-    # still sees no format
+    # a verdict, json by default, leaves no format behind for the report
+    # after it
     verdict = run(capsys, "feasibility", "--pair", "16", "1")
     assert verdict[0] == 0 and json.loads(verdict[1])["obstructed"]
     assert run(capsys, "feasibility", "--pair", "16", "1") == verdict

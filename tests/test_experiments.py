@@ -215,6 +215,13 @@ class TestSearch:
         with pytest.raises(DomainError, match="is parity obstructed"):
             search_witness(rep.representative, SamplerConfig(seed=0))
 
+    def test_sweep_checks_the_key_arity(self):
+        search = ConversionSearch(SamplerConfig(seed=0))
+        with pytest.raises(
+            DomainError, match=r"^pair class keys have 2 components, got \(1, 2, 3\)$"
+        ):
+            search.sweep_pairs([(1, 2, 3)], 10)
+
     def test_sweep_names_the_first_obstructed_key(self):
         # both keys are obstructed; the refusal names the first in sorted order
         search = ConversionSearch(SamplerConfig(seed=0))
@@ -742,6 +749,29 @@ class TestArchive:
             archive.append([witness])
         assert f"cannot write witness archive {path}:" in str(info.value)
         assert ".tmp" not in str(info.value)
+
+    def test_foreign_header_is_left_untouched(self, tmp_path, known_witness):
+        path = tmp_path / "foreign.csv"
+        path.write_bytes(b"a,b,c\r\n1,2,3\r\n")
+        with pytest.raises(DomainError, match="unexpected archive header"):
+            WitnessArchive(path, 3).append([known_witness])
+        assert path.read_bytes() == b"a,b,c\r\n1,2,3\r\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["foreign.csv"]
+
+    def test_failed_replace_keeps_the_old_archive(self, tmp_path, known_witness, monkeypatch):
+        path = tmp_path / "triples.csv"
+        archive = WitnessArchive(path, 3)
+        archive.append([known_witness])
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(experiments.os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            archive.append([known_witness])
+        assert path.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_missing_file_loads_empty(self, tmp_path):
         assert WitnessArchive(tmp_path / "none.csv", 2).load() == []

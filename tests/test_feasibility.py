@@ -126,6 +126,20 @@ class TestObstruction:
         assert got.shape == (0,)
         assert got.dtype.kind == "i"
 
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ((-1, 1), "unknown triangulation id -1"),
+            ((0, 1), "unknown triangulation id 0"),
+            ((16, 99), "unknown triangulation id 99"),
+            ((16, 1.9), "must hold integer triangulation ids"),
+        ],
+    )
+    def test_bad_ids_are_refused(self, catalog, key, message):
+        # not wrapped to the last rows, read as the zero row, or truncated
+        with pytest.raises(DomainError, match=message):
+            obstructing_vertices(catalog, [(1, 2), key])
+
     def test_triple_needs_matching_summands(self, catalog):
         # obstruction only fires when both summands share the odd pattern
         classes = orbit_classes(3, catalog)

@@ -270,7 +270,8 @@ class TestCanonical:
         assert all(type(i) is int for i in rep)
 
     @pytest.mark.parametrize(
-        "bad", [(0, 5), (2, 75, 3), (1, 2, 3, 4), (), (3, 3, 5), (1, 2.5), (1, 2, 3.9)]
+        "bad",
+        [(0, 5), (2, 75, 3), (1, 2, 3, 4), (), (3, 3, 5), (1, 2.5), (1, 2, 3.9), (True, 2)],
     )
     def test_classes_reject_the_first_bad_key(self, catalog, bad):
         with pytest.raises(DomainError) as single:
