@@ -25,14 +25,14 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import CatalogError, DegenerateTable, DomainError
 from .feasibility import obstructing_vertices
 from .symmetry import canonical_classes, pad_key
-from .tables import NonnegTable3, Table3, _pair_sign_bits, _table3
+from .tables import NonnegTable3, Table3, _integer, _pair_sign_bits, _table3
 from .tables import parse_rational, table_from_json_obj
 from .triangulation import (
     FORM_MATRIX,
@@ -72,6 +72,8 @@ class SamplerConfig:
     worker_count: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("seed", "worker_count"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.seed < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
         if self.worker_count < 1:
@@ -152,9 +154,10 @@ def _finalize(
     )
 
 
-def _check_sample_count(sample_count: int) -> None:
-    if sample_count < 1:
-        raise DomainError(f"sample count must be at least 1, got {sample_count}")
+def _at_least_one(value: int, what: str) -> int:
+    if (count := _integer(value, what)) < 1:
+        raise DomainError(f"{what} must be at least 1, got {count}")
+    return count
 
 
 def estimate_2d_reversal(config: SamplerConfig, sample_count: int) -> FrequencyEstimate:
@@ -166,7 +169,7 @@ def estimate_2d_reversal(config: SamplerConfig, sample_count: int) -> FrequencyE
     working precision are discarded as degenerate.  Raises DomainError
     unless ``sample_count`` is at least 1.
     """
-    _check_sample_count(sample_count)
+    sample_count = _at_least_one(sample_count, "sample count")
     counts = {"reversal": 0, "reversalPosToNeg": 0, "reversalNegToPos": 0}
     discards = 0
     for rng, m in _stream_chunks(config, _PURPOSE_MC2D, sample_count):
@@ -199,7 +202,7 @@ def estimate_3d_conversion(config: SamplerConfig, sample_count: int) -> Frequenc
     classifier's default margin are discarded.  Raises DomainError unless
     ``sample_count`` is at least 1.
     """
-    _check_sample_count(sample_count)
+    sample_count = _at_least_one(sample_count, "sample count")
     catalog = get_catalog()
     counts = {"sameTriangulation": 0, "conversion": 0, "sameNoConversion": 0}
     discards = 0
@@ -397,8 +400,7 @@ class _Descent:
     """
 
     def __init__(self, keys: list[tuple[int, ...]], budget: int, config: SamplerConfig) -> None:
-        if budget < 1:
-            raise DomainError(f"budget must be at least 1, got {budget}")
+        budget = _at_least_one(budget, "budget")
         self.sign_table = np.ascontiguousarray(get_catalog().constraint_signs.T)
         self.keys, self.budget = keys, budget
         self.ids = np.array([pad_key(key) for key in keys], dtype=np.intp).reshape(-1, 3)
@@ -600,7 +602,9 @@ class ConversionSearch:
     ) -> list[tuple[int, ...]]:
         """Move the keys to their class representatives, which rejects
         unknown ids and equal triple summands, and refuse parity-obstructed
-        classes."""
+        classes.  ``_KEY_KINDS`` holds the arities a search takes."""
+        if arity not in _KEY_KINDS:
+            raise DomainError(f"class key must have 2 or 3 components, got {arity}")
         catalog = get_catalog()
         given = []
         for class_key in class_keys:
@@ -646,11 +650,8 @@ def search_witness(
     outcome depends only on the seed, the key and the budget; a search
     with a different seed draws other starts.
     """
-    key = tuple(class_key)
-    if len(key) not in _KEY_KINDS:
-        raise DomainError(f"class key must have 2 or 3 components, got {len(key)}")
     search = ConversionSearch(config if config is not None else SamplerConfig())
-    (key,) = search._checked_keys([key], len(key))
+    (key,) = search._checked_keys([class_key], len(class_key))
     witness, spent = search._optimize_key(key, budget)
     return witness if witness is not None else Exhausted(key, spent)
 
@@ -668,7 +669,7 @@ class WitnessArchive:
     """CSV-backed store of verified witnesses for one class arity."""
 
     def __init__(self, path: str | os.PathLike, arity: int) -> None:
-        if arity not in (2, 3):
+        if arity not in _KEY_KINDS:
             raise DomainError(f"witness archives hold arity 2 or 3, got {arity}")
         self.path = os.fspath(path)
         self.arity = arity
@@ -695,17 +696,24 @@ class WitnessArchive:
                 f"cannot write witness archive {self.path}: no directory {self.directory}",
             )
 
+    def _lines(self) -> Iterator[tuple[int, list[str]]]:
+        """(line number, cells) of each nonblank row after the header.  A
+        missing or empty archive yields nothing; a foreign header raises."""
+        if not os.path.exists(self.path):
+            return
+        with open(self.path, newline="") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is not None and header != self.columns:
+                raise DomainError(f"unexpected archive header in {self.path}")
+            for line in reader:
+                if line:
+                    yield reader.line_num, line
+
     def append(self, witnesses: Iterable[Witness]) -> None:
         """Atomically rewrite the archive with the new witnesses added."""
         rows = [self._witness_row(w) for w in witnesses]
-        existing: list[list[str]] = []
-        if os.path.exists(self.path):
-            with open(self.path, newline="") as handle:
-                reader = csv.reader(handle)
-                header = next(reader, None)
-                if header is not None and header != self.columns:
-                    raise DomainError(f"unexpected archive header in {self.path}")
-                existing = [line for line in reader if line]
+        existing = [line for _, line in self._lines()]
         try:
             fd, tmp_path = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         except OSError as exc:
@@ -726,33 +734,22 @@ class WitnessArchive:
 
     def load(self) -> list[Witness]:
         """Read witnesses back, re-verifying the induced ids of each."""
-        if not os.path.exists(self.path):
-            return []
         witnesses: list[Witness] = []
-        with open(self.path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header != self.columns:
-                raise DomainError(f"unexpected archive header in {self.path}")
-            for line in reader:
-                if not line:
-                    continue
-                offset = self.arity
-                try:
-                    if len(line) != len(self.columns):
-                        raise ValueError(f"{len(line)} cells, header has {len(self.columns)}")
-                    key = tuple(int(x) for x in line[:offset])
-                    cells = [parse_rational(x) for x in line[offset : offset + 16]]
-                    witness = Witness(key, Table3(cells[:8]), Table3(cells[8:]), line[offset + 16])
-                except (ValueError, ZeroDivisionError, DomainError) as exc:
-                    raise CatalogError(
-                        f"{self.path}, line {reader.line_num}: malformed witness row: {exc}"
-                    ) from exc
-                if not witness.verify():
-                    raise CatalogError(
-                        f"archived witness for {key} fails re-verification"
-                    )
-                witnesses.append(witness)
+        offset = self.arity
+        for number, line in self._lines():
+            try:
+                if len(line) != len(self.columns):
+                    raise ValueError(f"{len(line)} cells, header has {len(self.columns)}")
+                key = tuple(int(x) for x in line[:offset])
+                cells = [parse_rational(x) for x in line[offset : offset + 16]]
+                witness = Witness(key, Table3(cells[:8]), Table3(cells[8:]), line[offset + 16])
+            except (ValueError, ZeroDivisionError, DomainError) as exc:
+                raise CatalogError(
+                    f"{self.path}, line {number}: malformed witness row: {exc}"
+                ) from exc
+            if not witness.verify():
+                raise CatalogError(f"archived witness for {key} fails re-verification")
+            witnesses.append(witness)
         return witnesses
 
 

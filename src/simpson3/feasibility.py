@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .symmetry import OrbitClass, pad_key
+from .symmetry import OrbitClass, key_rows
 from .tables import FACE_FORM, FACES, FORM_INDEX, Reversal2D, Table2, Table3, detect_reversal_2d
 from .tables import _pair_sign_bits
 from .triangulation import _FACE_DIAGONAL_PAIRS, Triangulation, _vertex_incidence, get_catalog
@@ -44,15 +44,9 @@ def obstructing_vertices(catalog, class_keys: Iterable[Sequence[int]]) -> np.nda
     """The parity rule, in one pass over class keys of any arity padded to
     (summand, summand, sum) rows of vertex incidences: per key, the first
     vertex where both summands show one odd pattern and the sum its
-    complement, or -1.  The rule is invariant under the 48 cube symmetries
-    and under swapping the summands.  Ids must be integers in 1..len(catalog)."""
-    rows = np.array([pad_key(key) for key in class_keys]).reshape(-1, 3)
-    if rows.size and rows.dtype.kind not in "iu":
-        raise DomainError(f"class keys must hold integer triangulation ids, not {rows.dtype}")
-    unknown = (rows < 1) | (rows > len(catalog))
-    if unknown.any():
-        raise DomainError(f"unknown triangulation id {rows[unknown][0]}")
-    a, b, c = catalog.vertex_incidences[rows.T.astype(np.intp, copy=False)]
+    complement, or -1.  Keys pass ``symmetry.key_rows``, and equal summands
+    stand.  The rule is invariant under the cube symmetries and summand swaps."""
+    a, b, c = catalog.vertex_incidences[key_rows(class_keys, catalog).T]
     hit = (a == b) & _ODD[a] & (c == a ^ 7)
     return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
 

@@ -15,13 +15,13 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import triangulation  # imports this module too; each uses the other only in calls
 from .errors import DomainError
-from .tables import NonnegTable3, Table3, VERTICES, _table3, vertex_bits
+from .tables import NonnegTable3, Table3, VERTICES, _integer, _table3, vertex_bits
 
 
 @dataclass(frozen=True)
@@ -140,6 +140,24 @@ def pad_key(ids: Sequence[int]) -> tuple[int, ...]:
     return _PAD_GETTERS[len(ids)](ids)
 
 
+def key_rows(keys: Iterable[Sequence[int]], catalog) -> np.ndarray:
+    """Class keys as (m, 3) padded id rows; DomainError unless every id is an
+    integer, not a bool, in 1..len(catalog), and every arity is 1, 2 or 3."""
+    n = len(catalog)
+    rows = []
+    for ids in keys:
+        row = []
+        for i in ids:
+            i = _integer(i, "triangulation id")
+            if not 1 <= i <= n:
+                raise DomainError(f"unknown triangulation id {i}")
+            row.append(i)
+        if len(row) not in _PAD:
+            raise DomainError(f"unsupported arity {len(row)}")
+        rows.append(pad_key(row))
+    return np.array(rows, dtype=np.intp).reshape(-1, 3)
+
+
 def _image_keys(rows: np.ndarray, pa: np.ndarray) -> np.ndarray:
     """(48, m) raveled (lo, hi, sum) keys of the images of (m, 3) 0-based
     rows under the 0-based id action pa."""
@@ -167,7 +185,7 @@ def orbit_classes(arity: int, catalog) -> list[OrbitClass]:
     """All orbit classes of single ids (arity 1), ordered pairs (arity 2), or
     summand-unordered triples with distinct summands (arity 3), in the order
     of their representatives."""
-    if arity not in _PAD:
+    if _integer(arity, "arity") not in _PAD:
         raise DomainError(f"unsupported arity {arity}")
     ida = catalog.id_action()
     n = ida.shape[1]
@@ -201,21 +219,10 @@ def canonical_class_of(ids: Sequence[int], catalog) -> tuple[int, ...]:
 
 def canonical_classes(keys: Sequence[Sequence[int]], catalog) -> list[tuple[int, ...]]:
     """Representatives of the orbit classes of the given id tuples, in input
-    order, through one ``_canonical_rows`` call; the first invalid tuple
-    raises ``DomainError``."""
-    ida = catalog.id_action()
-    n = ida.shape[1]
-    for ids in keys:
-        for i in ids:
-            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-                raise DomainError(f"triangulation id {i!r} is not an integer")
-            if not 1 <= i <= n:
-                raise DomainError(f"unknown triangulation id {i}")
-        if len(ids) not in _PAD:
-            raise DomainError(f"unsupported arity {len(ids)}")
-        if len(ids) == 3 and ids[0] == ids[1]:
-            raise DomainError("triple classes require distinct summand ids")
-    rows = np.array([pad_key(ids) for ids in keys], dtype=np.int64).reshape(-1, 3) - 1
-    canonical = _canonical_rows(rows, ida)
-    padded = zip(*(a.tolist() for a in np.unravel_index(canonical, (n, n, n))))
+    order.  ``key_rows`` refuses the first bad id or arity, in input order;
+    only then is a triple with equal summands refused."""
+    canonical = _canonical_rows(key_rows(keys, catalog) - 1, catalog.id_action())
+    if any(len(ids) == 3 and ids[0] == ids[1] for ids in keys):
+        raise DomainError("triple classes require distinct summand ids")
+    padded = zip(*(a.tolist() for a in np.unravel_index(canonical, (len(catalog),) * 3)))
     return [tuple(row[i] + 1 for i in _UNPAD[len(ids)]) for ids, row in zip(keys, padded)]

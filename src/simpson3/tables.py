@@ -193,6 +193,14 @@ def _ratio(value: Rational, where: str) -> tuple[int, int]:
     raise DomainError(f"{where}: entries must be exact rationals, got {type(value).__name__}")
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as a Python int; a bool or a non-integer raises."""
+    try:
+        return operator.index(None if type(value) is bool else value)
+    except TypeError:
+        raise DomainError(f"{what} {value!r} is not an integer") from None
+
+
 def _validated(kind: type, entries: Iterable[Rational]) -> tuple[tuple[int, ...], int]:
     """The entries of a new ``kind`` table as integers over their least
     common denominator, in lowest terms.  Every entry is converted first,

@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 from fractions import Fraction
@@ -39,6 +40,19 @@ class TestSampler:
             SamplerConfig(worker_count=0)
         with pytest.raises(DomainError, match="seed must be nonnegative, got -1"):
             SamplerConfig(seed=-1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", True), ("seed", 1.5), ("seed", np.True_), ("worker_count", 2.5)],
+    )
+    def test_config_refuses_non_integers(self, field, value):
+        with pytest.raises(DomainError, match=rf"^{field} {value!r} is not an integer$"):
+            SamplerConfig(**{field: value})
+
+    def test_config_stores_python_ints(self):
+        config = SamplerConfig(seed=np.int64(3), worker_count=np.uint8(2))
+        assert (type(config.seed), type(config.worker_count)) == (int, int)
+        assert config == SamplerConfig(seed=3, worker_count=2)
 
     def test_streams_reproducible_and_distinct(self):
         config = SamplerConfig(seed=5)
@@ -107,6 +121,18 @@ class TestEstimators:
     def test_needs_a_sample(self, estimate, count):
         with pytest.raises(DomainError, match="sample count must be at least 1"):
             estimate(SamplerConfig(seed=0), count)
+
+    @pytest.mark.parametrize("estimate", [estimate_2d_reversal, estimate_3d_conversion])
+    @pytest.mark.parametrize("count", [True, 2.5])
+    def test_sample_count_is_an_integer(self, estimate, count):
+        with pytest.raises(DomainError, match=rf"^sample count {count!r} is not an integer$"):
+            estimate(SamplerConfig(seed=0), count)
+
+    def test_estimate_json_holds_python_ints(self):
+        config = SamplerConfig(seed=np.int64(3))
+        payload = estimate_2d_reversal(config, np.int64(100)).to_json_obj()
+        assert json.loads(json.dumps(payload))["seed"] == 3
+        assert type(payload["sampleCount"]) is int and payload["sampleCount"] == 100
 
     def test_every_sample_discarded(self, monkeypatch):
         monkeypatch.setattr(
@@ -234,7 +260,7 @@ class TestSearch:
             search_witness((0, 5), config)
         with pytest.raises(DomainError):
             search_witness((3, 3, 5), config)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^class key must have 2 or 3 components, got 4$"):
             search_witness((1, 2, 3, 4), config)
         # a fractional id is refused, not truncated to the class (1, 2)
         with pytest.raises(DomainError, match=r"^triangulation id 2\.7 is not an integer$"):
@@ -291,6 +317,12 @@ class TestSearch:
         ):
             with pytest.raises(DomainError, match="budget must be at least 1"):
                 run()
+
+    @pytest.mark.parametrize("budget", [True, 2.5])
+    def test_budget_is_an_integer(self, budget):
+        # True is not read as one evaluation
+        with pytest.raises(DomainError, match=rf"^budget {budget!r} is not an integer$"):
+            search_witness((1, 2), SamplerConfig(seed=0), budget=budget)
 
     def test_budget_binds(self):
         attempts = []
@@ -775,6 +807,14 @@ class TestArchive:
 
     def test_missing_file_loads_empty(self, tmp_path):
         assert WitnessArchive(tmp_path / "none.csv", 2).load() == []
+
+    def test_empty_file_loads_empty(self, tmp_path, known_witness):
+        # load reads what append accepts: an empty file holds no witnesses
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        assert WitnessArchive(path, 3).load() == []
+        WitnessArchive(path, 3).append([known_witness])
+        assert WitnessArchive(path, 3).load() == [known_witness]
 
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "bad.csv"

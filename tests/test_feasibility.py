@@ -23,7 +23,7 @@ from simpson3.feasibility import (
     obstructing_vertices,
     per_type_obstructed_counts,
 )
-from simpson3.symmetry import GROUP
+from simpson3.symmetry import GROUP, canonical_classes
 
 
 def reference_vertex(a, b, c):
@@ -132,13 +132,35 @@ class TestObstruction:
             ((-1, 1), "unknown triangulation id -1"),
             ((0, 1), "unknown triangulation id 0"),
             ((16, 99), "unknown triangulation id 99"),
-            ((16, 1.9), "must hold integer triangulation ids"),
+            ((16, 1.9), "triangulation id 1.9 is not an integer"),
+            ((True, 2), "triangulation id True is not an integer"),
+            ((1, 2, 3, 4), "unsupported arity 4"),
+            ((), "unsupported arity 0"),
         ],
     )
     def test_bad_ids_are_refused(self, catalog, key, message):
         # not wrapped to the last rows, read as the zero row, or truncated
         with pytest.raises(DomainError, match=message):
             obstructing_vertices(catalog, [(1, 2), key])
+
+    @settings(max_examples=400, deadline=None)
+    @given(key=st.lists(st.sampled_from([-1, 0, 1, 74, 75, True, 1.5, np.int64(3)]), max_size=4))
+    def test_keys_pass_the_rule_of_canonical_classes(self, catalog, key):
+        # one rule for class keys: the same refusal with the same text, save
+        # that only a class refuses a triple with equal summands
+        def refusal(check):
+            try:
+                check()
+            except DomainError as exc:
+                return str(exc)
+            return None
+
+        verdict = refusal(lambda: obstructing_vertices(catalog, [key]))
+        canonical = refusal(lambda: canonical_classes([key], catalog))
+        if len(key) == 3 and key[0] == key[1] and verdict is None:
+            assert canonical == "triple classes require distinct summand ids"
+        else:
+            assert verdict == canonical
 
     def test_triple_needs_matching_summands(self, catalog):
         # obstruction only fires when both summands share the odd pattern

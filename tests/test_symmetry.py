@@ -198,6 +198,9 @@ class TestOrbits:
     def test_invalid_arity(self, catalog):
         with pytest.raises(DomainError):
             orbit_classes(4, catalog)
+        # True is not read as arity 1
+        with pytest.raises(DomainError, match="^arity True is not an integer$"):
+            orbit_classes(True, catalog)
 
     @pytest.mark.parametrize("arity", [1, 2, 3])
     def test_equals_all_rows_reference(self, catalog, arity):
