@@ -25,7 +25,7 @@ from .experiments import (
     search_witness,
 )
 from .feasibility import obstructing_vertices, write_feasibility_report
-from .symmetry import canonical_class_of, orbit_classes
+from .symmetry import key_rows, orbit_classes
 from .tables import (
     Diagonal2D,
     Table2,
@@ -128,9 +128,8 @@ def cmd_feasibility(args: argparse.Namespace) -> Result:
     if key is not None:
         if args.arity is not None:
             raise DomainError("--arity applies only to the report, not to a --pair or --triple")
-        # The search's check: known ids, and distinct summands in a triple.
-        canonical_class_of(key, catalog)
-        (vertex,) = obstructing_vertices(catalog, [key]).tolist()
+        # The key as given, not its class representative, names the vertex.
+        (vertex,) = obstructing_vertices(catalog, key_rows([key], catalog)).tolist()
         witness = vertex if vertex >= 0 else None
         payload = {kind: list(key), "obstructed": witness is not None, "obstructingVertex": witness}
         return payload, "not obstructed" if witness is None else f"obstructed at vertex {vertex}"

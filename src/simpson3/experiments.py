@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import CatalogError, DegenerateTable, DomainError
 from .feasibility import obstructing_vertices
-from .symmetry import canonical_classes, pad_key
+from .symmetry import _KEY_KINDS, _UNPAD, canonical_classes, key_rows, pad_key
 from .tables import NonnegTable3, Table3, _integer, _pair_sign_bits, _table3
 from .tables import parse_rational, table_from_json_obj
 from .triangulation import (
@@ -310,9 +310,6 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
 
-_KEY_KINDS = {2: "pair", 3: "triple"}
-
-
 def _hinge_rows(
     h: np.ndarray, sign: np.ndarray, forms: np.ndarray, form_grad: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -399,12 +396,13 @@ class _Descent:
     its key and the budget, never on the pool size or on the other keys.
     """
 
-    def __init__(self, keys: list[tuple[int, ...]], budget: int, config: SamplerConfig) -> None:
+    def __init__(
+        self, keys: list[tuple[int, ...]], rows: np.ndarray, budget: int, config: SamplerConfig
+    ) -> None:
         budget = _at_least_one(budget, "budget")
         self.sign_table = np.ascontiguousarray(get_catalog().constraint_signs.T)
-        self.keys, self.budget = keys, budget
-        self.ids = np.array([pad_key(key) for key in keys], dtype=np.intp).reshape(-1, 3)
-        self.rngs = [config.stream(_PURPOSE_SWEEP, *pad_key(k)) for k in keys]
+        self.keys, self.ids, self.budget = keys, rows, budget
+        self.rngs = [config.stream(_PURPOSE_SWEEP, *row) for row in rows.tolist()]
         count = len(keys)
         self.wave = [_OPT_WAVE] * count
         self.restarts = [0] * count
@@ -577,13 +575,15 @@ class ConversionSearch:
             stacklevel=2,
         )
 
-    def _optimize_key(self, key: tuple[int, ...], budget: int) -> tuple[Witness | None, int]:
-        """One class through the descent: its witness or None, and the
-        evaluations spent."""
-        return _Descent([key], budget, self.config).run()[0]
+    def _optimize_key(
+        self, key: tuple[int, ...], rows: np.ndarray, budget: int
+    ) -> tuple[Witness | None, int]:
+        """One class, by its key and its (1, 3) padded row, through the
+        descent: its witness or None, and the evaluations spent."""
+        return _Descent([key], rows, budget, self.config).run()[0]
 
     def _sweep(
-        self, keys: list[tuple[int, ...]], budget: int
+        self, keys: list[tuple[int, ...]], rows: np.ndarray, budget: int
     ) -> dict[tuple[int, ...], Witness | Exhausted]:
         """Run the descent on every key at once.
 
@@ -591,7 +591,7 @@ class ConversionSearch:
         verified witness within it is reported as ``Exhausted`` with the
         evaluations it spent.
         """
-        outcomes = _Descent(keys, budget, self.config).run()
+        outcomes = _Descent(keys, rows, budget, self.config).run()
         return {
             key: witness if witness is not None else Exhausted(key, spent)
             for key, (witness, spent) in zip(keys, outcomes)
@@ -599,38 +599,33 @@ class ConversionSearch:
 
     def _checked_keys(
         self, class_keys: Iterable[Sequence[int]], arity: int
-    ) -> list[tuple[int, ...]]:
-        """Move the keys to their class representatives, which rejects
-        unknown ids and equal triple summands, and refuse parity-obstructed
-        classes.  ``_KEY_KINDS`` holds the arities a search takes."""
+    ) -> tuple[list[tuple[int, ...]], np.ndarray]:
+        """The keys' class representatives, sorted and without repeats, as
+        tuples and as padded rows; DomainError for a bad key or a parity-
+        obstructed class.  ``_KEY_KINDS`` holds the arities a search takes."""
         if arity not in _KEY_KINDS:
             raise DomainError(f"class key must have 2 or 3 components, got {arity}")
         catalog = get_catalog()
-        given = []
-        for class_key in class_keys:
-            key = tuple(class_key)
-            if len(key) != arity:
-                raise DomainError(
-                    f"{_KEY_KINDS[arity]} class keys have {arity} components, got {class_key!r}"
-                )
-            given.append(key)
-        keys = sorted(set(canonical_classes(given, catalog)))
-        for key, vertex in zip(keys, obstructing_vertices(catalog, keys).tolist()):
+        rows = canonical_classes(key_rows(class_keys, catalog, arity), catalog)
+        codes = np.ravel_multi_index(rows.T, (len(catalog) + 1,) * 3)
+        rows = rows[np.unique(codes, return_index=True)[1]]
+        keys = list(map(tuple, rows[:, _UNPAD[arity]].tolist()))
+        for key, vertex in zip(keys, obstructing_vertices(catalog, rows).tolist()):
             if vertex >= 0:
                 raise DomainError(f"{_KEY_KINDS[arity]} class {key} is parity obstructed")
-        return keys
+        return keys, rows
 
     def sweep_pairs(
         self, class_keys: Iterable[Sequence[int]], budget: int
     ) -> dict[tuple[int, int], Witness | Exhausted]:
         """Search witnesses for pair class keys."""
-        return self._sweep(self._checked_keys(class_keys, 2), budget)
+        return self._sweep(*self._checked_keys(class_keys, 2), budget)
 
     def sweep_triples(
         self, class_keys: Iterable[Sequence[int]], budget: int
     ) -> dict[tuple[int, int, int], Witness | Exhausted]:
         """Search witnesses for triple class keys."""
-        return self._sweep(self._checked_keys(class_keys, 3), budget)
+        return self._sweep(*self._checked_keys(class_keys, 3), budget)
 
 
 def search_witness(
@@ -651,8 +646,8 @@ def search_witness(
     with a different seed draws other starts.
     """
     search = ConversionSearch(config if config is not None else SamplerConfig())
-    (key,) = search._checked_keys([class_key], len(class_key))
-    witness, spent = search._optimize_key(key, budget)
+    (key,), rows = search._checked_keys([class_key], len(class_key))
+    witness, spent = search._optimize_key(key, rows, budget)
     return witness if witness is not None else Exhausted(key, spent)
 
 

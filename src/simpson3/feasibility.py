@@ -19,12 +19,12 @@ from __future__ import annotations
 import csv
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .symmetry import OrbitClass, key_rows
+from .symmetry import OrbitClass, key_rows, pad_key
 from .tables import FACE_FORM, FACES, FORM_INDEX, Reversal2D, Table2, Table3, detect_reversal_2d
 from .tables import _pair_sign_bits
 from .triangulation import _FACE_DIAGONAL_PAIRS, Triangulation, _vertex_incidence, get_catalog
@@ -40,19 +40,18 @@ class ObstructionVerdict:
 _ODD = np.array([pattern.bit_count() % 2 for pattern in range(8)], dtype=bool)
 
 
-def obstructing_vertices(catalog, class_keys: Iterable[Sequence[int]]) -> np.ndarray:
-    """The parity rule, in one pass over class keys of any arity padded to
-    (summand, summand, sum) rows of vertex incidences: per key, the first
-    vertex where both summands show one odd pattern and the sum its
-    complement, or -1.  Keys pass ``symmetry.key_rows``, and equal summands
-    stand.  The rule is invariant under the cube symmetries and summand swaps."""
-    a, b, c = catalog.vertex_incidences[key_rows(class_keys, catalog).T]
+def obstructing_vertices(catalog, rows: np.ndarray) -> np.ndarray:
+    """The parity rule, in one pass over (m, 3) ``key_rows`` rows of vertex
+    incidences: per row, the first vertex where both summands show one odd
+    pattern and the sum its complement, or -1.  The rule is invariant under
+    the cube symmetries and summand swaps."""
+    a, b, c = catalog.vertex_incidences[rows.T]
     hit = (a == b) & _ODD[a] & (c == a ^ 7)
     return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
 
 
 def _verdict(*key: int) -> ObstructionVerdict:
-    (vertex,) = obstructing_vertices(get_catalog(), [key]).tolist()
+    (vertex,) = obstructing_vertices(get_catalog(), np.array([pad_key(key)])).tolist()
     return ObstructionVerdict(vertex >= 0, vertex if vertex >= 0 else None)
 
 
@@ -70,7 +69,7 @@ def obstruction_triple(a: Triangulation, b: Triangulation, c: Triangulation) -> 
 
 def infeasible_pair_classes(catalog, classes: Sequence[OrbitClass]) -> list[OrbitClass]:
     """The pair or triple classes ruled out by the obstruction."""
-    vertices = obstructing_vertices(catalog, [cls.representative for cls in classes])
+    vertices = obstructing_vertices(catalog, key_rows([c.representative for c in classes], catalog))
     return [cls for cls, vertex in zip(classes, vertices.tolist()) if vertex >= 0]
 
 
@@ -189,7 +188,8 @@ def write_feasibility_report(
         writer = csv.writer(fh)
         writer.writerow(["classRep", "arity", "obstructed", "obstructingVertex"])
         for classes, arity in ((pair_classes, 2), (triple_classes, 3)):
-            vertices = obstructing_vertices(catalog, [cls.representative for cls in classes])
+            rows = key_rows([cls.representative for cls in classes], catalog)
+            vertices = obstructing_vertices(catalog, rows)
             for cls, vertex in zip(classes, vertices.tolist()):
                 obstructed = vertex >= 0
                 row = ["-".join(map(str, cls.representative)), arity, str(obstructed).lower()]

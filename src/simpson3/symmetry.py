@@ -126,10 +126,11 @@ class OrbitClass:
 # Every class key is a (summand, summand, sum) triple: a single id a is
 # (a, a, a), an ordered pair (A, B) is (A, A, B), and a triple is itself.
 # _PAD gives, per arity, the tuple position that fills each slot, and _UNPAD
-# the slots that give the tuple back.
+# the slots that give the tuple back; _KEY_KINDS names the arities a search takes.
 _PAD = {1: (0, 0, 0), 2: (0, 0, 1), 3: (0, 1, 2)}
-_UNPAD = {1: (0,), 2: (0, 2), 3: (0, 1, 2)}
+_UNPAD = {1: [0], 2: [0, 2], 3: [0, 1, 2]}
 _PAD_GETTERS = {arity: operator.itemgetter(*pad) for arity, pad in _PAD.items()}
+_KEY_KINDS = {2: "pair", 3: "triple"}
 
 # Rows canonicalized per numpy pass, so that all 48 images of a chunk stay small.
 _CHUNK_ROWS = 2048
@@ -140,12 +141,18 @@ def pad_key(ids: Sequence[int]) -> tuple[int, ...]:
     return _PAD_GETTERS[len(ids)](ids)
 
 
-def key_rows(keys: Iterable[Sequence[int]], catalog) -> np.ndarray:
-    """Class keys as (m, 3) padded id rows; DomainError unless every id is an
-    integer, not a bool, in 1..len(catalog), and every arity is 1, 2 or 3."""
+def key_rows(keys: Iterable[Sequence[int]], catalog, arity: int | None = None) -> np.ndarray:
+    """Class keys, read once, as (m, 3) padded id rows.  DomainError at the
+    first key in input order of a length other than ``arity`` (when given),
+    with an id that is a bool, no integer or outside 1..len(catalog), or of
+    an arity other than 1, 2 or 3; only after every key, at equal summands."""
     n = len(catalog)
     rows = []
+    equal_summands = False
     for ids in keys:
+        if arity is not None and len(ids) != arity:
+            kind = _KEY_KINDS[arity]
+            raise DomainError(f"{kind} class keys have {arity} components, got {ids!r}")
         row = []
         for i in ids:
             i = _integer(i, "triangulation id")
@@ -154,7 +161,10 @@ def key_rows(keys: Iterable[Sequence[int]], catalog) -> np.ndarray:
             row.append(i)
         if len(row) not in _PAD:
             raise DomainError(f"unsupported arity {len(row)}")
+        equal_summands |= len(row) == 3 and row[0] == row[1]
         rows.append(pad_key(row))
+    if equal_summands:
+        raise DomainError("triple classes require distinct summand ids")
     return np.array(rows, dtype=np.intp).reshape(-1, 3)
 
 
@@ -214,15 +224,11 @@ def orbit_classes(arity: int, catalog) -> list[OrbitClass]:
 
 def canonical_class_of(ids: Sequence[int], catalog) -> tuple[int, ...]:
     """Representative of the orbit class containing the given id tuple."""
-    return canonical_classes([ids], catalog)[0]
+    (row,) = canonical_classes(key_rows([ids], catalog), catalog)
+    return tuple(row[_UNPAD[len(ids)]].tolist())
 
 
-def canonical_classes(keys: Sequence[Sequence[int]], catalog) -> list[tuple[int, ...]]:
-    """Representatives of the orbit classes of the given id tuples, in input
-    order.  ``key_rows`` refuses the first bad id or arity, in input order;
-    only then is a triple with equal summands refused."""
-    canonical = _canonical_rows(key_rows(keys, catalog) - 1, catalog.id_action())
-    if any(len(ids) == 3 and ids[0] == ids[1] for ids in keys):
-        raise DomainError("triple classes require distinct summand ids")
-    padded = zip(*(a.tolist() for a in np.unravel_index(canonical, (len(catalog),) * 3)))
-    return [tuple(row[i] + 1 for i in _UNPAD[len(ids)]) for ids, row in zip(keys, padded)]
+def canonical_classes(rows: np.ndarray, catalog) -> np.ndarray:
+    """Canonical rows of the classes of (m, 3) ``key_rows`` rows, in input order."""
+    canonical = _canonical_rows(rows - 1, catalog.id_action())
+    return np.column_stack(np.unravel_index(canonical, (len(catalog),) * 3)) + 1

@@ -169,6 +169,8 @@ class TestFeasibility:
         "key, vertex",
         [
             (("--pair", "16", "1"), 7),
+            # the key as given, not its representative (2, 12), at vertex 7
+            (("--pair", "17", "43"), 0),
             (("--triple", "2", "3", "20"), 5),
             (("--triple", "16", "18", "56"), 2),
         ],

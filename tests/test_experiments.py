@@ -279,6 +279,12 @@ class TestSearch:
         results = search.sweep_pairs(keys, budget=10**6)
         assert set(results) == set(keys)
         assert all(isinstance(w, Witness) for w in results.values())
+        # keys built from id rows hold Python ints, as the text summary needs
+        exhausted = search.sweep_triples([(3, 4, 55)], budget=100)
+        for key, result in [*results.items(), *exhausted.items()]:
+            for ids in (key, result.class_key):
+                assert type(ids) is tuple and all(type(i) is int for i in ids)
+        assert isinstance(exhausted[(3, 4, 55)], Exhausted)
 
 
     def test_hard_class_exhausts_on_optimizer_evaluations(self, monkeypatch):
@@ -317,6 +323,15 @@ class TestSearch:
         ):
             with pytest.raises(DomainError, match="budget must be at least 1"):
                 run()
+
+    def test_bad_key_is_refused_before_the_budget(self):
+        search = ConversionSearch(SamplerConfig(seed=0))
+        with pytest.raises(DomainError, match=r"^pair class \(16, 1\) is parity obstructed$"):
+            search_witness((16, 1), budget=0)
+        with pytest.raises(DomainError, match="^triple classes require distinct summand ids$"):
+            search.sweep_triples([(3, 3, 5)], 0)
+        with pytest.raises(DomainError, match=r"^pair class keys have 2 components, got \(1, 2, 3\)$"):
+            search.sweep_pairs([(1, 2, 3)], 0)
 
     @pytest.mark.parametrize("budget", [True, 2.5])
     def test_budget_is_an_integer(self, budget):

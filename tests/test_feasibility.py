@@ -23,7 +23,7 @@ from simpson3.feasibility import (
     obstructing_vertices,
     per_type_obstructed_counts,
 )
-from simpson3.symmetry import GROUP, canonical_classes
+from simpson3.symmetry import GROUP, canonical_class_of, key_rows
 
 
 def reference_vertex(a, b, c):
@@ -85,12 +85,12 @@ class TestObstruction:
         # Seeded raw triple rows, through the batch entry, under all 48
         # symmetries and under swapping the summands.
         rows = rng.integers(1, 75, size=(5000, 3))
-        base = obstructing_vertices(catalog, rows.tolist()) >= 0
+        base = obstructing_vertices(catalog, rows) >= 0
         assert 0 < base.sum() < len(rows)
         images = catalog.id_action()[:, rows - 1].reshape(-1, 3)
-        moved = obstructing_vertices(catalog, images.tolist()) >= 0
+        moved = obstructing_vertices(catalog, images) >= 0
         assert np.array_equal(moved.reshape(48, -1), np.broadcast_to(base, (48, len(rows))))
-        swapped = obstructing_vertices(catalog, rows[:, [1, 0, 2]].tolist()) >= 0
+        swapped = obstructing_vertices(catalog, rows[:, [1, 0, 2]]) >= 0
         assert np.array_equal(swapped, base)
 
     def test_batch_equals_the_loop_on_every_raw_row(self, catalog):
@@ -98,13 +98,13 @@ class TestObstruction:
         # of both arities is one of them
         ids = np.arange(1, len(catalog) + 1)
         rows = np.stack(np.meshgrid(ids, ids, ids, indexing="ij"), axis=-1).reshape(-1, 3)
-        got = obstructing_vertices(catalog, rows.tolist())
+        got = obstructing_vertices(catalog, rows)
         entries = [None, *catalog]
         want = [reference_vertex(entries[a], entries[b], entries[c]) for a, b, c in rows.tolist()]
         assert got.dtype.kind == "i"
         assert got.tolist() == want
         pair_rows = rows[:, 0] == rows[:, 1]
-        pairs = obstructing_vertices(catalog, rows[pair_rows][:, 1:].tolist())
+        pairs = obstructing_vertices(catalog, key_rows(rows[pair_rows][:, 1:], catalog))
         assert np.array_equal(pairs, got[pair_rows])
 
     def test_one_row_cases_equal_the_loop(self, catalog):
@@ -122,7 +122,7 @@ class TestObstruction:
 
     @pytest.mark.parametrize("keys", [[], ()])
     def test_empty_input_gives_empty_output(self, catalog, keys):
-        got = obstructing_vertices(catalog, keys)
+        got = obstructing_vertices(catalog, key_rows(keys, catalog))
         assert got.shape == (0,)
         assert got.dtype.kind == "i"
 
@@ -141,13 +141,12 @@ class TestObstruction:
     def test_bad_ids_are_refused(self, catalog, key, message):
         # not wrapped to the last rows, read as the zero row, or truncated
         with pytest.raises(DomainError, match=message):
-            obstructing_vertices(catalog, [(1, 2), key])
+            key_rows([(1, 2), key], catalog)
 
     @settings(max_examples=400, deadline=None)
     @given(key=st.lists(st.sampled_from([-1, 0, 1, 74, 75, True, 1.5, np.int64(3)]), max_size=4))
     def test_keys_pass_the_rule_of_canonical_classes(self, catalog, key):
-        # one rule for class keys: the same refusal with the same text, save
-        # that only a class refuses a triple with equal summands
+        # one rule for class keys: the same refusal with the same text
         def refusal(check):
             try:
                 check()
@@ -155,12 +154,9 @@ class TestObstruction:
                 return str(exc)
             return None
 
-        verdict = refusal(lambda: obstructing_vertices(catalog, [key]))
-        canonical = refusal(lambda: canonical_classes([key], catalog))
-        if len(key) == 3 and key[0] == key[1] and verdict is None:
-            assert canonical == "triple classes require distinct summand ids"
-        else:
-            assert verdict == canonical
+        assert refusal(lambda: key_rows([key], catalog)) == refusal(
+            lambda: canonical_class_of(key, catalog)
+        )
 
     def test_triple_needs_matching_summands(self, catalog):
         # obstruction only fires when both summands share the odd pattern

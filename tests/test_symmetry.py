@@ -25,6 +25,7 @@ from simpson3.symmetry import (
     apply_vertex,
     canonical_class_of,
     canonical_classes,
+    key_rows,
 )
 
 
@@ -261,10 +262,11 @@ class TestCanonical:
             if a != b:
                 triples.append((a, b, c))
         for keys in (pairs, triples, pairs[:5] + triples[:5] + [(9,)]):
-            assert canonical_classes(keys, catalog) == [
-                canonical_class_of(k, catalog) for k in keys
-            ]
-        assert canonical_classes([], catalog) == []
+            got = canonical_classes(key_rows(keys, catalog), catalog)
+            want = key_rows([canonical_class_of(k, catalog) for k in keys], catalog)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, want)
+        assert canonical_classes(key_rows([], catalog), catalog).shape == (0, 3)
 
     def test_numpy_integer_ids_accepted(self, catalog):
         key = (np.int64(9), np.int32(5), np.uint8(40))
@@ -282,8 +284,16 @@ class TestCanonical:
         good = [(1, 2), (4, 7, 9), (5,)]
         for keys in ([bad] + good, good[:2] + [bad] + good[2:]):
             with pytest.raises(DomainError) as info:
-                canonical_classes(keys, catalog)
+                key_rows(keys, catalog)
             assert str(info.value) == str(single.value)
+
+    def test_key_rows_read_an_iterator_once(self, catalog):
+        keys = [(1, 2), (4, 7, 9), (5,)]
+        rows = key_rows(keys, catalog)
+        assert rows.tolist() == [[1, 1, 2], [4, 7, 9], [5, 5, 5]]
+        assert np.array_equal(key_rows(iter(keys), catalog), rows)
+        with pytest.raises(DomainError, match=r"^triple classes require distinct summand ids$"):
+            key_rows([(3, 3, 5)], catalog)
 
 
 ids = st.integers(min_value=1, max_value=74)
