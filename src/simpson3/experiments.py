@@ -310,42 +310,41 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
 
-def _hinge_rows(
-    h: np.ndarray, sign: np.ndarray, forms: np.ndarray, form_grad: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _hinge_rows(work: _Work) -> None:
     """Which rows have zero squared hinge on the membership margins of F, G
-    and F + G, and the hinge's gradient, for many rows at once.
+    and F + G, and the hinge's gradient, for many rows at once, into
+    ``work.zero`` and ``work.grad``.
 
-    Column ``r`` of ``h`` (16, n) stacks the log entries of F and G; the
-    other arguments come from ``_active_rows``.  Each constrained form
-    must reach ``_OPT_MARGIN``, and a sign of 0 keeps a row's gap at 0.
-    The loss is smooth and vanishes exactly on the open witness region
-    with margin to spare.  The k form values are one (k, 24) product and
-    the gradient one (24, k) product, both on w columns: with coefficients
-    in {0, ±1, ±2} every term is exact, every sum runs in ascending order
-    and the rows left out would add only exact zeros, so a row's result
-    never depends on the other columns.  A nonzero gap is at least an ulp
-    of the margin, so the loss is zero exactly when no gap is nonzero.
+    Column ``r`` of ``work.h`` (16, n) stacks the log entries of F and G.
+    Each constrained form must reach ``_OPT_MARGIN``, and a sign of 0 keeps
+    a row's gap at 0.  The loss is smooth and vanishes exactly on the open
+    witness region with margin to spare.  The k form values are one (k, 24)
+    product and the gradient one (24, k) product, both on w columns: with
+    coefficients in {0, ±1, ±2} every term is exact, every sum runs in
+    ascending order and the rows left out would add only exact zeros, so a
+    row's result never depends on the other columns.  A nonzero gap is at
+    least an ulp of the margin, so the loss is zero exactly when no gap is
+    nonzero.  Every operation writes into ``work``'s arrays; exp and
+    log1p run on contiguous (8, n) operands.
     """
-    n = h.shape[1]
-    hf, hg = h[:8], h[8:]
+    ratio = work.ratio
     # |hg - hf| <= 24 inside the box, so the ratio cannot overflow.
-    ratio = np.exp(hg - hf)
-    # The log entries of F, G and the sum; the padding columns are zero,
-    # and so are their gaps.
-    parts = np.empty((3, 8, sign.shape[1]))
-    parts[..., n:] = 0.0
-    parts[:2, :, :n] = h.reshape(2, 8, n)
-    np.add(hf, np.log1p(ratio), out=parts[2, :, :n])
-    # The signed gaps max(margin - sign * value, 0) * sign, in place.
-    gap = np.matmul(forms, parts.reshape(24, -1))
-    gap *= sign
+    np.exp(np.subtract(work.hg, work.hf, out=ratio), out=ratio)
+    # The log entries of the sum; the padding columns of the parts are
+    # zero, and so are their gaps.
+    np.add(work.hf, np.log1p(ratio, out=work.log1p), out=work.hs)
+    # The signed gaps max(margin - sign * value, 0) * sign.
+    gap = np.matmul(work.forms, work.block, out=work.gap)
+    gap *= work.sign
     np.maximum(np.subtract(_OPT_MARGIN, gap, out=gap), 0.0, out=gap)
-    gap *= sign
-    zero = ~gap[:, :n].any(axis=0)
-    grad_f, grad_g, grad_s = np.matmul(form_grad, gap).reshape(3, 8, -1)[..., :n]
-    shared = grad_s * (1.0 / (1.0 + ratio))
-    return zero, np.concatenate([grad_f + shared, grad_g + grad_s - shared])
+    gap *= work.sign
+    np.logical_not(np.logical_or.reduce(work.gaps, axis=0, out=work.zero), out=work.zero)
+    np.matmul(work.form_grad, gap, out=work.prod)
+    # The sum's share of F, ds / (1 + ratio), in place of the ratio.
+    np.divide(1.0, np.add(1.0, ratio, out=ratio), out=ratio)
+    ratio *= work.ds
+    np.add(work.df, ratio, out=work.grad_f)
+    np.subtract(np.add(work.dg, work.ds, out=work.grad_g), ratio, out=work.grad_g)
 
 
 # The 20 forms of F, G and F + G as one (60, 24) block: row 3f + s is form
@@ -369,11 +368,53 @@ def _active_rows(sign: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return padded, _SUMMAND_FORMS[rows], _SUMMAND_GRAD.take(rows, axis=1)
 
 
+class _Work:
+    """A pool's step arrays and the views a step works through, built once
+    per refill from its columns' signs on the 20 forms of F, G and the sum,
+    ``sign`` (20, 3, n), so that a step allocates nothing.
+
+    ``parts`` (3, 8, w) holds the log entries ``hf``, ``hg`` and ``hs`` of
+    F, G and the sum, read by the first product as ``block``; ``h`` is the
+    (16, n) view of its first two rows that the descent moves, so the
+    padding columns stay zero.  ``gap`` (k, w) and ``prod`` (24, w) hold
+    the two products, ``prod`` as the gradient by the entries of F, G and
+    the sum (``df``, ``dg``, ``ds``); ``grad`` holds the gradient by h.
+    ``ratio``, ``scratch``, ``rate`` and ``scale`` serve the hinge and Adam.
+    """
+
+    def __init__(self, sign: np.ndarray) -> None:
+        n = sign.shape[-1]
+        self.sign, self.forms, self.form_grad = _active_rows(sign)
+        k, w = self.sign.shape
+        self.parts = np.zeros((3, 8, w))
+        self.block = self.parts.reshape(24, w)
+        self.h = self.parts[:2].reshape(16, w)[:, :n]
+        self.hf, self.hg, self.hs = self.parts[..., :n]
+        self.gap = np.empty((k, w))
+        self.gaps = self.gap[:, :n]
+        self.prod = np.empty((24, w))
+        self.df, self.dg, self.ds = self.prod.reshape(3, 8, w)[..., :n]
+        self.grad = np.empty((16, n))
+        self.grad_f, self.grad_g = self.grad[:8], self.grad[8:]
+        self.ratio = np.empty((8, n))
+        self.scratch = np.empty((16, n))
+        self.log1p = self.scratch[:8]
+        self.rate = np.empty(n)
+        self.scale = np.empty(n)
+        self.zero = np.empty(n, dtype=bool)
+
+
 # Adam's bias corrections by iteration: the step size over 1 - beta1^(t+1),
 # and 1 / (1 - beta2^(t+1)).
 _OPT_RATE = _OPT_LR / (1.0 - _OPT_BETA1 ** np.arange(1, _OPT_MAXITER + 1))
 _OPT_SCALE = 1.0 / (1.0 - _OPT_BETA2 ** np.arange(1, _OPT_MAXITER + 1))
 _NEVER = np.iinfo(np.int64).max // 2
+
+# np.clip's ufunc, without the wrappers that np.clip calls it through.
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
 
 
 class _Descent:
@@ -387,8 +428,10 @@ class _Descent:
     most ``_OPT_BLOCK``, each at its own iteration.  Each time the pool
     is refilled, its columns' signs on the 20 forms of F, G and the sum
     are gathered and cut to the (form, summand) rows that some column
-    constrains, with the form blocks for those rows, so a step is one
-    ``_hinge_rows`` call on the pool's active rows.
+    constrains, with the form blocks for those rows, and the step's arrays
+    are built for the new pool (``_Work``).  A step is then one
+    ``_hinge_rows`` call on the pool's active rows and one Adam update,
+    both in those arrays.
     A row retires at zero loss, where its point is verified exactly, or at
     its limit.  A class's witness is the verified zero-loss point of lowest
     (iteration, restart), and a row stops once it can no longer beat the
@@ -417,8 +460,8 @@ class _Descent:
         # The pool: every array has one column per row.
         empty = np.zeros(0, dtype=np.int64)
         self.cls, self.restart, self.limit, self.t = empty, empty, empty, empty
-        self.h = self.m = self.v = np.zeros((16, 0))
-        self.sign, self.forms, self.form_grad = _active_rows(np.zeros((20, 3, 0)))
+        self.work = _Work(np.zeros((20, 3, 0)))
+        self.h, self.m, self.v = self.work.h, np.zeros((16, 0)), np.zeros((16, 0))
         self.live = np.zeros(0, dtype=bool)
 
     def run(self) -> list[tuple[Witness | None, int]]:
@@ -474,22 +517,23 @@ class _Descent:
             ("restart", restart),
             ("limit", limit),
             ("t", np.zeros_like(cls)),
-            ("h", h),
             ("m", zeros),
             ("v", zeros),
         ):
             setattr(self, name, np.concatenate([getattr(self, name)[..., keep], fresh], axis=-1))
-        sign = np.take(self.sign_table, self.ids[self.cls].T, axis=-1)
-        self.sign, self.forms, self.form_grad = _active_rows(sign)
+        self.work = _Work(np.take(self.sign_table, self.ids[self.cls].T, axis=-1))
+        np.concatenate([self.h[:, keep], h], axis=-1, out=self.work.h)
+        self.h = self.work.h
         self.live = np.ones(len(self.cls), dtype=bool)
         self._cap()
 
     def _step(self) -> None:
-        """One evaluation and one Adam step on every pool column."""
-        zero, grad = _hinge_rows(self.h, self.sign, self.forms, self.form_grad)
-        cls, restart, t = self.cls, self.restart, self.t
+        """One evaluation and one Adam step on every pool column, in place."""
+        work = self.work
+        _hinge_rows(work)
+        cls, restart, t, zero = self.cls, self.restart, self.t, work.zero
         zero &= self.live
-        hits = np.flatnonzero(zero)
+        (hits,) = zero.nonzero()
         if len(hits):
             # Columns stay in the order they were admitted, and a class's
             # rows are admitted in restart order, so among equal iterations
@@ -518,15 +562,26 @@ class _Descent:
                 if self.pending[c] == 0:
                     self._plan(int(c))
             self.live &= ~ended
+        # Adam, with each product in the order of m += (1 - beta1) * grad,
+        # v += (1 - beta2) * (grad * grad) and
+        # h -= rate * m / (sqrt(v * scale) + 1e-8); the gradient's buffer
+        # ends as the denominator.
+        grad, step = work.grad, work.scratch
         self.m *= _OPT_BETA1
-        self.m += (1.0 - _OPT_BETA1) * grad
+        self.m += np.multiply(1.0 - _OPT_BETA1, grad, out=step)
         self.v *= _OPT_BETA2
-        self.v += (1.0 - _OPT_BETA2) * (grad * grad)
+        grad *= grad
+        grad *= 1.0 - _OPT_BETA2
+        self.v += grad
         # Retired columns run on until the next refill; clip their index.
-        scale = _OPT_SCALE.take(t, mode="clip")
-        self.h -= _OPT_RATE.take(t, mode="clip") * self.m / (np.sqrt(self.v * scale) + 1e-8)
-        np.clip(self.h, -_OPT_BOX, _OPT_BOX, out=self.h)
-        self.t = t + 1
+        np.multiply(self.v, _OPT_SCALE.take(t, mode="clip", out=work.scale), out=grad)
+        np.sqrt(grad, out=grad)
+        grad += 1e-8
+        np.multiply(_OPT_RATE.take(t, mode="clip", out=work.rate), self.m, out=step)
+        step /= grad
+        self.h -= step
+        _clip(self.h, -_OPT_BOX, _OPT_BOX, out=self.h)
+        t += 1
 
     def _cap(self) -> None:
         """Stop each row before the iteration at which its class found its

@@ -145,8 +145,48 @@ def key_rows(keys: Iterable[Sequence[int]], catalog, arity: int | None = None) -
     """Class keys, read once, as (m, 3) padded id rows.  DomainError at the
     first key in input order of a length other than ``arity`` (when given),
     with an id that is a bool, no integer or outside 1..len(catalog), or of
-    an arity other than 1, 2 or 3; only after every key, at equal summands."""
+    an arity other than 1, 2 or 3; only after every key, at equal summands.
+
+    Keys that are all tuples or lists of one length of Python ints in range
+    are read by a few passes of builtins; any other input goes through a
+    loop over the keys, which names the first bad one."""
+    keys = list(keys)
     n = len(catalog)
+    rows, equal_summands = _read_uniform(keys, n, arity) or _read_keys(keys, n, arity)
+    if equal_summands:
+        raise DomainError("triple classes require distinct summand ids")
+    return rows
+
+
+def _read_uniform(keys: list, n: int, arity: int | None) -> tuple[np.ndarray, bool] | None:
+    """``key_rows`` on keys that are all tuples or lists of one length in
+    1..3 (``arity``, when given) of Python ints in 1..n: the padded rows,
+    and whether a triple has equal summands.  None for any other keys."""
+    if not set(map(type, keys)) <= {tuple, list}:
+        return None
+    lengths = set(map(len, keys))
+    if len(lengths) != 1:
+        return None
+    (length,) = lengths
+    if length not in _PAD or arity not in (None, length):
+        return None
+    ids = list(itertools.chain.from_iterable(keys))
+    if set(map(type, ids)) != {int}:
+        return None
+    try:
+        rows = np.array(ids, dtype=np.intp).reshape(-1, length)
+    except OverflowError:
+        return None
+    if rows.min() < 1 or rows.max() > n:
+        return None
+    if length < 3:
+        return rows[:, list(_PAD[length])], False
+    return rows, any(map(operator.eq, ids[::3], ids[1::3]))
+
+
+def _read_keys(keys: list, n: int, arity: int | None) -> tuple[np.ndarray, bool]:
+    """``key_rows`` on any keys, one at a time: the padded rows, and whether
+    a triple has equal summands; DomainError at the first bad key."""
     rows = []
     equal_summands = False
     for ids in keys:
@@ -163,9 +203,7 @@ def key_rows(keys: Iterable[Sequence[int]], catalog, arity: int | None = None) -
             raise DomainError(f"unsupported arity {len(row)}")
         equal_summands |= len(row) == 3 and row[0] == row[1]
         rows.append(pad_key(row))
-    if equal_summands:
-        raise DomainError("triple classes require distinct summand ids")
-    return np.array(rows, dtype=np.intp).reshape(-1, 3)
+    return np.array(rows, dtype=np.intp).reshape(-1, 3), equal_summands
 
 
 def _image_keys(rows: np.ndarray, pa: np.ndarray) -> np.ndarray:
@@ -176,14 +214,14 @@ def _image_keys(rows: np.ndarray, pa: np.ndarray) -> np.ndarray:
     return (np.minimum(u, v) * n + np.maximum(u, v)) * n + w
 
 
-def _canonical_rows(rows: np.ndarray, ida: np.ndarray) -> np.ndarray:
-    """Canonical keys of (m, 3) 0-based (summand, summand, sum) rows.
+def _canonical_rows(rows: np.ndarray, pa: np.ndarray) -> np.ndarray:
+    """Canonical keys of (m, 3) 0-based (summand, summand, sum) rows under
+    the 0-based id action pa, ``Catalog.index_action()``.
 
     An image is keyed by its raveled (lo, hi, sum) index, with the summands
     sorted because they are unordered; the canonical key is the least over
     the 48 images.
     """
-    pa = ida.astype(np.int32) - 1
     keys = np.empty(len(rows), dtype=np.int64)
     for start in range(0, len(rows), _CHUNK_ROWS):
         chunk = rows[start : start + _CHUNK_ROWS]
@@ -197,7 +235,7 @@ def orbit_classes(arity: int, catalog) -> list[OrbitClass]:
     of their representatives."""
     if _integer(arity, "arity") not in _PAD:
         raise DomainError(f"unsupported arity {arity}")
-    ida = catalog.id_action()
+    ida, pa = catalog.id_action(), catalog.index_action()
     n = ida.shape[1]
     # A symmetry that moves a tuple's sum onto its orbit representative keeps
     # the tuple in its class, so the tuples whose sum (the last id) is an
@@ -209,14 +247,14 @@ def orbit_classes(arity: int, catalog) -> list[OrbitClass]:
     if pad[0] != pad[1]:
         # separate summand slots hold an unordered pair of distinct ids
         tuples = tuples[tuples[:, 0] < tuples[:, 1]]
-    keys = _canonical_rows(tuples[:, list(pad)], ida)
+    keys = _canonical_rows(tuples[:, list(pad)], pa)
     # The least raveled key of a class is its least member, so the unique
     # keys come in the order of the representatives.
     unique = np.unique(keys)
     padded = np.unravel_index(unique, (n, n, n))
     # Orbit-stabilizer: a class has 48 / |stabilizer| members, and a symmetry
     # stabilizes the representative when its image key is the key itself.
-    images = _image_keys(np.column_stack(padded), ida.astype(np.int32) - 1)
+    images = _image_keys(np.column_stack(padded), pa)
     sizes = (len(GROUP) // (images == unique).sum(axis=0)).tolist()
     reps = zip(*((padded[i] + 1).tolist() for i in _UNPAD[arity]))
     return [OrbitClass(rep, size, ida) for rep, size in zip(reps, sizes)]
@@ -230,5 +268,5 @@ def canonical_class_of(ids: Sequence[int], catalog) -> tuple[int, ...]:
 
 def canonical_classes(rows: np.ndarray, catalog) -> np.ndarray:
     """Canonical rows of the classes of (m, 3) ``key_rows`` rows, in input order."""
-    canonical = _canonical_rows(rows - 1, catalog.id_action())
+    canonical = _canonical_rows(rows - 1, catalog.index_action())
     return np.column_stack(np.unravel_index(canonical, (len(catalog),) * 3)) + 1

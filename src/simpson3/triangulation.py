@@ -335,6 +335,8 @@ class Catalog:
             (vertices,) = exc.args
             raise CatalogError(f"vertices {vertices} are not one of the 58 tetrahedra") from None
         self._id_action = _id_action(keys)
+        self._index_action = self._id_action.astype(np.int32) - 1
+        self._index_action.setflags(write=False)
         orbit_reps = self._id_action.min(axis=0).tolist()
         self.entries = tuple(
             _triangulation(cid, enc, rep)
@@ -396,6 +398,11 @@ class Catalog:
     def id_action(self) -> np.ndarray:
         """(48, 74) array: entry [s, i] is the id of GROUP[s] applied to id i+1."""
         return self._id_action
+
+    def index_action(self) -> np.ndarray:
+        """Read-only (48, 74) int32 array: entry [s, i] is the 0-based index
+        of GROUP[s] applied to id i+1, ``id_action() - 1``."""
+        return self._index_action
 
     def apply_symmetry(self, sigma: symmetry.CubeSymmetry, canonical_id: int) -> int:
         self[canonical_id]

@@ -478,8 +478,48 @@ def kernel_signs(sign, ids):
 
 
 def active_hinge(sign, ids, h):
-    """The descent's kernel on a pool of ids (3, n) and log points h."""
-    return experiments._hinge_rows(h, *experiments._active_rows(kernel_signs(sign, ids)))
+    """The descent's kernel on a pool of ids (3, n) and log points h: the
+    zero mask and the gradient it writes into the pool's buffers."""
+    work = experiments._Work(kernel_signs(sign, ids))
+    work.h[...] = h
+    experiments._hinge_rows(work)
+    return work.zero, work.grad
+
+
+def reference_hinge_rows(h, sign, forms, form_grad):
+    """The descent's kernel as it was before the step wrote into buffers
+    built at each refill: the same operations on fresh arrays."""
+    n = h.shape[1]
+    hf, hg = h[:8], h[8:]
+    ratio = np.exp(hg - hf)
+    parts = np.empty((3, 8, sign.shape[1]))
+    parts[..., n:] = 0.0
+    parts[:2, :, :n] = h.reshape(2, 8, n)
+    np.add(hf, np.log1p(ratio), out=parts[2, :, :n])
+    gap = np.matmul(forms, parts.reshape(24, -1))
+    gap *= sign
+    np.maximum(np.subtract(experiments._OPT_MARGIN, gap, out=gap), 0.0, out=gap)
+    gap *= sign
+    zero = ~gap[:, :n].any(axis=0)
+    grad_f, grad_g, grad_s = np.matmul(form_grad, gap).reshape(3, 8, -1)[..., :n]
+    shared = grad_s * (1.0 / (1.0 + ratio))
+    return zero, np.concatenate([grad_f + shared, grad_g + grad_s - shared])
+
+
+def reference_step(h, m, v, t, live, work):
+    """One step of the descent before it worked in place, on contiguous
+    copies of the pool's state: the zero mask of live columns and the
+    next h, m, v and t."""
+    zero, grad = reference_hinge_rows(h, work.sign, work.forms, work.form_grad)
+    zero &= live
+    m *= experiments._OPT_BETA1
+    m += (1.0 - experiments._OPT_BETA1) * grad
+    v *= experiments._OPT_BETA2
+    v += (1.0 - experiments._OPT_BETA2) * (grad * grad)
+    scale = experiments._OPT_SCALE.take(t, mode="clip")
+    h -= experiments._OPT_RATE.take(t, mode="clip") * m / (np.sqrt(v * scale) + 1e-8)
+    np.clip(h, -experiments._OPT_BOX, experiments._OPT_BOX, out=h)
+    return zero, h, m, v, t + 1
 
 
 # The six III->III->III classes the search leaves open.
@@ -609,6 +649,50 @@ class TestDescent:
             small_zero, small_grad = active_hinge(sign, ids[:, :n], h[:, :n])
             assert np.array_equal(small_zero, zero[:n])
             assert np.array_equal(small_grad, grad[:, :n])
+
+    def test_step_equals_the_reference(self, catalog):
+        sign = catalog.constraint_signs
+        need = required_margins(sign)
+        rng = np.random.default_rng(19)
+        feasible = set(orbit_classes(3, catalog)) - set(
+            infeasible_triple_classes(catalog, orbit_classes(3, catalog))
+        )
+        reps = sorted(c.representative for c in feasible)
+        draw = [reps[i] for i in rng.choice(len(reps), 20, replace=False)]
+        keys, rows = ConversionSearch(SamplerConfig(seed=0))._checked_keys(
+            OPEN_CLASSES[:4] + draw, 3
+        )
+        order = rng.permutation(len(keys))
+        widths, refills, clipped = set(), 0, False
+        # Pools of every width up to 24 columns, so every n % 8.
+        for n in range(1, 25):
+            descent = experiments._Descent(
+                [keys[i] for i in order[:n]], rows[order[:n]], 600, SamplerConfig(seed=n)
+            )
+            for c in range(n):
+                descent._plan(c)
+            descent._refill()
+            # Columns at every iteration, some near a margin, which retire
+            # within 40 steps and run on until a refill drops them; a class
+            # with budget left then sends a new row.
+            descent.h[...] = near_margin_rows(sign, need, rows[order[:n]].T, descent.h, rng)
+            descent.t[:] = rng.integers(0, 600, n)
+            descent.limit[:] = np.minimum(descent.t + rng.integers(1, 40, n), 600)
+            for _ in range(60):
+                work = descent.work
+                descent._refill()
+                refills += descent.work is not work
+                if not descent.live.any():
+                    break
+                state = [np.array(a) for a in (descent.h, descent.m, descent.v, descent.t)]
+                expected = reference_step(*state, descent.live.copy(), descent.work)
+                widths.add(len(descent.t))
+                clipped |= bool((descent.t >= experiments._OPT_MAXITER).any())
+                descent._step()
+                got = (descent.work.zero, descent.h, descent.m, descent.v, descent.t)
+                for a, b in zip(got, expected):
+                    assert np.array_equal(a, b)
+        assert widths >= set(range(1, 25)) and refills >= 24 and clipped
 
 
 def in_lowest_terms(table):

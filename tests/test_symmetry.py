@@ -52,7 +52,7 @@ def reference_orbit_classes(arity, catalog):
     if pad[0] != pad[1]:
         # separate summand slots hold an unordered pair of distinct ids
         tuples = tuples[tuples[:, 0] < tuples[:, 1]]
-    keys = _canonical_rows(tuples[:, list(pad)], ida)
+    keys = _canonical_rows(tuples[:, list(pad)], catalog.index_action())
     order = np.argsort(keys, kind="stable")
     columns = (tuples[order] + 1).T
     starts = np.flatnonzero(np.diff(keys[order], prepend=-1)).tolist()
@@ -303,12 +303,75 @@ id_tuples = st.one_of(
     st.tuples(ids, ids, ids).filter(lambda t: t[0] != t[1]),
 )
 
+# Keys of one length and container, mostly valid, so that key_rows takes
+# its vectorized read; and keys of every form and length.
+uniform_keys = st.integers(1, 3).flatmap(
+    lambda length: st.lists(
+        st.lists(st.integers(-1, 76), min_size=length, max_size=length), max_size=6
+    )
+).flatmap(lambda keys: st.sampled_from([tuple, list]).map(lambda kind: [kind(k) for k in keys]))
+key_entries = st.one_of(
+    ids, st.integers(-1, 76), st.booleans(), st.floats(0, 80), st.integers(2**62, 2**70),
+    ids.map(np.int64),
+)
+mixed_keys = st.lists(
+    st.one_of(
+        st.lists(key_entries, max_size=4).map(tuple),
+        st.lists(key_entries, max_size=4),
+        st.lists(ids, min_size=1, max_size=3).map(np.array),
+    ),
+    max_size=5,
+)
+
+
+def loop_key_rows(keys, catalog, arity=None):
+    """``key_rows`` as one loop over the keys, before it read the common
+    case in one vectorized pass: the reference for its rows and refusals."""
+    n = len(catalog)
+    rows = []
+    equal_summands = False
+    for ids in keys:
+        if arity is not None and len(ids) != arity:
+            kind = {2: "pair", 3: "triple"}[arity]
+            raise DomainError(f"{kind} class keys have {arity} components, got {ids!r}")
+        row = []
+        for i in ids:
+            if type(i) is bool or not hasattr(i, "__index__"):
+                raise DomainError(f"triangulation id {i!r} is not an integer")
+            i = int(i)
+            if not 1 <= i <= n:
+                raise DomainError(f"unknown triangulation id {i}")
+            row.append(i)
+        if len(row) not in _PAD:
+            raise DomainError(f"unsupported arity {len(row)}")
+        equal_summands |= len(row) == 3 and row[0] == row[1]
+        rows.append([row[p] for p in _PAD[len(row)]])
+    if equal_summands:
+        raise DomainError("triple classes require distinct summand ids")
+    return np.array(rows, dtype=np.intp).reshape(-1, 3)
+
+
+def outcome(read, keys, catalog, arity):
+    """The rows and their dtype that ``read`` returns, or its refusal."""
+    try:
+        rows = read(keys, catalog, arity)
+    except DomainError as exc:
+        return str(exc)
+    return rows.tolist(), rows.dtype
+
 
 def _image(ida, s, ids):
     return tuple(int(ida[s, i - 1]) for i in ids)
 
 
 class TestQuotientProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(keys=st.one_of(uniform_keys, mixed_keys), arity=st.sampled_from([None, 2, 3]))
+    def test_key_rows_read_as_the_loop_reads(self, catalog, keys, arity):
+        assert outcome(key_rows, keys, catalog, arity) == outcome(
+            loop_key_rows, keys, catalog, arity
+        )
+
     @settings(max_examples=300, deadline=None)
     @given(ids=id_tuples, s=st.integers(min_value=0, max_value=47))
     def test_class_is_invariant(self, catalog, ids, s):

@@ -229,6 +229,12 @@ class TestIdAction:
         assert np.array_equal(catalog.id_action(), expected)
         assert catalog.id_action().dtype == expected.dtype
 
+    def test_index_action_is_built_once(self, catalog):
+        action = catalog.index_action()
+        assert np.array_equal(action, catalog.id_action() - 1)
+        assert action.dtype == np.int32 and not action.flags.writeable
+        assert catalog.index_action() is action
+
     @pytest.mark.parametrize("orbit", range(6))
     def test_each_orbit(self, catalog, orbit):
         encodings = _orbit_encodings(catalog, {orbit})
