@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from simpson3 import (
     detect_reversal_2d,
     estimate_2d_reversal,
     estimate_3d_conversion,
+    get_catalog,
     load_civil_rights,
     orbit_classes,
     search_witness,
@@ -31,7 +33,7 @@ from simpson3 import (
 from simpson3 import experiments
 from simpson3.feasibility import infeasible_pair_classes, infeasible_triple_classes
 from simpson3.symmetry import pad_key
-from simpson3.triangulation import FORM_INDEX, FORM_MATRIX
+from simpson3.triangulation import FORM_INDEX, FORM_MATRIX, classify_heights_batch
 
 
 class TestSampler:
@@ -147,6 +149,189 @@ class TestEstimators:
         assert payload["sampleCount"] == 1000
         assert set(payload["eventCounts"]) == set(payload["pointEstimates"])
         assert payload["seed"] == 1
+
+
+# The two estimator loops as they read before the chunk was drawn into one
+# buffer and walked in blocks: one (2, m, 4) draw and whole-chunk
+# temporaries for the 2x2 pairs, one (m, 16) draw and two strided log
+# passes for the 2x2x2 pairs.  The estimators must report exactly what
+# these report.
+def reference_2d(config, sample_count):
+    counts = {"reversal": 0, "reversalPosToNeg": 0, "reversalNegToPos": 0}
+    discards = 0
+    for rng, m in experiments._stream_chunks(config, experiments._PURPOSE_MC2D, sample_count):
+        f, g = rng.standard_exponential((2, m, 4))
+        s = f + g
+        df = f[:, 0] * f[:, 3] - f[:, 1] * f[:, 2]
+        dg = g[:, 0] * g[:, 3] - g[:, 1] * g[:, 2]
+        ds = s[:, 0] * s[:, 3] - s[:, 1] * s[:, 2]
+        degenerate = (df == 0.0) | (dg == 0.0) | (ds == 0.0)
+        discards += int(np.count_nonzero(degenerate))
+        ok = ~degenerate
+        pos_to_neg = ok & (df > 0.0) & (dg > 0.0) & (ds < 0.0)
+        neg_to_pos = ok & (df < 0.0) & (dg < 0.0) & (ds > 0.0)
+        counts["reversalPosToNeg"] += int(np.count_nonzero(pos_to_neg))
+        counts["reversalNegToPos"] += int(np.count_nonzero(neg_to_pos))
+    counts["reversal"] = counts["reversalPosToNeg"] + counts["reversalNegToPos"]
+    targets = {"reversal": "1/60", "reversalPosToNeg": "1/120", "reversalNegToPos": "1/120"}
+    return experiments._finalize(config, sample_count, discards, counts, targets)
+
+
+def reference_3d(config, sample_count):
+    catalog = get_catalog()
+    counts = {"sameTriangulation": 0, "conversion": 0, "sameNoConversion": 0}
+    discards = 0
+    for rng, m in experiments._stream_chunks(config, experiments._PURPOSE_MC3D, sample_count):
+        entries = rng.standard_exponential((m, 16))
+        f = entries[:, 0::2]
+        g = entries[:, 1::2]
+        ids_f = classify_heights_batch(np.log(f), catalog)
+        ids_g = classify_heights_batch(np.log(g), catalog)
+        s = f + g
+        np.log(s, out=s)
+        ids_s = classify_heights_batch(s, catalog)
+        degenerate = (ids_f == 0) | (ids_g == 0) | (ids_s == 0)
+        discards += int(np.count_nonzero(degenerate))
+        same = ~degenerate & (ids_f == ids_g)
+        counts["sameTriangulation"] += int(np.count_nonzero(same))
+        counts["conversion"] += int(np.count_nonzero(same & (ids_s != ids_f)))
+        counts["sameNoConversion"] += int(np.count_nonzero(same & (ids_s == ids_f)))
+    targets = {"sameTriangulation": "17/900", "conversion": "2/900", "sameNoConversion": "15/900"}
+    return experiments._finalize(config, sample_count, discards, counts, targets)
+
+
+def traced_peak(estimate, n):
+    """The traced peak of one estimator call, after an identical call has
+    filled the classifier's memo of sign codes."""
+    config = SamplerConfig(seed=0)
+    estimate(config, n)
+    tracemalloc.start()
+    try:
+        estimate(config, n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedEstimators:
+    # sizes around a pair block (4 096 rows) and a chunk (2^16 rows), and
+    # one that ends in a partial chunk
+    @pytest.mark.parametrize("n", [1, 7, 4095, 4096, 4097, 65535, 65536, 65537, 150001])
+    def test_counts_equal_the_whole_chunk_loops(self, n):
+        for workers in (1, 2, 3):
+            for seed in (0, 11):
+                config = SamplerConfig(seed=seed, worker_count=workers)
+                for estimate, reference in [
+                    (estimate_2d_reversal, reference_2d),
+                    (estimate_3d_conversion, reference_3d),
+                ]:
+                    got = estimate(config, n).to_json_obj()
+                    assert got == reference(config, n).to_json_obj(), (estimate.__name__, workers, seed)
+
+    @pytest.mark.parametrize("n", [1, 7, 4095, 4096, 4097, 65535, 65536, 65537, 150001])
+    def test_blocks_decide_every_pair_once(self, monkeypatch, n):
+        # a dropped or repeated row rarely moves the counts, so compare the
+        # pairs the blocks saw with the whole-chunk draws
+        seen, det_signs = [], experiments._det_signs
+
+        def recorded(pairs, work):
+            seen.append(pairs.copy())
+            return det_signs(pairs, work)
+
+        monkeypatch.setattr(experiments, "_det_signs", recorded)
+        for workers in (1, 3):
+            config = SamplerConfig(seed=0, worker_count=workers)
+            seen.clear()
+            estimate_2d_reversal(config, n)
+            chunks = experiments._stream_chunks(config, experiments._PURPOSE_MC2D, n)
+            drawn = [rng.standard_exponential((2, m, 4)) for rng, m in chunks]
+            assert all(len(pairs[0]) <= experiments._PAIR_BLOCK for pairs in seen)
+            assert np.array_equal(np.concatenate(seen, axis=1), np.concatenate(drawn, axis=1))
+
+    def test_2d_peak_is_one_chunk_draw(self):
+        # the (2, 2^16, 4) draw buffer plus the block buffers, whatever the size
+        draw = 2 * experiments._CHUNK * 4 * 8
+        for n in (1 << 16, 200001):
+            assert traced_peak(estimate_2d_reversal, n) <= draw + 2**20, n
+
+    def test_3d_peak_does_not_rise(self):
+        # whole-chunk temporaries peaked at 15.27 MiB here too
+        assert traced_peak(estimate_3d_conversion, 1 << 16) <= 15.3 * 2**20
+
+
+def exact_det_sign(t):
+    return (t[0] * t[3] > t[1] * t[2]) - (t[0] * t[3] < t[1] * t[2])
+
+
+def pair_signs(rows):
+    """``_det_signs`` on a block of pairs given as rows of F's then G's
+    four entries: the (3, b) signs and the degenerate count."""
+    pairs = np.array(rows, dtype=np.float64).reshape(-1, 2, 4).transpose(1, 0, 2)
+    det, degenerate = experiments._det_signs(pairs, experiments._PairBlock(pairs.shape[1]))
+    return np.sign(det).astype(int), degenerate
+
+
+def near_tie(base, nudges, scale):
+    """A 2x2 table a few ulps from the tie (pq, pr, sq, sr), scaled."""
+    p, q, r, s = base
+    return [(e + k * math.ulp(e)) * scale for e, k in zip((p * q, p * r, s * q, s * r), nudges)]
+
+
+ties = st.tuples(*[st.integers(1, 6).map(float)] * 4)
+nudges = st.lists(st.integers(-2, 2), min_size=4, max_size=4)
+scales = st.sampled_from([1.0, 0.5, 2.0, 2.0**300, 2.0**-300])
+# F and G near one tie, so that F + G is near it too, or any two tables
+pairs2 = st.one_of(
+    ties.flatmap(lambda base: st.tuples(*[st.builds(near_tie, st.just(base), nudges, scales)] * 2)),
+    st.tuples(*[st.lists(st.floats(0.01, 100.0), min_size=4, max_size=4)] * 2),
+)
+
+
+class TestPairSigns:
+    def test_float_zero_decided_by_the_exact_determinant(self):
+        e = 2.0**-52
+        f = [1 + e, 1 + 2 * e, 1.0, 1 + e]
+        assert f[0] * f[3] - f[1] * f[2] == 0.0
+        signs, degenerate = pair_signs([f + [1.0, 4.0, 0.2, 1.0]])
+        assert degenerate == 0
+        assert signs[0, 0] == 1    # exactly 2^-104
+        # F + G has negative determinant: the pair is a reversal
+        assert list(signs[:, 0]) == [1, 1, -1]
+
+    def test_exact_zero_is_a_discard(self):
+        signs, degenerate = pair_signs([[1.0, 2.0, 2.0, 4.0, 1.0, 4.0, 0.2, 1.0]])
+        assert degenerate == 1 and not signs.any()
+
+    def test_sum_is_decided_exactly(self):
+        # fl(F + G) rounds to all ones, whose determinant is 0; the exact
+        # F + G has determinant 2^-53 + 2^-54
+        f = [0.5, 0.5, 0.5, 0.5 + 2.0**-53]
+        g = [0.5, 0.5, 0.5 - 2.0**-54, 0.5]
+        assert [a + b for a, b in zip(f, g)] == [1.0] * 4
+        signs, degenerate = pair_signs([f + g])
+        assert degenerate == 0 and list(signs[:, 0]) == [1, 1, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(pairs2, min_size=1, max_size=8))
+    def test_signs_against_fractions(self, pairs):
+        signs, degenerate = pair_signs([f + g for f, g in pairs])
+        discarded = 0
+        for (f, g), row in zip(pairs, signs.T.tolist()):
+            ef, eg = (exact_det_sign([Fraction(e) for e in t]) for t in (f, g))
+            es = exact_det_sign([Fraction(a) + Fraction(b) for a, b in zip(f, g)])
+            # the float path reads the rounded sum fl(F + G)
+            rs = exact_det_sign([Fraction(a + b) for a, b in zip(f, g)])
+            if row == [0, 0, 0]:
+                discarded += 1
+                assert 0 in (ef, eg, es)
+            else:
+                assert row[:2] == [ef, eg] and 0 not in row
+                # a float 0 sends the row to the exact sum; otherwise the
+                # sum's sign is that of fl(F + G)
+                assert row[2] == es if rs == 0 else row[2] in (es, rs)
+            if 0 in (ef, eg) or es == rs == 0:
+                assert row == [0, 0, 0]
+        assert degenerate == discarded
 
 
 class TestDetectConversion:
