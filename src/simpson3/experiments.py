@@ -37,6 +37,7 @@ from .tables import NonnegTable3, Table3, _cross, _integer, _pair_sign_bits, _si
 from .tables import parse_rational, table_from_json_obj
 from .triangulation import (
     FORM_MATRIX,
+    Catalog,
     _classified,
     classify_heights_batch,
     get_catalog,
@@ -270,6 +271,31 @@ def estimate_2d_reversal(config: SamplerConfig, sample_count: int) -> FrequencyE
     return _finalize(config, sample_count, discards, counts, targets)
 
 
+def _tally_3d_chunk(
+    entries: np.ndarray, sums: np.ndarray, catalog: Catalog
+) -> tuple[int, int, int]:
+    """The discards, conversions and non-conversions among one chunk of
+    raw (m, 16) draws, F and G being its strided halves.
+
+    The raw sums go to the (m, 8) buffer ``sums`` and the logs overwrite
+    ``entries``.  Only the rows where F and G share a nonzero id, in draw
+    order, have their sums logged and classified; no other pair reads its
+    sum.  The chunk's id arrays and masks die on return, before the next
+    chunk is classified.
+    """
+    np.add(entries[:, 0::2], entries[:, 1::2], out=sums)
+    np.log(entries, out=entries)
+    ids_f = classify_heights_batch(entries[:, 0::2], catalog)
+    ids_g = classify_heights_batch(entries[:, 1::2], catalog)
+    shared = np.flatnonzero((ids_f == ids_g) & (ids_f != 0))
+    s = sums[shared]
+    ids_s = classify_heights_batch(np.log(s, out=s), catalog)
+    discards = int(np.count_nonzero((ids_f == 0) | (ids_g == 0)))
+    sum_discards = int(np.count_nonzero(ids_s == 0))
+    no_conversion = int(np.count_nonzero(ids_s == ids_f[shared]))
+    return discards + sum_discards, len(shared) - sum_discards - no_conversion, no_conversion
+
+
 def estimate_3d_conversion(config: SamplerConfig, sample_count: int) -> FrequencyEstimate:
     """Estimate triangulation coincidence and conversion rates for sums.
 
@@ -277,34 +303,30 @@ def estimate_3d_conversion(config: SamplerConfig, sample_count: int) -> Frequenc
     counts as ``sameTriangulation`` when F and G induce the same
     triangulation of the cube; it additionally counts as ``conversion``
     when F + G induces a different triangulation, and as
-    ``sameNoConversion`` when the sum repeats the shared one.  Samples
-    where any of the three classifications is degenerate at the batch
-    classifier's default margin are discarded.  Raises DomainError unless
-    ``sample_count`` is at least 1.
+    ``sameNoConversion`` when the sum repeats the shared one.  Only those
+    pairs have their sum classified: a pair whose summands differ is
+    ``differentTriangulations`` whatever its sum is.  A sample is
+    discarded when the batch classifier, at its default margin, leaves F
+    or G undecided, or leaves undecided the sum of an F and G that share
+    an id.  Raises DomainError unless ``sample_count`` is at least 1.
     """
     sample_count = _at_least_one(sample_count, "sample count")
     catalog = get_catalog()
-    counts = {"sameTriangulation": 0, "conversion": 0, "sameNoConversion": 0}
-    discards = 0
+    discards = conversions = no_conversions = 0
     rows = _largest_chunk(config, sample_count)
     draws, sums = np.empty(16 * rows), np.empty(8 * rows)
     for rng, m in _stream_chunks(config, _PURPOSE_MC3D, sample_count):
         entries = draws[: 16 * m].reshape(m, 16)
         rng.standard_exponential(out=entries)
-        s = sums[: 8 * m].reshape(m, 8)
-        np.add(entries[:, 0::2], entries[:, 1::2], out=s)
-        # two contiguous log passes; F and G are the strided halves
-        np.log(entries, out=entries)
-        np.log(s, out=s)
-        ids_f = classify_heights_batch(entries[:, 0::2], catalog)
-        ids_g = classify_heights_batch(entries[:, 1::2], catalog)
-        ids_s = classify_heights_batch(s, catalog)
-        degenerate = (ids_f == 0) | (ids_g == 0) | (ids_s == 0)
-        discards += int(np.count_nonzero(degenerate))
-        same = ~degenerate & (ids_f == ids_g)
-        counts["sameTriangulation"] += int(np.count_nonzero(same))
-        counts["conversion"] += int(np.count_nonzero(same & (ids_s != ids_f)))
-        counts["sameNoConversion"] += int(np.count_nonzero(same & (ids_s == ids_f)))
+        tally = _tally_3d_chunk(entries, sums[: 8 * m].reshape(m, 8), catalog)
+        discards += tally[0]
+        conversions += tally[1]
+        no_conversions += tally[2]
+    counts = {
+        "sameTriangulation": conversions + no_conversions,
+        "conversion": conversions,
+        "sameNoConversion": no_conversions,
+    }
     targets = {
         "sameTriangulation": "17/900",
         "conversion": "2/900",

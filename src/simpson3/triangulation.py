@@ -580,7 +580,11 @@ def classify_heights_batch(heights: np.ndarray, catalog: Catalog | None = None) 
     ids = memo[codes]
     unseen = clean & (ids == 0)
     if unseen.any():
-        for code in set(codes[unseen].tolist()):
+        # each distinct code once, from one sorted copy; np.unique would
+        # build a hash table sized by its input, outside numpy's allocator
+        fresh = codes[unseen]
+        fresh.sort()
+        for code in fresh[np.r_[True, fresh[1:] != fresh[:-1]]].tolist():
             memo[code] = _classified(catalog, code, ~code & _ALL_FORMS).canonical_id
         ids = memo[codes]
     ids = np.where(clean, ids, 0).astype(np.int64)
