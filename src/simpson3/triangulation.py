@@ -43,6 +43,13 @@ FORM_MATRIX = np.array(FORM_COEFFS, dtype=np.float64)          # (20, 8)
 FORM_NORMS = np.linalg.norm(FORM_MATRIX, axis=1)
 _POW2F = np.ldexp(1.0, np.arange(20))     # sums of distinct ones are exact in float64
 _BLOCK = 2048    # rows per batch block: its (20, b) temporaries (320 KB) stay in cache
+# The float32 screen ahead of the float64 margin rule (classify_heights_batch
+# derives _SCREEN from the error bound); 2^20 - 1 < 2^24, so the packed
+# codes are exact in float32 too.
+_FORM_MATRIX32 = FORM_MATRIX.astype(np.float32)
+_POW2F32 = _POW2F.astype(np.float32)
+_SCREEN = 1e-5
+_SCREEN_MAX = 2.0**64
 _ALL_FORMS = (1 << len(FORM_COEFFS)) - 1
 
 # The fixed margin of the float classifiers: a form is undecided on heights
@@ -541,22 +548,83 @@ def classify_heights_batch(heights: np.ndarray, catalog: Catalog | None = None) 
     undecided form among the constraints of every id its decided forms
     allow.
 
-    The forms are evaluated column-major, on cache-sized blocks of rows
-    transposed to (8, b), and each row's signs are packed into a 20-bit
-    code once.  Rounding is monotone, so a row whose smallest |value|
-    reaches the largest margin times its scale has no undecided form; only
-    the other (near) rows are tested form by form, on the same floats.  A
+    Two tiers decide the rows.  A call of at least ``_BLOCK`` rows first
+    evaluates the forms in float32 (``_screen``) and certifies a row when
+    its heights are finite with max|h| < 2^64 and every |form value| is at
+    least ``_SCREEN * scale``, scale being max(1, max|h|).  The bound: write
+    v32 and v64 for a form's float32 and float64 values and v for its exact
+    value on the float64 heights.  Casting to float32 moves each height by
+    at most 2^-24 * scale, and the coefficients have sum |c| <= 6, so v
+    moves by at most 3.6e-7 * scale.  The float32 sum has at most five
+    nonzero terms, each an exact product as c is in {+-1, +-2}, so it
+    rounds at most five times: gamma_5 * 6 * scale ~ 1.8e-6 * scale
+    (subnormal results round by 2^-150 at most, and scale >= 1).  So
+    |v32 - v| < 2.2e-6 * scale, and |v64 - v| is below 4e-15 * scale.  The
+    float32 threshold is within a relative 2^-22 of 1e-5 * scale, so every
+    form of a certified row has |v64| >= 7.7e-6 * scale, with the sign of
+    v32: about 2 700 times the widest margin (2.8e-9 * scale).  A certified
+    row's float32 sign code is therefore the float64 code and has no
+    undecided form, and its id is read from the memo as below.
+
+    Every other row (ties, near-margin rows, huge, tiny or non-finite rows,
+    about 1.3e-4 of log-Exp(1) rows) goes through the float64 margin rule
+    (``_margin_ids``) in one call on just those rows, and so does every row
+    of a call with fewer than ``_BLOCK`` rows, where the screen's fixed
+    cost of about ten numpy calls would not pay.  The float64 rule
+    evaluates the forms column-major, on cache-sized blocks of rows
+    transposed to (8, b), and packs each row's signs into a 20-bit code
+    once.  Rounding is monotone, so a row whose smallest |value| reaches
+    the largest margin times its scale has no undecided form; only the
+    other (near) rows are tested form by form, on the same floats.  A
     clean row reads its id from the catalog's memo of full sign codes,
     which resolves each code the first time it is met.  The margin rule is
-    the same for every block, so a row's id does not depend on its block,
-    except within a few ulps of a margin, where the BLAS product may sum a
-    block's forms in a different order from a single row's.
+    the same for every block, so a row's id does not depend on its block
+    (nor on which rows the screen passed on with it), except within a few
+    ulps of a margin, where the BLAS product may sum a block's forms in a
+    different order from a single row's.
     """
     if catalog is None:
         catalog = get_catalog()
     h = np.asarray(heights, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != 8:
         raise DomainError("heights must be an (n, 8) array")
+    if len(h) < _BLOCK:
+        return _margin_ids(h, catalog)
+    codes, certified = _screen(h)
+    ids = _memo_ids(catalog, codes, certified)
+    rest = np.flatnonzero(~certified)
+    if rest.size:
+        ids[rest] = _margin_ids(h[rest], catalog)
+    return ids
+
+
+def _screen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 tier of ``classify_heights_batch`` on (n, 8) float64
+    heights: each row's 20-bit sign code, and whether the row is certified,
+    in which case the code is the float64 rule's and no form is undecided.
+    Heights beyond float32's range become inf in the cast, silently; such
+    rows, like every row with max|h| >= 2^64, are not certified, which
+    keeps each product and partial sum far from float32 overflow."""
+    n = len(h)
+    codes = np.empty(n, dtype=np.int64)
+    certified = np.empty(n, dtype=bool)
+    with np.errstate(all="ignore"):
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            hT = h[lo:hi].T.astype(np.float32, order="C")
+            values = _FORM_MATRIX32 @ hT
+            codes[lo:hi] = _POW2F32 @ (values > 0)
+            np.abs(values, out=values)
+            scale = np.abs(hT, out=hT).max(axis=0)
+            np.maximum(scale, 1.0, out=scale)
+            # NaN fails both comparisons and inf the second: non-finite rows never certify
+            certified[lo:hi] = (values.min(axis=0) >= _SCREEN * scale) & (scale < _SCREEN_MAX)
+    return codes, certified
+
+
+def _margin_ids(h: np.ndarray, catalog: Catalog) -> np.ndarray:
+    """The float64 margin rule of ``classify_heights_batch`` on (n, 8)
+    float64 heights, on every row."""
     n = len(h)
     codes = np.empty(n, dtype=np.int64)
     undecided = np.zeros(n, dtype=np.int64)
@@ -575,7 +643,20 @@ def classify_heights_batch(heights: np.ndarray, catalog: Catalog | None = None) 
             if near.size:
                 undecided[lo + near] = _POW2F @ (values[:, near] < margin * scale[near])
             finite[lo:hi] = np.isfinite(scale)
-    clean = finite & (undecided == 0)
+    ids = _memo_ids(catalog, codes, finite & (undecided == 0))
+    partial = np.nonzero(finite & (undecided != 0))[0]
+    if partial.size:
+        open_forms = undecided[partial]
+        pos = codes[partial] & ~open_forms
+        neg = ~codes[partial] & ~open_forms & _ALL_FORMS
+        ids[partial] = [catalog.resolve_signs(p, q) for p, q in zip(pos.tolist(), neg.tolist())]
+    return ids
+
+
+def _memo_ids(catalog: Catalog, codes: np.ndarray, clean: np.ndarray) -> np.ndarray:
+    """The int64 ids of the clean rows' full sign codes, read from the
+    catalog's memo, which resolves each code the first time it is met; 0
+    on every other row."""
     memo = catalog._pattern_ids
     ids = memo[codes]
     unseen = clean & (ids == 0)
@@ -587,14 +668,7 @@ def classify_heights_batch(heights: np.ndarray, catalog: Catalog | None = None) 
         for code in fresh[np.r_[True, fresh[1:] != fresh[:-1]]].tolist():
             memo[code] = _classified(catalog, code, ~code & _ALL_FORMS).canonical_id
         ids = memo[codes]
-    ids = np.where(clean, ids, 0).astype(np.int64)
-    partial = np.nonzero(finite & (undecided != 0))[0]
-    if partial.size:
-        open_forms = undecided[partial]
-        pos = codes[partial] & ~open_forms
-        neg = ~codes[partial] & ~open_forms & _ALL_FORMS
-        ids[partial] = [catalog.resolve_signs(p, q) for p, q in zip(pos.tolist(), neg.tolist())]
-    return ids
+    return np.where(clean, ids, 0).astype(np.int64)
 
 
 @functools.cache

@@ -24,7 +24,7 @@ from simpson3 import (
     get_catalog,
 )
 from simpson3.tables import FORM_COEFFS, VERTICES, _int_sign_bits, vertex_bits
-from simpson3 import symmetry
+from simpson3 import symmetry, triangulation
 from simpson3.triangulation import (
     _BLOCK,
     _CIRCUITS,
@@ -34,6 +34,8 @@ from simpson3.triangulation import (
     FORM_NORMS,
     VERTEX_COORDS,
     _POW2F,
+    _SCREEN,
+    _WIDEST_MARGIN,
     Catalog,
     Tetrahedron,
     Triangulation,
@@ -44,6 +46,7 @@ from simpson3.triangulation import (
     _id_action,
     _lifting_residuals,
     _properly_intersecting,
+    _screen,
     _tetrahedra,
     catalog_to_json_obj,
     derive_constraints,
@@ -892,6 +895,116 @@ class TestBatchMemo:
         assert np.array_equal(ids[0], ids[1])
         assert np.array_equal(ids[0], classify_heights_batch(h, get_catalog()))
         assert peaks[0] <= peaks[1] + 16 * len(h)
+
+
+def screen_edge_heights(rng, size):
+    """Rows whose heights reach 10^-2..10^6 and in which one form, pulled
+    along its own coefficients, sits within a few float32 ulps of
+    ``_SCREEN * scale``, on either side; scale is 1 below 10^0."""
+    h = np.log(rng.standard_exponential((size, 8))) * 10.0 ** rng.uniform(-2, 6, (size, 1))
+    c = FORM_MATRIX[rng.integers(0, len(FORM_MATRIX), size)]
+    target = rng.choice([-1.0, 1.0], size) * _SCREEN * (1.0 + rng.integers(-4, 5, size) * 2.0**-23)
+    for _ in range(3):    # the pull moves the scale by a relative 1e-5 at most
+        scale = np.maximum(1.0, np.abs(h).max(axis=1))
+        v = np.einsum("ij,ij->i", c, h)
+        h += ((target * scale - v) / (c * c).sum(axis=1))[:, None] * c
+    return h
+
+
+def screen_heights(seed, size):
+    """Rows at the screen's edges, in shuffled order: forms at the
+    threshold, max|h| within a few ulps of 2^64 on either side, float64
+    and float32 subnormals, log Exp(1) rows scaled by 10^+-300, ties (log
+    integers 1..5) and rows with +-inf or NaN in a random column."""
+    rng = np.random.default_rng(seed)
+    kind = rng.integers(0, 6, size)
+    base = np.log(rng.standard_exponential((size, 8)))
+    h = np.where((kind == 0)[:, None], screen_edge_heights(rng, size), base)
+    top = kind == 1
+    # the largest |h| lands a few ulps of float32 (and of float64) off 2^64
+    ulp = np.where(rng.random((size, 1)) < 0.5, 2.0**-24, 2.0**-52)
+    ulps = rng.integers(-3, 4, (size, 1)) * ulp
+    h[top] *= (2.0**64 * (1 + ulps) / np.abs(h).max(axis=1, keepdims=True))[top]
+    h[kind == 2] *= rng.choice([1e-310, 1e-40], (np.count_nonzero(kind == 2), 1))
+    h[kind == 3] *= rng.choice([1e-300, 1e300], (np.count_nonzero(kind == 3), 1))
+    h[kind == 4] = np.log(rng.integers(1, 6, (np.count_nonzero(kind == 4), 8)).astype(np.float64))
+    bad = np.flatnonzero(kind == 5)
+    h[bad, rng.integers(0, 8, bad.size)] = rng.choice([np.inf, -np.inf, np.nan], bad.size)
+    return h
+
+
+SCREEN_SIZES = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
+
+
+class TestScreen:
+    @pytest.mark.parametrize("size", SCREEN_SIZES)
+    @settings(max_examples=3, deadline=None)
+    @given(seed=seeds)
+    def test_ids_at_the_screen_edges(self, catalog, size, seed):
+        h = screen_heights(seed, size)
+        with np.errstate(over="raise", invalid="raise"):
+            ids = classify_heights_batch(h, catalog)
+        assert np.array_equal(ids, reference_batch_ids(catalog, h))
+        assert np.array_equal(ids, full_margin_ids(catalog, h))
+
+    @pytest.mark.parametrize("size", SCREEN_SIZES)
+    @settings(max_examples=3, deadline=None)
+    @given(seed=seeds)
+    def test_certified_rows_keep_the_bound(self, size, seed):
+        h = screen_heights(seed, size)
+        codes, certified = _screen(h)
+        edge = screen_edge_heights(np.random.default_rng(seed), size)
+        edge_codes, edge_certified = _screen(edge)
+        # the edge rows fall on both sides of the threshold
+        assert edge_certified.any() and not edge_certified.all()
+        for rows, row_codes, ok in [(h, codes, certified), (edge, edge_codes, edge_certified)]:
+            assert np.isfinite(rows[ok]).all()
+            values = rows[ok] @ FORM_MATRIX.T
+            scale = np.maximum(1.0, np.abs(rows[ok]).max(axis=1))
+            assert (scale < 2.0**64).all()
+            assert np.array_equal(row_codes[ok], (values > 0) @ (1 << np.arange(20)))
+            smallest = np.abs(values).min(axis=1)
+            assert (smallest >= _WIDEST_MARGIN * scale).all()
+            # the docstring's bound, about 2 700 times the widest margin
+            assert (smallest >= 7.7e-6 * scale).all()
+        # nor do non-finite rows and rows beyond 2^64
+        assert not certified[~np.isfinite(h).all(axis=1)].any()
+        assert not certified[np.abs(h).max(axis=1) >= 2.0**64].any()
+
+    def test_certifies_nearly_every_log_exp_row(self):
+        # about 1.3e-4 of log Exp(1) rows go to the float64 rule at
+        # _SCREEN = 1e-5; a screen that certified nothing would show only
+        # on the benchmark
+        h = np.log(np.random.default_rng(3).standard_exponential((1 << 16, 8)))
+        certified = _screen(h)[1]
+        assert np.count_nonzero(~certified) < 1e-3 * len(h)
+
+    def test_only_uncertified_rows_reach_the_float64_rule(self, catalog, monkeypatch):
+        screened, fallback = [], []
+        screen, margin_ids = triangulation._screen, triangulation._margin_ids
+
+        def recorded_screen(h):
+            out = screen(h)
+            screened.append((len(h), int(np.count_nonzero(~out[1]))))
+            return out
+
+        def recorded_margin_ids(h, catalog):
+            fallback.append(len(h))
+            return margin_ids(h, catalog)
+
+        monkeypatch.setattr(triangulation, "_screen", recorded_screen)
+        monkeypatch.setattr(triangulation, "_margin_ids", recorded_margin_ids)
+        h = np.log(np.random.default_rng(4).standard_exponential((2 * _BLOCK + 1, 8)))
+        h[::7] = 0.0    # ties: every form vanishes
+        for size in (0, 1, 25, _BLOCK - 1):
+            classify_heights_batch(h[:size], catalog)
+        # below one block, every row goes to the float64 rule, unscreened
+        assert screened == [] and fallback == [0, 1, 25, _BLOCK - 1]
+        fallback.clear()
+        for size in (_BLOCK, 2 * _BLOCK + 1):
+            classify_heights_batch(h[:size], catalog)
+        assert [rows for rows, _ in screened] == [_BLOCK, 2 * _BLOCK + 1]
+        assert fallback == [rest for _, rest in screened] and min(fallback) >= _BLOCK // 7
 
 
 def test_every_five_vertex_set_holds_one_circuit():
