@@ -309,6 +309,15 @@ def estimate_3d_conversion(config: SamplerConfig, sample_count: int) -> Frequenc
     discarded when the batch classifier, at its default margin, leaves F
     or G undecided, or leaves undecided the sum of an F and G that share
     an id.  Raises DomainError unless ``sample_count`` is at least 1.
+
+    A nonzero id is the exact id of the drawn table, and a sum's that of
+    the exact F + G: the id's constraints are among the forms that clear
+    the margin, 2e-9 * scale or more (scale = max(1, max|h|)), and the
+    heights miss the exact logs by two terms only.  An ``np.log`` error of
+    k ulps moves a form by at most 6 * k * 2^-52 * scale, and rounding a
+    sum entry to fl(f + g) by at most 6 * 2^-53.  Both lie far below the
+    margin, and further below a certified form's 7.7e-6 * scale, so those
+    forms have their exact signs.
     """
     sample_count = _at_least_one(sample_count, "sample count")
     catalog = get_catalog()

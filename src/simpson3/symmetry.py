@@ -145,48 +145,8 @@ def key_rows(keys: Iterable[Sequence[int]], catalog, arity: int | None = None) -
     """Class keys, read once, as (m, 3) padded id rows.  DomainError at the
     first key in input order of a length other than ``arity`` (when given),
     with an id that is a bool, no integer or outside 1..len(catalog), or of
-    an arity other than 1, 2 or 3; only after every key, at equal summands.
-
-    Keys that are all tuples or lists of one length of Python ints in range
-    are read by a few passes of builtins; any other input goes through a
-    loop over the keys, which names the first bad one."""
-    keys = list(keys)
+    an arity other than 1, 2 or 3; only after every key, at equal summands."""
     n = len(catalog)
-    rows, equal_summands = _read_uniform(keys, n, arity) or _read_keys(keys, n, arity)
-    if equal_summands:
-        raise DomainError("triple classes require distinct summand ids")
-    return rows
-
-
-def _read_uniform(keys: list, n: int, arity: int | None) -> tuple[np.ndarray, bool] | None:
-    """``key_rows`` on keys that are all tuples or lists of one length in
-    1..3 (``arity``, when given) of Python ints in 1..n: the padded rows,
-    and whether a triple has equal summands.  None for any other keys."""
-    if not set(map(type, keys)) <= {tuple, list}:
-        return None
-    lengths = set(map(len, keys))
-    if len(lengths) != 1:
-        return None
-    (length,) = lengths
-    if length not in _PAD or arity not in (None, length):
-        return None
-    ids = list(itertools.chain.from_iterable(keys))
-    if set(map(type, ids)) != {int}:
-        return None
-    try:
-        rows = np.array(ids, dtype=np.intp).reshape(-1, length)
-    except OverflowError:
-        return None
-    if rows.min() < 1 or rows.max() > n:
-        return None
-    if length < 3:
-        return rows[:, list(_PAD[length])], False
-    return rows, any(map(operator.eq, ids[::3], ids[1::3]))
-
-
-def _read_keys(keys: list, n: int, arity: int | None) -> tuple[np.ndarray, bool]:
-    """``key_rows`` on any keys, one at a time: the padded rows, and whether
-    a triple has equal summands; DomainError at the first bad key."""
     rows = []
     equal_summands = False
     for ids in keys:
@@ -203,7 +163,9 @@ def _read_keys(keys: list, n: int, arity: int | None) -> tuple[np.ndarray, bool]
             raise DomainError(f"unsupported arity {len(row)}")
         equal_summands |= len(row) == 3 and row[0] == row[1]
         rows.append(pad_key(row))
-    return np.array(rows, dtype=np.intp).reshape(-1, 3), equal_summands
+    if equal_summands:
+        raise DomainError("triple classes require distinct summand ids")
+    return np.array(rows, dtype=np.intp).reshape(-1, 3)
 
 
 def _image_keys(rows: np.ndarray, pa: np.ndarray) -> np.ndarray:

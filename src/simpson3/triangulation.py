@@ -57,7 +57,6 @@ _ALL_FORMS = (1 << len(FORM_COEFFS)) - 1
 # of zero.  _MARGIN holds each form's margin at unit scale.
 DEFAULT_TOLERANCE = 1e-9
 _MARGIN = DEFAULT_TOLERANCE * FORM_NORMS
-_WIDEST_MARGIN = _MARGIN.max()
 
 
 def _det3(r0, r1, r2) -> int:
@@ -569,19 +568,21 @@ def classify_heights_batch(heights: np.ndarray, catalog: Catalog | None = None) 
     Every other row (ties, near-margin rows, huge, tiny or non-finite rows,
     about 1.3e-4 of log-Exp(1) rows) goes through the float64 margin rule
     (``_margin_ids``) in one call on just those rows, and so does every row
-    of a call with fewer than ``_BLOCK`` rows, where the screen's fixed
-    cost of about ten numpy calls would not pay.  The float64 rule
-    evaluates the forms column-major, on cache-sized blocks of rows
-    transposed to (8, b), and packs each row's signs into a 20-bit code
-    once.  Rounding is monotone, so a row whose smallest |value| reaches
-    the largest margin times its scale has no undecided form; only the
-    other (near) rows are tested form by form, on the same floats.  A
+    of a call with fewer than ``_BLOCK`` rows.  That threshold is
+    conservative: screen and rule against the rule alone took 23-24 / 25-26
+    us on 25 log-Exp(1) rows, 54-59 / 30-32 us on 25 half-tie rows, 37-44 /
+    68-73 us on 620 log-Exp(1) rows and 73-74 / 174-178 us on 2 047 (a
+    2-vCPU machine, best of 21).  The float64 rule evaluates the forms
+    column-major, on cache-sized blocks of rows transposed to (8, b), and
+    packs each row's signs and undecided forms into two 20-bit codes.  A
     clean row reads its id from the catalog's memo of full sign codes,
-    which resolves each code the first time it is met.  The margin rule is
-    the same for every block, so a row's id does not depend on its block
-    (nor on which rows the screen passed on with it), except within a few
-    ulps of a margin, where the BLAS product may sum a block's forms in a
-    different order from a single row's.
+    which resolves each code the first time it is met; any other row
+    resolves its (positive, negative) sign pattern through
+    ``Catalog.resolve_signs``, which memoizes each pattern.  The margin
+    rule is the same for every block, so a row's id does not depend on its
+    block (nor on which rows the screen passed on with it), except within
+    a few ulps of a margin, where the BLAS product may sum a block's forms
+    in a different order from a single row's.
     """
     if catalog is None:
         catalog = get_catalog()
@@ -627,7 +628,7 @@ def _margin_ids(h: np.ndarray, catalog: Catalog) -> np.ndarray:
     float64 heights, on every row."""
     n = len(h)
     codes = np.empty(n, dtype=np.int64)
-    undecided = np.zeros(n, dtype=np.int64)
+    undecided = np.empty(n, dtype=np.int64)
     finite = np.empty(n, dtype=bool)
     margin = _MARGIN[:, None]
     with np.errstate(invalid="ignore"):
@@ -637,11 +638,7 @@ def _margin_ids(h: np.ndarray, catalog: Catalog) -> np.ndarray:
             values = FORM_MATRIX @ hT
             scale = np.maximum(1.0, np.abs(hT).max(axis=0))
             codes[lo:hi] = _POW2F @ (values > 0)
-            np.abs(values, out=values)
-            # NaN fails the comparison, so non-finite rows count as near
-            near = np.nonzero(~(values.min(axis=0) >= _WIDEST_MARGIN * scale))[0]
-            if near.size:
-                undecided[lo + near] = _POW2F @ (values[:, near] < margin * scale[near])
+            undecided[lo:hi] = _POW2F @ (np.abs(values, out=values) < margin * scale)
             finite[lo:hi] = np.isfinite(scale)
     ids = _memo_ids(catalog, codes, finite & (undecided == 0))
     partial = np.nonzero(finite & (undecided != 0))[0]

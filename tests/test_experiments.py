@@ -37,6 +37,7 @@ from simpson3 import (
 from simpson3 import experiments
 from simpson3.feasibility import infeasible_pair_classes, infeasible_triple_classes
 from simpson3.symmetry import pad_key
+from simpson3.tables import _table3
 from simpson3.triangulation import FORM_INDEX, FORM_MATRIX, classify_heights_batch
 
 
@@ -375,6 +376,31 @@ class TestBlockedEstimators:
         assert traced_peak(estimate_3d_conversion, 200001) <= traced_peak(
             estimate_3d_conversion, 1 << 16
         ) + 1024
+
+
+def exact_id(catalog, *rows):
+    """``classify_exact`` on the exact sum of rows of doubles, each read
+    exactly over their common power-of-two denominator."""
+    ints, scale = experiments._power_of_two_scale(np.concatenate(rows).tolist())
+    return classify_exact(_table3([sum(ints[i::8]) for i in range(8)], scale), catalog).canonical_id
+
+
+class TestExactIds:
+    def test_nonzero_ids_are_the_exact_ids_of_the_drawn_tables(self, catalog):
+        # 2^13 pairs, so the F and G calls go through the float32 screen;
+        # estimate_3d_conversion's docstring says why this holds
+        f, g = np.random.default_rng(11).standard_exponential((2, 1 << 13, 8))
+        ids_f = classify_heights_batch(np.log(f), catalog)
+        ids_g = classify_heights_batch(np.log(g), catalog)
+        shared = np.flatnonzero((ids_f == ids_g) & (ids_f != 0))
+        ids_s = classify_heights_batch(np.log(f[shared] + g[shared]), catalog)
+        for rows, ids in [(f, ids_f), (g, ids_g)]:
+            assert np.count_nonzero(ids) > 0.99 * len(ids)
+            for i in np.flatnonzero(ids).tolist():
+                assert ids[i] == exact_id(catalog, rows[i]), i
+        assert np.count_nonzero(ids_s) > 100
+        for i, sum_id in zip(shared.tolist(), ids_s.tolist()):
+            assert sum_id in (0, exact_id(catalog, f[i], g[i])), i
 
 
 def exact_det_sign(t):

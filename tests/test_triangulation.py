@@ -33,9 +33,9 @@ from simpson3.triangulation import (
     FORM_MATRIX,
     FORM_NORMS,
     VERTEX_COORDS,
+    _MARGIN,
     _POW2F,
     _SCREEN,
-    _WIDEST_MARGIN,
     Catalog,
     Tetrahedron,
     Triangulation,
@@ -801,8 +801,7 @@ class TestBatchKernelProperties:
 def near_margin_heights(seed, size):
     """Rows of log Exp(1) draws scaled so that their smallest form value
     lies within a few ulps of its own margin or of the largest one, on
-    either side, so both the near-row filter and the per-form test sit on
-    their boundaries."""
+    either side, so the per-form margin test sits on its boundary."""
     rng = np.random.default_rng(seed)
     h = np.log(rng.standard_exponential((size, 8)))
     values = np.abs(h @ FORM_MATRIX.T)
@@ -814,8 +813,9 @@ def near_margin_heights(seed, size):
 
 
 def full_margin_ids(catalog, heights):
-    """The batch kernel before the near-row filter: every form of every row
-    gets the margin test, on the same blocks and so on the same floats."""
+    """The float64 margin rule as a plain loop over the kernel's blocks:
+    every form of every row gets the margin test on the same floats, and
+    each row with undecided forms is resolved on its own."""
     h = np.asarray(heights, dtype=np.float64)
     codes, undecided, finite = [], [], []
     margin = (DEFAULT_TOLERANCE * FORM_NORMS)[:, None]
@@ -964,7 +964,7 @@ class TestScreen:
             assert (scale < 2.0**64).all()
             assert np.array_equal(row_codes[ok], (values > 0) @ (1 << np.arange(20)))
             smallest = np.abs(values).min(axis=1)
-            assert (smallest >= _WIDEST_MARGIN * scale).all()
+            assert (smallest >= _MARGIN.max() * scale).all()
             # the docstring's bound, about 2 700 times the widest margin
             assert (smallest >= 7.7e-6 * scale).all()
         # nor do non-finite rows and rows beyond 2^64
