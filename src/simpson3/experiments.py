@@ -33,12 +33,12 @@ import numpy as np
 from .errors import CatalogError, DegenerateTable, DomainError
 from .feasibility import obstructing_vertices
 from .symmetry import _KEY_KINDS, _UNPAD, canonical_classes, key_rows, pad_key
-from .tables import NonnegTable3, Table3, _cross, _integer, _pair_sign_bits, _sign, _table3
-from .tables import parse_rational, table_from_json_obj
+from .tables import NonnegTable3, Table3, _check_tables, _cross, _integer, _on_one_scale, _sign
+from .tables import _table3, parse_rational, table_from_json_obj
 from .triangulation import (
     FORM_MATRIX,
     Catalog,
-    _classified,
+    _exact_id,
     classify_heights_batch,
     get_catalog,
 )
@@ -373,11 +373,16 @@ def detect_conversion(f: Table3, g: Table3) -> ConversionReport:
     """Classify F, G and F + G exactly and report the induced verdict.
 
     The three are decided on one integer scale, without building F + G,
-    and raise as ``classify_exact`` would: on F, then G, then the sum.
+    each by ``classify_exact``'s two tiers: the face-first tier, then the
+    full kernel where it leaves the table.  They raise as ``classify_exact``
+    would: on F, then G, then the sum; DomainError unless both are
+    ``Table3``s.
     """
+    _check_tables(Table3, f, g)
     catalog = get_catalog()
-    bits = _pair_sign_bits(f, g)
-    return ConversionReport(*(_classified(catalog, *b).canonical_id for b in bits))
+    nf, ng, _ = _on_one_scale(f, g)
+    summed = tuple(map(operator.add, nf, ng))
+    return ConversionReport(*(_exact_id(catalog, n) for n in (nf, ng, summed)))
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,7 @@ def apply(sigma: CubeSymmetry, x):
     """Generic group action: vertices, tables, triangulations.
 
     A triangulation moves by its catalog id, through the catalog's id
-    action; a table through ``apply_table``.
+    rows; a table through ``apply_table``.
     """
     if isinstance(x, int):
         return apply_vertex(sigma, x)
@@ -98,7 +98,7 @@ def apply(sigma: CubeSymmetry, x):
         return apply_table(sigma, x)
     if isinstance(x, triangulation.Triangulation):
         catalog = triangulation.get_catalog()
-        return catalog[catalog.apply_symmetry(sigma, x.canonical_id)]
+        return catalog.entries[catalog.id_rows[GROUP_INDEX[sigma]][x.canonical_id - 1] - 1]
     raise DomainError(f"cannot apply a cube symmetry to {type(x).__name__}")
 
 

@@ -146,11 +146,17 @@ def _compile_sign_kernel() -> Callable[..., tuple[int, int]]:
         x, y = monomial(vertices[:half]), monomial(vertices[half:])
         lines += [f"if {x} > {y}:", f"    pos |= {bit}", f"elif {x} < {y}:", f"    neg |= {bit}"]
     lines.append("return pos, neg")
+    return _compiled("_int_sign_bits", lines)
+
+
+def _compiled(name: str, lines: Sequence[str]) -> Callable[..., object]:
+    """The function ``name`` of the 8 integer entries ``n0..n7`` whose body
+    is the given generated source lines."""
     args = ", ".join(f"n{v}" for v in VERTICES)
-    source = f"def _int_sign_bits({args}):\n" + "".join(f"    {line}\n" for line in lines)
+    source = f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in lines)
     namespace: dict = {}
-    exec(compile(source, "<simpson3.tables sign kernel>", "exec"), namespace)
-    return namespace["_int_sign_bits"]
+    exec(compile(source, f"<simpson3 {name}>", "exec"), namespace)
+    return namespace[name]
 
 
 _int_sign_bits = _compile_sign_kernel()
@@ -452,10 +458,11 @@ class Diagonal2D(Enum):
     DEGENERATE = "Degenerate"
 
 
-def _check_table2(*tables) -> None:
+def _check_tables(kind: type, *tables) -> None:
+    """Raise DomainError, naming the type, unless every table is a ``kind``."""
     for t in tables:
-        if not isinstance(t, Table2):
-            raise DomainError(f"expected a Table2, got {type(t).__name__}")
+        if not isinstance(t, kind):
+            raise DomainError(f"expected a {kind.__name__}, got {type(t).__name__}")
 
 
 def detect_reversal_2d(f: Table2, g: Table2) -> Reversal2D:
@@ -463,7 +470,7 @@ def detect_reversal_2d(f: Table2, g: Table2) -> Reversal2D:
     entrywise sum's determinant is opposite.  Degenerate if any determinant
     vanishes.  The signs are those of integer cross products; the sum's are
     taken on one integer scale."""
-    _check_table2(f, g)
+    _check_tables(Table2, f, g)
     nf, ng, _ = _on_one_scale(f, g)
     df, dg = _sign(_cross(f.integers)), _sign(_cross(g.integers))
     ds = _sign(_cross(map(operator.add, nf, ng)))
@@ -477,7 +484,7 @@ def detect_reversal_2d(f: Table2, g: Table2) -> Reversal2D:
 def classify_2d(f: Table2) -> Diagonal2D:
     """Which diagonal of the square the lifted table induces: the main diagonal
     {00, 11} iff F00*F11 > F01*F10."""
-    _check_table2(f)
+    _check_tables(Table2, f)
     if not f.strictly_positive():
         raise DomainError("classify_2d requires strictly positive entries")
     d = _cross(f.integers)

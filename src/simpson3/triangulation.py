@@ -19,18 +19,23 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import CatalogError, DegenerateTable, DomainError
 from .tables import (
+    FACE_FORM,
     FACES,
     FORM_COEFFS,
     FORM_INDEX,
     FORM_LETTERS,
     Table3,
     VERTICES,
+    _FIVE_TERM,
+    _FOUR_TERM,
+    _check_tables,
+    _compiled,
     _int_sign_bits,
     face_diagonal_pair,
     vertex_bits,
@@ -328,7 +333,8 @@ class Catalog:
     entry are derived from them, and the result is validated.  Row k of
     ``constraint_signs`` holds id k's sign on each of its constraint forms
     and 0 on the other forms, and row k of ``vertex_incidences`` holds id
-    k's ``vertex_incidence``; row 0 of both is zero.
+    k's ``vertex_incidence``; row 0 of both is zero.  ``id_rows[s][i]`` is
+    ``id_action()[s, i]`` as a Python int.
     """
 
     def __init__(self, encodings: Sequence[Sequence[Sequence[int]]]):
@@ -341,6 +347,7 @@ class Catalog:
             (vertices,) = exc.args
             raise CatalogError(f"vertices {vertices} are not one of the 58 tetrahedra") from None
         self._id_action = _id_action(keys)
+        self.id_rows = tuple(map(tuple, self._id_action.tolist()))
         self._index_action = self._id_action.astype(np.int32) - 1
         self._index_action.setflags(write=False)
         orbit_reps = self._id_action.min(axis=0).tolist()
@@ -412,7 +419,7 @@ class Catalog:
 
     def apply_symmetry(self, sigma: symmetry.CubeSymmetry, canonical_id: int) -> int:
         self[canonical_id]
-        return int(self.id_action()[symmetry.GROUP_INDEX[sigma], canonical_id - 1])
+        return self.id_rows[symmetry.GROUP_INDEX[sigma]][canonical_id - 1]
 
     def orbit_representatives(self) -> tuple[int, ...]:
         return tuple(sorted({e.orbit_rep for e in self.entries}))
@@ -447,6 +454,14 @@ class Catalog:
             found = int(hits[0]) + 1 if len(hits) else 0
             self._resolved[key] = found
         return found
+
+    @functools.cached_property
+    def face_ids(self) -> Callable[..., int]:
+        """The face-first tier of the exact classifier: a function of a
+        table's 8 integers that returns its id, or 0 to leave the table to
+        the full kernel (see ``classify_exact``).  Compiled on first read,
+        from this catalog's constraint sets."""
+        return _compile_face_tier(_face_candidates(self.entries))
 
 
 def _id_action(keys: Sequence[int]) -> np.ndarray:
@@ -527,13 +542,104 @@ def _classified(catalog: Catalog, pos: int, neg: int) -> Triangulation:
     raise CatalogError("nonzero sign vector matches no constraint set")
 
 
+def _face_candidates(entries: Sequence[Triangulation]) -> tuple[tuple, ...]:
+    """Per face code, the ``(id, ((form, sign), ...))`` of every entry with
+    that code, with its constraints on the forms other than a-f.
+
+    Bit i of a face code is set when facet form i (one of a-f) is positive,
+    which is when the facet's diagonal through its least vertex is present
+    (``FACE_FORM``); an entry's code is read from its face diagonals.
+    Raises CatalogError when an entry's constraints on a-f disagree."""
+    candidates: list[list] = [[] for _ in range(1 << len(FACES))]
+    for e in entries:
+        signs = {
+            FACE_FORM[face]: 1 if diagonal == pair[0] else -1
+            for face, diagonal, pair in zip(FACES, e.face_diagonals, _FACE_DIAGONAL_PAIRS)
+        }
+        if any(signs.get(letter, sign) != sign for letter, sign in e.constraints):
+            raise CatalogError(
+                f"entry {e.canonical_id}: a constraint on a-f disagrees with its face diagonals"
+            )
+        code = sum(1 << FORM_INDEX[letter] for letter, sign in signs.items() if sign > 0)
+        rest = sorted((FORM_INDEX[c], sign) for c, sign in e.constraints if c not in signs)
+        candidates[code].append((e.canonical_id, tuple(rest)))
+    return tuple(map(tuple, candidates))
+
+
+def _compile_face_tier(candidates: Sequence[Sequence]) -> Callable[..., int]:
+    """The face-first tier as one straight-line function of the 8 integer
+    entries ``n0..n7``, returning an id or 0.
+
+    A decision tree compares the six facet monomial pairs, returning 0 on
+    the first tie; at its leaf, each candidate of the face code is tested
+    on its other constraints, strictly.  The leaf returns the one candidate
+    that passes, and 0 when none or several do.  The comparisons are
+    generated from ``_FOUR_TERM`` and ``_FIVE_TERM``, as in the sign kernel.
+    """
+    sides = [
+        (" * ".join(f"n{v}" for v in vertices[:half]), " * ".join(f"n{v}" for v in vertices[half:]))
+        for _, *vertices in _FOUR_TERM + _FIVE_TERM
+        for half in [len(vertices) // 2]
+    ]
+    lines = []
+
+    def node(depth: int, code: int, pad: str) -> None:
+        if depth == len(FACES):
+            lines.append(f"{pad}found = 0")
+            for k, (cid, rest) in enumerate(candidates[code]):
+                tests = [
+                    f"{sides[i][0]} {'>' if sign > 0 else '<'} {sides[i][1]}" for i, sign in rest
+                ]
+                lines.append(f"{pad}if {' and '.join(tests) or 'True'}:")
+                if k:
+                    lines.append(f"{pad}    if found: return 0")
+                lines.append(f"{pad}    found = {cid}")
+            lines.append(f"{pad}return found")
+            return
+        # each branch returns, so the second test runs only when x <= y
+        form = FORM_INDEX[FACE_FORM[FACES[depth]]]
+        x, y = sides[form]
+        lines.extend([f"{pad}x = {x}", f"{pad}y = {y}", f"{pad}if x > y:"])
+        node(depth + 1, code | 1 << form, pad + "    ")
+        lines.append(f"{pad}if x < y:")
+        node(depth + 1, code, pad + "    ")
+        lines.append(f"{pad}return 0")
+
+    node(0, 0, "")
+    return _compiled("_face_ids", lines)
+
+
+def _exact_id(catalog: Catalog, integers: Sequence[int]) -> int:
+    """The id of a positive table's integers: the face-first tier's, or
+    else the full kernel's through ``_classified``."""
+    found = catalog.face_ids(*integers)
+    return found or _classified(catalog, *_int_sign_bits(*integers)).canonical_id
+
+
 def classify_exact(table: Table3, catalog: Catalog | None = None) -> Triangulation:
-    """The triangulation induced by a strictly positive table, decided by the
-    exact signs of the 20 forms.  Raises DegenerateTable when a vanishing sign
-    prevents any constraint set from being strictly satisfied."""
+    """The triangulation induced by a strictly positive table, decided by
+    exact integer comparisons.  Raises DegenerateTable when a vanishing sign
+    prevents any constraint set from being strictly satisfied, and
+    DomainError when ``table`` is not a ``Table3``.
+
+    Two tiers decide it, both exact.  The face-first tier (``face_ids``)
+    compares the six layer determinants, forms a-f.  On each facet, the
+    triangulation a table induces has the diagonal its layer's sign
+    selects, so every id whose constraints the table strictly satisfies
+    has the table's face code: it is one of that code's 1 to 5 candidates.
+    The code decides each candidate's constraints on a-f, so the tier
+    tests only the others (at most four).  A candidate that passes them
+    strictly satisfies its whole constraint set; when exactly one does, it
+    is the id the full kernel would resolve.  A tie on a facet, or no or
+    two passing candidates, leaves the table to the full kernel: the 20
+    form signs resolved by ``_classified``, which gives every other id and
+    raises every DegenerateTable and CatalogError.
+    """
+    if not isinstance(table, Table3):
+        _check_tables(Table3, table)  # raises, naming the type
     if catalog is None:
         catalog = get_catalog()
-    return _classified(catalog, *_int_sign_bits(*table.integers))
+    return catalog.entries[_exact_id(catalog, table.integers) - 1]
 
 
 def classify_heights_batch(heights: np.ndarray, catalog: Catalog | None = None) -> np.ndarray:

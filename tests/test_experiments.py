@@ -34,10 +34,10 @@ from simpson3 import (
     orbit_classes,
     search_witness,
 )
-from simpson3 import experiments
+from simpson3 import experiments, triangulation
 from simpson3.feasibility import infeasible_pair_classes, infeasible_triple_classes
 from simpson3.symmetry import pad_key
-from simpson3.tables import _table3
+from simpson3.tables import FORM_LETTERS, _int_sign_bits, _table3
 from simpson3.triangulation import FORM_INDEX, FORM_MATRIX, classify_heights_batch
 
 
@@ -1103,14 +1103,54 @@ class TestVerified:
         witness = search_witness((1, 2), SamplerConfig(seed=0))
         assert not Witness((1, 2), Table3([1] * 8), Table3([1] * 8), "").verify()
 
-        def broken(self, pos, neg):
+        def broken(*integers):
             raise CatalogError("sign pattern matches 2 constraint sets")
 
-        monkeypatch.setattr(Catalog, "resolve_signs", broken)
+        monkeypatch.setattr(get_catalog(), "face_ids", broken)
         with pytest.raises(CatalogError, match="matches 2 constraint sets"):
             witness.verify()
         with pytest.raises(CatalogError, match="matches 2 constraint sets"):
             search_witness((3, 28), SamplerConfig(seed=0))
+
+    def test_two_passing_candidates_fall_back_and_raise(self, catalog, monkeypatch):
+        # A table of id x, and an id y of its face code whose constraints
+        # the table fails on one form only: dropping that constraint from
+        # y makes the table pass both candidates.
+        rng = np.random.default_rng(0)
+        candidates = triangulation._face_candidates(catalog.entries)
+        for row in rng.integers(1, 10**6 + 1, (1000, 8)).tolist():
+            table = Table3(row)
+            x = classify_exact(table, catalog).canonical_id
+            pos, neg = _int_sign_bits(*row)
+            face_code = pos & 0b111111  # forms a-f
+            failed = {
+                cid: [(i, s) for i, s in rest if not (pos if s > 0 else neg) >> i & 1]
+                for cid, rest in candidates[face_code]
+                if cid != x
+            }
+            found = [(cid, miss[0]) for cid, miss in failed.items() if len(miss) == 1]
+            if found:
+                y, (form, sign) = found[0]
+                break
+        else:
+            pytest.fail("no table fails a second candidate on one form only")
+        dropped = (FORM_LETTERS[form], sign)
+        target = frozenset(catalog[y].encoding())
+        derive = triangulation.derive_constraints
+
+        def loosened(tetrahedra):
+            out = derive(tetrahedra)
+            return out - {dropped} if frozenset(tetrahedra) == target else out
+
+        monkeypatch.setattr(triangulation, "derive_constraints", loosened)
+        corrupt = Catalog([e.encoding() for e in catalog])
+        assert corrupt[y].constraints == catalog[y].constraints - {dropped}
+        assert corrupt.face_ids(*table.integers) == 0
+        with pytest.raises(CatalogError, match="matches 2 constraint sets"):
+            classify_exact(table, corrupt)
+        monkeypatch.setattr(experiments, "get_catalog", lambda: corrupt)
+        with pytest.raises(CatalogError, match="matches 2 constraint sets"):
+            Witness((x, y), table, table, "").verify()
 
     def test_accepts_search_witnesses(self, catalog):
         for key in [(1, 2), (3, 28), (1, 3, 5), (2, 7, 40)]:

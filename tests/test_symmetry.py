@@ -133,6 +133,10 @@ class TestActions:
         tri = catalog[5]
         image = apply(sigma, tri)
         assert image.canonical_id == catalog.apply_symmetry(sigma, 5)
+        assert type(catalog.apply_symmetry(sigma, 5)) is int
+        for bad in (0, -1, 75):
+            with pytest.raises(DomainError, match=f"^unknown triangulation id {bad}$"):
+                catalog.apply_symmetry(sigma, bad)
         with pytest.raises(DomainError):
             apply(sigma, "vertex")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -15,6 +16,8 @@ from simpson3 import (
     CatalogError,
     DegenerateTable,
     DomainError,
+    NonnegTable3,
+    Table2,
     Table3,
     catalog_from_json_obj,
     classify_exact,
@@ -23,7 +26,16 @@ from simpson3 import (
     detect_conversion,
     get_catalog,
 )
-from simpson3.tables import FORM_COEFFS, VERTICES, _int_sign_bits, vertex_bits
+from simpson3.tables import (
+    FACES,
+    FORM_COEFFS,
+    FORM_INDEX,
+    VERTICES,
+    _int_sign_bits,
+    _pair_sign_bits,
+    face_vertices,
+    vertex_bits,
+)
 from simpson3 import symmetry, triangulation
 from simpson3.triangulation import (
     _BLOCK,
@@ -43,6 +55,7 @@ from simpson3.triangulation import (
     _classified,
     _cover_key,
     _enumerate_encodings,
+    _face_candidates,
     _id_action,
     _lifting_residuals,
     _properly_intersecting,
@@ -599,6 +612,134 @@ class TestPairPath:
     def test_degenerate_part_raises_as_classify_exact(self, catalog, f, g, message):
         with pytest.raises(DegenerateTable, match=message):
             detect_conversion(Table3(f), Table3(g))
+
+
+_tier_entries = st.one_of(
+    st.lists(st.integers(1, 3), min_size=8, max_size=8),
+    st.lists(st.integers(1, 5), min_size=8, max_size=8),
+    st.lists(st.integers(1, 10**6), min_size=8, max_size=8),
+    st.lists(st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)), min_size=8, max_size=8),
+)
+# Count tables and mixed-denominator rationals, as drawn or times 10^30.
+_tier_tables = st.builds(
+    lambda entries, factor: Table3(entries).scaled(factor),
+    _tier_entries,
+    st.sampled_from([1, 10**30]),
+)
+
+
+# The forms supported on a facet, found from the coefficients alone.
+_FACET_FORMS = frozenset(
+    i
+    for i, c in enumerate(FORM_COEFFS)
+    if frozenset(v for v in VERTICES if c[v]) in {frozenset(face_vertices(*f)) for f in FACES}
+)
+
+
+def _reference_face_code(entry):
+    """Bit i is set for each facet form i that is positive on the entry's
+    diagonal of its facet."""
+    return sum(
+        1 << i
+        for i in _FACET_FORMS
+        if tuple(v for v in VERTICES if FORM_COEFFS[i][v] > 0) in entry.face_diagonals
+    )
+
+
+class TestFaceFirstTier:
+    @settings(max_examples=300, deadline=None)
+    @given(table=_tier_tables)
+    def test_equals_the_full_kernel_on_every_image(self, catalog, table):
+        for sigma in symmetry.GROUP:
+            image = symmetry.apply_table(sigma, table)
+            n = image.integers
+            expected = _outcome(lambda: _classified(catalog, *_int_sign_bits(*n)))
+            assert _outcome(lambda: classify_exact(image, catalog)) == expected
+            # the tier itself: 0 or the kernel's id, and the id when no form vanishes
+            tier = catalog.face_ids(*n)
+            pos, neg = _int_sign_bits(*n)
+            if tier or pos | neg == ALL_FORMS:
+                assert tier == expected.canonical_id
+
+    @settings(max_examples=150, deadline=None)
+    @given(f=_tier_tables, g=_tier_tables)
+    def test_pairs_equal_three_kernel_calls(self, catalog, f, g):
+        for sigma in symmetry.GROUP:
+            fi, gi = symmetry.apply_table(sigma, f), symmetry.apply_table(sigma, g)
+            bits = _pair_sign_bits(fi, gi)
+            expected = _outcome(lambda: tuple(_classified(catalog, *b).canonical_id for b in bits))
+            report = _outcome(lambda: detect_conversion(fi, gi))
+            if not isinstance(report, tuple):
+                report = (report.id_f, report.id_g, report.id_sum)
+            assert report == expected
+
+    def test_decides_every_id_itself(self, catalog):
+        rng = np.random.default_rng(0)
+        seen = set()
+        for row in rng.integers(1, 10**6 + 1, (100, 8)).tolist():
+            for sigma in symmetry.GROUP:
+                n = symmetry.apply_table(sigma, Table3(row)).integers
+                expected = _classified(catalog, *_int_sign_bits(*n)).canonical_id
+                assert catalog.face_ids(*n) == expected
+                seen.add(expected)
+        assert seen == set(range(1, len(catalog) + 1))
+
+    def test_every_id_is_under_one_face_code(self, catalog):
+        candidates = _face_candidates(catalog.entries)
+        assert len(candidates) == 64
+        placed = sorted(cid for group in candidates for cid, _ in group)
+        assert placed == list(range(1, len(catalog) + 1))
+        for code, group in enumerate(candidates):
+            expected = [
+                (
+                    e.canonical_id,
+                    tuple(sorted(
+                        (FORM_INDEX[letter], sign)
+                        for letter, sign in e.constraints
+                        if FORM_INDEX[letter] not in _FACET_FORMS
+                    )),
+                )
+                for e in catalog
+                if _reference_face_code(e) == code
+            ]
+            assert list(group) == expected
+        sizes = sorted(len(group) for group in candidates if group)
+        assert (len(sizes), sizes.count(1), sizes.count(2), sizes.count(3), sizes.count(5)) == (
+            46, 28, 12, 4, 2
+        )
+
+    def test_face_constraint_against_the_diagonals_raises(self, catalog):
+        entry = catalog[19]
+        letter, sign = min(c for c in entry.constraints if FORM_INDEX[c[0]] in _FACET_FORMS)
+        flipped = entry.constraints - {(letter, sign)} | {(letter, -sign)}
+        entries = [dataclasses.replace(entry, constraints=flipped)]
+        with pytest.raises(CatalogError, match="entry 19: a constraint on a-f disagrees"):
+            _face_candidates(entries)
+
+    def test_built_on_the_first_exact_call(self):
+        fresh = _build_catalog()
+        assert "face_ids" not in vars(fresh)
+        assert classify_exact(EXAMPLE, fresh) is fresh[classify_exact(EXAMPLE).canonical_id]
+        assert "face_ids" in vars(fresh)
+
+    @pytest.mark.parametrize(
+        "bad, name",
+        [
+            (NonnegTable3([0, 1, 1, 1, 1, 1, 1, 5]), "NonnegTable3"),
+            (Table2([1, 2, 3, 4]), "Table2"),
+            ("table", "str"),
+        ],
+        ids=["zero-count", "2x2", "string"],
+    )
+    def test_refuses_what_is_not_a_table3(self, catalog, bad, name):
+        message = f"expected a Table3, got {name}"
+        with pytest.raises(DomainError) as info:
+            classify_exact(bad, catalog)
+        assert str(info.value) == message
+        for f, g in ((bad, EXAMPLE), (EXAMPLE, bad), (bad, bad)):
+            with pytest.raises(DomainError) as info:
+                detect_conversion(f, g)
+            assert str(info.value) == message
 
 
 class TestSerialization:
