@@ -34,12 +34,12 @@ from .errors import CatalogError, DegenerateTable, DomainError
 from .feasibility import obstructing_vertices
 from .symmetry import _KEY_KINDS, _UNPAD, canonical_classes, key_rows, pad_key
 from .tables import NonnegTable3, Table3, _check_tables, _cross, _integer, _on_one_scale, _sign
-from .tables import _table3, parse_rational, table_from_json_obj
+from .tables import _power_of_two_scale, _table3, parse_rational, table_from_json_obj
 from .triangulation import (
     FORM_MATRIX,
     Catalog,
     _exact_id,
-    classify_heights_batch,
+    classify_entries_batch,
     get_catalog,
 )
 
@@ -177,14 +177,6 @@ def _largest_chunk(config: SamplerConfig, total: int) -> int:
     return min(_CHUNK, config.worker_quotas(total)[0])
 
 
-def _power_of_two_scale(values: Sequence[float]) -> tuple[list[int], int]:
-    """Finite doubles as integers over their largest (power-of-two)
-    denominator: the values are exactly ``integers[i] / scale``."""
-    ratios = [v.as_integer_ratio() for v in values]
-    scale = max(d for _, d in ratios)
-    return [p * (scale // d) for p, d in ratios], scale
-
-
 class _PairBlock:
     """The buffers of one block of 2x2 pairs, allocated once per call: the
     sums, the determinants of F, G and F + G with their second products,
@@ -271,25 +263,21 @@ def estimate_2d_reversal(config: SamplerConfig, sample_count: int) -> FrequencyE
     return _finalize(config, sample_count, discards, counts, targets)
 
 
-def _tally_3d_chunk(
-    entries: np.ndarray, sums: np.ndarray, catalog: Catalog
-) -> tuple[int, int, int]:
+def _tally_3d_chunk(entries: np.ndarray, catalog: Catalog) -> tuple[int, int, int]:
     """The discards, conversions and non-conversions among one chunk of
     raw (m, 16) draws, F and G being its strided halves.
 
-    The raw sums go to the (m, 8) buffer ``sums`` and the logs overwrite
-    ``entries``.  Only the rows where F and G share a nonzero id, in draw
-    order, have their sums logged and classified; no other pair reads its
-    sum.  The chunk's id arrays and masks die on return, before the next
-    chunk is classified.
+    One ``classify_entries_batch`` pass decides F and G together, block by
+    block, on the entries as drawn.  Only the rows where F and G share a
+    nonzero id, in draw order, are copied out and have their sum F + G
+    classified; no other pair reads its sum.  The chunk's id arrays and
+    masks die on return, before the next chunk is classified.
     """
-    np.add(entries[:, 0::2], entries[:, 1::2], out=sums)
-    np.log(entries, out=entries)
-    ids_f = classify_heights_batch(entries[:, 0::2], catalog)
-    ids_g = classify_heights_batch(entries[:, 1::2], catalog)
+    pairs = entries.reshape(-1, 8, 2)
+    ids_f, ids_g = classify_entries_batch(pairs, catalog=catalog)
     shared = np.flatnonzero((ids_f == ids_g) & (ids_f != 0))
-    s = sums[shared]
-    ids_s = classify_heights_batch(np.log(s, out=s), catalog)
+    summands = pairs[shared]
+    (ids_s,) = classify_entries_batch(summands[:, :, :1], summands[:, :, 1:], catalog=catalog)
     discards = int(np.count_nonzero((ids_f == 0) | (ids_g == 0)))
     sum_discards = int(np.count_nonzero(ids_s == 0))
     no_conversion = int(np.count_nonzero(ids_s == ids_f[shared]))
@@ -306,28 +294,31 @@ def estimate_3d_conversion(config: SamplerConfig, sample_count: int) -> Frequenc
     ``sameNoConversion`` when the sum repeats the shared one.  Only those
     pairs have their sum classified: a pair whose summands differ is
     ``differentTriangulations`` whatever its sum is.  A sample is
-    discarded when the batch classifier, at its default margin, leaves F
-    or G undecided, or leaves undecided the sum of an F and G that share
-    an id.  Raises DomainError unless ``sample_count`` is at least 1.
+    discarded when F or G is exactly degenerate, or when F and G share an
+    id and the exact F + G is degenerate: when ``classify_exact`` would
+    raise DegenerateTable on the drawn doubles.  Exp(1) draws are that only
+    on ties between doubles, so a discard is rare.  Raises DomainError
+    unless ``sample_count`` is at least 1.
 
-    A nonzero id is the exact id of the drawn table, and a sum's that of
-    the exact F + G: the id's constraints are among the forms that clear
-    the margin, 2e-9 * scale or more (scale = max(1, max|h|)), and the
-    heights miss the exact logs by two terms only.  An ``np.log`` error of
-    k ulps moves a form by at most 6 * k * 2^-52 * scale, and rounding a
-    sum entry to fl(f + g) by at most 6 * 2^-53.  Both lie far below the
-    margin, and further below a certified form's 7.7e-6 * scale, so those
-    forms have their exact signs.
+    Every id is exact, and ``classify_entries_batch`` gives it in one of two
+    ways.  A table the float32 screen certifies reads its id from the
+    catalog's memo.  That id is exact: the screen leaves every form at
+    least 7.7e-6 * scale from 0 (scale = max(1, max|h|)), and its heights
+    miss the exact logs by two terms only.  An ``np.log`` error of k ulps
+    moves a form by at most 6 * k * 2^-52 * scale, and rounding a sum
+    entry to fl(f + g) by at most 6 * 2^-53.  Both lie far below that gap.
+    Every other table is decided on its doubles, read exactly as integers
+    over a power-of-two denominator, the sum as the exact F + G.
     """
     sample_count = _at_least_one(sample_count, "sample count")
     catalog = get_catalog()
     discards = conversions = no_conversions = 0
     rows = _largest_chunk(config, sample_count)
-    draws, sums = np.empty(16 * rows), np.empty(8 * rows)
+    draws = np.empty(16 * rows)
     for rng, m in _stream_chunks(config, _PURPOSE_MC3D, sample_count):
         entries = draws[: 16 * m].reshape(m, 16)
         rng.standard_exponential(out=entries)
-        tally = _tally_3d_chunk(entries, sums[: 8 * m].reshape(m, 8), catalog)
+        tally = _tally_3d_chunk(entries, catalog)
         discards += tally[0]
         conversions += tally[1]
         no_conversions += tally[2]

@@ -34,6 +34,12 @@ class CubeSymmetry:
     perm: tuple[int, int, int]
     flips: tuple[int, int, int]
 
+    @cached_property
+    def index(self) -> int:
+        """The position of this symmetry in ``GROUP``, found once per
+        instance: hashing the two tuples costs more than the action."""
+        return GROUP_INDEX[self]
+
     def vertex_map(self) -> tuple[int, ...]:
         """Image vertex index for each of the 8 vertices."""
         out = []
@@ -65,7 +71,7 @@ INVERSE_INDEX: tuple[int, ...] = tuple(GROUP_INDEX[sigma.inverse()] for sigma in
 
 
 def apply_vertex(sigma: CubeSymmetry, v: int) -> int:
-    return VERTEX_MAPS[GROUP_INDEX[sigma]][v]
+    return VERTEX_MAPS[sigma.index][v]
 
 
 # Per symmetry, the gather that relabels a table: image entry w is the old
@@ -81,7 +87,7 @@ def apply_table(sigma: CubeSymmetry, table):
     on trust.
     """
     if isinstance(table, (Table3, NonnegTable3)):
-        gather = _TABLE_GATHER[GROUP_INDEX[sigma]]
+        gather = _TABLE_GATHER[sigma.index]
         return _table3(gather(table.integers), table.denominator, type(table))
     raise DomainError(f"cannot apply a cube symmetry to {type(table).__name__}")
 
@@ -98,7 +104,7 @@ def apply(sigma: CubeSymmetry, x):
         return apply_table(sigma, x)
     if isinstance(x, triangulation.Triangulation):
         catalog = triangulation.get_catalog()
-        return catalog.entries[catalog.id_rows[GROUP_INDEX[sigma]][x.canonical_id - 1] - 1]
+        return catalog.entries[catalog.id_rows[sigma.index][x.canonical_id - 1] - 1]
     raise DomainError(f"cannot apply a cube symmetry to {type(x).__name__}")
 
 

@@ -173,6 +173,14 @@ def _on_one_scale(a, b) -> tuple[Sequence[int], Sequence[int], int]:
     return [n * ka for n in a.integers], [n * kb for n in b.integers], common
 
 
+def _power_of_two_scale(values: Sequence[float]) -> tuple[list[int], int]:
+    """Finite doubles as integers over their largest (power-of-two)
+    denominator: the values are exactly ``integers[i] / scale``."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max(d for _, d in ratios)
+    return [p * (scale // d) for p, d in ratios], scale
+
+
 def _pair_sign_bits(
     f: "Table3", g: "Table3"
 ) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -37,6 +39,7 @@ from .tables import (
     _check_tables,
     _compiled,
     _int_sign_bits,
+    _power_of_two_scale,
     face_diagonal_pair,
     vertex_bits,
 )
@@ -419,7 +422,7 @@ class Catalog:
 
     def apply_symmetry(self, sigma: symmetry.CubeSymmetry, canonical_id: int) -> int:
         self[canonical_id]
-        return self.id_rows[symmetry.GROUP_INDEX[sigma]][canonical_id - 1]
+        return self.id_rows[sigma.index][canonical_id - 1]
 
     def orbit_representatives(self) -> tuple[int, ...]:
         return tuple(sorted({e.orbit_rep for e in self.entries}))
@@ -654,7 +657,9 @@ def classify_heights_batch(heights: np.ndarray, catalog: Catalog | None = None) 
     allow.
 
     Two tiers decide the rows.  A call of at least ``_BLOCK`` rows first
-    evaluates the forms in float32 (``_screen``) and certifies a row when
+    evaluates the forms in float32 (``_screen``, whose per-block kernel
+    ``_screen_block`` is also the screen of ``classify_entries_batch``)
+    and certifies a row when
     its heights are finite with max|h| < 2^64 and every |form value| is at
     least ``_SCREEN * scale``, scale being max(1, max|h|).  The bound: write
     v32 and v64 for a form's float32 and float64 values and v for its exact
@@ -674,7 +679,10 @@ def classify_heights_batch(heights: np.ndarray, catalog: Catalog | None = None) 
     Every other row (ties, near-margin rows, huge, tiny or non-finite rows,
     about 1.3e-4 of log-Exp(1) rows) goes through the float64 margin rule
     (``_margin_ids``) in one call on just those rows, and so does every row
-    of a call with fewer than ``_BLOCK`` rows.  That threshold is
+    of a call with fewer than ``_BLOCK`` rows.  The margin rule serves
+    callers that hold only heights; a caller that holds the entries (the
+    Monte Carlo estimator) calls ``classify_entries_batch``, which decides
+    those rows exactly on the entries instead.  That threshold is
     conservative: screen and rule against the rule alone took 23-24 / 25-26
     us on 25 log-Exp(1) rows, 54-59 / 30-32 us on 25 half-tie rows, 37-44 /
     68-73 us on 620 log-Exp(1) rows and 73-74 / 174-178 us on 2 047 (a
@@ -708,25 +716,113 @@ def classify_heights_batch(heights: np.ndarray, catalog: Catalog | None = None) 
 def _screen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The float32 tier of ``classify_heights_batch`` on (n, 8) float64
     heights: each row's 20-bit sign code, and whether the row is certified,
-    in which case the code is the float64 rule's and no form is undecided.
-    Heights beyond float32's range become inf in the cast, silently; such
-    rows, like every row with max|h| >= 2^64, are not certified, which
-    keeps each product and partial sum far from float32 overflow."""
+    in which case the code is the float64 rule's and no form is undecided."""
     n = len(h)
     codes = np.empty(n, dtype=np.int64)
     certified = np.empty(n, dtype=bool)
+    values = np.empty(len(FORM_COEFFS) * min(n, _BLOCK), dtype=np.float32)
     with np.errstate(all="ignore"):
         for lo in range(0, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
             hT = h[lo:hi].T.astype(np.float32, order="C")
-            values = _FORM_MATRIX32 @ hT
-            codes[lo:hi] = _POW2F32 @ (values > 0)
-            np.abs(values, out=values)
-            scale = np.abs(hT, out=hT).max(axis=0)
-            np.maximum(scale, 1.0, out=scale)
-            # NaN fails both comparisons and inf the second: non-finite rows never certify
-            certified[lo:hi] = (values.min(axis=0) >= _SCREEN * scale) & (scale < _SCREEN_MAX)
+            block_values = values[: len(FORM_COEFFS) * (hi - lo)].reshape(-1, hi - lo)
+            _screen_block(hT, block_values, codes[lo:hi], certified[lo:hi])
     return codes, certified
+
+
+def _screen_block(
+    hT: np.ndarray, values: np.ndarray, codes: np.ndarray, certified: np.ndarray
+) -> None:
+    """The float32 screen on one block of (..., 8, b) float32 heights
+    ``hT``, which it overwrites with their absolute values: the (..., 20, b)
+    form values go to ``values``, and each row's 20-bit sign code and
+    whether it is certified to the (..., b) ``codes`` and ``certified``.
+    Heights beyond float32's range became inf in the cast, silently (the
+    callers ignore float errors); such rows, like every row with max|h| >=
+    2^64, are not certified, which keeps each product and partial sum far
+    from float32 overflow."""
+    np.matmul(_FORM_MATRIX32, hT, out=values)
+    codes[...] = _POW2F32 @ (values > 0)
+    np.abs(values, out=values)
+    scale = np.abs(hT, out=hT).max(axis=-2)
+    np.maximum(scale, 1.0, out=scale)
+    # NaN fails both comparisons and inf the second: non-finite rows never certify
+    np.logical_and(values.min(axis=-2) >= _SCREEN * scale, scale < _SCREEN_MAX, out=certified)
+
+
+def classify_entries_batch(*parts: np.ndarray, catalog: Catalog | None = None) -> np.ndarray:
+    """Exact ids of 2x2x2 tables given by their raw float64 entries.
+
+    Each part is an (n, 8, t) array (a view will do): row i holds t tables,
+    and table j's entries are ``parts[0][i, :, j] + parts[1][i, :, j] +
+    ...``, summed exactly.  Returns the (t, n) int64 ids; 0 marks a table
+    that is not finite and strictly positive, or on which ``classify_exact``
+    raises DegenerateTable.  The parts of a sum should be nonnegative.
+
+    The call walks the rows in blocks of ``_BLOCK``, so that each block's
+    buffers, allocated once per call, stay in cache.  A block's entries
+    are summed in floats (one part needs no sum), their float64 logs
+    taken, and the logs transposed once, as float32, into one (t, 8, b)
+    buffer that ``classify_heights_batch``'s float32 screen evaluates.  A
+    certified table reads its id from the catalog's memo of sign codes.
+    Its id is exact: the screen's bound (see ``classify_heights_batch``)
+    leaves every form at least 7.7e-6 * scale from 0, and the heights miss
+    the exact logs of the table by two terms only.  An ``np.log`` error of
+    k ulps moves a form by at most 6 * k * 2^-52 * scale, and rounding the
+    sum of p parts moves a height by at most (p - 1) * 2^-53, a form by 6
+    times that.  Both are far below 7.7e-6 * scale for any k < 1 000.
+    Every other table (ties, near ties, non-finite or non-positive tables,
+    about 1.4e-4 of Exp(1) tables) is decided on its doubles: the parts'
+    entries as integers over their largest power-of-two denominator,
+    summed exactly, through ``classify_exact``'s two tiers.
+    """
+    if catalog is None:
+        catalog = get_catalog()
+    parts = [np.asarray(q, dtype=np.float64) for q in parts]
+    shape = parts[0].shape if parts else ()
+    if len(shape) != 3 or shape[1] != 8 or any(q.shape != shape for q in parts):
+        raise DomainError("entries must be (n, 8, t) arrays of one shape")
+    n, _, t = shape
+    width = min(n, _BLOCK)
+    codes = np.empty((t, n), dtype=np.int32)
+    certified = np.empty((t, n), dtype=bool)
+    logs = np.empty((width, 8, t))
+    heights = np.empty(t * 8 * width, dtype=np.float32)
+    values = np.empty(t * len(FORM_COEFFS) * width, dtype=np.float32)
+    with np.errstate(all="ignore"):
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            b = hi - lo
+            block = parts[0][lo:hi]
+            for q in parts[1:]:
+                block = np.add(block, q[lo:hi], out=logs[:b])
+            np.log(block, out=logs[:b])
+            hT = heights[: t * 8 * b].reshape(t, 8, b)
+            np.copyto(hT, logs[:b].transpose(2, 1, 0), casting="same_kind")
+            block_values = values[: t * len(FORM_COEFFS) * b].reshape(t, -1, b)
+            _screen_block(hT, block_values, codes[:, lo:hi], certified[:, lo:hi])
+    ids = _memo_ids(catalog, codes, certified)
+    for j, i in zip(*np.nonzero(~certified)):
+        ids[j, i] = _entry_id(catalog, [q[i, :, j] for q in parts])
+    return ids
+
+
+def _entry_id(catalog: Catalog, rows: Sequence[np.ndarray]) -> int:
+    """The exact id of the exact sum of rows of 8 doubles, or 0 when that
+    sum is not finite and strictly positive or is degenerate."""
+    values = [v for row in rows for v in row.tolist()]
+    if not all(map(math.isfinite, values)):
+        return 0
+    integers, _ = _power_of_two_scale(values)
+    table = integers[:8]
+    for lo in range(8, len(integers), 8):
+        table = list(map(operator.add, table, integers[lo : lo + 8]))
+    if min(table) <= 0:
+        return 0
+    try:
+        return _exact_id(catalog, table)
+    except DegenerateTable:
+        return 0
 
 
 def _margin_ids(h: np.ndarray, catalog: Catalog) -> np.ndarray:

@@ -382,12 +382,12 @@ class TestMonteCarlo:
         assert "sample count must be at least 1" in err
 
     def test_every_sample_discarded_exit_code(self, capsys, monkeypatch):
-        # no option or argument sets the margin, so stub the classifier to
-        # discard every row, as it does for rows within the margin
+        # Exp(1) draws are never exactly degenerate in practice, so stub
+        # the classifier to discard every table, as it does degenerate ones
         monkeypatch.setattr(
             experiments,
-            "classify_heights_batch",
-            lambda h, catalog: np.zeros(len(h), dtype=np.int64),
+            "classify_entries_batch",
+            lambda *parts, catalog: np.zeros((parts[0].shape[2], len(parts[0])), dtype=np.int64),
         )
         code, out, err = run(capsys, "montecarlo", "--dim", "3", "--samples", "10")
         assert code == 1

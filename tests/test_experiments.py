@@ -17,6 +17,7 @@ from simpson3 import (
     Catalog,
     CatalogError,
     ConversionSearch,
+    DegenerateTable,
     DomainError,
     Exhausted,
     SamplerConfig,
@@ -38,7 +39,8 @@ from simpson3 import experiments, triangulation
 from simpson3.feasibility import infeasible_pair_classes, infeasible_triple_classes
 from simpson3.symmetry import pad_key
 from simpson3.tables import FORM_LETTERS, _int_sign_bits, _table3
-from simpson3.triangulation import FORM_INDEX, FORM_MATRIX, classify_heights_batch
+from simpson3.triangulation import FORM_INDEX, FORM_MATRIX, classify_entries_batch
+from simpson3.triangulation import classify_heights_batch
 
 
 class TestSampler:
@@ -143,45 +145,52 @@ class TestEstimators:
 
     def test_every_sample_discarded(self, monkeypatch):
         monkeypatch.setattr(
-            experiments, "classify_heights_batch", lambda h, catalog: np.zeros(len(h), int)
+            experiments,
+            "classify_entries_batch",
+            lambda *parts, catalog: np.zeros((parts[0].shape[2], len(parts[0])), int),
         )
         with pytest.raises(DomainError, match="all 10 samples were discarded as degenerate$"):
             estimate_3d_conversion(SamplerConfig(seed=0), 10)
 
     def test_sum_is_classified_on_the_shared_rows(self, monkeypatch):
-        # per chunk: F, G, then the sums of the rows whose ids agree and are nonzero
+        # per chunk: F and G in one call, then the raw F and G of the rows
+        # whose ids agree and are nonzero, as the two parts of their sums
         calls = []
 
-        def recorded(h, catalog):
-            ids = classify_heights_batch(h, catalog)
-            calls.append((np.array(h), ids))
+        def recorded(*parts, catalog):
+            ids = classify_entries_batch(*parts, catalog=catalog)
+            calls.append(([np.array(q) for q in parts], ids))
             return ids
 
-        monkeypatch.setattr(experiments, "classify_heights_batch", recorded)
+        monkeypatch.setattr(experiments, "classify_entries_batch", recorded)
         config = SamplerConfig(seed=0, worker_count=2)
         estimate_3d_conversion(config, 150001)
         chunks = list(experiments._stream_chunks(config, experiments._PURPOSE_MC3D, 150001))
-        assert len(calls) == 3 * len(chunks)
-        f_calls, g_calls, s_calls = calls[0::3], calls[1::3], calls[2::3]
-        for (rng, m), (f, ids_f), (g, ids_g), (s, _) in zip(chunks, f_calls, g_calls, s_calls):
+        assert len(calls) == 2 * len(chunks)
+        for (rng, m), ([fg], (ids_f, ids_g)), ([f, g], _) in zip(chunks, calls[0::2], calls[1::2]):
             entries = rng.standard_exponential((m, 16))
-            assert np.array_equal(f, np.log(entries[:, 0::2]))
-            assert np.array_equal(g, np.log(entries[:, 1::2]))
+            assert np.array_equal(fg[:, :, 0], entries[:, 0::2])
+            assert np.array_equal(fg[:, :, 1], entries[:, 1::2])
+            assert fg.shape == (m, 8, 2)
             shared = (ids_f == ids_g) & (ids_f != 0)
             assert 0 < shared.sum() < m
-            assert np.array_equal(s, np.log(entries[:, 0::2] + entries[:, 1::2])[shared])
+            assert np.array_equal(f[:, :, 0], entries[shared, 0::2])
+            assert np.array_equal(g[:, :, 0], entries[shared, 1::2])
+            assert f.shape == g.shape == (shared.sum(), 8, 1)
 
     def fake_ids(self, monkeypatch, f, g, s):
         """Make the classifier answer F, G and the sums with fixed ids, and
-        record the shape of each sum call."""
-        answers, sum_shapes = [f, g, s], []
+        record the shapes of the parts of each sum call."""
+        sum_shapes = []
 
-        def fake(h, catalog):
-            if len(answers) == 1:
-                sum_shapes.append(np.shape(h))
-            return np.asarray(answers.pop(0)(len(h)), dtype=np.int64)
+        def fake(*parts, catalog):
+            n = len(parts[0])
+            if len(parts) == 1:
+                return np.array([f(n), g(n)], dtype=np.int64)
+            sum_shapes.append([np.shape(q) for q in parts])
+            return np.array([s(n)], dtype=np.int64)
 
-        monkeypatch.setattr(experiments, "classify_heights_batch", fake)
+        monkeypatch.setattr(experiments, "classify_entries_batch", fake)
         return sum_shapes
 
     def test_sum_of_different_summands_is_never_read(self, monkeypatch):
@@ -190,7 +199,7 @@ class TestEstimators:
             monkeypatch, lambda n: np.ones(n), lambda n: np.full(n, 2), lambda n: np.zeros(n)
         )
         est = estimate_3d_conversion(SamplerConfig(seed=0), 10)
-        assert shapes == [(0, 8)]
+        assert shapes == [[(0, 8, 1)] * 2]
         assert est.degenerate_discards == 0
         assert est.counts == {"sameTriangulation": 0, "conversion": 0, "sameNoConversion": 0}
 
@@ -204,7 +213,7 @@ class TestEstimators:
             lambda n: np.zeros(n),
         )
         est = estimate_3d_conversion(SamplerConfig(seed=0), 10)
-        assert shapes == [(4, 8)]
+        assert shapes == [[(4, 8, 1)] * 2]
         assert est.degenerate_discards == 4
         assert est.counts == {"sameTriangulation": 0, "conversion": 0, "sameNoConversion": 0}
 
@@ -218,7 +227,7 @@ class TestEstimators:
             lambda n: np.where(np.arange(n) % 2 == 0, 1, 2),
         )
         est = estimate_3d_conversion(SamplerConfig(seed=0), 10)
-        assert shapes == [(7, 8)]
+        assert shapes == [[(7, 8, 1)] * 2]
         assert est.degenerate_discards == 3
         assert est.counts == {"sameTriangulation": 7, "conversion": 3, "sameNoConversion": 4}
 
@@ -347,17 +356,20 @@ class TestBlockedEstimators:
             assert traced_peak(estimate_2d_reversal, n) <= draw + 2**20, n
 
     def test_3d_peak_does_not_rise(self):
-        # 13.75 MiB measured with the float32 screen; 14.77 MiB before it and
-        # 15.27 MiB while every pair's sum was classified
-        assert traced_peak(estimate_3d_conversion, 1 << 16) <= 13.8 * 2**20
+        # 10.69 MiB measured with the blocked pass over the entries, which
+        # forms F + G only for the shared rows; 13.75 MiB with the float32
+        # screen and a chunk-wide (m, 8) sum buffer, 14.77 MiB before the
+        # screen and 15.27 MiB while every pair's sum was classified
+        assert traced_peak(estimate_3d_conversion, 1 << 16) <= 10.74 * 2**20
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts KiB on Linux")
     def test_3d_resident_rise_is_bounded(self):
         # tracemalloc sees only Python's and numpy's allocators; the peak
         # resident set sees every allocation.  After a 4 097-pair warm-up
         # that crosses every path of the classifier, a 2^16-pair call rose
-        # by 13.15 MiB before the float32 screen (12.66 MiB with it); the
-        # bound is that rise plus 1 MiB
+        # by 13.15 MiB before the float32 screen, 12.66 MiB with it and
+        # 9.05 MiB with the blocked pass over the entries; the bound is
+        # that rise plus 1 MiB
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         done = subprocess.run(
@@ -368,7 +380,7 @@ class TestBlockedEstimators:
             timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert int(done.stdout) <= (13.15 + 1) * 1024
+        assert int(done.stdout) <= (9.05 + 1) * 1024
 
     def test_3d_peak_does_not_grow_with_the_chunks(self):
         # a chunk's ids and masks die before the next chunk is classified;
@@ -387,8 +399,10 @@ def exact_id(catalog, *rows):
 
 class TestExactIds:
     def test_nonzero_ids_are_the_exact_ids_of_the_drawn_tables(self, catalog):
-        # 2^13 pairs, so the F and G calls go through the float32 screen;
-        # estimate_3d_conversion's docstring says why this holds
+        # 2^13 pairs, so the F and G calls go through the float32 screen.
+        # A certified id is exact (estimate_3d_conversion's docstring); a
+        # nonzero id of the float64 rule has its constraints clear the
+        # margin, 2e-9 * scale or more, far above the log and sum errors
         f, g = np.random.default_rng(11).standard_exponential((2, 1 << 13, 8))
         ids_f = classify_heights_batch(np.log(f), catalog)
         ids_g = classify_heights_batch(np.log(g), catalog)
@@ -401,6 +415,63 @@ class TestExactIds:
         assert np.count_nonzero(ids_s) > 100
         for i, sum_id in zip(shared.tolist(), ids_s.tolist()):
             assert sum_id in (0, exact_id(catalog, f[i], g[i])), i
+
+
+    def test_entry_ids_are_the_exact_ids_of_the_drawn_tables(self, catalog):
+        # every id of F, G and the shared-id sums, zeros included, through
+        # the entry point the estimator calls
+        pairs = np.random.default_rng(11).standard_exponential((1 << 13, 16)).reshape(-1, 8, 2)
+        ids_f, ids_g = classify_entries_batch(pairs, catalog=catalog)
+        shared = np.flatnonzero((ids_f == ids_g) & (ids_f != 0))
+        summands = pairs[shared]
+        (ids_s,) = classify_entries_batch(summands[:, :, :1], summands[:, :, 1:], catalog=catalog)
+        for j, ids in enumerate((ids_f, ids_g)):
+            assert ids.tolist() == [exact_or_0(catalog, row) for row in pairs[:, :, j]]
+        assert len(shared) > 100
+        assert ids_s.tolist() == [exact_or_0(catalog, *row.T) for row in summands]
+
+    def test_integer_draws_discard_exactly_the_degenerate_pairs(self, catalog, monkeypatch):
+        # draws of integers through the stream's generator, 1..5 (ties:
+        # many tables are exactly degenerate) on half the pairs and
+        # 1..10^6 on the others
+        class IntegerDraws:
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+
+            def standard_exponential(self, out):
+                high = self.rng.choice([6, 10**6 + 1], (len(out), 1))
+                out[...] = self.rng.integers(1, high, out.shape)
+                return out
+
+        monkeypatch.setattr(SamplerConfig, "stream", lambda self, *key: IntegerDraws([self.seed, *key]))
+        config = SamplerConfig(seed=3, worker_count=2)
+        n = 2 * 2048 + 3
+        est = estimate_3d_conversion(config, n)
+        discards = conversions = no_conversions = 0
+        for rng, m in experiments._stream_chunks(config, experiments._PURPOSE_MC3D, n):
+            for f, g in rng.standard_exponential(out=np.empty((m, 16))).reshape(m, 8, 2).transpose(0, 2, 1):
+                id_f, id_g = exact_or_0(catalog, f), exact_or_0(catalog, g)
+                id_s = exact_or_0(catalog, f, g) if id_f == id_g else None
+                if 0 in (id_f, id_g, id_s):
+                    discards += 1
+                elif id_s is not None:
+                    conversions += id_s != id_f
+                    no_conversions += id_s == id_f
+        assert 0 < discards < n and conversions > 0
+        assert est.degenerate_discards == discards
+        assert est.counts == {
+            "sameTriangulation": conversions + no_conversions,
+            "conversion": conversions,
+            "sameNoConversion": no_conversions,
+        }
+
+
+def exact_or_0(catalog, *rows):
+    """``exact_id``, or 0 where ``classify_exact`` raises DegenerateTable."""
+    try:
+        return exact_id(catalog, *rows)
+    except DegenerateTable:
+        return 0
 
 
 def exact_det_sign(t):
@@ -691,7 +762,8 @@ class TestSearch:
         def forbidden(*args, **kwargs):
             raise AssertionError("witness search classified a batch")
 
-        monkeypatch.setattr(experiments, "classify_heights_batch", forbidden)
+        monkeypatch.setattr(experiments, "classify_entries_batch", forbidden)
+        monkeypatch.setattr(triangulation, "classify_heights_batch", forbidden)
         assert isinstance(
             search_witness((3, 4, 55), SamplerConfig(seed=0), budget=1000), Exhausted
         )

@@ -140,6 +140,21 @@ class TestActions:
         with pytest.raises(DomainError):
             apply(sigma, "vertex")
 
+    def test_equal_symmetry_built_apart_acts_alike(self, catalog):
+        # the cached index is found per instance, so an equal copy of a
+        # GROUP member must find the member's
+        rng = np.random.default_rng(4)
+        t = random_table(rng)
+        for s in (0, 7, 47):
+            member = GROUP[s]
+            copy = CubeSymmetry(tuple(member.perm), tuple(member.flips))
+            assert copy is not member and copy == member and copy.index == s
+            assert [apply(copy, v) for v in range(8)] == [apply_vertex(member, v) for v in range(8)]
+            assert apply(copy, t) == apply_table(copy, t) == apply_table(member, t)
+            for tri in catalog[1], catalog[40]:
+                assert apply(copy, tri) is apply(member, tri)
+                assert catalog.apply_symmetry(copy, tri.canonical_id) == apply(member, tri).canonical_id
+
     def test_triangulation_action_matches_relabeling(self, catalog):
         for sigma in GROUP:
             for tri in catalog:

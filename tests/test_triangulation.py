@@ -61,6 +61,7 @@ from simpson3.triangulation import (
     _properly_intersecting,
     _screen,
     _tetrahedra,
+    classify_entries_batch,
     catalog_to_json_obj,
     derive_constraints,
     tetrahedron_volume_sixths,
@@ -1039,10 +1040,17 @@ class TestBatchMemo:
 
 
 def screen_edge_heights(rng, size):
-    """Rows whose heights reach 10^-2..10^6 and in which one form, pulled
-    along its own coefficients, sits within a few float32 ulps of
-    ``_SCREEN * scale``, on either side; scale is 1 below 10^0."""
+    """Rows whose heights reach 10^-2..10^6 and in which one form sits
+    within a few float32 ulps of ``_SCREEN * scale`` (``pulled_to_the_screen``)."""
     h = np.log(rng.standard_exponential((size, 8))) * 10.0 ** rng.uniform(-2, 6, (size, 1))
+    return pulled_to_the_screen(rng, h)
+
+
+def pulled_to_the_screen(rng, h):
+    """Heights ``h`` in which one random form per row, pulled along its own
+    coefficients, sits within a few float32 ulps of ``_SCREEN * scale``, on
+    either side; scale is 1 below 10^0."""
+    size = len(h)
     c = FORM_MATRIX[rng.integers(0, len(FORM_MATRIX), size)]
     target = rng.choice([-1.0, 1.0], size) * _SCREEN * (1.0 + rng.integers(-4, 5, size) * 2.0**-23)
     for _ in range(3):    # the pull moves the scale by a relative 1e-5 at most
@@ -1146,6 +1154,135 @@ class TestScreen:
             classify_heights_batch(h[:size], catalog)
         assert [rows for rows, _ in screened] == [_BLOCK, 2 * _BLOCK + 1]
         assert fallback == [rest for _, rest in screened] and min(fallback) >= _BLOCK // 7
+
+
+def exact_entry_id(catalog, *rows):
+    """``classify_exact`` on the exact sum of rows of positive doubles, as
+    Fractions; 0 where it raises DegenerateTable."""
+    table = Table3([sum(map(Fraction, column)) for column in zip(*[r.tolist() for r in rows])])
+    try:
+        return classify_exact(table, catalog).canonical_id
+    except DegenerateTable:
+        return 0
+
+
+def near_tie_entries(rng, size):
+    """Tables whose entries a_x * b_y * c_z are integer products, so that
+    every form vanishes, each then moved by -2..2 ulps; about one in three
+    is left an exact tie."""
+    a, b, c = rng.integers(1, 7, (3, size, 2)).astype(np.float64)
+    bits = np.array([vertex_bits(v) for v in VERTICES])
+    rows = np.arange(size)[:, None]
+    x = a[rows, bits[:, 0]] * b[rows, bits[:, 1]] * c[rows, bits[:, 2]]
+    nudge = rng.integers(-2, 3, (size, 8)) * (rng.random((size, 1)) < 2 / 3)
+    return x + nudge * np.spacing(x)
+
+
+def entry_rows(seed, kind, size):
+    """(size, 8) positive finite doubles of one kind: Exp(1) draws, integer
+    ties 1..5, near ties, Exp(1) draws scaled by 2^+-k, by 10^+-300 or into
+    the subnormals (a random subset of each row's entries), and Exp(1) rows
+    whose logs put one form within a few float32 ulps of the screen's
+    threshold."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_exponential((size, 8))
+    if kind == "ties":
+        return rng.integers(1, 6, (size, 8)).astype(np.float64)
+    if kind == "near ties":
+        return near_tie_entries(rng, size)
+    if kind == "powers of two":
+        return x * 2.0 ** rng.integers(-60, 61, (size, 1))
+    if kind == "10^+-300":
+        return x * rng.choice([1e-300, 1e300], (size, 1))
+    if kind == "subnormal":
+        return x * np.where(rng.random((size, 8)) < 0.5, 1e-310, 1.0)
+    if kind == "screen edge":
+        return np.exp(pulled_to_the_screen(rng, np.log(x)))
+    return x
+
+
+ENTRY_KINDS = ("exp", "ties", "near ties", "powers of two", "10^+-300", "subnormal", "screen edge")
+
+
+class TestEntryIds:
+    """``classify_entries_batch`` gives every table the id ``classify_exact``
+    gives its exact entries, and 0 exactly where that raises."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=seeds, kinds=st.tuples(*[st.sampled_from(ENTRY_KINDS)] * 2))
+    def test_ids_of_tables_are_exact(self, catalog, seed, kinds):
+        # F and G interleaved, as the Monte Carlo draws them
+        f, g = (entry_rows(seed + k, kind, 40) for k, kind in enumerate(kinds))
+        pairs = np.stack([f, g], axis=2)
+        with np.errstate(all="raise"):
+            ids = classify_entries_batch(pairs, catalog=catalog)
+        assert ids.shape == (2, 40) and ids.dtype == np.int64
+        for j, rows in enumerate((f, g)):
+            assert ids[j].tolist() == [exact_entry_id(catalog, row) for row in rows]
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=seeds, kinds=st.tuples(*[st.sampled_from(ENTRY_KINDS)] * 2), shift=st.integers(0, 60))
+    def test_ids_of_sums_are_exact(self, catalog, seed, kinds, shift):
+        # g scaled down by 2^shift, so that most sums f + g round
+        f, g = (entry_rows(seed + k, kind, 40) for k, kind in enumerate(kinds))
+        g *= 2.0**-shift
+        (ids,) = classify_entries_batch(f[:, :, None], g[:, :, None], catalog=catalog)
+        assert ids.tolist() == [exact_entry_id(catalog, a, b) for a, b in zip(f, g)]
+
+    def test_sums_of_near_ties_and_overflowing_sums(self, catalog):
+        # near ties on one base: their sums are near ties too; entries near
+        # the largest double: their float sums overflow to inf
+        rng = np.random.default_rng(8)
+        base = near_tie_entries(rng, 200)
+        f = base + rng.integers(-2, 3, base.shape) * np.spacing(base)
+        g = base + rng.integers(-2, 3, base.shape) * np.spacing(base)
+        huge = rng.uniform(0.6, 1.0, (2, 50, 8)) * np.finfo(np.float64).max
+        f, g = np.vstack([f, huge[0]]), np.vstack([g, huge[1]])
+        (ids,) = classify_entries_batch(f[:, :, None], g[:, :, None], catalog=catalog)
+        expected = [exact_entry_id(catalog, a, b) for a, b in zip(f, g)]
+        assert ids.tolist() == expected
+        assert 0 < expected.count(0) < 200 and all(expected[200:])
+
+    def test_uncertified_rows_are_decided_on_the_entries(self, catalog, monkeypatch):
+        # ties and near ties do not certify; every Exp(1) table of this
+        # seed does, and none of those reaches the exact fallback
+        decided = []
+        entry_id = triangulation._entry_id
+
+        def recorded(catalog, rows):
+            decided.append(np.concatenate(rows))
+            return entry_id(catalog, rows)
+
+        monkeypatch.setattr(triangulation, "_entry_id", recorded)
+        rng = np.random.default_rng(9)
+        x = rng.standard_exponential((3 * _BLOCK + 5, 8))
+        x[::5] = near_tie_entries(rng, len(x[::5]))
+        ids = classify_entries_batch(x[:, :, None], catalog=catalog)
+        h = np.log(x)
+        assert len(decided) == np.count_nonzero(~_screen(h)[1]) >= len(x[::5]) // 2
+        assert np.array_equal(np.sort(decided, axis=0), np.sort(x[~_screen(h)[1]], axis=0))
+        assert ids[0, ::5].tolist() == [exact_entry_id(catalog, row) for row in x[::5]]
+
+    def test_tables_that_are_not_positive_get_0(self, catalog):
+        x = np.random.default_rng(10).standard_exponential((9, 8))
+        for i, bad in enumerate([0.0, -1.0, np.inf, -np.inf, np.nan]):
+            x[i, i] = bad
+        x[5] = 0.0
+        x[6, 0] = np.finfo(np.float64).tiny / 2**52    # the least subnormal is positive
+        ids = classify_entries_batch(x[:, :, None], catalog=catalog)
+        assert ids[0, :6].tolist() == [0] * 6
+        assert ids[0, 6:].tolist() == [exact_entry_id(catalog, row) for row in x[6:]]
+        # a sum whose parts cancel is not positive either
+        (ids,) = classify_entries_batch(x[7:, :, None], -x[7:, :, None], catalog=catalog)
+        assert ids.tolist() == [0, 0]
+
+    @pytest.mark.parametrize("shapes", [[], [(4, 8)], [(4, 7, 1)], [(4, 8, 1), (4, 8, 2)]])
+    def test_refuses_other_shapes(self, catalog, shapes):
+        with pytest.raises(DomainError, match=r"^entries must be \(n, 8, t\) arrays of one shape$"):
+            classify_entries_batch(*[np.ones(shape) for shape in shapes], catalog=catalog)
+
+    def test_empty_call(self, catalog):
+        assert classify_entries_batch(np.ones((0, 8, 2)), catalog=catalog).shape == (2, 0)
 
 
 def test_every_five_vertex_set_holds_one_circuit():
