@@ -35,13 +35,7 @@ from .feasibility import obstructing_vertices
 from .symmetry import _KEY_KINDS, _UNPAD, canonical_classes, key_rows, pad_key
 from .tables import NonnegTable3, Table3, _check_tables, _cross, _integer, _on_one_scale, _sign
 from .tables import _power_of_two_scale, _table3, parse_rational, table_from_json_obj
-from .triangulation import (
-    FORM_MATRIX,
-    Catalog,
-    _exact_id,
-    classify_entries_batch,
-    get_catalog,
-)
+from .triangulation import FORM_MATRIX, _exact_id, classify_entries_batch, get_catalog
 
 # Purpose codes keep the independent random streams from ever colliding.
 _PURPOSE_MC2D = 1
@@ -263,7 +257,7 @@ def estimate_2d_reversal(config: SamplerConfig, sample_count: int) -> FrequencyE
     return _finalize(config, sample_count, discards, counts, targets)
 
 
-def _tally_3d_chunk(entries: np.ndarray, catalog: Catalog) -> tuple[int, int, int]:
+def _tally_3d_chunk(entries: np.ndarray) -> tuple[int, int, int]:
     """The discards, conversions and non-conversions among one chunk of
     raw (m, 16) draws, F and G being its strided halves.
 
@@ -274,10 +268,10 @@ def _tally_3d_chunk(entries: np.ndarray, catalog: Catalog) -> tuple[int, int, in
     masks die on return, before the next chunk is classified.
     """
     pairs = entries.reshape(-1, 8, 2)
-    ids_f, ids_g = classify_entries_batch(pairs, catalog=catalog)
+    ids_f, ids_g = classify_entries_batch(pairs)
     shared = np.flatnonzero((ids_f == ids_g) & (ids_f != 0))
     summands = pairs[shared]
-    (ids_s,) = classify_entries_batch(summands[:, :, :1], summands[:, :, 1:], catalog=catalog)
+    (ids_s,) = classify_entries_batch(summands[:, :, :1], summands[:, :, 1:])
     discards = int(np.count_nonzero((ids_f == 0) | (ids_g == 0)))
     sum_discards = int(np.count_nonzero(ids_s == 0))
     no_conversion = int(np.count_nonzero(ids_s == ids_f[shared]))
@@ -300,25 +294,18 @@ def estimate_3d_conversion(config: SamplerConfig, sample_count: int) -> Frequenc
     on ties between doubles, so a discard is rare.  Raises DomainError
     unless ``sample_count`` is at least 1.
 
-    Every id is exact, and ``classify_entries_batch`` gives it in one of two
-    ways.  A table the float32 screen certifies reads its id from the
-    catalog's memo.  That id is exact: the screen leaves every form at
-    least 7.7e-6 * scale from 0 (scale = max(1, max|h|)), and its heights
-    miss the exact logs by two terms only.  An ``np.log`` error of k ulps
-    moves a form by at most 6 * k * 2^-52 * scale, and rounding a sum
-    entry to fl(f + g) by at most 6 * 2^-53.  Both lie far below that gap.
-    Every other table is decided on its doubles, read exactly as integers
-    over a power-of-two denominator, the sum as the exact F + G.
+    Every id is exact: ``classify_entries_batch`` gives F, G and F + G the
+    ids ``classify_exact`` gives the drawn doubles and their exact sum (its
+    docstring says why).
     """
     sample_count = _at_least_one(sample_count, "sample count")
-    catalog = get_catalog()
     discards = conversions = no_conversions = 0
     rows = _largest_chunk(config, sample_count)
     draws = np.empty(16 * rows)
     for rng, m in _stream_chunks(config, _PURPOSE_MC3D, sample_count):
         entries = draws[: 16 * m].reshape(m, 16)
         rng.standard_exponential(out=entries)
-        tally = _tally_3d_chunk(entries, catalog)
+        tally = _tally_3d_chunk(entries)
         discards += tally[0]
         conversions += tally[1]
         no_conversions += tally[2]

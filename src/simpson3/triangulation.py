@@ -51,9 +51,9 @@ FORM_MATRIX = np.array(FORM_COEFFS, dtype=np.float64)          # (20, 8)
 FORM_NORMS = np.linalg.norm(FORM_MATRIX, axis=1)
 _POW2F = np.ldexp(1.0, np.arange(20))     # sums of distinct ones are exact in float64
 _BLOCK = 2048    # rows per batch block: its (20, b) temporaries (320 KB) stay in cache
-# The float32 screen ahead of the float64 margin rule (classify_heights_batch
-# derives _SCREEN from the error bound); 2^20 - 1 < 2^24, so the packed
-# codes are exact in float32 too.
+# The float32 screen of classify_entries_batch (_screen_block derives
+# _SCREEN from the error bound); 2^20 - 1 < 2^24, so the packed codes are
+# exact in float32 too.
 _FORM_MATRIX32 = FORM_MATRIX.astype(np.float32)
 _POW2F32 = _POW2F.astype(np.float32)
 _SCREEN = 1e-5
@@ -573,21 +573,29 @@ def _compile_face_tier(candidates: Sequence[Sequence]) -> Callable[..., int]:
     """The face-first tier as one straight-line function of the 8 integer
     entries ``n0..n7``, returning an id or 0.
 
-    A decision tree compares the six facet monomial pairs, returning 0 on
-    the first tie; at its leaf, each candidate of the face code is tested
-    on its other constraints, strictly.  The leaf returns the one candidate
-    that passes, and 0 when none or several do.  The comparisons are
-    generated from ``_FOUR_TERM`` and ``_FIVE_TERM``, as in the sign kernel.
+    The six facet monomial pairs are formed once, as ``x0..x5`` and
+    ``y0..y5``.  A decision tree compares them, returning 0 on the first
+    tie; at its leaf, each candidate of the face code is tested on its
+    other constraints, strictly.  The leaf returns the one candidate that
+    passes, and 0 when none or several do, or the code has no candidate.
+    The comparisons are generated from ``_FOUR_TERM`` and ``_FIVE_TERM``,
+    as in the sign kernel.
     """
     sides = [
         (" * ".join(f"n{v}" for v in vertices[:half]), " * ".join(f"n{v}" for v in vertices[half:]))
         for _, *vertices in _FOUR_TERM + _FIVE_TERM
         for half in [len(vertices) // 2]
     ]
+    facets = [FORM_INDEX[FACE_FORM[face]] for face in FACES]
     lines = []
+    for depth, form in enumerate(facets):
+        lines += [f"x{depth} = {sides[form][0]}", f"y{depth} = {sides[form][1]}"]
 
     def node(depth: int, code: int, pad: str) -> None:
         if depth == len(FACES):
+            if not candidates[code]:
+                lines.append(f"{pad}return 0")
+                return
             lines.append(f"{pad}found = 0")
             for k, (cid, rest) in enumerate(candidates[code]):
                 tests = [
@@ -600,11 +608,9 @@ def _compile_face_tier(candidates: Sequence[Sequence]) -> Callable[..., int]:
             lines.append(f"{pad}return found")
             return
         # each branch returns, so the second test runs only when x <= y
-        form = FORM_INDEX[FACE_FORM[FACES[depth]]]
-        x, y = sides[form]
-        lines.extend([f"{pad}x = {x}", f"{pad}y = {y}", f"{pad}if x > y:"])
-        node(depth + 1, code | 1 << form, pad + "    ")
-        lines.append(f"{pad}if x < y:")
+        lines.append(f"{pad}if x{depth} > y{depth}:")
+        node(depth + 1, code | 1 << facets[depth], pad + "    ")
+        lines.append(f"{pad}if x{depth} < y{depth}:")
         node(depth + 1, code, pad + "    ")
         lines.append(f"{pad}return 0")
 
@@ -654,91 +660,75 @@ def classify_heights_batch(heights: np.ndarray, catalog: Catalog | None = None) 
     the decided ones, so it still gets its id when none of them is among
     that id's constraints.  0 marks a row that is not finite or has an
     undecided form among the constraints of every id its decided forms
-    allow.
+    allow.  A caller that holds the entries calls ``classify_entries_batch``
+    instead, whose ids are exact.
 
-    Two tiers decide the rows.  A call of at least ``_BLOCK`` rows first
-    evaluates the forms in float32 (``_screen``, whose per-block kernel
-    ``_screen_block`` is also the screen of ``classify_entries_batch``)
-    and certifies a row when
-    its heights are finite with max|h| < 2^64 and every |form value| is at
-    least ``_SCREEN * scale``, scale being max(1, max|h|).  The bound: write
-    v32 and v64 for a form's float32 and float64 values and v for its exact
-    value on the float64 heights.  Casting to float32 moves each height by
-    at most 2^-24 * scale, and the coefficients have sum |c| <= 6, so v
-    moves by at most 3.6e-7 * scale.  The float32 sum has at most five
-    nonzero terms, each an exact product as c is in {+-1, +-2}, so it
-    rounds at most five times: gamma_5 * 6 * scale ~ 1.8e-6 * scale
-    (subnormal results round by 2^-150 at most, and scale >= 1).  So
-    |v32 - v| < 2.2e-6 * scale, and |v64 - v| is below 4e-15 * scale.  The
-    float32 threshold is within a relative 2^-22 of 1e-5 * scale, so every
-    form of a certified row has |v64| >= 7.7e-6 * scale, with the sign of
-    v32: about 2 700 times the widest margin (2.8e-9 * scale).  A certified
-    row's float32 sign code is therefore the float64 code and has no
-    undecided form, and its id is read from the memo as below.
-
-    Every other row (ties, near-margin rows, huge, tiny or non-finite rows,
-    about 1.3e-4 of log-Exp(1) rows) goes through the float64 margin rule
-    (``_margin_ids``) in one call on just those rows, and so does every row
-    of a call with fewer than ``_BLOCK`` rows.  The margin rule serves
-    callers that hold only heights; a caller that holds the entries (the
-    Monte Carlo estimator) calls ``classify_entries_batch``, which decides
-    those rows exactly on the entries instead.  That threshold is
-    conservative: screen and rule against the rule alone took 23-24 / 25-26
-    us on 25 log-Exp(1) rows, 54-59 / 30-32 us on 25 half-tie rows, 37-44 /
-    68-73 us on 620 log-Exp(1) rows and 73-74 / 174-178 us on 2 047 (a
-    2-vCPU machine, best of 21).  The float64 rule evaluates the forms
-    column-major, on cache-sized blocks of rows transposed to (8, b), and
-    packs each row's signs and undecided forms into two 20-bit codes.  A
-    clean row reads its id from the catalog's memo of full sign codes,
-    which resolves each code the first time it is met; any other row
-    resolves its (positive, negative) sign pattern through
-    ``Catalog.resolve_signs``, which memoizes each pattern.  The margin
-    rule is the same for every block, so a row's id does not depend on its
-    block (nor on which rows the screen passed on with it), except within
-    a few ulps of a margin, where the BLAS product may sum a block's forms
-    in a different order from a single row's.
+    The forms are evaluated column-major, on cache-sized blocks of rows
+    transposed to (8, b), and each row's signs and undecided forms are
+    packed into two 20-bit codes.  A row without undecided forms reads its
+    id from the catalog's memo of full sign codes, which resolves each code
+    the first time it is met; any other row resolves its (positive,
+    negative) sign pattern through ``Catalog.resolve_signs``, which
+    memoizes each pattern.  The margin rule is the same for every block, so
+    a row's id does not depend on its block, except within a few ulps of a
+    margin, where the BLAS product may sum a block's forms in a different
+    order from a single row's.
     """
     if catalog is None:
         catalog = get_catalog()
     h = np.asarray(heights, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != 8:
         raise DomainError("heights must be an (n, 8) array")
-    if len(h) < _BLOCK:
-        return _margin_ids(h, catalog)
-    codes, certified = _screen(h)
-    ids = _memo_ids(catalog, codes, certified)
-    rest = np.flatnonzero(~certified)
-    if rest.size:
-        ids[rest] = _margin_ids(h[rest], catalog)
-    return ids
-
-
-def _screen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The float32 tier of ``classify_heights_batch`` on (n, 8) float64
-    heights: each row's 20-bit sign code, and whether the row is certified,
-    in which case the code is the float64 rule's and no form is undecided."""
     n = len(h)
     codes = np.empty(n, dtype=np.int64)
-    certified = np.empty(n, dtype=bool)
-    values = np.empty(len(FORM_COEFFS) * min(n, _BLOCK), dtype=np.float32)
-    with np.errstate(all="ignore"):
+    undecided = np.empty(n, dtype=np.int64)
+    finite = np.empty(n, dtype=bool)
+    margin = _MARGIN[:, None]
+    with np.errstate(invalid="ignore"):
         for lo in range(0, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
-            hT = h[lo:hi].T.astype(np.float32, order="C")
-            block_values = values[: len(FORM_COEFFS) * (hi - lo)].reshape(-1, hi - lo)
-            _screen_block(hT, block_values, codes[lo:hi], certified[lo:hi])
-    return codes, certified
+            hT = np.ascontiguousarray(h[lo:hi].T)
+            values = FORM_MATRIX @ hT
+            scale = np.maximum(1.0, np.abs(hT).max(axis=0))
+            codes[lo:hi] = _POW2F @ (values > 0)
+            undecided[lo:hi] = _POW2F @ (np.abs(values, out=values) < margin * scale)
+            finite[lo:hi] = np.isfinite(scale)
+    ids = _memo_ids(catalog, codes, finite & (undecided == 0))
+    partial = np.nonzero(finite & (undecided != 0))[0]
+    if partial.size:
+        open_forms = undecided[partial]
+        pos = codes[partial] & ~open_forms
+        neg = ~codes[partial] & ~open_forms & _ALL_FORMS
+        ids[partial] = [catalog.resolve_signs(p, q) for p, q in zip(pos.tolist(), neg.tolist())]
+    return ids
 
 
 def _screen_block(
     hT: np.ndarray, values: np.ndarray, codes: np.ndarray, certified: np.ndarray
 ) -> None:
-    """The float32 screen on one block of (..., 8, b) float32 heights
-    ``hT``, which it overwrites with their absolute values: the (..., 20, b)
-    form values go to ``values``, and each row's 20-bit sign code and
-    whether it is certified to the (..., b) ``codes`` and ``certified``.
+    """The float32 screen of ``classify_entries_batch`` on one block of
+    (..., 8, b) float32 heights ``hT``, which it overwrites with their
+    absolute values: the (..., 20, b) form values go to ``values``, and
+    each row's 20-bit sign code and whether it is certified to the (..., b)
+    ``codes`` and ``certified``.
+
+    A row is certified when its heights are finite with max|h| < 2^64 and
+    every |form value| is at least ``_SCREEN * scale``, scale being max(1,
+    max|h|).  The bound: write v32 for a form's float32 value and v for its
+    exact value on the float64 heights the block was cast from.  Casting
+    to float32 moves each height by at most 2^-24 * scale, and the
+    coefficients have sum |c| <= 6, so v moves by at most 3.6e-7 * scale.
+    The float32 sum has at most five nonzero terms, each an exact product
+    as c is in {+-1, +-2}, so it rounds at most five times: gamma_5 * 6 *
+    scale ~ 1.8e-6 * scale (subnormal results round by 2^-150 at most, and
+    scale >= 1).  So |v32 - v| < 2.2e-6 * scale.  The float32 threshold is
+    within a relative 2^-22 of 1e-5 * scale, so every form of a certified
+    row has |v| >= 7.7e-6 * scale, with the sign of v32: the row's sign
+    code is exact on its float64 heights, and every form lies about 2 700
+    times the float64 margin rule's widest margin (2.8e-9 * scale) from 0.
+
     Heights beyond float32's range became inf in the cast, silently (the
-    callers ignore float errors); such rows, like every row with max|h| >=
+    caller ignores float errors); such rows, like every row with max|h| >=
     2^64, are not certified, which keeps each product and partial sum far
     from float32 overflow."""
     np.matmul(_FORM_MATRIX32, hT, out=values)
@@ -750,7 +740,7 @@ def _screen_block(
     np.logical_and(values.min(axis=-2) >= _SCREEN * scale, scale < _SCREEN_MAX, out=certified)
 
 
-def classify_entries_batch(*parts: np.ndarray, catalog: Catalog | None = None) -> np.ndarray:
+def classify_entries_batch(*parts: np.ndarray) -> np.ndarray:
     """Exact ids of 2x2x2 tables given by their raw float64 entries.
 
     Each part is an (n, 8, t) array (a view will do): row i holds t tables,
@@ -763,12 +753,12 @@ def classify_entries_batch(*parts: np.ndarray, catalog: Catalog | None = None) -
     buffers, allocated once per call, stay in cache.  A block's entries
     are summed in floats (one part needs no sum), their float64 logs
     taken, and the logs transposed once, as float32, into one (t, 8, b)
-    buffer that ``classify_heights_batch``'s float32 screen evaluates.  A
+    buffer that the float32 screen (``_screen_block``) evaluates.  A
     certified table reads its id from the catalog's memo of sign codes.
-    Its id is exact: the screen's bound (see ``classify_heights_batch``)
-    leaves every form at least 7.7e-6 * scale from 0, and the heights miss
-    the exact logs of the table by two terms only.  An ``np.log`` error of
-    k ulps moves a form by at most 6 * k * 2^-52 * scale, and rounding the
+    Its id is exact: the screen's bound (see ``_screen_block``) leaves
+    every form at least 7.7e-6 * scale from 0, and the heights miss the
+    exact logs of the table by two terms only.  An ``np.log`` error of k
+    ulps moves a form by at most 6 * k * 2^-52 * scale, and rounding the
     sum of p parts moves a height by at most (p - 1) * 2^-53, a form by 6
     times that.  Both are far below 7.7e-6 * scale for any k < 1 000.
     Every other table (ties, near ties, non-finite or non-positive tables,
@@ -776,8 +766,7 @@ def classify_entries_batch(*parts: np.ndarray, catalog: Catalog | None = None) -
     entries as integers over their largest power-of-two denominator,
     summed exactly, through ``classify_exact``'s two tiers.
     """
-    if catalog is None:
-        catalog = get_catalog()
+    catalog = get_catalog()
     parts = [np.asarray(q, dtype=np.float64) for q in parts]
     shape = parts[0].shape if parts else ()
     if len(shape) != 3 or shape[1] != 8 or any(q.shape != shape for q in parts):
@@ -823,33 +812,6 @@ def _entry_id(catalog: Catalog, rows: Sequence[np.ndarray]) -> int:
         return _exact_id(catalog, table)
     except DegenerateTable:
         return 0
-
-
-def _margin_ids(h: np.ndarray, catalog: Catalog) -> np.ndarray:
-    """The float64 margin rule of ``classify_heights_batch`` on (n, 8)
-    float64 heights, on every row."""
-    n = len(h)
-    codes = np.empty(n, dtype=np.int64)
-    undecided = np.empty(n, dtype=np.int64)
-    finite = np.empty(n, dtype=bool)
-    margin = _MARGIN[:, None]
-    with np.errstate(invalid="ignore"):
-        for lo in range(0, n, _BLOCK):
-            hi = min(lo + _BLOCK, n)
-            hT = np.ascontiguousarray(h[lo:hi].T)
-            values = FORM_MATRIX @ hT
-            scale = np.maximum(1.0, np.abs(hT).max(axis=0))
-            codes[lo:hi] = _POW2F @ (values > 0)
-            undecided[lo:hi] = _POW2F @ (np.abs(values, out=values) < margin * scale)
-            finite[lo:hi] = np.isfinite(scale)
-    ids = _memo_ids(catalog, codes, finite & (undecided == 0))
-    partial = np.nonzero(finite & (undecided != 0))[0]
-    if partial.size:
-        open_forms = undecided[partial]
-        pos = codes[partial] & ~open_forms
-        neg = ~codes[partial] & ~open_forms & _ALL_FORMS
-        ids[partial] = [catalog.resolve_signs(p, q) for p, q in zip(pos.tolist(), neg.tolist())]
-    return ids
 
 
 def _memo_ids(catalog: Catalog, codes: np.ndarray, clean: np.ndarray) -> np.ndarray:

@@ -387,7 +387,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(
             experiments,
             "classify_entries_batch",
-            lambda *parts, catalog: np.zeros((parts[0].shape[2], len(parts[0])), dtype=np.int64),
+            lambda *parts: np.zeros((parts[0].shape[2], len(parts[0])), dtype=np.int64),
         )
         code, out, err = run(capsys, "montecarlo", "--dim", "3", "--samples", "10")
         assert code == 1

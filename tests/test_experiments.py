@@ -147,7 +147,7 @@ class TestEstimators:
         monkeypatch.setattr(
             experiments,
             "classify_entries_batch",
-            lambda *parts, catalog: np.zeros((parts[0].shape[2], len(parts[0])), int),
+            lambda *parts: np.zeros((parts[0].shape[2], len(parts[0])), int),
         )
         with pytest.raises(DomainError, match="all 10 samples were discarded as degenerate$"):
             estimate_3d_conversion(SamplerConfig(seed=0), 10)
@@ -157,8 +157,8 @@ class TestEstimators:
         # whose ids agree and are nonzero, as the two parts of their sums
         calls = []
 
-        def recorded(*parts, catalog):
-            ids = classify_entries_batch(*parts, catalog=catalog)
+        def recorded(*parts):
+            ids = classify_entries_batch(*parts)
             calls.append(([np.array(q) for q in parts], ids))
             return ids
 
@@ -183,7 +183,7 @@ class TestEstimators:
         record the shapes of the parts of each sum call."""
         sum_shapes = []
 
-        def fake(*parts, catalog):
+        def fake(*parts):
             n = len(parts[0])
             if len(parts) == 1:
                 return np.array([f(n), g(n)], dtype=np.int64)
@@ -421,10 +421,10 @@ class TestExactIds:
         # every id of F, G and the shared-id sums, zeros included, through
         # the entry point the estimator calls
         pairs = np.random.default_rng(11).standard_exponential((1 << 13, 16)).reshape(-1, 8, 2)
-        ids_f, ids_g = classify_entries_batch(pairs, catalog=catalog)
+        ids_f, ids_g = classify_entries_batch(pairs)
         shared = np.flatnonzero((ids_f == ids_g) & (ids_f != 0))
         summands = pairs[shared]
-        (ids_s,) = classify_entries_batch(summands[:, :, :1], summands[:, :, 1:], catalog=catalog)
+        (ids_s,) = classify_entries_batch(summands[:, :, :1], summands[:, :, 1:])
         for j, ids in enumerate((ids_f, ids_g)):
             assert ids.tolist() == [exact_or_0(catalog, row) for row in pairs[:, :, j]]
         assert len(shared) > 100

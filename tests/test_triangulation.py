@@ -59,7 +59,7 @@ from simpson3.triangulation import (
     _id_action,
     _lifting_residuals,
     _properly_intersecting,
-    _screen,
+    _screen_block,
     _tetrahedra,
     classify_entries_batch,
     catalog_to_json_obj,
@@ -1085,6 +1085,20 @@ def screen_heights(seed, size):
 SCREEN_SIZES = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
 
 
+def screened(h):
+    """Each row's float32 sign code, and whether the screen certifies it:
+    ``_screen_block`` on (n, 8) float64 heights, cast to float32 block by
+    block as ``classify_entries_batch`` casts its logs."""
+    codes = np.empty(len(h), dtype=np.int32)
+    certified = np.empty(len(h), dtype=bool)
+    with np.errstate(all="ignore"):
+        for lo in range(0, len(h), _BLOCK):
+            hT = h[lo : lo + _BLOCK].T.astype(np.float32, order="C")
+            values = np.empty((len(FORM_MATRIX), hT.shape[1]), dtype=np.float32)
+            _screen_block(hT, values, codes[lo : lo + _BLOCK], certified[lo : lo + _BLOCK])
+    return codes, certified
+
+
 class TestScreen:
     @pytest.mark.parametrize("size", SCREEN_SIZES)
     @settings(max_examples=3, deadline=None)
@@ -1101,9 +1115,9 @@ class TestScreen:
     @given(seed=seeds)
     def test_certified_rows_keep_the_bound(self, size, seed):
         h = screen_heights(seed, size)
-        codes, certified = _screen(h)
+        codes, certified = screened(h)
         edge = screen_edge_heights(np.random.default_rng(seed), size)
-        edge_codes, edge_certified = _screen(edge)
+        edge_codes, edge_certified = screened(edge)
         # the edge rows fall on both sides of the threshold
         assert edge_certified.any() and not edge_certified.all()
         for rows, row_codes, ok in [(h, codes, certified), (edge, edge_codes, edge_certified)]:
@@ -1121,39 +1135,26 @@ class TestScreen:
         assert not certified[np.abs(h).max(axis=1) >= 2.0**64].any()
 
     def test_certifies_nearly_every_log_exp_row(self):
-        # about 1.3e-4 of log Exp(1) rows go to the float64 rule at
+        # about 1.3e-4 of log Exp(1) rows go to the exact fallback at
         # _SCREEN = 1e-5; a screen that certified nothing would show only
         # on the benchmark
         h = np.log(np.random.default_rng(3).standard_exponential((1 << 16, 8)))
-        certified = _screen(h)[1]
+        certified = screened(h)[1]
         assert np.count_nonzero(~certified) < 1e-3 * len(h)
 
-    def test_only_uncertified_rows_reach_the_float64_rule(self, catalog, monkeypatch):
-        screened, fallback = [], []
-        screen, margin_ids = triangulation._screen, triangulation._margin_ids
+    def test_heights_never_reach_the_screen(self, catalog, monkeypatch):
+        # the float32 screen serves classify_entries_batch only: a heights
+        # call of any size, above one block too, gets the float64 margin
+        # rule on every row
+        def forbidden(*args):
+            raise AssertionError("classify_heights_batch ran the float32 screen")
 
-        def recorded_screen(h):
-            out = screen(h)
-            screened.append((len(h), int(np.count_nonzero(~out[1]))))
-            return out
-
-        def recorded_margin_ids(h, catalog):
-            fallback.append(len(h))
-            return margin_ids(h, catalog)
-
-        monkeypatch.setattr(triangulation, "_screen", recorded_screen)
-        monkeypatch.setattr(triangulation, "_margin_ids", recorded_margin_ids)
+        monkeypatch.setattr(triangulation, "_screen_block", forbidden)
         h = np.log(np.random.default_rng(4).standard_exponential((2 * _BLOCK + 1, 8)))
         h[::7] = 0.0    # ties: every form vanishes
-        for size in (0, 1, 25, _BLOCK - 1):
-            classify_heights_batch(h[:size], catalog)
-        # below one block, every row goes to the float64 rule, unscreened
-        assert screened == [] and fallback == [0, 1, 25, _BLOCK - 1]
-        fallback.clear()
-        for size in (_BLOCK, 2 * _BLOCK + 1):
-            classify_heights_batch(h[:size], catalog)
-        assert [rows for rows, _ in screened] == [_BLOCK, 2 * _BLOCK + 1]
-        assert fallback == [rest for _, rest in screened] and min(fallback) >= _BLOCK // 7
+        for size in (0, 1, 25, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 1):
+            ids = classify_heights_batch(h[:size], catalog)
+            assert np.array_equal(ids, full_margin_ids(catalog, h[:size]))
 
 
 def exact_entry_id(catalog, *rows):
@@ -1215,7 +1216,7 @@ class TestEntryIds:
         f, g = (entry_rows(seed + k, kind, 40) for k, kind in enumerate(kinds))
         pairs = np.stack([f, g], axis=2)
         with np.errstate(all="raise"):
-            ids = classify_entries_batch(pairs, catalog=catalog)
+            ids = classify_entries_batch(pairs)
         assert ids.shape == (2, 40) and ids.dtype == np.int64
         for j, rows in enumerate((f, g)):
             assert ids[j].tolist() == [exact_entry_id(catalog, row) for row in rows]
@@ -1226,7 +1227,7 @@ class TestEntryIds:
         # g scaled down by 2^shift, so that most sums f + g round
         f, g = (entry_rows(seed + k, kind, 40) for k, kind in enumerate(kinds))
         g *= 2.0**-shift
-        (ids,) = classify_entries_batch(f[:, :, None], g[:, :, None], catalog=catalog)
+        (ids,) = classify_entries_batch(f[:, :, None], g[:, :, None])
         assert ids.tolist() == [exact_entry_id(catalog, a, b) for a, b in zip(f, g)]
 
     def test_sums_of_near_ties_and_overflowing_sums(self, catalog):
@@ -1238,7 +1239,7 @@ class TestEntryIds:
         g = base + rng.integers(-2, 3, base.shape) * np.spacing(base)
         huge = rng.uniform(0.6, 1.0, (2, 50, 8)) * np.finfo(np.float64).max
         f, g = np.vstack([f, huge[0]]), np.vstack([g, huge[1]])
-        (ids,) = classify_entries_batch(f[:, :, None], g[:, :, None], catalog=catalog)
+        (ids,) = classify_entries_batch(f[:, :, None], g[:, :, None])
         expected = [exact_entry_id(catalog, a, b) for a, b in zip(f, g)]
         assert ids.tolist() == expected
         assert 0 < expected.count(0) < 200 and all(expected[200:])
@@ -1257,10 +1258,11 @@ class TestEntryIds:
         rng = np.random.default_rng(9)
         x = rng.standard_exponential((3 * _BLOCK + 5, 8))
         x[::5] = near_tie_entries(rng, len(x[::5]))
-        ids = classify_entries_batch(x[:, :, None], catalog=catalog)
+        ids = classify_entries_batch(x[:, :, None])
         h = np.log(x)
-        assert len(decided) == np.count_nonzero(~_screen(h)[1]) >= len(x[::5]) // 2
-        assert np.array_equal(np.sort(decided, axis=0), np.sort(x[~_screen(h)[1]], axis=0))
+        certified = screened(h)[1]
+        assert len(decided) == np.count_nonzero(~certified) >= len(x[::5]) // 2
+        assert np.array_equal(np.sort(decided, axis=0), np.sort(x[~certified], axis=0))
         assert ids[0, ::5].tolist() == [exact_entry_id(catalog, row) for row in x[::5]]
 
     def test_tables_that_are_not_positive_get_0(self, catalog):
@@ -1269,20 +1271,20 @@ class TestEntryIds:
             x[i, i] = bad
         x[5] = 0.0
         x[6, 0] = np.finfo(np.float64).tiny / 2**52    # the least subnormal is positive
-        ids = classify_entries_batch(x[:, :, None], catalog=catalog)
+        ids = classify_entries_batch(x[:, :, None])
         assert ids[0, :6].tolist() == [0] * 6
         assert ids[0, 6:].tolist() == [exact_entry_id(catalog, row) for row in x[6:]]
         # a sum whose parts cancel is not positive either
-        (ids,) = classify_entries_batch(x[7:, :, None], -x[7:, :, None], catalog=catalog)
+        (ids,) = classify_entries_batch(x[7:, :, None], -x[7:, :, None])
         assert ids.tolist() == [0, 0]
 
     @pytest.mark.parametrize("shapes", [[], [(4, 8)], [(4, 7, 1)], [(4, 8, 1), (4, 8, 2)]])
-    def test_refuses_other_shapes(self, catalog, shapes):
+    def test_refuses_other_shapes(self, shapes):
         with pytest.raises(DomainError, match=r"^entries must be \(n, 8, t\) arrays of one shape$"):
-            classify_entries_batch(*[np.ones(shape) for shape in shapes], catalog=catalog)
+            classify_entries_batch(*[np.ones(shape) for shape in shapes])
 
-    def test_empty_call(self, catalog):
-        assert classify_entries_batch(np.ones((0, 8, 2)), catalog=catalog).shape == (2, 0)
+    def test_empty_call(self):
+        assert classify_entries_batch(np.ones((0, 8, 2))).shape == (2, 0)
 
 
 def test_every_five_vertex_set_holds_one_circuit():
