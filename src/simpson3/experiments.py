@@ -418,15 +418,17 @@ def _hinge_rows(work: _Work) -> None:
     a row's gap at 0.  The loss is smooth and vanishes exactly on the open
     witness region with margin to spare.  The k form values are one (k, 24)
     product and the gradient one (24, k) product, both on w columns: with
-    coefficients in {0, ±1, ±2} every term is exact, every sum runs in
-    ascending order and the rows left out would add only exact zeros, so a
-    row's result never depends on the other columns.  A nonzero gap is at
-    least an ulp of the margin, so the loss is zero exactly when no gap is
-    nonzero.  Every operation writes into ``work``'s arrays; exp and
-    log1p run on contiguous (8, n) operands.
+    coefficients in {0, ±1, ±2} every term is exact, in float32 as in
+    float64, every sum runs in ascending order and the rows left out would
+    add only exact zeros, so a row's result never depends on the other
+    columns.  A nonzero gap is at least an ulp of the margin, so the loss
+    is zero exactly when no gap is nonzero.  Every operation writes into
+    ``work``'s arrays, in their dtype; exp and log1p run on contiguous
+    (8, n) operands.
     """
     ratio = work.ratio
-    # |hg - hf| <= 24 inside the box, so the ratio cannot overflow.
+    # |hg - hf| <= 24 inside the box, so the ratio (at most e^24 < 3e10)
+    # cannot overflow, not even in float32.
     np.exp(np.subtract(work.hg, work.hf, out=ratio), out=ratio)
     # The log entries of the sum; the padding columns of the parts are
     # zero, and so are their gaps.
@@ -445,31 +447,49 @@ def _hinge_rows(work: _Work) -> None:
     np.subtract(np.add(work.dg, work.ds, out=work.grad_g), ratio, out=work.grad_g)
 
 
-# The 20 forms of F, G and F + G as one (60, 24) block: row 3f + s is form
-# f of summand s (F, G, the sum) over columns 8s to 8s + 7, the summand's
-# entries in the stacked (3, 8) parts; and the block's gradient map.
+# The 20 forms of F, G and F + G as one (60, 24) float32 block: row 3f + s
+# is form f of summand s (F, G, the sum) over columns 8s to 8s + 7, the
+# summand's entries in the stacked (3, 8) parts; and the block's gradient
+# map.  Every coefficient is 0, +-1 or +-2, so float32 holds both exactly.
 _SUMMAND_FORMS = np.einsum("fj,st->fstj", FORM_MATRIX, np.eye(3)).reshape(60, 24)
-_SUMMAND_GRAD = np.ascontiguousarray(-2.0 * _SUMMAND_FORMS.T)
+_SUMMAND_FORMS = _SUMMAND_FORMS.astype(np.float32)
+_SUMMAND_GRAD = np.ascontiguousarray(-2 * _SUMMAND_FORMS.T)
 
 
 def _active_rows(sign: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (form, summand) rows that some column of ``sign`` (20, 3, n)
     constrains, as ``_hinge_rows`` takes them: their (k, w) signs and the
-    (k, 24) and (24, k) blocks for them.  OpenBLAS sums the last n % 8
-    columns of a product in another order (one column goes to gemv), so w
-    rounds n up to a multiple of 8 and the extra columns' signs are 0."""
+    (k, 24) and (24, k) blocks for them, all of ``sign``'s dtype.  OpenBLAS
+    sums the last columns of a product in another order when they do not
+    fill its kernel's width (one column goes to gemv), so w rounds n up to
+    64 bytes of columns, 16 at float32 and 8 at float64, and the extra
+    columns' signs are 0."""
     n = sign.shape[-1]
     sign = sign.reshape(60, n)
     rows = np.flatnonzero(sign.any(axis=1))
-    padded = np.zeros((len(rows), -(-n // 8) * 8))
+    cols = 64 // sign.itemsize
+    padded = np.zeros((len(rows), -(-n // cols) * cols), dtype=sign.dtype)
     padded[:, :n] = sign[rows]
-    return padded, _SUMMAND_FORMS[rows], _SUMMAND_GRAD.take(rows, axis=1)
+    forms = _SUMMAND_FORMS[rows].astype(sign.dtype, copy=False)
+    return padded, forms, _SUMMAND_GRAD.take(rows, axis=1).astype(sign.dtype, copy=False)
+
+
+# Adam's bias corrections by iteration: the step size over 1 - beta1^(t+1),
+# and 1 / (1 - beta2^(t+1)), computed in float64; and both rounded once to
+# each dtype a ``_Work`` takes.
+_OPT_RATE = _OPT_LR / (1.0 - _OPT_BETA1 ** np.arange(1, _OPT_MAXITER + 1))
+_OPT_SCALE = 1.0 / (1.0 - _OPT_BETA2 ** np.arange(1, _OPT_MAXITER + 1))
+_ADAM_TABLES = {
+    np.dtype(t): (_OPT_RATE.astype(t), _OPT_SCALE.astype(t)) for t in (np.float32, np.float64)
+}
 
 
 class _Work:
     """A pool's step arrays and the views a step works through, built once
     per refill from its columns' signs on the 20 forms of F, G and the sum,
-    ``sign`` (20, 3, n), so that a step allocates nothing.
+    ``sign`` (20, 3, n), so that a step allocates nothing.  Every array
+    takes ``sign``'s dtype: float32 in the descent, float64 where a test
+    runs the same kernel as a reference.
 
     ``parts`` (3, 8, w) holds the log entries ``hf``, ``hg`` and ``hs`` of
     F, G and the sum, read by the first product as ``block``; ``h`` is the
@@ -477,35 +497,33 @@ class _Work:
     padding columns stay zero.  ``gap`` (k, w) and ``prod`` (24, w) hold
     the two products, ``prod`` as the gradient by the entries of F, G and
     the sum (``df``, ``dg``, ``ds``); ``grad`` holds the gradient by h.
-    ``ratio``, ``scratch``, ``rate`` and ``scale`` serve the hinge and Adam.
+    ``ratio``, ``scratch``, ``rate`` and ``scale`` serve the hinge and Adam,
+    ``rates`` and ``scales`` are Adam's tables at the dtype.
     """
 
     def __init__(self, sign: np.ndarray) -> None:
-        n = sign.shape[-1]
+        n, dtype = sign.shape[-1], sign.dtype
         self.sign, self.forms, self.form_grad = _active_rows(sign)
         k, w = self.sign.shape
-        self.parts = np.zeros((3, 8, w))
+        self.parts = np.zeros((3, 8, w), dtype)
         self.block = self.parts.reshape(24, w)
         self.h = self.parts[:2].reshape(16, w)[:, :n]
         self.hf, self.hg, self.hs = self.parts[..., :n]
-        self.gap = np.empty((k, w))
+        self.gap = np.empty((k, w), dtype)
         self.gaps = self.gap[:, :n]
-        self.prod = np.empty((24, w))
+        self.prod = np.empty((24, w), dtype)
         self.df, self.dg, self.ds = self.prod.reshape(3, 8, w)[..., :n]
-        self.grad = np.empty((16, n))
+        self.grad = np.empty((16, n), dtype)
         self.grad_f, self.grad_g = self.grad[:8], self.grad[8:]
-        self.ratio = np.empty((8, n))
-        self.scratch = np.empty((16, n))
+        self.ratio = np.empty((8, n), dtype)
+        self.scratch = np.empty((16, n), dtype)
         self.log1p = self.scratch[:8]
-        self.rate = np.empty(n)
-        self.scale = np.empty(n)
+        self.rate = np.empty(n, dtype)
+        self.scale = np.empty(n, dtype)
         self.zero = np.empty(n, dtype=bool)
+        self.rates, self.scales = _ADAM_TABLES[dtype]
 
 
-# Adam's bias corrections by iteration: the step size over 1 - beta1^(t+1),
-# and 1 / (1 - beta2^(t+1)).
-_OPT_RATE = _OPT_LR / (1.0 - _OPT_BETA1 ** np.arange(1, _OPT_MAXITER + 1))
-_OPT_SCALE = 1.0 / (1.0 - _OPT_BETA2 ** np.arange(1, _OPT_MAXITER + 1))
 _NEVER = np.iinfo(np.int64).max // 2
 
 # np.clip's ufunc, without the wrappers that np.clip calls it through.
@@ -516,7 +534,9 @@ except ImportError:  # numpy < 2
 
 
 class _Descent:
-    """Projected Adam on the hinge loss over many (class, restart) rows.
+    """Projected Adam on the hinge loss over many (class, restart) rows,
+    in the dtype of ``sign_table``: float32.  Starts are drawn as float64
+    normals and rounded once to that dtype as they enter the pool.
 
     Each class runs its restarts in waves of 16, 32, 64, ... rows of up to
     ``_OPT_MAXITER`` iterations, drawn from its own start stream and cut
@@ -541,7 +561,7 @@ class _Descent:
         self, keys: list[tuple[int, ...]], rows: np.ndarray, budget: int, config: SamplerConfig
     ) -> None:
         budget = _at_least_one(budget, "budget")
-        self.sign_table = np.ascontiguousarray(get_catalog().constraint_signs.T)
+        self.sign_table = np.ascontiguousarray(get_catalog().constraint_signs.T, np.float32)
         self.keys, self.ids, self.budget = keys, rows, budget
         self.rngs = [config.stream(_PURPOSE_SWEEP, *row) for row in rows.tolist()]
         count = len(keys)
@@ -558,8 +578,9 @@ class _Descent:
         # The pool: every array has one column per row.
         empty = np.zeros(0, dtype=np.int64)
         self.cls, self.restart, self.limit, self.t = empty, empty, empty, empty
-        self.work = _Work(np.zeros((20, 3, 0)))
-        self.h, self.m, self.v = self.work.h, np.zeros((16, 0)), np.zeros((16, 0))
+        self.work = _Work(np.zeros((20, 3, 0), self.sign_table.dtype))
+        self.h = self.work.h
+        self.m, self.v = np.zeros_like(self.h), np.zeros_like(self.h)
         self.live = np.zeros(0, dtype=bool)
 
     def run(self) -> list[tuple[Witness | None, int]]:
@@ -605,7 +626,7 @@ class _Descent:
                 self.queue.popleft()
             else:
                 wave[1:3] = first + take, count - take
-            starts = self.rngs[c].normal(0.0, 1.5, (take, 16))
+            starts = self.rngs[c].normal(0.0, 1.5, (take, 16)).astype(self.sign_table.dtype)
             new.append((np.full(take, c), first + np.arange(take), limit, starts.T))
             room -= take
         cls, restart, limit, h = (np.concatenate(x, axis=-1) for x in zip(*new))
@@ -672,10 +693,10 @@ class _Descent:
         grad *= 1.0 - _OPT_BETA2
         self.v += grad
         # Retired columns run on until the next refill; clip their index.
-        np.multiply(self.v, _OPT_SCALE.take(t, mode="clip", out=work.scale), out=grad)
+        np.multiply(self.v, work.scales.take(t, mode="clip", out=work.scale), out=grad)
         np.sqrt(grad, out=grad)
         grad += 1e-8
-        np.multiply(_OPT_RATE.take(t, mode="clip", out=work.rate), self.m, out=step)
+        np.multiply(work.rates.take(t, mode="clip", out=work.rate), self.m, out=step)
         step /= grad
         self.h -= step
         _clip(self.h, -_OPT_BOX, _OPT_BOX, out=self.h)
@@ -690,9 +711,11 @@ class _Descent:
 
 
 def _verified(key: tuple[int, ...], x: np.ndarray) -> Witness | None:
-    """The witness at log point ``x``, if ``Witness.verify`` passes.  The
-    tables are the entries as integers over their largest power-of-two
-    denominator, reduced to lowest terms, so no ``Fraction`` is built."""
+    """The witness at log point ``x``, if ``Witness.verify`` passes.  exp
+    runs in ``x``'s dtype, float32 for the descent's points, so the entries
+    are float32 values.  The tables are the entries as integers over their
+    largest power-of-two denominator, reduced to lowest terms, so no
+    ``Fraction`` is built."""
     # A contiguous copy: exp of a strided view may take another code path.
     ints, scale = _power_of_two_scale(np.exp(np.array(x)).tolist())
     witness = Witness(key, _table3(ints[:8], scale), _table3(ints[8:], scale), _timestamp())
@@ -707,12 +730,13 @@ class ConversionSearch:
     membership is smooth in them, so a squared hinge loss driven to zero
     from random starts lands inside the witness region directly.  One
     vectorized projected Adam descent (Kingma & Ba 2015) runs every
-    (class, restart) row of a sweep at once, and the budget counts its
-    loss-and-gradient evaluations per class.  Every witness is verified
-    exactly before it is returned.  With seed 0 and a budget of 2·10⁵ the
-    search finds all 112 feasible pair classes and 4 298 of the 4 304
-    feasible triple classes; the six left open are all of type
-    III->III->III (see the README).
+    (class, restart) row of a sweep at once, in float32, and the budget
+    counts its loss-and-gradient evaluations per class.  The descent only
+    proposes points: every witness is verified exactly before it is
+    returned, so its precision is a matter of speed.  With seed 0 and a
+    budget of 2·10⁵ the search finds all 112 feasible pair classes and
+    4 298 of the 4 304 feasible triple classes; the six left open are all
+    of type III->III->III (see the README).
     """
 
     def __init__(self, config: SamplerConfig) -> None:

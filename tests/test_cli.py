@@ -414,11 +414,11 @@ GOLDEN_FEASIBILITY = {
 GOLDEN_CATALOG = "89661514c6201202cd2c8f6f9723e54b60cf7aa96eaeca4b4803764ed43bec05"
 
 # sha256 of `simpson3 search --seed 0` (JSON, without "verifiedAt") from the
-# descent that gathered each column's constraint rows: a change of the
-# kernel must not move any witness entry or attempt count.
+# float32 descent: a change of the kernel that keeps its float32 operations
+# and their order must not move any witness entry or attempt count.
 GOLDEN_SEARCH = {
-    ("--pair", "1", "2"): "7fc8ca719b746dfbf5a9b73af5663beff0fb45f1194a7d244ac63df4697e6887",
-    ("--triple", "1", "3", "5"): "83be1935948aa4c315db0190436b95e36e9b120a87f9687b4c6c821996cf7de2",
+    ("--pair", "1", "2"): "203722c7fcb3e16f02651bdefda3002b6198ad0bb4c9b87ac69939a375c4d291",
+    ("--triple", "1", "3", "5"): "ef9db7ab85eb2f4e2050fb7da95b04e8d9588732310ee12dc4978471a62678b2",
     ("--triple", "3", "4", "55", "--budget", "2000"): (
         "967c048e34e091b723d2cd05ec21648c88a34aef05c2f9ee650d13b9a84b07f3"
     ),

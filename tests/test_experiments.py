@@ -777,6 +777,18 @@ class TestSearch:
         with pytest.warns(DeprecationWarning):
             search.ensure_pools([1, 2])
 
+    def test_zero_loss_points_verify(self, catalog, caplog):
+        # A failed verification is only logged, so a float32 rounding that
+        # leaves the witness region would otherwise go unseen.
+        pairs = orbit_classes(2, catalog)
+        obstructed = {c.representative for c in infeasible_pair_classes(catalog, pairs)}
+        keys = [c.representative for c in pairs if c.representative not in obstructed]
+        with caplog.at_level(logging.WARNING, logger="simpson3"):
+            results = ConversionSearch(SamplerConfig(seed=0)).sweep_pairs(keys, 10**7)
+        assert len(results) == 112
+        assert all(isinstance(w, Witness) for w in results.values())
+        assert not [r for r in caplog.records if "fails exact verification" in r.getMessage()]
+
     def test_verification_failure_is_logged(self, monkeypatch, caplog):
         monkeypatch.setattr(experiments, "_verified", lambda key, x: None)
         with caplog.at_level(logging.WARNING, logger="simpson3"):
@@ -889,11 +901,11 @@ def active_hinge(sign, ids, h):
 
 def reference_hinge_rows(h, sign, forms, form_grad):
     """The descent's kernel as it was before the step wrote into buffers
-    built at each refill: the same operations on fresh arrays."""
+    built at each refill: the same operations on fresh arrays of h's dtype."""
     n = h.shape[1]
     hf, hg = h[:8], h[8:]
     ratio = np.exp(hg - hf)
-    parts = np.empty((3, 8, sign.shape[1]))
+    parts = np.empty((3, 8, sign.shape[1]), h.dtype)
     parts[..., n:] = 0.0
     parts[:2, :, :n] = h.reshape(2, 8, n)
     np.add(hf, np.log1p(ratio), out=parts[2, :, :n])
@@ -907,18 +919,24 @@ def reference_hinge_rows(h, sign, forms, form_grad):
     return zero, np.concatenate([grad_f + shared, grad_g + grad_s - shared])
 
 
+# Adam's bias corrections by iteration, by their float64 formulas.
+ITERATIONS = np.arange(1, experiments._OPT_MAXITER + 1)
+RATE = experiments._OPT_LR / (1.0 - experiments._OPT_BETA1 ** ITERATIONS)
+SCALE = 1.0 / (1.0 - experiments._OPT_BETA2 ** ITERATIONS)
+
+
 def reference_step(h, m, v, t, live, work):
     """One step of the descent before it worked in place, on contiguous
     copies of the pool's state: the zero mask of live columns and the
-    next h, m, v and t."""
+    next h, m, v and t.  Adam's float64 tables are rounded to h's dtype."""
     zero, grad = reference_hinge_rows(h, work.sign, work.forms, work.form_grad)
     zero &= live
     m *= experiments._OPT_BETA1
     m += (1.0 - experiments._OPT_BETA1) * grad
     v *= experiments._OPT_BETA2
     v += (1.0 - experiments._OPT_BETA2) * (grad * grad)
-    scale = experiments._OPT_SCALE.take(t, mode="clip")
-    h -= experiments._OPT_RATE.take(t, mode="clip") * m / (np.sqrt(v * scale) + 1e-8)
+    rate, scale = (a.astype(h.dtype).take(t, mode="clip") for a in (RATE, SCALE))
+    h -= rate * m / (np.sqrt(v * scale) + 1e-8)
     np.clip(h, -experiments._OPT_BOX, experiments._OPT_BOX, out=h)
     return zero, h, m, v, t + 1
 
@@ -1028,14 +1046,16 @@ class TestDescent:
             assert low <= len(active) <= high
             assert zero[0] == (rows != "six open classes")
 
-    def test_a_column_does_not_depend_on_its_pool(self, catalog):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_column_does_not_depend_on_its_pool(self, catalog, dtype):
         sign = catalog.constraint_signs
         rng = np.random.default_rng(5)
         ids = pool_ids("40 classes", 200)
         h = near_margin_rows(sign, required_margins(sign), ids, rng.normal(0.0, 3.0, (16, 200)), rng)
         ids[:, 0], h[:, 0] = witness_row((1, 3, 5))
+        sign, h = sign.astype(dtype), h.astype(dtype)
         zero, grad = active_hinge(sign, ids, h)
-        assert zero[0]
+        assert zero[0] and grad.dtype == dtype
         for r in range(40):
             own = np.flatnonzero((ids == ids[:, r, None]).all(axis=0))
             assert len(own) == 5
@@ -1045,13 +1065,14 @@ class TestDescent:
             alone_zero, alone_grad = active_hinge(sign, ids[:, [r]], h[:, [r]])
             assert np.array_equal(alone_zero, zero[[r]])
             assert np.array_equal(alone_grad, grad[:, [r]])
-        # Pools of every size up to 24 columns, as a class's last rows leave.
-        for n in range(1, 25):
+        # Pools of every size up to 40 columns, as a class's last rows leave.
+        for n in range(1, 41):
             small_zero, small_grad = active_hinge(sign, ids[:, :n], h[:, :n])
             assert np.array_equal(small_zero, zero[:n])
             assert np.array_equal(small_grad, grad[:, :n])
 
-    def test_step_equals_the_reference(self, catalog):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_step_equals_the_reference(self, catalog, dtype):
         sign = catalog.constraint_signs
         need = required_margins(sign)
         rng = np.random.default_rng(19)
@@ -1065,11 +1086,13 @@ class TestDescent:
         )
         order = rng.permutation(len(keys))
         widths, refills, clipped = set(), 0, False
-        # Pools of every width up to 24 columns, so every n % 8.
+        # Pools of every width up to 24 columns, so every n % 16.
         for n in range(1, 25):
             descent = experiments._Descent(
                 [keys[i] for i in order[:n]], rows[order[:n]], 600, SamplerConfig(seed=n)
             )
+            # The descent's dtype is its sign table's; float32 unless replaced.
+            descent.sign_table = descent.sign_table.astype(dtype)
             for c in range(n):
                 descent._plan(c)
             descent._refill()
@@ -1091,9 +1114,42 @@ class TestDescent:
                 clipped |= bool((descent.t >= experiments._OPT_MAXITER).any())
                 descent._step()
                 got = (descent.work.zero, descent.h, descent.m, descent.v, descent.t)
+                assert descent.h.dtype == descent.m.dtype == descent.v.dtype == dtype
                 for a, b in zip(got, expected):
-                    assert np.array_equal(a, b)
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
         assert widths >= set(range(1, 25)) and refills >= 24 and clipped
+
+    def test_float32_step_raises_no_float_fault(self):
+        keys, rows = ConversionSearch(SamplerConfig(seed=0))._checked_keys(
+            [(1, 3, 5), (2, 7, 40), (3, 4, 55)], 3
+        )
+        descent = experiments._Descent(keys, rows, 10**5, SamplerConfig(seed=0))
+        for c in range(len(keys)):
+            descent._plan(c)
+        descent._refill()
+        assert descent.h.dtype == np.float32 and descent.h.shape == (16, 48)
+        box, h = experiments._OPT_BOX, descent.h
+        # Class (1, 3, 5)'s first 16 columns: zero-gradient witness points.
+        witness = search_witness((1, 3, 5), SamplerConfig(seed=0))
+        h[:, :16] = np.log([[float(x)] for x in witness.f.entries + witness.g.entries])
+        # Every form value 0, so every gap is exactly the margin.
+        h[:, 16:20] = 0.0
+        # Entries at the box, with |hg - hf| = 24 both ways.
+        h[:, 20:24] = np.repeat([[box] * 8 + [-box] * 8, [-box] * 8 + [box] * 8], 2, axis=0).T
+        # Entries alternating between the box's ends, so every form is large.
+        h[:, 24:28] = np.where(np.arange(16)[:, None] % 2, box, -box)
+        # The rest: one constraint of each column at the margin.
+        sign = get_catalog().constraint_signs
+        ids = descent.ids[descent.cls[28:]].T
+        rng = np.random.default_rng(7)
+        h[:, 28:] = near_margin_rows(sign, required_margins(sign), ids, h[:, 28:], rng)
+        descent.t[:] = np.where(np.arange(48) % 2, 0, experiments._OPT_MAXITER - 1)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            descent._step()
+        assert descent.work.zero[:16].all()
+        for a in (descent.h, descent.m, descent.v):
+            assert a.dtype == np.float32 and np.isfinite(a).all()
+        assert (descent.v >= 0).all() and (np.abs(descent.h) <= box).all()
 
 
 def in_lowest_terms(table):
