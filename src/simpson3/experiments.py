@@ -92,15 +92,15 @@ class SamplerConfig:
         return np.random.Generator(np.random.PCG64(seq))
 
     def worker_quotas(self, total: int) -> list[int]:
-        """Split ``total`` samples across workers as evenly as possible."""
+        """Split ``total`` samples across workers as evenly as possible, larger quotas first."""
         base, extra = divmod(total, self.worker_count)
         return [base + (1 if w < extra else 0) for w in range(self.worker_count)]
 
 
 def _stream_chunks(config: SamplerConfig, purpose: int, total: int):
-    """Yield ``(rng, rows)``: each worker stream of the purpose with its
-    quota of ``total`` rows, in chunks of at most ``_CHUNK``, to draw."""
-    for worker, quota in enumerate(config.worker_quotas(total)):
+    """Yield ``(rng, rows)``: each worker stream of the purpose with rows of
+    ``total`` to draw (its nonzero quota), in chunks of at most ``_CHUNK``."""
+    for worker, quota in enumerate(q for q in config.worker_quotas(total) if q):
         rng = config.stream(purpose, worker)
         for done in range(0, quota, _CHUNK):
             yield rng, min(_CHUNK, quota - done)
@@ -168,7 +168,7 @@ def _at_least_one(value: int, what: str) -> int:
 
 def _largest_chunk(config: SamplerConfig, total: int) -> int:
     """The most rows one chunk of ``_stream_chunks(config, _, total)`` holds."""
-    return min(_CHUNK, config.worker_quotas(total)[0])
+    return min(_CHUNK, -(-total // config.worker_count))
 
 
 class _PairBlock:

@@ -260,74 +260,90 @@ def test_criterion_7_oracle_agreement(acceptance, catalog):
     )
 
 
-def _gathered(tables, home):
-    """Each table's rows read from their home vertex, one row of the result
-    per vertex offset: ``out[d, r]`` is the entry of row ``r`` at vertex
-    ``home[r] ^ d``, so flipping coordinates is an xor of the offset."""
-    width = tables[0].shape[1]
-    index = (home ^ np.arange(width)[:, None]) + width * np.arange(len(home))
-    return [np.take(t, index) for t in tables]
+def _entries(t, home, rows):
+    """The entries of ``rows`` of ``t`` by vertex offset: ``entry(d)[i]`` is
+    row ``rows[i]``'s entry at vertex ``home ^ d``, so flipping coordinates
+    is an xor of the offset.  A row's width is a power of two, so its flat
+    index at ``home ^ d`` is its flat index at ``home``, xor d."""
+    flat = t.ravel()
+    at_home = rows * t.shape[1] + home[rows]
+    return lambda d: flat.take(at_home ^ d)
+
+
+def _anti_main(entry, diagonals):
+    """The (anti, main) diagonal products of a square given as two pairs
+    of vertex offsets."""
+    (a, b), (c, d) = diagonals
+    return entry(a) * entry(b), entry(c) * entry(d)
+
+
+# The 2x2 table's diagonals, and the cube's three facets through a vertex
+# (z fixed, y fixed, x fixed), as offsets from the home vertex.
+_SQUARE = ((2, 1), (0, 3))
+_FACETS = (((4, 2), (0, 6)), ((4, 1), (0, 5)), ((2, 1), (0, 3)))
+
+
+# Rows the lemma harness narrows at once: each step's arrays stay in cache.
+_NARROW_BLOCK = 1 << 14
+
+
+def _narrowed(tables, home, conditions):
+    """The rows on which each table in turn meets every (diagonals, whether
+    anti < main) condition: F's are tested first, then G's on the rows
+    that survive, so most rows are read once or twice."""
+    kept = []
+    for start in range(0, len(home), _NARROW_BLOCK):
+        rows = np.arange(start, min(start + _NARROW_BLOCK, len(home)))
+        for t in tables:
+            for diagonals, below in conditions:
+                anti, main = _anti_main(_entries(t, home, rows), diagonals)
+                rows = rows[(anti < main) == below]
+        kept.append(rows)
+    return np.concatenate(kept)
+
+
+def _sum_entries(f, g, home, rows):
+    """``_entries`` of F + G, summed only on ``rows``."""
+    entry_f, entry_g = (_entries(t, home, rows) for t in (f, g))
+    return lambda d: entry_f(d) + entry_g(d)
 
 
 def _lemma1_batch(rng, batch):
-    f = rng.integers(1, 1000, (batch, 4)).astype(np.int64)
-    g = rng.integers(1, 1000, (batch, 4)).astype(np.int64)
-    s = f + g
+    """The rows of one batch that meet lemma 1's hypothesis, whether each
+    violates its conclusion, and the drawn ``(f, g, home)``."""
+    f = rng.integers(1, 1000, (batch, 4))
+    g = rng.integers(1, 1000, (batch, 4))
     x = rng.integers(0, 2, batch)
     y = rng.integers(0, 2, batch)
     home = 2 * x + y
     # offsets: 0 the home cell xy, 1 the cell x(1-y), 2 (1-x)y, 3 (1-x)(1-y)
-    f0, g0, s0 = _gathered((f, g, s), home)
-
-    def diag(t):
-        return t[2] * t[1], t[0] * t[3]
-
-    fa, fm = diag(f0)
-    ga, gm = diag(g0)
-    sa, sm = diag(s0)
-    hyp = (fa < fm) & (ga < gm) & (sa > sm)
-    p = f0[2] * g0[0] - f0[0] * g0[2]
-    q = f0[1] * g0[0] - f0[0] * g0[1]
+    rows = _narrowed((f, g), home, [(_SQUARE, True)])
+    sa, sm = _anti_main(_sum_entries(f, g, home, rows), _SQUARE)
+    rows = rows[sa > sm]
+    f0, g0 = _entries(f, home, rows), _entries(g, home, rows)
+    p = f0(2) * g0(0) - f0(0) * g0(2)
+    q = f0(1) * g0(0) - f0(0) * g0(1)
     conclusion = ((p > 0) & (q < 0)) != ((p < 0) & (q > 0))
-    sample = (f, g, home)
-    return hyp, hyp & ~conclusion, sample
+    return rows, ~conclusion, (f, g, home)
 
 
 def _lemma_3d_batch(rng, batch, lemma):
-    f = rng.integers(1, 1000, (batch, 8)).astype(np.int64)
-    g = rng.integers(1, 1000, (batch, 8)).astype(np.int64)
-    s = f + g
+    """``_lemma1_batch`` for lemma 2 or 3; a violation is a forbidden sum."""
+    f = rng.integers(1, 1000, (batch, 8))
+    g = rng.integers(1, 1000, (batch, 8))
     x = rng.integers(0, 2, batch)
     y = rng.integers(0, 2, batch)
     z = rng.integers(0, 2, batch)
     home = 4 * x + 2 * y + z
-
-    def facets(t):
-        # facet order: z fixed, y fixed, x fixed; (anti, main) products
-        return (
-            (t[4] * t[2], t[0] * t[6]),
-            (t[4] * t[1], t[0] * t[5]),
-            (t[2] * t[1], t[0] * t[3]),
-        )
-
-    ff, gg, ss = (facets(t) for t in _gathered((f, g, s), home))
+    below = (True, True, True) if lemma == 2 else (True, False, False)
+    rows = _narrowed((f, g), home, list(zip(_FACETS, below)))
+    entry_s = _sum_entries(f, g, home, rows)
+    (a0, m0), (a1, m1), (a2, m2) = (_anti_main(entry_s, facet) for facet in _FACETS)
     if lemma == 2:
-        hyp = np.ones(batch, dtype=bool)
-        for anti, main in ff + gg:
-            hyp &= anti < main
-        forbidden = np.ones(batch, dtype=bool)
-        for anti, main in ss:
-            forbidden &= anti > main
+        forbidden = (a0 > m0) & (a1 > m1) & (a2 > m2)
     else:
-        want = (True, False, False)
-        hyp = np.ones(batch, dtype=bool)
-        for (anti, main), w in zip(ff, want):
-            hyp &= (anti < main) == w
-        for (anti, main), w in zip(gg, want):
-            hyp &= (anti < main) == w
-        forbidden = (ss[0][0] > ss[0][1]) & (ss[1][0] < ss[1][1]) & (ss[2][0] < ss[2][1])
-    sample = (f, g, home)
-    return hyp, hyp & forbidden, sample
+        forbidden = (a0 > m0) & (a1 < m1) & (a2 < m2)
+    return rows, forbidden, (f, g, home)
 
 
 def test_criterion_8_lemma_suites(acceptance):
@@ -340,20 +356,20 @@ def test_criterion_8_lemma_suites(acceptance):
         satisfied = violations = 0
         while satisfied < target:
             if lemma == 1:
-                hyp, bad, sample = _lemma1_batch(rng, 2 * 10**6)
+                rows, bad, sample = _lemma1_batch(rng, 2 * 10**6)
             else:
-                hyp, bad, sample = _lemma_3d_batch(rng, 10**6, lemma)
-            satisfied += int(np.count_nonzero(hyp))
+                rows, bad, sample = _lemma_3d_batch(rng, 10**6, lemma)
+            satisfied += len(rows)
             violations += int(np.count_nonzero(bad))
             # spot-check the vectorized harness against the scalar checks
             f, g, vertex = sample
-            for row in np.nonzero(hyp)[0][:10]:
+            for row, row_bad in zip(rows[:10].tolist(), bad[:10].tolist()):
                 table = Table2 if lemma == 1 else Table3
                 tf = table([int(v) for v in f[row]])
                 tg = table([int(v) for v in g[row]])
                 assert lemma_hypothesis_check(lemma, tf, tg, int(vertex[row]))
                 assert lemma_conclusion_check(lemma, tf, tg, int(vertex[row])) == (
-                    not bad[row]
+                    not row_bad
                 )
                 cross_checked += 1
         results[lemma] = (satisfied, violations)

@@ -2,13 +2,14 @@ import csv
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simpson3 import experiments
+from simpson3 import WitnessArchive, catalog_from_json_obj, experiments, get_catalog
 from simpson3.cli import SUBCOMMANDS, build_parser, main
 
 
@@ -145,16 +146,27 @@ class TestClassify:
 
 
 class TestCatalogOrbits:
-    def test_catalog_json(self, capsys):
+    def test_catalog_json(self, capsys, tmp_path):
         code, out, _ = run(capsys, "catalog")
         assert code == 0
         payload = json.loads(out)
         assert len(payload["entries"]) == 74
+        # an exported catalog loads through the one constructor
+        target = tmp_path / "c.json"
+        assert run(capsys, "catalog", "--out", str(target)) == (0, "", "")
+        back = catalog_from_json_obj(json.loads(target.read_text()))
+        assert np.array_equal(back.id_action(), get_catalog().id_action())
+
+    def test_catalog_text(self, capsys):
+        assert run(capsys, "catalog", "--format", "text") == (0, "74 triangulations\n", "")
 
     def test_orbits_text(self, capsys):
         code, out, _ = run(capsys, "orbits", "--arity", "2", "--format", "text")
         assert code == 0
         assert out.strip() == "167 classes"
+        code, out, _ = run(capsys, "orbits", "--arity", "3", "--format", "text")
+        assert code == 0
+        assert out.strip() == "4655 classes"
 
     def test_orbits_json(self, capsys):
         code, out, _ = run(capsys, "orbits", "--arity", "1")
@@ -193,6 +205,11 @@ class TestFeasibility:
         payload = json.loads(out)
         assert payload["obstructed"] is False
         assert payload["obstructingVertex"] is None
+        # a triple key through the one-pass parity rule
+        code, out, _ = run(capsys, "feasibility", "--triple", "3", "4", "55")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["obstructed"] is False and payload["obstructingVertex"] is None
 
     def test_report_csv(self, capsys, tmp_path):
         target = tmp_path / "rep.csv"
@@ -267,6 +284,11 @@ class TestSearch:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert rows[0]["classA"] == "1"
+        # a second search appends, and the archive loads verified
+        assert run(capsys, "search", "--pair", "1", "2", "--out", str(archive))[0] == 0
+        loaded = WitnessArchive(str(archive), 2).load()
+        assert len(loaded) == 2
+        assert all(w.verify() for w in loaded)
 
     def test_out_directory_checked_before_the_search(self, capsys, tmp_path, monkeypatch):
         def never(*args, **kwargs):
@@ -288,9 +310,15 @@ class TestSearch:
                 ("--triple", "3", "4", "55", "--budget", "10"),
                 "budget exhausted for class (3, 4, 55) after 10 attempts\n",
             ),
+            (
+                ("--triple", "3", "4", "55", "--budget", "2000"),
+                "budget exhausted for class (3, 4, 55) after 2000 attempts\n",
+            ),
         ],
-        ids=["witness", "exhausted"],
+        ids=["witness", "exhausted", "exhausted-2000"],
     )
+    # an overflow or invalid value in the descent's in-place step fails
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_text_summary(self, capsys, key, line):
         assert run(capsys, "search", *key, "--format", "text") == (0, line, "")
 
@@ -366,6 +394,26 @@ class TestMonteCarlo:
         _, one_out, _ = run(capsys, "reversal", "--samples", "20000", "--workers", "1")
         assert default_out == one_out
 
+    # Exp(1) tables are never degenerate in practice.  Three streams of
+    # 33 335 and 33 334 pairs each end in a partial chunk and a partial
+    # block.  Any warning fails.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("montecarlo", "--dim", "3", "--samples", "100000", "--seed", "0"),
+            ("reversal", "--samples", "100000", "--seed", "0"),
+            ("reversal", "--samples", "100003", "--workers", "3", "--seed", "5"),
+            ("montecarlo", "--dim", "3", "--samples", "100003", "--workers", "3", "--seed", "5"),
+        ],
+        ids=["montecarlo", "reversal", "reversal-3-workers", "montecarlo-3-workers"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_no_discards_on_exp1_tables(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--format", "text")
+        assert code == 0
+        samples = argv[argv.index("--samples") + 1]
+        assert out.splitlines()[-1] == f"discarded 0 of {samples}"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -403,6 +451,9 @@ GOLDEN_ORBITS = {
     "2": "61d9a03b9410a51598132a70a9ac3521de7502859624a0129811826f3d490aca",
     "3": "8a3fdea8371f5ae714288746e9be0a0e1fa5d1c13f5a6e06e301827ceb15c5aa",
 }
+# Members of all classes of each arity: 74 ids, 74^2 ordered pairs, and the
+# padded triples.
+ORBIT_MEMBERS = {"1": 74, "2": 5476, "3": 199874}
 GOLDEN_FEASIBILITY = {
     None: "f7090da9e45719f4bc7b88642b16d2b8a16a024831a283f1f14691ab6089fa0d",
     "2": "c18e8896c718a18a62fa3ae8952ffce2395c0bb05674b9a50071fb75adc1127d",
@@ -480,6 +531,18 @@ GOLDEN_CLASSIFY = {
 }
 
 
+# `simpson3 classify --format text` of the same tables.
+GOLDEN_CLASSIFY_TEXT = {
+    "counts": "triangulation 19 (type V, 6 tetrahedra)\n",
+    "mixed": "triangulation 51 (type IV, 6 tetrahedra)\n",
+    "ties": "triangulation 24 (type IV, 6 tetrahedra)\n",
+    "smoothing": "triangulation 13 (type II, 6 tetrahedra)\n",
+    "2x2 counts": "2x2 table: Diag00_11\n",
+    "2x2 mixed": "2x2 table: Diag01_10\n",
+    "2x2 smoothing": "2x2 table: Diag01_10\n",
+}
+
+
 class TestGoldenOutput:
     @pytest.mark.parametrize("name", list(GOLDEN_CLASSIFY))
     def test_classify(self, capsys, tmp_path, name):
@@ -491,6 +554,8 @@ class TestGoldenOutput:
         payload = json.loads(out)
         assert payload.pop("input") == str(path)
         assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == golden
+        text = run(capsys, "classify", str(path), *extra, "--format", "text")
+        assert text == (0, GOLDEN_CLASSIFY_TEXT[name], "")
 
     def test_catalog(self, capsys):
         code, out, _ = run(capsys, "catalog")
@@ -498,6 +563,7 @@ class TestGoldenOutput:
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CATALOG
 
     @pytest.mark.parametrize("argv", list(GOLDEN_SEARCH))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_search(self, capsys, argv):
         code, out, _ = run(capsys, "search", *argv, "--seed", "0")
         assert code == 0
@@ -507,6 +573,7 @@ class TestGoldenOutput:
         assert digest == GOLDEN_SEARCH[argv]
 
     @pytest.mark.parametrize("argv", list(GOLDEN_MONTECARLO))
+    @pytest.mark.filterwarnings("error")
     def test_montecarlo(self, capsys, argv):
         code, out, _ = run(capsys, *argv, "--samples", "200000", "--seed", "0")
         assert code == 0
@@ -517,6 +584,11 @@ class TestGoldenOutput:
         code, out, _ = run(capsys, "orbits", "--arity", arity)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ORBITS[arity]
+        # members are built on read, for every class
+        classes = json.loads(out)
+        assert sum(len(c["members"]) for c in classes) == ORBIT_MEMBERS[arity]
+        assert all(c["size"] == len(c["members"]) for c in classes)
+        assert all(c["representative"] == c["members"][0] for c in classes)
 
     @pytest.mark.parametrize("arity", list(GOLDEN_FEASIBILITY))
     def test_feasibility_csv(self, capsys, tmp_path, arity):
@@ -554,7 +626,7 @@ def test_negative_seed_exit_code(capsys, argv):
 # Options that no code of their subcommand reads: argparse rejects each
 # before any table is read or sampled.
 REMOVED_OPTIONS = [
-    (("search", "--pair", "1", "2", "--samples", "10"), "unrecognized arguments: --samples"),
+    (("search", "--pair", "1", "2", "--samples", "10"), "unrecognized arguments: --samples 10"),
     (("search", "--pair", "1", "2", "--tolerance", "1"), "unrecognized arguments: --tolerance"),
     (("montecarlo", "--budget", "10"), "unrecognized arguments: --budget"),
     (("montecarlo", "--tolerance", "100"), "unrecognized arguments: --tolerance"),
@@ -637,6 +709,14 @@ def test_subcommand_parser_exits_as_the_full_parser(capsys, name, extra):
 @pytest.mark.parametrize("argv", [(), ("-h",), ("no-such-command",), ("-h", "catalog")])
 def test_top_level_exits_as_the_full_parser(capsys, argv):
     assert _exit(capsys, main, argv) == _exit(capsys, build_parser().parse_args, argv)
+
+
+def test_help_lists_every_subcommand(capsys):
+    code, out, _ = _exit(capsys, main, ["--help"])
+    assert code == 0
+    names = ["classify", "catalog", "orbits", "feasibility", "search", "montecarlo", "reversal"]
+    for name in names:
+        assert re.search(rf"^    {name} ", out, re.M), name
 
 
 PARSE_CASES = [

@@ -137,6 +137,25 @@ class TestEstimators:
         with pytest.raises(DomainError, match=rf"^sample count {count!r} is not an integer$"):
             estimate(SamplerConfig(seed=0), count)
 
+    @pytest.mark.parametrize("estimate", [estimate_2d_reversal, estimate_3d_conversion])
+    def test_no_stream_for_a_worker_without_samples(self, estimate, monkeypatch):
+        # more workers than samples: the streams past the samples draw
+        # nothing, so they are never built
+        expected = estimate(SamplerConfig(worker_count=10), 10)
+        stream, keys = SamplerConfig.stream, []
+
+        def counting(self, *key):
+            keys.append(key)
+            return stream(self, *key)
+
+        monkeypatch.setattr(SamplerConfig, "stream", counting)
+        est = estimate(SamplerConfig(worker_count=10**5), 10)
+        assert len(keys) <= 10
+        assert (est.counts, est.degenerate_discards) == (
+            expected.counts,
+            expected.degenerate_discards,
+        )
+
     def test_estimate_json_holds_python_ints(self):
         config = SamplerConfig(seed=np.int64(3))
         payload = estimate_2d_reversal(config, np.int64(100)).to_json_obj()
@@ -417,17 +436,18 @@ class TestExactIds:
             assert sum_id in (0, exact_id(catalog, f[i], g[i])), i
 
 
+    @pytest.mark.filterwarnings("error")
     def test_entry_ids_are_the_exact_ids_of_the_drawn_tables(self, catalog):
         # every id of F, G and the shared-id sums, zeros included, through
-        # the entry point the estimator calls
-        pairs = np.random.default_rng(11).standard_exponential((1 << 13, 16)).reshape(-1, 8, 2)
+        # the entry point the estimator calls; any warning fails
+        pairs = np.random.default_rng(11).standard_exponential((1 << 14, 16)).reshape(-1, 8, 2)
         ids_f, ids_g = classify_entries_batch(pairs)
         shared = np.flatnonzero((ids_f == ids_g) & (ids_f != 0))
         summands = pairs[shared]
         (ids_s,) = classify_entries_batch(summands[:, :, :1], summands[:, :, 1:])
         for j, ids in enumerate((ids_f, ids_g)):
             assert ids.tolist() == [exact_or_0(catalog, row) for row in pairs[:, :, j]]
-        assert len(shared) > 100
+        assert len(shared) > 200
         assert ids_s.tolist() == [exact_or_0(catalog, *row.T) for row in summands]
 
     def test_integer_draws_discard_exactly_the_degenerate_pairs(self, catalog, monkeypatch):
@@ -686,6 +706,16 @@ class TestSearch:
                 assert type(ids) is tuple and all(type(i) is int for i in ids)
         assert isinstance(exhausted[(3, 4, 55)], Exhausted)
 
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sweep_verifies_witnesses_and_spends_the_budget(self):
+        # an overflow or invalid value in the descent's in-place step fails
+        search = ConversionSearch(SamplerConfig(seed=0))
+        results = search.sweep_triples([(1, 3, 5), (2, 7, 40), (3, 4, 55)], 2000)
+        for key in [(1, 3, 5), (2, 7, 19)]:
+            assert isinstance(results[key], Witness) and results[key].verify(), key
+        hard = results[(3, 4, 55)]
+        assert isinstance(hard, Exhausted) and hard.attempts == 2000, hard
 
     def test_hard_class_exhausts_on_optimizer_evaluations(self, monkeypatch):
         step = experiments._Descent._step
@@ -1046,16 +1076,34 @@ class TestDescent:
             assert low <= len(active) <= high
             assert zero[0] == (rows != "six open classes")
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_a_column_does_not_depend_on_its_pool(self, catalog, dtype):
+    # "drawn keys": the descent's own float32 sign table, a witness's key
+    # then 39 drawn keys, and columns moved near a margin in float32.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "dtype, keys",
+        [(np.float32, "40 classes"), (np.float64, "40 classes"), (np.float32, "drawn keys")],
+        ids=["float32", "float64", "float32-drawn keys"],
+    )
+    def test_a_column_does_not_depend_on_its_pool(self, catalog, dtype, keys):
         sign = catalog.constraint_signs
         rng = np.random.default_rng(5)
-        ids = pool_ids("40 classes", 200)
-        h = near_margin_rows(sign, required_margins(sign), ids, rng.normal(0.0, 3.0, (16, 200)), rng)
-        ids[:, 0], h[:, 0] = witness_row((1, 3, 5))
-        sign, h = sign.astype(dtype), h.astype(dtype)
+        if keys == "drawn keys":
+            sign = experiments._Descent([], np.zeros((0, 3), int), 1, SamplerConfig()).sign_table.T
+            assert sign.dtype == dtype
+            key, witness = witness_row((1, 3, 5))
+            ids = np.tile(np.array([key] + rng.integers(1, 75, (39, 3)).tolist()).T, 5)
+            h = rng.normal(0.0, 3.0, (16, 200)).astype(dtype)
+            h[:, 0] = witness
+            h[:, 1:] = near_margin_rows(sign, required_margins(sign), ids[:, 1:], h[:, 1:], rng)
+        else:
+            ids = pool_ids(keys, 200)
+            h = rng.normal(0.0, 3.0, (16, 200))
+            h = near_margin_rows(sign, required_margins(sign), ids, h, rng)
+            ids[:, 0], h[:, 0] = witness_row((1, 3, 5))
+            sign, h = sign.astype(dtype), h.astype(dtype)
         zero, grad = active_hinge(sign, ids, h)
-        assert zero[0] and grad.dtype == dtype
+        assert zero[0] and not grad[:, 0].any() and not zero[1:].all()
+        assert grad.dtype == dtype
         for r in range(40):
             own = np.flatnonzero((ids == ids[:, r, None]).all(axis=0))
             assert len(own) == 5

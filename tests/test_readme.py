@@ -1,7 +1,8 @@
 """The README's Python examples run as written and print what they say.
 
 Each ```python block runs in a fresh namespace.  A ``print(...)`` line
-with a trailing ``# ...`` comment must print exactly that comment.
+with a trailing ``# ...`` comment must print exactly that comment.  The CI
+workflow, the other document that runs code, runs no Python of its own.
 """
 
 import re
@@ -13,6 +14,7 @@ import pytest
 import simpson3
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+WORKFLOW = README.parent / ".github" / "workflows" / "tests.yml"
 TEXT = README.read_text(encoding="utf-8")
 
 # (first line number, source) of each ```python block.
@@ -84,3 +86,19 @@ def test_root_exports_the_documented_api():
     assert len(simpson3.__all__) == len(set(simpson3.__all__))
     assert set(names) == set(simpson3.__all__)
     assert all(hasattr(simpson3, name) for name in names)
+
+
+# A Python program written into a workflow step.
+INLINE_PYTHON = re.compile(
+    r"python[\d.]*\s(?:[^\n]*\s)?-c\b"  # given with -c
+    r"|python[\d.]*\s+-(?:\s|$)"  # read from stdin
+    r"|<<",  # a heredoc
+    re.M,
+)
+
+
+def test_workflow_runs_no_inline_python():
+    # A check belongs in a tier-1 test, which runs here and in CI alike.
+    text = WORKFLOW.read_text(encoding="utf-8")
+    assert "pytest" in text
+    assert INLINE_PYTHON.findall(text) == []

@@ -295,13 +295,24 @@ class TestCanonical:
 
     @pytest.mark.parametrize(
         "bad",
-        [(0, 5), (2, 75, 3), (1, 2, 3, 4), (), (3, 3, 5), (1, 2.5), (1, 2, 3.9), (True, 2)],
+        [
+            (0, 5),
+            (2, 75, 3),
+            (1, 2, 3, 4),
+            (),
+            (3, 3, 5),
+            (1, 2.5),
+            (1, 2, 3.9),
+            (True, 2),
+            (16, 1.9),
+        ],
     )
     def test_classes_reject_the_first_bad_key(self, catalog, bad):
+        # the key reader and the orbit quotient refuse a key alike
         with pytest.raises(DomainError) as single:
             canonical_class_of(bad, catalog)
         good = [(1, 2), (4, 7, 9), (5,)]
-        for keys in ([bad] + good, good[:2] + [bad] + good[2:]):
+        for keys in ([bad], [bad] + good, good[:2] + [bad] + good[2:]):
             with pytest.raises(DomainError) as info:
                 key_rows(keys, catalog)
             assert str(info.value) == str(single.value)

@@ -315,17 +315,24 @@ class TestClassification:
         with pytest.raises(DegenerateTable):
             classify_exact(t, catalog)
 
-    def test_batch_agrees_with_exact(self, catalog):
-        rng = np.random.default_rng(10)
-        entries = rng.integers(1, 1000, (400, 8))
+    # Logs of counts 1..999, and of counts 1..5 in a call above one block:
+    # the float64 margin rule takes every row, and resolves most of the
+    # tie-heavy ones with a vanishing form.  A float warning fails.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "seed, high, size", [(10, 1000, 400), (0, 6, 1 << 16)], ids=["counts", "ties"]
+    )
+    def test_batch_agrees_with_exact(self, catalog, seed, high, size):
+        entries = np.random.default_rng(seed).integers(1, high, (size, 8))
         ids = classify_heights_batch(np.log(entries.astype(float)), catalog)
-        for row, cid in zip(entries, ids):
-            table = Table3([int(x) for x in row])
-            if cid == 0:
-                with pytest.raises(DegenerateTable):
-                    classify_exact(table, catalog)
-            else:
-                assert classify_exact(table, catalog).canonical_id == cid
+
+        def exact(row):
+            try:
+                return classify_exact(Table3(row), catalog).canonical_id
+            except DegenerateTable:
+                return 0
+
+        assert ids.tolist() == [exact(row) for row in entries.tolist()]
 
     def test_batch_rejects_nonfinite(self, catalog):
         h = np.zeros((2, 8))
@@ -334,6 +341,23 @@ class TestClassification:
         ids = classify_heights_batch(h, catalog)
         assert ids[0] == 0
         assert ids[1] != 0
+
+    # Rows x 10^300, tiny rows, ties and non-finite rows: one margin rule at
+    # every call size, and a float warning fails.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_batch_margin_rule_on_edge_rows(self):
+        rng = np.random.default_rng(0)
+        kind = rng.integers(0, 5, 4097)
+        h = np.log(rng.standard_exponential((4097, 8)))
+        h[kind == 1] *= 1e300
+        h[kind == 2] *= 1e-300
+        h[kind == 3] = np.log(rng.integers(1, 6, (np.count_nonzero(kind == 3), 8)).astype(float))
+        bad = np.flatnonzero(kind == 4)
+        h[bad, rng.integers(0, 8, bad.size)] = rng.choice([np.inf, -np.inf, np.nan], bad.size)
+        ids = classify_heights_batch(h)
+        assert ids.tolist() == [int(classify_heights_batch(row[None])[0]) for row in h]
+        assert (ids[kind == 0] != 0).all()
+        assert (ids[kind == 2] == 0).all() and (ids[kind == 4] == 0).all()
 
     def test_oracle_agrees_with_exact(self, catalog):
         rng = np.random.default_rng(11)
@@ -661,6 +685,34 @@ class TestFaceFirstTier:
             pos, neg = _int_sign_bits(*n)
             if tier or pos | neg == ALL_FORMS:
                 assert tier == expected.canonical_id
+
+    def test_equals_the_full_kernel_on_seeded_counts(self, catalog):
+        # 10^4 count tables, half tie-heavy (1..3) and half wide (1..10^6),
+        # each under all 48 symmetries.  The full kernel's outcome is found
+        # once per distinct image: the tie-heavy half has at most 3^8.
+        rng = np.random.default_rng(0)
+        counts = np.concatenate(
+            [rng.integers(1, 4, (5000, 8)), rng.integers(1, 10**6 + 1, (5000, 8))]
+        )
+
+        def outcome(decide):
+            try:
+                return decide().canonical_id
+            except DegenerateTable as exc:
+                return str(exc)
+
+        full = {}
+        checked = 0
+        for row in counts.tolist():
+            table = Table3(row)
+            for sigma in symmetry.GROUP:
+                image = symmetry.apply_table(sigma, table)
+                n = image.integers
+                if n not in full:
+                    full[n] = outcome(lambda: _classified(catalog, *_int_sign_bits(*n)))
+                assert outcome(lambda: classify_exact(image, catalog)) == full[n], n
+                checked += 1
+        assert checked == 480000
 
     @settings(max_examples=150, deadline=None)
     @given(f=_tier_tables, g=_tier_tables)
