@@ -51,8 +51,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USER_ERROR, f"{self.prog}: error: {message}\n")
 
 
-# A command's JSON payload and text summary for main to write, or None.
-Result = tuple[dict | list, str] | None
+# A command's JSON payload (None if unused) and text summary, or None.
+Result = tuple[dict | list | None, str] | None
 
 
 def _classification_report(table: Table3) -> dict:
@@ -106,9 +106,9 @@ def cmd_catalog(args: argparse.Namespace) -> Result:
 
 
 def cmd_orbits(args: argparse.Namespace) -> Result:
-    catalog = get_catalog()
-    classes = orbit_classes(args.arity, catalog)
-    payload = [
+    classes = orbit_classes(args.arity, get_catalog())
+    # The members are built only for the JSON payload.
+    payload = None if args.format == "text" else [
         {
             "representative": list(cls.representative),
             "size": cls.size,

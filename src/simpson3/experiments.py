@@ -67,7 +67,7 @@ _OPT_BETA1 = 0.7
 _OPT_BETA2 = 0.999
 _OPT_MAXITER = 600
 _OPT_WAVE = 16
-_OPT_BLOCK = 512
+_OPT_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,10 @@ class SamplerConfig:
 def _stream_chunks(config: SamplerConfig, purpose: int, total: int):
     """Yield ``(rng, rows)``: each worker stream of the purpose with rows of
     ``total`` to draw (its nonzero quota), in chunks of at most ``_CHUNK``."""
-    for worker, quota in enumerate(q for q in config.worker_quotas(total) if q):
-        rng = config.stream(purpose, worker)
+    # worker_quotas(total) without its list: only the first workers draw.
+    base, extra = divmod(total, config.worker_count)
+    for worker in range(min(config.worker_count, total)):
+        rng, quota = config.stream(purpose, worker), base + (worker < extra)
         for done in range(0, quota, _CHUNK):
             yield rng, min(_CHUNK, quota - done)
 
@@ -543,18 +545,22 @@ class _Descent:
     so that its evaluations (one per row-iteration) never pass the budget;
     a wave starts only when the class's previous one ended without a
     witness.  Rows wait in a queue and run as the columns of a pool of at
-    most ``_OPT_BLOCK``, each at its own iteration.  Each time the pool
-    is refilled, its columns' signs on the 20 forms of F, G and the sum
-    are gathered and cut to the (form, summand) rows that some column
+    most ``_OPT_BLOCK`` (1024), each at its own iteration.  Each time the
+    pool is refilled, its columns' signs on the 20 forms of F, G and the
+    sum are gathered and cut to the (form, summand) rows that some column
     constrains, with the form blocks for those rows, and the step's arrays
     are built for the new pool (``_Work``).  A step is then one
     ``_hinge_rows`` call on the pool's active rows and one Adam update,
     both in those arrays.
     A row retires at zero loss, where its point is verified exactly, or at
-    its limit.  A class's witness is the verified zero-loss point of lowest
-    (iteration, restart), and a row stops once it can no longer beat the
-    best one found so far.  So a class's outcome depends only on the seed,
-    its key and the budget, never on the pool size or on the other keys.
+    its limit.  A step looks for rows to retire only when a live column has
+    zero loss or the clock is due: the clock counts the steps before a live
+    column reaches its last iteration, and ``_cap`` resets it whenever the
+    pool, a limit or an iteration changes.  A class's witness is the
+    verified zero-loss point of lowest (iteration, restart), and a row
+    stops once it can no longer beat the best one found so far.  So a
+    class's outcome depends only on the seed, its key and the budget, never
+    on the pool size or on the other keys.
     """
 
     def __init__(
@@ -582,13 +588,15 @@ class _Descent:
         self.h = self.work.h
         self.m, self.v = np.zeros_like(self.h), np.zeros_like(self.h)
         self.live = np.zeros(0, dtype=bool)
+        # The live columns' count, and the steps before one's last iteration.
+        self.live_count, self.clock = 0, _NEVER
 
     def run(self) -> list[tuple[Witness | None, int]]:
         for c in range(len(self.keys)):
             self._plan(c)
         while True:
             self._refill()
-            if not self.live.any():
+            if not self.live_count:
                 return list(zip(self.witness, self.spent.tolist()))
             self._step()
 
@@ -607,7 +615,7 @@ class _Descent:
     def _refill(self) -> None:
         """Drop retired columns and fill the pool from the queue, once a
         quarter of the pool is retired or rows wait for room."""
-        live = int(np.count_nonzero(self.live))
+        live = self.live_count
         dead = len(self.live) - live
         if not (4 * dead >= len(self.live) > 0 or self.queue and 4 * live < 3 * _OPT_BLOCK):
             return
@@ -644,6 +652,7 @@ class _Descent:
         np.concatenate([self.h[:, keep], h], axis=-1, out=self.work.h)
         self.h = self.work.h
         self.live = np.ones(len(self.cls), dtype=bool)
+        self.live_count = len(self.cls)
         self._cap()
 
     def _step(self) -> None:
@@ -672,8 +681,9 @@ class _Descent:
                 self.witness[c] = witness
                 self.found_at[c] = t[r]
             self._cap()
-        ended = self.live & (zero | (t >= self.limit - 1))
-        if ended.any():
+        # Only a zero-loss column or a due clock can end a column.
+        if len(hits) or self.clock <= 0:
+            ended = self.live & (zero | (t >= self.limit - 1))
             gone = cls[ended]
             np.add.at(self.spent, gone, t[ended] + 1)
             np.subtract.at(self.pending, gone, 1)
@@ -681,6 +691,8 @@ class _Descent:
                 if self.pending[c] == 0:
                     self._plan(int(c))
             self.live &= ~ended
+            self.live_count -= len(gone)
+            self._cap()
         # Adam, with each product in the order of m += (1 - beta1) * grad,
         # v += (1 - beta2) * (grad * grad) and
         # h -= rate * m / (sqrt(v * scale) + 1e-8); the gradient's buffer
@@ -701,13 +713,16 @@ class _Descent:
         self.h -= step
         _clip(self.h, -_OPT_BOX, _OPT_BOX, out=self.h)
         t += 1
+        self.clock -= 1
 
     def _cap(self) -> None:
         """Stop each row before the iteration at which its class found its
-        witness.  Only a zero at an earlier iteration can win: the rows at
-        that iteration started with the witness's row, and its lower
-        restarts came first in the same step."""
+        witness, and reset the clock.  Only a zero at an earlier iteration
+        can win: the rows at that iteration started with the witness's row,
+        and its lower restarts came first in the same step."""
         np.minimum(self.limit, self.found_at[self.cls], out=self.limit)
+        left = (self.limit - 1 - self.t)[self.live]
+        self.clock = int(left.min()) if len(left) else _NEVER
 
 
 def _verified(key: tuple[int, ...], x: np.ndarray) -> Witness | None:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from simpson3 import WitnessArchive, catalog_from_json_obj, experiments, get_catalog
 from simpson3.cli import SUBCOMMANDS, build_parser, main
+from simpson3.symmetry import OrbitClass
 
 
 @pytest.fixture()
@@ -167,6 +168,17 @@ class TestCatalogOrbits:
         code, out, _ = run(capsys, "orbits", "--arity", "3", "--format", "text")
         assert code == 0
         assert out.strip() == "4655 classes"
+
+    def test_orbits_text_builds_no_member_list(self, capsys, monkeypatch):
+        def forbidden(cls):
+            raise AssertionError("the text summary built a member list")
+
+        monkeypatch.setattr(OrbitClass, "members", property(forbidden))
+        assert run(capsys, "orbits", "--arity", "3", "--format", "text") == (
+            0,
+            "4655 classes\n",
+            "",
+        )
 
     def test_orbits_json(self, capsys):
         code, out, _ = run(capsys, "orbits", "--arity", "1")

@@ -140,7 +140,8 @@ class TestEstimators:
     @pytest.mark.parametrize("estimate", [estimate_2d_reversal, estimate_3d_conversion])
     def test_no_stream_for_a_worker_without_samples(self, estimate, monkeypatch):
         # more workers than samples: the streams past the samples draw
-        # nothing, so they are never built
+        # nothing, so they are never built, and no per-worker list is built
+        # either, so a million workers cost what ten do
         expected = estimate(SamplerConfig(worker_count=10), 10)
         stream, keys = SamplerConfig.stream, []
 
@@ -148,8 +149,12 @@ class TestEstimators:
             keys.append(key)
             return stream(self, *key)
 
+        def forbidden(self, total):
+            raise AssertionError("the estimator built a per-worker quota list")
+
         monkeypatch.setattr(SamplerConfig, "stream", counting)
-        est = estimate(SamplerConfig(worker_count=10**5), 10)
+        monkeypatch.setattr(SamplerConfig, "worker_quotas", forbidden)
+        est = estimate(SamplerConfig(worker_count=10**6), 10)
         assert len(keys) <= 10
         assert (est.counts, est.degenerate_discards) == (
             expected.counts,
@@ -593,7 +598,8 @@ class TestDetectConversion:
 
 def assert_batching_keeps_outcomes(monkeypatch, budget):
     """Each class's outcome alone equals its outcome in a sweep with other
-    classes and in a sweep whose pool holds five rows."""
+    classes and in sweeps whose pool holds five rows or 512, the width
+    before the default became 1024."""
     # one-wave witnesses, two classes whose seed-0 witness comes from
     # the second wave, and an exhaustion
     keys = [(1, 2), (3, 28), (1, 3, 5), (1, 40, 20), (2, 7, 66), (3, 4, 55)]
@@ -616,12 +622,14 @@ def assert_batching_keeps_outcomes(monkeypatch, budget):
     search = ConversionSearch(config)
     mixed = search.sweep_pairs(pairs + [(1, 3), (5, 20)], budget)
     mixed.update(search.sweep_triples(triples + [(1, 2, 3), (2, 7, 19)], budget))
-    monkeypatch.setattr(experiments, "_OPT_BLOCK", 5)
-    small = search.sweep_pairs(pairs, budget)
-    small.update(search.sweep_triples(triples, budget))
     for key in keys:
         assert outcome(mixed[key]) == single[key]
-        assert outcome(small[key]) == single[key]
+    for width in (5, 512):
+        monkeypatch.setattr(experiments, "_OPT_BLOCK", width)
+        small = search.sweep_pairs(pairs, budget)
+        small.update(search.sweep_triples(triples, budget))
+        for key in keys:
+            assert outcome(small[key]) == single[key], (width, key)
 
 
 class TestSearch:
@@ -719,17 +727,31 @@ class TestSearch:
 
     def test_hard_class_exhausts_on_optimizer_evaluations(self, monkeypatch):
         step = experiments._Descent._step
-        evaluations = []
+        evaluations, retired = [], []
 
         def counting(descent):
-            evaluations.append(int(np.count_nonzero(descent.live)))
+            live = descent.live.copy()
+            evaluations.append(int(np.count_nonzero(live)))
             step(descent)
+            # a row that ends without a witness has run to its limit, no further
+            ended = live & ~descent.live
+            retired.extend((descent.t[ended] == descent.limit[ended]).tolist())
 
         monkeypatch.setattr(experiments._Descent, "_step", counting)
         result = search_witness((3, 4, 55), SamplerConfig(seed=0), budget=2000)
         assert isinstance(result, Exhausted)
         assert result.class_key == (3, 4, 55)
         assert evaluations and result.attempts == sum(evaluations) <= 2000
+        assert retired and all(retired)
+        # Six classes at once, at a budget that is not a multiple of 600:
+        # each class's four rows end at 600, 600, 600 and 200 iterations.
+        evaluations.clear()
+        retired.clear()
+        search = ConversionSearch(SamplerConfig(seed=0))
+        results = search.sweep_triples(OPEN_CLASSES, 2000)
+        assert all(isinstance(r, Exhausted) and r.attempts == 2000 for r in results.values())
+        assert sum(evaluations) == 6 * 2000
+        assert len(retired) == 6 * 4 and all(retired)
 
     def test_search_never_calls_scipy_optimize(self, monkeypatch):
         import scipy.optimize
@@ -1150,6 +1172,8 @@ class TestDescent:
             descent.h[...] = near_margin_rows(sign, need, rows[order[:n]].T, descent.h, rng)
             descent.t[:] = rng.integers(0, 600, n)
             descent.limit[:] = np.minimum(descent.t + rng.integers(1, 40, n), 600)
+            # the retirement clock reads t and the limits
+            descent._cap()
             for _ in range(60):
                 work = descent.work
                 descent._refill()
