@@ -297,7 +297,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     out = getattr(args, "out", None)
     try:
-        # A missing directory is found before the command runs, not after.
+        # A missing directory, or an --out that is one, is found before the command runs.
+        if out is not None and os.path.isdir(out):
+            raise OSError(errno.EISDIR, f"cannot write {out}: it is a directory")
         if out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
             raise OSError(errno.ENOENT, f"cannot write {out}: its directory does not exist")
         result = args.func(args)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import CatalogError, DegenerateTable, DomainError
 from .feasibility import obstructing_vertices
-from .symmetry import _KEY_KINDS, _UNPAD, canonical_classes, key_rows, pad_key
+from .symmetry import _KEY_KINDS, _UNPAD, _key_ids, canonical_classes, key_rows, pad_key
 from .tables import NonnegTable3, Table3, _check_tables, _cross, _integer, _on_one_scale, _sign
 from .tables import _power_of_two_scale, _table3, parse_rational, table_from_json_obj
 from .triangulation import FORM_MATRIX, _exact_id, classify_entries_batch, get_catalog
@@ -91,16 +91,11 @@ class SamplerConfig:
         seq = np.random.SeedSequence([self.seed, purpose, *key])
         return np.random.Generator(np.random.PCG64(seq))
 
-    def worker_quotas(self, total: int) -> list[int]:
-        """Split ``total`` samples across workers as evenly as possible, larger quotas first."""
-        base, extra = divmod(total, self.worker_count)
-        return [base + (1 if w < extra else 0) for w in range(self.worker_count)]
-
 
 def _stream_chunks(config: SamplerConfig, purpose: int, total: int):
     """Yield ``(rng, rows)``: each worker stream of the purpose with rows of
     ``total`` to draw (its nonzero quota), in chunks of at most ``_CHUNK``."""
-    # worker_quotas(total) without its list: only the first workers draw.
+    # Quotas split total as evenly as possible, larger first: only the first workers draw.
     base, extra = divmod(total, config.worker_count)
     for worker in range(min(config.worker_count, total)):
         rng, quota = config.stream(purpose, worker), base + (worker < extra)
@@ -836,6 +831,7 @@ def search_witness(
     with a different seed draws other starts.
     """
     search = ConversionSearch(config if config is not None else SamplerConfig())
+    class_key = _key_ids(class_key)
     (key,), rows = search._checked_keys([class_key], len(class_key))
     witness, spent = search._optimize_key(key, rows, budget)
     return witness if witness is not None else Exhausted(key, spent)
@@ -860,6 +856,7 @@ class WitnessArchive:
         self.arity = arity
         self.columns = _archive_columns(arity)
         self.directory = os.path.dirname(os.path.abspath(self.path)) or "."
+        self._unwritable = f"cannot write witness archive {self.path}"
 
     def _witness_row(self, witness: Witness) -> list[str]:
         if witness.arity != self.arity:
@@ -873,13 +870,12 @@ class WitnessArchive:
         return row
 
     def check_directory(self) -> None:
-        """Raise OSError unless the archive's directory exists, so that a
-        missing one is found before a search runs rather than after."""
+        """Raise OSError if the archive is a directory or its directory is
+        missing, so that either is found before a search runs, not after."""
+        if os.path.isdir(self.path):
+            raise OSError(errno.EISDIR, f"{self._unwritable}: it is a directory")
         if not os.path.isdir(self.directory):
-            raise OSError(
-                errno.ENOENT,
-                f"cannot write witness archive {self.path}: no directory {self.directory}",
-            )
+            raise OSError(errno.ENOENT, f"{self._unwritable}: no directory {self.directory}")
 
     def _lines(self) -> Iterator[tuple[int, list[str]]]:
         """(line number, cells) of each nonblank row after the header.  A
@@ -902,9 +898,7 @@ class WitnessArchive:
         try:
             fd, tmp_path = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         except OSError as exc:
-            raise OSError(
-                exc.errno, f"cannot write witness archive {self.path}: {exc.strerror}"
-            ) from None
+            raise OSError(exc.errno, f"{self._unwritable}: {exc.strerror}") from None
         try:
             with os.fdopen(fd, "w", newline="") as handle:
                 writer = csv.writer(handle)

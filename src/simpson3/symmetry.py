@@ -96,16 +96,14 @@ def apply(sigma: CubeSymmetry, x):
     """Generic group action: vertices, tables, triangulations.
 
     A triangulation moves by its catalog id, through the catalog's id
-    rows; a table through ``apply_table``.
+    rows; anything else through ``apply_table``, which refuses non-tables.
     """
     if isinstance(x, int):
         return apply_vertex(sigma, x)
-    if isinstance(x, (Table3, NonnegTable3)):
-        return apply_table(sigma, x)
     if isinstance(x, triangulation.Triangulation):
         catalog = triangulation.get_catalog()
         return catalog.entries[catalog.id_rows[sigma.index][x.canonical_id - 1] - 1]
-    raise DomainError(f"cannot apply a cube symmetry to {type(x).__name__}")
+    return apply_table(sigma, x)
 
 
 @dataclass(frozen=True)
@@ -147,28 +145,36 @@ def pad_key(ids: Sequence[int]) -> tuple[int, ...]:
     return _PAD_GETTERS[len(ids)](ids)
 
 
+def _key_ids(key) -> tuple:
+    """A class key read once, as a tuple; DomainError unless it is iterable."""
+    try:
+        return tuple(key)
+    except TypeError:
+        raise DomainError(f"class key {key!r} is not a sequence of ids") from None
+
+
 def key_rows(keys: Iterable[Sequence[int]], catalog, arity: int | None = None) -> np.ndarray:
     """Class keys, read once, as (m, 3) padded id rows.  DomainError at the
-    first key in input order of a length other than ``arity`` (when given),
-    with an id that is a bool, no integer or outside 1..len(catalog), or of
+    first key in input order that is not iterable, of a length other than
+    ``arity`` (when given), with an id that ``catalog[...]`` refuses, or of
     an arity other than 1, 2 or 3; only after every key, at equal summands."""
     n = len(catalog)
     rows = []
     equal_summands = False
-    for ids in keys:
+    for key in keys:
+        ids = _key_ids(key)
         if arity is not None and len(ids) != arity:
             kind = _KEY_KINDS[arity]
-            raise DomainError(f"{kind} class keys have {arity} components, got {ids!r}")
-        row = []
+            raise DomainError(f"{kind} class keys have {arity} components, got {key!r}")
+        # catalog[...] states the id rule; this test passes only ids it takes as they are.
         for i in ids:
-            i = _integer(i, "triangulation id")
-            if not 1 <= i <= n:
-                raise DomainError(f"unknown triangulation id {i}")
-            row.append(i)
-        if len(row) not in _PAD:
-            raise DomainError(f"unsupported arity {len(row)}")
-        equal_summands |= len(row) == 3 and row[0] == row[1]
-        rows.append(pad_key(row))
+            if type(i) is not int or not 0 < i <= n:
+                ids = tuple([catalog[i].canonical_id for i in ids])
+                break
+        if len(ids) not in _PAD:
+            raise DomainError(f"unsupported arity {len(ids)}")
+        equal_summands |= len(ids) == 3 and ids[0] == ids[1]
+        rows.append(pad_key(ids))
     if equal_summands:
         raise DomainError("triple classes require distinct summand ids")
     return np.array(rows, dtype=np.intp).reshape(-1, 3)
@@ -230,6 +236,7 @@ def orbit_classes(arity: int, catalog) -> list[OrbitClass]:
 
 def canonical_class_of(ids: Sequence[int], catalog) -> tuple[int, ...]:
     """Representative of the orbit class containing the given id tuple."""
+    ids = _key_ids(ids)
     (row,) = canonical_classes(key_rows([ids], catalog), catalog)
     return tuple(row[_UNPAD[len(ids)]].tolist())
 

@@ -39,6 +39,7 @@ from .tables import (
     _check_tables,
     _compiled,
     _int_sign_bits,
+    _integer,
     _power_of_two_scale,
     face_diagonal_pair,
     vertex_bits,
@@ -401,9 +402,10 @@ class Catalog:
         return iter(self.entries)
 
     def __getitem__(self, canonical_id: int) -> Triangulation:
-        if not 1 <= canonical_id <= len(self.entries):
-            raise DomainError(f"unknown triangulation id {canonical_id}")
-        return self.entries[canonical_id - 1]
+        i = _integer(canonical_id, "triangulation id")
+        if not 1 <= i <= len(self.entries):
+            raise DomainError(f"unknown triangulation id {i}")
+        return self.entries[i - 1]
 
     def entry_by_tets(self, tets) -> Triangulation:
         try:
@@ -419,10 +421,6 @@ class Catalog:
         """Read-only (48, 74) int32 array: entry [s, i] is the 0-based index
         of GROUP[s] applied to id i+1, ``id_action() - 1``."""
         return self._index_action
-
-    def apply_symmetry(self, sigma: symmetry.CubeSymmetry, canonical_id: int) -> int:
-        self[canonical_id]
-        return self.id_rows[sigma.index][canonical_id - 1]
 
     def orbit_representatives(self) -> tuple[int, ...]:
         return tuple(sorted({e.orbit_rep for e in self.entries}))

@@ -307,12 +307,13 @@ class TestSearch:
             raise AssertionError("the search ran")
 
         monkeypatch.setattr("simpson3.cli.search_witness", never)
-        target = os.path.join(str(tmp_path / "missing"), "w.csv")
-        code, out, err = run(capsys, "search", "--pair", "1", "2", "--out", target)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:")
-        assert f"cannot write witness archive {target}:" in err
+        # a missing directory, and an archive path that is a directory
+        for target in os.path.join(str(tmp_path / "missing"), "w.csv"), str(tmp_path):
+            code, out, err = run(capsys, "search", "--pair", "1", "2", "--out", target)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:")
+            assert f"cannot write witness archive {target}:" in err
 
     @pytest.mark.parametrize(
         "key, line",
@@ -694,6 +695,10 @@ def test_out_directory_checked_before_the_command(capsys, tmp_path, monkeypatch)
     code, out, err = run(capsys, "montecarlo", "--samples", "100000000", "--out", target)
     assert (code, out) == (1, "")
     assert err == f"error: [Errno 2] cannot write {target}: its directory does not exist\n"
+    # an --out that is a directory
+    code, out, err = run(capsys, "montecarlo", "--samples", "100000000", "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 21] cannot write {tmp_path}: it is a directory\n"
 
 
 def _exit(capsys, parse, argv):

@@ -43,6 +43,15 @@ from simpson3.triangulation import FORM_INDEX, FORM_MATRIX, classify_entries_bat
 from simpson3.triangulation import classify_heights_batch
 
 
+def stream_quotas(config, total):
+    """The rows of each worker stream of ``_stream_chunks``, in stream order."""
+    chunks = list(experiments._stream_chunks(config, 1, total))
+    rows = {}
+    for rng, m in chunks:
+        rows[id(rng)] = rows.get(id(rng), 0) + m
+    return list(rows.values())
+
+
 class TestSampler:
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -73,10 +82,10 @@ class TestSampler:
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
 
-    def test_worker_quotas(self):
+    def test_stream_quotas(self):
         config = SamplerConfig(worker_count=4)
-        assert config.worker_quotas(10) == [3, 3, 2, 2]
-        assert sum(config.worker_quotas(10**6)) == 10**6
+        assert stream_quotas(config, 10) == [3, 3, 2, 2]
+        assert sum(stream_quotas(config, 10**6)) == 10**6
 
     def test_sample_shapes(self):
         # each worker's stream serves its quota in chunks of at most _CHUNK rows
@@ -86,7 +95,8 @@ class TestSampler:
         assert all(0 < m <= experiments._CHUNK for _, m in chunks)
         rngs = list({id(rng): rng for rng, _ in chunks}.values())
         rows = [sum(m for r, m in chunks if r is rng) for rng in rngs]
-        assert rows == config.worker_quotas(total)
+        base, extra = divmod(total, 3)
+        assert rows == [base + 1] * extra + [base] * (3 - extra)
         for worker, rng in enumerate(rngs):
             expected = config.stream(1, worker).standard_exponential(4)
             assert np.array_equal(rng.standard_exponential(4), expected)
@@ -140,8 +150,7 @@ class TestEstimators:
     @pytest.mark.parametrize("estimate", [estimate_2d_reversal, estimate_3d_conversion])
     def test_no_stream_for_a_worker_without_samples(self, estimate, monkeypatch):
         # more workers than samples: the streams past the samples draw
-        # nothing, so they are never built, and no per-worker list is built
-        # either, so a million workers cost what ten do
+        # nothing, so they are never built
         expected = estimate(SamplerConfig(worker_count=10), 10)
         stream, keys = SamplerConfig.stream, []
 
@@ -149,11 +158,7 @@ class TestEstimators:
             keys.append(key)
             return stream(self, *key)
 
-        def forbidden(self, total):
-            raise AssertionError("the estimator built a per-worker quota list")
-
         monkeypatch.setattr(SamplerConfig, "stream", counting)
-        monkeypatch.setattr(SamplerConfig, "worker_quotas", forbidden)
         est = estimate(SamplerConfig(worker_count=10**6), 10)
         assert len(keys) <= 10
         assert (est.counts, est.degenerate_discards) == (

@@ -23,7 +23,7 @@ from simpson3.feasibility import (
     obstructing_vertices,
     per_type_obstructed_counts,
 )
-from simpson3.symmetry import GROUP, canonical_class_of, key_rows
+from simpson3.symmetry import GROUP, apply, canonical_class_of, key_rows
 
 
 def reference_vertex(a, b, c):
@@ -77,10 +77,7 @@ class TestObstruction:
             b = int(rng.integers(1, 75))
             base = obstruction(catalog[a], catalog[b]).obstructed
             sigma = GROUP[int(rng.integers(0, 48))]
-            moved = obstruction(
-                catalog[catalog.apply_symmetry(sigma, a)],
-                catalog[catalog.apply_symmetry(sigma, b)],
-            ).obstructed
+            moved = obstruction(apply(sigma, catalog[a]), apply(sigma, catalog[b])).obstructed
             assert base == moved
         # Seeded raw triple rows, through the batch entry, under all 48
         # symmetries and under swapping the summands.
@@ -250,6 +247,23 @@ class TestLemmaChecks:
         with pytest.raises(DomainError) as info:
             check(lemma, f, g, vertex)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("check", [lemma_hypothesis_check, lemma_conclusion_check])
+    @pytest.mark.parametrize("lemma", [1, 2, 3])
+    @pytest.mark.parametrize("vertex", [True, 1.5, np.int64(3)], ids=["bool", "float", "int64"])
+    def test_both_checks_read_the_vertex_as_an_integer(self, check, lemma, vertex):
+        # a bool is no vertex 1 and a float no vertex at all; a numpy
+        # integer is the vertex it holds
+        if lemma == 1:
+            f, g = Table2([5, 6, 3, 4]), Table2([Fraction(6, 7), 6, Fraction(1, 7), Fraction(8, 7)])
+        else:
+            f, g = Table3([3, 1, 4, 1, 5, 9, 2, 6]), Table3([27, 18, 28, 45, 90, 45, 23, 53])
+        if isinstance(vertex, np.integer):
+            assert check(lemma, f, g, vertex) == check(lemma, f, g, int(vertex))
+        else:
+            with pytest.raises(DomainError) as info:
+                check(lemma, f, g, vertex)
+            assert str(info.value) == f"vertex {vertex!r} is not an integer"
 
 
 def _facet_products(t, vertex):

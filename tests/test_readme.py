@@ -60,7 +60,11 @@ def test_readme_has_python_examples():
     assert sum(len(printed_comments(src)) for _, src in BLOCKS) >= 4
 
 
-@pytest.mark.parametrize("start, source", BLOCKS, ids=[f"line{start}" for start, _ in BLOCKS])
+# Named by ordinal, so that an edit above a block does not rename its test.
+BLOCK_IDS = [f"block{k}" for k in range(1, len(BLOCKS) + 1)]
+
+
+@pytest.mark.parametrize("start, source", BLOCKS, ids=BLOCK_IDS)
 def test_block_prints_its_comments(start, source):
     expected = printed_comments(source)
     printed = run_block(source)

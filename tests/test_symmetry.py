@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from simpson3 import (
     GROUP,
+    ConversionSearch,
     DomainError,
+    SamplerConfig,
     Table2,
     Table3,
     apply_table,
     classify_exact,
     orbit_classes,
+    search_witness,
 )
 from simpson3.symmetry import (
     _PAD,
@@ -27,6 +30,9 @@ from simpson3.symmetry import (
     canonical_classes,
     key_rows,
 )
+
+# What every key reader says of a key that is not iterable.
+NOT_A_KEY = "class key 5 is not a sequence of ids"
 
 
 def random_table(rng):
@@ -132,11 +138,11 @@ class TestActions:
         assert apply(sigma, 3) == apply_vertex(sigma, 3)
         tri = catalog[5]
         image = apply(sigma, tri)
-        assert image.canonical_id == catalog.apply_symmetry(sigma, 5)
-        assert type(catalog.apply_symmetry(sigma, 5)) is int
+        assert image.canonical_id == catalog.id_action()[sigma.index, 4]
+        assert type(image.canonical_id) is int
         for bad in (0, -1, 75):
             with pytest.raises(DomainError, match=f"^unknown triangulation id {bad}$"):
-                catalog.apply_symmetry(sigma, bad)
+                apply(sigma, catalog[bad])
         with pytest.raises(DomainError):
             apply(sigma, "vertex")
 
@@ -153,7 +159,6 @@ class TestActions:
             assert apply(copy, t) == apply_table(copy, t) == apply_table(member, t)
             for tri in catalog[1], catalog[40]:
                 assert apply(copy, tri) is apply(member, tri)
-                assert catalog.apply_symmetry(copy, tri.canonical_id) == apply(member, tri).canonical_id
 
     def test_triangulation_action_matches_relabeling(self, catalog):
         for sigma in GROUP:
@@ -324,6 +329,31 @@ class TestCanonical:
         assert np.array_equal(key_rows(iter(keys), catalog), rows)
         with pytest.raises(DomainError, match=r"^triple classes require distinct summand ids$"):
             key_rows([(3, 3, 5)], catalog)
+
+    @pytest.mark.parametrize(
+        "read, message",
+        [
+            (lambda catalog: catalog[True], "triangulation id True is not an integer"),
+            (lambda catalog: catalog[1.5], "triangulation id 1.5 is not an integer"),
+            (lambda catalog: catalog.orbit_members(1.0), "triangulation id 1.0 is not an integer"),
+            (lambda catalog: canonical_class_of(5, catalog), NOT_A_KEY),
+            (lambda catalog: ConversionSearch(SamplerConfig()).sweep_pairs([5], 10), NOT_A_KEY),
+            (lambda catalog: search_witness(5), NOT_A_KEY),
+        ],
+        ids=["bool", "float", "orbit-float", "class-int", "sweep-int", "search-int"],
+    )
+    def test_every_id_reader_keeps_the_id_rule(self, catalog, read, message):
+        # the catalog and every key reader refuse what key_rows refuses
+        with pytest.raises(DomainError) as info:
+            read(catalog)
+        assert str(info.value) == message
+
+    def test_id_readers_take_numpy_ids_and_iterator_keys(self, catalog):
+        assert catalog[np.int64(3)] is catalog[3]
+        assert catalog.orbit_members(np.int64(3)) == catalog.orbit_members(3)
+        assert canonical_class_of(iter((9, 5, 40)), catalog) == (1, 13, 20)
+        got, want = search_witness(iter((1, 2)), budget=600), search_witness((1, 2), budget=600)
+        assert (got.class_key, got.f, got.g) == (want.class_key, want.f, want.g)
 
 
 ids = st.integers(min_value=1, max_value=74)

@@ -56,10 +56,6 @@ def random_int_table3(rng):
     return Table3([int(x) for x in rng.integers(1, 1000, 8)])
 
 
-def random_int_table2(rng):
-    return Table2([int(x) for x in rng.integers(1, 1000, 4)])
-
-
 class TestVertexHelpers:
     def test_bits_round_trip(self):
         for v in range(8):
