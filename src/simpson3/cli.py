@@ -159,8 +159,8 @@ def cmd_search(args: argparse.Namespace) -> Result:
         payload = {
             "status": "witness",
             "classKey": class_key,
-            "f": [str(x) for x in result.f.entries],
-            "g": [str(x) for x in result.g.entries],
+            "f": result.f.entry_strings(),
+            "g": result.g.entry_strings(),
             "verifiedAt": result.verified_at,
         }
         return payload, f"witness found for class {result.class_key}"

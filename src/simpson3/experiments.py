@@ -540,11 +540,12 @@ class _Descent:
     so that its evaluations (one per row-iteration) never pass the budget;
     a wave starts only when the class's previous one ended without a
     witness.  Rows wait in a queue and run as the columns of a pool of at
-    most ``_OPT_BLOCK`` (1024), each at its own iteration.  Each time the
-    pool is refilled, its columns' signs on the 20 forms of F, G and the
-    sum are gathered and cut to the (form, summand) rows that some column
-    constrains, with the form blocks for those rows, and the step's arrays
-    are built for the new pool (``_Work``).  A step is then one
+    most ``_OPT_BLOCK`` (1024), each at its own iteration.  A pool is
+    built only when rows enter it: the descent starts with an empty one
+    and ends without building another.  Then its columns' signs on the 20
+    forms of F, G and the sum are gathered and cut to the (form, summand)
+    rows that some column constrains, with the form blocks for those rows,
+    and the step's arrays are built for it (``_Work``).  A step is then one
     ``_hinge_rows`` call on the pool's active rows and one Adam update,
     both in those arrays.
     A row retires at zero loss, where its point is verified exactly, or at
@@ -576,12 +577,12 @@ class _Descent:
         # limit]; starts are drawn as rows enter the pool, so the queue
         # stays small whatever the budget.
         self.queue: deque[list[int]] = deque()
-        # The pool: every array has one column per row.
+        # The pool: every array has one column per row.  It starts empty,
+        # with no step arrays (``work``) until rows enter it.
         empty = np.zeros(0, dtype=np.int64)
         self.cls, self.restart, self.limit, self.t = empty, empty, empty, empty
-        self.work = _Work(np.zeros((20, 3, 0), self.sign_table.dtype))
-        self.h = self.work.h
-        self.m, self.v = np.zeros_like(self.h), np.zeros_like(self.h)
+        self.work: _Work | None = None
+        self.h = self.m = self.v = np.zeros((16, 0), self.sign_table.dtype)
         self.live = np.zeros(0, dtype=bool)
         # The live columns' count, and the steps before one's last iteration.
         self.live_count, self.clock = 0, _NEVER
@@ -609,16 +610,17 @@ class _Descent:
 
     def _refill(self) -> None:
         """Drop retired columns and fill the pool from the queue, once a
-        quarter of the pool is retired or rows wait for room."""
+        quarter of the pool is retired or rows wait for room.  With no live
+        column and no wave queued, the descent is over: no pool is built."""
         live = self.live_count
         dead = len(self.live) - live
-        if not (4 * dead >= len(self.live) > 0 or self.queue and 4 * live < 3 * _OPT_BLOCK):
+        due = 4 * dead >= len(self.live) > 0 or self.queue and 4 * live < 3 * _OPT_BLOCK
+        if not (due and (live or self.queue)):
             return
         keep = np.flatnonzero(self.live)
         room = _OPT_BLOCK - live
-        # An empty chunk first, so that the concatenations below always
-        # have an operand.
-        new = [(self.cls[:0], self.cls[:0], self.cls[:0], self.h[:, :0])]
+        # The kept columns, then each new chunk: one concatenation per array.
+        new = [(self.cls[keep], self.restart[keep], self.limit[keep], self.h[:, keep])]
         while self.queue and room > 0:
             wave = self.queue[0]
             c, first, count, last = wave
@@ -632,19 +634,13 @@ class _Descent:
             starts = self.rngs[c].normal(0.0, 1.5, (take, 16)).astype(self.sign_table.dtype)
             new.append((np.full(take, c), first + np.arange(take), limit, starts.T))
             room -= take
-        cls, restart, limit, h = (np.concatenate(x, axis=-1) for x in zip(*new))
-        zeros = np.zeros_like(h)
-        for name, fresh in (
-            ("cls", cls),
-            ("restart", restart),
-            ("limit", limit),
-            ("t", np.zeros_like(cls)),
-            ("m", zeros),
-            ("v", zeros),
-        ):
-            setattr(self, name, np.concatenate([getattr(self, name)[..., keep], fresh], axis=-1))
+        cls, restart, limit, h = zip(*new)
+        self.cls, self.restart, self.limit = map(np.concatenate, (cls, restart, limit))
+        zeros = np.zeros((16, len(self.cls) - live), self.sign_table.dtype)
+        self.t = np.concatenate([self.t[keep], np.zeros(zeros.shape[1], np.int64)])
+        self.m, self.v = (np.concatenate([x[:, keep], zeros], axis=1) for x in (self.m, self.v))
         self.work = _Work(np.take(self.sign_table, self.ids[self.cls].T, axis=-1))
-        np.concatenate([self.h[:, keep], h], axis=-1, out=self.work.h)
+        np.concatenate(h, axis=1, out=self.work.h)
         self.h = self.work.h
         self.live = np.ones(len(self.cls), dtype=bool)
         self.live_count = len(self.cls)
@@ -791,9 +787,7 @@ class ConversionSearch:
         if arity not in _KEY_KINDS:
             raise DomainError(f"class key must have 2 or 3 components, got {arity}")
         catalog = get_catalog()
-        rows = canonical_classes(key_rows(class_keys, catalog, arity), catalog)
-        codes = np.ravel_multi_index(rows.T, (len(catalog) + 1,) * 3)
-        rows = rows[np.unique(codes, return_index=True)[1]]
+        rows = canonical_classes(key_rows(class_keys, catalog, arity), catalog, unique=True)
         keys = list(map(tuple, rows[:, _UNPAD[arity]].tolist()))
         for key, vertex in zip(keys, obstructing_vertices(catalog, rows).tolist()):
             if vertex >= 0:
@@ -864,8 +858,7 @@ class WitnessArchive:
                 f"archive holds arity {self.arity}, witness has arity {witness.arity}"
             )
         row = [str(c) for c in witness.class_key]
-        row += [str(x) for x in witness.f.entries]
-        row += [str(x) for x in witness.g.entries]
+        row += witness.f.entry_strings() + witness.g.entry_strings()
         row.append(witness.verified_at)
         return row
 

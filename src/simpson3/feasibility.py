@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainError
 from .symmetry import OrbitClass, key_rows, pad_key
 from .tables import FACE_FORM, FACES, FORM_INDEX, Reversal2D, Table2, Table3, detect_reversal_2d
-from .tables import _integer, _pair_sign_bits
+from .tables import _integer, _pair_sign_bits, _vertex
 from .triangulation import _FACE_DIAGONAL_PAIRS, Triangulation, _vertex_incidence, get_catalog
 
 
@@ -96,6 +96,7 @@ _LEMMA_PATTERN = {2: 7, 3: 1}
 def _check_instance(lemma: int, f, g, vertex: int) -> None:
     """Raise DomainError unless (f, g, vertex) is an instance of the lemma."""
     _integer(vertex, "vertex")
+    lemma = _integer(lemma, "lemma")
     if lemma == 1:
         if not isinstance(f, Table2) or not isinstance(g, Table2):
             raise DomainError("lemma 1 applies to 2x2 tables")
@@ -107,8 +108,7 @@ def _check_instance(lemma: int, f, g, vertex: int) -> None:
     elif lemma in _LEMMA_PATTERN:
         if not isinstance(f, Table3) or not isinstance(g, Table3):
             raise DomainError(f"lemma {lemma} applies to 2x2x2 tables")
-        if not 0 <= vertex <= 7:
-            raise DomainError("cube vertices are indexed 0..7")
+        _vertex(vertex)
     else:
         raise DomainError(f"unknown lemma {lemma}")
 

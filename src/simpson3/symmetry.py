@@ -21,7 +21,7 @@ import numpy as np
 
 from . import triangulation  # imports this module too; each uses the other only in calls
 from .errors import DomainError
-from .tables import NonnegTable3, Table3, VERTICES, _integer, _table3, vertex_bits
+from .tables import NonnegTable3, Table3, VERTICES, _integer, _table3, _vertex, vertex_bits
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ INVERSE_INDEX: tuple[int, ...] = tuple(GROUP_INDEX[sigma.inverse()] for sigma in
 
 
 def apply_vertex(sigma: CubeSymmetry, v: int) -> int:
-    return VERTEX_MAPS[sigma.index][v]
+    return VERTEX_MAPS[sigma.index][_vertex(v)]
 
 
 # Per symmetry, the gather that relabels a table: image entry w is the old
@@ -93,12 +93,13 @@ def apply_table(sigma: CubeSymmetry, table):
 
 
 def apply(sigma: CubeSymmetry, x):
-    """Generic group action: vertices, tables, triangulations.
+    """Generic group action: vertices (ints or numpy integers in 0..7),
+    tables, triangulations.
 
     A triangulation moves by its catalog id, through the catalog's id
     rows; anything else through ``apply_table``, which refuses non-tables.
     """
-    if isinstance(x, int):
+    if isinstance(x, (int, np.integer)):
         return apply_vertex(sigma, x)
     if isinstance(x, triangulation.Triangulation):
         catalog = triangulation.get_catalog()
@@ -241,7 +242,10 @@ def canonical_class_of(ids: Sequence[int], catalog) -> tuple[int, ...]:
     return tuple(row[_UNPAD[len(ids)]].tolist())
 
 
-def canonical_classes(rows: np.ndarray, catalog) -> np.ndarray:
-    """Canonical rows of the classes of (m, 3) ``key_rows`` rows, in input order."""
+def canonical_classes(rows: np.ndarray, catalog, unique: bool = False) -> np.ndarray:
+    """Canonical rows of the classes of (m, 3) ``key_rows`` rows, in input
+    order, or sorted and without repeats if ``unique``."""
     canonical = _canonical_rows(rows - 1, catalog.index_action())
+    if unique:
+        canonical = np.unique(canonical)
     return np.column_stack(np.unravel_index(canonical, (len(catalog),) * 3)) + 1

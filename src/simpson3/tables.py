@@ -215,6 +215,14 @@ def _integer(value, what: str) -> int:
         raise DomainError(f"{what} {value!r} is not an integer") from None
 
 
+def _vertex(value) -> int:
+    """``value`` as a cube vertex, a Python int in 0..7; anything else raises."""
+    v = _integer(value, "vertex")
+    if not 0 <= v < VERTEX_COUNT:
+        raise DomainError("cube vertices are indexed 0..7")
+    return v
+
+
 def _validated(kind: type, entries: Iterable[Rational]) -> tuple[tuple[int, ...], int]:
     """The entries of a new ``kind`` table as integers over their least
     common denominator, in lowest terms.  Every entry is converted first,
@@ -272,6 +280,15 @@ class _ExactTable:
 
     def __getitem__(self, v: int) -> Fraction:
         return self.entries[v]
+
+    def entry_strings(self) -> list[str]:
+        """The entries as ``str(Fraction)`` prints them, ``n`` or ``n/d``
+        in lowest terms, without building a ``Fraction``."""
+        d, out = self.denominator, []
+        for n in self.integers:
+            common = math.gcd(n, d)
+            out.append(str(n // d) if common == d else f"{n // common}/{d // common}")
+        return out
 
     def smoothed(self, epsilon: Rational):
         """Add epsilon to every entry: a ``Table3`` from 8 entries, a
@@ -535,7 +552,7 @@ def table_from_json_obj(obj, allow_zero: bool = False) -> Union[Table3, NonnegTa
 
 
 def table_to_json_obj(table: Union[Table3, NonnegTable3, Table2]) -> dict:
-    return {"entries": [str(e) for e in table.entries]}
+    return {"entries": table.entry_strings()}
 
 
 def load_table(path, allow_zero: bool = False) -> Union[Table3, NonnegTable3, Table2]:

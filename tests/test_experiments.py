@@ -37,7 +37,8 @@ from simpson3 import (
 )
 from simpson3 import experiments, triangulation
 from simpson3.feasibility import infeasible_pair_classes, infeasible_triple_classes
-from simpson3.symmetry import pad_key
+from simpson3.feasibility import obstructing_vertices
+from simpson3.symmetry import _KEY_KINDS, _UNPAD, canonical_classes, key_rows, pad_key
 from simpson3.tables import FORM_LETTERS, _int_sign_bits, _table3
 from simpson3.triangulation import FORM_INDEX, FORM_MATRIX, classify_entries_batch
 from simpson3.triangulation import classify_heights_batch
@@ -687,6 +688,33 @@ class TestSearch:
         with pytest.raises(DomainError, match=r"^triple class \(2, 3, 20\) is parity obstructed$"):
             search.sweep_triples([(16, 18, 56), (2, 3, 20)], budget=10)
 
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_checked_keys_equal_the_reference(self, catalog, arity):
+        # A random member of every class, each once and about twice more at
+        # random, shuffled, with the summands of triples in either order.
+        rng = np.random.default_rng(arity)
+        members = [c.members[rng.integers(len(c.members))] for c in orbit_classes(arity, catalog)]
+        keys = members + [members[i] for i in rng.integers(0, len(members), 2 * len(members))]
+        keys = [keys[i] for i in rng.permutation(len(keys))]
+        if arity == 3:
+            keys = [(b, a, c) if rng.random() < 0.5 else (a, b, c) for a, b, c in keys]
+        canonical = canonical_classes(key_rows(keys, catalog, arity), catalog)
+        blocked = obstructing_vertices(catalog, canonical) >= 0
+        search = ConversionSearch(SamplerConfig(seed=0))
+        # With every class, the first obstructed one in sorted order is refused.
+        first = tuple(np.unique(canonical[blocked], axis=0)[0, _UNPAD[arity]].tolist())
+        with pytest.raises(DomainError) as info:
+            search._checked_keys(keys, arity)
+        assert str(info.value) == f"{_KEY_KINDS[arity]} class {first} is parity obstructed"
+        # The feasible classes' keys and padded rows, sorted and without repeats.
+        feasible = [key for key, b in zip(keys, blocked) if not b]
+        got_keys, got_rows = search._checked_keys(feasible, arity)
+        rows = np.unique(canonical[~blocked], axis=0)
+        assert len(rows) == {2: 112, 3: 4304}[arity]
+        assert np.array_equal(got_rows, rows) and got_rows.dtype == rows.dtype
+        assert got_keys == [tuple(r) for r in rows[:, _UNPAD[arity]].tolist()]
+        assert all(type(i) is int for key in got_keys for i in key)
+
     def test_bad_keys(self):
         config = SamplerConfig(seed=0)
         with pytest.raises(DomainError):
@@ -1195,6 +1223,29 @@ class TestDescent:
                 for a, b in zip(got, expected):
                     assert a.dtype == b.dtype and np.array_equal(a, b)
         assert widths >= set(range(1, 25)) and refills >= 24 and clipped
+
+    def test_a_search_builds_one_pool_per_wave(self, monkeypatch):
+        pools = []
+        build = experiments._Work.__init__
+
+        def counting(work, sign):
+            pools.append(sign.shape[-1])
+            build(work, sign)
+
+        monkeypatch.setattr(experiments._Work, "__init__", counting)
+        # A witness in the first 16-row wave: one pool, and none at the end.
+        result = search_witness((1, 3, 5), SamplerConfig(seed=0), budget=20000)
+        assert isinstance(result, Witness) and pools == [16]
+        # An exhausted search of two waves, 16 rows and then the 18 that the
+        # budget leaves room for: one pool each.
+        pools.clear()
+        result = search_witness((3, 4, 55), SamplerConfig(seed=0), budget=20000)
+        assert isinstance(result, Exhausted) and result.attempts == 20000
+        assert pools == [16, 18]
+        # A sweep builds a pool only when rows enter it.
+        pools.clear()
+        ConversionSearch(SamplerConfig(seed=0)).sweep_triples([(1, 3, 5)] + OPEN_CLASSES, 20000)
+        assert pools and all(pools)
 
     def test_float32_step_raises_no_float_fault(self):
         keys, rows = ConversionSearch(SamplerConfig(seed=0))._checked_keys(

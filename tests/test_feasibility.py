@@ -265,6 +265,20 @@ class TestLemmaChecks:
                 check(lemma, f, g, vertex)
             assert str(info.value) == f"vertex {vertex!r} is not an integer"
 
+    @pytest.mark.parametrize("check", [lemma_hypothesis_check, lemma_conclusion_check])
+    @pytest.mark.parametrize("lemma", [True, 2.0, np.int64(2)], ids=["bool", "float", "int64"])
+    def test_both_checks_read_the_lemma_as_an_integer(self, check, lemma):
+        # True is no lemma 1 and 2.0 no lemma 2; a numpy integer is the
+        # lemma it holds
+        f, g = Table3([3, 1, 4, 1, 5, 9, 2, 6]), Table3([27, 18, 28, 45, 90, 45, 23, 53])
+        if isinstance(lemma, np.integer):
+            for v in range(8):
+                assert check(lemma, f, g, v) == check(2, f, g, v)
+        else:
+            with pytest.raises(DomainError) as info:
+                check(lemma, f, g, 0)
+            assert str(info.value) == f"lemma {lemma!r} is not an integer"
+
 
 def _facet_products(t, vertex):
     """For each facet through the vertex (z, y, x fixed, in that order): the

@@ -146,6 +146,31 @@ class TestActions:
         with pytest.raises(DomainError):
             apply(sigma, "vertex")
 
+    @pytest.mark.parametrize(
+        "read, message",
+        [
+            (lambda: apply(GROUP[1], True), "vertex True is not an integer"),
+            (lambda: apply(GROUP[1], -1), "cube vertices are indexed 0..7"),
+            (lambda: apply(GROUP[1], 8), "cube vertices are indexed 0..7"),
+            (lambda: apply(GROUP[1], np.int64(8)), "cube vertices are indexed 0..7"),
+            (lambda: apply_vertex(GROUP[1], 2.0), "vertex 2.0 is not an integer"),
+            (lambda: apply_vertex(GROUP[1], True), "vertex True is not an integer"),
+        ],
+        ids=["apply-bool", "apply-negative", "apply-8", "apply-int64-8", "float", "bool"],
+    )
+    def test_vertex_readers_keep_the_vertex_rule(self, read, message):
+        # a bool is no vertex 1, a negative vertex does not wrap, and a
+        # vertex past 7 is refused, not an IndexError
+        with pytest.raises(DomainError) as info:
+            read()
+        assert str(info.value) == message
+
+    def test_vertex_readers_take_numpy_vertices(self):
+        for sigma in GROUP:
+            for v in range(8):
+                image = apply(sigma, v)
+                assert apply(sigma, np.int64(v)) == apply_vertex(sigma, np.int8(v)) == image
+
     def test_equal_symmetry_built_apart_acts_alike(self, catalog):
         # the cached index is found per instance, so an equal copy of a
         # GROUP member must find the member's

@@ -823,6 +823,24 @@ class TestJson:
         assert type(back) is kind
         assert back == table
 
+    @pytest.mark.parametrize(
+        ("kind", "least"),
+        [(Table3, 1), (NonnegTable3, 0), (Table2, 0)],
+        ids=["Table3", "NonnegTable3", "Table2"],
+    )
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), denominator=st.sampled_from([1, 2, 6, 12, 2**70, 3 * 10**20]))
+    def test_entry_strings_print_as_fractions(self, kind, least, data, denominator):
+        # Numerators over a shared denominator, so that some entries reduce
+        # and others do not; integers past 2**64, and zeros where allowed.
+        size = 4 if kind is Table2 else 8
+        values = st.one_of(st.integers(least, 30), st.integers(2**64, 2**80))
+        numerators = data.draw(st.lists(values, min_size=size, max_size=size))
+        table = kind([Fraction(n, denominator) for n in numerators])
+        expected = [str(Fraction(n, table.denominator)) for n in table.integers]
+        assert table.entry_strings() == expected == [str(e) for e in table.entries]
+        assert table_to_json_obj(table) == {"entries": expected}
+
     def test_parse_rational(self):
         assert parse_rational("1/4") == Fraction(1, 4)
         assert parse_rational("3") == 3
