@@ -25,8 +25,9 @@ import tempfile
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,10 +43,10 @@ _PURPOSE_MC2D = 1
 _PURPOSE_MC3D = 2
 _PURPOSE_SWEEP = 4
 
-# Rows drawn per chunk of a worker's stream.  The 2x2 estimator draws a
-# chunk as (2, m, 4) and pairs row i of its first half with row i of its
-# second, so _CHUNK is part of what a 2x2 seed means.  The 2x2x2 estimator
-# draws (m, 16) row-major, so its pairs do not depend on the chunking.
+# Rows drawn per chunk of a worker's stream.  The 2x2 tally reads a chunk
+# as (2, m, 4) and pairs row i of its first half with row i of its second,
+# so _CHUNK is part of what a 2x2 seed means.  The 2x2x2 tally reads
+# (m, 16) row-major, so its pairs do not depend on the chunking.
 _CHUNK = 1 << 16
 
 # Rows of 2x2 pairs decided at once; a block's buffers take about 350 KB.
@@ -105,16 +106,25 @@ def _stream_chunks(config: SamplerConfig, purpose: int, total: int):
 
 @dataclass(frozen=True)
 class FrequencyEstimate:
-    """Monte Carlo event frequencies with binomial standard errors."""
+    """Monte Carlo event counts, with their frequencies among the samples
+    not discarded and the frequencies' binomial standard errors."""
 
     sample_count: int
     degenerate_discards: int
     counts: dict[str, int]
-    estimates: dict[str, float]
-    standard_errors: dict[str, float]
     targets: dict[str, str]
     seed: int
     worker_count: int
+
+    @cached_property
+    def estimates(self) -> dict[str, float]:
+        effective = self.sample_count - self.degenerate_discards
+        return {key: hits / effective for key, hits in self.counts.items()}
+
+    @cached_property
+    def standard_errors(self) -> dict[str, float]:
+        effective = self.sample_count - self.degenerate_discards
+        return {k: float(np.sqrt(p * (1.0 - p) / effective)) for k, p in self.estimates.items()}
 
     def to_json_obj(self) -> dict:
         return {
@@ -129,47 +139,42 @@ class FrequencyEstimate:
         }
 
 
-def _finalize(
-    config: SamplerConfig,
-    total: int,
-    discards: int,
-    counts: dict[str, int],
-    targets: dict[str, str],
-) -> FrequencyEstimate:
-    effective = total - discards
-    if effective == 0:
-        raise DomainError(f"all {total} samples were discarded as degenerate")
-    estimates: dict[str, float] = {}
-    errors: dict[str, float] = {}
-    for key, hits in counts.items():
-        p = hits / effective
-        estimates[key] = p
-        errors[key] = float(np.sqrt(p * (1.0 - p) / effective))
-    return FrequencyEstimate(
-        sample_count=total,
-        degenerate_discards=discards,
-        counts=counts,
-        estimates=estimates,
-        standard_errors=errors,
-        targets=targets,
-        seed=config.seed,
-        worker_count=config.worker_count,
-    )
-
-
 def _at_least_one(value: int, what: str) -> int:
     if (count := _integer(value, what)) < 1:
         raise DomainError(f"{what} must be at least 1, got {count}")
     return count
 
 
-def _largest_chunk(config: SamplerConfig, total: int) -> int:
-    """The most rows one chunk of ``_stream_chunks(config, _, total)`` holds."""
-    return min(_CHUNK, -(-total // config.worker_count))
+def _estimate(
+    config: SamplerConfig,
+    sample_count: int,
+    purpose: int,
+    width: int,
+    tally: Callable[[np.ndarray], Sequence[int]],
+    targets: dict[str, str],
+) -> FrequencyEstimate:
+    """Draw ``sample_count`` rows of ``width`` Exp(1) entries from the
+    purpose's worker streams, each chunk as an (m, width) view of one
+    buffer, and sum what ``tally`` returns per chunk: its discards, then
+    one count per target in the targets' order.  Raises DomainError unless
+    ``sample_count`` is at least 1, or when every sample is discarded."""
+    total = _at_least_one(sample_count, "sample count")
+    draws = np.empty(width * min(_CHUNK, -(-total // config.worker_count)))
+    sums = [0] * (1 + len(targets))
+    for rng, m in _stream_chunks(config, purpose, total):
+        chunk = draws[: width * m].reshape(m, width)
+        rng.standard_exponential(out=chunk)
+        sums = list(map(operator.add, sums, tally(chunk)))
+    discards, *counts = sums
+    if discards == total:
+        raise DomainError(f"all {total} samples were discarded as degenerate")
+    return FrequencyEstimate(
+        total, discards, dict(zip(targets, counts)), targets, config.seed, config.worker_count
+    )
 
 
 class _PairBlock:
-    """The buffers of one block of 2x2 pairs, allocated once per call: the
+    """The buffers of one block of 2x2 pairs, allocated once per chunk: the
     sums, the determinants of F, G and F + G with their second products,
     and the sign masks the tallies read."""
 
@@ -215,6 +220,28 @@ def _det_signs(pairs: np.ndarray, work: _PairBlock) -> tuple[np.ndarray, int]:
     return det, degenerate
 
 
+def _tally_2d_chunk(draws: np.ndarray) -> tuple[int, int, int, int]:
+    """The discards, reversals, and positive-to-negative and negative-to-
+    positive reversals among one chunk of raw (m, 8) draws, read as
+    (2, m, 4): pair i is row i of each half.  The chunk is walked in
+    cache-sized blocks, through one ``_PairBlock``."""
+    m = len(draws)
+    pairs = draws.reshape(2, m, 4)
+    work = _PairBlock(min(_PAIR_BLOCK, m))
+    discards = reversals = neg_to_pos = 0
+    for lo in range(0, m, _PAIR_BLOCK):
+        det, degenerate = _det_signs(pairs[:, lo : lo + _PAIR_BLOCK], work)
+        b = det.shape[1]
+        discards += degenerate
+        # a reversal: both summand signs differ from the sum's (degenerate rows are all 0)
+        neg = np.less(det, 0.0, out=work.neg[:, :b])
+        flip = np.not_equal(neg[:2], neg[2], out=work.flip[:, :b])
+        rev = np.logical_and(flip[0], flip[1], out=work.rev[:b])
+        reversals += int(np.count_nonzero(rev))
+        neg_to_pos += int(np.count_nonzero(np.logical_and(rev, neg[0], out=rev)))
+    return discards, reversals, reversals - neg_to_pos, neg_to_pos
+
+
 def estimate_2d_reversal(config: SamplerConfig, sample_count: int) -> FrequencyEstimate:
     """Estimate how often adding two random 2x2 tables reverses association.
 
@@ -225,38 +252,16 @@ def estimate_2d_reversal(config: SamplerConfig, sample_count: int) -> FrequencyE
     unless ``sample_count`` is at least 1.
 
     Each chunk is drawn into one buffer and walked in cache-sized blocks
-    whose buffers are allocated once per call.
+    whose buffers are allocated once per chunk.
     """
-    sample_count = _at_least_one(sample_count, "sample count")
-    rows = _largest_chunk(config, sample_count)
-    draws = np.empty(8 * rows)
-    work = _PairBlock(min(_PAIR_BLOCK, rows))
-    discards = reversals = neg_to_pos = 0
-    for rng, m in _stream_chunks(config, _PURPOSE_MC2D, sample_count):
-        chunk = draws[: 8 * m].reshape(2, m, 4)
-        rng.standard_exponential(out=chunk)
-        for lo in range(0, m, _PAIR_BLOCK):
-            det, degenerate = _det_signs(chunk[:, lo : lo + _PAIR_BLOCK], work)
-            b = det.shape[1]
-            discards += degenerate
-            # a reversal: both summand signs differ from the sum's (degenerate rows are all 0)
-            neg = np.less(det, 0.0, out=work.neg[:, :b])
-            flip = np.not_equal(neg[:2], neg[2], out=work.flip[:, :b])
-            rev = np.logical_and(flip[0], flip[1], out=work.rev[:b])
-            reversals += int(np.count_nonzero(rev))
-            neg_to_pos += int(np.count_nonzero(np.logical_and(rev, neg[0], out=rev)))
-    counts = {
-        "reversal": reversals,
-        "reversalPosToNeg": reversals - neg_to_pos,
-        "reversalNegToPos": neg_to_pos,
-    }
     targets = {"reversal": "1/60", "reversalPosToNeg": "1/120", "reversalNegToPos": "1/120"}
-    return _finalize(config, sample_count, discards, counts, targets)
+    return _estimate(config, sample_count, _PURPOSE_MC2D, 8, _tally_2d_chunk, targets)
 
 
-def _tally_3d_chunk(entries: np.ndarray) -> tuple[int, int, int]:
-    """The discards, conversions and non-conversions among one chunk of
-    raw (m, 16) draws, F and G being its strided halves.
+def _tally_3d_chunk(entries: np.ndarray) -> tuple[int, int, int, int]:
+    """The discards, same-triangulation pairs, conversions and
+    non-conversions among one chunk of raw (m, 16) draws, F and G being
+    its strided halves.
 
     One ``classify_entries_batch`` pass decides F and G together, block by
     block, on the entries as drawn.  Only the rows where F and G share a
@@ -272,7 +277,8 @@ def _tally_3d_chunk(entries: np.ndarray) -> tuple[int, int, int]:
     discards = int(np.count_nonzero((ids_f == 0) | (ids_g == 0)))
     sum_discards = int(np.count_nonzero(ids_s == 0))
     no_conversion = int(np.count_nonzero(ids_s == ids_f[shared]))
-    return discards + sum_discards, len(shared) - sum_discards - no_conversion, no_conversion
+    same = len(shared) - sum_discards
+    return discards + sum_discards, same, same - no_conversion, no_conversion
 
 
 def estimate_3d_conversion(config: SamplerConfig, sample_count: int) -> FrequencyEstimate:
@@ -295,28 +301,8 @@ def estimate_3d_conversion(config: SamplerConfig, sample_count: int) -> Frequenc
     ids ``classify_exact`` gives the drawn doubles and their exact sum (its
     docstring says why).
     """
-    sample_count = _at_least_one(sample_count, "sample count")
-    discards = conversions = no_conversions = 0
-    rows = _largest_chunk(config, sample_count)
-    draws = np.empty(16 * rows)
-    for rng, m in _stream_chunks(config, _PURPOSE_MC3D, sample_count):
-        entries = draws[: 16 * m].reshape(m, 16)
-        rng.standard_exponential(out=entries)
-        tally = _tally_3d_chunk(entries)
-        discards += tally[0]
-        conversions += tally[1]
-        no_conversions += tally[2]
-    counts = {
-        "sameTriangulation": conversions + no_conversions,
-        "conversion": conversions,
-        "sameNoConversion": no_conversions,
-    }
-    targets = {
-        "sameTriangulation": "17/900",
-        "conversion": "2/900",
-        "sameNoConversion": "15/900",
-    }
-    return _finalize(config, sample_count, discards, counts, targets)
+    targets = {"sameTriangulation": "17/900", "conversion": "2/900", "sameNoConversion": "15/900"}
+    return _estimate(config, sample_count, _PURPOSE_MC3D, 16, _tally_3d_chunk, targets)
 
 
 @dataclass(frozen=True)
@@ -782,10 +768,8 @@ class ConversionSearch:
         self, class_keys: Iterable[Sequence[int]], arity: int
     ) -> tuple[list[tuple[int, ...]], np.ndarray]:
         """The keys' class representatives, sorted and without repeats, as
-        tuples and as padded rows; DomainError for a bad key or a parity-
-        obstructed class.  ``_KEY_KINDS`` holds the arities a search takes."""
-        if arity not in _KEY_KINDS:
-            raise DomainError(f"class key must have 2 or 3 components, got {arity}")
+        tuples and as padded rows; DomainError for an arity other than 2 or
+        3, a bad key or a parity-obstructed class."""
         catalog = get_catalog()
         rows = canonical_classes(key_rows(class_keys, catalog, arity), catalog, unique=True)
         keys = list(map(tuple, rows[:, _UNPAD[arity]].tolist()))
@@ -844,7 +828,7 @@ class WitnessArchive:
     """CSV-backed store of verified witnesses for one class arity."""
 
     def __init__(self, path: str | os.PathLike, arity: int) -> None:
-        if arity not in _KEY_KINDS:
+        if (arity := _integer(arity, "arity")) not in _KEY_KINDS:
             raise DomainError(f"witness archives hold arity 2 or 3, got {arity}")
         self.path = os.fspath(path)
         self.arity = arity

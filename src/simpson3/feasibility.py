@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainError
 from .symmetry import OrbitClass, key_rows, pad_key
 from .tables import FACE_FORM, FACES, FORM_INDEX, Reversal2D, Table2, Table3, detect_reversal_2d
-from .tables import _integer, _pair_sign_bits, _vertex
+from .tables import _int_sign_bits, _integer, _vertex
 from .triangulation import _FACE_DIAGONAL_PAIRS, Triangulation, _vertex_incidence, get_catalog
 
 
@@ -146,7 +146,8 @@ def lemma_hypothesis_check(lemma: int, f, g, vertex: int) -> bool:
         shown = Reversal2D.POS_TO_NEG if vertex in (0, 3) else Reversal2D.NEG_TO_POS
         return detect_reversal_2d(f, g) is shown
     (through_f, _), (through_g, _) = (
-        _incidences(pos & _FACETS, neg & _FACETS) for pos, neg in _pair_sign_bits(f, g)[:2]
+        _incidences(pos & _FACETS, neg & _FACETS)
+        for pos, neg in (_int_sign_bits(*f.integers), _int_sign_bits(*g.integers))
     )
     return through_f[vertex] == through_g[vertex] == _LEMMA_PATTERN[lemma]
 
@@ -167,7 +168,7 @@ def lemma_conclusion_check(lemma: int, f, g, vertex: int) -> bool:
         p = nf[c ^ 2] * ng[c] - nf[c] * ng[c ^ 2]
         q = nf[c ^ 1] * ng[c] - nf[c] * ng[c ^ 1]
         return (p > 0 and q < 0) != (p < 0 and q > 0)
-    pos, neg = _pair_sign_bits(f, g)[2]
+    pos, neg = _int_sign_bits(*(f + g).integers)
     through, avoid = _incidences(pos & _FACETS, neg & _FACETS)
     pattern = _LEMMA_PATTERN[lemma]
     return (through[vertex], avoid[vertex]) != (pattern ^ 7, pattern)

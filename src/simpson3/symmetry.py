@@ -155,10 +155,13 @@ def _key_ids(key) -> tuple:
 
 
 def key_rows(keys: Iterable[Sequence[int]], catalog, arity: int | None = None) -> np.ndarray:
-    """Class keys, read once, as (m, 3) padded id rows.  DomainError at the
-    first key in input order that is not iterable, of a length other than
-    ``arity`` (when given), with an id that ``catalog[...]`` refuses, or of
-    an arity other than 1, 2 or 3; only after every key, at equal summands."""
+    """Class keys, read once, as (m, 3) padded id rows.  DomainError for an
+    ``arity`` other than None, 2 or 3; at the first key in input order that
+    is not iterable, of a length other than ``arity`` (when given), with an
+    id that ``catalog[...]`` refuses, or of an arity other than 1, 2 or 3;
+    only after every key, at equal summands."""
+    if arity is not None and (arity := _integer(arity, "arity")) not in _KEY_KINDS:
+        raise DomainError(f"class key must have 2 or 3 components, got {arity}")
     n = len(catalog)
     rows = []
     equal_summands = False

@@ -181,22 +181,6 @@ def _power_of_two_scale(values: Sequence[float]) -> tuple[list[int], int]:
     return [p * (scale // d) for p, d in ratios], scale
 
 
-def _pair_sign_bits(
-    f: "Table3", g: "Table3"
-) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
-    """The kernel's sign bits of F, G and F + G, from one integer scale.
-
-    The forms are homogeneous, so on a common denominator L the sum is
-    decided by F·L + G·L without building it.
-    """
-    nf, ng, _ = _on_one_scale(f, g)
-    return (
-        _int_sign_bits(*nf),
-        _int_sign_bits(*ng),
-        _int_sign_bits(*map(operator.add, nf, ng)),
-    )
-
-
 def _ratio(value: Rational, where: str) -> tuple[int, int]:
     """An exact entry as its numerator and positive denominator, in lowest
     terms, without building a ``Fraction``."""

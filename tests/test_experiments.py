@@ -173,14 +173,27 @@ class TestEstimators:
         assert json.loads(json.dumps(payload))["seed"] == 3
         assert type(payload["sampleCount"]) is int and payload["sampleCount"] == 100
 
-    def test_every_sample_discarded(self, monkeypatch):
-        monkeypatch.setattr(
-            experiments,
-            "classify_entries_batch",
-            lambda *parts: np.zeros((parts[0].shape[2], len(parts[0])), int),
-        )
-        with pytest.raises(DomainError, match="all 10 samples were discarded as degenerate$"):
-            estimate_3d_conversion(SamplerConfig(seed=0), 10)
+    @pytest.mark.parametrize(
+        "estimate, name, undecided",
+        [
+            # every pair degenerate: zero determinants, all b rows counted
+            (
+                estimate_2d_reversal,
+                "_det_signs",
+                lambda pairs, work: (np.zeros((3, pairs.shape[1])), pairs.shape[1]),
+            ),
+            (
+                estimate_3d_conversion,
+                "classify_entries_batch",
+                lambda *parts: np.zeros((parts[0].shape[2], len(parts[0])), int),
+            ),
+        ],
+        ids=["2d", "3d"],
+    )
+    def test_every_sample_discarded(self, monkeypatch, estimate, name, undecided):
+        monkeypatch.setattr(experiments, name, undecided)
+        with pytest.raises(DomainError, match="^all 10 samples were discarded as degenerate$"):
+            estimate(SamplerConfig(seed=0), 10)
 
     def test_sum_is_classified_on_the_shared_rows(self, monkeypatch):
         # per chunk: F and G in one call, then the raw F and G of the rows
@@ -292,7 +305,8 @@ def reference_2d(config, sample_count):
         counts["reversalNegToPos"] += int(np.count_nonzero(neg_to_pos))
     counts["reversal"] = counts["reversalPosToNeg"] + counts["reversalNegToPos"]
     targets = {"reversal": "1/60", "reversalPosToNeg": "1/120", "reversalNegToPos": "1/120"}
-    return experiments._finalize(config, sample_count, discards, counts, targets)
+    seed, workers = config.seed, config.worker_count
+    return experiments.FrequencyEstimate(sample_count, discards, counts, targets, seed, workers)
 
 
 def reference_3d(config, sample_count):
@@ -315,7 +329,8 @@ def reference_3d(config, sample_count):
         counts["conversion"] += int(np.count_nonzero(same & (ids_s != ids_f)))
         counts["sameNoConversion"] += int(np.count_nonzero(same & (ids_s == ids_f)))
     targets = {"sameTriangulation": "17/900", "conversion": "2/900", "sameNoConversion": "15/900"}
-    return experiments._finalize(config, sample_count, discards, counts, targets)
+    seed, workers = config.seed, config.worker_count
+    return experiments.FrequencyEstimate(sample_count, discards, counts, targets, seed, workers)
 
 
 def traced_peak(estimate, n):
@@ -1466,6 +1481,12 @@ class TestArchive:
             archive.append([w])
         with pytest.raises(DomainError):
             WitnessArchive(tmp_path / "x.csv", 4)
+
+    def test_arity_is_an_integer(self, tmp_path):
+        with pytest.raises(DomainError, match=r"^arity 2\.0 is not an integer$"):
+            WitnessArchive(tmp_path / "x.csv", 2.0)
+        archive = WitnessArchive(tmp_path / "x.csv", np.int64(2))
+        assert type(archive.arity) is int and archive.columns[:3] == ["classA", "classB", "F000"]
 
     def test_tampered_entry_fails_verification(self, tmp_path):
         path = tmp_path / "pairs.csv"

@@ -356,6 +356,23 @@ class TestCanonical:
             key_rows([(3, 3, 5)], catalog)
 
     @pytest.mark.parametrize(
+        "arity, message",
+        [
+            (1, "class key must have 2 or 3 components, got 1"),
+            (4, "class key must have 2 or 3 components, got 4"),
+            (2.0, "arity 2.0 is not an integer"),
+            (True, "arity True is not an integer"),
+        ],
+    )
+    def test_key_rows_take_a_search_arity(self, catalog, arity, message):
+        # refused before any key is read, whatever the keys' lengths
+        for keys in ([(1, 2)], [(5,)], []):
+            with pytest.raises(DomainError) as info:
+                key_rows(keys, catalog, arity)
+            assert str(info.value) == message
+        assert key_rows([(1, 2)], catalog, np.int64(2)).tolist() == [[1, 1, 2]]
+
+    @pytest.mark.parametrize(
         "read, message",
         [
             (lambda catalog: catalog[True], "triangulation id True is not an integer"),

@@ -32,7 +32,6 @@ from simpson3.tables import (
     _FIVE_TERM,
     _FOUR_TERM,
     _int_sign_bits,
-    _pair_sign_bits,
     _sign,
     VERTICES,
     Diagonal2D,
@@ -218,13 +217,6 @@ class TestCompiledKernel:
         scaled = table.scaled(factor)
         expected = loop_sign_bits(scaled.entries)
         assert _int_sign_bits(*scaled.integers) == expected == loop_sign_bits(table.entries)
-
-    @settings(max_examples=200, deadline=None)
-    @given(f=kernel_entries, g=kernel_entries)
-    def test_pair_bits_equal_three_kernel_calls(self, f, g):
-        f, g = Table3(f), Table3(g)
-        expected = tuple(loop_sign_bits(t.entries) for t in (f, g, f + g))
-        assert _pair_sign_bits(f, g) == expected
 
     def test_every_form_compares_its_own_monomials(self):
         # Raising one entry by a factor moves exactly the forms in which

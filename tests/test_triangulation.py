@@ -32,7 +32,6 @@ from simpson3.tables import (
     FORM_INDEX,
     VERTICES,
     _int_sign_bits,
-    _pair_sign_bits,
     face_vertices,
     vertex_bits,
 )
@@ -719,7 +718,7 @@ class TestFaceFirstTier:
     def test_pairs_equal_three_kernel_calls(self, catalog, f, g):
         for sigma in symmetry.GROUP:
             fi, gi = symmetry.apply_table(sigma, f), symmetry.apply_table(sigma, g)
-            bits = _pair_sign_bits(fi, gi)
+            bits = [_int_sign_bits(*t.integers) for t in (fi, gi, fi + gi)]
             expected = _outcome(lambda: tuple(_classified(catalog, *b).canonical_id for b in bits))
             report = _outcome(lambda: detect_conversion(fi, gi))
             if not isinstance(report, tuple):
