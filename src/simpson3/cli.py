@@ -171,7 +171,7 @@ def cmd_search(args: argparse.Namespace) -> Result:
 
 def cmd_montecarlo(args: argparse.Namespace) -> Result:
     estimator = estimate_2d_reversal if args.dim == 2 else estimate_3d_conversion
-    estimate = estimator(SamplerConfig(seed=args.seed, worker_count=args.workers), args.samples)
+    estimate = estimator(SamplerConfig(seed=args.seed), args.samples)
     lines = [
         f"{key}: {estimate.estimates[key]:.6f} (se {estimate.standard_errors[key]:.6f},"
         f" target {estimate.targets[key]})"
@@ -188,15 +188,14 @@ def _add_common(
     parser.add_argument("--out", default=None, help="write output to this path")
 
 
-def _add_sampling(parser: argparse.ArgumentParser) -> None:
+def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--workers", type=int, choices=(1,), default=1, help="kept for old scripts")
+
+
+def _add_sampling(parser: argparse.ArgumentParser) -> None:
+    _add_seed(parser)
     parser.add_argument("--samples", type=int, default=10**6)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker count; it selects the random streams and is recorded as workerCount",
-    )
     _add_common(parser)
 
 
@@ -235,13 +234,7 @@ def _feasibility_arguments(p: argparse.ArgumentParser) -> None:
 def _search_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pair", nargs=2, type=int, metavar=("A", "B"))
     p.add_argument("--triple", nargs=3, type=int, metavar=("A", "B", "C"))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="not read: each class draws its starts from a stream of its own",
-    )
+    _add_seed(p)
     p.add_argument(
         "--budget",
         type=int,

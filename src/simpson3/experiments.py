@@ -1,9 +1,10 @@
 """Randomized experiments: frequency estimation and witness search.
 
 All randomness flows through purpose-coded PCG64 streams derived from a
-single user seed.  Every estimate is reproducible from ``(seed,
-worker_count)`` and its sample count.  Witness search draws each class's
-starts from a stream of its own, so a search result depends only on
+single user seed.  An estimate keys each chunk's stream by the chunk's
+index, so it depends only on ``(seed, samples)``, and the chunk size is
+part of what a seed means in both dimensions.  Witness search draws each
+class's starts from a stream of its own, so a search result depends only on
 ``(seed, key, budget)``: a class gets the same outcome alone and in a
 sweep, whatever else the sweep holds.
 Tables are drawn with independent Exp(1) entries; because triangulation
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import CatalogError, DegenerateTable, DomainError
 from .feasibility import obstructing_vertices
-from .symmetry import _KEY_KINDS, _UNPAD, _key_ids, canonical_classes, key_rows, pad_key
+from .symmetry import _KEY_KINDS, _UNPAD, _key_ids, canonical_classes, key_rows
 from .tables import NonnegTable3, Table3, _check_tables, _cross, _integer, _on_one_scale, _sign
 from .tables import _power_of_two_scale, _table3, parse_rational, table_from_json_obj
 from .triangulation import FORM_MATRIX, _exact_id, classify_entries_batch, get_catalog
@@ -43,10 +44,10 @@ _PURPOSE_MC2D = 1
 _PURPOSE_MC3D = 2
 _PURPOSE_SWEEP = 4
 
-# Rows drawn per chunk of a worker's stream.  The 2x2 tally reads a chunk
-# as (2, m, 4) and pairs row i of its first half with row i of its second,
-# so _CHUNK is part of what a 2x2 seed means.  The 2x2x2 tally reads
-# (m, 16) row-major, so its pairs do not depend on the chunking.
+# Rows per chunk.  Chunk c of a run, rows c * _CHUNK onward, draws from
+# stream(purpose, c), so a result depends on (seed, samples) alone and
+# _CHUNK is part of what a seed means in both dimensions.  The 2x2 tally
+# also pairs row i of a chunk's first half with row i of its second.
 _CHUNK = 1 << 16
 
 # Rows of 2x2 pairs decided at once; a block's buffers take about 350 KB.
@@ -76,6 +77,7 @@ class SamplerConfig:
     """Seeding parameters shared by all experiments."""
 
     seed: int = 0
+    # Accepted only as 1, for callers that still pass it.
     worker_count: int = 1
 
     def __post_init__(self) -> None:
@@ -83,25 +85,23 @@ class SamplerConfig:
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.seed < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
-        if self.worker_count < 1:
-            raise DomainError("worker_count must be at least 1")
+        if self.worker_count != 1:
+            raise DomainError(f"worker_count must be 1, got {self.worker_count}")
 
     def stream(self, purpose: int, *key: int) -> np.random.Generator:
-        """Return the PCG64 generator for one purpose-coded stream, keyed by
-        a worker index or by a class's padded ids."""
+        """The PCG64 generator of one purpose-coded stream, keyed by a class's
+        padded ids or by a chunk's index: so an estimate depends on (seed,
+        samples) alone, and the chunk size is part of what a seed means."""
         seq = np.random.SeedSequence([self.seed, purpose, *key])
         return np.random.Generator(np.random.PCG64(seq))
 
 
 def _stream_chunks(config: SamplerConfig, purpose: int, total: int):
-    """Yield ``(rng, rows)``: each worker stream of the purpose with rows of
-    ``total`` to draw (its nonzero quota), in chunks of at most ``_CHUNK``."""
-    # Quotas split total as evenly as possible, larger first: only the first workers draw.
-    base, extra = divmod(total, config.worker_count)
-    for worker in range(min(config.worker_count, total)):
-        rng, quota = config.stream(purpose, worker), base + (worker < extra)
-        for done in range(0, quota, _CHUNK):
-            yield rng, min(_CHUNK, quota - done)
+    """Yield ``(rng, rows)`` per chunk of ``total`` rows: chunk c, rows
+    c * ``_CHUNK`` onward, draws its at most ``_CHUNK`` rows from
+    ``config.stream(purpose, c)``."""
+    for c, done in enumerate(range(0, total, _CHUNK)):
+        yield config.stream(purpose, c), min(_CHUNK, total - done)
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,6 @@ class FrequencyEstimate:
     counts: dict[str, int]
     targets: dict[str, str]
     seed: int
-    worker_count: int
 
     @cached_property
     def estimates(self) -> dict[str, float]:
@@ -135,7 +134,6 @@ class FrequencyEstimate:
             "standardErrors": dict(self.standard_errors),
             "conjecturedTargets": dict(self.targets),
             "seed": self.seed,
-            "workerCount": self.worker_count,
         }
 
 
@@ -154,12 +152,12 @@ def _estimate(
     targets: dict[str, str],
 ) -> FrequencyEstimate:
     """Draw ``sample_count`` rows of ``width`` Exp(1) entries from the
-    purpose's worker streams, each chunk as an (m, width) view of one
+    purpose's chunk streams, each chunk as an (m, width) view of one
     buffer, and sum what ``tally`` returns per chunk: its discards, then
     one count per target in the targets' order.  Raises DomainError unless
     ``sample_count`` is at least 1, or when every sample is discarded."""
     total = _at_least_one(sample_count, "sample count")
-    draws = np.empty(width * min(_CHUNK, -(-total // config.worker_count)))
+    draws = np.empty(width * min(_CHUNK, total))
     sums = [0] * (1 + len(targets))
     for rng, m in _stream_chunks(config, purpose, total):
         chunk = draws[: width * m].reshape(m, width)
@@ -168,9 +166,7 @@ def _estimate(
     discards, *counts = sums
     if discards == total:
         raise DomainError(f"all {total} samples were discarded as degenerate")
-    return FrequencyEstimate(
-        total, discards, dict(zip(targets, counts)), targets, config.seed, config.worker_count
-    )
+    return FrequencyEstimate(total, discards, dict(zip(targets, counts)), targets, config.seed)
 
 
 class _PairBlock:
@@ -371,12 +367,14 @@ class Witness:
         return (report.id_f, report.id_g, report.id_sum)
 
     def verify(self) -> bool:
-        """Whether the tables induce the key's ids; an internal fault raises."""
+        """Whether the tables induce the key's ids; DomainError for a key
+        the search refuses (``key_rows``), and an internal fault raises."""
+        (row,) = key_rows([self.class_key], get_catalog(), len(self.class_key)).tolist()
         try:
             ids = self.induced_ids()
         except DegenerateTable:
             return False
-        return ids == pad_key(self.class_key)
+        return ids == tuple(row)
 
 
 @dataclass(frozen=True)
@@ -899,11 +897,12 @@ class WitnessArchive:
                 key = tuple(int(x) for x in line[:offset])
                 cells = [parse_rational(x) for x in line[offset : offset + 16]]
                 witness = Witness(key, Table3(cells[:8]), Table3(cells[8:]), line[offset + 16])
+                verified = witness.verify()
             except (ValueError, ZeroDivisionError, DomainError) as exc:
                 raise CatalogError(
                     f"{self.path}, line {number}: malformed witness row: {exc}"
                 ) from exc
-            if not witness.verify():
+            if not verified:
                 raise CatalogError(f"archived witness for {key} fails re-verification")
             witnesses.append(witness)
         return witnesses

@@ -364,7 +364,7 @@ class TestMonteCarlo:
             "--samples",
             "50000",
             "--workers",
-            "2",
+            "1",
             "--format",
             "text",
         )
@@ -390,16 +390,21 @@ class TestMonteCarlo:
         assert payload["conjecturedTargets"]["sameTriangulation"] == "17/900"
 
     def test_workers_env_is_ignored(self, capsys, monkeypatch):
-        # the stream count is always declared on the command line
+        # the output depends on --seed and --samples alone, and records no worker count
+        _, expected, _ = run(capsys, "reversal", "--samples", "20000")
         monkeypatch.setenv("SIMPSON3_WORKERS", "2")
         code, out, _ = run(capsys, "reversal", "--samples", "20000")
-        assert code == 0
-        assert json.loads(out)["workerCount"] == 1
+        assert (code, out) == (0, expected)
+        assert "workerCount" not in json.loads(out)
 
-    def test_workers_flag_beats_env(self, capsys):
-        code, out, _ = run(capsys, "reversal", "--samples", "20000", "--workers", "3")
-        assert code == 0
-        assert json.loads(out)["workerCount"] == 3
+    @pytest.mark.parametrize(
+        "argv", [("montecarlo",), ("reversal",), ("search", "--pair", "1", "2")]
+    )
+    @pytest.mark.parametrize("workers", ["0", "2", "3"])
+    def test_workers_accepts_only_one(self, capsys, argv, workers):
+        code, out, err = _exit(capsys, main, [*argv, "--workers", workers])
+        assert (code, out) == (1, "")
+        assert f"argument --workers: invalid choice: {workers} (choose from 1)" in err
 
     def test_default_ignores_cpu_count(self, capsys, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -407,18 +412,18 @@ class TestMonteCarlo:
         _, one_out, _ = run(capsys, "reversal", "--samples", "20000", "--workers", "1")
         assert default_out == one_out
 
-    # Exp(1) tables are never degenerate in practice.  Three streams of
-    # 33 335 and 33 334 pairs each end in a partial chunk and a partial
-    # block.  Any warning fails.
+    # Exp(1) tables are never degenerate in practice.  Two chunks, the
+    # second of 34 464 or 34 467 pairs, end in a partial chunk and a
+    # partial block.  Any warning fails.
     @pytest.mark.parametrize(
         "argv",
         [
             ("montecarlo", "--dim", "3", "--samples", "100000", "--seed", "0"),
             ("reversal", "--samples", "100000", "--seed", "0"),
-            ("reversal", "--samples", "100003", "--workers", "3", "--seed", "5"),
-            ("montecarlo", "--dim", "3", "--samples", "100003", "--workers", "3", "--seed", "5"),
+            ("reversal", "--samples", "100003", "--workers", "1", "--seed", "5"),
+            ("montecarlo", "--dim", "3", "--samples", "100003", "--workers", "1", "--seed", "5"),
         ],
-        ids=["montecarlo", "reversal", "reversal-3-workers", "montecarlo-3-workers"],
+        ids=["montecarlo", "reversal", "reversal-seed-5", "montecarlo-seed-5"],
     )
     @pytest.mark.filterwarnings("error")
     def test_no_discards_on_exp1_tables(self, capsys, argv):
@@ -490,14 +495,13 @@ GOLDEN_SEARCH = {
 
 
 # sha256 of `simpson3 montecarlo --dim 3` and `simpson3 reversal` (JSON) at
-# --samples 200000 --seed 0 from the batch classifier that resolved its sign
-# codes through np.unique and tested every form against its margin: the
-# estimates must not move with how the classifier decides a row.
+# --samples 200000 --seed 0, with each chunk's stream keyed by its index:
+# the estimates must not move with how the classifier decides a row.
 GOLDEN_MONTECARLO = {
     ("montecarlo", "--dim", "3"): (
-        "63c8598f39ffb058c937d909029ab4ea056f834975c2e4fc554d04bf650c6cec"
+        "b6ec01bdd754af54063e18fb8e136ab169dbe9f849d3aaabdd3b51144b81a6df"
     ),
-    ("reversal",): "ac046c6d626c5ca2cd0e24f87bd2cfd6d1cff77474ff31b115bf6b0df089115f",
+    ("reversal",): "c33f4f516f304dcfd0ca7a544a233fcd7bb59538ef50c732e74f1402cf14a9d6",
 }
 
 

@@ -44,21 +44,16 @@ from simpson3.triangulation import FORM_INDEX, FORM_MATRIX, classify_entries_bat
 from simpson3.triangulation import classify_heights_batch
 
 
-def stream_quotas(config, total):
-    """The rows of each worker stream of ``_stream_chunks``, in stream order."""
-    chunks = list(experiments._stream_chunks(config, 1, total))
-    rows = {}
-    for rng, m in chunks:
-        rows[id(rng)] = rows.get(id(rng), 0) + m
-    return list(rows.values())
-
-
 class TestSampler:
     def test_config_validation(self):
-        with pytest.raises(DomainError):
-            SamplerConfig(worker_count=0)
         with pytest.raises(DomainError, match="seed must be nonnegative, got -1"):
             SamplerConfig(seed=-1)
+
+    @pytest.mark.parametrize("count", [0, 2, 3])
+    def test_worker_count_is_only_one(self, count):
+        # a chunk's stream is keyed by its index: no worker count selects streams
+        with pytest.raises(DomainError, match=f"^worker_count must be 1, got {count}$"):
+            SamplerConfig(worker_count=count)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -69,9 +64,9 @@ class TestSampler:
             SamplerConfig(**{field: value})
 
     def test_config_stores_python_ints(self):
-        config = SamplerConfig(seed=np.int64(3), worker_count=np.uint8(2))
+        config = SamplerConfig(seed=np.int64(3), worker_count=np.uint8(1))
         assert (type(config.seed), type(config.worker_count)) == (int, int)
-        assert config == SamplerConfig(seed=3, worker_count=2)
+        assert config == SamplerConfig(seed=3)
 
     def test_streams_reproducible_and_distinct(self):
         config = SamplerConfig(seed=5)
@@ -83,25 +78,6 @@ class TestSampler:
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
 
-    def test_stream_quotas(self):
-        config = SamplerConfig(worker_count=4)
-        assert stream_quotas(config, 10) == [3, 3, 2, 2]
-        assert sum(stream_quotas(config, 10**6)) == 10**6
-
-    def test_sample_shapes(self):
-        # each worker's stream serves its quota in chunks of at most _CHUNK rows
-        config = SamplerConfig(seed=1, worker_count=3)
-        total = 2 * experiments._CHUNK + 5
-        chunks = list(experiments._stream_chunks(config, 1, total))
-        assert all(0 < m <= experiments._CHUNK for _, m in chunks)
-        rngs = list({id(rng): rng for rng, _ in chunks}.values())
-        rows = [sum(m for r, m in chunks if r is rng) for rng in rngs]
-        base, extra = divmod(total, 3)
-        assert rows == [base + 1] * extra + [base] * (3 - extra)
-        for worker, rng in enumerate(rngs):
-            expected = config.stream(1, worker).standard_exponential(4)
-            assert np.array_equal(rng.standard_exponential(4), expected)
-
     def test_exponential_mean(self):
         config = SamplerConfig(seed=2)
         chunks = experiments._stream_chunks(config, 2, 200000)
@@ -110,9 +86,66 @@ class TestSampler:
         assert np.allclose(batch.mean(axis=0), 1.0, atol=0.01)
 
 
+# Each estimator with its stream purpose, row width and chunk tally.
+DIMENSIONS = [
+    (estimate_2d_reversal, experiments._PURPOSE_MC2D, 8, experiments._tally_2d_chunk),
+    (estimate_3d_conversion, experiments._PURPOSE_MC3D, 16, experiments._tally_3d_chunk),
+]
+CHUNK = experiments._CHUNK
+
+
+class TestChunkStreams:
+    """Chunk c of a run, rows c * _CHUNK onward, draws from stream(purpose, c)."""
+
+    @pytest.mark.parametrize("estimate, purpose, width, tally", DIMENSIONS, ids=["2d", "3d"])
+    def test_counts_add_over_chunk_ranges(self, estimate, purpose, width, tally):
+        # a run of three chunks, the last one partial, is the run of its
+        # first k chunks plus the tallies of chunks k.., each drawn alone
+        config, total = SamplerConfig(seed=5), 2 * CHUNK + 4097
+        whole = estimate(config, total)
+        for k in (1, 2):
+            head = estimate(config, k * CHUNK)
+            sums = [head.degenerate_discards, *head.counts.values()]
+            for c in range(k, 3):
+                m = min(CHUNK, total - c * CHUNK)
+                rows = config.stream(purpose, c).standard_exponential((m, width))
+                sums = [a + b for a, b in zip(sums, tally(rows))]
+            assert sums == [whole.degenerate_discards, *whole.counts.values()], k
+
+    @pytest.mark.parametrize("estimate, purpose", [d[:2] for d in DIMENSIONS], ids=["2d", "3d"])
+    @pytest.mark.parametrize("total, chunks", [(1, 1), (CHUNK, 1), (CHUNK + 1, 2), (2 * CHUNK, 2)])
+    def test_one_stream_per_chunk(self, monkeypatch, estimate, purpose, total, chunks):
+        # none past the samples, and none per anything but the chunk
+        stream, keys = SamplerConfig.stream, []
+
+        def recorded(self, *key):
+            keys.append((self.seed, *key))
+            return stream(self, *key)
+
+        monkeypatch.setattr(SamplerConfig, "stream", recorded)
+        estimate(SamplerConfig(seed=4), total)
+        assert keys == [(4, purpose, c) for c in range(chunks)]
+
+    # Seed-0 counts of one-chunk runs from the driver that split a run over
+    # worker streams: chunk 0's key is its worker 0's, so they keep them.
+    @pytest.mark.parametrize(
+        "estimate, total, counts",
+        [
+            (estimate_2d_reversal, CHUNK, [1076, 548, 528]),
+            (estimate_3d_conversion, CHUNK, [1200, 146, 1054]),
+            (estimate_2d_reversal, 50000, [845, 431, 414]),
+            (estimate_3d_conversion, 50000, [894, 113, 781]),
+        ],
+        ids=["2d", "3d", "2d-partial", "3d-partial"],
+    )
+    def test_one_chunk_runs_keep_their_counts(self, estimate, total, counts):
+        est = estimate(SamplerConfig(seed=0), total)
+        assert (list(est.counts.values()), est.degenerate_discards) == (counts, 0)
+
+
 class TestEstimators:
     def test_2d_estimate(self):
-        config = SamplerConfig(seed=0, worker_count=2)
+        config = SamplerConfig(seed=0)
         est = estimate_2d_reversal(config, 200000)
         assert est.sample_count == 200000
         assert abs(est.estimates["reversal"] - 1 / 60) < 0.004
@@ -120,12 +153,6 @@ class TestEstimators:
             est.counts["reversalPosToNeg"] + est.counts["reversalNegToPos"]
         )
         assert est.targets["reversal"] == "1/60"
-
-    def test_2d_worker_invariance_of_totals(self):
-        # totals are reproducible for a fixed worker count
-        a = estimate_2d_reversal(SamplerConfig(seed=3, worker_count=3), 90000)
-        b = estimate_2d_reversal(SamplerConfig(seed=3, worker_count=3), 90000)
-        assert a.counts == b.counts
 
     def test_3d_estimate(self):
         config = SamplerConfig(seed=0)
@@ -147,25 +174,6 @@ class TestEstimators:
     def test_sample_count_is_an_integer(self, estimate, count):
         with pytest.raises(DomainError, match=rf"^sample count {count!r} is not an integer$"):
             estimate(SamplerConfig(seed=0), count)
-
-    @pytest.mark.parametrize("estimate", [estimate_2d_reversal, estimate_3d_conversion])
-    def test_no_stream_for_a_worker_without_samples(self, estimate, monkeypatch):
-        # more workers than samples: the streams past the samples draw
-        # nothing, so they are never built
-        expected = estimate(SamplerConfig(worker_count=10), 10)
-        stream, keys = SamplerConfig.stream, []
-
-        def counting(self, *key):
-            keys.append(key)
-            return stream(self, *key)
-
-        monkeypatch.setattr(SamplerConfig, "stream", counting)
-        est = estimate(SamplerConfig(worker_count=10**6), 10)
-        assert len(keys) <= 10
-        assert (est.counts, est.degenerate_discards) == (
-            expected.counts,
-            expected.degenerate_discards,
-        )
 
     def test_estimate_json_holds_python_ints(self):
         config = SamplerConfig(seed=np.int64(3))
@@ -206,7 +214,7 @@ class TestEstimators:
             return ids
 
         monkeypatch.setattr(experiments, "classify_entries_batch", recorded)
-        config = SamplerConfig(seed=0, worker_count=2)
+        config = SamplerConfig(seed=0)
         estimate_3d_conversion(config, 150001)
         chunks = list(experiments._stream_chunks(config, experiments._PURPOSE_MC3D, 150001))
         assert len(calls) == 2 * len(chunks)
@@ -305,8 +313,7 @@ def reference_2d(config, sample_count):
         counts["reversalNegToPos"] += int(np.count_nonzero(neg_to_pos))
     counts["reversal"] = counts["reversalPosToNeg"] + counts["reversalNegToPos"]
     targets = {"reversal": "1/60", "reversalPosToNeg": "1/120", "reversalNegToPos": "1/120"}
-    seed, workers = config.seed, config.worker_count
-    return experiments.FrequencyEstimate(sample_count, discards, counts, targets, seed, workers)
+    return experiments.FrequencyEstimate(sample_count, discards, counts, targets, config.seed)
 
 
 def reference_3d(config, sample_count):
@@ -329,8 +336,7 @@ def reference_3d(config, sample_count):
         counts["conversion"] += int(np.count_nonzero(same & (ids_s != ids_f)))
         counts["sameNoConversion"] += int(np.count_nonzero(same & (ids_s == ids_f)))
     targets = {"sameTriangulation": "17/900", "conversion": "2/900", "sameNoConversion": "15/900"}
-    seed, workers = config.seed, config.worker_count
-    return experiments.FrequencyEstimate(sample_count, discards, counts, targets, seed, workers)
+    return experiments.FrequencyEstimate(sample_count, discards, counts, targets, config.seed)
 
 
 def traced_peak(estimate, n):
@@ -364,15 +370,14 @@ class TestBlockedEstimators:
     # one that ends in a partial chunk
     @pytest.mark.parametrize("n", [1, 7, 4095, 4096, 4097, 65535, 65536, 65537, 150001])
     def test_counts_equal_the_whole_chunk_loops(self, n):
-        for workers in (1, 2, 3):
-            for seed in (0, 11):
-                config = SamplerConfig(seed=seed, worker_count=workers)
-                for estimate, reference in [
-                    (estimate_2d_reversal, reference_2d),
-                    (estimate_3d_conversion, reference_3d),
-                ]:
-                    got = estimate(config, n).to_json_obj()
-                    assert got == reference(config, n).to_json_obj(), (estimate.__name__, workers, seed)
+        for seed in (0, 11):
+            config = SamplerConfig(seed=seed)
+            for estimate, reference in [
+                (estimate_2d_reversal, reference_2d),
+                (estimate_3d_conversion, reference_3d),
+            ]:
+                got = estimate(config, n).to_json_obj()
+                assert got == reference(config, n).to_json_obj(), (estimate.__name__, seed)
 
     @pytest.mark.parametrize("n", [1, 7, 4095, 4096, 4097, 65535, 65536, 65537, 150001])
     def test_blocks_decide_every_pair_once(self, monkeypatch, n):
@@ -385,14 +390,12 @@ class TestBlockedEstimators:
             return det_signs(pairs, work)
 
         monkeypatch.setattr(experiments, "_det_signs", recorded)
-        for workers in (1, 3):
-            config = SamplerConfig(seed=0, worker_count=workers)
-            seen.clear()
-            estimate_2d_reversal(config, n)
-            chunks = experiments._stream_chunks(config, experiments._PURPOSE_MC2D, n)
-            drawn = [rng.standard_exponential((2, m, 4)) for rng, m in chunks]
-            assert all(len(pairs[0]) <= experiments._PAIR_BLOCK for pairs in seen)
-            assert np.array_equal(np.concatenate(seen, axis=1), np.concatenate(drawn, axis=1))
+        config = SamplerConfig(seed=0)
+        estimate_2d_reversal(config, n)
+        chunks = experiments._stream_chunks(config, experiments._PURPOSE_MC2D, n)
+        drawn = [rng.standard_exponential((2, m, 4)) for rng, m in chunks]
+        assert all(len(pairs[0]) <= experiments._PAIR_BLOCK for pairs in seen)
+        assert np.array_equal(np.concatenate(seen, axis=1), np.concatenate(drawn, axis=1))
 
     def test_2d_peak_is_one_chunk_draw(self):
         # the (2, 2^16, 4) draw buffer plus the block buffers, whatever the size
@@ -490,7 +493,7 @@ class TestExactIds:
                 return out
 
         monkeypatch.setattr(SamplerConfig, "stream", lambda self, *key: IntegerDraws([self.seed, *key]))
-        config = SamplerConfig(seed=3, worker_count=2)
+        config = SamplerConfig(seed=3)
         n = 2 * 2048 + 3
         est = estimate_3d_conversion(config, n)
         discards = conversions = no_conversions = 0
@@ -1320,8 +1323,9 @@ def candidate_keys(f, g):
     except Simpson3Error:
         return keys
     ids = (report.id_f, report.id_g, report.id_sum)
-    keys += [ids, ids[::-1], (ids[0], ids[2]), (ids[1], ids[2])]
-    return keys + [(ids[0], ids[1], ids[2] % 74 + 1)]
+    keys += [ids, ids[::-1], (ids[0], ids[2]), (ids[1], ids[2]), (ids[0], ids[1], ids[2] % 74 + 1)]
+    # a triple key's summands differ, or it names no class
+    return [key for key in keys if len(key) == 2 or key[0] != key[1]]
 
 
 log_entry = st.floats(-experiments._OPT_BOX, experiments._OPT_BOX)
@@ -1423,6 +1427,24 @@ class TestVerified:
         with pytest.raises(CatalogError, match="matches 2 constraint sets"):
             Witness((x, y), table, table, "").verify()
 
+    @pytest.mark.parametrize(
+        "key, same, message",
+        [
+            ((1, 3, 5, 7), False, "must have 2 or 3 components, got 4"),
+            ((1,), True, "must have 2 or 3 components, got 1"),
+            ((True, 3, 5), False, "triangulation id True is not an integer"),
+            ((1, 1, 1), True, "triple classes require distinct summand ids"),
+            ((75, 3, 5), False, "unknown triangulation id 75"),
+        ],
+        ids=["four-ids", "one-id", "bool-id", "equal-summands", "unknown-id"],
+    )
+    def test_key_is_read_by_the_search_rule(self, known_witness, key, same, message):
+        # known_witness induces (1, 3, 5), and (F, F) induces (1, 1, 1): so
+        # each key but the unknown id would pass if it were padded as read
+        w = known_witness
+        with pytest.raises(DomainError, match=message):
+            Witness(key, w.f, w.f if same else w.g, "").verify()
+
     def test_accepts_search_witnesses(self, catalog):
         for key in [(1, 2), (3, 28), (1, 3, 5), (2, 7, 40)]:
             found = search_witness(key, SamplerConfig(seed=0))
@@ -1515,6 +1537,16 @@ class TestArchive:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CatalogError, match=r"line 3: malformed witness row"):
             archive.load()
+
+    def test_unknown_key_id_names_the_line(self, tmp_path, known_witness):
+        path = tmp_path / "triples.csv"
+        WitnessArchive(path, 3).append([known_witness])
+        lines = path.read_text().splitlines()
+        lines[1] = "75" + lines[1][1:]
+        path.write_text("\n".join(lines) + "\n")
+        message = "line 2: malformed witness row: unknown triangulation id 75"
+        with pytest.raises(CatalogError, match=message):
+            WitnessArchive(path, 3).load()
 
     def test_unwritable_directory_names_the_archive(self, tmp_path):
         path = str(tmp_path / "missing" / "w.csv")

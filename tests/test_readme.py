@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import simpson3
+from simpson3.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 WORKFLOW = README.parent / ".github" / "workflows" / "tests.yml"
@@ -106,3 +107,25 @@ def test_workflow_runs_no_inline_python():
     text = WORKFLOW.read_text(encoding="utf-8")
     assert "pytest" in text
     assert INLINE_PYTHON.findall(text) == []
+
+
+def documented_options():
+    """Command -> the ``--`` options of the README's "Options of the
+    sampling commands" table."""
+    table = TEXT.split("Options of the sampling commands", 1)[1].split("\n\n", 2)[1]
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", table, re.M)
+    return {command: set(re.findall(r"--[\w-]+", options)) for command, options in rows}
+
+
+def parser_options(command):
+    """The options ``build_parser()`` gives a subcommand, ``--help`` left out."""
+    (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
+    actions = subparsers.choices[command]._actions
+    return {s for action in actions for s in action.option_strings} - {"-h", "--help"}
+
+
+def test_sampling_options_table_lists_the_parser_options():
+    documented = documented_options()
+    assert sorted(documented) == ["montecarlo", "reversal", "search"]
+    for command, options in documented.items():
+        assert options == parser_options(command), command
