@@ -390,8 +390,8 @@ def _timestamp() -> str:
 
 
 def _hinge_rows(work: _Work) -> None:
-    """Which rows have zero squared hinge on the membership margins of F, G
-    and F + G, and the hinge's gradient, for many rows at once, into
+    """Which live rows have zero squared hinge on the membership margins of
+    F, G and F + G, and the hinge's gradient, for many rows at once, into
     ``work.zero`` and ``work.grad``.
 
     Column ``r`` of ``work.h`` (16, n) stacks the log entries of F and G.
@@ -404,28 +404,31 @@ def _hinge_rows(work: _Work) -> None:
     add only exact zeros, so a row's result never depends on the other
     columns.  A nonzero gap is at least an ulp of the margin, so the loss
     is zero exactly when no gap is nonzero.  Every operation writes into
-    ``work``'s arrays, in their dtype; exp and log1p run on contiguous
-    (8, n) operands.
+    ``work``'s arrays, in their dtype, and every scalar operand is one of
+    its 0-d arrays; exp and log1p run on contiguous (8, n) operands.
     """
     ratio = work.ratio
     # |hg - hf| <= 24 inside the box, so the ratio (at most e^24 < 3e10)
     # cannot overflow, not even in float32.
-    np.exp(np.subtract(work.hg, work.hf, out=ratio), out=ratio)
+    np.exp(np.subtract(work.hg, work.hf, ratio), ratio)
     # The log entries of the sum; the padding columns of the parts are
     # zero, and so are their gaps.
-    np.add(work.hf, np.log1p(ratio, out=work.log1p), out=work.hs)
+    np.add(work.hf, np.log1p(ratio, work.log1p), work.hs)
     # The signed gaps max(margin - sign * value, 0) * sign.
-    gap = np.matmul(work.forms, work.block, out=work.gap)
-    gap *= work.sign
-    np.maximum(np.subtract(_OPT_MARGIN, gap, out=gap), 0.0, out=gap)
-    gap *= work.sign
-    np.logical_not(np.logical_or.reduce(work.gaps, axis=0, out=work.zero), out=work.zero)
-    np.matmul(work.form_grad, gap, out=work.prod)
+    gap = np.matmul(work.forms, work.block, work.gap)
+    np.multiply(gap, work.sign, gap)
+    # np.maximum takes its output only by keyword.
+    np.maximum(np.subtract(work.margin, gap, gap), work.nil, out=gap)
+    np.multiply(gap, work.sign, gap)
+    # A live column whose rows of ``flags`` are all true: every gap is 0.
+    np.equal(work.gaps, work.nil, work.zero_gaps)
+    np.logical_and.reduce(work.flags, 0, None, work.zero)
+    np.matmul(work.form_grad, gap, work.prod)
     # The sum's share of F, ds / (1 + ratio), in place of the ratio.
-    np.divide(1.0, np.add(1.0, ratio, out=ratio), out=ratio)
-    ratio *= work.ds
-    np.add(work.df, ratio, out=work.grad_f)
-    np.subtract(np.add(work.dg, work.ds, out=work.grad_g), ratio, out=work.grad_g)
+    np.divide(work.one, np.add(work.one, ratio, ratio), ratio)
+    np.multiply(ratio, work.ds, ratio)
+    np.add(work.df, ratio, work.grad_f)
+    np.subtract(np.add(work.dg, work.ds, work.grad_g), ratio, work.grad_g)
 
 
 # The 20 forms of F, G and F + G as one (60, 24) float32 block: row 3f + s
@@ -457,18 +460,40 @@ def _active_rows(sign: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # Adam's bias corrections by iteration: the step size over 1 - beta1^(t+1),
 # and 1 / (1 - beta2^(t+1)), computed in float64; and both rounded once to
-# each dtype a ``_Work`` takes.
+# each dtype a ``_Work`` takes, as the two rows of one table.
 _OPT_RATE = _OPT_LR / (1.0 - _OPT_BETA1 ** np.arange(1, _OPT_MAXITER + 1))
 _OPT_SCALE = 1.0 / (1.0 - _OPT_BETA2 ** np.arange(1, _OPT_MAXITER + 1))
 _ADAM_TABLES = {
-    np.dtype(t): (_OPT_RATE.astype(t), _OPT_SCALE.astype(t)) for t in (np.float32, np.float64)
+    np.dtype(t): np.stack([_OPT_RATE, _OPT_SCALE]).astype(t) for t in (np.float32, np.float64)
 }
+
+
+def _read_only(value, dtype) -> np.ndarray:
+    array = np.array(value, dtype)
+    array.setflags(write=False)
+    return array
+
+
+# The step's scalar operands: the margin, 0, 1, beta1, 1 - beta1, beta2,
+# 1 - beta2, Adam's 1e-8 and the box's ends, as read-only 0-d arrays of
+# each dtype.  Under NEP 50 a Python float operand rounds to the array's
+# dtype, so each holds the value the float gave, but a ufunc call with a
+# Python scalar costs nearly twice as much on a small pool.
+_STEP_SCALARS = {
+    np.dtype(t): tuple(
+        _read_only(x, t)
+        for x in (_OPT_MARGIN, 0.0, 1.0, _OPT_BETA1, 1.0 - _OPT_BETA1)
+        + (_OPT_BETA2, 1.0 - _OPT_BETA2, 1e-8, -_OPT_BOX, _OPT_BOX)
+    )
+    for t in (np.float32, np.float64)
+}
+_ONE_ITERATION = _read_only(1, np.int64)
 
 
 class _Work:
     """A pool's step arrays and the views a step works through, built once
     per refill from its columns' signs on the 20 forms of F, G and the sum,
-    ``sign`` (20, 3, n), so that a step allocates nothing.  Every array
+    ``sign`` (20, 3, n), so that a step allocates no array.  Every array
     takes ``sign``'s dtype: float32 in the descent, float64 where a test
     runs the same kernel as a reference.
 
@@ -478,8 +503,14 @@ class _Work:
     padding columns stay zero.  ``gap`` (k, w) and ``prod`` (24, w) hold
     the two products, ``prod`` as the gradient by the entries of F, G and
     the sum (``df``, ``dg``, ``ds``); ``grad`` holds the gradient by h.
-    ``ratio``, ``scratch``, ``rate`` and ``scale`` serve the hinge and Adam,
-    ``rates`` and ``scales`` are Adam's tables at the dtype.
+    ``flags`` (k + 1, n) holds which gaps are zero (``zero_gaps``) and, in
+    its last row, ``live``, the pool's live columns, all true when it is
+    built; ``zero`` gets each column's conjunction of them.  ``ratio`` and
+    ``scratch`` serve the hinge and Adam; ``adam`` takes each column's
+    Adam ``rate`` and ``scale`` from ``tables``, and Adam spreads them over
+    a column's 16 rows before it multiplies, since numpy allocates a buffer
+    for a ufunc that broadcasts a row against a block.  The step's scalar
+    operands are the 0-d arrays of ``_STEP_SCALARS`` at the dtype.
     """
 
     def __init__(self, sign: np.ndarray) -> None:
@@ -492,6 +523,10 @@ class _Work:
         self.hf, self.hg, self.hs = self.parts[..., :n]
         self.gap = np.empty((k, w), dtype)
         self.gaps = self.gap[:, :n]
+        self.flags = np.empty((k + 1, n), dtype=bool)
+        self.zero_gaps, self.live = self.flags[:k], self.flags[k]
+        self.live[...] = True
+        self.zero = np.empty(n, dtype=bool)
         self.prod = np.empty((24, w), dtype)
         self.df, self.dg, self.ds = self.prod.reshape(3, 8, w)[..., :n]
         self.grad = np.empty((16, n), dtype)
@@ -499,10 +534,12 @@ class _Work:
         self.ratio = np.empty((8, n), dtype)
         self.scratch = np.empty((16, n), dtype)
         self.log1p = self.scratch[:8]
-        self.rate = np.empty(n, dtype)
-        self.scale = np.empty(n, dtype)
-        self.zero = np.empty(n, dtype=bool)
-        self.rates, self.scales = _ADAM_TABLES[dtype]
+        self.adam = np.empty((2, n), dtype)
+        self.rate, self.scale = self.adam
+        self.tables = _ADAM_TABLES[dtype]
+        scalars = _STEP_SCALARS[dtype]
+        self.margin, self.nil, self.one, self.beta1, self.rest1 = scalars[:5]
+        self.beta2, self.rest2, self.eps, self.low, self.high = scalars[5:]
 
 
 _NEVER = np.iinfo(np.int64).max // 2
@@ -625,8 +662,7 @@ class _Descent:
         self.m, self.v = (np.concatenate([x[:, keep], zeros], axis=1) for x in (self.m, self.v))
         self.work = _Work(np.take(self.sign_table, self.ids[self.cls].T, axis=-1))
         np.concatenate(h, axis=1, out=self.work.h)
-        self.h = self.work.h
-        self.live = np.ones(len(self.cls), dtype=bool)
+        self.h, self.live = self.work.h, self.work.live
         self.live_count = len(self.cls)
         self._cap()
 
@@ -635,7 +671,6 @@ class _Descent:
         work = self.work
         _hinge_rows(work)
         cls, restart, t, zero = self.cls, self.restart, self.t, work.zero
-        zero &= self.live
         (hits,) = zero.nonzero()
         if len(hits):
             # Columns stay in the order they were admitted, and a class's
@@ -670,24 +705,22 @@ class _Descent:
             self._cap()
         # Adam, with each product in the order of m += (1 - beta1) * grad,
         # v += (1 - beta2) * (grad * grad) and
-        # h -= rate * m / (sqrt(v * scale) + 1e-8); the gradient's buffer
-        # ends as the denominator.
-        grad, step = work.grad, work.scratch
-        self.m *= _OPT_BETA1
-        self.m += np.multiply(1.0 - _OPT_BETA1, grad, out=step)
-        self.v *= _OPT_BETA2
-        grad *= grad
-        grad *= 1.0 - _OPT_BETA2
-        self.v += grad
-        # Retired columns run on until the next refill; clip their index.
-        np.multiply(self.v, work.scales.take(t, mode="clip", out=work.scale), out=grad)
-        np.sqrt(grad, out=grad)
-        grad += 1e-8
-        np.multiply(work.rates.take(t, mode="clip", out=work.rate), self.m, out=step)
-        step /= grad
-        self.h -= step
-        _clip(self.h, -_OPT_BOX, _OPT_BOX, out=self.h)
-        t += 1
+        # h -= rate * m / (sqrt(v * scale) + 1e-8).  The gradient's buffer
+        # ends as the denominator; each column's rate and scale are spread
+        # over its 16 rows first.  Retired columns run on until the next
+        # refill, so their iteration is clipped to the tables.
+        grad, step, m, v, h = work.grad, work.scratch, self.m, self.v, self.h
+        np.multiply(m, work.beta1, m)
+        np.add(m, np.multiply(work.rest1, grad, step), m)
+        np.multiply(v, work.beta2, v)
+        np.add(v, np.multiply(np.multiply(grad, grad, grad), work.rest2, grad), v)
+        work.tables.take(t, 1, work.adam, "clip")
+        grad[...] = work.scale
+        np.add(np.sqrt(np.multiply(v, grad, grad), grad), work.eps, grad)
+        step[...] = work.rate
+        np.divide(np.multiply(step, m, step), grad, step)
+        _clip(np.subtract(h, step, h), work.low, work.high, h)
+        np.add(t, _ONE_ITERATION, t)
         self.clock -= 1
 
     def _cap(self) -> None:
@@ -770,7 +803,7 @@ class ConversionSearch:
         3, a bad key or a parity-obstructed class."""
         catalog = get_catalog()
         rows = canonical_classes(key_rows(class_keys, catalog, arity), catalog, unique=True)
-        keys = list(map(tuple, rows[:, _UNPAD[arity]].tolist()))
+        keys = list(map(operator.itemgetter(*_UNPAD[arity]), rows.tolist()))
         for key, vertex in zip(keys, obstructing_vertices(catalog, rows).tolist()):
             if vertex >= 0:
                 raise DomainError(f"{_KEY_KINDS[arity]} class {key} is parity obstructed")

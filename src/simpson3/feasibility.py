@@ -36,18 +36,33 @@ class ObstructionVerdict:
     witness_vertex: Optional[int]
 
 
-# Whether a vertex incidence pattern has an odd number of diagonals.
+# Whether a vertex incidence pattern has an odd number of diagonals, and
+# the first vertex of each 8-bit vertex mask (bit x for vertex x), or -1.
 _ODD = np.array([pattern.bit_count() % 2 for pattern in range(8)], dtype=bool)
+_FIRST_VERTEX = np.array([(mask & -mask).bit_length() - 1 for mask in range(256)])
+
+
+@functools.lru_cache(maxsize=1)
+def _parity_masks(catalog) -> np.ndarray:
+    """Two (75, 75) vertex masks over the catalog's ids, 0 included, as one
+    read-only array: the vertices where ids a and b show one odd pattern,
+    and those where id c shows the complement of id a's pattern."""
+    a = catalog.vertex_incidences[:, None]
+    b = catalog.vertex_incidences[None]
+    masks = np.packbits([(a == b) & _ODD[a], b == a ^ 7], axis=-1, bitorder="little")
+    masks.setflags(write=False)
+    return masks[..., 0]
 
 
 def obstructing_vertices(catalog, rows: np.ndarray) -> np.ndarray:
-    """The parity rule, in one pass over (m, 3) ``key_rows`` rows of vertex
-    incidences: per row, the first vertex where both summands show one odd
-    pattern and the sum its complement, or -1.  The rule is invariant under
-    the cube symmetries and summand swaps."""
-    a, b, c = catalog.vertex_incidences[rows.T]
-    hit = (a == b) & _ODD[a] & (c == a ^ 7)
-    return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+    """The parity rule on (m, 3) ``key_rows`` rows of vertex incidences:
+    per row, the first vertex where both summands show one odd pattern and
+    the sum its complement, or -1.  Each row is two lookups in
+    ``_parity_masks``.  The rule is invariant under the cube symmetries and
+    summand swaps."""
+    odd_pairs, complements = _parity_masks(catalog)
+    a, b, c = rows.T
+    return _FIRST_VERTEX[odd_pairs[a, b] & complements[a, c]]
 
 
 def _verdict(*key: int) -> ObstructionVerdict:

@@ -185,10 +185,11 @@ def key_rows(keys: Iterable[Sequence[int]], catalog, arity: int | None = None) -
 
 
 def _image_keys(rows: np.ndarray, pa: np.ndarray) -> np.ndarray:
-    """(48, m) raveled (lo, hi, sum) keys of the images of (m, 3) 0-based
-    rows under the 0-based id action pa."""
+    """(m, 48) raveled (lo, hi, sum) keys of the images of (m, 3) 0-based
+    rows under the 0-based id action pa, gathered as rows of its transpose
+    (contiguous for ``Catalog.index_action()``)."""
     n = pa.shape[1]
-    u, v, w = (pa[:, rows[:, i]] for i in range(3))
+    u, v, w = (pa.T[rows[:, i]] for i in range(3))
     return (np.minimum(u, v) * n + np.maximum(u, v)) * n + w
 
 
@@ -203,7 +204,7 @@ def _canonical_rows(rows: np.ndarray, pa: np.ndarray) -> np.ndarray:
     keys = np.empty(len(rows), dtype=np.int64)
     for start in range(0, len(rows), _CHUNK_ROWS):
         chunk = rows[start : start + _CHUNK_ROWS]
-        keys[start : start + len(chunk)] = _image_keys(chunk, pa).min(axis=0)
+        keys[start : start + len(chunk)] = _image_keys(chunk, pa).min(axis=1)
     return keys
 
 
@@ -233,7 +234,7 @@ def orbit_classes(arity: int, catalog) -> list[OrbitClass]:
     # Orbit-stabilizer: a class has 48 / |stabilizer| members, and a symmetry
     # stabilizes the representative when its image key is the key itself.
     images = _image_keys(np.column_stack(padded), pa)
-    sizes = (len(GROUP) // (images == unique).sum(axis=0)).tolist()
+    sizes = (len(GROUP) // (images == unique[:, None]).sum(axis=1)).tolist()
     reps = zip(*((padded[i] + 1).tolist() for i in _UNPAD[arity]))
     return [OrbitClass(rep, size, ida) for rep, size in zip(reps, sizes)]
 

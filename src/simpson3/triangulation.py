@@ -352,7 +352,8 @@ class Catalog:
             raise CatalogError(f"vertices {vertices} are not one of the 58 tetrahedra") from None
         self._id_action = _id_action(keys)
         self.id_rows = tuple(map(tuple, self._id_action.tolist()))
-        self._index_action = self._id_action.astype(np.int32) - 1
+        # Stored by id, so that its transpose gathers an id's 48 images at once.
+        self._index_action = np.asfortranarray(self._id_action.astype(np.int32) - 1)
         self._index_action.setflags(write=False)
         orbit_reps = self._id_action.min(axis=0).tolist()
         self.entries = tuple(
@@ -419,7 +420,8 @@ class Catalog:
 
     def index_action(self) -> np.ndarray:
         """Read-only (48, 74) int32 array: entry [s, i] is the 0-based index
-        of GROUP[s] applied to id i+1, ``id_action() - 1``."""
+        of GROUP[s] applied to id i+1, ``id_action() - 1``.  It is stored in
+        column-major order: its transpose is contiguous."""
         return self._index_action
 
     def orbit_representatives(self) -> tuple[int, ...]:

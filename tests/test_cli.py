@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from simpson3 import WitnessArchive, catalog_from_json_obj, experiments, get_catalog
 from simpson3.cli import SUBCOMMANDS, build_parser, main
-from simpson3.symmetry import OrbitClass
+from simpson3.feasibility import infeasible_pair_classes
+from simpson3.symmetry import OrbitClass, orbit_classes
 
 
 @pytest.fixture()
@@ -493,6 +494,12 @@ GOLDEN_SEARCH = {
     ),
 }
 
+# sha256 over the payloads of `simpson3 search --triple` (JSON, without
+# "verifiedAt") on 12 feasible triple classes spread over the class list,
+# class i at seed i and budget 2e5: the single searches that a sweep's panel
+# runs, pinned beyond seed 0.
+GOLDEN_SEARCH_PANEL = "e742de7b51e2d11474371987f05268755c43fdb971e37b995b4b2f764e43a119"
+
 
 # sha256 of `simpson3 montecarlo --dim 3` and `simpson3 reversal` (JSON) at
 # --samples 200000 --seed 0, with each chunk's stream keyed by its index:
@@ -588,6 +595,23 @@ class TestGoldenOutput:
         payload.pop("verifiedAt", None)
         digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
         assert digest == GOLDEN_SEARCH[argv]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_search_panel(self, capsys):
+        catalog = get_catalog()
+        classes = orbit_classes(3, catalog)
+        blocked = set(infeasible_pair_classes(catalog, classes))
+        feasible = [c.representative for c in classes if c not in blocked]
+        payloads = []
+        for i in range(12):
+            key = map(str, feasible[i * len(feasible) // 12])
+            argv = ("search", "--triple", *key, "--seed", str(i), "--budget", "200000")
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            payloads.append(json.loads(out))
+            assert payloads[-1].pop("verifiedAt")
+        digest = hashlib.sha256(json.dumps(payloads).encode()).hexdigest()
+        assert digest == GOLDEN_SEARCH_PANEL
 
     @pytest.mark.parametrize("argv", list(GOLDEN_MONTECARLO))
     @pytest.mark.filterwarnings("error")

@@ -2,6 +2,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -733,6 +734,32 @@ class TestSearch:
         assert got_keys == [tuple(r) for r in rows[:, _UNPAD[arity]].tolist()]
         assert all(type(i) is int for key in got_keys for i in key)
 
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_one_key_checks_as_in_a_batch(self, catalog, arity):
+        # 200 random members of random classes, each checked alone: the
+        # class's row of one batched call, or the refusal of an obstructed one.
+        rng = np.random.default_rng(arity + 20)
+        classes = orbit_classes(arity, catalog)
+        blocked = set(infeasible_pair_classes(catalog, classes))
+        picks = [classes[i] for i in rng.integers(0, len(classes), 200)]
+        members = [c.members[rng.integers(len(c.members))] for c in picks]
+        search = ConversionSearch(SamplerConfig(seed=0))
+        keys, rows = search._checked_keys(
+            [m for m, c in zip(members, picks) if c not in blocked], arity
+        )
+        row_of = dict(zip(keys, rows.tolist()))
+        assert blocked & set(picks) and len(keys) > 50
+        for member, cls in zip(members, picks):
+            key = cls.representative
+            if cls in blocked:
+                refusal = f"^{_KEY_KINDS[arity]} class {re.escape(str(key))} is parity obstructed$"
+                with pytest.raises(DomainError, match=refusal):
+                    search._checked_keys([member], arity)
+                continue
+            (one,), row = search._checked_keys([member], arity)
+            assert one == key and all(type(i) is int for i in one)
+            assert row.tolist() == [row_of[key]] and row.dtype == rows.dtype
+
     def test_bad_keys(self):
         config = SamplerConfig(seed=0)
         with pytest.raises(DomainError):
@@ -1264,6 +1291,32 @@ class TestDescent:
         pools.clear()
         ConversionSearch(SamplerConfig(seed=0)).sweep_triples([(1, 3, 5)] + OPEN_CLASSES, 20000)
         assert pools and all(pools)
+
+    @pytest.mark.parametrize("width", [16, 1024])
+    def test_a_warm_step_allocates_no_array(self, width):
+        # Pools of the open classes, whose columns reach no zero loss here.
+        keys, rows = ConversionSearch(SamplerConfig(seed=0))._checked_keys(
+            OPEN_CLASSES[: 1 if width == 16 else 6], 3
+        )
+        descent = experiments._Descent(keys, rows, 10**7, SamplerConfig(seed=0))
+        descent.wave = [-(-width // len(keys))] * len(keys)
+        for c in range(len(keys)):
+            descent._plan(c)
+        descent._refill()
+        assert len(descent.t) == width
+        descent._step()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            descent._step()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert not descent.work.zero.any() and descent.clock > 0
+        # Less than one (16, 16) float32 block: numpy allocates a buffer for
+        # a ufunc that broadcasts a row against a block, and for a reduce
+        # that casts; what a step may allocate is a few small objects.
+        assert peak < 16 * 16 * 4
 
     def test_float32_step_raises_no_float_fault(self):
         keys, rows = ConversionSearch(SamplerConfig(seed=0))._checked_keys(
