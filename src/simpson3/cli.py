@@ -9,10 +9,8 @@ error, 2 degenerate input.
 from __future__ import annotations
 
 import argparse
-import errno
 import functools
 import json
-import os
 import sys
 
 from .errors import CatalogError, DegenerateTable, DomainError
@@ -30,6 +28,8 @@ from .tables import (
     Diagonal2D,
     Table2,
     Table3,
+    _replace_file,
+    _writable,
     classify_2d,
     correlation_profile,
     eval_form_signs,
@@ -290,11 +290,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     out = getattr(args, "out", None)
     try:
-        # A missing directory, or an --out that is one, is found before the command runs.
-        if out is not None and os.path.isdir(out):
-            raise OSError(errno.EISDIR, f"cannot write {out}: it is a directory")
-        if out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
-            raise OSError(errno.ENOENT, f"cannot write {out}: its directory does not exist")
+        if out is not None:
+            _writable(out, out)
         result = args.func(args)
         if result is not None:
             payload, summary = result
@@ -304,8 +301,7 @@ def main(argv: list[str] | None = None) -> int:
             if out is None:
                 sys.stdout.write(text + "\n")
             else:
-                with open(out, "w", encoding="utf-8") as fh:
-                    fh.write(text + "\n")
+                _replace_file(out, lambda fh: fh.write(text + "\n"), out)
         return EXIT_OK
     except DegenerateTable as exc:
         sys.stderr.write(f"degenerate: {exc}\n")

@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import csv
 import datetime
-import errno
 import json
 import logging
 import operator
 import os
-import tempfile
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -36,7 +34,8 @@ from .errors import CatalogError, DegenerateTable, DomainError
 from .feasibility import obstructing_vertices
 from .symmetry import _KEY_KINDS, _UNPAD, _key_ids, canonical_classes, key_rows
 from .tables import NonnegTable3, Table3, _check_tables, _cross, _integer, _on_one_scale, _sign
-from .tables import _power_of_two_scale, _table3, parse_rational, table_from_json_obj
+from .tables import _power_of_two_scale, _replace_file, _table3, _writable, parse_rational
+from .tables import table_from_json_obj
 from .triangulation import FORM_MATRIX, _exact_id, classify_entries_batch, get_catalog
 
 # Purpose codes keep the independent random streams from ever colliding.
@@ -85,6 +84,10 @@ class SamplerConfig:
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.seed < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
+        # SeedSequence splits an int into 32-bit words and pads short entropy
+        # with zero words, so a wider seed would share another seed's streams.
+        if self.seed >= 1 << 32:
+            raise DomainError(f"seed must be below 2**32, got {self.seed}")
         if self.worker_count != 1:
             raise DomainError(f"worker_count must be 1, got {self.worker_count}")
 
@@ -864,8 +867,6 @@ class WitnessArchive:
         self.path = os.fspath(path)
         self.arity = arity
         self.columns = _archive_columns(arity)
-        self.directory = os.path.dirname(os.path.abspath(self.path)) or "."
-        self._unwritable = f"cannot write witness archive {self.path}"
 
     def _witness_row(self, witness: Witness) -> list[str]:
         if witness.arity != self.arity:
@@ -879,11 +880,10 @@ class WitnessArchive:
 
     def check_directory(self) -> None:
         """Raise OSError if the archive is a directory or its directory is
-        missing, so that either is found before a search runs, not after."""
-        if os.path.isdir(self.path):
-            raise OSError(errno.EISDIR, f"{self._unwritable}: it is a directory")
-        if not os.path.isdir(self.directory):
-            raise OSError(errno.ENOENT, f"{self._unwritable}: no directory {self.directory}")
+        missing, and DomainError if it has a foreign header, so that each is
+        found before a search runs, not after."""
+        _writable(self.path, f"witness archive {self.path}")
+        next(self._lines(), None)
 
     def _lines(self) -> Iterator[tuple[int, list[str]]]:
         """(line number, cells) of each nonblank row after the header.  A
@@ -901,23 +901,11 @@ class WitnessArchive:
 
     def append(self, witnesses: Iterable[Witness]) -> None:
         """Atomically rewrite the archive with the new witnesses added."""
-        rows = [self._witness_row(w) for w in witnesses]
-        existing = [line for _, line in self._lines()]
-        try:
-            fd, tmp_path = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        except OSError as exc:
-            raise OSError(exc.errno, f"{self._unwritable}: {exc.strerror}") from None
-        try:
-            with os.fdopen(fd, "w", newline="") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(self.columns)
-                writer.writerows(existing)
-                writer.writerows(rows)
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
+        new = [self._witness_row(w) for w in witnesses]
+        rows = [self.columns, *(line for _, line in self._lines()), *new]
+        _replace_file(
+            self.path, lambda fh: csv.writer(fh).writerows(rows), f"witness archive {self.path}"
+        )
 
     def load(self) -> list[Witness]:
         """Read witnesses back, re-verifying the induced ids of each."""

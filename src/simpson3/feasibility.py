@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainError
 from .symmetry import OrbitClass, key_rows, pad_key
 from .tables import FACE_FORM, FACES, FORM_INDEX, Reversal2D, Table2, Table3, detect_reversal_2d
-from .tables import _int_sign_bits, _integer, _vertex
+from .tables import _int_sign_bits, _integer, _replace_file, _vertex
 from .triangulation import _FACE_DIAGONAL_PAIRS, Triangulation, _vertex_incidence, get_catalog
 
 
@@ -155,6 +155,12 @@ def lemma_hypothesis_check(lemma: int, f, g, vertex: int) -> bool:
     tables and a cube vertex, and are the parity rule at that vertex: of
     the three facet diagonals, both tables show strictly through the vertex
     exactly all three (lemma 2) or exactly the z-facet's (lemma 3).
+
+    A facet whose form vanishes shows no diagonal, so a tie on the y- or
+    x-facet counts as "not through".  Lemma 3 therefore accepts tables that
+    ``classify_exact`` calls degenerate, such as ``Table3([1, 1, 1, 1, 1,
+    1, 2, 1])`` at vertex 0; the parity rule proper needs those two facets
+    to avoid the vertex strictly.
     """
     _check_instance(lemma, f, g, vertex)
     if lemma == 1:
@@ -200,14 +206,13 @@ def write_feasibility_report(
     triple_classes: Sequence[OrbitClass] = (),
 ) -> None:
     """CSV report, one row per class: classRep, arity, obstructed,
-    obstructingVertex (empty when not obstructed)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["classRep", "arity", "obstructed", "obstructingVertex"])
-        for classes, arity in ((pair_classes, 2), (triple_classes, 3)):
-            rows = key_rows([cls.representative for cls in classes], catalog)
-            vertices = obstructing_vertices(catalog, rows)
-            for cls, vertex in zip(classes, vertices.tolist()):
-                obstructed = vertex >= 0
-                row = ["-".join(map(str, cls.representative)), arity, str(obstructed).lower()]
-                writer.writerow(row + [vertex if obstructed else ""])
+    obstructingVertex (empty when not obstructed).  The file is replaced
+    whole, so a key that raises leaves an old report as it was."""
+    rows = [["classRep", "arity", "obstructed", "obstructingVertex"]]
+    for classes, arity in ((pair_classes, 2), (triple_classes, 3)):
+        keys = key_rows([cls.representative for cls in classes], catalog)
+        for cls, vertex in zip(classes, obstructing_vertices(catalog, keys).tolist()):
+            obstructed = vertex >= 0
+            row = ["-".join(map(str, cls.representative)), arity, str(obstructed).lower()]
+            rows.append(row + [vertex if obstructed else ""])
+    _replace_file(path, lambda fh: csv.writer(fh).writerows(rows), f"feasibility report {path}")

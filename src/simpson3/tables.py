@@ -11,14 +11,16 @@ cleared, never by floating point.
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
 import math
 import operator
+import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, TextIO, Union
 
 from .errors import DomainError
 
@@ -546,3 +548,45 @@ def load_table(path, allow_zero: bool = False) -> Union[Table3, NonnegTable3, Ta
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DomainError(f"cannot read table {path}: {exc}") from None
     return table_from_json_obj(obj, allow_zero=allow_zero)
+
+
+def _writable(path, what: str) -> None:
+    """Raise OSError if ``path`` is a directory or its directory is missing,
+    so that a command finds either before it runs, not after."""
+    if os.path.isdir(path):
+        raise OSError(errno.EISDIR, f"cannot write {what}: it is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise OSError(errno.ENOENT, f"cannot write {what}: its directory does not exist")
+
+
+def _replace_file(path, write: Callable[[TextIO], object], what: str) -> None:
+    """Replace the file at ``path`` whole by what ``write`` writes to a text
+    handle (utf-8, ``newline=""``), or raise and leave the file as it was.
+
+    The text goes to a temporary file beside the file a symlink names,
+    which ``os.replace`` then moves over it; on any error the temporary file
+    is removed.  The file gets the mode a plain ``open`` gives it: the old
+    file's, or 0o666 less the umask.  A device or a pipe cannot be replaced,
+    so it is written in place.  An OSError creating the temporary file
+    names ``what``.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+        return
+    path = os.path.realpath(path)
+    temp = os.path.join(os.path.dirname(path), f"tmp{os.urandom(8).hex()}.tmp")
+    try:
+        # As in open, the umask is taken off 0o666.
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, f"cannot write {what}: {exc.strerror}") from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            if os.path.exists(path):
+                os.chmod(temp, os.stat(path).st_mode & 0o7777)
+            write(fh)
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise

@@ -316,6 +316,18 @@ class TestSearch:
             assert err.startswith("error:")
             assert f"cannot write witness archive {target}:" in err
 
+    def test_archive_header_checked_before_the_search(self, capsys, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr("simpson3.cli.search_witness", never)
+        target = tmp_path / "foreign.csv"
+        target.write_bytes(b"a,b,c\r\n1,2,3\r\n")
+        code, out, err = run(capsys, "search", "--pair", "1", "2", "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err == f"error: unexpected archive header in {target}\n"
+        assert target.read_bytes() == b"a,b,c\r\n1,2,3\r\n"
+
     @pytest.mark.parametrize(
         "key, line",
         [
@@ -664,6 +676,21 @@ def test_negative_seed_exit_code(capsys, argv):
     assert err == "error: seed must be nonnegative, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "--pair", "1", "2"),
+        ("montecarlo", "--samples", "10"),
+        ("reversal", "--samples", "10"),
+    ],
+)
+def test_seed_of_more_than_32_bits_exit_code(capsys, argv):
+    # a wider seed would draw another seed's streams
+    code, out, err = run(capsys, *argv, "--seed", str(2**32))
+    assert (code, out) == (1, "")
+    assert err == "error: seed must be below 2**32, got 4294967296\n"
+
+
 # Options that no code of their subcommand reads: argparse rejects each
 # before any table is read or sampled.
 REMOVED_OPTIONS = [
@@ -712,6 +739,41 @@ def test_unwritable_out_path_exit_code(capsys, tmp_path, argv):
     assert out == ""
     assert err.startswith("error:")
     assert missing in err
+
+
+# One command per writer: cli.main's --out, the feasibility report and the
+# witness archive.
+WRITERS = [("catalog",), ("feasibility", "--arity", "2"), ("search", "--pair", "1", "2")]
+
+
+@pytest.mark.parametrize("argv", WRITERS, ids=lambda argv: argv[0])
+def test_outputs_get_the_mode_open_gives(capsys, tmp_path, argv):
+    # a new file gets 0o666 less the umask, and a rewrite keeps the old mode
+    path = tmp_path / "out"
+    umask = os.umask(0o027)
+    try:
+        assert run(capsys, *argv, "--out", str(path))[0] == 0
+    finally:
+        os.umask(umask)
+    assert path.stat().st_mode & 0o777 == 0o640
+    path.chmod(0o604)
+    assert run(capsys, *argv, "--out", str(path))[0] == 0
+    assert path.stat().st_mode & 0o777 == 0o604
+
+
+@pytest.mark.parametrize("argv", WRITERS, ids=lambda argv: argv[0])
+def test_failed_replace_keeps_the_old_file(capsys, tmp_path, monkeypatch, argv):
+    path = tmp_path / "out"
+    assert run(capsys, *argv, "--out", str(path))[0] == 0
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert run(capsys, *argv, "--out", str(path)) == (1, "", "error: replace refused\n")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 def test_out_directory_checked_before_the_command(capsys, tmp_path, monkeypatch):

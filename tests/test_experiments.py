@@ -50,6 +50,20 @@ class TestSampler:
         with pytest.raises(DomainError, match="seed must be nonnegative, got -1"):
             SamplerConfig(seed=-1)
 
+    @pytest.mark.parametrize(
+        "seed, purpose, twin_purpose", [(2**33 + 7, 2, 2), (2**32 + 7, 2, 1)]
+    )
+    def test_seeds_of_more_than_32_bits_are_refused(self, seed, purpose, twin_purpose):
+        # numpy reads the seed as the words (7, 2) or (7, 1) and pads short
+        # entropy with zeros: chunk 0 of such a seed is chunk 2 of seed 7
+        words = np.random.SeedSequence([seed, purpose, 0])
+        wide = np.random.Generator(np.random.PCG64(words)).standard_exponential(4)
+        twin = SamplerConfig(seed=7).stream(twin_purpose, 2).standard_exponential(4)
+        assert wide.tolist() == twin.tolist()
+        with pytest.raises(DomainError, match=rf"^seed must be below 2\*\*32, got {seed}$"):
+            SamplerConfig(seed=seed)
+        assert SamplerConfig(seed=2**32 - 1).seed == 2**32 - 1
+
     @pytest.mark.parametrize("count", [0, 2, 3])
     def test_worker_count_is_only_one(self, count):
         # a chunk's stream is keyed by its index: no worker count selects streams

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simpson3 import (
+    DegenerateTable,
     DomainError,
     Table2,
     Table3,
+    classify_exact,
     lemma_conclusion_check,
     lemma_hypothesis_check,
     obstruction,
@@ -23,7 +25,7 @@ from simpson3.feasibility import (
     obstructing_vertices,
     per_type_obstructed_counts,
 )
-from simpson3.symmetry import GROUP, apply, canonical_class_of, key_rows
+from simpson3.symmetry import GROUP, OrbitClass, apply, canonical_class_of, key_rows
 
 
 def reference_vertex(a, b, c):
@@ -208,6 +210,16 @@ class TestLemmaChecks:
             checked += 1
             for v in range(8):
                 assert lemma_hypothesis_check(2, f, f, v) == (v in tri.full_vertices)
+
+    def test_lemma3_counts_a_facet_tie_as_not_through(self, catalog):
+        # The rule the harness checks: the y- and x-facet forms vanish at
+        # this table, so neither shows a diagonal through vertex 0 and only
+        # the z-facet's does, though no triangulation is induced.
+        t = Table3([1, 1, 1, 1, 1, 1, 2, 1])
+        with pytest.raises(DegenerateTable):
+            classify_exact(t, catalog)
+        assert [lemma_hypothesis_check(3, t, t, v) for v in range(8)] == [True] + [False] * 7
+        assert lemma_conclusion_check(3, t, t, 0)
 
     def test_lemma1_requires_positive_tables(self):
         f = Table2([0, 1, 1, 1])
@@ -402,3 +414,15 @@ class TestReport:
             assert row["obstructingVertex"] != ""
         clear = [r for r in rows if r["obstructed"] == "false"]
         assert all(r["obstructingVertex"] == "" for r in clear)
+
+    def test_failed_report_leaves_the_old_one(self, catalog, tmp_path):
+        path = tmp_path / "report.csv"
+        pairs = orbit_classes(2, catalog)
+        write_feasibility_report(path, catalog, pairs, orbit_classes(3, catalog))
+        before = path.read_bytes()
+        # (1, 1, 2) names no class: it raises after the pair rows are made
+        bad = [OrbitClass((1, 1, 2), 1, catalog.id_action())]
+        with pytest.raises(DomainError):
+            write_feasibility_report(path, catalog, pairs, bad)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import stat
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +35,7 @@ from simpson3.tables import (
     _FIVE_TERM,
     _FOUR_TERM,
     _int_sign_bits,
+    _replace_file,
     _sign,
     VERTICES,
     Diagonal2D,
@@ -877,6 +881,44 @@ class TestJson:
         bad.write_text("{")
         with pytest.raises(DomainError):
             load_table(bad)
+
+
+class TestReplaceFile:
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old\n")
+
+        def write(fh):
+            fh.write("new\n")
+            raise DomainError("stopped mid-write")
+
+        with pytest.raises(DomainError, match="stopped mid-write"):
+            _replace_file(path, write, "out")
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_a_symlink_is_followed(self, tmp_path):
+        # as open follows it: the file it names is replaced, the link stays
+        (tmp_path / "sub").mkdir()
+        target = tmp_path / "sub" / "target.txt"
+        target.write_bytes(b"old\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        _replace_file(link, lambda fh: fh.write("new\n"), "link")
+        assert link.is_symlink() and target.read_bytes() == b"new\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["link.txt", "sub", "target.txt"]
+
+    def test_a_pipe_is_written_in_place(self, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+        _replace_file(pipe, lambda fh: fh.write("new\n"), "pipe")
+        reader.join(timeout=10)
+        assert not reader.is_alive() and read == [b"new\n"]
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
 def test_form_letters_complete():
