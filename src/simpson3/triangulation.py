@@ -51,7 +51,12 @@ VERTEX_COORDS = tuple(vertex_bits(v) for v in VERTICES)
 FORM_MATRIX = np.array(FORM_COEFFS, dtype=np.float64)          # (20, 8)
 FORM_NORMS = np.linalg.norm(FORM_MATRIX, axis=1)
 _POW2F = np.ldexp(1.0, np.arange(20))     # sums of distinct ones are exact in float64
-_BLOCK = 2048    # rows per batch block: its (20, b) temporaries (320 KB) stay in cache
+# Rows per classify_entries_batch block: its (t, 20, b) float32 values
+# (320 KB at t = 2) stay in cache.
+_BLOCK = 2048
+# Heights below it in absolute value keep every form and partial sum under
+# 6 * 2^1020 < 2^1023, as each form and oracle residual has sum |c| <= 6.
+_HEIGHT_MAX = 2.0**1020
 # The float32 screen of classify_entries_batch (_screen_block derives
 # _SCREEN from the error bound); 2^20 - 1 < 2^24, so the packed codes are
 # exact in float32 too.
@@ -658,21 +663,23 @@ def classify_heights_batch(heights: np.ndarray, catalog: Catalog | None = None) 
     evaluation falls within the margin DEFAULT_TOLERANCE * ||coeffs|| *
     max(1, ||h||inf) of zero; a row with undecided forms is resolved from
     the decided ones, so it still gets its id when none of them is among
-    that id's constraints.  0 marks a row that is not finite or has an
-    undecided form among the constraints of every id its decided forms
-    allow.  A caller that holds the entries calls ``classify_entries_batch``
-    instead, whose ids are exact.
+    that id's constraints.  0 marks a row whose max|h| is not below
+    2^1020 (NaN and infinite rows included), where a form may overflow, or
+    that has an undecided form among the constraints of every id its
+    decided forms allow.  A caller that holds the entries, or a large
+    batch, calls ``classify_entries_batch`` instead, whose ids are exact.
 
-    The forms are evaluated column-major, on cache-sized blocks of rows
-    transposed to (8, b), and each row's signs and undecided forms are
+    The forms are evaluated by one BLAS product on the heights transposed
+    to (8, w), w being n rounded up to 8 columns (64 bytes of float64)
+    with zeros after the rows.  OpenBLAS sums the last columns of a product
+    in another order when they do not fill its kernel's width (one column
+    goes to gemv), so the padding makes each row's forms, and with them its
+    id, the same in any call.  Each row's signs and undecided forms are
     packed into two 20-bit codes.  A row without undecided forms reads its
     id from the catalog's memo of full sign codes, which resolves each code
     the first time it is met; any other row resolves its (positive,
     negative) sign pattern through ``Catalog.resolve_signs``, which
-    memoizes each pattern.  The margin rule is the same for every block, so
-    a row's id does not depend on its block, except within a few ulps of a
-    margin, where the BLAS product may sum a block's forms in a different
-    order from a single row's.
+    memoizes each pattern.
     """
     if catalog is None:
         catalog = get_catalog()
@@ -680,21 +687,17 @@ def classify_heights_batch(heights: np.ndarray, catalog: Catalog | None = None) 
     if h.ndim != 2 or h.shape[1] != 8:
         raise DomainError("heights must be an (n, 8) array")
     n = len(h)
-    codes = np.empty(n, dtype=np.int64)
-    undecided = np.empty(n, dtype=np.int64)
-    finite = np.empty(n, dtype=bool)
-    margin = _MARGIN[:, None]
-    with np.errstate(invalid="ignore"):
-        for lo in range(0, n, _BLOCK):
-            hi = min(lo + _BLOCK, n)
-            hT = np.ascontiguousarray(h[lo:hi].T)
-            values = FORM_MATRIX @ hT
-            scale = np.maximum(1.0, np.abs(hT).max(axis=0))
-            codes[lo:hi] = _POW2F @ (values > 0)
-            undecided[lo:hi] = _POW2F @ (np.abs(values, out=values) < margin * scale)
-            finite[lo:hi] = np.isfinite(scale)
-    ids = _memo_ids(catalog, codes, finite & (undecided == 0))
-    partial = np.nonzero(finite & (undecided != 0))[0]
+    hT = np.zeros((8, -(-n // 8) * 8))
+    hT[:, :n] = h.T
+    with np.errstate(invalid="ignore", over="ignore"):
+        values = FORM_MATRIX @ hT
+        scale = np.maximum(1.0, np.abs(hT).max(axis=0))
+        codes = (_POW2F @ (values > 0))[:n].astype(np.int64)
+        undecided = _POW2F @ (np.abs(values, out=values) < _MARGIN[:, None] * scale)
+    undecided = undecided[:n].astype(np.int64)
+    inside = scale[:n] < _HEIGHT_MAX
+    ids = _memo_ids(catalog, codes, inside & (undecided == 0))
+    partial = np.nonzero(inside & (undecided != 0))[0]
     if partial.size:
         open_forms = undecided[partial]
         pos = codes[partial] & ~open_forms
@@ -788,7 +791,7 @@ def classify_entries_batch(*parts: np.ndarray) -> np.ndarray:
             np.log(block, out=logs[:b])
             hT = heights[: t * 8 * b].reshape(t, 8, b)
             np.copyto(hT, logs[:b].transpose(2, 1, 0), casting="same_kind")
-            block_values = values[: t * len(FORM_COEFFS) * b].reshape(t, -1, b)
+            block_values = values[: t * len(FORM_COEFFS) * b].reshape(t, len(FORM_COEFFS), b)
             _screen_block(hT, block_values, codes[:, lo:hi], certified[:, lo:hi])
     ids = _memo_ids(catalog, codes, certified)
     for j, i in zip(*np.nonzero(~certified)):
@@ -870,9 +873,11 @@ def classify_float_oracle(
     Rambau & Santos, *Triangulations*, 2010).  The triangulation is read off
     the set of such cells.
 
-    It reads no constraint set and no sign code.  Raises DegenerateTable
-    when a form evaluation is within the batch path's margin of zero, and
-    CatalogError when the cells are not a catalog entry.
+    It reads no constraint set and no sign code.  Raises DomainError when
+    max|h| is not below 2^1020, where a product may overflow (every form
+    and residual row has sum |c| <= 6), DegenerateTable when a form
+    evaluation is within the batch path's margin of zero, and CatalogError
+    when the cells are not a catalog entry.
     Development and test oracle only; the exact path never calls this.
     """
     if catalog is None:
@@ -880,10 +885,11 @@ def classify_float_oracle(
     h = np.asarray(heights, dtype=np.float64)
     if h.shape != (8,):
         raise DomainError("oracle needs exactly 8 heights")
-    if not np.isfinite(h).all():
-        raise DomainError("heights must be finite")
+    top = float(np.abs(h).max())
+    if not top < _HEIGHT_MAX:    # NaN fails it too
+        raise DomainError("heights must be finite, with |h| < 2^1020")
     values = FORM_MATRIX @ h
-    if (np.abs(values) < _MARGIN * max(1.0, float(np.abs(h).max()))).any():
+    if (np.abs(values) < _MARGIN * max(1.0, top)).any():
         raise DegenerateTable("a form evaluation is within tolerance of zero")
     residuals, inside = _lifting_residuals()
     below = ((residuals @ h).reshape(inside.shape) < 0) | inside

@@ -358,6 +358,21 @@ class TestClassification:
         assert (ids[kind == 0] != 0).all()
         assert (ids[kind == 2] == 0).all() and (ids[kind == 4] == 0).all()
 
+    # Finite rows whose forms could overflow: a row with max|h| >= 2^1020
+    # gets 0 from the heights path, without a float warning, and the oracle
+    # refuses it; just below the bound a row keeps its id.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_heights_from_2_to_the_1020(self, catalog):
+        h = np.random.default_rng(3).uniform(-1, 1, (2000, 8)) * 1e308
+        assert not classify_heights_batch(h, catalog).any()
+        for row in h[:300]:
+            with pytest.raises(DomainError, match=r"\|h\| < 2\^1020"):
+                classify_float_oracle(row, catalog)
+        row = np.log([1, 2, 3, 4, 5, 6, 7, 9]) / np.log(9)    # max|h| = 1
+        scaled = row * np.array([[np.nextafter(2.0**1020, 0)], [2.0**1020]])
+        ids = classify_heights_batch(np.vstack([row, scaled]), catalog)
+        assert ids[0] != 0 and ids.tolist() == [ids[0], ids[0], 0]
+
     def test_oracle_agrees_with_exact(self, catalog):
         rng = np.random.default_rng(11)
         checked = 0
@@ -951,7 +966,7 @@ def mixed_heights(seed, size):
     return h
 
 
-# Every block boundary of the column-major kernel is crossed.
+# Sizes from an empty call to 4 097 rows, on both sides of 2 048 and 4 096.
 BLOCK_SIZES = (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
 seeds = st.integers(0, 2**32 - 1)
 
@@ -982,6 +997,7 @@ class TestBatchKernelProperties:
     @given(seed=seeds)
     def test_row_id_does_not_depend_on_its_block(self, catalog, size, seed):
         h = mixed_heights(seed, size)
+        h[1::2] = near_margin_heights(seed, size)[1::2]
         single = [int(classify_heights_batch(h[i : i + 1], catalog)[0]) for i in range(size)]
         assert classify_heights_batch(h, catalog).tolist() == single
 
@@ -1006,22 +1022,22 @@ def near_margin_heights(seed, size):
 
 
 def full_margin_ids(catalog, heights):
-    """The float64 margin rule as a plain loop over the kernel's blocks:
-    every form of every row gets the margin test on the same floats, and
-    each row with undecided forms is resolved on its own."""
+    """The float64 margin rule on the kernel's one product, the heights
+    zero-padded to a multiple of 8 columns: every form of every row gets
+    the margin test on the same floats, and each row with undecided forms
+    is resolved on its own."""
     h = np.asarray(heights, dtype=np.float64)
-    codes, undecided, finite = [], [], []
+    hT = np.zeros((8, -(-len(h) // 8) * 8))
+    hT[:, : len(h)] = h.T
     margin = (DEFAULT_TOLERANCE * FORM_NORMS)[:, None]
-    with np.errstate(invalid="ignore"):
-        for lo in range(0, len(h), _BLOCK):
-            hT = np.ascontiguousarray(h[lo : lo + _BLOCK].T)
-            values = FORM_MATRIX @ hT
-            scale = np.maximum(1.0, np.abs(hT).max(axis=0))
-            codes += [int(c) for c in _POW2F @ (values > 0)]
-            undecided += [int(u) for u in _POW2F @ (np.abs(values) < margin * scale)]
-            finite += np.isfinite(scale).tolist()
+    with np.errstate(invalid="ignore", over="ignore"):
+        values = (FORM_MATRIX @ hT)[:, : len(h)]
+        scale = np.maximum(1.0, np.abs(h).max(axis=1))
+        codes = [int(c) for c in _POW2F @ (values > 0)]
+        undecided = [int(u) for u in _POW2F @ (np.abs(values) < margin * scale)]
+    inside = (scale < 2.0**1020).tolist()
     out = []
-    for code, open_forms, ok in zip(codes, undecided, finite):
+    for code, open_forms, ok in zip(codes, undecided, inside):
         if not ok:
             out.append(0)
         elif open_forms:
@@ -1045,7 +1061,7 @@ class TestBatchMemo:
     @given(seed=seeds)
     def test_equals_full_margin_kernel_near_the_margin(self, catalog, seed):
         # within a few ulps of a margin, the row reference's matrix-vector
-        # product may round differently from the kernel's blocked product
+        # product may round differently from the kernel's padded product
         near = near_margin_heights(seed, _BLOCK + 300)
         h = np.vstack([near, mixed_heights(seed, 300)])
         ids = classify_heights_batch(h, catalog)
@@ -1336,6 +1352,8 @@ class TestEntryIds:
 
     def test_empty_call(self):
         assert classify_entries_batch(np.ones((0, 8, 2))).shape == (2, 0)
+        ids = classify_entries_batch(np.ones((3, 8, 0)))
+        assert ids.shape == (0, 3) and ids.dtype == np.int64
 
 
 def test_every_five_vertex_set_holds_one_circuit():
