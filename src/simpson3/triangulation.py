@@ -63,7 +63,7 @@ _HEIGHT_MAX = 2.0**1020
 _FORM_MATRIX32 = FORM_MATRIX.astype(np.float32)
 _POW2F32 = _POW2F.astype(np.float32)
 _SCREEN = 1e-5
-_SCREEN_MAX = 2.0**64
+_SCREEN_MAX = 64.0
 _ALL_FORMS = (1 << len(FORM_COEFFS)) - 1
 
 # The fixed margin of the float classifiers: a form is undecided on heights
@@ -715,25 +715,27 @@ def _screen_block(
     each row's 20-bit sign code and whether it is certified to the (..., b)
     ``codes`` and ``certified``.
 
-    A row is certified when its heights are finite with max|h| < 2^64 and
+    A row is certified when its heights are finite with max|h| < 64 and
     every |form value| is at least ``_SCREEN * scale``, scale being max(1,
-    max|h|).  The bound: write v32 for a form's float32 value and v for its
-    exact value on the float64 heights the block was cast from.  Casting
-    to float32 moves each height by at most 2^-24 * scale, and the
-    coefficients have sum |c| <= 6, so v moves by at most 3.6e-7 * scale.
-    The float32 sum has at most five nonzero terms, each an exact product
-    as c is in {+-1, +-2}, so it rounds at most five times: gamma_5 * 6 *
-    scale ~ 1.8e-6 * scale (subnormal results round by 2^-150 at most, and
-    scale >= 1).  So |v32 - v| < 2.2e-6 * scale.  The float32 threshold is
-    within a relative 2^-22 of 1e-5 * scale, so every form of a certified
-    row has |v| >= 7.7e-6 * scale, with the sign of v32: the row's sign
-    code is exact on its float64 heights, and every form lies about 2 700
-    times the float64 margin rule's widest margin (2.8e-9 * scale) from 0.
+    max|h|).  The bound: write v32 for a form's float32 value, and v for
+    its exact value on heights that each lie within d * scale of the
+    block's.  A form has at most five nonzero terms, each an exact product
+    as c is in {+-1, +-2}, so its float32 sum rounds at most four times in
+    any order, and lies within gamma_4 * 6 * scale ~ 1.43e-6 * scale of
+    its exact value on the block's heights (sum |c| <= 6; subnormal
+    results round by 2^-150 at most, and scale >= 1).  Those heights move
+    it by at most 6 * d * scale, so |v32 - v| < 6 * (d + gamma_4) * scale.
+    The float32 threshold is within a relative 2^-23 of 1e-5 * scale, so
+    while 6 * (d + gamma_4) < 9.99e-6 (d < 1.4e-6), a certified row has
+    the sign code of v, exact, and every form has |v| >= (9.99e-6 - 6 *
+    (d + gamma_4)) * scale.  For float64 heights cast to float32, d =
+    2^-24: |v32 - v| < 1.8e-6 * scale, and |v| >= 8.2e-6 * scale, about
+    2 900 times the float64 margin rule's widest margin (2.8e-9 * scale).
+    ``classify_entries_batch`` derives d for its float32 logs.
 
-    Heights beyond float32's range became inf in the cast, silently (the
-    caller ignores float errors); such rows, like every row with max|h| >=
-    2^64, are not certified, which keeps each product and partial sum far
-    from float32 overflow."""
+    Rows with max|h| >= 64, non-finite rows among them, are not certified:
+    that keeps each product and partial sum far from float32 overflow, and
+    the entries whose logs certify inside float32's normal range."""
     np.matmul(_FORM_MATRIX32, hT, out=values)
     codes[...] = _POW2F32 @ (values > 0)
     np.abs(values, out=values)
@@ -743,34 +745,61 @@ def _screen_block(
     np.logical_and(values.min(axis=-2) >= _SCREEN * scale, scale < _SCREEN_MAX, out=certified)
 
 
+def _float64_part(part: np.ndarray) -> np.ndarray:
+    """``part`` as float64, which must hold each entry exactly: a real
+    float array no wider than float64 (float64 is returned as is), or an
+    integer array whose every |entry| is at most 2^53.  Raises DomainError
+    for any other part: complex, object, bool, wider floats, or integers
+    beyond 2^53."""
+    q = np.asarray(part)
+    kind, size = q.dtype.kind, q.dtype.itemsize
+    if kind == "f" and size <= 8:
+        return q.astype(np.float64, copy=False)
+    if kind in "iu":
+        if q.size and max(-int(q.min()), int(q.max())) > 2**53:
+            raise DomainError("integer entries beyond 2^53 would round to float64")
+        return q.astype(np.float64)
+    raise DomainError(f"entries must be real floats or integers, got {q.dtype}")
+
+
 def classify_entries_batch(*parts: np.ndarray) -> np.ndarray:
-    """Exact ids of 2x2x2 tables given by their raw float64 entries.
+    """Exact ids of 2x2x2 tables given by their raw entries.
 
     Each part is an (n, 8, t) array (a view will do): row i holds t tables,
     and table j's entries are ``parts[0][i, :, j] + parts[1][i, :, j] +
     ...``, summed exactly.  Returns the (t, n) int64 ids; 0 marks a table
     that is not finite and strictly positive, or on which ``classify_exact``
-    raises DegenerateTable.  The parts of a sum should be nonnegative.
+    raises DegenerateTable.  The parts of a sum should be nonnegative.  A
+    part holds floats no wider than float64 (float64 parts are read in
+    place) or integers of magnitude at most 2^53; any other part raises
+    DomainError, as float64 would not hold its entries exactly.
 
     The call walks the rows in blocks of ``_BLOCK``, so that each block's
     buffers, allocated once per call, stay in cache.  A block's entries
-    are summed in floats (one part needs no sum), their float64 logs
-    taken, and the logs transposed once, as float32, into one (t, 8, b)
-    buffer that the float32 screen (``_screen_block``) evaluates.  A
-    certified table reads its id from the catalog's memo of sign codes.
-    Its id is exact: the screen's bound (see ``_screen_block``) leaves
-    every form at least 7.7e-6 * scale from 0, and the heights miss the
-    exact logs of the table by two terms only.  An ``np.log`` error of k
-    ulps moves a form by at most 6 * k * 2^-52 * scale, and rounding the
-    sum of p parts moves a height by at most (p - 1) * 2^-53, a form by 6
-    times that.  Both are far below 7.7e-6 * scale for any k < 1 000.
+    (a one-part call reads them in place; several parts are summed in
+    float64) are cast to float32 as they are transposed into one (t, 8, b)
+    buffer, and their float32 logs are taken there in place, for the
+    float32 screen (``_screen_block``) to evaluate.  A certified table
+    reads its id from the catalog's memo of sign codes.  Its id is exact.
+    Each height lies within d * scale of the exact log of its entry:
+    summing p nonnegative parts moves a log by at most (p - 1) * 2^-52;
+    the cast moves it by less than 2^-24 (a certified row's entries have
+    logs below 64 in magnitude, so their casts are normal: the limit
+    ``_SCREEN_MAX``); and a float32 log within k ulps of the exact log y
+    adds at most k * 2^-23 * |y| <= k * 2^-23 * scale (to within a
+    relative 2^-19).  So d = 2^-24 + k * 2^-23 + (p - 1) * 2^-52, and by
+    ``_screen_block``'s bound |v32 - v| < 6 * (d + gamma_4) * scale, which
+    is below 4.7e-6 * scale at k = 4 (numpy's float32 log, on both x86
+    dispatch targets): every form of a certified table has |v| >= 5.0e-6
+    * scale, and the screen stays exact for any k <= 11.
     Every other table (ties, near ties, non-finite or non-positive tables,
-    about 1.4e-4 of Exp(1) tables) is decided on its doubles: the parts'
-    entries as integers over their largest power-of-two denominator,
-    summed exactly, through ``classify_exact``'s two tiers.
+    logs beyond 64 in magnitude, about 1.4e-4 of Exp(1) tables) is decided
+    on its doubles: the parts' entries as integers over their largest
+    power-of-two denominator, summed exactly, through ``classify_exact``'s
+    two tiers.
     """
     catalog = get_catalog()
-    parts = [np.asarray(q, dtype=np.float64) for q in parts]
+    parts = [_float64_part(q) for q in parts]
     shape = parts[0].shape if parts else ()
     if len(shape) != 3 or shape[1] != 8 or any(q.shape != shape for q in parts):
         raise DomainError("entries must be (n, 8, t) arrays of one shape")
@@ -778,7 +807,7 @@ def classify_entries_batch(*parts: np.ndarray) -> np.ndarray:
     width = min(n, _BLOCK)
     codes = np.empty((t, n), dtype=np.int32)
     certified = np.empty((t, n), dtype=bool)
-    logs = np.empty((width, 8, t))
+    sums = np.empty((width, 8, t)) if len(parts) > 1 else None
     heights = np.empty(t * 8 * width, dtype=np.float32)
     values = np.empty(t * len(FORM_COEFFS) * width, dtype=np.float32)
     with np.errstate(all="ignore"):
@@ -787,14 +816,15 @@ def classify_entries_batch(*parts: np.ndarray) -> np.ndarray:
             b = hi - lo
             block = parts[0][lo:hi]
             for q in parts[1:]:
-                block = np.add(block, q[lo:hi], out=logs[:b])
-            np.log(block, out=logs[:b])
+                block = np.add(block, q[lo:hi], out=sums[:b])
             hT = heights[: t * 8 * b].reshape(t, 8, b)
-            np.copyto(hT, logs[:b].transpose(2, 1, 0), casting="same_kind")
+            np.copyto(hT, block.transpose(2, 1, 0), casting="same_kind")
+            np.log(hT, out=hT)
             block_values = values[: t * len(FORM_COEFFS) * b].reshape(t, len(FORM_COEFFS), b)
             _screen_block(hT, block_values, codes[:, lo:hi], certified[:, lo:hi])
     ids = _memo_ids(catalog, codes, certified)
-    for j, i in zip(*np.nonzero(~certified)):
+    for k in np.flatnonzero(~certified).tolist():
+        j, i = divmod(k, n)
         ids[j, i] = _entry_id(catalog, [q[i, :, j] for q in parts])
     return ids
 
@@ -822,7 +852,7 @@ def _memo_ids(catalog: Catalog, codes: np.ndarray, clean: np.ndarray) -> np.ndar
     catalog's memo, which resolves each code the first time it is met; 0
     on every other row."""
     memo = catalog._pattern_ids
-    ids = memo[codes]
+    ids = memo.take(codes)
     unseen = clean & (ids == 0)
     if unseen.any():
         # each distinct code once, from one sorted copy; np.unique would
@@ -831,8 +861,9 @@ def _memo_ids(catalog: Catalog, codes: np.ndarray, clean: np.ndarray) -> np.ndar
         fresh.sort()
         for code in fresh[np.r_[True, fresh[1:] != fresh[:-1]]].tolist():
             memo[code] = _classified(catalog, code, ~code & _ALL_FORMS).canonical_id
-        ids = memo[codes]
-    return np.where(clean, ids, 0).astype(np.int64)
+        memo.take(codes, out=ids)
+    np.multiply(ids, clean, out=ids)
+    return ids.astype(np.int64)
 
 
 @functools.cache

@@ -523,6 +523,20 @@ GOLDEN_MONTECARLO = {
     ("reversal",): "c33f4f516f304dcfd0ca7a544a233fcd7bb59538ef50c732e74f1402cf14a9d6",
 }
 
+# sha256 of chunk 0's raw Exp(1) draws at seed 0, (2^16, width) float64 as
+# each estimator draws them (little-endian), recorded on numpy 2.4.6.  numpy may change
+# Generator.standard_exponential in a release (NEP 19); this tells that
+# apart from a classifier fault, which GOLDEN_MONTECARLO alone would not.
+GOLDEN_DRAWS_NUMPY = "2.4.6"
+GOLDEN_DRAWS = {
+    (experiments._PURPOSE_MC2D, 8): (
+        "cf84937b2c37f9fdf5aed5c8bd66f7e77b6dce84428f84f71d7b88f550f004dc"
+    ),
+    (experiments._PURPOSE_MC3D, 16): (
+        "a33093d5cb269aeed0d6080c8537a5cfb7404cc5ff258eb35bdd209fc8b63b0b"
+    ),
+}
+
 
 # sha256 of `simpson3 classify` (JSON, without "input") from the Fraction
 # layer-determinant correlation profile and the Fraction 2x2 determinant:
@@ -631,6 +645,16 @@ class TestGoldenOutput:
         code, out, _ = run(capsys, *argv, "--samples", "200000", "--seed", "0")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_MONTECARLO[argv]
+
+    @pytest.mark.parametrize("purpose, width", list(GOLDEN_DRAWS))
+    def test_montecarlo_draws(self, purpose, width):
+        draws = np.empty((experiments._CHUNK, width))
+        experiments.SamplerConfig(seed=0).stream(purpose, 0).standard_exponential(out=draws)
+        digest = hashlib.sha256(draws.astype("<f8").tobytes()).hexdigest()
+        assert digest == GOLDEN_DRAWS[purpose, width], (
+            f"numpy {np.__version__} draws other Exp(1) values than numpy "
+            f"{GOLDEN_DRAWS_NUMPY}, on which GOLDEN_DRAWS and GOLDEN_MONTECARLO were recorded"
+        )
 
     @pytest.mark.parametrize("arity", sorted(GOLDEN_ORBITS))
     def test_orbits(self, capsys, arity):

@@ -419,11 +419,13 @@ class TestBlockedEstimators:
             assert traced_peak(estimate_2d_reversal, n) <= draw + 2**20, n
 
     def test_3d_peak_does_not_rise(self):
-        # 10.69 MiB measured with the blocked pass over the entries, which
+        # 10.32 MiB measured with float32 logs of the entries' float32
+        # casts, which need no float64 block buffer for F and G; 10.69 MiB
+        # with float64 logs and the blocked pass over the entries, which
         # forms F + G only for the shared rows; 13.75 MiB with the float32
         # screen and a chunk-wide (m, 8) sum buffer, 14.77 MiB before the
         # screen and 15.27 MiB while every pair's sum was classified
-        assert traced_peak(estimate_3d_conversion, 1 << 16) <= 10.74 * 2**20
+        assert traced_peak(estimate_3d_conversion, 1 << 16) <= 10.37 * 2**20
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts KiB on Linux")
     def test_3d_resident_rise_is_bounded(self):

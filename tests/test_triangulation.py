@@ -1,6 +1,8 @@
 import dataclasses
+import inspect
 import itertools
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -1155,7 +1157,7 @@ SCREEN_SIZES = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
 def screened(h):
     """Each row's float32 sign code, and whether the screen certifies it:
     ``_screen_block`` on (n, 8) float64 heights, cast to float32 block by
-    block as ``classify_entries_batch`` casts its logs."""
+    block."""
     codes = np.empty(len(h), dtype=np.int32)
     certified = np.empty(len(h), dtype=bool)
     with np.errstate(all="ignore"):
@@ -1234,14 +1236,19 @@ def exact_entry_id(catalog, *rows):
         return 0
 
 
-def near_tie_entries(rng, size):
-    """Tables whose entries a_x * b_y * c_z are integer products, so that
-    every form vanishes, each then moved by -2..2 ulps; about one in three
-    is left an exact tie."""
-    a, b, c = rng.integers(1, 7, (3, size, 2)).astype(np.float64)
+def tie_products(rng, size):
+    """(size, 8) int64 tables whose entries a_x * b_y * c_z are products of
+    integers 1..6, so that every form vanishes."""
+    a, b, c = rng.integers(1, 7, (3, size, 2))
     bits = np.array([vertex_bits(v) for v in VERTICES])
     rows = np.arange(size)[:, None]
-    x = a[rows, bits[:, 0]] * b[rows, bits[:, 1]] * c[rows, bits[:, 2]]
+    return a[rows, bits[:, 0]] * b[rows, bits[:, 1]] * c[rows, bits[:, 2]]
+
+
+def near_tie_entries(rng, size):
+    """Tables of ``tie_products`` as doubles, each entry then moved by
+    -2..2 ulps; about one in three is left an exact tie."""
+    x = tie_products(rng, size).astype(np.float64)
     nudge = rng.integers(-2, 3, (size, 8)) * (rng.random((size, 1)) < 2 / 3)
     return x + nudge * np.spacing(x)
 
@@ -1251,7 +1258,11 @@ def entry_rows(seed, kind, size):
     ties 1..5, near ties, Exp(1) draws scaled by 2^+-k, by 10^+-300 or into
     the subnormals (a random subset of each row's entries), and Exp(1) rows
     whose logs put one form within a few float32 ulps of the screen's
-    threshold."""
+    threshold.  At the edges of the float32 cast: Exp(1) entries whose
+    casts are subnormal or zero (times 10^-39 or 10^-44, a random subset),
+    rows whose largest |log x| is within a few float32 ulps of 64 on
+    either side, and entries near float32's largest value (3.0e38 to
+    3.5e38, a random subset)."""
     rng = np.random.default_rng(seed)
     x = rng.standard_exponential((size, 8))
     if kind == "ties":
@@ -1266,10 +1277,30 @@ def entry_rows(seed, kind, size):
         return x * np.where(rng.random((size, 8)) < 0.5, 1e-310, 1.0)
     if kind == "screen edge":
         return np.exp(pulled_to_the_screen(rng, np.log(x)))
+    subset = rng.random((size, 8)) < 0.5
+    if kind == "float32 subnormal":
+        return x * np.where(subset, rng.choice([1e-39, 1e-44], (size, 1)), 1.0)
+    if kind == "logs near 64":
+        h = np.log(x)
+        top = 64.0 * (1.0 + rng.integers(-4, 5, (size, 1)) * 2.0**-23)
+        return np.exp(h * (top / np.abs(h).max(axis=1, keepdims=True)))
+    if kind == "float32 max":
+        return np.where(subset, rng.uniform(3.0e38, 3.5e38, (size, 8)), x)
     return x
 
 
-ENTRY_KINDS = ("exp", "ties", "near ties", "powers of two", "10^+-300", "subnormal", "screen edge")
+ENTRY_KINDS = (
+    "exp",
+    "ties",
+    "near ties",
+    "powers of two",
+    "10^+-300",
+    "subnormal",
+    "screen edge",
+    "float32 subnormal",
+    "logs near 64",
+    "float32 max",
+)
 
 
 class TestEntryIds:
@@ -1354,6 +1385,137 @@ class TestEntryIds:
         assert classify_entries_batch(np.ones((0, 8, 2))).shape == (2, 0)
         ids = classify_entries_batch(np.ones((3, 8, 0)))
         assert ids.shape == (0, 3) and ids.dtype == np.int64
+
+    def test_integers_up_to_2_53_are_exact(self, catalog):
+        # near ties on integers, which float64 holds exactly up to 2^53
+        rng = np.random.default_rng(1)
+        x = (tie_products(rng, 200) << 45) + rng.integers(-3, 4, (200, 8))
+        x[0, 0] = 2**53
+        (ids,) = classify_entries_batch(x[:, :, None])
+        assert ids.tolist() == [exact_entry_id(catalog, row) for row in x]
+        (ids,) = classify_entries_batch(x[:, :, None], x[::-1, :, None].astype(np.uint64))
+        assert ids.tolist() == [exact_entry_id(catalog, a, b) for a, b in zip(x, x[::-1])]
+
+    def test_refuses_integers_beyond_2_53(self):
+        # near ties at 2^55: float64 rounds the nudges away, and classifying
+        # the rounded tables gave 189 of these 200 another id than
+        # classify_exact gives the integers
+        rng = np.random.default_rng(1)
+        x = (tie_products(rng, 200) << 55) + rng.integers(-3, 4, (200, 8))
+        for bad in (x, -x, x.astype(np.uint64)):
+            with pytest.raises(DomainError, match=r"^integer entries beyond 2\^53 "):
+                classify_entries_batch(bad[:, :, None])
+        with pytest.raises(DomainError, match=r"^integer entries beyond 2\^53 "):
+            classify_entries_batch(np.ones((1, 8, 1)), np.full((1, 8, 1), 2**53 + 1))
+
+    @pytest.mark.parametrize(
+        "dtype",
+        [np.complex128, object, bool]
+        + [np.longdouble] * (np.dtype(np.longdouble).itemsize > 8),
+    )
+    def test_refuses_entries_float64_would_not_hold(self, dtype):
+        # a complex part would lose its imaginary part, an object part of
+        # Python ints could round, a wider float would round
+        part = np.ones((2, 8, 1), dtype=dtype)
+        with pytest.raises(DomainError, match=r"^entries must be real floats or integers, got "):
+            classify_entries_batch(part)
+        with pytest.raises(DomainError, match=r"^entries must be real floats or integers, got "):
+            classify_entries_batch(np.ones((2, 8, 1)), part)
+
+
+def float32_log_ulps():
+    """The largest error of numpy's float32 log, in float32 ulps of the
+    exact log, over 2^22 float32 values spread evenly in log over
+    e^-64..e^64, every power of two in that range with its two float32
+    neighbours, and the 2^17 + 1 floats nearest 1, whose log must be
+    exactly 0 at 1.  The float64 log stands for the exact one: its error is
+    below 2^-28 float32 ulps.  Self-contained, so that a subprocess can run
+    its source."""
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    spread = np.exp(rng.uniform(-64.0, 64.0, 1 << 22)).astype(np.float32)
+    powers = np.ldexp(1.0, np.arange(-92, 93)).astype(np.float32)
+    edges = [np.nextafter(powers, np.float32(0)), powers, np.nextafter(powers, np.float32(np.inf))]
+    bits = np.float32(1.0).view(np.int32) + np.arange(-(1 << 16), (1 << 16) + 1, dtype=np.int32)
+    x = np.concatenate([spread, *edges, bits.view(np.float32)])
+    got = np.log(x).astype(np.float64)
+    exact = np.log(x.astype(np.float64))
+    assert (got[exact == 0] == 0).all()
+    nonzero = exact != 0
+    ulps = np.ldexp(1.0, np.frexp(exact[nonzero])[1] - 24)
+    return float((np.abs(got - exact)[nonzero] / ulps).max())
+
+
+def numpy_dispatches(feature):
+    """Whether numpy builds a dispatched target for ``feature`` on top of
+    its baseline (numpy 2 names them X86_V3 and so on)."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:
+        return False
+    return feature in __cpu_dispatch__
+
+
+# The x86 targets above numpy's X86_V2 baseline: AVX2 and AVX-512
+_ABOVE_BASELINE = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+
+class TestFloat32Logs:
+    """The float32 logs ``classify_entries_batch`` screens: its docstring's
+    bound takes numpy's float32 log within k = 4 ulps (numpy's own accuracy
+    tests allow 4), and gives every form of a certified table at least
+    5.0e-6 * scale on the exact logs of its entries."""
+
+    def test_log_is_within_4_ulps(self):
+        assert float32_log_ulps() <= 4.0
+
+    @pytest.mark.skipif(
+        platform.machine().lower() not in ("x86_64", "amd64") or not numpy_dispatches("X86_V3"),
+        reason="numpy dispatches its float32 log to AVX2 and AVX-512 on x86 only",
+    )
+    def test_log_is_within_4_ulps_on_the_baseline_target(self):
+        # numpy's other float32 log, the one a CPU without AVX2 runs
+        code = inspect.getsource(float32_log_ulps) + (
+            "from numpy._core._multiarray_umath import __cpu_features__\n"
+            "print(__cpu_features__['X86_V3'], float32_log_ulps())\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=_ABOVE_BASELINE),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        above_baseline, worst = done.stdout.split()
+        assert above_baseline == "False"
+        assert float(worst) <= 4.0
+
+    def test_certified_tables_keep_the_bound(self, monkeypatch):
+        masks = []
+        screen = triangulation._screen_block
+
+        def recorded(hT, values, codes, certified):
+            screen(hT, values, codes, certified)
+            masks.append(certified.copy())
+
+        monkeypatch.setattr(triangulation, "_screen_block", recorded)
+        for seed, kind in enumerate(["exp", "screen edge", "logs near 64", "powers of two"]):
+            f, g = (entry_rows(100 * seed + k, kind, _BLOCK + 5) for k in range(2))
+            pairs, sums = (np.stack([f, g], axis=2),), (f[:, :, None], g[:, :, None])
+            for parts, tables in [(pairs, (f, g)), (sums, (f + g,))]:
+                masks.clear()
+                classify_entries_batch(*parts)
+                certified = np.concatenate(masks, axis=-1)
+                assert certified.shape == (len(tables), len(f))
+                for x, ok in zip(tables, certified):
+                    assert np.count_nonzero(ok) > len(x) // 4, kind
+                    h = np.log(x[ok])
+                    scale = np.maximum(1.0, np.abs(h).max(axis=1))
+                    assert (scale < 64.0).all()
+                    smallest = np.abs(h @ FORM_MATRIX.T).min(axis=1)
+                    assert (smallest >= 5.0e-6 * scale).all(), kind
 
 
 def test_every_five_vertex_set_holds_one_circuit():
