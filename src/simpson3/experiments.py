@@ -6,7 +6,11 @@ index, so it depends only on ``(seed, samples)``, and the chunk size is
 part of what a seed means in both dimensions.  Witness search draws each
 class's starts from a stream of its own, so a search result depends only on
 ``(seed, key, budget)``: a class gets the same outcome alone and in a
-sweep, whatever else the sweep holds.
+sweep, whatever else the sweep holds.  Its float32 descent keeps every log
+entry it multiplies on the grid of multiples of 2⁻¹², so its matrix
+products are exact (``_hinge_rows`` gives the bound) and no BLAS kernel
+changes a result; numpy's float32 exp and log1p are not correctly rounded,
+and give other witnesses on numpy's targets without AVX-512.
 Tables are drawn with independent Exp(1) entries; because triangulation
 classification is invariant under rescaling a table by a positive
 constant, this induces the same distribution over classes as sampling
@@ -57,11 +61,11 @@ _PAIR_BLOCK = 4096
 
 _LOG = logging.getLogger("simpson3")
 
-# Witness descent: required sign margin in log space, bound on every log
-# entry, Adam step size and moment decays, iterations per restart, restarts
-# in a class's first wave (each later wave doubles), and rows evaluated at
-# once (the block).
-_OPT_MARGIN = 0.05
+# Witness descent: required sign margin in log space (a multiple of 2^-12,
+# on the grid of ``_to_grid``), bound on every log entry, Adam step size and
+# moment decays, iterations per restart, restarts in a class's first wave
+# (each later wave doubles), and rows evaluated at once (the block).
+_OPT_MARGIN = 205 / 4096
 _OPT_BOX = 12.0
 _OPT_LR = 0.6
 _OPT_BETA1 = 0.7
@@ -401,22 +405,24 @@ def _hinge_rows(work: _Work) -> None:
     Each constrained form must reach ``_OPT_MARGIN``, and a sign of 0 keeps
     a row's gap at 0.  The loss is smooth and vanishes exactly on the open
     witness region with margin to spare.  The k form values are one (k, 24)
-    product and the gradient one (24, k) product, both on w columns: with
-    coefficients in {0, ±1, ±2} every term is exact, in float32 as in
-    float64, every sum runs in ascending order and the rows left out would
-    add only exact zeros, so a row's result never depends on the other
-    columns.  A nonzero gap is at least an ulp of the margin, so the loss
-    is zero exactly when no gap is nonzero.  Every operation writes into
-    ``work``'s arrays, in their dtype, and every scalar operand is one of
-    its 0-d arrays; exp and log1p run on contiguous (8, n) operands.
+    product and the gradient one (24, k) product, both exact in float32
+    whatever the summation order, blocking, gemv path or FMA: h (|h| ≤ 12),
+    the margin and log1p, hence hs = hf + log1p (|hs| < 12.7), lie on the
+    grid of multiples of 2⁻¹² (``_to_grid``).  A form's coefficients, in
+    {0, ±1, ±2}, sum to at most 6 in absolute value, so a form value's
+    terms and partial sums are grid multiples below 6 · 12.7 < 2⁷ (19
+    bits), and a gap is below 76.4; an entry's 20 coefficients sum to 12,
+    so a gradient entry's are below 2 · 12 · 76.4 < 2¹¹ (23 bits).  So a
+    column's result never depends on the other columns.  A nonzero gap is
+    at least 2⁻¹², so the loss is zero exactly when no gap is nonzero.
+    Every operation writes into ``work``'s arrays, and every scalar operand
+    is one of its 0-d arrays; exp and log1p run on contiguous (8, n) operands.
     """
     ratio = work.ratio
     # |hg - hf| <= 24 inside the box, so the ratio (at most e^24 < 3e10)
     # cannot overflow, not even in float32.
     np.exp(np.subtract(work.hg, work.hf, ratio), ratio)
-    # The log entries of the sum; the padding columns of the parts are
-    # zero, and so are their gaps.
-    np.add(work.hf, np.log1p(ratio, work.log1p), work.hs)
+    np.add(work.hf, _to_grid(np.log1p(ratio, work.log1p)), work.hs)
     # The signed gaps max(margin - sign * value, 0) * sign.
     gap = np.matmul(work.forms, work.block, work.gap)
     np.multiply(gap, work.sign, gap)
@@ -424,7 +430,7 @@ def _hinge_rows(work: _Work) -> None:
     np.maximum(np.subtract(work.margin, gap, gap), work.nil, out=gap)
     np.multiply(gap, work.sign, gap)
     # A live column whose rows of ``flags`` are all true: every gap is 0.
-    np.equal(work.gaps, work.nil, work.zero_gaps)
+    np.equal(gap, work.nil, work.zero_gaps)
     np.logical_and.reduce(work.flags, 0, None, work.zero)
     np.matmul(work.form_grad, gap, work.prod)
     # The sum's share of F, ds / (1 + ratio), in place of the ratio.
@@ -445,30 +451,19 @@ _SUMMAND_GRAD = np.ascontiguousarray(-2 * _SUMMAND_FORMS.T)
 
 def _active_rows(sign: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (form, summand) rows that some column of ``sign`` (20, 3, n)
-    constrains, as ``_hinge_rows`` takes them: their (k, w) signs and the
-    (k, 24) and (24, k) blocks for them, all of ``sign``'s dtype.  OpenBLAS
-    sums the last columns of a product in another order when they do not
-    fill its kernel's width (one column goes to gemv), so w rounds n up to
-    64 bytes of columns, 16 at float32 and 8 at float64, and the extra
-    columns' signs are 0."""
-    n = sign.shape[-1]
-    sign = sign.reshape(60, n)
+    constrains, as ``_hinge_rows`` takes them: their (k, n) signs and the
+    (k, 24) and (24, k) blocks for them."""
+    sign = sign.reshape(60, -1)
     rows = np.flatnonzero(sign.any(axis=1))
-    cols = 64 // sign.itemsize
-    padded = np.zeros((len(rows), -(-n // cols) * cols), dtype=sign.dtype)
-    padded[:, :n] = sign[rows]
-    forms = _SUMMAND_FORMS[rows].astype(sign.dtype, copy=False)
-    return padded, forms, _SUMMAND_GRAD.take(rows, axis=1).astype(sign.dtype, copy=False)
+    return sign[rows], _SUMMAND_FORMS[rows], _SUMMAND_GRAD.take(rows, axis=1)
 
 
 # Adam's bias corrections by iteration: the step size over 1 - beta1^(t+1),
-# and 1 / (1 - beta2^(t+1)), computed in float64; and both rounded once to
-# each dtype a ``_Work`` takes, as the two rows of one table.
+# and 1 / (1 - beta2^(t+1)), computed in float64 and rounded once to
+# float32, as the two rows of one table.
 _OPT_RATE = _OPT_LR / (1.0 - _OPT_BETA1 ** np.arange(1, _OPT_MAXITER + 1))
 _OPT_SCALE = 1.0 / (1.0 - _OPT_BETA2 ** np.arange(1, _OPT_MAXITER + 1))
-_ADAM_TABLES = {
-    np.dtype(t): np.stack([_OPT_RATE, _OPT_SCALE]).astype(t) for t in (np.float32, np.float64)
-}
+_ADAM_TABLE = np.stack([_OPT_RATE, _OPT_SCALE]).astype(np.float32)
 
 
 def _read_only(value, dtype) -> np.ndarray:
@@ -478,71 +473,72 @@ def _read_only(value, dtype) -> np.ndarray:
 
 
 # The step's scalar operands: the margin, 0, 1, beta1, 1 - beta1, beta2,
-# 1 - beta2, Adam's 1e-8 and the box's ends, as read-only 0-d arrays of
-# each dtype.  Under NEP 50 a Python float operand rounds to the array's
+# 1 - beta2, Adam's 1e-8 and the box's ends, as read-only float32 0-d
+# arrays.  Under NEP 50 a Python float operand rounds to the array's
 # dtype, so each holds the value the float gave, but a ufunc call with a
 # Python scalar costs nearly twice as much on a small pool.
-_STEP_SCALARS = {
-    np.dtype(t): tuple(
-        _read_only(x, t)
-        for x in (_OPT_MARGIN, 0.0, 1.0, _OPT_BETA1, 1.0 - _OPT_BETA1)
-        + (_OPT_BETA2, 1.0 - _OPT_BETA2, 1e-8, -_OPT_BOX, _OPT_BOX)
-    )
-    for t in (np.float32, np.float64)
-}
+_STEP_SCALARS = tuple(
+    _read_only(x, np.float32)
+    for x in (_OPT_MARGIN, 0.0, 1.0, _OPT_BETA1, 1.0 - _OPT_BETA1)
+    + (_OPT_BETA2, 1.0 - _OPT_BETA2, 1e-8, -_OPT_BOX, _OPT_BOX)
+)
 _ONE_ITERATION = _read_only(1, np.int64)
+# For |x| < 2^10, x + G with G = 1.5 * 2^11 lies in [2^11, 2^12], where
+# float32's spacing is 2^-12, and subtracting G again is exact.
+_GRID_SHIFT = _read_only(1.5 * 2**11, np.float32)
+
+
+def _to_grid(x: np.ndarray) -> np.ndarray:
+    """``x``, float32, rounded in place to the nearest multiple of 2^-12
+    (ties to even)."""
+    return np.subtract(np.add(x, _GRID_SHIFT, x), _GRID_SHIFT, x)
 
 
 class _Work:
-    """A pool's step arrays and the views a step works through, built once
-    per refill from its columns' signs on the 20 forms of F, G and the sum,
-    ``sign`` (20, 3, n), so that a step allocates no array.  Every array
-    takes ``sign``'s dtype: float32 in the descent, float64 where a test
-    runs the same kernel as a reference.
+    """A pool's float32 step arrays and the views a step works through,
+    built once per refill from its columns' signs on the 20 forms of F, G
+    and the sum, ``sign`` (20, 3, n), so that a step allocates no array.
 
-    ``parts`` (3, 8, w) holds the log entries ``hf``, ``hg`` and ``hs`` of
+    ``parts`` (3, 8, n) holds the log entries ``hf``, ``hg`` and ``hs`` of
     F, G and the sum, read by the first product as ``block``; ``h`` is the
-    (16, n) view of its first two rows that the descent moves, so the
-    padding columns stay zero.  ``gap`` (k, w) and ``prod`` (24, w) hold
-    the two products, ``prod`` as the gradient by the entries of F, G and
-    the sum (``df``, ``dg``, ``ds``); ``grad`` holds the gradient by h.
-    ``flags`` (k + 1, n) holds which gaps are zero (``zero_gaps``) and, in
-    its last row, ``live``, the pool's live columns, all true when it is
-    built; ``zero`` gets each column's conjunction of them.  ``ratio`` and
-    ``scratch`` serve the hinge and Adam; ``adam`` takes each column's
-    Adam ``rate`` and ``scale`` from ``tables``, and Adam spreads them over
-    a column's 16 rows before it multiplies, since numpy allocates a buffer
-    for a ufunc that broadcasts a row against a block.  The step's scalar
-    operands are the 0-d arrays of ``_STEP_SCALARS`` at the dtype.
+    (16, n) view of its first two rows that the descent moves.  ``gap``
+    (k, n) and ``prod`` (24, n) hold the two products, ``prod`` as the
+    gradient by the entries of F, G and the sum (``df``, ``dg``, ``ds``);
+    ``grad`` holds the gradient by h.  ``flags`` (k + 1, n) holds which
+    gaps are zero (``zero_gaps``) and, in its last row, ``live``, the
+    pool's live columns, all true when it is built; ``zero`` gets each
+    column's conjunction of them.  ``ratio`` and ``scratch`` serve the
+    hinge and Adam; ``adam`` takes each column's Adam ``rate`` and
+    ``scale`` from ``_ADAM_TABLE``, and Adam spreads them over a column's
+    16 rows before it multiplies, since numpy allocates a buffer for a
+    ufunc that broadcasts a row against a block.  The step's scalar
+    operands are the 0-d arrays of ``_STEP_SCALARS``.
     """
 
     def __init__(self, sign: np.ndarray) -> None:
-        n, dtype = sign.shape[-1], sign.dtype
+        n = sign.shape[-1]
         self.sign, self.forms, self.form_grad = _active_rows(sign)
-        k, w = self.sign.shape
-        self.parts = np.zeros((3, 8, w), dtype)
-        self.block = self.parts.reshape(24, w)
-        self.h = self.parts[:2].reshape(16, w)[:, :n]
-        self.hf, self.hg, self.hs = self.parts[..., :n]
-        self.gap = np.empty((k, w), dtype)
-        self.gaps = self.gap[:, :n]
+        k = len(self.sign)
+        self.parts = np.empty((3, 8, n), np.float32)
+        self.block = self.parts.reshape(24, n)
+        self.h = self.block[:16]
+        self.hf, self.hg, self.hs = self.parts
+        self.gap = np.empty((k, n), np.float32)
         self.flags = np.empty((k + 1, n), dtype=bool)
         self.zero_gaps, self.live = self.flags[:k], self.flags[k]
         self.live[...] = True
         self.zero = np.empty(n, dtype=bool)
-        self.prod = np.empty((24, w), dtype)
-        self.df, self.dg, self.ds = self.prod.reshape(3, 8, w)[..., :n]
-        self.grad = np.empty((16, n), dtype)
+        self.prod = np.empty((24, n), np.float32)
+        self.df, self.dg, self.ds = self.prod.reshape(3, 8, n)
+        self.grad = np.empty((16, n), np.float32)
         self.grad_f, self.grad_g = self.grad[:8], self.grad[8:]
-        self.ratio = np.empty((8, n), dtype)
-        self.scratch = np.empty((16, n), dtype)
+        self.ratio = np.empty((8, n), np.float32)
+        self.scratch = np.empty((16, n), np.float32)
         self.log1p = self.scratch[:8]
-        self.adam = np.empty((2, n), dtype)
+        self.adam = np.empty((2, n), np.float32)
         self.rate, self.scale = self.adam
-        self.tables = _ADAM_TABLES[dtype]
-        scalars = _STEP_SCALARS[dtype]
-        self.margin, self.nil, self.one, self.beta1, self.rest1 = scalars[:5]
-        self.beta2, self.rest2, self.eps, self.low, self.high = scalars[5:]
+        self.margin, self.nil, self.one, self.beta1, self.rest1 = _STEP_SCALARS[:5]
+        self.beta2, self.rest2, self.eps, self.low, self.high = _STEP_SCALARS[5:]
 
 
 _NEVER = np.iinfo(np.int64).max // 2
@@ -556,8 +552,10 @@ except ImportError:  # numpy < 2
 
 class _Descent:
     """Projected Adam on the hinge loss over many (class, restart) rows,
-    in the dtype of ``sign_table``: float32.  Starts are drawn as float64
-    normals and rounded once to that dtype as they enter the pool.
+    in float32, on the grid of multiples of 2^-12 (``_to_grid``): starts
+    are drawn as float64 normals, and as they enter the pool they are
+    rounded to float32, clipped to the box and rounded to the grid; each
+    Adam step rounds h to the grid after its clip.
 
     Each class runs its restarts in waves of 16, 32, 64, ... rows of up to
     ``_OPT_MAXITER`` iterations, drawn from its own start stream and cut
@@ -606,7 +604,7 @@ class _Descent:
         empty = np.zeros(0, dtype=np.int64)
         self.cls, self.restart, self.limit, self.t = empty, empty, empty, empty
         self.work: _Work | None = None
-        self.h = self.m = self.v = np.zeros((16, 0), self.sign_table.dtype)
+        self.h = self.m = self.v = np.zeros((16, 0), np.float32)
         self.live = np.zeros(0, dtype=bool)
         # The live columns' count, and the steps before one's last iteration.
         self.live_count, self.clock = 0, _NEVER
@@ -655,12 +653,13 @@ class _Descent:
                 self.queue.popleft()
             else:
                 wave[1:3] = first + take, count - take
-            starts = self.rngs[c].normal(0.0, 1.5, (take, 16)).astype(self.sign_table.dtype)
+            starts = self.rngs[c].normal(0.0, 1.5, (take, 16)).astype(np.float32)
+            _to_grid(_clip(starts, -_OPT_BOX, _OPT_BOX, starts))
             new.append((np.full(take, c), first + np.arange(take), limit, starts.T))
             room -= take
         cls, restart, limit, h = zip(*new)
         self.cls, self.restart, self.limit = map(np.concatenate, (cls, restart, limit))
-        zeros = np.zeros((16, len(self.cls) - live), self.sign_table.dtype)
+        zeros = np.zeros((16, len(self.cls) - live), np.float32)
         self.t = np.concatenate([self.t[keep], np.zeros(zeros.shape[1], np.int64)])
         self.m, self.v = (np.concatenate([x[:, keep], zeros], axis=1) for x in (self.m, self.v))
         self.work = _Work(np.take(self.sign_table, self.ids[self.cls].T, axis=-1))
@@ -708,21 +707,22 @@ class _Descent:
             self._cap()
         # Adam, with each product in the order of m += (1 - beta1) * grad,
         # v += (1 - beta2) * (grad * grad) and
-        # h -= rate * m / (sqrt(v * scale) + 1e-8).  The gradient's buffer
-        # ends as the denominator; each column's rate and scale are spread
-        # over its 16 rows first.  Retired columns run on until the next
-        # refill, so their iteration is clipped to the tables.
+        # h -= rate * m / (sqrt(v * scale) + 1e-8), then h clipped to the box
+        # and rounded to the grid.  The gradient's buffer ends as the
+        # denominator; each column's rate and scale are spread over its 16
+        # rows first.  Retired columns run on until the next refill, so their
+        # iteration is clipped to the table.
         grad, step, m, v, h = work.grad, work.scratch, self.m, self.v, self.h
         np.multiply(m, work.beta1, m)
         np.add(m, np.multiply(work.rest1, grad, step), m)
         np.multiply(v, work.beta2, v)
         np.add(v, np.multiply(np.multiply(grad, grad, grad), work.rest2, grad), v)
-        work.tables.take(t, 1, work.adam, "clip")
+        _ADAM_TABLE.take(t, 1, work.adam, "clip")
         grad[...] = work.scale
         np.add(np.sqrt(np.multiply(v, grad, grad), grad), work.eps, grad)
         step[...] = work.rate
         np.divide(np.multiply(step, m, step), grad, step)
-        _clip(np.subtract(h, step, h), work.low, work.high, h)
+        _to_grid(_clip(np.subtract(h, step, h), work.low, work.high, h))
         np.add(t, _ONE_ITERATION, t)
         self.clock -= 1
 

@@ -1,3 +1,7 @@
+import contextlib
+import io
+
+import numpy as np
 import pytest
 
 from simpson3 import get_catalog
@@ -20,6 +24,15 @@ def acceptance():
         return ok
 
     return record
+
+
+def pytest_report_header(config):
+    """``numpy.show_runtime()``: numpy's SIMD targets, between which its
+    float32 exp and log1p, and so the descent's goldens, differ."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        np.show_runtime()
+    return out.getvalue().splitlines()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,7 +1,11 @@
+import contextlib
+import hashlib
+import io
 import json
 import logging
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -36,7 +40,7 @@ from simpson3 import (
     orbit_classes,
     search_witness,
 )
-from simpson3 import experiments, triangulation
+from simpson3 import cli, experiments, triangulation
 from simpson3.feasibility import infeasible_pair_classes, infeasible_triple_classes
 from simpson3.feasibility import obstructing_vertices
 from simpson3.symmetry import _KEY_KINDS, _UNPAD, canonical_classes, key_rows, pad_key
@@ -965,6 +969,19 @@ def reference_hinge(h, cf, cg, cs):
     return value, np.concatenate([grad_f, grad_g])
 
 
+def on_grid(x):
+    """``x`` rounded to the nearest multiple of 2^-12, ties to even, as
+    float32: the descent's grid, by rounding in float64."""
+    return (np.round(np.asarray(x, np.float64) * 4096) / 4096).astype(np.float32)
+
+
+def sum_logs(hf, ratio):
+    """The sum's log entries hf + log1p(ratio), with ratio = e^(hg - hf);
+    in float32 as the descent forms them, with log1p on the grid."""
+    lift = np.log1p(ratio)
+    return hf + (on_grid(lift) if lift.dtype == np.float32 else lift)
+
+
 # Constraint rows per id in the descent's earlier layout, padded: every
 # catalog entry has 4 to 6.
 ROWS = 6
@@ -989,7 +1006,7 @@ def gathered_hinge(h, cons, need):
     ``need`` (6, 3, n) their margins.  Returns the loss and gradient."""
     hf, hg = h[:8], h[8:]
     ratio = np.exp(hg - hf)
-    parts = np.stack([hf, hg, hf + np.log1p(ratio)], axis=1)
+    parts = np.stack([hf, hg, sum_logs(hf, ratio)], axis=1)
     weight = 1.0 / (1.0 + ratio)
     margins = cons[0] * parts[0]
     for j in range(1, 8):
@@ -1005,21 +1022,21 @@ def gathered_hinge(h, cons, need):
 
 
 def full_form_hinge(h, sign):
-    """The descent's kernel before it kept only the pool's active rows:
-    ``sign`` (20, 3, n) orients every form of F, G and the sum, and each
-    step takes all 60 (form, summand) rows.  Returns the zero mask and
-    the gradient."""
+    """The descent's kernel before it kept only the pool's active rows, in
+    h's dtype: ``sign`` (20, 3, n) orients every form of F, G and the sum,
+    and each step takes all 60 (form, summand) rows.  Returns the zero
+    mask and the gradient."""
     hf, hg = h[:8], h[8:]
     ratio = np.exp(hg - hf)
-    parts = np.empty((8, 3, h.shape[1]))
-    parts[:, 0], parts[:, 1] = hf, hg
-    np.add(hf, np.log1p(ratio), out=parts[:, 2])
-    gap = np.matmul(FORM_MATRIX, parts.reshape(8, -1)).reshape(20, 3, -1)
+    parts = np.empty((8, 3, h.shape[1]), h.dtype)
+    parts[:, 0], parts[:, 1], parts[:, 2] = hf, hg, sum_logs(hf, ratio)
+    forms = FORM_MATRIX.astype(h.dtype)
+    gap = np.matmul(forms, parts.reshape(8, -1)).reshape(20, 3, -1)
     gap *= sign
     np.maximum(np.subtract(experiments._OPT_MARGIN, gap, out=gap), 0.0, out=gap)
     gap *= sign
     zero = ~gap.reshape(60, -1).any(axis=0)
-    form_grad = np.ascontiguousarray(-2.0 * FORM_MATRIX.T)
+    form_grad = np.ascontiguousarray(-2.0 * forms.T)
     grads = np.matmul(form_grad, gap.reshape(20, -1)).reshape(8, 3, -1)
     shared = grads[:, 2] * (1.0 / (1.0 + ratio))
     return zero, np.concatenate([grads[:, 0] + shared, grads[:, 1] + grads[:, 2] - shared])
@@ -1031,9 +1048,9 @@ def required_margins(sign):
     return np.where(sign != 0, experiments._OPT_MARGIN, -np.inf)
 
 
-def kernel_signs(sign, ids):
+def kernel_signs(sign, ids, dtype=np.float32):
     """The per-column sign array the descent gathers for ids (3, n)."""
-    return np.take(sign.T, ids, axis=-1)
+    return np.take(sign.T, ids, axis=-1).astype(dtype)
 
 
 def active_hinge(sign, ids, h):
@@ -1047,20 +1064,16 @@ def active_hinge(sign, ids, h):
 
 def reference_hinge_rows(h, sign, forms, form_grad):
     """The descent's kernel as it was before the step wrote into buffers
-    built at each refill: the same operations on fresh arrays of h's dtype."""
-    n = h.shape[1]
+    built at each refill: the same operations on fresh float32 arrays."""
     hf, hg = h[:8], h[8:]
     ratio = np.exp(hg - hf)
-    parts = np.empty((3, 8, sign.shape[1]), h.dtype)
-    parts[..., n:] = 0.0
-    parts[:2, :, :n] = h.reshape(2, 8, n)
-    np.add(hf, np.log1p(ratio), out=parts[2, :, :n])
-    gap = np.matmul(forms, parts.reshape(24, -1))
+    parts = np.concatenate([hf, hg, sum_logs(hf, ratio)])
+    gap = np.matmul(forms, parts)
     gap *= sign
     np.maximum(np.subtract(experiments._OPT_MARGIN, gap, out=gap), 0.0, out=gap)
     gap *= sign
-    zero = ~gap[:, :n].any(axis=0)
-    grad_f, grad_g, grad_s = np.matmul(form_grad, gap).reshape(3, 8, -1)[..., :n]
+    zero = ~gap.any(axis=0)
+    grad_f, grad_g, grad_s = np.matmul(form_grad, gap).reshape(3, 8, -1)
     shared = grad_s * (1.0 / (1.0 + ratio))
     return zero, np.concatenate([grad_f + shared, grad_g + grad_s - shared])
 
@@ -1074,17 +1087,17 @@ SCALE = 1.0 / (1.0 - experiments._OPT_BETA2 ** ITERATIONS)
 def reference_step(h, m, v, t, live, work):
     """One step of the descent before it worked in place, on contiguous
     copies of the pool's state: the zero mask of live columns and the
-    next h, m, v and t.  Adam's float64 tables are rounded to h's dtype."""
+    next h, m, v and t.  Adam's float64 tables are rounded to float32."""
     zero, grad = reference_hinge_rows(h, work.sign, work.forms, work.form_grad)
     zero &= live
     m *= experiments._OPT_BETA1
     m += (1.0 - experiments._OPT_BETA1) * grad
     v *= experiments._OPT_BETA2
     v += (1.0 - experiments._OPT_BETA2) * (grad * grad)
-    rate, scale = (a.astype(h.dtype).take(t, mode="clip") for a in (RATE, SCALE))
+    rate, scale = (a.astype(np.float32).take(t, mode="clip") for a in (RATE, SCALE))
     h -= rate * m / (np.sqrt(v * scale) + 1e-8)
     np.clip(h, -experiments._OPT_BOX, experiments._OPT_BOX, out=h)
-    return zero, h, m, v, t + 1
+    return zero, on_grid(h), m, v, t + 1
 
 
 # The six III->III->III classes the search leaves open.
@@ -1108,16 +1121,18 @@ def pool_ids(pool, n):
 
 
 def witness_row(key):
-    """A witness's canonical key (padded to 3 ids) and its log entries."""
+    """A witness's canonical key (padded to 3 ids) and its log entries,
+    rounded to the grid: the point the descent found."""
     witness = search_witness(key, SamplerConfig(seed=0))
     h = np.log([float(x) for x in witness.f.entries + witness.g.entries])
-    return pad_key(witness.class_key), h
+    return pad_key(witness.class_key), on_grid(h)
 
 
 def near_margin_rows(sign, need, ids, h, rng):
     """Move one coordinate of each column so that one of its constraints
-    sits within a few ulps of the required margin."""
-    h = h.copy()
+    sits within a few grid steps of the required margin, and round every
+    entry to the grid."""
+    h = h.astype(np.float64)
     for r in range(h.shape[1]):
         part = rng.integers(0, 2)
         forms = np.flatnonzero(sign[ids[part, r]])
@@ -1126,8 +1141,32 @@ def near_margin_rows(sign, need, ids, h, rng):
         x = h[8 * part : 8 * part + 8, r]
         j = rng.choice(np.flatnonzero(FORM_MATRIX[i]))
         x[j] += (need[ids[part, r], i] - s * FORM_MATRIX[i] @ x) / (s * FORM_MATRIX[i, j])
-        x[j] += rng.integers(-3, 4) * np.spacing(x[j])
-    return h
+        x[j] += rng.integers(-3, 4) / 4096
+    return on_grid(h)
+
+
+def grid_pool(catalog, seed, n):
+    """ids (3, n) and float32 grid points h (16, n) in the box.  A column
+    is random, or at the box's corners: every entry at +-12, or hg - hf =
+    +-24 in every entry, or F = G at +-12 in the pattern of one of the sum's
+    constraints, against its sign, so that the gaps of F, G and the sum on
+    that form reach 6 * 12 plus the margin and more.  Columns 0 to 3 take
+    the four kinds in turn."""
+    rng = np.random.default_rng(seed)
+    box = experiments._OPT_BOX
+    ids = rng.integers(1, 75, (3, n))
+    h = rng.integers(-4096 * 12, 4096 * 12 + 1, (16, n)) / 4096
+    kind = rng.integers(0, 4, n)
+    kind[:4] = rng.permutation(4)[: min(n, 4)]
+    ends = box * rng.choice([-1.0, 1.0], (16, n))
+    h[:, kind == 1] = ends[:, kind == 1]
+    h[:8, kind == 2], h[8:, kind == 2] = ends[:8, kind == 2], -ends[:8, kind == 2]
+    sign = catalog.constraint_signs
+    for r in np.flatnonzero(kind == 3):
+        form = rng.choice(np.flatnonzero(sign[ids[2, r]]))
+        pattern = np.where(FORM_MATRIX[form] != 0, np.sign(FORM_MATRIX[form]), ends[:8, r] / box)
+        h[:, r] = np.tile(-sign[ids[2, r], form] * box * pattern, 2)
+    return ids, h.astype(np.float32)
 
 
 class TestDescent:
@@ -1143,12 +1182,14 @@ class TestDescent:
             assert np.array_equal(sign[tid], expected)
 
     def test_rows_match_the_reference(self, catalog):
+        # the float64 full-form kernel, which the float32 kernel equals
+        # bit for bit in float32 (test_gradient_equals_the_gathered_kernel)
         sign = catalog.constraint_signs
         rng = np.random.default_rng(3)
         ids = rng.integers(1, 75, (3, 50))
         h = rng.normal(0.0, 3.0, (16, 50))
         ids[:, 0], h[:, 0] = witness_row((1, 3, 5))
-        zero, grad = active_hinge(sign, ids, h)
+        zero, grad = full_form_hinge(h, kernel_signs(sign, ids, np.float64))
         assert zero[0] and not grad[:, 0].any()
         for r in range(50):
             rows = [(FORM_MATRIX * sign[i, :, None])[sign[i] != 0] for i in ids[:, r]]
@@ -1163,7 +1204,7 @@ class TestDescent:
         rng = np.random.default_rng(11)
         n = 200
         ids = rng.integers(1, 75, (3, n))
-        h = rng.normal(0.0, 3.0, (16, n))
+        h = on_grid(rng.normal(0.0, 3.0, (16, n)))
         if rows == "witness":
             for r, key in enumerate([(1, 3, 5), (2, 7, 40), (1, 2)]):
                 ids[:, r], h[:, r] = witness_row(key)
@@ -1175,12 +1216,13 @@ class TestDescent:
             if rows != "six open classes":
                 ids[:, 0], h[:, 0] = witness_row((1, 3, 5))
         table, margins = padded_table(sign, need)
-        cons = np.ascontiguousarray(table.transpose(2, 1, 0))[..., ids]
-        req = np.ascontiguousarray(margins.T)[:, ids]
+        cons = np.ascontiguousarray(table.transpose(2, 1, 0), np.float32)[..., ids]
+        req = np.ascontiguousarray(margins.T, np.float32)[:, ids]
         loss, expected = gathered_hinge(h, cons, req)
         active, _, _ = experiments._active_rows(kernel_signs(sign, ids))
         zero, grad = active_hinge(sign, ids, h)
         full_zero, full_grad = full_form_hinge(h, kernel_signs(sign, ids))
+        assert grad.dtype == expected.dtype == full_grad.dtype == np.float32
         assert np.array_equal(zero, loss == 0.0)
         assert np.array_equal(grad, expected)
         assert np.array_equal(zero, full_zero)
@@ -1193,22 +1235,18 @@ class TestDescent:
             assert zero[0] == (rows != "six open classes")
 
     # "drawn keys": the descent's own float32 sign table, a witness's key
-    # then 39 drawn keys, and columns moved near a margin in float32.
+    # then 39 drawn keys.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize(
-        "dtype, keys",
-        [(np.float32, "40 classes"), (np.float64, "40 classes"), (np.float32, "drawn keys")],
-        ids=["float32", "float64", "float32-drawn keys"],
-    )
-    def test_a_column_does_not_depend_on_its_pool(self, catalog, dtype, keys):
+    @pytest.mark.parametrize("keys", ["40 classes", "drawn keys"])
+    def test_a_column_does_not_depend_on_its_pool(self, catalog, keys):
         sign = catalog.constraint_signs
         rng = np.random.default_rng(5)
         if keys == "drawn keys":
             sign = experiments._Descent([], np.zeros((0, 3), int), 1, SamplerConfig()).sign_table.T
-            assert sign.dtype == dtype
+            assert sign.dtype == np.float32
             key, witness = witness_row((1, 3, 5))
             ids = np.tile(np.array([key] + rng.integers(1, 75, (39, 3)).tolist()).T, 5)
-            h = rng.normal(0.0, 3.0, (16, 200)).astype(dtype)
+            h = on_grid(rng.normal(0.0, 3.0, (16, 200)))
             h[:, 0] = witness
             h[:, 1:] = near_margin_rows(sign, required_margins(sign), ids[:, 1:], h[:, 1:], rng)
         else:
@@ -1216,10 +1254,9 @@ class TestDescent:
             h = rng.normal(0.0, 3.0, (16, 200))
             h = near_margin_rows(sign, required_margins(sign), ids, h, rng)
             ids[:, 0], h[:, 0] = witness_row((1, 3, 5))
-            sign, h = sign.astype(dtype), h.astype(dtype)
         zero, grad = active_hinge(sign, ids, h)
         assert zero[0] and not grad[:, 0].any() and not zero[1:].all()
-        assert grad.dtype == dtype
+        assert grad.dtype == np.float32
         for r in range(40):
             own = np.flatnonzero((ids == ids[:, r, None]).all(axis=0))
             assert len(own) == 5
@@ -1235,8 +1272,46 @@ class TestDescent:
             assert np.array_equal(small_zero, zero[:n])
             assert np.array_equal(small_grad, grad[:, :n])
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_step_equals_the_reference(self, catalog, dtype):
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_products_are_exact_on_the_grid(self, catalog, seed):
+        # Both float32 products equal int64 arithmetic on 4096 * h, column
+        # by column, on pools of 1 to 40 columns and of 1024.
+        margin = experiments._OPT_MARGIN * 4096
+        assert margin == 205
+        ids, h = grid_pool(catalog, seed, 1024)
+        sign = kernel_signs(catalog.constraint_signs, ids)
+        largest = 0
+        for n in [*range(1, 41), 1024]:
+            work = experiments._Work(sign[..., :n])
+            work.h[...] = h[:, :n]
+            experiments._hinge_rows(work)
+            block = work.block * np.float64(4096)
+            assert np.array_equal(block, np.round(block))
+            assert np.abs(work.hs).max() < 12.7
+            s = work.sign.astype(np.int64)
+            value = work.forms.astype(np.int64) @ block.astype(np.int64)
+            gap = np.maximum(margin - s * value, 0) * s
+            assert np.array_equal(work.gap * np.float64(4096), gap)
+            prod = work.form_grad.astype(np.int64) @ gap
+            assert np.array_equal(work.prod * np.float64(4096), prod)
+            assert np.abs(value).max() < 2**7 * 4096 and np.abs(prod).max() < 2**11 * 4096
+            largest = max(largest, np.abs(gap).max())
+        assert largest >= 6 * 12 * 4096 + margin
+        assert (np.abs(h) == experiments._OPT_BOX).all(axis=0).any()
+
+    def test_grid_rounds_to_nearest_even(self):
+        # float32 values of magnitude below 2^10, halfway points between
+        # grid steps and their float32 neighbours
+        rng = np.random.default_rng(13)
+        x = np.concatenate([rng.uniform(-30.0, 30.0, 1 << 16), rng.uniform(-1024, 1024, 1 << 16)])
+        steps = np.concatenate([np.arange(-2048, 2048), rng.integers(-(1 << 22), 1 << 22, 4096)])
+        half = ((steps + 0.5) / 4096).astype(np.float32)
+        below, above = (np.nextafter(half, end, dtype=np.float32) for end in (-np.inf, np.inf))
+        x = np.concatenate([x.astype(np.float32), half, below, above])
+        assert np.array_equal(experiments._to_grid(x.copy()), on_grid(x))
+
+    def test_step_equals_the_reference(self, catalog):
         sign = catalog.constraint_signs
         need = required_margins(sign)
         rng = np.random.default_rng(19)
@@ -1250,16 +1325,15 @@ class TestDescent:
         )
         order = rng.permutation(len(keys))
         widths, refills, clipped = set(), 0, False
-        # Pools of every width up to 24 columns, so every n % 16.
+        # Pools of every width up to 24 columns.
         for n in range(1, 25):
             descent = experiments._Descent(
                 [keys[i] for i in order[:n]], rows[order[:n]], 600, SamplerConfig(seed=n)
             )
-            # The descent's dtype is its sign table's; float32 unless replaced.
-            descent.sign_table = descent.sign_table.astype(dtype)
             for c in range(n):
                 descent._plan(c)
             descent._refill()
+            assert np.array_equal(descent.h, on_grid(descent.h))
             # Columns at every iteration, some near a margin, which retire
             # within 40 steps and run on until a refill drops them; a class
             # with budget left then sends a new row.
@@ -1280,7 +1354,7 @@ class TestDescent:
                 clipped |= bool((descent.t >= experiments._OPT_MAXITER).any())
                 descent._step()
                 got = (descent.work.zero, descent.h, descent.m, descent.v, descent.t)
-                assert descent.h.dtype == descent.m.dtype == descent.v.dtype == dtype
+                assert descent.h.dtype == descent.m.dtype == descent.v.dtype == np.float32
                 for a, b in zip(got, expected):
                     assert a.dtype == b.dtype and np.array_equal(a, b)
         assert widths >= set(range(1, 25)) and refills >= 24 and clipped
@@ -1365,6 +1439,102 @@ class TestDescent:
         for a in (descent.h, descent.m, descent.v):
             assert a.dtype == np.float32 and np.isfinite(a).all()
         assert (descent.v >= 0).all() and (np.abs(descent.h) <= box).all()
+
+
+def descent_digest():
+    """sha256 over the seed-0 outcomes of a sweep of 50 triple classes at
+    budget 2·10⁴ (48 spread over the feasible classes, and two of the open
+    ones) and over the payload of `simpson3 search --triple 1 3 5 --seed 0`
+    without "verifiedAt"."""
+    catalog = get_catalog()
+    classes = orbit_classes(3, catalog)
+    blocked = set(infeasible_triple_classes(catalog, classes))
+    keys = [c.representative for c in classes if c not in blocked][::90] + OPEN_CLASSES[::5]
+    results = ConversionSearch(SamplerConfig(seed=0)).sweep_triples(keys, 20000)
+    lines = [
+        repr((key, r.f, r.g) if isinstance(r, Witness) else (key, r.attempts))
+        for key, r in sorted(results.items())
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["search", "--triple", "1", "3", "5", "--seed", "0"]) == 0
+    payload = json.loads(out.getvalue())
+    assert payload.pop("verifiedAt")
+    lines.append(json.dumps(payload))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def cpu_has(feature):
+    """Whether numpy finds ``feature`` on this CPU."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return bool(__cpu_features__.get(feature))
+
+
+# Other CPU kernels, each with the feature it needs: OpenBLAS's Haswell and
+# Sandybridge kernels, and numpy's AVX2 target in place of AVX-512.
+OTHER_KERNELS = {
+    "OpenBLAS Haswell": ({"OPENBLAS_CORETYPE": "Haswell"}, "AVX2"),
+    "OpenBLAS Sandybridge": ({"OPENBLAS_CORETYPE": "Sandybridge"}, "AVX"),
+    "numpy AVX2": ({"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}, "X86_V4"),
+}
+
+# What a process on another kernel runs, given the tests directory: the
+# batch independence checks of the descent and of classify_heights_batch,
+# each block size at one seed, then it prints the outcome digest.
+ON_OTHER_KERNELS = """
+import sys, warnings
+sys.path.insert(0, sys.argv[1])
+warnings.simplefilter("error", RuntimeWarning)
+import pytest
+import test_experiments as e
+import test_triangulation as t
+catalog = e.get_catalog()
+with pytest.MonkeyPatch.context() as patch:
+    e.assert_batching_keeps_outcomes(patch, 2000)
+for keys in ("40 classes", "drawn keys"):
+    e.TestDescent().test_a_column_does_not_depend_on_its_pool(catalog, keys)
+rows = t.TestBatchKernelProperties.test_row_id_does_not_depend_on_its_block.hypothesis.inner_test
+for size in t.BLOCK_SIZES:
+    rows(t.TestBatchKernelProperties(), catalog, size, seed=size)
+print(e.descent_digest())
+"""
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="the other kernels are x86 ones",
+)
+def test_other_kernels_keep_the_outcomes():
+    # The settings run at once, one BLAS thread each.  Under other BLAS
+    # kernels the digest is this process's: the products are exact.  numpy's
+    # float32 exp and log1p give other bits on its AVX2 target, so there only
+    # the batch independence is checked.
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), os.environ.get("PYTHONPATH")]))
+    settings = {name: env for name, (env, need) in OTHER_KERNELS.items() if cpu_has(need)}
+    runs = {}
+    try:
+        for name, env in settings.items():
+            runs[name] = subprocess.Popen(
+                [sys.executable, "-c", ON_OTHER_KERNELS, str(tests)],
+                env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", **env),
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        expected = descent_digest()
+        for name, run in runs.items():
+            out, err = run.communicate(timeout=300)
+            assert run.returncode == 0, f"{name}: {err}"
+            if "OPENBLAS_CORETYPE" in settings[name]:
+                assert out.split()[-1] == expected, name
+    finally:
+        for run in runs.values():
+            run.kill()
+            run.communicate()
 
 
 def in_lowest_terms(table):
