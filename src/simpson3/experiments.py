@@ -73,6 +73,13 @@ _OPT_BETA2 = 0.999
 _OPT_MAXITER = 600
 _OPT_WAVE = 16
 _OPT_BLOCK = 1024
+# A pool whose (k, n) gaps hold at least this many cells takes both of a
+# step's products per summand (``_hinge_rows`` gives the measurement).
+_SPLIT_GAPS = 1 << 13
+# Every _FLUSH_PERIOD steps, Adam's first moments of magnitude below
+# _FLUSH_BELOW are set to +0 (``_Descent`` proves that no outcome moves).
+_FLUSH_PERIOD = 32
+_FLUSH_BELOW = 2.0**-75
 
 
 @dataclass(frozen=True)
@@ -404,17 +411,35 @@ def _hinge_rows(work: _Work) -> None:
     Column ``r`` of ``work.h`` (16, n) stacks the log entries of F and G.
     Each constrained form must reach ``_OPT_MARGIN``, and a sign of 0 keeps
     a row's gap at 0.  The loss is smooth and vanishes exactly on the open
-    witness region with margin to spare.  The k form values are one (k, 24)
-    product and the gradient one (24, k) product, both exact in float32
-    whatever the summation order, blocking, gemv path or FMA: h (|h| ≤ 12),
-    the margin and log1p, hence hs = hf + log1p (|hs| < 12.7), lie on the
-    grid of multiples of 2⁻¹² (``_to_grid``).  A form's coefficients, in
-    {0, ±1, ±2}, sum to at most 6 in absolute value, so a form value's
-    terms and partial sums are grid multiples below 6 · 12.7 < 2⁷ (19
-    bits), and a gap is below 76.4; an entry's 20 coefficients sum to 12,
-    so a gradient entry's are below 2 · 12 · 76.4 < 2¹¹ (23 bits).  So a
-    column's result never depends on the other columns.  A nonzero gap is
-    at least 2⁻¹², so the loss is zero exactly when no gap is nonzero.
+    witness region with margin to spare.
+
+    The k form values and the gradient are two products, ``work.values``
+    and ``work.grads``.  The rows are summand-major (``_active_rows``), so
+    on a pool whose (k, n) gaps hold at least ``_SPLIT_GAPS`` (2¹³) cells
+    each is taken per summand s: its (k_s, 8) forms by its (8, n) parts
+    into its k_s gap rows, and its (8, k_s) gradient map by those rows into
+    its 8 rows of ``prod``; a summand with no active row keeps the zero
+    rows ``prod`` was built with.  A smaller pool takes one (k, 24) and one
+    (24, k) product.  The (k, 24) block is two-thirds zeros, but three BLAS
+    calls cost more than one on a small pool.  Both products of one step,
+    float32, one BLAS thread, on a 2-vCPU AVX-512 x86 machine (OpenBLAS
+    SkylakeX kernels), dense against per summand, in µs: 2.2-5.5 against
+    6.2-9.4 at 16 to 64 columns; 8.4 against 9.3 at (k, n) = (60, 128), 11.8
+    against 10.7 at (60, 192); 8.1 against 9.7 at (25, 256), 11.3 against
+    11.1 at (25, 384); 12.1 against 12.5 at (13, 768); at 1024 columns 85.4
+    against 46.9 (k = 60), 37.6 against 19.9 (k = 25) and 18.4 against 13.6
+    (k = 13).  So the crossover follows k·n, between 7 700 and 12 000.
+
+    Every product is exact in float32 whatever the path, summation order,
+    blocking, gemv path or FMA: h (|h| ≤ 12), the margin and log1p, hence
+    hs = hf + log1p (|hs| < 12.7), lie on the grid of multiples of 2⁻¹²
+    (``_to_grid``).  A form's coefficients, in {0, ±1, ±2}, sum to at most
+    6 in absolute value, so a form value's terms and partial sums are grid
+    multiples below 6 · 12.7 < 2⁷ (19 bits), and a gap is below 76.4; an
+    entry's 20 coefficients sum to 12, so a gradient entry's are below
+    2 · 12 · 76.4 < 2¹¹ (23 bits).  So a column's result depends neither on
+    the other columns nor on the path.  A nonzero gap is at least 2⁻¹², so
+    the loss is zero exactly when no gap is nonzero.
     Every operation writes into ``work``'s arrays, and every scalar operand
     is one of its 0-d arrays; exp and log1p run on contiguous (8, n) operands.
     """
@@ -424,7 +449,9 @@ def _hinge_rows(work: _Work) -> None:
     np.exp(np.subtract(work.hg, work.hf, ratio), ratio)
     np.add(work.hf, _to_grid(np.log1p(ratio, work.log1p)), work.hs)
     # The signed gaps max(margin - sign * value, 0) * sign.
-    gap = np.matmul(work.forms, work.block, work.gap)
+    for forms, parts, rows in work.values:
+        np.matmul(forms, parts, rows)
+    gap = work.gap
     np.multiply(gap, work.sign, gap)
     # np.maximum takes its output only by keyword.
     np.maximum(np.subtract(work.margin, gap, gap), work.nil, out=gap)
@@ -432,7 +459,8 @@ def _hinge_rows(work: _Work) -> None:
     # A live column whose rows of ``flags`` are all true: every gap is 0.
     np.equal(gap, work.nil, work.zero_gaps)
     np.logical_and.reduce(work.flags, 0, None, work.zero)
-    np.matmul(work.form_grad, gap, work.prod)
+    for form_grad, rows, prod in work.grads:
+        np.matmul(form_grad, rows, prod)
     # The sum's share of F, ds / (1 + ratio), in place of the ratio.
     np.divide(work.one, np.add(work.one, ratio, ratio), ratio)
     np.multiply(ratio, work.ds, ratio)
@@ -440,22 +468,29 @@ def _hinge_rows(work: _Work) -> None:
     np.subtract(np.add(work.dg, work.ds, work.grad_g), ratio, work.grad_g)
 
 
-# The 20 forms of F, G and F + G as one (60, 24) float32 block: row 3f + s
+# The 20 forms of F, G and F + G as one (60, 24) float32 block: row 20s + f
 # is form f of summand s (F, G, the sum) over columns 8s to 8s + 7, the
 # summand's entries in the stacked (3, 8) parts; and the block's gradient
 # map.  Every coefficient is 0, +-1 or +-2, so float32 holds both exactly.
-_SUMMAND_FORMS = np.einsum("fj,st->fstj", FORM_MATRIX, np.eye(3)).reshape(60, 24)
+_SUMMAND_FORMS = np.einsum("fj,st->sftj", FORM_MATRIX, np.eye(3)).reshape(60, 24)
 _SUMMAND_FORMS = _SUMMAND_FORMS.astype(np.float32)
 _SUMMAND_GRAD = np.ascontiguousarray(-2 * _SUMMAND_FORMS.T)
 
 
-def _active_rows(sign: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _active_rows(
+    sign: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int, int]]:
     """The (form, summand) rows that some column of ``sign`` (20, 3, n)
-    constrains, as ``_hinge_rows`` takes them: their (k, n) signs and the
-    (k, 24) and (24, k) blocks for them."""
-    sign = sign.reshape(60, -1)
+    constrains, as ``_hinge_rows`` takes them: their (k, n) signs, the
+    (k, 24) and (24, k) blocks for them, and where each summand's rows end.
+    The rows are summand-major, in ``_SUMMAND_FORMS``'s order, so summand
+    s's active rows are one contiguous block, rows ``ends[s - 1]`` (0 for
+    s = 0) to ``ends[s]``, whose forms read only the parts' columns 8s to
+    8s + 7."""
+    sign = sign.swapaxes(0, 1).reshape(60, -1)
     rows = np.flatnonzero(sign.any(axis=1))
-    return sign[rows], _SUMMAND_FORMS[rows], _SUMMAND_GRAD.take(rows, axis=1)
+    ends = tuple(rows.searchsorted((20, 40, 60)).tolist())
+    return sign[rows], _SUMMAND_FORMS[rows], _SUMMAND_GRAD.take(rows, axis=1), ends
 
 
 # Adam's bias corrections by iteration: the step size over 1 - beta1^(t+1),
@@ -480,7 +515,7 @@ def _read_only(value, dtype) -> np.ndarray:
 _STEP_SCALARS = tuple(
     _read_only(x, np.float32)
     for x in (_OPT_MARGIN, 0.0, 1.0, _OPT_BETA1, 1.0 - _OPT_BETA1)
-    + (_OPT_BETA2, 1.0 - _OPT_BETA2, 1e-8, -_OPT_BOX, _OPT_BOX)
+    + (_OPT_BETA2, 1.0 - _OPT_BETA2, 1e-8, -_OPT_BOX, _OPT_BOX, _FLUSH_BELOW)
 )
 _ONE_ITERATION = _read_only(1, np.int64)
 # For |x| < 2^10, x + G with G = 1.5 * 2^11 lies in [2^11, 2^12], where
@@ -511,13 +546,17 @@ class _Work:
     hinge and Adam; ``adam`` takes each column's Adam ``rate`` and
     ``scale`` from ``_ADAM_TABLE``, and Adam spreads them over a column's
     16 rows before it multiplies, since numpy allocates a buffer for a
-    ufunc that broadcasts a row against a block.  The step's scalar
-    operands are the 0-d arrays of ``_STEP_SCALARS``.
+    ufunc that broadcasts a row against a block.  ``values`` and ``grads``
+    hold the two products as (left, right, out) operands of ``np.matmul``:
+    one each, or one per summand with active rows on a pool of at least
+    ``_SPLIT_GAPS`` gap cells (``_hinge_rows``).  ``small`` is the (16, n)
+    mask of Adam's flush of tiny first moments (``_Descent``).  The step's
+    scalar operands are the 0-d arrays of ``_STEP_SCALARS``.
     """
 
     def __init__(self, sign: np.ndarray) -> None:
         n = sign.shape[-1]
-        self.sign, self.forms, self.form_grad = _active_rows(sign)
+        self.sign, self.forms, self.form_grad, ends = _active_rows(sign)
         k = len(self.sign)
         self.parts = np.empty((3, 8, n), np.float32)
         self.block = self.parts.reshape(24, n)
@@ -528,8 +567,26 @@ class _Work:
         self.zero_gaps, self.live = self.flags[:k], self.flags[k]
         self.live[...] = True
         self.zero = np.empty(n, dtype=bool)
-        self.prod = np.empty((24, n), np.float32)
-        self.df, self.dg, self.ds = self.prod.reshape(3, 8, n)
+        # Zeros: a summand with no active row keeps zero gradient rows.
+        self.prod = np.zeros((24, n), np.float32)
+        self.df, self.dg, self.ds = by_summand = self.prod.reshape(3, 8, n)
+        if k * n < _SPLIT_GAPS:
+            self.values = ((self.forms, self.block, self.gap),)
+            self.grads = ((self.form_grad, self.gap, self.prod),)
+        else:
+            blocks = [
+                (s, slice(start, end), slice(8 * s, 8 * s + 8))
+                for s, start, end in zip(range(3), (0,) + ends[:2], ends)
+                if start < end
+            ]
+            self.values = tuple(
+                (np.ascontiguousarray(self.forms[rows, cols]), self.parts[s], self.gap[rows])
+                for s, rows, cols in blocks
+            )
+            self.grads = tuple(
+                (np.ascontiguousarray(self.form_grad[cols, rows]), self.gap[rows], by_summand[s])
+                for s, rows, cols in blocks
+            )
         self.grad = np.empty((16, n), np.float32)
         self.grad_f, self.grad_g = self.grad[:8], self.grad[8:]
         self.ratio = np.empty((8, n), np.float32)
@@ -538,7 +595,8 @@ class _Work:
         self.adam = np.empty((2, n), np.float32)
         self.rate, self.scale = self.adam
         self.margin, self.nil, self.one, self.beta1, self.rest1 = _STEP_SCALARS[:5]
-        self.beta2, self.rest2, self.eps, self.low, self.high = _STEP_SCALARS[5:]
+        self.beta2, self.rest2, self.eps, self.low, self.high, self.tiny = _STEP_SCALARS[5:]
+        self.small = np.empty((16, n), dtype=bool)
 
 
 _NEVER = np.iinfo(np.int64).max // 2
@@ -570,6 +628,35 @@ class _Descent:
     and the step's arrays are built for it (``_Work``).  A step is then one
     ``_hinge_rows`` call on the pool's active rows and one Adam update,
     both in those arrays.
+
+    Every ``_FLUSH_PERIOD`` (32) steps, once Adam's first moment m is
+    updated, each moment with |m| < ``_FLUSH_BELOW`` (2⁻⁷⁵) is set to +0.
+    Such a moment is inert, so h, v, t and the zero flags are bit for bit
+    those of a descent that never flushes, and m differs from that
+    descent's only where the latter is below 2⁻⁷⁵ in magnitude, and is +0
+    there:
+    - Its step: the rate is at most lr / (1 - β₁) = 2 and the denominator
+      at least 10⁻⁸, so |step| ≤ 2 · 2⁻⁷⁵ / 10⁻⁸ < 2⁻⁴⁷, far below half a
+      grid step (2⁻¹³).  So h - step, clipped and rounded to the grid, is
+      h, as h - 0 is (a zero rounds to +0 either way).
+    - Its next update: df, dg and ds are multiples of 2⁻¹¹, and the sum's
+      share of F, σ = 1 / (1 + e^(hg - hf)), is at least e⁻²⁴ / (1 + e⁻²⁴)
+      > 2⁻³⁵, so ds σ is 0 or at least 2⁻⁴⁶.  Added to a nonzero multiple
+      of 2⁻¹¹ it gives 0 or at least 2⁻³⁵ (below 2⁻¹² it cannot cancel
+      it; above, both are multiples of its ulp, at least 2⁻³⁵).  So a
+      nonzero gradient entry g, df + ds σ or dg + ds - ds σ, is at least
+      2⁻⁴⁶, and (1 - β₁) g at least 2⁻⁴⁸.  A float32 that large absorbs any
+      addend below a quarter of its ulp, 2⁻⁷³, so β₁m + (1 - β₁) g rounds
+      to the same value from m as from +0.  Under a zero gradient the
+      unflushed moment only decays, and stays below 2⁻⁷⁵.
+    - v reads only the gradient, and t and the zero flags only h.
+    Between flushes a kept moment decays by at most 0.7³² > 2⁻¹⁷, and one
+    made from a nonzero gradient is 0 or at least 2⁻⁷², so |m| is 0 or
+    above 2⁻⁹², and Adam's step 0 or above 2⁻¹¹⁰ (|g| < 2¹², so the
+    denominator is below 2¹⁷): neither is ever a float32 subnormal (below
+    2⁻¹²⁶), whose arithmetic costs x86 CPUs a microcode assist.  Without
+    the flush, 0.85 % of the first moments were subnormal after a step of
+    the six open classes' sweep at 2·10⁵, in 1 788 of its 3 000 steps.
     A row retires at zero loss, where its point is verified exactly, or at
     its limit.  A step looks for rows to retire only when a live column has
     zero loss or the clock is due: the clock counts the steps before a live
@@ -608,6 +695,8 @@ class _Descent:
         self.live = np.zeros(0, dtype=bool)
         # The live columns' count, and the steps before one's last iteration.
         self.live_count, self.clock = 0, _NEVER
+        # Steps taken, for the flush of tiny first moments.
+        self.steps = 0
 
     def run(self) -> list[tuple[Witness | None, int]]:
         for c in range(len(self.keys)):
@@ -705,8 +794,9 @@ class _Descent:
             self.live &= ~ended
             self.live_count -= len(gone)
             self._cap()
-        # Adam, with each product in the order of m += (1 - beta1) * grad,
-        # v += (1 - beta2) * (grad * grad) and
+        # Adam, with each product in the order of m += (1 - beta1) * grad
+        # (on every 32nd step then m's tiny moments set to +0, through the
+        # step buffer and ``small``), v += (1 - beta2) * (grad * grad) and
         # h -= rate * m / (sqrt(v * scale) + 1e-8), then h clipped to the box
         # and rounded to the grid.  The gradient's buffer ends as the
         # denominator; each column's rate and scale are spread over its 16
@@ -715,6 +805,10 @@ class _Descent:
         grad, step, m, v, h = work.grad, work.scratch, self.m, self.v, self.h
         np.multiply(m, work.beta1, m)
         np.add(m, np.multiply(work.rest1, grad, step), m)
+        self.steps += 1
+        if not self.steps % _FLUSH_PERIOD:
+            np.less(np.abs(m, step), work.tiny, work.small)
+            np.copyto(m, work.nil, where=work.small)
         np.multiply(v, work.beta2, v)
         np.add(v, np.multiply(np.multiply(grad, grad, grad), work.rest2, grad), v)
         _ADAM_TABLE.take(t, 1, work.adam, "clip")

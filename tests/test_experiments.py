@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import logging
 import math
@@ -1084,14 +1085,17 @@ RATE = experiments._OPT_LR / (1.0 - experiments._OPT_BETA1 ** ITERATIONS)
 SCALE = 1.0 / (1.0 - experiments._OPT_BETA2 ** ITERATIONS)
 
 
-def reference_step(h, m, v, t, live, work):
+def reference_step(h, m, v, t, live, work, flush):
     """One step of the descent before it worked in place, on contiguous
     copies of the pool's state: the zero mask of live columns and the
-    next h, m, v and t.  Adam's float64 tables are rounded to float32."""
+    next h, m, v and t.  Adam's float64 tables are rounded to float32.  On
+    a ``flush`` step, first moments of magnitude below 2^-75 become +0."""
     zero, grad = reference_hinge_rows(h, work.sign, work.forms, work.form_grad)
     zero &= live
     m *= experiments._OPT_BETA1
     m += (1.0 - experiments._OPT_BETA1) * grad
+    if flush:
+        m[np.abs(m) < 2.0**-75] = 0.0
     v *= experiments._OPT_BETA2
     v += (1.0 - experiments._OPT_BETA2) * (grad * grad)
     rate, scale = (a.astype(np.float32).take(t, mode="clip") for a in (RATE, SCALE))
@@ -1219,7 +1223,7 @@ class TestDescent:
         cons = np.ascontiguousarray(table.transpose(2, 1, 0), np.float32)[..., ids]
         req = np.ascontiguousarray(margins.T, np.float32)[:, ids]
         loss, expected = gathered_hinge(h, cons, req)
-        active, _, _ = experiments._active_rows(kernel_signs(sign, ids))
+        active = experiments._active_rows(kernel_signs(sign, ids))[0]
         zero, grad = active_hinge(sign, ids, h)
         full_zero, full_grad = full_form_hinge(h, kernel_signs(sign, ids))
         assert grad.dtype == expected.dtype == full_grad.dtype == np.float32
@@ -1276,14 +1280,19 @@ class TestDescent:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_products_are_exact_on_the_grid(self, catalog, seed):
         # Both float32 products equal int64 arithmetic on 4096 * h, column
-        # by column, on pools of 1 to 40 columns and of 1024.
+        # by column, on pools of 1 to 40 columns and of 1024, as the dense
+        # (k, 24) and (24, k) products and as the per-summand (k_s, 8) and
+        # (8, k_s) ones; each per-summand product on its own operands too.
         margin = experiments._OPT_MARGIN * 4096
         assert margin == 205
         ids, h = grid_pool(catalog, seed, 1024)
         sign = kernel_signs(catalog.constraint_signs, ids)
         largest = 0
-        for n in [*range(1, 41), 1024]:
-            work = experiments._Work(sign[..., :n])
+        for n, summands in itertools.product([*range(1, 41), 1024], (1, 3)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(experiments, "_SPLIT_GAPS", 0 if summands == 3 else 10**9)
+                work = experiments._Work(sign[..., :n])
+            assert len(work.values) == len(work.grads) == summands
             work.h[...] = h[:, :n]
             experiments._hinge_rows(work)
             block = work.block * np.float64(4096)
@@ -1297,6 +1306,11 @@ class TestDescent:
             assert np.array_equal(work.prod * np.float64(4096), prod)
             assert np.abs(value).max() < 2**7 * 4096 and np.abs(prod).max() < 2**11 * 4096
             largest = max(largest, np.abs(gap).max())
+            for (forms, parts, _), (form_grad, rows, by_entry) in zip(work.values, work.grads):
+                exact = forms.astype(np.int64) @ (parts * np.float64(4096)).astype(np.int64)
+                assert np.array_equal(np.matmul(forms, parts) * np.float64(4096), exact)
+                exact = form_grad.astype(np.int64) @ (rows * np.float64(4096)).astype(np.int64)
+                assert np.array_equal(by_entry * np.float64(4096), exact)
         assert largest >= 6 * 12 * 4096 + margin
         assert (np.abs(h) == experiments._OPT_BOX).all(axis=0).any()
 
@@ -1324,7 +1338,7 @@ class TestDescent:
             OPEN_CLASSES[:4] + draw, 3
         )
         order = rng.permutation(len(keys))
-        widths, refills, clipped = set(), 0, False
+        widths, refills, clipped, flushed = set(), 0, False, 0
         # Pools of every width up to 24 columns.
         for n in range(1, 25):
             descent = experiments._Descent(
@@ -1340,16 +1354,26 @@ class TestDescent:
             descent.h[...] = near_margin_rows(sign, need, rows[order[:n]].T, descent.h, rng)
             descent.t[:] = rng.integers(0, 600, n)
             descent.limit[:] = np.minimum(descent.t + rng.integers(1, 40, n), 600)
+            # First moments from 2^-90 to 2^-40 in magnitude, some of which
+            # the flush at step 32 sets to +0.
+            scale = np.exp2(rng.uniform(-90, -40, descent.m.shape))
+            descent.m[...] = rng.choice([-1, 1], descent.m.shape) * scale
             # the retirement clock reads t and the limits
             descent._cap()
-            for _ in range(60):
+            # Every 32nd step of a descent flushes its tiny first moments.
+            for step in range(1, 61):
                 work = descent.work
                 descent._refill()
                 refills += descent.work is not work
                 if not descent.live.any():
                     break
                 state = [np.array(a) for a in (descent.h, descent.m, descent.v, descent.t)]
-                expected = reference_step(*state, descent.live.copy(), descent.work)
+                flush = step % 32 == 0
+                if flush:
+                    kept = reference_step(*map(np.copy, state), descent.live, descent.work, False)
+                expected = reference_step(*state, descent.live.copy(), descent.work, flush)
+                # a flush step that zeroes a nonzero moment
+                flushed += flush and not np.array_equal(kept[2], expected[2])
                 widths.add(len(descent.t))
                 clipped |= bool((descent.t >= experiments._OPT_MAXITER).any())
                 descent._step()
@@ -1357,7 +1381,85 @@ class TestDescent:
                 assert descent.h.dtype == descent.m.dtype == descent.v.dtype == np.float32
                 for a, b in zip(got, expected):
                     assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert widths >= set(range(1, 25)) and refills >= 24 and clipped
+        assert widths >= set(range(1, 25)) and refills >= 24 and clipped and flushed
+
+    def test_the_flush_moves_no_outcome(self):
+        # The six open classes at budget 2·10⁴: two waves, about 1 200 steps,
+        # beside a descent that never flushes, which meets float32 subnormals.
+        keys, rows = ConversionSearch(SamplerConfig(seed=0))._checked_keys(OPEN_CLASSES, 3)
+        flushed, unflushed = (
+            experiments._Descent(keys, rows, 20000, SamplerConfig(seed=0)) for _ in range(2)
+        )
+        tiny = np.finfo(np.float32).tiny
+        steps, subnormal, zeroed = 0, 0, 0
+        for c in range(len(keys)):
+            flushed._plan(c)
+            unflushed._plan(c)
+        while True:
+            flushed._refill()
+            unflushed._refill()
+            assert flushed.live_count == unflushed.live_count
+            if not flushed.live_count:
+                break
+            flushed._step()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(experiments, "_FLUSH_PERIOD", 10**9)
+                unflushed._step()
+            steps += 1
+            for a, b in [
+                (flushed.h, unflushed.h),
+                (flushed.v, unflushed.v),
+                (flushed.t, unflushed.t),
+                (flushed.work.flags, unflushed.work.flags),
+                (flushed.work.zero, unflushed.work.zero),
+            ]:
+                assert a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+            kept = ~(np.abs(unflushed.m) < 2.0**-75)
+            bits = flushed.m.view(np.uint32), unflushed.m.view(np.uint32)
+            assert np.array_equal(bits[0][kept], bits[1][kept])
+            # Elsewhere the flushed moment is +0 or the reference's own value.
+            moved = flushed.m != unflushed.m
+            assert not bits[0][moved].any()
+            zeroed += bool(moved.any())
+            for a in (flushed.m, flushed.v, flushed.work.scratch):
+                assert not ((a != 0) & (np.abs(a) < tiny)).any()
+            subnormal += bool(((unflushed.m != 0) & (np.abs(unflushed.m) < tiny)).any())
+        assert flushed.spent.tolist() == unflushed.spent.tolist() == [20000] * 6
+        assert steps >= 600 and subnormal and zeroed
+
+    @pytest.mark.parametrize("pool", ["six open classes", "40 classes", "no G rows"])
+    def test_gradient_does_not_depend_on_the_product_path(self, catalog, pool):
+        # The per-summand products equal the dense (k, 24) and (24, k) ones
+        # bit for bit, on pools on both sides of the crossover.
+        rng = np.random.default_rng(29)
+        sign = catalog.constraint_signs
+        for n in (64, 1024):
+            ids = pool_ids("40 classes" if pool == "no G rows" else pool, n)
+            h = on_grid(rng.normal(0, 3, (16, n)))
+            h = near_margin_rows(sign, required_margins(sign), ids, h, rng)
+            signs = kernel_signs(sign, ids)
+            if pool == "no G rows":
+                # a summand no column constrains: its gradient rows are zero
+                signs[:, 1] = 0
+            results = []
+            for cells in (0, 10**9):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(experiments, "_SPLIT_GAPS", cells)
+                    work = experiments._Work(signs)
+                work.h[...] = h
+                experiments._hinge_rows(work)
+                outputs = work.gap, work.prod, work.grad, work.flags, work.zero
+                results.append((len(work.values), *outputs))
+            (split, *per_summand), (dense, *whole) = results
+            assert (split, dense) == (2 if pool == "no G rows" else 3, 1)
+            for a, b in zip(per_summand, whole):
+                assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+            # some gaps are nonzero, so some columns have nonzero loss
+            assert per_summand[0].any() and not per_summand[-1].all()
+            if pool == "no G rows":
+                assert not per_summand[1][8:16].view(np.uint32).any()
+            # The pool's own path: dense at 64 columns, per summand at 1024.
+            assert len(experiments._Work(signs).values) == (dense if n == 64 else split)
 
     def test_a_search_builds_one_pool_per_wave(self, monkeypatch):
         pools = []
@@ -1395,13 +1497,18 @@ class TestDescent:
         descent._refill()
         assert len(descent.t) == width
         descent._step()
+        # The two traced steps end with a flush of the first moments.
+        descent.steps = experiments._FLUSH_PERIOD - 2
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             descent._step()
+            descent._step()
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
+        assert descent.steps == experiments._FLUSH_PERIOD
+        assert len(descent.work.values) == (1 if width == 16 else 3)
         assert not descent.work.zero.any() and descent.clock > 0
         # Less than one (16, 16) float32 block: numpy allocates a buffer for
         # a ufunc that broadcasts a row against a block, and for a reduce
@@ -1483,7 +1590,9 @@ OTHER_KERNELS = {
 
 # What a process on another kernel runs, given the tests directory: the
 # batch independence checks of the descent and of classify_heights_batch,
-# each block size at one seed, then it prints the outcome digest.
+# each block size at one seed, and the per-summand products against the
+# dense ones; then it prints the outcome digest, whose sweep must build a
+# pool that takes the per-summand products.
 ON_OTHER_KERNELS = """
 import sys, warnings
 sys.path.insert(0, sys.argv[1])
@@ -1494,12 +1603,24 @@ import test_triangulation as t
 catalog = e.get_catalog()
 with pytest.MonkeyPatch.context() as patch:
     e.assert_batching_keeps_outcomes(patch, 2000)
+descent = e.TestDescent()
 for keys in ("40 classes", "drawn keys"):
-    e.TestDescent().test_a_column_does_not_depend_on_its_pool(catalog, keys)
+    descent.test_a_column_does_not_depend_on_its_pool(catalog, keys)
+for pool in ("six open classes", "40 classes", "no G rows"):
+    descent.test_gradient_does_not_depend_on_the_product_path(catalog, pool)
 rows = t.TestBatchKernelProperties.test_row_id_does_not_depend_on_its_block.hypothesis.inner_test
 for size in t.BLOCK_SIZES:
     rows(t.TestBatchKernelProperties(), catalog, size, seed=size)
-print(e.descent_digest())
+paths = []
+build = e.experiments._Work.__init__
+def recording(work, sign):
+    build(work, sign)
+    paths.append(len(work.values))
+with pytest.MonkeyPatch.context() as patch:
+    patch.setattr(e.experiments._Work, "__init__", recording)
+    digest = e.descent_digest()
+assert max(paths) == 3, paths
+print(digest)
 """
 
 
