@@ -40,7 +40,7 @@ from .symmetry import _KEY_KINDS, _UNPAD, _key_ids, canonical_classes, key_rows
 from .tables import NonnegTable3, Table3, _check_tables, _cross, _integer, _on_one_scale, _sign
 from .tables import _power_of_two_scale, _replace_file, _table3, _writable, parse_rational
 from .tables import table_from_json_obj
-from .triangulation import FORM_MATRIX, _exact_id, classify_entries_batch, get_catalog
+from .triangulation import _FORM_MATRIX32, _exact_id, classify_entries_batch, get_catalog
 
 # Purpose codes keep the independent random streams from ever colliding.
 _PURPOSE_MC2D = 1
@@ -73,9 +73,6 @@ _OPT_BETA2 = 0.999
 _OPT_MAXITER = 600
 _OPT_WAVE = 16
 _OPT_BLOCK = 1024
-# A pool whose (k, n) gaps hold at least this many cells takes both of a
-# step's products per summand (``_hinge_rows`` gives the measurement).
-_SPLIT_GAPS = 1 << 13
 # Every _FLUSH_PERIOD steps, Adam's first moments of magnitude below
 # _FLUSH_BELOW are set to +0 (``_Descent`` proves that no outcome moves).
 _FLUSH_PERIOD = 32
@@ -413,24 +410,14 @@ def _hinge_rows(work: _Work) -> None:
     a row's gap at 0.  The loss is smooth and vanishes exactly on the open
     witness region with margin to spare.
 
-    The k form values and the gradient are two products, ``work.values``
-    and ``work.grads``.  The rows are summand-major (``_active_rows``), so
-    on a pool whose (k, n) gaps hold at least ``_SPLIT_GAPS`` (2¹³) cells
-    each is taken per summand s: its (k_s, 8) forms by its (8, n) parts
-    into its k_s gap rows, and its (8, k_s) gradient map by those rows into
-    its 8 rows of ``prod``; a summand with no active row keeps the zero
-    rows ``prod`` was built with.  A smaller pool takes one (k, 24) and one
-    (24, k) product.  The (k, 24) block is two-thirds zeros, but three BLAS
-    calls cost more than one on a small pool.  Both products of one step,
-    float32, one BLAS thread, on a 2-vCPU AVX-512 x86 machine (OpenBLAS
-    SkylakeX kernels), dense against per summand, in µs: 2.2-5.5 against
-    6.2-9.4 at 16 to 64 columns; 8.4 against 9.3 at (k, n) = (60, 128), 11.8
-    against 10.7 at (60, 192); 8.1 against 9.7 at (25, 256), 11.3 against
-    11.1 at (25, 384); 12.1 against 12.5 at (13, 768); at 1024 columns 85.4
-    against 46.9 (k = 60), 37.6 against 19.9 (k = 25) and 18.4 against 13.6
-    (k = 13).  So the crossover follows k·n, between 7 700 and 12 000.
+    The form values and the gradient are two stacked products, the same
+    pair on every pool: summand s's (kmax, 8) forms by its (8, n) parts
+    into its kmax rows of ``gap``, and its (8, kmax) gradient map by those
+    rows into its 8 rows of ``prod`` (``_active_rows``).  A padded row's
+    sign is 0 in every column, so its gap is +0, its zero flag is true and
+    it adds nothing to the gradient.
 
-    Every product is exact in float32 whatever the path, summation order,
+    Every product is exact in float32 whatever the summation order,
     blocking, gemv path or FMA: h (|h| ≤ 12), the margin and log1p, hence
     hs = hf + log1p (|hs| < 12.7), lie on the grid of multiples of 2⁻¹²
     (``_to_grid``).  A form's coefficients, in {0, ±1, ±2}, sum to at most
@@ -438,8 +425,8 @@ def _hinge_rows(work: _Work) -> None:
     multiples below 6 · 12.7 < 2⁷ (19 bits), and a gap is below 76.4; an
     entry's 20 coefficients sum to 12, so a gradient entry's are below
     2 · 12 · 76.4 < 2¹¹ (23 bits).  So a column's result depends neither on
-    the other columns nor on the path.  A nonzero gap is at least 2⁻¹², so
-    the loss is zero exactly when no gap is nonzero.
+    the other columns nor on the BLAS kernel.  A nonzero gap is at least
+    2⁻¹², so the loss is zero exactly when no gap is nonzero.
     Every operation writes into ``work``'s arrays, and every scalar operand
     is one of its 0-d arrays; exp and log1p run on contiguous (8, n) operands.
     """
@@ -449,9 +436,8 @@ def _hinge_rows(work: _Work) -> None:
     np.exp(np.subtract(work.hg, work.hf, ratio), ratio)
     np.add(work.hf, _to_grid(np.log1p(ratio, work.log1p)), work.hs)
     # The signed gaps max(margin - sign * value, 0) * sign.
-    for forms, parts, rows in work.values:
-        np.matmul(forms, parts, rows)
     gap = work.gap
+    np.matmul(work.forms, work.parts, gap)
     np.multiply(gap, work.sign, gap)
     # np.maximum takes its output only by keyword.
     np.maximum(np.subtract(work.margin, gap, gap), work.nil, out=gap)
@@ -459,8 +445,7 @@ def _hinge_rows(work: _Work) -> None:
     # A live column whose rows of ``flags`` are all true: every gap is 0.
     np.equal(gap, work.nil, work.zero_gaps)
     np.logical_and.reduce(work.flags, 0, None, work.zero)
-    for form_grad, rows, prod in work.grads:
-        np.matmul(form_grad, rows, prod)
+    np.matmul(work.form_grad, gap, work.prod)
     # The sum's share of F, ds / (1 + ratio), in place of the ratio.
     np.divide(work.one, np.add(work.one, ratio, ratio), ratio)
     np.multiply(ratio, work.ds, ratio)
@@ -468,29 +453,20 @@ def _hinge_rows(work: _Work) -> None:
     np.subtract(np.add(work.dg, work.ds, work.grad_g), ratio, work.grad_g)
 
 
-# The 20 forms of F, G and F + G as one (60, 24) float32 block: row 20s + f
-# is form f of summand s (F, G, the sum) over columns 8s to 8s + 7, the
-# summand's entries in the stacked (3, 8) parts; and the block's gradient
-# map.  Every coefficient is 0, +-1 or +-2, so float32 holds both exactly.
-_SUMMAND_FORMS = np.einsum("fj,st->sftj", FORM_MATRIX, np.eye(3)).reshape(60, 24)
-_SUMMAND_FORMS = _SUMMAND_FORMS.astype(np.float32)
-_SUMMAND_GRAD = np.ascontiguousarray(-2 * _SUMMAND_FORMS.T)
-
-
-def _active_rows(
-    sign: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int, int]]:
-    """The (form, summand) rows that some column of ``sign`` (20, 3, n)
-    constrains, as ``_hinge_rows`` takes them: their (k, n) signs, the
-    (k, 24) and (24, k) blocks for them, and where each summand's rows end.
-    The rows are summand-major, in ``_SUMMAND_FORMS``'s order, so summand
-    s's active rows are one contiguous block, rows ``ends[s - 1]`` (0 for
-    s = 0) to ``ends[s]``, whose forms read only the parts' columns 8s to
-    8s + 7."""
-    sign = sign.swapaxes(0, 1).reshape(60, -1)
-    rows = np.flatnonzero(sign.any(axis=1))
-    ends = tuple(rows.searchsorted((20, 40, 60)).tolist())
-    return sign[rows], _SUMMAND_FORMS[rows], _SUMMAND_GRAD.take(rows, axis=1), ends
+def _active_rows(sign: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each summand's forms as ``_hinge_rows`` takes them, given the pool's
+    signs ``sign`` (20, 3, n): their (3, kmax, n) signs, (3, kmax, 8) rows
+    of the form matrix, and the (3, 8, kmax) view of -2 times those rows
+    that maps gaps to the gradient.  Summand s (F, G, the sum) lists the
+    forms that some column constrains, in form order, then its other
+    forms, in form order, up to kmax, the largest summand's count of
+    constrained forms.  A padded form's sign is 0 in every column.  Every
+    coefficient is 0, ±1 or ±2, so float32 holds both maps exactly."""
+    active = sign.any(axis=-1)
+    kmax = max(map(sum, active.T.tolist()))
+    rows = (~active).argsort(axis=0, kind="stable")[:kmax].T
+    forms = _FORM_MATRIX32.take(rows, 0)
+    return sign[rows, np.arange(3)[:, None]], forms, np.multiply(forms, -2).swapaxes(1, 2)
 
 
 # Adam's bias corrections by iteration: the step size over 1 - beta1^(t+1),
@@ -535,58 +511,36 @@ class _Work:
     and the sum, ``sign`` (20, 3, n), so that a step allocates no array.
 
     ``parts`` (3, 8, n) holds the log entries ``hf``, ``hg`` and ``hs`` of
-    F, G and the sum, read by the first product as ``block``; ``h`` is the
-    (16, n) view of its first two rows that the descent moves.  ``gap``
-    (k, n) and ``prod`` (24, n) hold the two products, ``prod`` as the
-    gradient by the entries of F, G and the sum (``df``, ``dg``, ``ds``);
-    ``grad`` holds the gradient by h.  ``flags`` (k + 1, n) holds which
-    gaps are zero (``zero_gaps``) and, in its last row, ``live``, the
-    pool's live columns, all true when it is built; ``zero`` gets each
-    column's conjunction of them.  ``ratio`` and ``scratch`` serve the
-    hinge and Adam; ``adam`` takes each column's Adam ``rate`` and
-    ``scale`` from ``_ADAM_TABLE``, and Adam spreads them over a column's
-    16 rows before it multiplies, since numpy allocates a buffer for a
-    ufunc that broadcasts a row against a block.  ``values`` and ``grads``
-    hold the two products as (left, right, out) operands of ``np.matmul``:
-    one each, or one per summand with active rows on a pool of at least
-    ``_SPLIT_GAPS`` gap cells (``_hinge_rows``).  ``small`` is the (16, n)
-    mask of Adam's flush of tiny first moments (``_Descent``).  The step's
-    scalar operands are the 0-d arrays of ``_STEP_SCALARS``.
+    F, G and the sum; ``h`` is the (16, n) view of its first two rows that
+    the descent moves.  ``gap`` (3, kmax, n) and ``prod`` (3, 8, n) hold
+    the two products of ``forms`` and ``form_grad`` (``_active_rows``),
+    ``prod`` as the gradient by the entries of F, G and the sum (``df``,
+    ``dg``, ``ds``); ``grad`` holds the gradient by h.  ``flags``
+    (3 kmax + 1, n) holds which gaps are zero (``zero_gaps``) and, in its
+    last row, ``live``, the pool's live columns, all true when it is built;
+    ``zero`` gets each column's conjunction of them.  ``ratio`` and
+    ``scratch`` serve the hinge and Adam; ``adam`` takes each column's Adam
+    ``rate`` and ``scale`` from ``_ADAM_TABLE``, and Adam spreads them over
+    a column's 16 rows before it multiplies, since numpy allocates a buffer
+    for a ufunc that broadcasts a row against a block.  ``small`` is the
+    (16, n) mask of Adam's flush of tiny first moments (``_Descent``).  The
+    step's scalar operands are the 0-d arrays of ``_STEP_SCALARS``.
     """
 
     def __init__(self, sign: np.ndarray) -> None:
         n = sign.shape[-1]
-        self.sign, self.forms, self.form_grad, ends = _active_rows(sign)
-        k = len(self.sign)
+        self.sign, self.forms, self.form_grad = _active_rows(sign)
         self.parts = np.empty((3, 8, n), np.float32)
-        self.block = self.parts.reshape(24, n)
-        self.h = self.block[:16]
         self.hf, self.hg, self.hs = self.parts
-        self.gap = np.empty((k, n), np.float32)
-        self.flags = np.empty((k + 1, n), dtype=bool)
-        self.zero_gaps, self.live = self.flags[:k], self.flags[k]
+        self.h = self.parts[:2].reshape(16, n)
+        kmax = self.sign.shape[1]
+        self.gap = np.empty((3, kmax, n), np.float32)
+        self.flags = np.empty((3 * kmax + 1, n), dtype=bool)
+        self.zero_gaps, self.live = self.flags[:-1].reshape(3, kmax, n), self.flags[-1]
         self.live[...] = True
         self.zero = np.empty(n, dtype=bool)
-        # Zeros: a summand with no active row keeps zero gradient rows.
-        self.prod = np.zeros((24, n), np.float32)
-        self.df, self.dg, self.ds = by_summand = self.prod.reshape(3, 8, n)
-        if k * n < _SPLIT_GAPS:
-            self.values = ((self.forms, self.block, self.gap),)
-            self.grads = ((self.form_grad, self.gap, self.prod),)
-        else:
-            blocks = [
-                (s, slice(start, end), slice(8 * s, 8 * s + 8))
-                for s, start, end in zip(range(3), (0,) + ends[:2], ends)
-                if start < end
-            ]
-            self.values = tuple(
-                (np.ascontiguousarray(self.forms[rows, cols]), self.parts[s], self.gap[rows])
-                for s, rows, cols in blocks
-            )
-            self.grads = tuple(
-                (np.ascontiguousarray(self.form_grad[cols, rows]), self.gap[rows], by_summand[s])
-                for s, rows, cols in blocks
-            )
+        self.prod = np.empty((3, 8, n), np.float32)
+        self.df, self.dg, self.ds = self.prod
         self.grad = np.empty((16, n), np.float32)
         self.grad_f, self.grad_g = self.grad[:8], self.grad[8:]
         self.ratio = np.empty((8, n), np.float32)
@@ -623,11 +577,11 @@ class _Descent:
     most ``_OPT_BLOCK`` (1024), each at its own iteration.  A pool is
     built only when rows enter it: the descent starts with an empty one
     and ends without building another.  Then its columns' signs on the 20
-    forms of F, G and the sum are gathered and cut to the (form, summand)
-    rows that some column constrains, with the form blocks for those rows,
+    forms of F, G and the sum are gathered and cut to each summand's forms
+    that some column constrains, padded to one count (``_active_rows``),
     and the step's arrays are built for it (``_Work``).  A step is then one
-    ``_hinge_rows`` call on the pool's active rows and one Adam update,
-    both in those arrays.
+    ``_hinge_rows`` call on those forms and one Adam update, both in those
+    arrays.
 
     Every ``_FLUSH_PERIOD`` (32) steps, once Adam's first moment m is
     updated, each moment with |m| < ``_FLUSH_BELOW`` (2⁻⁷⁵) is set to +0.

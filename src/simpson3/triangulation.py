@@ -5,8 +5,10 @@ Every strictly positive 2x2x2 table lifts the cube vertices to heights
 projects to a triangulation of the cube.  This module enumerates all
 triangulations combinatorially, derives for each one the set of strict sign
 conditions on the 20 balanced forms that characterizes the tables inducing
-it, and classifies tables either exactly (integer monomial comparisons) or
-in bulk (vectorized floating point with a degeneracy margin).
+it, and classifies tables exactly: one at a time (integer monomial
+comparisons) or in bulk from their entries (a float32 screen, with each
+table it cannot certify decided exactly).  Only the bulk classification of
+heights keeps a floating-point degeneracy margin.
 
 All geometric predicates during enumeration are exact and combinatorial:
 tetrahedron volumes are integer determinants on the 0/1 vertex coordinates,

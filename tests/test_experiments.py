@@ -1068,13 +1068,13 @@ def reference_hinge_rows(h, sign, forms, form_grad):
     built at each refill: the same operations on fresh float32 arrays."""
     hf, hg = h[:8], h[8:]
     ratio = np.exp(hg - hf)
-    parts = np.concatenate([hf, hg, sum_logs(hf, ratio)])
+    parts = np.stack([hf, hg, sum_logs(hf, ratio)])
     gap = np.matmul(forms, parts)
     gap *= sign
     np.maximum(np.subtract(experiments._OPT_MARGIN, gap, out=gap), 0.0, out=gap)
     gap *= sign
-    zero = ~gap.any(axis=0)
-    grad_f, grad_g, grad_s = np.matmul(form_grad, gap).reshape(3, 8, -1)
+    zero = ~gap.any(axis=(0, 1))
+    grad_f, grad_g, grad_s = np.matmul(form_grad, gap)
     shared = grad_s * (1.0 / (1.0 + ratio))
     return zero, np.concatenate([grad_f + shared, grad_g + grad_s - shared])
 
@@ -1107,9 +1107,9 @@ def reference_step(h, m, v, t, live, work, flush):
 # The six III->III->III classes the search leaves open.
 OPEN_CLASSES = [(3, 4, 55), (3, 4, 58), (3, 11, 55), (3, 11, 58), (3, 14, 53), (3, 14, 60)]
 
-# Pool compositions and how many of the 60 (form, summand) rows they
-# constrain: one class, the six open classes, and 40 classes.
-POOLS = {"one class": (12, 18), "six open classes": (25, 25), "40 classes": (60, 60)}
+# Pool compositions and the most forms they constrain in one summand, kmax:
+# one class, the six open classes, and 40 classes.
+POOLS = {"one class": (4, 6), "six open classes": (11, 11), "40 classes": (20, 20)}
 
 
 def pool_ids(pool, n):
@@ -1235,7 +1235,7 @@ class TestDescent:
             assert zero[:3].all()
         if rows in POOLS:
             low, high = POOLS[rows]
-            assert low <= len(active) <= high
+            assert active.shape[::2] == (3, n) and low <= active.shape[1] <= high
             assert zero[0] == (rows != "six open classes")
 
     # "drawn keys": the descent's own float32 sign table, a witness's key
@@ -1280,38 +1280,48 @@ class TestDescent:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_products_are_exact_on_the_grid(self, catalog, seed):
         # Both float32 products equal int64 arithmetic on 4096 * h, column
-        # by column, on pools of 1 to 40 columns and of 1024, as the dense
-        # (k, 24) and (24, k) products and as the per-summand (k_s, 8) and
-        # (8, k_s) ones; each per-summand product on its own operands too.
+        # by column, on pools of 1 to 40 columns and of 1024, among them
+        # pools whose summands constrain unequal numbers of forms, and on
+        # the same pools with no G rows.  Each summand lists its constrained
+        # forms, then its others up to kmax; a padded row's gap is 0, its
+        # zero flag true, and it adds nothing to the gradient.
         margin = experiments._OPT_MARGIN * 4096
         assert margin == 205
         ids, h = grid_pool(catalog, seed, 1024)
         sign = kernel_signs(catalog.constraint_signs, ids)
-        largest = 0
-        for n, summands in itertools.product([*range(1, 41), 1024], (1, 3)):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(experiments, "_SPLIT_GAPS", 0 if summands == 3 else 10**9)
-                work = experiments._Work(sign[..., :n])
-            assert len(work.values) == len(work.grads) == summands
+        no_g = sign.copy()
+        no_g[:, 1] = 0
+        largest, unequal = 0, 0
+        for signs, n in itertools.product((sign, no_g), [*range(1, 41), 1024]):
+            work = experiments._Work(signs[..., :n])
             work.h[...] = h[:, :n]
             experiments._hinge_rows(work)
-            block = work.block * np.float64(4096)
-            assert np.array_equal(block, np.round(block))
+            constrained = [np.flatnonzero(signs[:, t, :n].any(axis=1)) for t in range(3)]
+            kmax = max(map(len, constrained))
+            for t, own in enumerate(constrained):
+                rows = np.concatenate([own, np.setdiff1d(np.arange(20), own)])[:kmax]
+                assert np.array_equal(work.forms[t], FORM_MATRIX[rows])
+                assert np.array_equal(work.sign[t], signs[rows, t, :n])
+            unequal += len(set(map(len, constrained))) > 1
+            parts = work.parts * np.float64(4096)
+            assert np.array_equal(parts, np.round(parts))
             assert np.abs(work.hs).max() < 12.7
             s = work.sign.astype(np.int64)
-            value = work.forms.astype(np.int64) @ block.astype(np.int64)
+            value = work.forms.astype(np.int64) @ parts.astype(np.int64)
             gap = np.maximum(margin - s * value, 0) * s
             assert np.array_equal(work.gap * np.float64(4096), gap)
-            prod = work.form_grad.astype(np.int64) @ gap
+            form_grad = work.form_grad.astype(np.int64)
+            assert np.array_equal(form_grad, -2 * work.forms.swapaxes(1, 2))
+            prod = form_grad @ gap
             assert np.array_equal(work.prod * np.float64(4096), prod)
             assert np.abs(value).max() < 2**7 * 4096 and np.abs(prod).max() < 2**11 * 4096
             largest = max(largest, np.abs(gap).max())
-            for (forms, parts, _), (form_grad, rows, by_entry) in zip(work.values, work.grads):
-                exact = forms.astype(np.int64) @ (parts * np.float64(4096)).astype(np.int64)
-                assert np.array_equal(np.matmul(forms, parts) * np.float64(4096), exact)
-                exact = form_grad.astype(np.int64) @ (rows * np.float64(4096)).astype(np.int64)
-                assert np.array_equal(by_entry * np.float64(4096), exact)
-        assert largest >= 6 * 12 * 4096 + margin
+            padded = ~s.any(axis=-1)
+            assert not work.gap[padded].any() and work.zero_gaps[padded].all()
+            assert np.array_equal(np.where(padded[:, None], 0, form_grad) @ gap, prod)
+            if signs is no_g:
+                assert padded[1].all() and not work.prod[1].any()
+        assert unequal and largest >= 6 * 12 * 4096 + margin
         assert (np.abs(h) == experiments._OPT_BOX).all(axis=0).any()
 
     def test_grid_rounds_to_nearest_even(self):
@@ -1427,40 +1437,6 @@ class TestDescent:
         assert flushed.spent.tolist() == unflushed.spent.tolist() == [20000] * 6
         assert steps >= 600 and subnormal and zeroed
 
-    @pytest.mark.parametrize("pool", ["six open classes", "40 classes", "no G rows"])
-    def test_gradient_does_not_depend_on_the_product_path(self, catalog, pool):
-        # The per-summand products equal the dense (k, 24) and (24, k) ones
-        # bit for bit, on pools on both sides of the crossover.
-        rng = np.random.default_rng(29)
-        sign = catalog.constraint_signs
-        for n in (64, 1024):
-            ids = pool_ids("40 classes" if pool == "no G rows" else pool, n)
-            h = on_grid(rng.normal(0, 3, (16, n)))
-            h = near_margin_rows(sign, required_margins(sign), ids, h, rng)
-            signs = kernel_signs(sign, ids)
-            if pool == "no G rows":
-                # a summand no column constrains: its gradient rows are zero
-                signs[:, 1] = 0
-            results = []
-            for cells in (0, 10**9):
-                with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(experiments, "_SPLIT_GAPS", cells)
-                    work = experiments._Work(signs)
-                work.h[...] = h
-                experiments._hinge_rows(work)
-                outputs = work.gap, work.prod, work.grad, work.flags, work.zero
-                results.append((len(work.values), *outputs))
-            (split, *per_summand), (dense, *whole) = results
-            assert (split, dense) == (2 if pool == "no G rows" else 3, 1)
-            for a, b in zip(per_summand, whole):
-                assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
-            # some gaps are nonzero, so some columns have nonzero loss
-            assert per_summand[0].any() and not per_summand[-1].all()
-            if pool == "no G rows":
-                assert not per_summand[1][8:16].view(np.uint32).any()
-            # The pool's own path: dense at 64 columns, per summand at 1024.
-            assert len(experiments._Work(signs).values) == (dense if n == 64 else split)
-
     def test_a_search_builds_one_pool_per_wave(self, monkeypatch):
         pools = []
         build = experiments._Work.__init__
@@ -1508,7 +1484,6 @@ class TestDescent:
         finally:
             tracemalloc.stop()
         assert descent.steps == experiments._FLUSH_PERIOD
-        assert len(descent.work.values) == (1 if width == 16 else 3)
         assert not descent.work.zero.any() and descent.clock > 0
         # Less than one (16, 16) float32 block: numpy allocates a buffer for
         # a ufunc that broadcasts a row against a block, and for a reduce
@@ -1590,9 +1565,9 @@ OTHER_KERNELS = {
 
 # What a process on another kernel runs, given the tests directory: the
 # batch independence checks of the descent and of classify_heights_batch,
-# each block size at one seed, and the per-summand products against the
-# dense ones; then it prints the outcome digest, whose sweep must build a
-# pool that takes the per-summand products.
+# each block size at one seed, and the descent's products at one seed; then
+# it prints the outcome digest, whose sweep must build a padded pool, one
+# with a summand of fewer constrained forms than kmax.
 ON_OTHER_KERNELS = """
 import sys, warnings
 sys.path.insert(0, sys.argv[1])
@@ -1606,20 +1581,19 @@ with pytest.MonkeyPatch.context() as patch:
 descent = e.TestDescent()
 for keys in ("40 classes", "drawn keys"):
     descent.test_a_column_does_not_depend_on_its_pool(catalog, keys)
-for pool in ("six open classes", "40 classes", "no G rows"):
-    descent.test_gradient_does_not_depend_on_the_product_path(catalog, pool)
+e.TestDescent.test_products_are_exact_on_the_grid.hypothesis.inner_test(descent, catalog, seed=0)
 rows = t.TestBatchKernelProperties.test_row_id_does_not_depend_on_its_block.hypothesis.inner_test
 for size in t.BLOCK_SIZES:
     rows(t.TestBatchKernelProperties(), catalog, size, seed=size)
-paths = []
+padded = []
 build = e.experiments._Work.__init__
 def recording(work, sign):
     build(work, sign)
-    paths.append(len(work.values))
+    padded.append(not work.sign.any(axis=-1).all())
 with pytest.MonkeyPatch.context() as patch:
     patch.setattr(e.experiments._Work, "__init__", recording)
     digest = e.descent_digest()
-assert max(paths) == 3, paths
+assert any(padded), padded
 print(digest)
 """
 
