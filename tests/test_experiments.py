@@ -1437,6 +1437,66 @@ class TestDescent:
         assert flushed.spent.tolist() == unflushed.spent.tolist() == [20000] * 6
         assert steps >= 600 and subnormal and zeroed
 
+    @pytest.mark.parametrize("pool", ["six open classes", "40 classes", "no G rows"])
+    def test_gradient_does_not_depend_on_the_product_path(self, catalog, pool):
+        # The stacked pair on the padded rows equals, byte for byte, the
+        # same kernel on all 20 forms of every summand, and one (k_s, 8) and
+        # one (8, k_s) product per summand on its constrained forms alone:
+        # padding moves no gap, flag or gradient entry.
+        rng = np.random.default_rng(29)
+        sign = catalog.constraint_signs
+        forms = FORM_MATRIX.astype(np.float32)
+        margin = np.float32(experiments._OPT_MARGIN)
+
+        def all_forms(signs):
+            stacked = np.stack([forms] * 3)
+            grad_map = np.multiply(stacked, -2).swapaxes(1, 2)
+            return np.ascontiguousarray(signs.swapaxes(0, 1)), stacked, grad_map
+
+        for n in (64, 1024):
+            ids = pool_ids("40 classes" if pool == "no G rows" else pool, n)
+            h = on_grid(rng.normal(0, 3, (16, n)))
+            h = near_margin_rows(sign, required_margins(sign), ids, h, rng)
+            signs = kernel_signs(sign, ids)
+            if pool == "no G rows":
+                # a summand no column constrains: its gradient rows are zero
+                signs[:, 1] = 0
+            work = experiments._Work(signs)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(experiments, "_active_rows", all_forms)
+                full = experiments._Work(signs)
+            for pool_work in (work, full):
+                pool_work.h[...] = h
+                experiments._hinge_rows(pool_work)
+            for a, b in [(work.prod, full.prod), (work.grad, full.grad), (work.zero, full.zero)]:
+                assert a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+            kmax = work.gap.shape[1]
+            low, high = POOLS["40 classes" if pool == "no G rows" else pool]
+            assert full.gap.shape[1] == 20 and low <= kmax <= high
+            padded = 0
+            for t in range(3):
+                own = np.flatnonzero(signs[:, t].any(axis=1))
+                k = len(own)
+                padded += kmax - k
+                gap = work.gap[t, :k]
+                assert np.array_equal(gap.view(np.uint8), full.gap[t, own].view(np.uint8))
+                assert not work.gap[t, k:].view(np.uint32).any()
+                assert not np.delete(full.gap[t], own, axis=0).view(np.uint32).any()
+                if not k:
+                    assert not work.prod[t].view(np.uint32).any()
+                    continue
+                s = signs[own, t]
+                value = np.matmul(forms[own], work.parts[t]) * s
+                expected = np.maximum(margin - value, np.float32(0)) * s
+                assert np.array_equal(gap.view(np.uint8), expected.view(np.uint8))
+                prod = np.matmul(np.multiply(forms[own], -2).T, expected)
+                assert np.array_equal(work.prod[t].view(np.uint8), prod.view(np.uint8))
+            # some gaps are nonzero, so some columns have nonzero loss
+            assert work.gap.any() and not work.zero.all()
+            # The open classes' and the G-less pools are padded; the 40
+            # classes' summands each constrain all 20 forms.
+            assert bool(padded) == (pool != "40 classes")
+
     def test_a_search_builds_one_pool_per_wave(self, monkeypatch):
         pools = []
         build = experiments._Work.__init__
